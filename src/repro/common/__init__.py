@@ -20,7 +20,7 @@ from repro.common.serialization import (
     encode_record,
 )
 from repro.common.vectorclock import Occurred, VectorClock, prune_obsolete
-from repro.common.wal import WriteAheadLog, frame, scan_frames
+from repro.common.wal import WriteAheadLog
 
 __all__ = [
     "atomic_section",
@@ -51,6 +51,4 @@ __all__ = [
     "VectorClock",
     "prune_obsolete",
     "WriteAheadLog",
-    "frame",
-    "scan_frames",
 ]

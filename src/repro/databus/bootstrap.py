@@ -18,14 +18,16 @@ Two query types:
   the snapshot phase started, restoring consistency exactly as the
   paper describes.
 
-Given a :class:`~repro.simnet.disk.Disk`, both storages are durable:
-every delivered event is framed into a log WAL and fsynced before the
-delivery counts (DESIGN.md §9), and :meth:`BootstrapServer.checkpoint`
-folds the snapshot plus its applied-SCN watermark into a snapshot file
-(temp-write + atomic replace) and compacts the log down to the rows
-beyond the watermark.  Recovery loads the checkpoint, then replays
-only log rows with SCN strictly above the watermark — a restarted
-bootstrap server never double-applies a window and never skips one.
+Given a :class:`~repro.simnet.disk.Disk`, both storages are durable on
+the framed-file kernel (:mod:`repro.common.wal`, DESIGN.md §9): every
+delivered event is appended to a log WAL and fsynced before the
+delivery counts, and :meth:`BootstrapServer.checkpoint` writes the
+snapshot plus its applied-SCN watermark as one all-or-nothing image and
+compacts the log down to the rows beyond the watermark.  Recovery loads
+the image, then replays only log rows with SCN strictly above the
+watermark — never double-applying a window, never skipping one.  A
+damaged image raises :class:`ChecksumError` at open: the log below the
+watermark is gone, so a partial snapshot would drop rows silently.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import struct
 from typing import Iterator
 
 from repro.common.errors import ConfigurationError
-from repro.common.wal import WriteAheadLog, frame, scan_frames
+from repro.common.wal import WriteAheadLog, read_image, write_image
 from repro.databus.events import DatabusEvent, EventFilter
 from repro.simnet.disk import Disk
 from repro.sqlstore.binlog import ChangeKind
@@ -104,10 +106,8 @@ class BootstrapServer:
         watermark are already folded into the snapshot, so the replay
         skips them (never double-applies); everything above is re-read
         from the log (never skips)."""
-        if self._disk.exists(self.SNAPSHOT_NAME):
-            with self._disk.open(self.SNAPSHOT_NAME, "rb") as f:
-                frames, _ = scan_frames(f.read())
-            payloads = [payload for _, payload in frames]
+        payloads = read_image(self._disk, self.SNAPSHOT_NAME)
+        if payloads is not None:
             (self._applied_through,) = _WATERMARK.unpack(payloads[0])
             for payload in payloads[1:]:
                 event = _decode_event(payload)
@@ -123,32 +123,22 @@ class BootstrapServer:
 
     def checkpoint(self) -> int:
         """Fold the snapshot + watermark into durable snapshot storage
-        and compact the log to the rows beyond it; returns the number
-        of log rows compacted away.  No-op without a disk."""
+        and compact the log to the rows beyond it; returns the log
+        bytes reclaimed.  No-op without a disk."""
         if self._log_wal is None:
             return 0
-        tmp = self.SNAPSHOT_NAME + ".tmp"
-        with self._disk.open(tmp, "wb") as f:
-            f.write(frame(_WATERMARK.pack(self._applied_through)))
-            for key in sorted(self._snapshot, key=repr):
-                f.write(frame(_encode_event(self._snapshot[key])))
-            f.fsync()
-        self._disk.replace(tmp, self.SNAPSHOT_NAME)
-        keep = [e for e in self._log if e.scn > self._applied_through]
-        compacted = self._log_wal.size_bytes
-        self._log_wal.close()
-        tmp_log = self.LOG_NAME + ".compact"
-        new_wal = WriteAheadLog(tmp_log, disk=self._disk)
-        for event in keep:
-            new_wal.append(_encode_event(event))
-        new_wal.fsync()
-        new_wal.close()
-        self._disk.replace(tmp_log, self.LOG_NAME)
-        # safe: the old WAL is closed above, so a log-writer append that
-        # interleaves with the compaction fsyncs raises before touching
-        # self._log and the relay redelivers once the new WAL is open
-        self._log_wal = WriteAheadLog(self.LOG_NAME, disk=self._disk)  # repro-lint: disable=atomicity-violation
-        return compacted - self._log_wal.size_bytes
+        watermark = self._applied_through
+        write_image(self._disk, self.SNAPSHOT_NAME, [
+            _WATERMARK.pack(watermark),
+            *(_encode_event(self._snapshot[key])
+              for key in sorted(self._snapshot, key=repr))])
+        # cut at the watermark the image recorded, not the live one:
+        # rows the log writer applied during the image's fsync are in
+        # the log only.  An append racing the rewrite's own fsync aborts
+        # it, and the uncompacted log is still correct — recovery skips
+        # by watermark.
+        return self._log_wal.rewrite(
+            _encode_event(e) for e in self._log if e.scn > watermark) or 0
 
     # -- log writer ------------------------------------------------------------
 

@@ -387,6 +387,9 @@ class SimDisk(Disk):
                     else self.rng.randrange(1, len(tail) + 1)
                 keep = tail[:min(cut, len(tail))]
                 state.data.extend(keep)
+                # what a power cut leaves on the media is durable: a
+                # second crash cannot un-write the torn prefix
+                state.synced = bytes(state.data)
                 self._record("torn", path, "", len(keep))
             lost += len(tail) - len(keep)
             for handle in self._handles.pop(path, []):

@@ -1,5 +1,5 @@
 """Task-local keyed state: a dict image, a changelog hook, and
-WAL-framed snapshots on the container's disk.
+all-or-nothing snapshot images on the container's disk.
 
 Samza's state story (SNIPPETS.md §8) is reproduced structurally:
 
@@ -9,11 +9,12 @@ Samza's state story (SNIPPETS.md §8) is reproduced structurally:
   owning task wires to its **changelog topic** partition — the store
   itself never talks to Kafka (layering: state below, transport above);
 * durability of the local image is a **snapshot**: the full key/value
-  map plus the changelog offset it covers, written as CRC-framed
-  records through :class:`~repro.common.wal.WriteAheadLog` to a temp
-  file and atomically renamed into place.  Recovery loads the snapshot
-  and replays the changelog *suffix* from the snapshot's offset — the
-  log+snapshot bootstrap shape Databus already uses (DESIGN.md §9).
+  map plus the changelog offset it covers, written as one framed image
+  (:func:`repro.common.wal.write_image`: temp file, fsync, atomic
+  rename).  Recovery loads the snapshot and replays the changelog
+  *suffix* from the snapshot's offset — the log+snapshot bootstrap
+  shape Databus already uses (DESIGN.md §9).  A snapshot that is not a
+  complete image is rejected on every load, never half-applied.
 
 Values are JSON-serializable objects; keys are strings.  Mutations are
 **idempotent upserts**: a changelog record carries the absolute new
@@ -26,9 +27,9 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterator
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ChecksumError, ConfigurationError
 from repro.common.storage import Disk
-from repro.common.wal import WriteAheadLog
+from repro.common.wal import read_image, write_image
 
 MutationHook = Callable[[str, object], None]
 
@@ -131,26 +132,17 @@ def write_snapshot(disk: Disk, path: str, store: KeyedStateStore,
                    changelog_offset: int) -> int:
     """Write the store image + covered changelog offset, atomically.
 
-    Frames go to ``path + ".tmp"`` through a :class:`WriteAheadLog`
-    (header frame, then one frame per key in sorted order), are fsynced
-    *before* the rename, and the rename is atomic — so a crash at any
-    point leaves either the old snapshot or the new one, never a torn
-    mix.  Returns the number of entries written.
+    One image: a header payload, then one payload per key in sorted
+    order.  A crash at any point leaves either the old snapshot or the
+    new one, never a torn mix.  Returns the number of entries written.
     """
-    tmp_path = path + ".tmp"
-    if disk.exists(tmp_path):
-        disk.remove(tmp_path)  # a previous attempt died mid-write
-    wal = WriteAheadLog(tmp_path, disk=disk)
     header = {"version": _SNAPSHOT_VERSION, "store": store.name,
               "changelog_offset": changelog_offset}
-    wal.append(json.dumps(header, sort_keys=True).encode())
     entries = store.items()
-    for key, value in entries:
-        wal.append(json.dumps({"k": key, "v": value},
-                              sort_keys=True).encode())
-    wal.fsync()
-    wal.close()
-    disk.replace(tmp_path, path)
+    write_image(disk, path, [
+        json.dumps(header, sort_keys=True).encode(),
+        *(json.dumps({"k": key, "v": value}, sort_keys=True).encode()
+          for key, value in entries)])
     return len(entries)
 
 
@@ -159,33 +151,23 @@ def load_snapshot(disk: Disk, path: str,
     """Load a snapshot into ``store`` (replacing its contents).
 
     Returns the changelog offset the snapshot covers, or ``None`` when
-    no usable snapshot exists (missing file, empty file, wrong store) —
-    the caller then falls back to a full changelog replay.  A torn tail
-    inside the snapshot WAL is truncated by the WAL's own recovery
-    scan; entries after the tear are simply missing, which is safe
-    because the changelog replay from the *header's* offset would
-    re-create them — so a snapshot with a valid header but torn entries
-    is rejected entirely rather than half-loaded.
+    no usable snapshot exists (missing file, damaged image, wrong
+    store) — the caller then falls back to a full changelog replay.  A
+    torn or corrupt snapshot is rejected entirely rather than
+    half-loaded: the header's offset would skip the changelog records
+    of whatever entries were lost.
     """
-    if not disk.exists(path):
-        return None
-    wal = WriteAheadLog(path, disk=disk)
     try:
-        frames = list(wal.replay())
-    finally:
-        wal.close()
-    if not frames:
+        payloads = read_image(disk, path)
+    except ChecksumError:
         return None
-    header = json.loads(frames[0])
+    if not payloads:
+        return None
+    header = json.loads(payloads[0])
     if header.get("store") != store.name:
         return None
-    if wal.truncated_bytes:
-        # entries were torn off the tail: the image is incomplete and
-        # the header's offset would skip their changelog records —
-        # reject and replay the changelog from scratch instead
-        return None
     store.clear()
-    for payload in frames[1:]:
+    for payload in payloads[1:]:
         record = json.loads(payload)
         store.apply(record["k"], record["v"])
     return int(header["changelog_offset"])

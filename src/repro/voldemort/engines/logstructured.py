@@ -6,33 +6,34 @@ durable writes via an append-only log, fast point reads via an
 in-memory key index, crash recovery by log replay, CRC detection of
 torn writes, and compaction that drops superseded versions.
 
-On-disk record format (little-endian):
+``data.log`` is a :class:`~repro.common.wal.WriteAheadLog`: the kernel
+owns the checksummed frame, the torn-tail rule, the checked read by
+offset and the atomic compaction swap.  This module owns what goes
+inside a frame (little-endian):
 
-    [crc32 : 4B][body_len : 4B][body]
     body = [key_len : 4B][key]
            [clock_count : 2B][(node_id : 8B, counter : 8B) * count]
            [flags : 1B]                # bit 0: tombstone
            [value_len : 4B][value]
 
-The in-memory index maps key -> list of (clock, offset, length,
-tombstone) so the multi-version merge never touches disk; only value
-reads do.
+and the in-memory index, which maps key -> list of (clock, offset,
+length, tombstone) so the multi-version merge never touches disk; only
+value reads do.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import zlib
 from typing import Iterator
 
 from repro.common.errors import ChecksumError, KeyNotFoundError
 from repro.common.vectorclock import VectorClock
+from repro.common.wal import FRAME_OVERHEAD, WriteAheadLog
 from repro.simnet.disk import Disk, LocalDisk
 from repro.voldemort.engines.base import StorageEngine
 from repro.voldemort.versioned import Versioned
 
-_HEADER = struct.Struct("<II")
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _CLOCK_ENTRY = struct.Struct("<QQ")
@@ -58,7 +59,7 @@ def _decode_clock(data: bytes, offset: int) -> tuple[VectorClock, int]:
     return VectorClock(entries), offset
 
 
-def _encode_record(key: bytes, versioned: Versioned) -> bytes:
+def encode_body(key: bytes, versioned: Versioned) -> bytes:
     value = versioned.value if versioned.value is not None else b""
     flags = _FLAG_TOMBSTONE if versioned.is_tombstone else 0
     body = bytearray()
@@ -68,10 +69,10 @@ def _encode_record(key: bytes, versioned: Versioned) -> bytes:
     body.append(flags)
     body.extend(_U32.pack(len(value)))
     body.extend(value)
-    return _HEADER.pack(zlib.crc32(bytes(body)), len(body)) + bytes(body)
+    return bytes(body)
 
 
-def _decode_body(body: bytes) -> tuple[bytes, Versioned]:
+def decode_body(body: bytes) -> tuple[bytes, Versioned]:
     (key_len,) = _U32.unpack_from(body, 0)
     offset = _U32.size
     key = body[offset:offset + key_len]
@@ -108,45 +109,22 @@ class LogStructuredEngine(StorageEngine):
                  disk: Disk | None = None):
         self.directory = directory
         self.disk = disk if disk is not None else LocalDisk()
-        self.disk.makedirs(directory)
-        self._path = os.path.join(directory, self.LOG_NAME)
         self._index: dict[bytes, list[_IndexEntry]] = {}
-        self._log = self.disk.open(self._path, "ab+")
+        self._log = WriteAheadLog(os.path.join(directory, self.LOG_NAME),
+                                  disk=self.disk)
         self._sync = sync_every_write
         self.live_bytes = 0
-        self.torn_bytes_truncated = 0
-        self._recover()
-
-    # -- recovery ---------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Rebuild the index by replaying the log; truncate a torn tail."""
-        self._log.seek(0)
-        good_end = 0
-        while True:
-            header = self._log.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                break
-            crc, body_len = _HEADER.unpack(header)
-            body = self._log.read(body_len)
-            if len(body) < body_len or zlib.crc32(body) != crc:
-                break  # torn write at crash; discard the tail
-            key, versioned = _decode_body(body)
-            self._index_put(key, versioned, good_end, _HEADER.size + body_len)
-            good_end += _HEADER.size + body_len
-        self._log.seek(0, os.SEEK_END)
-        tail = self._log.tell() - good_end
-        if tail > 0:
-            self.torn_bytes_truncated += tail
-            self._log.truncate(good_end)
-            self._log.fsync()  # the torn tail must not outlive a re-crash
-        self._log.seek(0, os.SEEK_END)
+        self.torn_bytes_truncated = self._log.truncated_bytes
+        for offset, body in self._log.frames():
+            key, versioned = decode_body(body)
+            self._index_put(key, versioned, offset,
+                            FRAME_OVERHEAD + len(body))
 
     def _index_put(self, key: bytes, versioned: Versioned, offset: int,
                    length: int) -> None:
-        """Index update during recovery: apply merge rules, but a stale
+        """Index update: apply merge rules.  During recovery a stale
         replayed record is skipped rather than raising (the log already
-        accepted it once)."""
+        accepted it once); ``put`` has raised for those beforehand."""
         existing = self._index.get(key, [])
         for entry in existing:
             if entry.clock.descends_from(versioned.clock):
@@ -170,13 +148,7 @@ class LogStructuredEngine(StorageEngine):
         return out
 
     def _read_value(self, key: bytes, entry: _IndexEntry) -> bytes:
-        self._log.seek(entry.offset)
-        raw = self._log.read(entry.length)
-        crc, body_len = _HEADER.unpack_from(raw, 0)
-        body = raw[_HEADER.size:_HEADER.size + body_len]
-        if zlib.crc32(body) != crc:
-            raise ChecksumError(f"corrupt record for key {key!r}")
-        stored_key, versioned = _decode_body(body)
+        stored_key, versioned = decode_body(self._log.read(entry.offset))
         if stored_key != key:
             raise ChecksumError(f"index pointed {key!r} at record for {stored_key!r}")
         return versioned.value or b""
@@ -186,22 +158,12 @@ class LogStructuredEngine(StorageEngine):
         existing_versions = [Versioned(None, e.clock)
                              for e in self._index.get(key, [])]
         self.merge_version(existing_versions, versioned)  # raises if obsolete
-        record = _encode_record(key, versioned)
-        self._log.seek(0, os.SEEK_END)
-        offset = self._log.tell()
-        self._log.write(record)
+        body = encode_body(key, versioned)
+        offset = self._log.append(body)
         if self._sync:
             # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
             self._log.fsync()
-        else:
-            self._log.flush()
-        entry = _IndexEntry(versioned.clock, offset, len(record),
-                            versioned.is_tombstone)
-        survivors = [e for e in self._index.get(key, [])
-                     if e.clock.concurrent_with(versioned.clock)]
-        survivors.append(entry)
-        self._index[key] = survivors
-        self.live_bytes += len(record)
+        self._index_put(key, versioned, offset, FRAME_OVERHEAD + len(body))
 
     def record_span(self, key: bytes) -> tuple[int, int]:
         """(offset, length) of the newest live on-disk record for
@@ -225,48 +187,34 @@ class LogStructuredEngine(StorageEngine):
     # -- maintenance ---------------------------------------------------------
 
     def log_size_bytes(self) -> int:
-        self._log.seek(0, os.SEEK_END)
-        return self._log.tell()
+        return self._log.size_bytes
+
+    def _live(self) -> Iterator[tuple[bytes, _IndexEntry]]:
+        """Every non-tombstone version, in index order."""
+        for key, entries in self._index.items():
+            for entry in entries:
+                if not entry.tombstone:
+                    yield key, entry
 
     def compact(self) -> int:
-        """Rewrite only live versions; returns bytes reclaimed.
-
-        A put may interleave with the fsync below; the compacted file
-        would then be missing its record while the swap discards the
-        index entry that points at it.  Snapshot the index up front and
-        abort the swap if the live index moved while we were on disk —
-        the next compaction picks the garbage up.
-        """
-        before = self.log_size_bytes()
-        compact_path = self._path + ".compact"
-        frozen = {key: tuple(entries) for key, entries in self._index.items()}
-        new_index: dict[bytes, list[_IndexEntry]] = {}
-        with self.disk.open(compact_path, "wb") as out:
-            offset = 0
-            for key, entries in frozen.items():
-                fresh: list[_IndexEntry] = []
-                for entry in entries:
-                    if entry.tombstone:
-                        continue  # compaction drops tombstones
-                    value = self._read_value(key, entry)
-                    record = _encode_record(key, Versioned(value, entry.clock))
-                    out.write(record)
-                    fresh.append(_IndexEntry(entry.clock, offset,
-                                             len(record), False))
-                    offset += len(record)
-                if fresh:
-                    new_index[key] = fresh
-            out.fsync()
-        if {k: tuple(v) for k, v in self._index.items()} != frozen:
-            self.disk.remove(compact_path)
+        """Rewrite only live versions (tombstones are dropped); returns
+        bytes reclaimed, or 0 if a put raced the swap and the kernel
+        aborted it — the next compaction picks the garbage up."""
+        bodies = [self._log.read(entry.offset) for _, entry in self._live()]
+        reclaimed = self._log.rewrite(bodies)
+        if reclaimed is None:
             return 0
-        self._log.close()
-        self.disk.replace(compact_path, self._path)
-        self._log = self.disk.open(self._path, "ab+")
-        self._index = new_index
-        return before - self.log_size_bytes()
+        # the swap happened, so no put landed since ``bodies`` was
+        # collected: the index still lists exactly those records
+        fresh: dict[bytes, list[_IndexEntry]] = {}
+        offset = 0
+        for (key, entry), body in zip(self._live(), bodies):
+            length = FRAME_OVERHEAD + len(body)
+            fresh.setdefault(key, []).append(
+                _IndexEntry(entry.clock, offset, length, False))
+            offset += length
+        self._index = fresh
+        return reclaimed
 
     def close(self) -> None:
-        if not self._log.closed:
-            self._log.flush()
-            self._log.close()
+        self._log.close()

@@ -11,7 +11,8 @@ are persisted through a :class:`~repro.common.wal.WriteAheadLog` (the
 "slop store"): every accepted hint is fsynced before the routing layer
 counts the write as successful, and every delivery appends a fsynced
 tombstone marker, so a killed node restarts with exactly its
-outstanding hints — acked vector clocks intact, delivered hints gone.
+outstanding hints — acked vector clocks intact, delivered hints gone —
+and compacts ``slops.wal`` down to them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.common.errors import (
 )
 from repro.common.wal import WriteAheadLog
 from repro.voldemort.engines.base import StorageEngine
-from repro.voldemort.engines.logstructured import _decode_body, _encode_record
+from repro.voldemort.engines.logstructured import decode_body, encode_body
 from repro.voldemort.transforms import TRANSFORM_REGISTRY
 from repro.voldemort.versioned import Versioned
 
@@ -50,19 +51,16 @@ def _encode_hint(seq: int, hint: Hint) -> bytes:
     store = hint.store.encode()
     return (bytes([_HINT_STORED])
             + _HINT_HEADER.pack(seq, hint.destination_node, len(store))
-            + store + _encode_record(hint.key, hint.versioned))
+            + store + encode_body(hint.key, hint.versioned))
 
 
-def _decode_hint(payload: bytes) -> tuple[int, Hint]:
-    seq, destination, store_len = _HINT_HEADER.unpack_from(payload, 1)
+def _decode_hint(payload: bytes) -> Hint:
+    _, destination, store_len = _HINT_HEADER.unpack_from(payload, 1)
     offset = 1 + _HINT_HEADER.size
     store = payload[offset:offset + store_len].decode()
-    offset += store_len
-    # the hint record reuses the engine's CRC-framed record format;
-    # skip its [crc][len] header to reach the body
-    body = payload[offset + 8:]
-    key, versioned = _decode_body(body)
-    return seq, Hint(store, key, versioned, destination)
+    # the rest of the payload is the engine's record body
+    key, versioned = decode_body(payload[offset + store_len:])
+    return Hint(store, key, versioned, destination)
 
 
 class VoldemortServer:
@@ -83,18 +81,22 @@ class VoldemortServer:
             self._recover_hints()
 
     def _recover_hints(self) -> None:
-        """Rebuild outstanding hints: stored minus delivered."""
-        outstanding: dict[int, Hint] = {}
+        """Rebuild outstanding hints: stored minus delivered.  If any
+        were delivered, compact the log down to the outstanding ones."""
+        outstanding: dict[int, bytes] = {}
         for payload in self._slop_wal.replay():
+            (seq,) = _HINT_SEQ.unpack_from(payload, 1)
             if payload[0] == _HINT_STORED:
-                seq, hint = _decode_hint(payload)
-                outstanding[seq] = hint
+                outstanding[seq] = payload
                 self._next_hint_seq = max(self._next_hint_seq, seq + 1)
             elif payload[0] == _HINT_DELIVERED:
-                (seq,) = _HINT_SEQ.unpack_from(payload, 1)
                 outstanding.pop(seq, None)
         self._hint_seqs = sorted(outstanding)
-        self.hints = [outstanding[seq] for seq in self._hint_seqs]
+        stored = [outstanding[seq] for seq in self._hint_seqs]
+        self.hints = [_decode_hint(payload) for payload in stored]
+        if self._slop_wal.recovered_frames > len(stored):
+            # at least one delivered marker: drop it and its hint
+            self._slop_wal.rewrite(stored)
 
     # -- store lifecycle (invoked by the admin service) ----------------------
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import ChecksumError
 from repro.databus import BootstrapServer
 from repro.databus.events import DatabusEvent
-from repro.simnet.disk import SimDisk
+from repro.simnet.disk import SimDisk, _SimFile
 from repro.sqlstore.binlog import ChangeKind
 
 
@@ -118,6 +119,43 @@ class TestCheckpoint:
         rows = [e for tag, e in items if tag == "row"]
         assert {e.key for e in rows} == {(1,), (2,), (3,), (4,)}
         assert items[-1] == ("scn", 4)
+
+    def test_damaged_checkpoint_refuses_to_open(self, disk):
+        """The log below the watermark was compacted away, so the
+        snapshot is the only copy of those rows: a bit flip in it must
+        stop recovery, not quietly serve the rows before the damage."""
+        server = make_server(disk)
+        for scn in range(1, 11):
+            server.on_events([event(scn, key=(scn,))])
+        server.checkpoint()
+        size = disk.getsize("bootstrap-1/bootstrap.snapshot")
+        disk.flip_bit("bootstrap-1", "bootstrap.snapshot",
+                      offset=size // 2, bit=0)
+        disk.crash_node("bootstrap-1")
+        with pytest.raises(ChecksumError):
+            make_server(disk)
+
+    def test_append_racing_the_checkpoint_is_kept(self, disk, monkeypatch):
+        """A window delivered while the snapshot image is being fsynced
+        is in neither the image nor — if the log were cut at the live
+        watermark — the compacted log.  It must survive a crash."""
+        server = make_server(disk)
+        server.on_events([event(1, key=(1,))])
+        real_fsync = _SimFile.fsync
+
+        def racing_fsync(handle):
+            if handle._path.endswith("bootstrap.snapshot.tmp"):
+                monkeypatch.setattr(_SimFile, "fsync", real_fsync)  # once
+                server.on_events([event(2, key=(2,))])
+            real_fsync(handle)
+
+        monkeypatch.setattr(_SimFile, "fsync", racing_fsync)
+        server.checkpoint()
+        disk.crash_node("bootstrap-1")
+
+        recovered = make_server(disk)
+        assert recovered.high_watermark == 2
+        assert recovered.snapshot_rows == 2
 
     def test_checkpoint_without_disk_is_noop(self):
         server = BootstrapServer()

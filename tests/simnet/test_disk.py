@@ -111,6 +111,18 @@ class TestTornWrites:
         with disk.open("n/f", "rb") as g:
             assert g.read() == b"durable|uns"
 
+    def test_torn_prefix_survives_a_second_crash(self, disk):
+        """What a power cut left on the media cannot be un-written by
+        the next one."""
+        f = disk.open("n/f", "ab")
+        f.write(b"unsynced-tail")
+        disk.arm_torn_write("n", path="f", keep_bytes=3)
+        disk.crash_node("n")
+        assert disk.unsynced_bytes("n") == 0
+        disk.crash_node("n")
+        with disk.open("n/f", "rb") as g:
+            assert g.read() == b"uns"
+
     def test_torn_write_random_cut_is_seeded(self):
         def run(seed):
             d = SimDisk(clock=SimClock(), seed=seed)

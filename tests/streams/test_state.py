@@ -1,4 +1,4 @@
-"""Keyed state stores and WAL-framed snapshots."""
+"""Keyed state stores and their all-or-nothing snapshot images."""
 
 import pytest
 
@@ -104,10 +104,22 @@ def test_snapshot_overwrite_is_atomic_replace():
     assert not disk.exists("/s/views.snap.tmp")
 
 
-def test_torn_snapshot_is_rejected_entirely():
-    """A snapshot with a valid header but torn entries must not load:
-    half an image plus a replay from the header's offset would lose the
-    keys after the tear."""
+def _tear(scope, path, data):
+    with scope.open(path, "wb") as f:
+        f.write(data[:-20])  # cut the trailer and half of the last entry
+        f.fsync()
+
+
+def _flip(scope, path, data):
+    scope.disk.flip_bit(scope.node, path, offset=len(data) // 2, bit=3)
+
+
+@pytest.mark.parametrize("damage", [_tear, _flip])
+def test_damaged_snapshot_is_rejected_entirely_on_every_load(damage):
+    """A snapshot with a valid header but torn or corrupt entries must
+    not load: half an image plus a replay from the header's offset would
+    lose the damaged keys.  Loading must not repair the file into a
+    clean prefix either, or the *next* restart would accept it."""
     disk = SimDisk(seed=1).scope("n")
     store = KeyedStateStore("views")
     for i in range(20):
@@ -115,8 +127,12 @@ def test_torn_snapshot_is_rejected_entirely():
     write_snapshot(disk, "/s/views.snap", store, 99)
     with disk.open("/s/views.snap", "rb") as f:
         data = f.read()
-    with disk.open("/s/views.snap", "wb") as f:
-        f.write(data[:-7])  # tear mid-frame
-        f.fsync()
-    recovered = KeyedStateStore("views")
-    assert load_snapshot(disk, "/s/views.snap", recovered) is None
+    damage(disk, "/s/views.snap", data)
+    with disk.open("/s/views.snap", "rb") as f:
+        damaged = f.read()
+    for _ in range(2):
+        recovered = KeyedStateStore("views")
+        assert load_snapshot(disk, "/s/views.snap", recovered) is None
+        assert len(recovered) == 0
+    with disk.open("/s/views.snap", "rb") as f:
+        assert f.read() == damaged  # the load is read-only

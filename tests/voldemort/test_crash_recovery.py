@@ -137,6 +137,37 @@ class TestSlopStoreRecovery:
         assert value[0].value == b"v"
 
 
+    def test_slop_wal_is_bounded_by_the_backlog(self, cluster, disk):
+        """Store/deliver cycles leave two frames per hint behind; a
+        restart compacts the log down to the outstanding hints."""
+        dead, holder = self.park_a_hint(cluster)
+        server = cluster.server_for(holder)
+        parked = server.hints[0]
+        for cycle in range(5):
+            cluster.network.failures.recover(cluster.node_name(dead))
+            assert server.deliver_hints(dead) == 1
+            cluster.network.failures.crash(cluster.node_name(dead))
+            server.store_hint(Hint(parked.store, b"key-%d" % cycle,
+                                   parked.versioned, dead))
+        path = f"{cluster.node_name(holder)}/slops.wal"
+        grown = disk.getsize(path)
+
+        cluster.kill_node(holder)
+        cluster.restart_node(holder)
+        server = cluster.server_for(holder)
+        assert [h.key for h in server.hints] == [b"key-4"]
+        assert server._slop_wal.recovered_frames == 11  # 6 stored + 5 marks
+        assert disk.getsize(path) < grown
+
+        cluster.kill_node(holder)
+        cluster.restart_node(holder)
+        server = cluster.server_for(holder)
+        assert [h.key for h in server.hints] == [b"key-4"]
+        assert server._slop_wal.recovered_frames == 1  # the backlog, only
+        cluster.network.failures.recover(cluster.node_name(dead))
+        assert server.deliver_hints(dead) == 1
+
+
 class TestHintDeliveryRaces:
     def test_hint_stored_during_delivery_survives(self, cluster):
         """A hint queued while the delivery fsync is in flight must be

@@ -1,6 +1,8 @@
 """Storage engines: multi-version contract, durability, compaction."""
 
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,7 +125,7 @@ class TestLogStructuredDurability:
         engine = LogStructuredEngine(path)
         engine.put(b"k", v(b"A" * 100))
         log_file = os.path.join(path, LogStructuredEngine.LOG_NAME)
-        engine._log.flush()
+        engine._log.fsync()
         # flip a byte in the middle of the value region
         with open(log_file, "r+b") as f:
             f.seek(60)
@@ -167,6 +169,41 @@ class TestLogStructuredDurability:
         reopened = LogStructuredEngine(path)
         assert sorted(reopened.keys()) == [b"a", b"b"]
         reopened.close()
+
+
+def _raw_record(key: bytes, clock: dict[int, int], value: bytes | None):
+    """One ``data.log`` record spelled out byte by byte, independently
+    of the engine and the WAL kernel: the format as of PR 11."""
+    body = struct.pack("<I", len(key)) + key
+    body += struct.pack("<H", len(clock))
+    for node, counter in sorted(clock.items()):
+        body += struct.pack("<QQ", node, counter)
+    body += bytes([1 if value is None else 0])
+    body += struct.pack("<I", len(value or b"")) + (value or b"")
+    return struct.pack("<II", zlib.crc32(body), len(body)) + body
+
+
+def test_data_log_byte_format_is_pinned(tmp_path):
+    """A log written as raw parent-format records opens under the
+    engine, and what the engine appends is the same raw format."""
+    path = tmp_path / "store"
+    path.mkdir()
+    old = (_raw_record(b"a", {1: 1}, b"one")
+           + _raw_record(b"b", {1: 1, 2: 3}, b"two")
+           + _raw_record(b"a", {1: 2}, None))
+    (path / LogStructuredEngine.LOG_NAME).write_bytes(old)
+
+    engine = LogStructuredEngine(str(path))
+    assert list(engine.keys()) == [b"b"]  # the tombstone hides a
+    (got,) = engine.get(b"b")
+    assert got.value == b"two" and got.clock.entries == {1: 1, 2: 3}
+    assert engine.record_span(b"b") == (
+        len(_raw_record(b"a", {1: 1}, b"one")),
+        len(_raw_record(b"b", {1: 1, 2: 3}, b"two")))
+    engine.put(b"c", Versioned(b"three", VectorClock({4: 1})))
+    engine.close()
+    assert (path / LogStructuredEngine.LOG_NAME).read_bytes() == \
+        old + _raw_record(b"c", {4: 1}, b"three")
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,7 +263,7 @@ def test_compact_aborts_when_put_races_the_fsync(tmp_path):
 
     def racing_open(path, mode="rb"):
         handle = real_open(path, mode)
-        if path.endswith(".compact"):
+        if path.endswith(".tmp"):
             return RacingFile(handle)
         return handle
 
