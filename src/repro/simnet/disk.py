@@ -24,6 +24,12 @@ Determinism contract: fault byte offsets are drawn from a seeded
 through the same ``start_trace`` / ``trace_bytes`` machinery as the
 network, so a seeded fault scenario replays byte-identically.
 
+Each file is one buffer plus a durability watermark (see
+:class:`_FileState`): ``fsync`` moves the watermark and copies nothing,
+a crash cuts the buffer back to it.  The pre-image of durable bytes is
+saved only when a write lands below the watermark, which no durable
+component does on its hot path.
+
 Files are namespaced per node (``disk.scope("node-0")``) so one
 :class:`SimDisk` can back a whole cluster while crashes stay surgical:
 ``crash_node`` drops one node's unsynced bytes and invalidates its open
@@ -58,17 +64,60 @@ __all__ = ["Disk", "DiskFile", "LocalDisk", "DiskScope", "SimDisk"]
 
 
 class _FileState:
-    """One simulated file: current bytes plus the last-fsynced image."""
+    """One simulated file: a single buffer plus a durability watermark.
 
-    __slots__ = ("data", "synced")
+    ``data`` is what readers (and the page cache) see.  The *durable
+    image* — what a crash preserves — is ``mark`` bytes long, and as
+    long as the file only grows between fsyncs it is simply
+    ``data[:mark]``: ``fsync`` moves ``mark`` to ``len(data)`` and
+    copies nothing, so a durable append costs the bytes it wrote and
+    not the size of the file — the property an append-only log is
+    built on.
+
+    Three mutations can land *below* the watermark: ``truncate``, a
+    ``"wb"`` reopen and a seek-and-overwrite.  Each calls
+    :meth:`save_below` first, which keeps the pre-image of the durable
+    bytes from the lowest offset touched: ``pre`` holds durable bytes
+    ``[mark - len(pre), mark)``, the durable image is
+    ``data[:mark - len(pre)] + pre``, and ``len(data) >= mark -
+    len(pre)`` always.  The next fsync drops the pre-image; a crash
+    puts it back.
+    """
+
+    __slots__ = ("data", "mark", "pre")
 
     def __init__(self):
         self.data = bytearray()   # what readers (and the page cache) see
-        self.synced = b""         # what survives a crash
+        self.mark = 0             # length of the image a crash preserves
+        self.pre = b""            # durable bytes that data no longer holds
 
     @property
     def unsynced_bytes(self) -> int:
-        return max(0, len(self.data) - len(self.synced))
+        return max(0, len(self.data) - self.mark)
+
+    def save_below(self, offset: int) -> None:
+        """``data`` is about to change at ``offset`` and beyond: keep
+        the durable bytes that change would destroy."""
+        shared = self.mark - len(self.pre)
+        if offset < shared:
+            with memoryview(self.data) as view:
+                self.pre = bytes(view[offset:shared]) + self.pre
+
+    def sync(self) -> None:
+        """Everything written so far is durable."""
+        self.mark = len(self.data)
+        self.pre = b""
+
+    def revert(self, keep: int = 0) -> None:
+        """Power cut: back to the durable image, plus the first ``keep``
+        at-risk bytes (a torn write), all of which is then durable."""
+        data = self.data
+        if self.pre:
+            torn = data[self.mark:self.mark + keep]
+            data[self.mark - len(self.pre):] = self.pre + torn
+        else:
+            del data[self.mark + keep:]
+        self.sync()
 
 
 class _SimFile(DiskFile):
@@ -95,7 +144,7 @@ class _SimFile(DiskFile):
             raise io.UnsupportedOperation("file not open for reading")
         data = self._state.data
         end = len(data) if size < 0 else min(len(data), self._pos + size)
-        out = bytes(data[self._pos:end])
+        out = bytes(memoryview(data)[self._pos:end])  # one copy, not two
         self._pos = end
         return out
 
@@ -103,17 +152,21 @@ class _SimFile(DiskFile):
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
-        state = self._state.data
-        if self._append:
-            self._pos = len(state)
-        end = self._pos + len(data)
-        if self._pos == len(state):
-            state.extend(data)
+        buf = self._state.data
+        pos = len(buf) if self._append else self._pos
+        end = pos + len(data)
+        if pos >= len(buf):
+            # the append every durable file makes; never below the mark
+            if pos > len(buf):
+                buf.extend(bytes(pos - len(buf)))
+            buf.extend(data)
         else:
-            if end > len(state):
-                state.extend(b"\x00" * (end - len(state)))
-            state[self._pos:end] = data
-        self._disk._record("write", self._path, str(self._pos), len(data))
+            self._state.save_below(pos)
+            buf[pos:end] = data
+        disk = self._disk
+        disk.writes += 1
+        if disk.trace is not None:
+            disk._record("write", self._path, str(pos), len(data))
         self._pos = end
         return len(data)
 
@@ -137,6 +190,7 @@ class _SimFile(DiskFile):
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
+        self._state.save_below(size)
         del self._state.data[size:]
         self._pos = min(self._pos, size)
         self._disk._record("truncate", self._path, "", size)
@@ -149,11 +203,14 @@ class _SimFile(DiskFile):
 
     def fsync(self) -> None:
         self._check_open()
-        self._state.synced = bytes(self._state.data)
-        self._disk._record("fsync", self._path, "", len(self._state.synced))
+        self._state.sync()
+        self._disk.fsyncs += 1
+        self._disk._record("fsync", self._path, "", self._state.mark)
 
     def close(self) -> None:
-        self._closed = True
+        if not self._closed:
+            self._closed = True
+            self._disk._forget(self)
 
     @property
     def closed(self) -> bool:
@@ -227,10 +284,6 @@ class SimDisk(Disk):
         self.trace = []
 
     def _record(self, kind: str, path: str, detail: str, value: int) -> None:
-        if kind == "write":
-            self.writes += 1
-        elif kind == "fsync":
-            self.fsyncs += 1
         if self.trace is not None:
             self.trace.append(
                 (kind, round(self.clock.now(), 9), path, detail, value))
@@ -241,6 +294,21 @@ class SimDisk(Disk):
             raise ConfigurationError(
                 "tracing is not enabled; call start_trace()")
         return "\n".join(repr(event) for event in self.trace).encode()
+
+    # -- open-handle table -----------------------------------------------
+
+    def _forget(self, handle: _SimFile) -> None:
+        """A handle closed itself: only live handles stay in the table,
+        so a fetch loop opening one reader per call leaves nothing."""
+        handles = self._handles.get(handle._path)
+        if handles is not None:  # None: the whole entry is being closed
+            handles.remove(handle)
+            if not handles:
+                del self._handles[handle._path]
+
+    def _close_handles(self, path: str) -> None:
+        for handle in self._handles.pop(path, ()):
+            handle.close()
 
     # -- Disk protocol ----------------------------------------------------
 
@@ -259,6 +327,7 @@ class SimDisk(Disk):
             parent = path.rsplit("/", 1)[0] if "/" in path else ""
             self._dirs.add(parent)
         if mode == "wb":
+            state.save_below(0)
             state.data.clear()
         handle = _SimFile(
             self, path, state,
@@ -287,8 +356,7 @@ class SimDisk(Disk):
     def remove(self, path: str) -> None:
         if path not in self._files:
             raise FileMissingError(path)
-        for handle in self._handles.pop(path, []):
-            handle.close()
+        self._close_handles(path)
         del self._files[path]
         self._record("remove", path, "", 0)
 
@@ -297,14 +365,15 @@ class SimDisk(Disk):
         implementation would fsync the directory)."""
         if src not in self._files:
             raise FileMissingError(src)
-        for handle in self._handles.pop(dst, []):
-            handle.close()
+        self._close_handles(dst)
         state = self._files.pop(src)
-        state.synced = bytes(state.data)
+        state.sync()
         self._files[dst] = state
-        self._handles[dst] = self._handles.pop(src, [])
-        for handle in self._handles[dst]:
-            handle._path = dst
+        moved = self._handles.pop(src, None)
+        if moved:
+            self._handles[dst] = moved
+            for handle in moved:
+                handle._path = dst
         self._record("replace", src, dst, len(state.data))
 
     def makedirs(self, path: str) -> None:
@@ -335,9 +404,10 @@ class SimDisk(Disk):
     def flip_bit(self, node: str, path: str, offset: int | None = None,
                  bit: int | None = None) -> int:
         """Silently corrupt one stored byte (media corruption).  The
-        flip hits both the live bytes and the synced image, so it
-        survives crashes; CRC validation must catch it.  Returns the
-        corrupted byte offset."""
+        flip hits both the live bytes and the durable image (the same
+        byte of ``data`` unless a pre-image covers it), so it survives
+        crashes; CRC validation must catch it.  Returns the corrupted
+        byte offset."""
         full = f"{node}/{path}"
         try:
             state = self._files[full]
@@ -350,16 +420,18 @@ class SimDisk(Disk):
         if bit is None:
             bit = self.rng.randrange(8)
         state.data[offset] ^= 1 << bit
-        if offset < len(state.synced):
-            synced = bytearray(state.synced)
-            synced[offset] ^= 1 << bit
-            state.synced = bytes(synced)
+        saved = offset - (state.mark - len(state.pre))
+        if 0 <= saved < len(state.pre):
+            pre = bytearray(state.pre)
+            pre[saved] ^= 1 << bit
+            state.pre = bytes(pre)
         self._record("flip", full, f"bit={bit}", offset)
         return offset
 
     def crash_node(self, node: str) -> int:
-        """Power-cut one node: every file reverts to its last fsynced
-        image (plus an armed torn prefix), and every open handle dies.
+        """Power-cut one node: every file drops what lies beyond its
+        durability watermark (less an armed torn prefix), and every
+        open handle dies.
         Returns the number of bytes lost."""
         torn = self._torn.pop(node, None)
         torn_target: str | None = None
@@ -379,21 +451,18 @@ class SimDisk(Disk):
         lost = 0
         for path in self._node_paths(node):
             state = self._files[path]
-            tail = bytes(state.data[len(state.synced):])
-            state.data = bytearray(state.synced)
-            keep = b""
-            if path == torn_target and tail:
+            at_risk = state.unsynced_bytes
+            keep = 0
+            if path == torn_target and at_risk:
                 cut = torn_keep if torn_keep is not None \
-                    else self.rng.randrange(1, len(tail) + 1)
-                keep = tail[:min(cut, len(tail))]
-                state.data.extend(keep)
-                # what a power cut leaves on the media is durable: a
-                # second crash cannot un-write the torn prefix
-                state.synced = bytes(state.data)
-                self._record("torn", path, "", len(keep))
-            lost += len(tail) - len(keep)
-            for handle in self._handles.pop(path, []):
-                handle.close()
+                    else self.rng.randrange(1, at_risk + 1)
+                keep = min(cut, at_risk)
+                self._record("torn", path, "", keep)
+            # what a power cut leaves on the media is durable: a second
+            # crash cannot un-write the torn prefix
+            state.revert(keep)
+            lost += at_risk - keep
+            self._close_handles(path)
         self.crashes += 1
         self.bytes_lost += lost
         self._record("crash", node, "", lost)

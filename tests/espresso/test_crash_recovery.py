@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.simnet.disk import SimDisk
+from repro.simnet.disk import SimDisk, _SimFile
 from repro.espresso import EspressoCluster
 from repro.simnet.faultplan import ScnAuditor
 
@@ -23,6 +23,14 @@ def durable_cluster(disk):
     built.post_document_schema("Song", SONG_SCHEMA)
     built.start()
     return built
+
+
+class _PowerCut(Exception):
+    pass
+
+
+def _die(*args, **kwargs):
+    raise _PowerCut
 
 
 def put_artist(cluster, artist, genre="rock"):
@@ -89,7 +97,8 @@ class TestCommitLogRecovery:
         assert auditor.violations == []
         assert recovered.partition_scn[partition] == scn_before + 1
 
-    def test_unsynced_window_refetched_from_relay(self, durable_cluster, disk):
+    def test_unsynced_window_refetched_from_relay(self, durable_cluster, disk,
+                                                  monkeypatch):
         """A window captured by the relay but lost before the local WAL
         fsync is healed by catch-up — written-to-two-places in action."""
         cluster = durable_cluster
@@ -98,16 +107,18 @@ class TestCommitLogRecovery:
         partition = cluster.database.partition_for("devo")
         scn = node.partition_scn[partition]
 
-        # simulate the lost window: drop the WAL frame bytes below the
-        # fsync line, as if the crash hit between relay capture and fsync
-        wal = node._commit_wal
-        synced = wal.synced_bytes
-        node.put_document("Artist", ("devo",),
-                          {"name": "devo", "genre": "new-wave", "bio": None})
-        state = disk._files[f"{name}/commit.wal"]
-        state.synced = state.synced[:synced]
+        # the power goes between relay capture and the commit-WAL fsync:
+        # the frame is written but still above the durability line
+        with monkeypatch.context() as patch:
+            patch.setattr(_SimFile, "fsync", _die)
+            with pytest.raises(_PowerCut):
+                node.put_document(
+                    "Artist", ("devo",),
+                    {"name": "devo", "genre": "new-wave", "bio": None})
+        assert disk.unsynced_bytes(name) > 0
 
         cluster.crash_node(name)
+        assert disk.bytes_lost > 0
         cluster.recover_node(name)
         recovered = cluster.nodes[name]
         assert recovered.partition_scn[partition] == scn  # window lost locally

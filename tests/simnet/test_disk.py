@@ -1,5 +1,7 @@
 """SimDisk semantics: fsync boundary, crashes, torn writes, bit flips."""
 
+import hashlib
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -98,6 +100,47 @@ class TestCrashSemantics:
         disk.crash_node("n")
         with disk.open("n/f", "rb") as g:
             assert g.read() == b"0123"
+
+
+class TestHandleTable:
+    """Only live handles stay registered: readers that open one handle
+    per call (``PartitionLog.read``, ``WriteAheadLog.frames``) must not
+    leave a dead handle behind for every fetch."""
+
+    @staticmethod
+    def live(disk):
+        return sum(len(handles) for handles in disk._handles.values())
+
+    def test_fetch_loop_leaves_no_handles(self, disk):
+        writer = disk.open("n/f", "ab")
+        writer.write(b"segment")
+        for _ in range(1000):
+            with disk.open("n/f", "rb") as reader:
+                assert reader.read() == b"segment"
+        assert self.live(disk) == 1          # the writer
+        writer.close()
+        writer.close()                       # idempotent
+        assert self.live(disk) == 0
+        assert not disk._handles             # no empty per-path lists
+
+    def test_crash_clears_the_node_and_only_the_node(self, disk):
+        disk.open("n/f", "ab")
+        disk.open("n/g", "ab")
+        survivor = disk.open("m/f", "ab")
+        disk.crash_node("n")
+        assert self.live(disk) == 1 and not survivor.closed
+
+    def test_replace_and_remove_drop_their_handles(self, disk):
+        old = disk.open("n/f", "ab")
+        tmp = disk.open("n/f.tmp", "wb")
+        disk.replace("n/f.tmp", "n/f")
+        assert old.closed and not tmp.closed
+        assert self.live(disk) == 1
+        tmp.close()                          # registered under the new name
+        assert self.live(disk) == 0
+        disk.open("n/f", "rb")
+        disk.remove("n/f")
+        assert self.live(disk) == 0
 
 
 class TestTornWrites:
@@ -208,6 +251,45 @@ class TestTrace:
             return d.trace_bytes()
 
         assert run() == run()
+
+    def test_trace_bytes_pinned(self):
+        """The trace is a wire format other PRs diff across commits:
+        this digest was computed on the two-image SimDisk (PR 12) and
+        must not move — not the ``str(pos)`` detail of a write, not the
+        length an fsync reports, not the seeded torn cut or flip."""
+        clock = SimClock()
+        d = SimDisk(clock=clock, seed=11)
+        d.start_trace()
+        f = d.open("n/f", "ab")
+        f.write(b"durable-frame|")
+        f.fsync()
+        clock.advance(0.25)
+        f.write(b"unsynced-tail-of-the-log")
+        with d.open("n/f", "rb+") as g:
+            g.seek(3)
+            g.write(b"XY")
+        d.arm_torn_write("n")
+        d.crash_node("n")
+        d.restart_node("n")
+        clock.advance(0.5)
+        d.flip_bit("n", "f")
+        with d.open("n/f", "rb+") as g:
+            g.truncate(9)
+            g.fsync()
+        with d.open("n/f.tmp", "wb") as t:
+            t.write(b"compacted")
+        d.replace("n/f.tmp", "n/f")
+        d.remove("n/f")
+        assert hashlib.sha256(d.trace_bytes()).hexdigest() == (
+            "ff7b8af3980608eceb598114f7b45157"
+            "bcd5af782d8d9d80dc6d9ba5b12c4dff")
+
+    def test_counters_do_not_need_a_trace(self, disk):
+        assert disk.trace is None
+        f = disk.open("n/f", "ab")
+        f.write(b"a")
+        f.fsync()
+        assert (disk.writes, disk.fsyncs) == (1, 1)
 
     def test_counters(self, disk):
         f = disk.open("n/f", "ab")
