@@ -70,11 +70,11 @@ def test_end_to_end_compressed_consumption(benchmark, cluster):
         for tp in cluster.topic_layout("gzip"):
             offset = 0
             while True:
-                batch = consumer.fetch("gzip", tp.partition, offset)
+                batch = list(consumer.fetch("gzip", tp.partition, offset))
                 if not batch:
                     break
                 got += len(batch)
-                offset = batch[-1].next_offset
+                offset = batch[-1][1]
         return got
 
     got = benchmark(consume_all)

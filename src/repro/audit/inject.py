@@ -46,7 +46,7 @@ from repro.audit.blame import (
 )
 from repro.audit.engine import AuditFinding
 from repro.databus.relay import DEFAULT_BUFFER, Relay
-from repro.kafka.message import Message, MessageSet
+from repro.kafka.message import MessageSet
 
 KIND_DROPPED_RELAY = "dropped-relay-event"
 KIND_BIT_FLIP = "bit-flipped-value"
@@ -145,7 +145,7 @@ class ViolationInjector:
         the payload's window."""
         def fire() -> None:
             cluster.broker_for(topic, partition).produce(
-                topic, partition, MessageSet([Message(payload)]))
+                topic, partition, MessageSet.from_payloads([payload]))
 
         plan.inject(at, f"duplicate-kafka:{topic}-{partition}:w{window}",
                     fire)

@@ -140,10 +140,10 @@ class AuditReconciler:
         for tp in self.cluster.topic_layout(topic):
             offset = 0
             while True:
-                messages = self._consumer.fetch(topic, tp.partition, offset)
-                if not messages:
+                fetched_from = offset
+                for payload, offset in self._consumer.fetch(
+                        topic, tp.partition, offset):
+                    payloads.append(payload)
+                if offset == fetched_from:
                     break
-                for decoded in messages:
-                    payloads.append(decoded.message.payload)
-                    offset = decoded.next_offset
         return payloads

@@ -161,8 +161,7 @@ class Broker:
         if self.admission is not None:
             self.admission.admit(priority,
                                  what=f"produce {topic}-{partition}")
-        data_size = message_set.wire_size
-        self.bytes_in += data_size
+        self.bytes_in += message_set.wire_size
         return self.log(topic, partition).append(message_set)
 
     def fetch(self, topic: str, partition: int, offset: int,
@@ -225,6 +224,8 @@ class KafkaCluster:
                 segment_bytes=segment_bytes, disk=scope,
                 admission=admission)
         self._topics: dict[str, list[TopicPartition]] = {}
+        # topic -> partition -> hosting broker id, built with the layout
+        self._hosts: dict[str, dict[int, int]] = {}
 
     def create_topic(self, topic: str,
                      partitions: int | None = None) -> list[TopicPartition]:
@@ -239,6 +240,7 @@ class KafkaCluster:
             self.brokers[broker_id].create_partition(topic, partition)
             layout.append(TopicPartition(topic, partition, broker_id))
         self._topics[topic] = layout
+        self._hosts[topic] = {tp.partition: tp.broker_id for tp in layout}
         return layout
 
     def topic_layout(self, topic: str) -> list[TopicPartition]:
@@ -251,10 +253,12 @@ class KafkaCluster:
         return sorted(self._topics)
 
     def broker_for(self, topic: str, partition: int) -> Broker:
-        for tp in self.topic_layout(topic):
-            if tp.partition == partition:
-                return self.brokers[tp.broker_id]
-        raise ConfigurationError(f"no partition {topic}-{partition}")
+        try:
+            return self.brokers[self._hosts[topic][partition]]
+        except KeyError:
+            self.topic_layout(topic)    # unknown topic raises its own error
+            raise ConfigurationError(
+                f"no partition {topic}-{partition}") from None
 
     def flush_all(self) -> None:
         for broker in self.brokers.values():

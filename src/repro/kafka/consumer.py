@@ -5,6 +5,15 @@ Key design points reproduced from the paper:
 * consumption is **pull**: each fetch names an offset and a byte
   budget; "the consumer is issuing asynchronous pull requests to the
   broker to have a buffer of data ready";
+* a fetch returns a **span**: :meth:`SimpleConsumer.fetch` makes the
+  request and hands back :func:`~repro.kafka.message.decode_span` over
+  the raw range, so the range is walked once, as the caller iterates,
+  and each message costs its payload copy and whatever the caller
+  builds from it — :meth:`MessageStream.poll` builds one
+  :class:`FetchedMessage`, the streams tier builds an envelope, nobody
+  builds a list of intermediate message objects.  A reader that stops
+  early stops where ``next_offset`` advances, never inside a
+  compressed wrapper;
 * **consumer-held state**: "the information about how much each
   consumer has consumed is not maintained by the broker, but by the
   consumer itself" — offsets live with the consumer and are
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.common.errors import (
     ConfigurationError,
@@ -35,12 +45,12 @@ from repro.common.errors import (
 from repro.common.metrics import MetricsRegistry
 from repro.common.resilience import RetryPolicy, call_with_retries
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import MessageAndOffset, iter_messages
+from repro.kafka.message import decode_span
 from repro.kafka.replication import ReplicatedTopic
 from repro.zookeeper import CreateMode, NodeExistsError, NoNodeError
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchedMessage:
     """What the stream hands to application code."""
 
@@ -92,12 +102,19 @@ class SimpleConsumer:
             metrics=self.metrics, name="fetch", on_retry=on_retry)
 
     def fetch(self, topic: str, partition: int,
-              offset: int) -> list[MessageAndOffset]:
-        """One pull request: decoded messages from ``offset`` onward."""
+              offset: int) -> Iterator[tuple[bytes, int]]:
+        """One pull request: ``(payload, next_offset)`` for each message
+        from ``offset`` onward.
+
+        The request is made here; the fetched span is decoded as the
+        caller iterates (:func:`~repro.kafka.message.decode_span`), so
+        nothing is built per message beyond what the caller keeps, and
+        an empty fetch is an iterator that yields nothing.
+        """
         data = self._fetch_raw(topic, partition, offset)
         self.fetch_requests += 1
         self.bytes_fetched += len(data)
-        return list(iter_messages(data, base_offset=offset))
+        return decode_span(data, base_offset=offset)
 
     def earliest_offset(self, topic: str, partition: int) -> int:
         return self.cluster.broker_for(topic, partition).log(
@@ -137,26 +154,36 @@ class MessageStream:
                 yield fetched
 
     def poll(self, max_messages: int = 10_000) -> list[FetchedMessage]:
-        """Fetch whatever is available, round-robin over partitions."""
+        """Fetch whatever is available, round-robin over partitions.
+
+        ``max_messages`` cuts only where the offset advances: the
+        messages of one compressed wrapper share a ``next_offset``, so
+        they are delivered together or the rest would be skipped.
+        """
         out: list[FetchedMessage] = []
         for topic, partition in self.assignments:
             if len(out) >= max_messages:
                 break
             offset = self.offsets[(topic, partition)]
             try:
-                messages = self._consumer.fetch(topic, partition, offset)
+                span = self._consumer.fetch(topic, partition, offset)
             except OffsetOutOfRangeError:
                 # retention deleted our position; restart at the oldest
                 offset = self._consumer.earliest_offset(topic, partition)
                 self.offsets[(topic, partition)] = offset
-                messages = self._consumer.fetch(topic, partition, offset)
-            for decoded in messages:
-                out.append(FetchedMessage(topic, partition,
-                                          decoded.message.payload,
-                                          decoded.next_offset))
-                self.offsets[(topic, partition)] = decoded.next_offset
-                if len(out) >= max_messages:
+                span = self._consumer.fetch(topic, partition, offset)
+            consumed_to = None
+            for payload, next_offset in span:
+                if next_offset != consumed_to and len(out) >= max_messages:
                     break
+                out.append(FetchedMessage(topic, partition, payload,
+                                          next_offset))
+                consumed_to = next_offset
+            # one store per fetch; a seek() that landed while the fetch
+            # was in flight wins over it
+            if consumed_to is not None \
+                    and self.offsets[(topic, partition)] == offset:
+                self.offsets[(topic, partition)] = consumed_to
         return out
 
     def seek(self, topic: str, partition: int, offset: int) -> None:

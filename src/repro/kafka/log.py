@@ -12,7 +12,14 @@ Semantics reproduced here:
 
 * segment files named by their base offset; "the broker keeps in memory
   the initial offset of each segment file" and locates a fetch target
-  with binary search over that list;
+  with binary search over that list (kept beside the segments and
+  updated at roll and delete, not rebuilt per fetch);
+* **appended verbatim**: a message set arrives as the byte span its
+  producer framed (:mod:`repro.kafka.message`).  ``append`` stages that
+  object, ``flush`` writes it — a lone span as it is, several joined
+  into the flush's one write — and ``read`` returns the raw range for
+  :func:`~repro.kafka.message.decode_span` to walk.  The log never
+  looks inside a frame except to find the torn tail after a crash;
 * **flush-before-visible**: appends buffer in memory and become
   consumable only after a flush, triggered by message count or elapsed
   time ("a message is only exposed to the consumers after it is
@@ -22,9 +29,10 @@ Semantics reproduced here:
 * no in-process message cache — reads hit the files and rely on the OS
   page cache, per the paper's double-buffering argument;
 * **crash recovery**: every message frame already carries a CRC32
-  (:mod:`repro.kafka.message`), so reopening a log scans the active
-  segment frame by frame, truncates the torn tail at the first bad
-  frame, and rebuilds the high watermark from what actually survived.
+  (:mod:`repro.kafka.message`), so reopening a log walks the active
+  segment with the decoder's own frame walk (:func:`scan_valid_bytes`),
+  truncates the torn tail at the first bad frame, and rebuilds the high
+  watermark from what actually survived.
   Combined with fsync-on-flush this gives the durability contract of
   DESIGN.md §9: a produce is acknowledged only after its bytes are
   flushed *and fsynced*, so acked data survives a kill; unsynced data
@@ -42,38 +50,36 @@ plus the explicit id->position index the paper's design avoids.
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.clock import Clock, WallClock
-from repro.common.errors import ConfigurationError, OffsetOutOfRangeError
-from repro.kafka.message import MessageSet
+from repro.common.errors import (
+    ChecksumError,
+    ConfigurationError,
+    OffsetOutOfRangeError,
+    SerializationError,
+)
+from repro.kafka.message import MessageSet, decode_span
 from repro.simnet.disk import Disk, LocalDisk
-
-_MESSAGE_HEADER = struct.Struct("<II")   # length, crc (message framing)
 
 
 def scan_valid_bytes(data: bytes) -> int:
     """Length of the valid CRC-framed prefix of a segment's bytes.
 
-    Walks ``[length][crc][attributes+payload]`` frames and stops at the
-    first incomplete or CRC-corrupt frame — the recovery truncation
-    point.  Everything past a bad frame is unreachable (frames are not
+    The decoder's own frame walk, kept shallow (a stored wrapper is one
+    frame; recovery does not inflate it), followed to the first
+    incomplete or damaged frame — the recovery truncation point.
+    Everything past a bad frame is unreachable (frames are not
     self-synchronizing), exactly the WAL torn-tail rule.
     """
-    position = 0
-    total = len(data)
-    while position + _MESSAGE_HEADER.size <= total:
-        length, crc = _MESSAGE_HEADER.unpack_from(data, position)
-        end = position + _MESSAGE_HEADER.size + length
-        if length < 1 or end > total:
-            break
-        if zlib.crc32(data[position + _MESSAGE_HEADER.size:end]) != crc:
-            break
-        position = end
-    return position
+    valid_end = 0
+    try:
+        for _, valid_end in decode_span(data, shallow=True):
+            pass
+    except (ChecksumError, SerializationError):
+        pass
+    return valid_end
 
 
 @dataclass
@@ -107,8 +113,11 @@ class PartitionLog:
         self.fsync_on_flush = fsync_on_flush
         self.clock = clock or WallClock()
         self._segments: list[_Segment] = []
+        self._base_offsets: list[int] = []   # parallel to _segments
         self._active_file = None
-        self._pending = bytearray()      # appended but not flushed
+        # appended but not flushed: the appended spans themselves, in
+        # order, so a flush writes them without re-framing
+        self._pending: list[bytes] = []
         self._pending_messages = 0
         self._last_flush_at = self.clock.now()
         self.log_end_offset = 0          # next offset to assign
@@ -129,7 +138,7 @@ class PartitionLog:
         """Rebuild segment state from disk, CRC-scanning the active
         (last) segment: a crash can only tear the segment being
         appended to, so older segments are taken at face value and
-        validated lazily at read time (:func:`iter_messages` raises
+        validated lazily at read time (:func:`decode_span` raises
         :class:`ChecksumError` on a flipped bit)."""
         found = []
         for name in self.disk.listdir(self.directory):
@@ -142,6 +151,7 @@ class PartitionLog:
                                       last_append_at=self.clock.now()))
         found.sort(key=lambda s: s.base_offset)
         self._segments = found
+        self._base_offsets = [s.base_offset for s in found]
         if found:
             last = found[-1]
             last.size = self._truncate_torn_tail(last)
@@ -169,6 +179,7 @@ class PartitionLog:
         self._active_file = self.disk.open(path, "ab")
         now = self.clock.now()
         self._segments.append(_Segment(base_offset, path, 0, now, now))
+        self._base_offsets.append(base_offset)
 
     @property
     def _active(self) -> _Segment:
@@ -176,7 +187,7 @@ class PartitionLog:
 
     def segment_base_offsets(self) -> list[int]:
         """The in-memory offset list used to locate fetch targets."""
-        return [s.base_offset for s in self._segments]
+        return list(self._base_offsets)
 
     # -- append path ----------------------------------------------------------------
 
@@ -186,14 +197,15 @@ class PartitionLog:
         The bytes are staged and only made consumer-visible by a flush
         (automatic when the configured thresholds trip).
         """
-        if not message_set.messages:
+        count = len(message_set)
+        if not count:
             raise ConfigurationError("empty message set")
         first_offset = self.log_end_offset
         data = message_set.encode()
-        self._pending.extend(data)
-        self._pending_messages += len(message_set)
+        self._pending.append(data)
+        self._pending_messages += count
         self.log_end_offset += len(data)
-        self.messages_appended += len(message_set)
+        self.messages_appended += count
         self.maybe_flush()
         return first_offset
 
@@ -224,7 +236,7 @@ class PartitionLog:
         if not data:
             raise ConfigurationError("empty raw append")
         first_offset = self.log_end_offset
-        self._pending.extend(data)
+        self._pending.append(data)
         self.log_end_offset += len(data)
         return first_offset
 
@@ -237,14 +249,17 @@ class PartitionLog:
         recoverable).
         """
         if self._pending:
-            if self._active.size + len(self._pending) > self.segment_bytes \
+            # snapshot before the fsync yield: a concurrent append may
+            # stage more spans while the disk write is in flight, and
+            # those bytes are neither written nor durable yet
+            flushed_spans = len(self._pending)
+            flushed_messages = self._pending_messages
+            # one write per flush; a lone span goes down as it arrived
+            flushed = self._pending[0] if flushed_spans == 1 \
+                else b"".join(self._pending)
+            if self._active.size + len(flushed) > self.segment_bytes \
                     and self._active.size > 0:
                 self._roll(base_offset=self.high_watermark)
-            # snapshot before the fsync yield: a concurrent append may
-            # extend _pending while the disk write is in flight, and
-            # those bytes are neither written nor durable yet
-            flushed = bytes(self._pending)
-            flushed_messages = self._pending_messages
             self._active_file.write(flushed)
             if self.fsync_on_flush:
                 self._active_file.fsync()
@@ -252,11 +267,11 @@ class PartitionLog:
                 self._active_file.flush()
             self._active.size += len(flushed)
             self._active.last_append_at = self.clock.now()
-            del self._pending[: len(flushed)]
+            del self._pending[:flushed_spans]
             self._pending_messages -= flushed_messages
         # advance only over bytes actually flushed; anything still in
         # _pending was appended mid-flush and is not recoverable yet
-        self.high_watermark = self.log_end_offset - len(self._pending)
+        self.high_watermark = self.log_end_offset - self._pending_bytes()
         self._last_flush_at = self.clock.now()
 
     # -- fetch path ----------------------------------------------------------------------
@@ -280,8 +295,7 @@ class PartitionLog:
             raise OffsetOutOfRangeError(
                 f"offset {offset} outside [{self.oldest_offset}, "
                 f"{self.high_watermark}]")
-        index = bisect_right([s.base_offset for s in self._segments], offset) - 1
-        segment = self._segments[index]
+        segment = self._segments[bisect_right(self._base_offsets, offset) - 1]
         position = offset - segment.base_offset
         visible_end = min(segment.size,
                           self.high_watermark - segment.base_offset)
@@ -304,7 +318,7 @@ class PartitionLog:
             if now - segment.last_append_at <= retention_seconds:
                 break
             self.disk.remove(segment.path)
-            self._segments.pop(0)
+            del self._segments[0], self._base_offsets[0]
             deleted += 1
         return deleted
 
@@ -324,12 +338,15 @@ class PartitionLog:
             if segment_end > offset:
                 break
             self.disk.remove(segment.path)
-            self._segments.pop(0)
+            del self._segments[0], self._base_offsets[0]
             deleted += 1
         return deleted
 
     def size_bytes(self) -> int:
-        return sum(s.size for s in self._segments) + len(self._pending)
+        return sum(s.size for s in self._segments) + self._pending_bytes()
+
+    def _pending_bytes(self) -> int:
+        return sum(map(len, self._pending))
 
     def close(self) -> None:
         if self._active_file is not None and not self._active_file.closed:
@@ -353,11 +370,12 @@ class MessageIdIndexedLog:
     def append(self, message_set: MessageSet) -> list[int]:
         ids = []
         offset = self.log.append(message_set)
-        for message in message_set.messages:
+        for _, next_offset in decode_span(message_set.encode(), offset,
+                                          shallow=True):
             self.id_index[self.next_id] = offset
             ids.append(self.next_id)
             self.next_id += 1
-            offset += message.wire_size
+            offset = next_offset
         return ids
 
     def read_by_id(self, message_id: int, max_bytes: int = 300 * 1024) -> bytes:

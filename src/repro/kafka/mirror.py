@@ -44,14 +44,15 @@ class MirrorMaker:
         """One mirroring pass over every live partition."""
         mirrored = 0
         for (topic, partition), offset in list(self._offsets.items()):
-            for decoded in self._consumer.fetch(topic, partition, offset):
-                self._producer.send(topic, decoded.message.payload)
+            for payload, next_offset in self._consumer.fetch(
+                    topic, partition, offset):
+                self._producer.send(topic, payload)
                 if self._offsets[(topic, partition)] != offset:
                     # the cursor moved while the fetch was in flight
                     # (reset or concurrent pass): don't clobber it
                     break
-                self._offsets[(topic, partition)] = decoded.next_offset
-                offset = decoded.next_offset
+                self._offsets[(topic, partition)] = next_offset
+                offset = next_offset
                 mirrored += 1
         self._producer.flush()
         self.messages_mirrored += mirrored
@@ -81,14 +82,15 @@ class HadoopLoadJob:
         written: list[str] = []
         for (topic, partition), offset in list(self._offsets.items()):
             records = []
-            for decoded in self._consumer.fetch(topic, partition, offset):
-                records.append(decoded.message.payload)
+            for payload, next_offset in self._consumer.fetch(
+                    topic, partition, offset):
+                records.append(payload)
                 if self._offsets[(topic, partition)] != offset:
                     # cursor reset while fetching: keep what we read but
                     # leave the moved cursor alone
                     break
-                self._offsets[(topic, partition)] = decoded.next_offset
-                offset = decoded.next_offset
+                self._offsets[(topic, partition)] = next_offset
+                offset = next_offset
             if records:
                 path = (f"{self.output_root}/run-{self._run_id:06d}/"
                         f"{topic}-{partition}")

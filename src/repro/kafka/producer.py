@@ -29,7 +29,7 @@ from repro.common.errors import (
 from repro.common.metrics import MetricsRegistry
 from repro.common.resilience import RetryPolicy, call_with_retries
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import Message, MessageSet
+from repro.kafka.message import MessageSet
 from repro.kafka.replication import ReplicatedTopic
 
 
@@ -61,8 +61,11 @@ class Producer:
         # replication; their produce path goes through the leader and
         # survives leader crashes via re-election between retries
         self._replicated: dict[str, ReplicatedTopic] = {}
-        # (topic, partition) -> pending messages
-        self._batches: dict[tuple[str, int], list[Message]] = {}
+        # (topic, partition) -> pending payloads, framed at publish
+        self._batches: dict[tuple[str, int], list[bytes]] = {}
+        # topic -> partition count: layouts are fixed at creation, so
+        # the per-send lookup is paid once per topic
+        self._partition_counts: dict[str, int] = {}
         self.messages_sent = 0
         self.messages_acked = 0
         self.bytes_on_wire = 0
@@ -71,6 +74,7 @@ class Producer:
     def attach_replicated(self, replicated: ReplicatedTopic) -> None:
         """Route this topic's publishes through its replication layer."""
         self._replicated[replicated.topic] = replicated
+        self._partition_counts.pop(replicated.topic, None)
 
     def _partition_count(self, topic: str) -> int:
         replicated = self._replicated.get(topic)
@@ -79,7 +83,10 @@ class Producer:
         return len(self.cluster.topic_layout(topic))
 
     def _choose_partition(self, topic: str, key: bytes | None) -> int:
-        count = self._partition_count(topic)
+        count = self._partition_counts.get(topic)
+        if count is None:
+            count = self._partition_counts[topic] = \
+                self._partition_count(topic)
         if key is None:
             return self._rng.randrange(count)
         digest = hashlib.md5(key).digest()
@@ -91,10 +98,11 @@ class Producer:
 
         Raises :class:`BackpressureError` when ``max_pending`` messages
         are already buffered unacked."""
-        self._check_backpressure(1)
+        if self.max_pending is not None:
+            self._check_backpressure(1)
         partition = self._choose_partition(topic, key)
         batch = self._batches.setdefault((topic, partition), [])
-        batch.append(Message(payload))
+        batch.append(payload)
         if len(batch) >= self.batch_size:
             self._publish(topic, partition)
 
@@ -102,15 +110,13 @@ class Producer:
                  key: bytes | None = None) -> None:
         """Publish several payloads as one request (the sample code's
         ``producer.send("topic1", set)``)."""
-        self._check_backpressure(len(payloads))
+        if self.max_pending is not None:
+            self._check_backpressure(len(payloads))
         partition = self._choose_partition(topic, key)
-        self._batches.setdefault((topic, partition), []).extend(
-            Message(p) for p in payloads)
+        self._batches.setdefault((topic, partition), []).extend(payloads)
         self._publish(topic, partition)
 
     def _check_backpressure(self, incoming: int) -> None:
-        if self.max_pending is None:
-            return
         if self.pending + incoming > self.max_pending:
             self.metrics.counter("produce.backpressure").increment()
             raise BackpressureError(
@@ -130,10 +136,9 @@ class Producer:
         batch = self._batches.pop((topic, partition), [])
         if not batch:
             return
+        message_set = MessageSet.from_payloads(batch)
         if self.compress:
-            message_set = MessageSet.compressed(batch, self.compression_level)
-        else:
-            message_set = MessageSet(batch)
+            message_set = message_set.deflated(self.compression_level)
 
         replicated = self._replicated.get(topic)
 

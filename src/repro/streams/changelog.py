@@ -28,7 +28,7 @@ import json
 
 from repro.common.errors import ConfigurationError
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import Message, MessageSet, iter_messages
+from repro.kafka.message import MessageSet, decode_span
 
 
 def changelog_topic(job: str, store: str) -> str:
@@ -54,12 +54,12 @@ class ChangelogWriter:
         self.cluster = cluster
         self.topic = topic
         self.partition = partition
-        self._staged: list[Message] = []
+        self._staged: list[bytes] = []
         self.mutations_logged = 0
         self.flushes = 0
 
     def stage(self, key: str, value: object | None) -> None:
-        self._staged.append(Message(encode_mutation(key, value)))
+        self._staged.append(encode_mutation(key, value))
         self.mutations_logged += 1
 
     @property
@@ -77,7 +77,7 @@ class ChangelogWriter:
         log = broker.log(self.topic, self.partition)
         if self._staged:
             broker.produce(self.topic, self.partition,
-                           MessageSet(self._staged))
+                           MessageSet.from_payloads(self._staged))
             self._staged = []
             self.flushes += 1
         log.flush()  # make every staged byte durable and visible
@@ -113,11 +113,11 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
         if not data:
             break
         before = offset
-        for decoded in iter_messages(data, base_offset=offset):
-            if decoded.next_offset > stop:
+        for payload, next_offset in decode_span(data, base_offset=offset):
+            if next_offset > stop:
                 return mutations
-            mutations.append(decode_mutation(decoded.message.payload))
-            offset = decoded.next_offset
+            mutations.append(decode_mutation(payload))
+            offset = next_offset
         if offset == before:
             break  # only a partial frame fit under ``stop``; done
     return mutations

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import Message, MessageSet
+from repro.kafka.message import MessageSet
 from repro.simnet.disk import SimDisk
 from repro.simnet.faultplan import FaultPlan, offsets_within_watermark
 from repro.socialgraph.graph import PartitionedSocialGraph
@@ -132,14 +132,14 @@ def _produce(world: _World, staged: dict, topic: str, key: str,
              value: dict, timestamp: float) -> None:
     partition = route_key(key, len(world.cluster.topic_layout(topic)))
     staged.setdefault((topic, partition), []).append(
-        Message(encode_stream_message(key, value, timestamp)))
+        encode_stream_message(key, value, timestamp))
 
 
 def _flush_staged(world: _World, staged: dict) -> None:
     for (topic, partition) in sorted(staged):
         broker = world.cluster.broker_for(topic, partition)
         broker.produce(topic, partition,
-                       MessageSet(staged[(topic, partition)]))
+                       MessageSet.from_payloads(staged[(topic, partition)]))
     staged.clear()
 
 

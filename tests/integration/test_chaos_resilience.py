@@ -159,11 +159,11 @@ def test_kafka_producer_delivers_all_acked_across_leader_crash(tmp_path):
     consumer.attach_replicated(topic)
     fetched, offset = [], 0
     while True:
-        messages = consumer.fetch("activity", 0, offset)
+        messages = list(consumer.fetch("activity", 0, offset))
         if not messages:
             break
-        fetched.extend(m.message.payload for m in messages)
-        offset = messages[-1].next_offset
+        fetched.extend(payload for payload, _ in messages)
+        offset = messages[-1][1]
     assert fetched == payloads
     assert consumer.metrics.counter("fetch.retries").value >= 1
     cluster.shutdown()

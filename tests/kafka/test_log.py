@@ -216,9 +216,95 @@ def test_flush_keeps_concurrent_append_pending(tmp_path):
 
     assert payloads_in(log) == [b"first"]
     assert log._pending  # the late append is still buffered
-    assert log.high_watermark == log.log_end_offset - len(log._pending)
+    assert log.high_watermark == Message(b"first").wire_size
+    assert log.log_end_offset == log.high_watermark + Message(b"late").wire_size
 
     log.flush()
     assert payloads_in(log) == [b"first", b"late"]
     assert log.high_watermark == log.log_end_offset
     log.close()
+
+
+# -- the write pattern, pinned ---------------------------------------------
+
+PINNED_TRACE_SHA = \
+    "fe8a5a576f706189d1821a5ad0e6b05384d3323e412b4c8e25cc586ff48eee49"
+PINNED_SEGMENTS_SHA = \
+    "a05496255fed690b513cd09ebdd6d8486dc781253a8c33e53f7d4b51091bd5a2"
+
+
+def _traced_scenario():
+    """A seeded produce / flush / fetch / retention run over a SimDisk.
+
+    Returns ``(sha of SimDisk.trace_bytes(), sha of every surviving
+    segment's bytes, payloads sent, payloads consumed)``.
+    """
+    import hashlib
+    import random
+
+    from repro.kafka import KafkaCluster, MessageStream, Producer, SimpleConsumer
+    from repro.simnet.disk import SimDisk
+
+    clock = SimClock()
+    disk = SimDisk(clock=clock, seed=7)
+    disk.start_trace()
+    cluster = KafkaCluster(2, "kafka", clock=clock, partitions_per_topic=3,
+                           flush_interval_messages=7, segment_bytes=2048,
+                           disk=disk)
+    cluster.create_topic("plain")
+    cluster.create_topic("gzip")
+    producers = {"plain": Producer(cluster, batch_size=5, seed=3),
+                 "gzip": Producer(cluster, batch_size=4, compress=True,
+                                  seed=4)}
+    stream = MessageStream(
+        SimpleConsumer(cluster, fetch_max_bytes=1500),
+        [(t, p) for t in ("plain", "gzip") for p in range(3)],
+        {(t, p): 0 for t in ("plain", "gzip") for p in range(3)})
+    rng = random.Random(11)
+    sent, consumed = [], []
+    for round_number in range(40):
+        for _ in range(rng.randrange(5, 30)):
+            topic = rng.choice(("plain", "gzip"))
+            payload = b"%06d|" % len(sent) + bytes(
+                rng.randrange(256) for _ in range(rng.randrange(0, 90)))
+            producers[topic].send(topic, payload)
+            sent.append(payload)
+        clock.advance(rng.random())
+        if round_number % 3 == 0:
+            cluster.flush_all()
+        consumed.extend(m.payload for m in stream.poll())
+        if round_number % 10 == 9:
+            cluster.run_retention(retention_seconds=2.0)
+    for producer in producers.values():
+        producer.flush()
+    cluster.flush_all()
+    while batch := stream.poll():
+        consumed.extend(m.payload for m in batch)
+    trace_sha = hashlib.sha256(disk.trace_bytes()).hexdigest()
+    segments = hashlib.sha256()
+    for broker_id, broker in sorted(cluster.brokers.items()):
+        for topic, partition in broker.partitions():
+            log = broker.log(topic, partition)
+            for name in disk.listdir(f"broker-{broker_id}/{log.directory}"):
+                path = f"broker-{broker_id}/{log.directory}/{name}"
+                with disk.open(path, "rb") as f:
+                    segments.update(name.encode() + f.read())
+    cluster.shutdown()
+    return trace_sha, segments.hexdigest(), sent, consumed
+
+
+def test_write_pattern_and_segment_bytes_are_pinned():
+    """Same seed ⇒ the same disk events (write sizes, fsync count, roll
+    points, reads, deletions) and the same bytes in every segment.
+
+    Both digests were taken at the commit *before* the message set
+    became a byte span end to end, so they pin the format and the write
+    pattern across that change: an edit that moves either one moves
+    ``simnet.disk.bytes_written_per_op`` in the benchmark, and should
+    fail here first.
+    """
+    trace_sha, segments_sha, sent, consumed = _traced_scenario()
+    assert sorted(consumed) == sorted(sent)
+    assert trace_sha == PINNED_TRACE_SHA
+    assert segments_sha == PINNED_SEGMENTS_SHA
+    assert _traced_scenario()[:2] == (trace_sha, segments_sha)

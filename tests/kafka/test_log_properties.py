@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
 from repro.kafka.log import PartitionLog
-from repro.kafka.message import Message, MessageSet, iter_messages
+from repro.kafka.message import (
+    Message,
+    MessageSet,
+    decode_span,
+    iter_messages,
+)
 
 
 def drain(log, start=0):
@@ -90,4 +95,75 @@ def test_rewind_replays_identical_prefix(tmp_path_factory, sets):
     first_pass, _ = drain(log)
     second_pass, _ = drain(log)  # "rewind" = read from 0 again
     assert first_pass == second_pass
+    log.close()
+
+
+span_sets = st.lists(
+    st.tuples(st.lists(st.binary(min_size=0, max_size=120),
+                       min_size=1, max_size=5), st.booleans()),
+    min_size=1, max_size=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(span_sets, st.integers(64, 512), st.integers(1, 400))
+def test_span_sets_reach_disk_verbatim_and_decode_in_one_pass(
+        tmp_path_factory, sets, segment_bytes, fetch_bytes):
+    """A producer-built set is appended as the bytes it already is, and
+    any fetch budget — cutting frames and wrappers anywhere — still
+    yields every payload once, in order."""
+    directory = tmp_path_factory.mktemp("log")
+    log = PartitionLog(str(directory / "p"), segment_bytes=segment_bytes,
+                       flush_interval_messages=3, clock=SimClock())
+    sent, stored = [], b""
+    for payloads, compress in sets:
+        message_set = MessageSet.from_payloads(payloads)
+        if compress:
+            message_set = message_set.deflated()
+        assert log.append(message_set) == len(stored)
+        stored += message_set.encode()
+        sent.extend(payloads)
+    log.flush()
+    assert log.high_watermark == len(stored)
+    got, offset = [], 0
+    while offset < log.high_watermark:
+        budget = fetch_bytes
+        before = offset
+        while offset == before:     # grow until one whole frame fits
+            data = log.read(offset, budget)
+            assert data == stored[offset:offset + len(data)]
+            for payload, offset in decode_span(data, offset):
+                got.append(payload)
+            budget *= 2
+    assert got == sent
+    log.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(message_sets, st.integers(0, 4000))
+def test_base_offset_list_tracks_rolls_and_deletions(
+        tmp_path_factory, sets, floor):
+    directory = tmp_path_factory.mktemp("log")
+    clock = SimClock()
+    log = PartitionLog(str(directory / "p"), segment_bytes=96, clock=clock)
+
+    def on_disk():
+        return sorted(int(name.split(".")[0])
+                      for name in log.disk.listdir(log.directory))
+
+    for payloads in sets:
+        log.append(MessageSet.from_payloads(payloads))
+        assert log.segment_base_offsets() == on_disk()
+    log.delete_segments_below(floor)
+    assert log.segment_base_offsets() == on_disk()
+    assert log.oldest_offset == on_disk()[0]
+    clock.advance(10.0)
+    log.append(MessageSet.from_payloads([b"fresh"]))
+    log.delete_old_segments(retention_seconds=5.0)
+    assert log.segment_base_offsets() == on_disk()
+    offsets = log.segment_base_offsets()
+    offsets.clear()                              # a copy, not the index
+    assert log.segment_base_offsets() == on_disk()
+    for base in on_disk():                       # every segment still found
+        if base < log.high_watermark:
+            assert log.read(base, 1)
     log.close()

@@ -28,11 +28,11 @@ def replica_payloads(replica, topic):
     for tp in replica.topic_layout(topic):
         offset = 0
         while True:
-            batch = consumer.fetch(topic, tp.partition, offset)
+            batch = list(consumer.fetch(topic, tp.partition, offset))
             if not batch:
                 break
-            out.extend(d.message.payload for d in batch)
-            offset = batch[-1].next_offset
+            out.extend(payload for payload, _ in batch)
+            offset = batch[-1][1]
     return out
 
 

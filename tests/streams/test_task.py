@@ -88,6 +88,29 @@ def count_stage() -> StageSpec:
                      stores=("counts",))
 
 
+@pytest.mark.parametrize("max_messages", [1, 2, 4, 5])
+def test_bounded_poll_never_cuts_inside_a_compressed_wrapper(max_messages):
+    """The messages of one gzip wrapper share a ``next_offset``; a poll
+    bounded inside one would checkpoint past the rest of it."""
+    world = World()
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+    task = world.open_task(count_stage())
+    broker = world.cluster.broker_for("in", 0)
+    for batch in range(3):
+        broker.produce("in", 0, MessageSet.from_payloads(
+            [encode_stream_message(f"k{batch}-{i}", 1, 1.0)
+             for i in range(4)]).deflated())
+    broker.log("in", 0).flush()
+    handled = 0
+    while step := task.poll(max_messages=max_messages):
+        assert step % 4 == 0        # whole wrappers only
+        handled += step
+    assert handled == 12
+    assert task.stores["counts"].get("k2-3") == 1
+    assert len([k for k, _ in task.stores["counts"].items()
+                if k.startswith("k")]) == 12
+
+
 def test_commit_then_reopen_resumes_offsets_and_state():
     world = World()
     for topic in ("__changelog-job-counts",):
