@@ -19,7 +19,12 @@ from repro.common.serialization import (
     decode_with_resolution,
     encode_record,
 )
-from repro.common.vectorclock import Occurred, VectorClock, prune_obsolete
+from repro.common.vectorclock import (
+    Occurred,
+    VectorClock,
+    frontier_of,
+    merge_frontier,
+)
 from repro.common.wal import WriteAheadLog
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "encode_record",
     "Occurred",
     "VectorClock",
-    "prune_obsolete",
+    "frontier_of",
+    "merge_frontier",
     "WriteAheadLog",
 ]

@@ -87,6 +87,10 @@ class HashRing:
         if missing:
             raise ConfigurationError(f"partitions with no owner: {sorted(missing)[:8]}...")
         self._owner = owner
+        # ownership never changes after construction (rebalancing builds
+        # a new ring), so preference lists are computed once per ring
+        self._preference: dict[tuple[int, int, int],
+                               tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- basic lookups ---------------------------------------------------
 
@@ -130,9 +134,29 @@ class HashRing:
         return chosen
 
     def replica_nodes_for_key(self, key: bytes, replication_factor: int) -> list[Node]:
-        partition = self.partition_for_key(key)
-        return [self.node_for_partition(p)
-                for p in self.replica_partitions(partition, replication_factor)]
+        _, owners = self.preference_list(self.partition_for_key(key),
+                                         replication_factor)
+        return [self.nodes[node_id] for node_id in owners]
+
+    def preference_list(self, partition: int, replication_factor: int,
+                        required_zones: int = 0
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(replica partitions, their owning node ids)`` for a primary
+        partition, in preference order — the O(1) routing table of
+        §II.B.  Zone-aware when ``required_zones`` > 0.  Memoised for
+        the life of the ring."""
+        memo_key = (partition, replication_factor, required_zones)
+        cached = self._preference.get(memo_key)
+        if cached is None:
+            if required_zones > 0:
+                partitions = self.zone_aware_replica_partitions(
+                    partition, replication_factor, required_zones)
+            else:
+                partitions = self.replica_partitions(
+                    partition, replication_factor)
+            cached = self._preference[memo_key] = (
+                tuple(partitions), tuple(self._owner[p] for p in partitions))
+        return cached
 
     def zone_aware_replica_partitions(self, partition: int, replication_factor: int,
                                       required_zones: int) -> list[int]:

@@ -12,7 +12,7 @@ new clocks, which keeps versions safe to share between simulated nodes.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
 
@@ -24,6 +24,11 @@ class Occurred(Enum):
     AFTER = "after"          # self > other
     EQUAL = "equal"          # identical
     CONCURRENT = "concurrent"  # neither dominates
+
+
+#: (self is bigger somewhere, other is bigger somewhere) -> relation
+_RELATION = {(False, False): Occurred.EQUAL, (True, False): Occurred.AFTER,
+             (False, True): Occurred.BEFORE, (True, True): Occurred.CONCURRENT}
 
 
 class VectorClock:
@@ -64,22 +69,29 @@ class VectorClock:
         return VectorClock(entries)
 
     def compare(self, other: "VectorClock") -> Occurred:
-        self_bigger = False
-        other_bigger = False
-        nodes = {node for node, _ in self._entries} | {node for node, _ in other._entries}
-        for node in sorted(nodes):
-            mine, theirs = self.counter_of(node), other.counter_of(node)
-            if mine > theirs:
+        """One merge-walk over the two node-sorted entry tuples; a node
+        only one side lists counts as bigger there (counters are > 0)."""
+        mine, theirs = self._entries, other._entries
+        mine_len, theirs_len = len(mine), len(theirs)
+        i = j = 0
+        self_bigger = other_bigger = False
+        while i < mine_len and j < theirs_len:
+            (node, counter), (other_node, other_counter) = mine[i], theirs[j]
+            if node == other_node:
+                if counter > other_counter:
+                    self_bigger = True
+                elif other_counter > counter:
+                    other_bigger = True
+                i += 1
+                j += 1
+            elif node < other_node:
                 self_bigger = True
-            elif theirs > mine:
+                i += 1
+            else:
                 other_bigger = True
-        if self_bigger and other_bigger:
-            return Occurred.CONCURRENT
-        if self_bigger:
-            return Occurred.AFTER
-        if other_bigger:
-            return Occurred.BEFORE
-        return Occurred.EQUAL
+                j += 1
+        return _RELATION[self_bigger or i < mine_len,
+                         other_bigger or j < theirs_len]
 
     def dominates(self, other: "VectorClock") -> bool:
         return self.compare(other) is Occurred.AFTER
@@ -102,29 +114,44 @@ class VectorClock:
         return f"VectorClock({{{body}}})"
 
 
-def prune_obsolete(clocks_and_values: Iterable[tuple[VectorClock, object]]
-                   ) -> list[tuple[VectorClock, object]]:
-    """Drop every version dominated by another in the collection.
-
-    This is the read-path reconciliation step: after collecting versions
-    from R replicas, only the frontier of concurrent versions survives;
-    anything causally older is discarded (and repaired — see
-    :mod:`repro.voldemort.repair`).
-    """
-    versions = list(clocks_and_values)
-    survivors: list[tuple[VectorClock, object]] = []
-    for i, (clock, value) in enumerate(versions):
-        obsolete = False
-        for j, (other, _) in enumerate(versions):
-            if i == j:
-                continue
-            relation = clock.compare(other)
-            if relation is Occurred.BEFORE:
-                obsolete = True
-                break
-            if relation is Occurred.EQUAL and j < i:
-                obsolete = True  # deduplicate identical versions
-                break
-        if not obsolete:
-            survivors.append((clock, value))
+def merge_frontier(frontier: Iterable, incoming) -> list | None:
+    """Offer ``incoming`` to a frontier of pairwise-concurrent items
+    (anything with a ``.clock``) — the one place versions are reconciled.
+    Returns the new frontier: the members ``incoming`` does not dominate,
+    in their order, then ``incoming``; or ``None``, frontier untouched,
+    when a member equals it (a tuple comparison, tried first) or
+    dominates it."""
+    clock = incoming.clock
+    entries = clock._entries
+    survivors = []
+    for kept in frontier:
+        if kept.clock._entries == entries:
+            return None
+        relation = clock.compare(kept.clock)
+        if relation is Occurred.BEFORE:
+            return None
+        if relation is Occurred.CONCURRENT:
+            survivors.append(kept)
+    survivors.append(incoming)
     return survivors
+
+
+def frontier_of(replies: Sequence[Sequence]) -> list:
+    """Merge replica replies into the read frontier: the versions no
+    other dominates, one of each group of equals, in first-seen order
+    (read repair pushes in that order, so it is part of the determinism
+    contract).  Replicas agreeing on one version — the common case —
+    cost a tuple comparison each and no :meth:`VectorClock.compare`."""
+    first = replies[0]
+    if len(first) == 1:
+        entries = first[0].clock._entries
+        for reply in replies:
+            if len(reply) != 1 or reply[0].clock._entries != entries:
+                break
+        else:
+            return first
+    frontier: list = []
+    for reply in replies:
+        for item in reply:
+            frontier = merge_frontier(frontier, item) or frontier
+    return frontier

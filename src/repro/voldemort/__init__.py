@@ -5,8 +5,9 @@ Layered exactly like Figure II.1's pluggable architecture:
 * client API with vector-clocked values, server-side transforms, and
   optimistic ``apply_update`` retry loops — :mod:`repro.voldemort.client`;
 * conflict resolution — :mod:`repro.common.vectorclock`;
-* repair mechanisms (read repair, hinted handoff) —
-  :mod:`repro.voldemort.repair`;
+* repair mechanisms — read repair in :mod:`repro.voldemort.routing`,
+  hinted handoff in :mod:`repro.voldemort.server` (hint storage and
+  replay) and :mod:`repro.voldemort.slop` (the pusher);
 * failure detector (success-ratio based) —
   :mod:`repro.voldemort.failure_detector`;
 * routing (consistent hashing with fixed partitions; zone-aware

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.common.errors import ObsoleteVersionError
-from repro.common.vectorclock import Occurred
+from repro.common.vectorclock import merge_frontier
 from repro.voldemort.versioned import Versioned
 
 
@@ -47,20 +47,14 @@ class StorageEngine:
     def close(self) -> None:
         """Release resources; default is a no-op."""
 
-    # -- shared version-merge logic ------------------------------------------
+    # -- the write contract -------------------------------------------------
 
     @staticmethod
-    def merge_version(existing: list[Versioned],
-                      incoming: Versioned) -> list[Versioned]:
-        """Apply the multi-version write contract; returns the new list."""
-        survivors: list[Versioned] = []
-        for versioned in existing:
-            relation = incoming.clock.compare(versioned.clock)
-            if relation in (Occurred.BEFORE, Occurred.EQUAL):
-                raise ObsoleteVersionError(
-                    "a stored version dominates or equals the write")
-            if relation is Occurred.CONCURRENT:
-                survivors.append(versioned)
-            # AFTER: incoming supersedes it; drop
-        survivors.append(incoming)
-        return survivors
+    def merge_version(existing: Iterable, incoming) -> list:
+        """Apply the multi-version write contract; returns the new list
+        (``incoming`` last).  Items are anything with a ``.clock``."""
+        merged = merge_frontier(existing, incoming)
+        if merged is None:
+            raise ObsoleteVersionError(
+                "a stored version dominates or equals the write")
+        return merged

@@ -28,7 +28,7 @@ import struct
 from typing import Iterator
 
 from repro.common.errors import ChecksumError, KeyNotFoundError
-from repro.common.vectorclock import VectorClock
+from repro.common.vectorclock import VectorClock, merge_frontier
 from repro.common.wal import FRAME_OVERHEAD, WriteAheadLog
 from repro.simnet.disk import Disk, LocalDisk
 from repro.voldemort.engines.base import StorageEngine
@@ -125,14 +125,12 @@ class LogStructuredEngine(StorageEngine):
         """Index update: apply merge rules.  During recovery a stale
         replayed record is skipped rather than raising (the log already
         accepted it once); ``put`` has raised for those beforehand."""
-        existing = self._index.get(key, [])
-        for entry in existing:
-            if entry.clock.descends_from(versioned.clock):
-                return  # record superseded later in the log
-        survivors = [e for e in existing
-                     if e.clock.concurrent_with(versioned.clock)]
-        survivors.append(_IndexEntry(versioned.clock, offset, length,
-                                     versioned.is_tombstone))
+        survivors = merge_frontier(
+            self._index.get(key, ()),
+            _IndexEntry(versioned.clock, offset, length,
+                        versioned.is_tombstone))
+        if survivors is None:
+            return  # record superseded later in the log
         self._index[key] = survivors
         self.live_bytes += length
 
@@ -155,9 +153,7 @@ class LogStructuredEngine(StorageEngine):
 
     def put(self, key: bytes, versioned: Versioned) -> None:
         # enforce the version contract against the in-memory clocks first
-        existing_versions = [Versioned(None, e.clock)
-                             for e in self._index.get(key, [])]
-        self.merge_version(existing_versions, versioned)  # raises if obsolete
+        self.merge_version(self._index.get(key, ()), versioned)
         body = encode_body(key, versioned)
         offset = self._log.append(body)
         if self._sync:

@@ -18,10 +18,10 @@ class InMemoryStorageEngine(StorageEngine):
         self._data: dict[bytes, list[Versioned]] = {}
 
     def get(self, key: bytes) -> list[Versioned]:
-        versions = [v for v in self._data.get(key, []) if not v.is_tombstone]
+        versions = [v for v in self._data.get(key, ()) if not v.is_tombstone]
         if not versions:
             raise KeyNotFoundError(repr(key))
-        return list(versions)
+        return versions
 
     def get_including_tombstones(self, key: bytes) -> list[Versioned]:
         """All stored versions, tombstones included (repair needs these)."""
@@ -31,8 +31,8 @@ class InMemoryStorageEngine(StorageEngine):
         return list(versions)
 
     def put(self, key: bytes, versioned: Versioned) -> None:
-        existing = self._data.get(key, [])
-        self._data[key] = self.merge_version(existing, versioned)
+        self._data[key] = self.merge_version(self._data.get(key, ()),
+                                             versioned)
 
     def keys(self) -> Iterator[bytes]:
         for key, versions in self._data.items():

@@ -41,7 +41,8 @@ from repro.common.overload import (
     HedgedCall,
 )
 from repro.common.resilience import CircuitBreaker, Deadline, RetryPolicy
-from repro.common.vectorclock import Occurred
+from repro.common.ring import HashRing
+from repro.common.vectorclock import frontier_of
 from repro.voldemort.cluster import StoreDefinition, VoldemortCluster
 from repro.voldemort.failure_detector import FailureDetector
 from repro.voldemort.server import Hint
@@ -113,22 +114,18 @@ class RoutedStore:
         land on its new destination immediately.
         """
         ring = self.cluster.ring
-        partition = ring.partition_for_key(key)
-        if self.definition.required_zones > 0:
-            partitions = ring.zone_aware_replica_partitions(
-                partition, self.definition.replication_factor,
-                self.definition.required_zones)
-        else:
-            partitions = ring.replica_partitions(
-                partition, self.definition.replication_factor)
-        if self.admin is None:
-            return [ring.node_for_partition(p).node_id for p in partitions]
-        out = []
-        for p in partitions:
-            owner = self.admin.effective_owner(p)
-            if owner not in out:
-                out.append(owner)
-        return out
+        return self._preference(ring, ring.partition_for_key(key))
+
+    def _preference(self, ring: HashRing, partition: int) -> list[int]:
+        """The ring's memoised preference list, with admin redirects
+        applied per call (they come and go without a new ring)."""
+        partitions, owners = ring.preference_list(
+            partition, self.definition.replication_factor,
+            self.definition.required_zones)
+        if self.admin is None or not self.admin.redirects:
+            return list(owners)
+        return list(dict.fromkeys(  # order-preserving de-duplication
+            self.admin.effective_owner(p) for p in partitions))
 
     def _ping_node(self, node_id: int) -> bool:
         server = self.cluster.server_for(node_id)
@@ -245,7 +242,7 @@ class RoutedStore:
         self.metrics.histogram("get").record(operation_latency)
         if not responses:
             raise KeyNotFoundError(repr(key))
-        frontier = self._resolve_frontier(responses)
+        frontier = frontier_of(list(responses.values()))
         if self.enable_read_repair and transform is None:
             self._read_repair(key, frontier, responses, missing_nodes,
                               deadline)
@@ -329,23 +326,6 @@ class RoutedStore:
             self.metrics.counter("get.hedged").increment()
         return winner, (effective, versions)
 
-    @staticmethod
-    def _resolve_frontier(responses: dict[int, list[Versioned]]
-                          ) -> list[Versioned]:
-        merged: list[Versioned] = []
-        for versions in responses.values():
-            for incoming in versions:
-                dominated = False
-                merged = [kept for kept in merged
-                          if not _supersedes(incoming, kept)]
-                for kept in merged:
-                    if _supersedes(kept, incoming) or kept.clock == incoming.clock:
-                        dominated = True
-                        break
-                if not dominated:
-                    merged.append(incoming)
-        return merged
-
     def _read_repair(self, key: bytes, frontier: list[Versioned],
                      responses: dict[int, list[Versioned]],
                      missing_nodes: list[int],
@@ -398,55 +378,81 @@ class RoutedStore:
                 ) -> tuple[dict[bytes, list[Versioned]], float]:
         """Batched quorum reads: one request per node, not per key.
 
-        Each key is assigned to its first R available replicas; each
-        node receives a single ``get_batch`` for all its assigned keys.
-        Returns (key -> version frontier, simulated latency); keys
-        absent everywhere are omitted.  Keys that cannot reach R
-        replicas raise, matching :meth:`get`.
+        Planned per partition: a node is ranked once per request and a
+        partition's preference list ordered once.  Each distinct key is
+        asked of its first R replicas; keys a failed or shedding node
+        leaves short are asked of the rest of their list in one more
+        batched round (:meth:`get`'s fall-through).  Returns (key ->
+        version frontier, simulated latency); keys absent everywhere are
+        omitted.  Keys that cannot reach R replicas raise, as in ``get``.
         """
         if self.admission is not None:
             self.admission.admit(PRIORITY_LIVE, what="get_all")
         required = self.definition.required_reads
-        per_node: dict[int, list[bytes]] = {}
-        assignments: dict[bytes, list[int]] = {}
+        ring = self.cluster.ring
+        ranks: dict[int, tuple] = {}
+        ordered: dict[int, list[int]] = {}      # partition -> replicas
+        replicas_of: dict[bytes, list[int]] = {}    # per distinct key
         for key in keys:
-            replicas = self._ordered_by_availability(self.replica_nodes(key))
-            chosen = replicas[:required]
-            assignments[key] = chosen
-            for node_id in chosen:
-                per_node.setdefault(node_id, []).append(key)
-        responses: dict[bytes, dict[int, list[Versioned]]] = {}
-        answered: dict[bytes, int] = {key: 0 for key in keys}
-        latencies: list[float] = []
+            if key not in replicas_of:
+                partition = ring.partition_for_key(key)
+                if partition not in ordered:
+                    ordered[partition] = self._ordered_by_availability(
+                        self._preference(ring, partition), ranks)
+                replicas_of[key] = ordered[partition]
+        answered = dict.fromkeys(replicas_of, 0)
+        replies: dict[bytes, list[list[Versioned]]] = {}
+        operation_latency = 0.0
+        short = list(replicas_of)
+        # first choice, then the rest of the list for whatever is short
+        for first, last in ((0, required), (required, None)):
+            per_node: dict[int, list[bytes]] = {}
+            for key in short:
+                for node_id in replicas_of[key][first:last]:
+                    per_node.setdefault(node_id, []).append(key)
+            if first > 0:
+                self.metrics.counter("get_all.fallback_rounds").increment()
+            # the rounds are sequential, so their latencies add
+            operation_latency += self._read_batches(per_node, answered,
+                                                    replies)
+            short = [key for key in short if answered[key] < required]
+            if not short:
+                break
+        if short:
+            raise InsufficientOperationalNodesError(
+                f"{len(short)} keys reached fewer than {required} replicas",
+                required=required, achieved=min(answered[k] for k in short))
+        self.metrics.histogram("get_all").record(operation_latency)
+        return ({key: frontier_of(by_node)
+                 for key, by_node in replies.items()},
+                operation_latency)
+
+    def _read_batches(self, per_node: dict[int, list[bytes]],
+                      answered: dict[bytes, int],
+                      replies: dict[bytes, list[list[Versioned]]]) -> float:
+        """One ``get_batch`` per node.  Counts each answering node toward
+        its keys' quorums, files found versions under ``replies[key]``
+        and returns the round's latency: its slowest answer."""
+        slowest = 0.0
         for node_id, node_keys in per_node.items():
             server = self.cluster.server_for(node_id)
             try:
                 found, latency = self.cluster.network.invoke(
                     self.client_name, self.cluster.node_name(node_id),
                     server.get_batch, self.store, node_keys)
-                self.detector.record_success(node_id)
-                latencies.append(latency)
             except ServerOverloadedError:
                 self.detector.record_success(node_id)
                 self.metrics.counter("get_all.replica_shed").increment()
-                continue
             except NodeUnavailableError:
                 self.detector.record_failure(node_id)
-                continue
-            for key in node_keys:
-                answered[key] += 1
-                if key in found:
-                    responses.setdefault(key, {})[node_id] = found[key]
-        short = [key for key, count in answered.items() if count < required]
-        if short:
-            raise InsufficientOperationalNodesError(
-                f"{len(short)} keys reached fewer than {required} replicas",
-                required=required, achieved=min(answered[k] for k in short))
-        operation_latency = max(latencies) if latencies else 0.0
-        self.metrics.histogram("get_all").record(operation_latency)
-        return ({key: self._resolve_frontier(by_node)
-                 for key, by_node in responses.items()},
-                operation_latency)
+            else:
+                self.detector.record_success(node_id)
+                slowest = max(slowest, latency)
+                for key in node_keys:
+                    answered[key] += 1
+                for key, versions in found.items():
+                    replies.setdefault(key, []).append(versions)
+        return slowest
 
     # -- writes ---------------------------------------------------------------------
 
@@ -609,24 +615,19 @@ class RoutedStore:
             return 10 ** 6
         return zone.proximity.index(node_zone) + 1
 
-    def _queue_depth(self, node_id: int) -> int:
-        """The replica's simulated server-queue depth (0 when the node
-        has no bounded queue configured) — the load signal for
-        least-loaded replica selection."""
-        return self.cluster.network.queue_depth(self.cluster.node_name(node_id))
-
-    def _ordered_by_availability(self, replicas: list[int]) -> list[int]:
+    def _ordered_by_availability(self, replicas: list[int],
+                                 ranks: dict[int, tuple] | None = None
+                                 ) -> list[int]:
         """Available replicas first, nearest zone first, least-loaded
-        (shallowest server queue) within a zone, preserving ring order
-        as the final tie-break."""
-        indexed = list(enumerate(replicas))
-        indexed.sort(key=lambda pair: (
-            not self.detector.is_available(pair[1]),
-            self._zone_distance(pair[1]),
-            self._queue_depth(pair[1]),
-            pair[0]))
-        return [node_id for _, node_id in indexed]
-
-
-def _supersedes(a: Versioned, b: Versioned) -> bool:
-    return a.clock.compare(b.clock) is Occurred.AFTER
+        (shallowest server queue) within a zone; the stable sort keeps
+        ring order among ties.  ``ranks`` shares node rankings between
+        the calls of one request, while none of the inputs can change."""
+        ranks = {} if ranks is None else ranks
+        for node_id in replicas:
+            if node_id not in ranks:
+                ranks[node_id] = (
+                    not self.detector.is_available(node_id),
+                    self._zone_distance(node_id),
+                    self.cluster.network.queue_depth(
+                        self.cluster.node_name(node_id)))
+        return sorted(replicas, key=ranks.__getitem__)

@@ -157,11 +157,11 @@ class VoldemortServer:
         client's ``get_all``.
         """
         self.requests_served += 1
-        engine = self.engine(store)
+        get = self.engine(store).get
         out: dict[bytes, list[Versioned]] = {}
         for key in keys:
             try:
-                out[key] = engine.get(key)
+                out[key] = get(key)
             except KeyNotFoundError:
                 continue
         return out

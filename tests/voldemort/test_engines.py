@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ChecksumError, KeyNotFoundError, ObsoleteVersionError
-from repro.common.vectorclock import VectorClock
+from repro.common.vectorclock import Occurred, VectorClock
 from repro.voldemort.engines import InMemoryStorageEngine, LogStructuredEngine
 from repro.voldemort.versioned import Versioned
 
@@ -229,6 +229,52 @@ def test_log_engine_matches_memory_engine(tmp_path_factory, pairs):
                     == [x.value for x in memory_engine.get(key)])
     finally:
         log_engine.close()
+
+
+def reference_merge(existing: list[Versioned],
+                    incoming: Versioned) -> list[Versioned]:
+    """The write contract as ``StorageEngine.merge_version`` spelled it
+    before the shared frontier routine."""
+    survivors = []
+    for versioned in existing:
+        relation = incoming.clock.compare(versioned.clock)
+        if relation in (Occurred.BEFORE, Occurred.EQUAL):
+            raise ObsoleteVersionError("dominated or equal")
+        if relation is Occurred.CONCURRENT:
+            survivors.append(versioned)
+    survivors.append(incoming)
+    return survivors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(1, 3),
+                                min_size=1, max_size=3), max_size=12))
+def test_write_contract_matches_reference(tmp_path_factory, clock_entries):
+    """Dominated and equal writes raise, concurrent siblings stay in
+    their order, the accepted write comes last — on both engines, and
+    again after the log engine replays its file."""
+    directory = str(tmp_path_factory.mktemp("contract") / "store")
+    engines = [InMemoryStorageEngine(), LogStructuredEngine(directory)]
+    expected: list[Versioned] = []
+    try:
+        for i, entries in enumerate(clock_entries):
+            incoming = Versioned(b"v%d" % i, VectorClock(entries))
+            try:
+                expected = reference_merge(expected, incoming)
+            except ObsoleteVersionError:
+                for engine in engines:
+                    with pytest.raises(ObsoleteVersionError):
+                        engine.put(b"k", incoming)
+            else:
+                for engine in engines:
+                    engine.put(b"k", incoming)
+            for engine in engines:
+                assert (engine.get(b"k") if expected else []) == expected
+        engines[1].close()
+        engines[1] = LogStructuredEngine(directory)
+        assert (engines[1].get(b"k") if expected else []) == expected
+    finally:
+        engines[1].close()
 
 
 def test_compact_aborts_when_put_races_the_fsync(tmp_path):

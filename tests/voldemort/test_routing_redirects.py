@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import KeyNotFoundError
 from repro.voldemort import RoutedStore, StoreDefinition, Versioned, VoldemortCluster
-from repro.voldemort.admin import AdminService
+from repro.voldemort.admin import AdminService, PartitionMove, RebalancePlan
 
 
 @pytest.fixture
@@ -46,6 +46,27 @@ def test_mid_migration_requests_go_to_destination(setup):
     cluster.ring = cluster.ring.with_partition_moved(partition, destination)
     frontier, _ = routed.get(key)
     assert frontier[0].value == b"v"
+
+
+def test_memoised_preference_list_is_never_stale(setup):
+    """The ring memoises preference lists, so the two ways ownership
+    changes must both show on the very next lookup: an in-flight
+    redirect (same ring object) and a finished move (a new ring)."""
+    cluster, admin, routed = setup
+    key = b"moving-key"
+    partition = cluster.ring.partition_for_key(key)
+    old_owner = cluster.ring.node_for_partition(partition).node_id
+    destination = (old_owner + 1) % 3
+    assert routed.replica_nodes(key) == [old_owner]     # memo is warm
+    admin.redirects[partition] = destination
+    assert routed.replica_nodes(key) == [destination]
+    del admin.redirects[partition]
+    assert routed.replica_nodes(key) == [old_owner]
+    admin.execute_rebalance(RebalancePlan(
+        [PartitionMove(partition, old_owner, destination)]))
+    assert routed.replica_nodes(key) == [destination]
+    # a router with no admin attached sees the flipped ring too
+    assert RoutedStore(cluster, "s").replica_nodes(key) == [destination]
 
 
 def test_full_expansion_with_attached_router(setup):

@@ -6,7 +6,14 @@ from repro.common.errors import (
     InsufficientOperationalNodesError,
     NodeUnavailableError,
 )
-from repro.voldemort import RoutedStore, StoreDefinition, Versioned, VoldemortCluster
+from repro.common.vectorclock import VectorClock
+from repro.voldemort import (
+    FailureDetector,
+    RoutedStore,
+    StoreDefinition,
+    Versioned,
+    VoldemortCluster,
+)
 from repro.voldemort.server_routing import ServerSideRoutedStore
 
 
@@ -114,21 +121,96 @@ class TestGetAll:
         with pytest.raises(InsufficientOperationalNodesError):
             routed.get_all([key])
 
+    def test_duplicate_key_does_not_fake_a_quorum(self, cluster):
+        """One live replica answering for both copies of a repeated key
+        is still one replica."""
+        routed = RoutedStore(cluster, "s", enable_hinted_handoff=False)
+        key = b"quorum-key"
+        routed.put(key, Versioned.initial(b"v", 0))
+        for node_id in routed.replica_nodes(key)[1:]:
+            cluster.network.failures.crash(cluster.node_name(node_id))
+        with pytest.raises(InsufficientOperationalNodesError):
+            routed.get_all([key])
+        with pytest.raises(InsufficientOperationalNodesError):
+            routed.get_all([key, key])
+
     def test_batch_survives_one_replica_down(self, cluster):
+        """The detector has not noticed the crash yet: the keys the dead
+        node leaves short fall over to their next replica, as ``get``
+        does, in one more batched round."""
         routed = RoutedStore(cluster, "s")
         keys = [b"key-%d" % i for i in range(10)]
         for key in keys:
-            routed.put(key, Versioned.initial(b"v", 0))
+            routed.put(key, Versioned.initial(b"v:" + key, 0))
         crashed = routed.replica_nodes(keys[0])[0]
         cluster.network.failures.crash(cluster.node_name(crashed))
-        # mark it down so assignment avoids it
-        for _ in range(10):
-            try:
-                routed.get(keys[0])
-            except Exception:
-                pass
+        assert routed.detector.is_available(crashed)
+        found, latency = routed.get_all(keys)
+        assert {k: [v.value for v in vs] for k, vs in found.items()} == \
+            {key: [b"v:" + key] for key in keys}
+        assert routed.metrics.counter("get_all.fallback_rounds").value == 1
+        assert latency > 0
+
+    def test_fallback_round_only_asks_for_the_short_keys(self, cluster):
+        routed = RoutedStore(cluster, "s")
+        keys = [b"key-%d" % i for i in range(30)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v", 0))
+        crashed = routed.replica_nodes(keys[0])[0]
+        short = {key for key in keys
+                 if crashed in routed.replica_nodes(key)[:2]}
+        assert short and short != set(keys)
+        cluster.network.failures.crash(cluster.node_name(crashed))
+        asked: list[bytes] = []
+        for server in cluster.servers.values():
+            original = server.get_batch
+            server.get_batch = lambda store, batch, original=original: (
+                asked.extend(batch), original(store, batch))[1]
         found, _ = routed.get_all(keys)
         assert set(found) == set(keys)
+        # every key is served by exactly two live replicas: a short key
+        # by its surviving first choice and its fallback, the rest by
+        # their first two — the fallback round re-asks nobody else
+        assert all(asked.count(key) == 2 for key in keys)
+        assert len(asked) == 2 * len(keys)
+
+    def test_healthy_batch_takes_no_extra_round(self, cluster):
+        routed = RoutedStore(cluster, "s")
+        keys = [b"key-%d" % i for i in range(40)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v", 0))
+        network = cluster.network
+        before = network.hops_delivered + network.hops_failed
+        routed.get_all(keys)
+        assert network.hops_delivered + network.hops_failed - before \
+            <= len(cluster.ring.nodes)
+        assert routed.metrics.counter("get_all.fallback_rounds").value == 0
+
+    def test_plan_is_per_partition_not_per_key(self, monkeypatch):
+        """Count guard, no timing: a healthy 100-key batch ranks each
+        node once and, with replicas in agreement, compares no clocks."""
+        cluster = VoldemortCluster(num_nodes=6, partitions_per_node=8)
+        cluster.define_store(StoreDefinition("s", 3, 2, 2))
+        routed = RoutedStore(cluster, "s")
+        keys = [b"member:%d" % i for i in range(100)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v", 0))
+        calls = {"is_available": 0, "compare": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(FailureDetector, "is_available", counting(
+            "is_available", FailureDetector.is_available))
+        monkeypatch.setattr(VectorClock, "compare", counting(
+            "compare", VectorClock.compare))
+        found, _ = routed.get_all(keys)
+        assert len(found) == len(keys)
+        assert calls["is_available"] <= len(cluster.ring.nodes)
+        assert calls["compare"] == 0
 
     def test_empty_batch(self, cluster):
         routed = RoutedStore(cluster, "s")
