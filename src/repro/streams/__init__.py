@@ -3,12 +3,12 @@
 A *job* is a DAG of stages; each stage runs ``partitions`` stateful
 tasks; task ``i`` owns partition ``i`` of every input topic.  Local
 keyed state is made durable twice over: a **changelog topic** carries
-every mutation as an idempotent upsert, and periodic **snapshots** on
-the container's disk bound replay.  A killed container recovers by
-snapshot-load + changelog replay to its checkpointed input offsets —
-the log+snapshot bootstrap shape Databus already uses (DESIGN.md §9),
-applied to stream compute.  Placement is plain Helix: containers are
-participants, tasks are ONLINE_OFFLINE partitions.
+each commit's mutated keys as idempotent upserts, and periodic
+**snapshots** on the container's disk bound replay.  A killed container
+recovers by snapshot-load + changelog replay to its checkpointed input
+offsets — the log+snapshot bootstrap shape Databus already uses
+(DESIGN.md §9), applied to stream compute.  Placement is plain Helix:
+containers are participants, tasks are ONLINE_OFFLINE partitions.
 """
 
 from repro.streams.state import (

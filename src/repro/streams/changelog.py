@@ -1,12 +1,13 @@
 """Per-task changelog topics: remote durability for task-local state.
 
-Every state mutation a task makes is also published — as an absolute
-upsert or a tombstone — to partition ``task_id`` of the store's
-changelog topic, a regular Kafka topic named
-``__changelog-<job>-<store>``.  The changelog is the authority a task
-restores from when its container dies on a node whose local snapshot
-is gone (SNIPPETS.md §8: "state is restored by replaying the changelog
-into the local store").
+At every commit the records a task's store drained — one absolute
+upsert or tombstone per key it mutated (:mod:`repro.streams.state`) —
+are published to partition ``task_id`` of the store's changelog topic,
+a regular Kafka topic named ``__changelog-<job>-<store>``.  This module
+is transport only: it moves record bytes and never looks inside one.
+The changelog is the authority a task restores from when its container
+dies on a node whose local snapshot is gone (SNIPPETS.md §8: "state is
+restored by replaying the changelog into the local store").
 
 **Compaction.**  Once a snapshot durably covers the changelog prefix
 below offset ``X``, every record below ``X`` is redundant: the
@@ -17,14 +18,12 @@ snapshot covers **all** keys.  The broker's recovery contract is
 untouched: compaction only removes bytes a durable snapshot already
 carries.
 
-Writes are **staged** in the writer and flushed as one message set at
-commit time, so the per-commit cost is one append + one fsync instead
-of one per mutation — the group-commit shape ROADMAP item 1 asks for.
+A commit's records go out as one message set, so the per-commit cost is
+one append + one fsync instead of one per mutation — the group-commit
+shape ROADMAP item 1 asks for.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.common.errors import ConfigurationError
 from repro.kafka.broker import KafkaCluster
@@ -36,51 +35,31 @@ def changelog_topic(job: str, store: str) -> str:
     return f"__changelog-{job}-{store}"
 
 
-def encode_mutation(key: str, value: object | None) -> bytes:
-    """One changelog record; ``value=None`` encodes a tombstone."""
-    return json.dumps({"k": key, "v": value}, sort_keys=True,
-                      separators=(",", ":")).encode()
-
-
-def decode_mutation(payload: bytes) -> tuple[str, object | None]:
-    record = json.loads(payload)
-    return record["k"], record["v"]
-
-
 class ChangelogWriter:
-    """Stages mutations for one (topic, partition); flushes at commit."""
+    """Publishes one (topic, partition)'s records, a commit at a time."""
 
     def __init__(self, cluster: KafkaCluster, topic: str, partition: int):
         self.cluster = cluster
         self.topic = topic
         self.partition = partition
-        self._staged: list[bytes] = []
         self.mutations_logged = 0
         self.flushes = 0
 
-    def stage(self, key: str, value: object | None) -> None:
-        self._staged.append(encode_mutation(key, value))
-        self.mutations_logged += 1
-
-    @property
-    def staged_count(self) -> int:
-        return len(self._staged)
-
-    def flush(self) -> int:
-        """Publish staged mutations and fsync them; returns the durable
-        end offset (high watermark) of the changelog partition.
+    def flush(self, records: list[bytes]) -> int:
+        """Publish ``records`` as one message set and fsync; returns the
+        durable end offset (high watermark) of the changelog partition.
 
         The returned offset is what the task checkpoints: everything
         below it is recoverable, and recovery replays exactly up to it.
         """
         broker = self.cluster.broker_for(self.topic, self.partition)
         log = broker.log(self.topic, self.partition)
-        if self._staged:
+        if records:
             broker.produce(self.topic, self.partition,
-                           MessageSet.from_payloads(self._staged))
-            self._staged = []
+                           MessageSet.from_payloads(records))
+            self.mutations_logged += len(records)
             self.flushes += 1
-        log.flush()  # make every staged byte durable and visible
+        log.flush()  # make every published byte durable and visible
         return log.high_watermark
 
     def durable_end(self) -> int:
@@ -93,8 +72,8 @@ class ChangelogWriter:
 def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
                      start: int, stop: int,
                      fetch_max_bytes: int = 1 << 20
-                     ) -> list[tuple[str, object | None]]:
-    """Decode changelog records in ``[start, stop)`` in append order.
+                     ) -> list[bytes]:
+    """The changelog records in ``[start, stop)``, in append order.
 
     ``stop`` is the checkpointed durable end: records past it are
     *uncommitted* mutations a crashed incarnation published but never
@@ -105,7 +84,7 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
         raise ConfigurationError(
             f"changelog replay range reversed: [{start}, {stop})")
     broker = cluster.broker_for(topic, partition)
-    mutations: list[tuple[str, object | None]] = []
+    records: list[bytes] = []
     offset = start
     while offset < stop:
         data = broker.fetch(topic, partition, offset,
@@ -115,12 +94,12 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
         before = offset
         for payload, next_offset in decode_span(data, base_offset=offset):
             if next_offset > stop:
-                return mutations
-            mutations.append(decode_mutation(payload))
+                return records
+            records.append(payload)
             offset = next_offset
         if offset == before:
             break  # only a partial frame fit under ``stop``; done
-    return mutations
+    return records
 
 
 def compact_changelog(cluster: KafkaCluster, topic: str, partition: int,

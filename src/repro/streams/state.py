@@ -1,23 +1,30 @@
-"""Task-local keyed state: a dict image, a changelog hook, and
-all-or-nothing snapshot images on the container's disk.
+"""Task-local keyed state: a dict image, the changelog record of every
+live key, and all-or-nothing snapshot images on the container's disk.
 
 Samza's state story (SNIPPETS.md §8) is reproduced structurally:
 
 * the *store* is task-local and in-memory — reads and writes never
   leave the process, which is what makes stateful stream compute fast;
-* every mutation is reported to an ``on_mutation`` hook, which the
-  owning task wires to its **changelog topic** partition — the store
-  itself never talks to Kafka (layering: state below, transport above);
-* durability of the local image is a **snapshot**: the full key/value
-  map plus the changelog offset it covers, written as one framed image
+* ``put``/``delete`` only mark the key dirty.  At commit the owning task
+  calls :meth:`KeyedStateStore.drain` — **one record per dirty key**,
+  its absolute value now or a tombstone — and publishes the records to
+  its **changelog topic** partition; the store itself never talks to
+  Kafka (layering: state below, transport above);
+* the store keeps the record bytes of every live key (``drain`` files
+  what it encoded, ``restore`` what it decoded), so a record is encoded
+  once and then only copied: the snapshot barrier and the snapshot
+  image are both :meth:`KeyedStateStore.records`, as they are;
+* durability of the local image is a **snapshot**: those records plus
+  the changelog offset they cover, written as one framed image
   (:func:`repro.common.wal.write_image`: temp file, fsync, atomic
   rename).  Recovery loads the snapshot and replays the changelog
   *suffix* from the snapshot's offset — the log+snapshot bootstrap
   shape Databus already uses (DESIGN.md §9).  A snapshot that is not a
   complete image is rejected on every load, never half-applied.
 
-Values are JSON-serializable objects; keys are strings.  Mutations are
-**idempotent upserts**: a changelog record carries the absolute new
+Values are JSON-serializable objects; keys are strings.  A value
+belongs to the store once ``put`` — it is encoded at the next drain,
+not at the call.  Records are **idempotent upserts**: the absolute new
 value (or a tombstone), never a delta, so replaying a record twice is
 harmless — the property the at-least-once recovery contract leans on.
 """
@@ -25,24 +32,41 @@ harmless — the property the at-least-once recovery contract leans on.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator
 
 from repro.common.errors import ChecksumError, ConfigurationError
 from repro.common.storage import Disk
 from repro.common.wal import read_image, write_image
 
-MutationHook = Callable[[str, object], None]
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def encode_json(obj: object) -> bytes:
+    """The stream tier's one canonical JSON form: sorted keys, no
+    whitespace — records, wire envelopes and fingerprints alike."""
+    return _ENCODER.encode(obj).encode()
+
+
+def encode_record(key: str, value: object | None) -> bytes:
+    """One state record — a changelog message and a snapshot image
+    entry are both exactly this; ``value=None`` is a tombstone."""
+    return encode_json({"k": key, "v": value})
+
+
+def decode_record(payload: bytes) -> tuple[str, object | None]:
+    record = json.loads(payload)
+    return record["k"], record["v"]
 
 
 class KeyedStateStore:
     """One named key/value store owned by exactly one task."""
 
-    def __init__(self, name: str, on_mutation: MutationHook | None = None):
+    def __init__(self, name: str):
         if not name:
             raise ConfigurationError("store needs a name")
         self.name = name
         self._data: dict[str, object] = {}
-        self._on_mutation = on_mutation
+        self._records: dict[str, bytes] = {}    # live key -> its record
+        self._dirty: dict[str, None] = {}       # first-dirtied order
         self.puts = 0
         self.deletes = 0
         self.gets = 0
@@ -66,43 +90,72 @@ class KeyedStateStore:
     def items(self) -> list[tuple[str, object]]:
         return sorted(self._data.items())
 
-    def range(self, prefix: str) -> Iterator[tuple[str, object]]:
+    def range(self, prefix: str) -> list[tuple[str, object]]:
         """Sorted (key, value) pairs whose key starts with ``prefix`` —
         the windowed-counter scans the serving API runs."""
-        for key in self.keys():
-            if key.startswith(prefix):
-                yield key, self._data[key]
+        return sorted(item for item in self._data.items()
+                      if item[0].startswith(prefix))
 
     # -- write path -------------------------------------------------------
 
     def put(self, key: str, value: object) -> None:
-        """Upsert: the absolute new value is logged, never a delta."""
+        """Upsert; the store owns ``value`` from here on."""
         if value is None:
             raise ConfigurationError(
                 "None is the tombstone; use delete() to remove a key")
         self._data[key] = value
+        self._dirty[key] = None
         self.puts += 1
-        if self._on_mutation is not None:
-            self._on_mutation(key, value)
 
     def delete(self, key: str) -> None:
-        if key in self._data:
-            del self._data[key]
+        self._data.pop(key, None)
+        self._dirty[key] = None
         self.deletes += 1
-        if self._on_mutation is not None:
-            self._on_mutation(key, None)
+
+    def drain(self) -> list[bytes]:
+        """The changelog records of every key mutated since the last
+        drain, in first-dirtied order: one per key, carrying the value
+        it has *now* (a tombstone if it is gone)."""
+        records = []
+        for key in self._dirty:
+            value = self._data.get(key)
+            record = encode_record(key, value)
+            if value is None:
+                self._records.pop(key, None)
+            else:
+                self._records[key] = record
+            records.append(record)
+        self._dirty.clear()
+        return records
+
+    def records(self) -> list[bytes]:
+        """The record of every live key, in key order — the snapshot
+        barrier and the snapshot image, without encoding anything."""
+        if self._dirty:
+            raise ConfigurationError(
+                f"store {self.name!r} has un-drained mutations; its "
+                "records would be a stale image")
+        return [self._records[key] for key in sorted(self._records)]
 
     # -- replay path ------------------------------------------------------
 
-    def apply(self, key: str, value: object | None) -> None:
-        """Apply one changelog/snapshot record without re-logging it."""
-        if value is None:
-            self._data.pop(key, None)
-        else:
-            self._data[key] = value
+    def restore(self, records: list[bytes]) -> int:
+        """Apply changelog/snapshot records without re-logging them,
+        keeping each as its key's record; returns how many."""
+        for record in records:
+            key, value = decode_record(record)
+            if value is None:
+                self._data.pop(key, None)
+                self._records.pop(key, None)
+            else:
+                self._data[key] = value
+                self._records[key] = record
+        return len(records)
 
     def clear(self) -> None:
         self._data.clear()
+        self._records.clear()
+        self._dirty.clear()
 
     # -- fingerprinting ---------------------------------------------------
 
@@ -119,31 +172,26 @@ class KeyedStateStore:
         if exclude_prefix is not None:
             entries = [(key, value) for key, value in entries
                        if not key.startswith(exclude_prefix)]
-        return json.dumps(entries, sort_keys=True,
-                          separators=(",", ":")).encode()
+        return encode_json(entries)
 
 
 # -- snapshots -------------------------------------------------------------
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2       # v2: an image entry *is* a changelog record
 
 
-def write_snapshot(disk: Disk, path: str, store: KeyedStateStore,
-                   changelog_offset: int) -> int:
-    """Write the store image + covered changelog offset, atomically.
+def write_snapshot(disk: Disk, path: str, store_name: str,
+                   records: list[bytes], changelog_offset: int) -> None:
+    """Write a store's :meth:`~KeyedStateStore.records` + the changelog
+    offset they cover, atomically.
 
-    One image: a header payload, then one payload per key in sorted
-    order.  A crash at any point leaves either the old snapshot or the
-    new one, never a torn mix.  Returns the number of entries written.
+    One image: a header payload, then the records as they are.  A crash
+    at any point leaves either the old snapshot or the new one, never a
+    torn mix.
     """
-    header = {"version": _SNAPSHOT_VERSION, "store": store.name,
+    header = {"version": _SNAPSHOT_VERSION, "store": store_name,
               "changelog_offset": changelog_offset}
-    entries = store.items()
-    write_image(disk, path, [
-        json.dumps(header, sort_keys=True).encode(),
-        *(json.dumps({"k": key, "v": value}, sort_keys=True).encode()
-          for key, value in entries)])
-    return len(entries)
+    write_image(disk, path, [encode_json(header), *records])
 
 
 def load_snapshot(disk: Disk, path: str,
@@ -152,10 +200,10 @@ def load_snapshot(disk: Disk, path: str,
 
     Returns the changelog offset the snapshot covers, or ``None`` when
     no usable snapshot exists (missing file, damaged image, wrong
-    store) — the caller then falls back to a full changelog replay.  A
-    torn or corrupt snapshot is rejected entirely rather than
-    half-loaded: the header's offset would skip the changelog records
-    of whatever entries were lost.
+    store, another format version) — the caller then falls back to a
+    full changelog replay.  A torn or corrupt snapshot is rejected
+    entirely rather than half-loaded: the header's offset would skip
+    the changelog records of whatever entries were lost.
     """
     try:
         payloads = read_image(disk, path)
@@ -164,10 +212,9 @@ def load_snapshot(disk: Disk, path: str,
     if not payloads:
         return None
     header = json.loads(payloads[0])
-    if header.get("store") != store.name:
+    if (header.get("version") != _SNAPSHOT_VERSION
+            or header.get("store") != store.name):
         return None
     store.clear()
-    for payload in payloads[1:]:
-        record = json.loads(payload)
-        store.apply(record["k"], record["v"])
+    store.restore(payloads[1:])
     return int(header["changelog_offset"])

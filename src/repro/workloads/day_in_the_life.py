@@ -42,6 +42,7 @@ from repro.streams.apps import (
     feed_fanout_job,
     who_viewed_your_profile_job,
 )
+from repro.streams.state import encode_record
 from repro.workloads.generators import (
     ActivityEventGenerator,
     DiurnalRate,
@@ -66,6 +67,8 @@ class ScenarioResult:
     changelog_mutations_replayed: int = 0
     duplicates_dropped: int = 0
     offset_violations: list[str] = field(default_factory=list)
+    # stores whose cached records differ from a fresh encode of items()
+    stale_record_stores: list[str] = field(default_factory=list)
 
 
 class _World:
@@ -268,9 +271,12 @@ def run_day_in_the_life(seed: int = 0, partitions: int = 4,
             job = world.job_of(name)
             for store_name in sorted(task.stores):
                 label = f"{job}/{task.task_id}/{store_name}"
-                result.state_fingerprints[label] = \
-                    task.stores[store_name].fingerprint(
-                        exclude_prefix="__seen/").decode()
+                store = task.stores[store_name]
+                result.state_fingerprints[label] = store.fingerprint(
+                    exclude_prefix="__seen/").decode()
+                if store.records() != [encode_record(key, value)
+                                       for key, value in store.items()]:
+                    result.stale_record_stores.append(label)
             if task.recovered_from_snapshot:
                 result.tasks_recovered_from_snapshot += 1
             result.changelog_mutations_replayed += task.replayed_mutations

@@ -89,6 +89,15 @@ def test_recovered_state_is_byte_identical_to_clean_run(failure_day,
             f"store {label} diverged after crash recovery"
 
 
+def test_record_cache_matches_state_in_every_store(failure_day, clean_day):
+    """After a day of puts, barriers, a kill, image loads and changelog
+    replays, every store's cached records still equal a fresh encode of
+    its items — the barrier may go on copying them."""
+    assert failure_day.stale_record_stores == []
+    assert clean_day.stale_record_stores == []
+    assert len(clean_day.state_fingerprints) > 0
+
+
 def test_serving_layer_agrees_between_runs(failure_day, clean_day):
     assert failure_day.top_profiles == clean_day.top_profiles
     assert failure_day.sample_inbox == clean_day.sample_inbox

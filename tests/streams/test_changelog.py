@@ -1,4 +1,4 @@
-"""Changelog topics: staged writes, bounded replay, compaction."""
+"""Changelog topics: one set per commit, bounded replay, compaction."""
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.streams.changelog import (
     compact_changelog,
     replay_changelog,
 )
+from repro.streams.state import encode_record
 
 
 def make_cluster(segment_bytes: int = 1 << 20) -> KafkaCluster:
@@ -27,18 +28,19 @@ def test_topic_naming():
     assert changelog_topic("wvyp", "views") == "__changelog-wvyp-views"
 
 
-def test_stage_then_flush_publishes_one_set():
+def test_flush_publishes_one_set():
     cluster = make_cluster()
     writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
-    writer.stage("a", 1)
-    writer.stage("b", None)
-    assert writer.staged_count == 2
-    end = writer.flush()
-    assert writer.staged_count == 0
+    records = [encode_record("a", 1), encode_record("b", None)]
+    end = writer.flush(records)
     assert writer.flushes == 1
+    assert writer.mutations_logged == 2
     assert end == writer.durable_end() > 0
+    assert writer.flush([]) == end       # nothing to publish: no new set
+    assert writer.flushes == 1
+    # transport only: the bytes that went in come back out, undecoded
     assert replay_changelog(cluster, "__changelog-job-store", 0,
-                            0, end) == [("a", 1), ("b", None)]
+                            0, end) == records
 
 
 def test_replay_stops_at_checkpoint_boundary():
@@ -46,12 +48,10 @@ def test_replay_stops_at_checkpoint_boundary():
     incarnation; replay must ignore them."""
     cluster = make_cluster()
     writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
-    writer.stage("a", 1)
-    committed = writer.flush()
-    writer.stage("a", 999)   # never checkpointed
-    writer.flush()
+    committed = writer.flush([encode_record("a", 1)])
+    writer.flush([encode_record("a", 999)])   # never checkpointed
     assert replay_changelog(cluster, "__changelog-job-store", 0,
-                            0, committed) == [("a", 1)]
+                            0, committed) == [encode_record("a", 1)]
 
 
 def test_replay_rejects_reversed_range():
@@ -68,10 +68,10 @@ def test_compaction_drops_whole_leading_segments_only():
     writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
     boundaries = []
     for batch in range(8):
-        for i in range(4):
-            writer.stage(f"k{batch}-{i}", {"batch": batch, "i": i})
-        writer.stage(f"k{batch}-0", None)  # tombstone rides along
-        boundaries.append(writer.flush())
+        boundaries.append(writer.flush(
+            [encode_record(f"k{batch}-{i}", {"batch": batch, "i": i})
+             for i in range(4)]
+            + [encode_record(f"k{batch}-0", None)]))  # tombstone rides along
     log = cluster.broker_for("__changelog-job-store", 0).log(
         "__changelog-job-store", 0)
     assert len(log._segments) > 2   # the workload really rolled segments
@@ -83,7 +83,7 @@ def test_compaction_drops_whole_leading_segments_only():
     # everything from the floor to the end still replays, in order
     replayed = replay_changelog(cluster, "__changelog-job-store", 0,
                                 floor, boundaries[-1])
-    assert replayed[-1] == ("k7-0", None)
+    assert replayed[-1] == encode_record("k7-0", None)
     # compaction is idempotent at the same barrier
     assert compact_changelog(cluster, "__changelog-job-store", 0,
                              barrier) == 0
@@ -92,8 +92,7 @@ def test_compaction_drops_whole_leading_segments_only():
 def test_compaction_never_deletes_the_active_segment():
     cluster = make_cluster(segment_bytes=64)
     writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
-    writer.stage("a", 1)
-    end = writer.flush()
+    end = writer.flush([encode_record("a", 1)])
     log = cluster.broker_for("__changelog-job-store", 0).log(
         "__changelog-job-store", 0)
     assert compact_changelog(cluster, "__changelog-job-store", 0,

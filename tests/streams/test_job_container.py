@@ -188,6 +188,31 @@ def test_kill_and_rebalance_recovers_committed_state():
     assert all(len(c.tasks) == 1 for c in estate.containers)
 
 
+def test_kill_between_poll_and_commit_discards_dirty_keys():
+    """The crash contract: keys dirtied since the last commit die with
+    the container — none reaches the changelog — and the next owner
+    converges by reprocessing from the checkpointed offsets."""
+    estate = Estate()
+    estate.produce(0, [("a", 1)])
+    estate.cycle()                           # a=1 committed
+    victim = next(c for c in estate.containers if ("count", 0) in c.tasks)
+    survivor = next(c for c in estate.containers if c is not victim)
+    estate.produce(0, [("a", 1), ("c", 1)])
+    assert victim.poll() == 2                # dirty, never committed
+    assert victim.task("count", 0).stores["counts"].get("a") == 2
+    changelog = estate.cluster.broker_for(
+        "__changelog-job-counts", 0).log("__changelog-job-counts", 0)
+    committed_end = changelog.high_watermark
+    victim.kill()
+    changelog.flush()
+    assert changelog.high_watermark == committed_end
+    estate.coordinator.rebalance()
+    counts = survivor.task("count", 0).stores["counts"]
+    assert counts.get("a") == 1 and "c" not in counts
+    estate.cycle()                           # redelivery
+    assert counts.get("a") == 2 and counts.get("c") == 1
+
+
 def test_rebalance_with_no_live_containers_raises():
     estate = Estate()
     for container in estate.containers:

@@ -1,13 +1,20 @@
 """TaskInstance: the commit protocol, recovery, and repartition dedupe."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError
+from repro.common.wal import read_image, write_image
 from repro.kafka.broker import KafkaCluster
 from repro.kafka.message import Message, MessageSet
 from repro.simnet.disk import SimDisk
-from repro.streams.state import KeyedStateStore
+from repro.streams import state
+from repro.streams.changelog import replay_changelog
+from repro.streams.state import encode_record
 from repro.streams.task import (
     Envelope,
     MessageCollector,
@@ -74,6 +81,14 @@ class World:
         broker.produce(topic, 0, MessageSet(messages))
         broker.log(topic, 0).flush()
 
+    def changelog(self, store: str):
+        topic = f"__changelog-job-{store}"
+        return self.cluster.broker_for(topic, 0).log(topic, 0)
+
+    def changelog_records(self, store: str, start: int = 0) -> list[bytes]:
+        return replay_changelog(self.cluster, f"__changelog-job-{store}", 0,
+                                start, self.changelog(store).high_watermark)
+
     def open_task(self, stage: StageSpec, node: str = "n0",
                   snapshot_interval_commits: int = 8) -> TaskInstance:
         return TaskInstance(
@@ -139,10 +154,15 @@ def test_kill_before_commit_loses_nothing_durable():
     world.produce("in", [("a", 1), ("a", 1)])
     task.poll()
     task.commit()
+    changelog = world.changelog("counts")
+    committed_end = changelog.high_watermark
     world.produce("in", [("a", 1)])
     task.poll()                      # processed, never committed
     assert task.stores["counts"].get("a") == 3
     del task                         # crash: no commit
+    # the dirty key died with the process: nothing of it was published
+    changelog.flush()
+    assert changelog.high_watermark == committed_end
 
     successor = world.open_task(count_stage())
     assert successor.stores["counts"].get("a") == 2   # pre-crash durable
@@ -319,3 +339,218 @@ def test_snapshot_interval_must_be_positive():
     world = World()
     with pytest.raises(ConfigurationError):
         world.open_task(count_stage(), snapshot_interval_commits=0)
+
+
+def test_window_emission_reaches_a_downstream_stage():
+    """Regression: a ``window()`` emission has no input position, so it
+    carries ``src`` but no ``(src_stream, src_offset, src_seq)``; the
+    consuming stage used to die on ``record['src_stream']``.  It is
+    delivered unstamped — at-least-once, no watermark kept for it."""
+    world = World()
+    world.cluster.create_topic("ticks", partitions=1)
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+
+    class Ticker(StreamTask):
+        def process(self, envelope, collector):
+            pass
+
+        def window(self, collector):
+            collector.send("ticks", "tick", {"n": 1})
+
+    up = world.open_task(StageSpec(
+        name="ticker", inputs=("in",), task_factory=Ticker,
+        window_interval_s=10.0))
+    down = world.open_task(StageSpec(
+        name="count", inputs=("ticks",), task_factory=CountTask,
+        stores=("counts",)))
+    world.clock.advance(11.0)
+    up.poll()
+    assert up.commit() == 1
+    assert down.poll() == 1
+    assert down.duplicates_dropped == 0
+    assert down.stores["counts"].get("tick") == 1
+    assert down.stores["counts"].keys() == ["tick"]     # no __seen/ mark
+
+
+# -- one encode per record, ever --------------------------------------------
+
+class LedgerTask(StreamTask):
+    """State driven by the message: ``{"set": v}`` upserts the key,
+    ``{"del": true}`` deletes it — so a test scripts puts and deletes."""
+
+    def init(self, context):
+        self.ledger = context.store("ledger")
+
+    def process(self, envelope, collector):
+        if "set" in envelope.value:
+            self.ledger.put(envelope.key, envelope.value["set"])
+        else:
+            self.ledger.delete(envelope.key)
+
+
+def ledger_stage() -> StageSpec:
+    return StageSpec(name="ledger", inputs=("in",), task_factory=LedgerTask,
+                     stores=("ledger",))
+
+
+@pytest.fixture
+def record_encodes(monkeypatch):
+    """Keys passed to the one record encoder, in call order."""
+    encoded = []
+    real = state.encode_record
+
+    def counting(key, value):
+        encoded.append(key)
+        return real(key, value)
+
+    monkeypatch.setattr(state, "encode_record", counting)
+    return encoded
+
+
+def test_hot_key_costs_one_record_per_commit_interval(record_encodes):
+    world = World()
+    world.cluster.create_topic("__changelog-job-ledger", partitions=1)
+    task = world.open_task(ledger_stage())
+    world.produce("in", [("hot", {"set": n}) for n in range(1, 8)]
+                  + [("gone", {"set": 1}), ("gone", {"del": True})])
+    assert task.poll() == 9
+    assert record_encodes == []          # a put only marks the key dirty
+    task.commit()
+    assert record_encodes == ["hot", "gone"]
+    assert world.changelog_records("ledger") == [
+        encode_record("hot", 7),         # the last value, once
+        encode_record("gone", None)]     # put-then-delete: one tombstone
+    task.commit()                        # nothing dirty: nothing published
+    assert len(world.changelog_records("ledger")) == 2
+
+
+def test_barrier_and_image_copy_records_without_encoding(record_encodes):
+    """The barrier republishes the records the store already holds and
+    the image is the same list — for state the task wrote and, in the
+    next incarnation, for state restored from image + replay."""
+    world = World()
+    world.cluster.create_topic("__changelog-job-ledger", partitions=1)
+    task = world.open_task(ledger_stage(), snapshot_interval_commits=2)
+    world.produce("in", [(f"k{i:02d}", {"set": [i, {"x": i}]})
+                         for i in reversed(range(12))])
+    task.poll()
+    task.commit()
+    assert len(record_encodes) == 12
+    world.produce("in", [("k03", {"del": True}), ("k04", {"set": "new"})])
+    task.poll()
+    task.commit()                        # drains two keys, then the barrier
+    assert record_encodes[12:] == ["k03", "k04"]
+    published = world.changelog_records("ledger")
+    assert published[12:14] == [encode_record("k03", None),
+                                encode_record("k04", "new")]
+    barrier = published[14:]
+    assert [state.decode_record(r)[0] for r in barrier] == \
+        task.stores["ledger"].keys()
+    assert len(barrier) == 11
+    image = read_image(world.disk.scope("n0"),
+                       "/state/job/ledger-0/ledger.snapshot")
+    assert image[1:] == barrier
+
+    del record_encodes[:]
+    successor = world.open_task(ledger_stage(), snapshot_interval_commits=2)
+    assert successor.recovered_from_snapshot
+    world.produce("in", [("k05", {"set": 5})])
+    successor.poll()
+    successor.commit()                   # replayed below the next barrier
+    third = world.open_task(ledger_stage(), snapshot_interval_commits=1)
+    assert third.replayed_mutations == 1
+    before = world.changelog("ledger").high_watermark
+    del record_encodes[:]
+    third.commit()                       # a barrier over restored keys
+    assert record_encodes == []
+    assert world.changelog_records("ledger", before) == \
+        third.stores["ledger"].records()
+    assert third.stores["ledger"].records() == [
+        encode_record(key, value)
+        for key, value in third.stores["ledger"].items()]
+
+
+def test_v1_snapshot_is_refused_and_the_task_converges_from_its_changelog():
+    world = World()
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+    task = world.open_task(count_stage(), snapshot_interval_commits=1)
+    world.produce("in", [("a", 1), ("b", 1), ("a", 1)])
+    task.poll()
+    task.commit()
+    fingerprint = task.state_fingerprint()
+    end = world.changelog("counts").high_watermark
+    # the image a pre-v2 build would have left: right store, an offset
+    # the checkpoint accepts, entries in the old whitespace form
+    write_image(world.disk.scope("n0"), "/state/job/count-0/counts.snapshot", [
+        json.dumps({"version": 1, "store": "counts",
+                    "changelog_offset": end}, sort_keys=True).encode(),
+        json.dumps({"k": "a", "v": 999}, sort_keys=True).encode()])
+    for _ in range(2):
+        successor = world.open_task(count_stage())
+        assert not successor.recovered_from_snapshot
+        assert successor.replayed_mutations > 0
+        assert successor.state_fingerprint() == fingerprint
+
+
+# -- the formats, pinned ------------------------------------------------------
+
+PINNED_RECORDS_SHA = \
+    "f259cf93c42f1ad7176ac0700661c03a4146c1be78d61b99e405caca45547d81"
+PINNED_CHANGELOG_SHA = \
+    "30fd70276b15ead94927676f22ea0ff7ee4a07da25d0b5f48c7419fba2d0d10b"
+PINNED_IMAGE_SHA = \
+    "dc1062de0bd35c7a35921158fb8f3e5e54f30cdee544e4d0535e0e8037c069e1"
+
+
+def _seeded_mutations(seed: int = 17, count: int = 200):
+    rng = random.Random(seed)
+    for i in range(count):
+        key = f"member:{rng.randrange(40):04d}/é{i % 3}"
+        roll = rng.random()
+        if roll < 0.2:
+            yield key, None
+        elif roll < 0.5:
+            yield key, rng.randrange(10 ** 6)
+        else:
+            yield key, [{"ts": round(rng.random() * 1e4, 6), "actor": key,
+                         "id": i, "kind": rng.choice(("post", "like", "é"))}
+                        for _ in range(rng.randrange(1, 4))]
+
+
+def test_record_changelog_and_image_bytes_are_pinned():
+    """Three digests.  The record digest was taken from the *parent's*
+    ``encode_mutation`` over the same seeded pairs: the changelog record
+    format did not change when the store took over encoding it.  The
+    changelog-segment and snapshot-image digests are this encoder's, for
+    one seeded task run: a change to coalescing, record order, barrier
+    contents or the v2 image layout fails here before it moves
+    ``simnet.disk.bytes_written_per_op`` in the benchmark."""
+    mutations = list(_seeded_mutations())
+    records = hashlib.sha256()
+    for key, value in mutations:
+        record = encode_record(key, value)
+        assert record == json.dumps(
+            {"k": key, "v": value}, sort_keys=True,
+            separators=(",", ":")).encode()
+        records.update(record + b"\n")
+    assert records.hexdigest() == PINNED_RECORDS_SHA
+
+    world = World(seed=17)
+    world.cluster.create_topic("__changelog-job-ledger", partitions=1)
+    task = world.open_task(ledger_stage(), snapshot_interval_commits=3)
+    for start in range(0, len(mutations), 25):       # 8 commits, 2 barriers
+        world.produce("in", [
+            (key, {"del": True} if value is None else {"set": value})
+            for key, value in mutations[start:start + 25]])
+        task.poll()
+        task.commit()
+    changelog = hashlib.sha256()
+    directory = f"broker-0/{world.changelog('ledger').directory}"
+    for name in world.disk.listdir(directory):
+        with world.disk.open(f"{directory}/{name}", "rb") as f:
+            changelog.update(name.encode() + f.read())
+    with world.disk.scope("n0").open(
+            "/state/job/ledger-0/ledger.snapshot", "rb") as f:
+        image_sha = hashlib.sha256(f.read()).hexdigest()
+    assert changelog.hexdigest() == PINNED_CHANGELOG_SHA
+    assert image_sha == PINNED_IMAGE_SHA
