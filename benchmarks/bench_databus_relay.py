@@ -54,8 +54,11 @@ def test_capture_throughput(benchmark):
     }, "relay serializes changes to a source-independent binary format")
 
 
-def test_serve_from_scn_tail_latency(benchmark):
-    _, relay = loaded_relay(3000)
+@pytest.mark.parametrize("transactions", [3_000, 30_000])
+def test_serve_from_scn_tail_latency(benchmark, transactions):
+    """Two buffer sizes: the serve cost follows the events handed out
+    (1-100 per request here), not the history retained behind them."""
+    _, relay = loaded_relay(transactions)
     head = relay.newest_scn()
 
     def tail_reads():

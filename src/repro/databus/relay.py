@@ -7,11 +7,16 @@ the Databus clients."
 
 The relay provides:
 
-* very low default serving latency (an in-memory suffix scan);
+* very low default serving latency: a poll is one bisect over the
+  buffer's window index plus a copy of the events it is handed,
+  O(log windows + events returned) however much history is retained
+  (a filtered poll also tests every event from its position on);
 * bounded buffering — old windows are evicted once capacity (bytes or
   events) is exceeded, after which lagging clients get
   :class:`SCNGoneError` and must bootstrap;
-* an SCN index for "serve events from a given sequence number S";
+* an SCN index for "serve events from a given sequence number S": per
+  buffer, the ascending window SCNs with the position of each window's
+  first event (see :class:`EventBuffer`);
 * server-side filtering (source and partition filters);
 * fan-out to hundreds of consumers with no additional load on the
   source database — consumers only ever touch the relay.
@@ -23,7 +28,8 @@ per partition" (§IV.B); :class:`Relay` therefore manages named
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, SCNGoneError
@@ -41,6 +47,14 @@ class EventBuffer:
 
     Eviction is window-at-a-time so a window is never half-retained —
     partial transactions would break timeline consistency for readers.
+
+    The SCN index is two parallel lists with one entry per window:
+    ``_scns`` (ascending) and ``_starts``, the position of the window's
+    first event in ``_events``, closed by one sentinel (the position
+    after the last event) so window ``i`` is always
+    ``_events[_starts[i]:_starts[i + 1]]``.  Eviction advances ``_head``
+    past the oldest window; the dead prefix is cut away once it is as
+    long as the live part, so an eviction costs O(1) amortised.
     """
 
     def __init__(self, max_events: int = 100_000,
@@ -49,7 +63,10 @@ class EventBuffer:
             raise ConfigurationError("buffer capacity must be positive")
         self.max_events = max_events
         self.max_bytes = max_bytes
-        self._events: deque[DatabusEvent] = deque()
+        self._events: list[DatabusEvent | None] = []   # None: evicted slot
+        self._scns: list[int] = []
+        self._starts: list[int] = [0]
+        self._head = 0              # index of the oldest retained window
         self._bytes = 0
         self._evicted_through = 0   # highest SCN evicted
         self.events_appended = 0
@@ -57,18 +74,18 @@ class EventBuffer:
 
     @property
     def oldest_scn(self) -> int | None:
-        return self._events[0].scn if self._events else None
+        return self._scns[self._head] if self._head < len(self._scns) else None
 
     @property
     def newest_scn(self) -> int | None:
-        return self._events[-1].scn if self._events else None
+        return self._scns[-1] if self._head < len(self._scns) else None
 
     @property
     def size_bytes(self) -> int:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) - self._starts[self._head]
 
     def append_window(self, events: list[DatabusEvent]) -> None:
         """Append one transaction's events; evict old windows if full."""
@@ -83,21 +100,30 @@ class EventBuffer:
         if newest is not None and scn <= newest:
             raise ConfigurationError(
                 f"windows must arrive in SCN order: {scn} after {newest}")
+        self._events.extend(events)
+        self._scns.append(scn)
+        self._starts.append(len(self._events))
         for event in events:
-            self._events.append(event)
             self._bytes += event.size_bytes
         self.events_appended += len(events)
         self.windows_appended += 1
         self._evict()
 
     def _evict(self) -> None:
-        while (len(self._events) > self.max_events
+        events, starts = self._events, self._starts
+        while (len(events) - starts[self._head] > self.max_events
                or self._bytes > self.max_bytes):
-            victim_scn = self._events[0].scn
-            while self._events and self._events[0].scn == victim_scn:
-                evicted = self._events.popleft()
-                self._bytes -= evicted.size_bytes
-            self._evicted_through = victim_scn
+            for position in range(starts[self._head], starts[self._head + 1]):
+                self._bytes -= events[position].size_bytes
+                events[position] = None   # free it before the cut
+            self._evicted_through = self._scns[self._head]
+            self._head += 1
+        dead = starts[self._head]
+        if dead and dead >= len(events) - dead:
+            del events[:dead]
+            del self._scns[:self._head]
+            self._starts = [start - dead for start in starts[self._head:]]
+            self._head = 0
 
     @property
     def evicted_through(self) -> int:
@@ -106,10 +132,15 @@ class EventBuffer:
         eviction loses no data, it only moves where it is served from."""
         return self._evicted_through
 
+    def _window_at(self, scn: int) -> int | None:
+        """Index of the retained window committed at ``scn``."""
+        i = bisect_left(self._scns, scn, self._head)
+        return i if i < len(self._scns) and self._scns[i] == scn else None
+
     def contains_scn(self, scn: int) -> bool:
         """Whether the buffer still holds the window committed at
         ``scn`` — the blame engine's relay-stage interrogation."""
-        return any(event.scn == scn for event in self._events)
+        return self._window_at(scn) is not None
 
     def drop_window(self, scn: int) -> int:
         """Silently remove the whole window committed at ``scn``.
@@ -122,45 +153,50 @@ class EventBuffer:
         any error, exactly the silent-loss failure mode a consistency
         auditor exists to catch.  Returns the number of events removed.
         """
-        removed = [event for event in self._events if event.scn == scn]
-        if removed:
-            self._events = deque(
-                event for event in self._events if event.scn != scn)
-            self._bytes -= sum(event.size_bytes for event in removed)
-        return len(removed)
+        i = self._window_at(scn)
+        if i is None:
+            return 0
+        start, end = self._starts[i], self._starts[i + 1]
+        self._bytes -= sum(e.size_bytes for e in self._events[start:end])
+        del self._events[start:end]
+        del self._scns[i]
+        del self._starts[i]
+        self._starts[i:] = [s - (end - start) for s in self._starts[i:]]
+        return end - start
 
     def events_since(self, scn: int, event_filter: EventFilter | None = None,
                      max_events: int = 10_000) -> list[DatabusEvent]:
         """Events with SCN strictly greater than ``scn``.
 
-        Only whole windows are returned (the last delivered event has
-        ``end_of_window`` set).  Raises :class:`SCNGoneError` when the
-        requested position has been evicted — the client must fall back
-        to the bootstrap server.
+        Only whole windows are returned (the last delivered event of
+        each has ``end_of_window`` set), and a batch that has reached
+        ``max_events`` stops only at a window boundary.  A filter is
+        applied inside each window: when it rejects the window's
+        closing event but accepts earlier ones, the last survivor is
+        delivered as a re-closed copy, so accepted events are neither
+        withheld nor merged into the next window.  Raises
+        :class:`SCNGoneError` when the requested position has been
+        evicted — the client must fall back to the bootstrap server.
         """
         if scn < self._evicted_through:
             raise SCNGoneError(
                 f"SCN {scn} evicted; oldest retained window starts at "
                 f"{self.oldest_scn}", oldest_retained=self.oldest_scn)
+        first = bisect_right(self._scns, scn, self._head)
+        if event_filter is None:
+            stop = bisect_left(self._starts, self._starts[first] + max_events,
+                               first, len(self._scns))
+            return self._events[self._starts[first]:self._starts[stop]]
         out: list[DatabusEvent] = []
-        delivered_through: int | None = None
-        for event in self._events:
-            if event.scn <= scn:
-                continue
-            if len(out) >= max_events and event.scn != delivered_through:
-                break  # stop only at a window boundary
-            if event_filter is None or event_filter(event):
-                out.append(event)
-            delivered_through = event.scn
-        # trim a trailing partial window (can't happen with well-formed
-        # buffers, but guard anyway)
-        while out and not _window_complete(out):
-            out.pop()
+        for i in range(first, len(self._scns)):
+            if len(out) >= max_events:
+                break
+            kept = [e for e in self._events[self._starts[i]:self._starts[i + 1]]
+                    if event_filter(e)]
+            if kept and not kept[-1].end_of_window:
+                kept[-1] = replace(kept[-1], end_of_window=True)
+            out += kept
         return out
-
-
-def _window_complete(events: list[DatabusEvent]) -> bool:
-    return events[-1].end_of_window
 
 
 class Relay:
@@ -220,14 +256,10 @@ class Relay:
         for event in events:
             shards.setdefault(route(event), []).append(event)
         for shard_name, shard_events in shards.items():
-            closed = [
-                DatabusEvent(e.scn, e.source, e.kind, e.key, e.payload,
-                             e.schema_version,
-                             end_of_window=(i == len(shard_events) - 1),
-                             timestamp=e.timestamp)
-                for i, e in enumerate(shard_events)
-            ]
-            self.buffer(shard_name).append_window(closed)
+            last = len(shard_events) - 1
+            self.buffer(shard_name).append_window(
+                [replace(e, end_of_window=(i == last))
+                 for i, e in enumerate(shard_events)])
         return events
 
     # -- serving -------------------------------------------------------------------

@@ -36,8 +36,10 @@ class LocalSecondaryIndex:
         self.schema = schema
         self._term_fields = {f.name for f in schema.fields if f.indexed}
         self._text_fields = {f.name for f in schema.fields if f.free_text}
-        # (field, term) -> set of document keys
-        self._postings: dict[tuple[str, str], set[tuple]] = {}
+        # (field, term) -> resource_id (a key's first element) -> set
+        # of document keys, so a collection-scoped query touches one
+        # resource's keys and never the rest of the table's
+        self._postings: dict[tuple[str, str], dict[str, set[tuple]]] = {}
         # doc key -> set of (field, term) for removal
         self._doc_terms: dict[tuple, set[tuple[str, str]]] = {}
         self.documents_indexed = 0
@@ -64,19 +66,28 @@ class LocalSecondaryIndex:
         self.remove(doc_key)
         terms = self._terms_for(document)
         for term in terms:
-            self._postings.setdefault(term, set()).add(doc_key)
+            self._postings.setdefault(term, {}).setdefault(
+                doc_key[0], set()).add(doc_key)
         if terms:
             self._doc_terms[doc_key] = terms
         self.documents_indexed += 1
 
     def remove(self, doc_key: tuple) -> None:
-        terms = self._doc_terms.pop(doc_key, set())
-        for term in terms:
-            bucket = self._postings.get(term)
-            if bucket is not None:
-                bucket.discard(doc_key)
-                if not bucket:
+        for term in self._doc_terms.pop(doc_key, ()):
+            by_resource = self._postings[term]
+            bucket = by_resource[doc_key[0]]
+            bucket.discard(doc_key)
+            if not bucket:
+                del by_resource[doc_key[0]]
+                if not by_resource:
                     del self._postings[term]
+
+    def _matches(self, fieldname: str, term: str,
+                 resource_id: str | None) -> set[tuple]:
+        by_resource = self._postings.get((fieldname, term), {})
+        if resource_id is not None:
+            return set(by_resource.get(resource_id, ()))
+        return set().union(*by_resource.values())
 
     def query(self, fieldname: str, value: str,
               resource_id: str | None = None) -> list[tuple]:
@@ -87,19 +98,17 @@ class LocalSecondaryIndex:
         ``resource_id`` set, results are limited to that collection.
         """
         if fieldname in self._term_fields:
-            matches = set(self._postings.get((fieldname, value.lower()), set()))
+            matches = self._matches(fieldname, value.lower(), resource_id)
         elif fieldname in self._text_fields:
             tokens = tokenize(value)
             if not tokens:
                 return []
-            matches = set(self._postings.get((fieldname, tokens[0]), set()))
+            matches = self._matches(fieldname, tokens[0], resource_id)
             for token in tokens[1:]:
-                matches &= self._postings.get((fieldname, token), set())
+                matches &= self._matches(fieldname, token, resource_id)
         else:
             raise ConfigurationError(
                 f"field {fieldname!r} carries no index constraint")
-        if resource_id is not None:
-            matches = {k for k in matches if k and k[0] == resource_id}
         return sorted(matches)
 
     def indexed_fields(self) -> set[str]:

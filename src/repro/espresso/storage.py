@@ -70,6 +70,12 @@ def row_table_schema(database: DatabaseSchema, table_name: str) -> TableSchema:
     return TableSchema(table_name, tuple(columns), espresso_table.key_fields)
 
 
+def _wal_items(events: list[DatabusEvent]) -> list[tuple[int, str, int, bytes]]:
+    """Commit-WAL items of one window's data events."""
+    return [(_KIND_CODES[e.kind], e.source, e.schema_version, e.payload)
+            for e in events]
+
+
 def partition_buffer_name(database: str, partition: int) -> str:
     """Relay buffer naming: one event buffer per partition (§IV.B)."""
     return f"{database}-p{partition}"
@@ -350,18 +356,14 @@ class EspressoStorageNode:
                                 timestamp=self.clock.now())
         # write to the relay *before* acknowledging locally; a relay
         # failure aborts the commit (nothing applied locally yet)
-        self.relay.capture_transaction(
+        events = self.relay.capture_transaction(
             txn, buffer_name=partition_buffer_name(self.database.name,
                                                    partition))
         # a crash after the relay capture but before this fsync is
         # healed by catch-up: the relay holds the window, the dense SCN
-        # check makes re-application exact
-        items = []
-        for change in changes:
-            schema = self.relay.schemas.latest(change.table)
-            items.append((_KIND_CODES[change.kind], change.table,
-                          schema.version, encode_record(schema, change.row)))
-        self._wal_append_window(partition, scn, items)
+        # check makes re-application exact.  The frame carries the
+        # payloads the relay just encoded — a change is encoded once.
+        self._wal_append_window(partition, scn, _wal_items(events))
         self._apply_committed(partition, scn, changes)
         self.writes_accepted += 1
         if self.on_apply is not None:
@@ -447,10 +449,7 @@ class EspressoStorageNode:
             schema = self.relay.schemas.get(event.source, event.schema_version)
             row = decode_record(schema, event.payload)
             changes.append(ChangeEvent(event.source, event.kind, event.key, row))
-        self._wal_append_window(
-            partition, scn,
-            [(_KIND_CODES[e.kind], e.source, e.schema_version, e.payload)
-             for e in data_events])
+        self._wal_append_window(partition, scn, _wal_items(data_events))
         self._apply_committed(partition, scn, changes)
         self.windows_applied += 1
         if self.on_apply is not None:

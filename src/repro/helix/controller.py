@@ -21,22 +21,27 @@ from repro.common.errors import ConfigurationError, NonConvergenceError
 from repro.helix.idealstate import IdealState, rebalance_ideal_state
 from repro.helix.participant import Participant
 from repro.helix.statemodel import Transition
-from repro.zookeeper import ZooKeeperServer
+from repro.zookeeper import SessionExpiredError, WatchedEvent, ZooKeeperServer
 
 
 @dataclass
 class ExternalView:
     """The converged routing picture spectators consume (§IV.B
-    'Service discovery'): resource -> partition -> {instance: state}."""
+    'Service discovery'): resource -> partition -> {instance: state}.
+    A view is a snapshot: it is built once and never edited."""
 
     resource: str
     assignments: dict[int, dict[str, str]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._masters: dict[int, str] = {}
+        for partition, states in self.assignments.items():
+            for instance, state in states.items():
+                if state == "MASTER":
+                    self._masters.setdefault(partition, instance)
+
     def master_of(self, partition: int) -> str | None:
-        for instance, state in self.assignments.get(partition, {}).items():
-            if state == "MASTER":
-                return instance
-        return None
+        return self._masters.get(partition)
 
     def instances_in_state(self, partition: int, state: str) -> list[str]:
         return sorted(i for i, s in self.assignments.get(partition, {}).items()
@@ -53,6 +58,11 @@ class HelixController:
         self._session.ensure_path(f"/{cluster}/liveinstances")
         self._ideal_states: dict[str, IdealState] = {}
         self._participants: dict[str, Participant] = {}
+        # resource -> the external view spectators are handed, kept until
+        # liveness (the child watch) or a CURRENTSTATE (a participant's
+        # notification) changes; there is no timeout
+        self._views: dict[str, ExternalView] = {}
+        self._liveness_watched = False
         self.pipeline_runs = 0
         self.transitions_issued: list[Transition] = []
 
@@ -65,6 +75,8 @@ class HelixController:
 
     def register_participant(self, participant: Participant) -> None:
         self._participants[participant.instance_name] = participant
+        participant.state_listeners.append(self._views.clear)
+        self._views.clear()
 
     def ideal_state(self, resource: str) -> IdealState:
         return self._ideal_states[resource]
@@ -77,8 +89,15 @@ class HelixController:
     # -- observation ----------------------------------------------------------
 
     def live_instances(self) -> set[str]:
-        path = f"/{self.cluster}/liveinstances"
-        return set(self._session.get_children(path))
+        watch = None if self._liveness_watched else self._liveness_changed
+        live = self._session.get_children(f"/{self.cluster}/liveinstances",
+                                          watch)
+        self._liveness_watched = True
+        return set(live)
+
+    def _liveness_changed(self, _event: WatchedEvent) -> None:
+        self._liveness_watched = False   # one-shot: the next read re-arms
+        self._views.clear()
 
     def current_state(self, resource: str) -> dict[int, dict[str, str]]:
         """CURRENTSTATE: what live participants report right now."""
@@ -211,8 +230,16 @@ class HelixController:
             f"did not converge in {max_iterations} pipeline runs")
 
     def external_view(self, resource: str) -> ExternalView:
-        view = ExternalView(resource)
-        view.assignments = self.current_state(resource)
+        """The spectator's routing table: computed from
+        :meth:`current_state` once, then served from memory until a
+        participant joins, leaves, expires or executes a transition."""
+        if not self._zookeeper.session_alive(self._session.session_id):
+            raise SessionExpiredError(
+                f"session {self._session.session_id} expired")
+        view = self._views.get(resource)
+        if view is None:
+            view = ExternalView(resource, self.current_state(resource))
+            self._views[resource] = view
         return view
 
 

@@ -33,6 +33,9 @@ class Participant:
         self._zookeeper = zookeeper
         # resource -> partition -> state
         self.current_states: dict[str, dict[int, str]] = {}
+        # called after every change to current_states — how a controller
+        # learns its external view is out of date
+        self.state_listeners: list[Callable[[], None]] = []
         self.transitions_executed: list[Transition] = []
 
     # -- liveness -----------------------------------------------------------
@@ -56,6 +59,11 @@ class Participant:
             self._session.close()
             self._session = None
         self.current_states.clear()
+        self._states_changed()
+
+    def _states_changed(self) -> None:
+        for listener in self.state_listeners:
+            listener()
 
     @property
     def is_connected(self) -> bool:
@@ -91,6 +99,7 @@ class Participant:
         else:
             states[transition.partition] = transition.to_state
         self.transitions_executed.append(transition)
+        self._states_changed()
 
     def partitions_in_state(self, resource: str, state: str) -> list[int]:
         return sorted(p for p, s in self.current_states.get(resource, {}).items()

@@ -15,6 +15,7 @@ from repro.zookeeper.server import (
     NodeExistsError,
     NoNodeError,
     NotEmptyError,
+    SessionExpiredError,
     WatchedEvent,
     ZooKeeperServer,
     ZooKeeperSession,
@@ -26,6 +27,7 @@ __all__ = [
     "NodeExistsError",
     "NoNodeError",
     "NotEmptyError",
+    "SessionExpiredError",
     "WatchedEvent",
     "ZooKeeperServer",
     "ZooKeeperSession",

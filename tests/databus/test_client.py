@@ -184,6 +184,44 @@ def test_partitioned_consumer_group_covers_stream(pipeline):
     assert all(0 < len(c.events) < 30 for c in consumers)
 
 
+def test_partitioned_group_over_multi_row_transactions(pipeline):
+    """Each member of a partitioned group gets exactly the rows that
+    hash to it, inside the window they were committed in — also when
+    the filter rejects the transaction's last row (§III.B): its
+    window-mates must not arrive under the next transaction's SCN, or
+    not at all."""
+    db, relay, capture, _ = pipeline
+    for member_id in range(40):
+        txn = db.begin()
+        txn.insert("member", {"member_id": member_id, "name": "n",
+                              "headline": "h"})
+        for company in ("li", "ms"):
+            txn.insert("position", {"member_id": member_id,
+                                    "company": company, "title": "t"})
+        txn.commit()
+    capture.poll()
+    committed = relay.stream_from(0)
+
+    class WindowRecorder(RecordingConsumer):
+        def on_start_window(self, scn):
+            self.open_scn = scn
+
+        def on_data_event(self, event):
+            assert event.scn == self.open_scn
+            super().on_data_event(event)
+
+    group = 3
+    consumers = [WindowRecorder() for _ in range(group)]
+    for i, consumer in enumerate(consumers):
+        DatabusClient(consumer, relay,
+                      event_filter=partition_filter(group, i)).poll()
+    for i, consumer in enumerate(consumers):
+        wanted = [e for e in committed if e.key_hash() % group == i]
+        assert [(e.scn, e.source, e.key) for e in consumer.events] == [
+            (e.scn, e.source, e.key) for e in wanted]
+        assert consumer.windows == sorted({e.scn for e in wanted})
+
+
 def test_consolidated_delta_after_lag_is_fast_playback(pipeline):
     db, relay, capture, bootstrap = pipeline
     relay._buffers["default"] = EventBuffer(max_events=4)

@@ -166,6 +166,45 @@ def test_expansion_with_evicted_relay_uses_snapshot(cluster):
         assert newcomer.partition_scn.get(partition, 0) == max(others)
 
 
+def test_routing_follows_membership_without_asking_zookeeper(cluster,
+                                                              monkeypatch):
+    """Routers are spectators: a routed request reads the view held in
+    memory, which every join, crash, recovery and failover replaces."""
+    from repro.zookeeper import ZooKeeperSession
+    reads = []
+    plain = ZooKeeperSession.get_children
+    monkeypatch.setattr(
+        ZooKeeperSession, "get_children",
+        lambda self, path, watch=None: (reads.append(path),
+                                        plain(self, path, watch))[1])
+
+    def check_routing():
+        view = cluster.controller.external_view(MUSIC.name)
+        assert view.assignments == cluster.controller.current_state(MUSIC.name)
+        cluster.controller.external_view(MUSIC.name)
+        del reads[:]
+        for i in range(200):
+            node = cluster.node_for_resource(f"artist-{i}")
+            assert node.is_master(MUSIC.partition_for(f"artist-{i}"))
+        assert reads == []
+
+    keys = put_artists(cluster, 20)
+    cluster.pump_replication()
+    check_routing()
+    cluster.add_node("storage-3")
+    check_routing()
+    for victim in ("storage-0", "storage-3", "storage-1"):
+        cluster.crash_node(victim)
+        cluster.failover()
+        check_routing()
+        cluster.recover_node(victim)
+        cluster.failover()
+        check_routing()
+    for key in keys:
+        node = cluster.node_for_resource(key[0])
+        assert node.get_document("Artist", key).document["name"] == key[0]
+
+
 def test_too_few_nodes_rejected():
     from repro.common.errors import ConfigurationError
     from repro.espresso import EspressoCluster

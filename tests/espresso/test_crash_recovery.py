@@ -147,3 +147,36 @@ class TestCommitLogRecovery:
         record = recovered.get_document("Artist", ("queen",))
         assert record.document["name"] == "queen"
         assert recovered.partition_scn[partition] == 1
+
+
+def test_commit_wal_bytes_are_pinned(durable_cluster, disk):
+    """The master frames its window from the events the relay captured,
+    the slave from the events it fetched: both must write exactly the
+    bytes the pre-change master (which encoded every row a second time
+    for the WAL) wrote.  Digest taken at the parent commit."""
+    import hashlib
+    cluster = durable_cluster
+    for i in range(24):
+        artist = f"artist-{i % 7}"
+        cluster.clock.advance(0.25)
+        node = cluster.node_for_resource(artist)
+        node.put_document("Artist", (artist,), {
+            "name": artist, "genre": ("rock", "jazz")[i % 2],
+            "bio": None if i % 3 else f"bio {i}"})
+        if i % 4 == 0:
+            node.transact(artist, [
+                ("put", "Album", (artist, f"album-{i}"),
+                 {"title": f"Album {i}", "year": 1990 + i}),
+                ("put", "Song", (artist, f"album-{i}", "one"),
+                 {"title": "One", "lyrics": "la la", "duration": 100 + i})])
+        if i % 9 == 8:
+            node.delete_document("Artist", (artist,))
+        if i % 5 == 4:
+            cluster.pump_replication()
+    cluster.pump_replication()
+    digest = hashlib.sha256()
+    for name in sorted(cluster.nodes):
+        with disk.scope(name).open("commit.wal") as handle:
+            digest.update(handle.read())
+    assert digest.hexdigest() == (
+        "5f456b6ffbf411baccf2b18c65ceb5d4ca39588e22747848fa92775734e1961a")

@@ -78,3 +78,55 @@ def test_case_insensitive_matching():
     text_index.add(("A", "x", "s"),
                    {"title": "s", "lyrics": "LOVE Me Do", "duration": 1})
     assert text_index.query("lyrics", "love me") == [("A", "x", "s")]
+
+
+def test_scoped_and_unscoped_queries_agree_with_a_model():
+    """Seeded walk over add / re-index / remove: every answer, scoped
+    to a collection or not, equals a scan of the documents kept beside
+    the index, in sorted key order."""
+    import random
+    rng = random.Random(7)
+    index = LocalSecondaryIndex(SONG_SCHEMA)
+    words = ["love", "me", "do", "sky", "lucy"]
+    documents = {}
+    for _ in range(600):
+        key = (f"artist-{rng.randrange(6)}", "album", f"s{rng.randrange(12)}")
+        if rng.random() < 0.25:
+            index.remove(key)
+            documents.pop(key, None)
+        else:
+            lyrics = " ".join(rng.sample(words, rng.randint(1, 3)))
+            index.add(key, {"title": "t", "lyrics": lyrics, "duration": 1})
+            documents[key] = set(lyrics.split())
+        tokens = rng.sample(words, rng.randint(1, 2))
+        for resource_id in (None, f"artist-{rng.randrange(7)}"):
+            expected = sorted(
+                k for k, have in documents.items()
+                if have.issuperset(tokens)
+                and resource_id in (None, k[0]))
+            assert index.query("lyrics", " ".join(tokens),
+                               resource_id=resource_id) == expected
+    for key in list(documents):
+        index.remove(key)
+    assert index.is_empty and not index._postings
+
+
+class CountedKey(tuple):
+    """A document key that counts how often its elements are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedKey.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_scoped_query_does_not_look_at_other_collections():
+    index = LocalSecondaryIndex(ALBUM_SCHEMA)
+    for artist in range(2_000):
+        index.add(CountedKey((f"artist-{artist}", "debut")),
+                  {"title": "Debut", "year": 2000})
+    CountedKey.reads = 0
+    assert index.query("year", "2000", resource_id="artist-7") == [
+        ("artist-7", "debut")]
+    assert CountedKey.reads == 0    # not once per album of the year 2000

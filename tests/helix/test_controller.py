@@ -1,5 +1,7 @@
 """Controller convergence, failover, and the single-master invariant."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -9,7 +11,12 @@ from repro.helix import (
     Participant,
     compute_ideal_state,
 )
-from repro.zookeeper import ZooKeeperServer
+from repro.helix.statemodel import Transition
+from repro.zookeeper import (
+    SessionExpiredError,
+    ZooKeeperServer,
+    ZooKeeperSession,
+)
 
 
 def build_cluster(instances=("node-a", "node-b", "node-c"),
@@ -163,3 +170,104 @@ def test_participant_transition_history_records_work():
     total = sum(len(p.transitions_executed) for p in participants.values())
     # 2 partitions, replica 1: OFFLINE->SLAVE + SLAVE->MASTER each
     assert total == 4
+
+
+# -- the spectator's external view ----------------------------------------
+
+
+def assert_view_is_current(controller, resources=("Album", "Song")):
+    """The view handed to spectators equals a fresh CURRENTSTATE, and
+    its master map agrees with a scan of the assignments."""
+    for resource in resources:
+        view = controller.external_view(resource)   # before the fresh read
+        current = controller.current_state(resource)
+        assert view.assignments == current
+        for partition in range(8):
+            masters = [i for i, s in current.get(partition, {}).items()
+                       if s == "MASTER"]
+            assert view.master_of(partition) == (masters[0] if masters
+                                                 else None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_external_view_tracks_every_cluster_change(seed):
+    rng = random.Random(seed)
+    zk, controller, participants = build_cluster()
+    controller.add_resource(compute_ideal_state(
+        "Song", list(participants), 4, 2, MASTER_SLAVE))
+    assert_view_is_current(controller)
+    for step in range(120):
+        name = rng.choice(sorted(participants))
+        participant = participants[name]
+        draw = rng.random()
+        if draw < 0.15:
+            participant.connect()
+        elif draw < 0.30:
+            participant.disconnect()
+        elif draw < 0.40 and participant.is_connected:
+            zk.expire_session(participant._session.session_id)
+        elif draw < 0.65:
+            controller.run_pipeline()
+        elif draw < 0.80:
+            controller.converge()
+        elif draw < 0.90:
+            members = rng.sample(sorted(participants),
+                                 rng.randint(2, len(participants)))
+            controller.rebalance_resource(rng.choice(("Album", "Song")),
+                                          members)
+        else:
+            # a member that already holds a replica when it registers
+            newcomer = Participant(f"node-{step}", "espresso", zk)
+            newcomer.connect()
+            assert_view_is_current(controller)
+            newcomer.execute(Transition(newcomer.instance_name, "Album", 0,
+                                        "OFFLINE", "SLAVE"), MASTER_SLAVE)
+            controller.register_participant(newcomer)
+            participants[newcomer.instance_name] = newcomer
+        assert_view_is_current(controller)
+    controller.converge()
+    assert_view_is_current(controller)
+
+
+def test_participant_tells_listeners_of_every_state_change():
+    zk = ZooKeeperServer()
+    participant = Participant("node-a", "espresso", zk)
+    heard = []
+    participant.state_listeners.append(
+        lambda: heard.append(dict(participant.current_states)))
+    participant.connect()
+    participant.execute(Transition("node-a", "Album", 3, "OFFLINE", "SLAVE"),
+                        MASTER_SLAVE)
+    participant.disconnect()
+    assert heard == [{"Album": {3: "SLAVE"}}, {}]
+
+
+def test_routing_reads_touch_zookeeper_only_after_a_change(monkeypatch):
+    _, controller, participants = build_cluster()
+    controller.converge()
+    controller.external_view("Album")
+    reads = []
+    plain = ZooKeeperSession.get_children
+    monkeypatch.setattr(
+        ZooKeeperSession, "get_children",
+        lambda self, path, watch=None: (reads.append(path),
+                                        plain(self, path, watch))[1])
+    for partition in range(600):
+        assert controller.external_view("Album").master_of(
+            partition % 6) is not None
+    assert reads == []
+    participants["node-a"].disconnect()
+    controller.external_view("Album")
+    controller.external_view("Album")
+    assert len(reads) == 1
+
+
+def test_external_view_of_an_expired_controller_raises():
+    zk, controller, _ = build_cluster()
+    controller.converge()
+    controller.external_view("Album")       # a view is in memory
+    zk.expire_session(controller._session.session_id)
+    with pytest.raises(SessionExpiredError):
+        controller.external_view("Album")
+    with pytest.raises(SessionExpiredError):
+        controller.external_view("Song")    # and one that never was
