@@ -87,7 +87,7 @@ def espresso_containment(name: str, database: SqlDatabase, table: str,
     return KeySetContainment(
         name, subject=f"espresso:{table}",
         source_items=binlog_key_scns(database, table),
-        contains=lambda key: target.get_document(table, key) is not None,
+        contains=lambda key: target.contains(table, key),
         horizon=horizon)
 
 
@@ -282,8 +282,7 @@ def cutover_constraints(proxy) -> list:
         constraints.append(KeySetContainment(
             f"cutover-containment-{table}", subject=f"espresso:{table}",
             source_items=scns,
-            contains=lambda key, table=table:
-                target.get_document(table, key) is not None,
+            contains=lambda key, table=table: target.contains(table, key),
             horizon=source_head(source)))
         constraints.append(ValueEquality(
             f"cutover-equality-{table}", subject=f"espresso:{table}",
@@ -292,7 +291,7 @@ def cutover_constraints(proxy) -> list:
         constraints.append(KeySetContainment(
             f"cutover-no-extras-{table}", subject=f"source:{table}",
             source_items=lambda table=table:
-                {key: 0 for key in target.dump(table)},
+                dict.fromkeys(target.keys(table), 0),
             contains=lambda key, table=table:
                 source.table(table).contains(key),
             horizon=lambda: 0))

@@ -15,14 +15,32 @@ This module implements the subset of Avro needed by both systems:
   fields are skipped, and numeric promotions (int->long->float->double)
   are applied — mirroring the rules Espresso relies on for promotion of
   stored documents to new schema versions.
+
+The codec is *compiled*, still without schema-specific source: the first
+``encode_record`` / ``decode_record`` on a schema composes one closure
+per field type into an encoder (appends to one ``bytearray``) and a
+decoder (reads ``bytes`` by position), cached on the
+:class:`RecordSchema`; the first ``decode_with_resolution`` on a
+(writer, reader) pair compiles a resolver, cached on the writer under a
+weak reference to the reader.  What depends only on the schemas is
+decided then — compatibility, defaults, nullable fallbacks, promotions,
+the field path an encode error names, which writer fields to skip — so
+nothing walks a schema per datum, and a codec lives as long as its
+schemas.  A *skipped* field is still walked length by length and raises
+``SerializationError`` on truncation, an over-long varint, an invalid
+union branch or a negative count exactly as a read one does, but no
+string or bytes is sliced (nor checked to be UTF-8) and no container is
+built.  The three module-level functions are the only way in.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
+from weakref import WeakKeyDictionary
 
 from repro.common.errors import (
     SchemaCompatibilityError,
@@ -66,7 +84,8 @@ class RecordSchema:
         self.name = name
         self.fields = list(fields)
         self.version = version
-        self._by_name = {f.name: f for f in self.fields}
+        # {reader schema: compiled resolver}; an entry goes with its reader
+        self._resolvers: WeakKeyDictionary = WeakKeyDictionary()
 
     @classmethod
     def parse(cls, document: str | dict) -> "RecordSchema":
@@ -101,15 +120,17 @@ class RecordSchema:
         return {"type": "record", "name": self.name,
                 "version": self.version, "fields": fields}
 
-    def field(self, name: str) -> Field:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SchemaError(f"schema {self.name!r} has no field {name!r}") from None
-
     @property
     def indexed_fields(self) -> list[Field]:
         return [f for f in self.fields if f.indexed or f.free_text]
+
+    @cached_property
+    def _encoder(self) -> Callable[[dict], bytes]:
+        return _compile_encoder(self)
+
+    @cached_property
+    def _decoder(self) -> Callable[[bytes], dict]:
+        return _compile_resolver(self, self)
 
     def __repr__(self) -> str:
         return f"RecordSchema({self.name!r}, v{self.version}, {len(self.fields)} fields)"
@@ -136,197 +157,314 @@ def _validate_type(ftype: object, schema: str, field: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary encoding
+# encoding: one ``write(out, value)`` per type, composed once per schema
 # ---------------------------------------------------------------------------
 
-def _zigzag_encode(value: int) -> int:
-    return (value << 1) ^ (value >> 63)
+_FLOAT = struct.Struct("<f")
+_DOUBLE = struct.Struct("<d")
+_REQUIRED = object()     # fallback of a field with neither default nor null
+_DROPPED = object()      # "reader type" of a field the reader does not have
 
 
-def _zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def write_varint(buf: io.BytesIO, value: int) -> None:
-    encoded = _zigzag_encode(value) & 0xFFFFFFFFFFFFFFFF
-    while True:
-        byte = encoded & 0x7F
+def write_varint(out: bytearray, value: object) -> None:
+    """Append the zig-zag varint of ``int(value)``, a signed 64-bit long."""
+    number = int(value)  # type: ignore[call-overload]
+    if not -(1 << 63) <= number < 1 << 63:
+        raise ValueError(f"{number} does not fit a signed 64-bit long")
+    encoded = (number << 1) ^ (number >> 63)
+    while encoded > 0x7F:
+        out.append(encoded & 0x7F | 0x80)
         encoded >>= 7
-        if encoded:
-            buf.write(bytes([byte | 0x80]))
-        else:
-            buf.write(bytes([byte]))
-            return
+    out.append(encoded)
 
 
-def read_varint(buf: io.BytesIO) -> int:
-    shift = 0
-    accum = 0
+def _write_null(out: bytearray, value: object) -> None:
+    if value is not None:
+        raise ValueError(f"null field got {value!r}")
+
+
+def _write_boolean(out: bytearray, value: object) -> None:
+    out.append(1 if value else 0)
+
+
+def _fixed_writer(codec: struct.Struct) -> Callable:
+    def write(out: bytearray, value: object) -> None:
+        out += codec.pack(float(value))  # type: ignore[arg-type]
+    return write
+
+
+def _write_bytes(out: bytearray, value: object) -> None:
+    data = bytes(value)  # type: ignore[call-overload]
+    write_varint(out, len(data))
+    out += data
+
+
+def _write_string(out: bytearray, value: object) -> None:
+    data = str(value).encode("utf-8")
+    if len(data) < 64:          # one length byte, inlined: the hottest path
+        out.append(len(data) << 1)
+    else:
+        write_varint(out, len(data))
+    out += data
+
+
+_WRITERS = {"null": _write_null, "boolean": _write_boolean,
+            "int": write_varint, "long": write_varint,
+            "float": _fixed_writer(_FLOAT), "double": _fixed_writer(_DOUBLE),
+            "bytes": _write_bytes, "string": _write_string}
+
+
+def _writer(ftype: object) -> Callable[[bytearray, object], None]:
+    """Compile the writer of one value of ``ftype``."""
+    if isinstance(ftype, str):
+        return _WRITERS[ftype]
+    if isinstance(ftype, list):  # nullable union
+        write_inner = _writer(ftype[1])
+
+        def write_nullable(out: bytearray, value: object) -> None:
+            if value is None:
+                out.append(0)
+            else:
+                out.append(2)
+                write_inner(out, value)
+        return write_nullable
+    is_array = "array" in ftype
+    write_item = _writer(ftype["array" if is_array else "map"])
+
+    def write_array(out: bytearray, value: object) -> None:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected list, got {type(value).__name__}")
+        write_varint(out, len(value))
+        for item in value:
+            write_item(out, item)
+
+    def write_map(out: bytearray, value: object) -> None:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected dict, got {type(value).__name__}")
+        write_varint(out, len(value))
+        for key, item in value.items():
+            _write_string(out, key)
+            write_item(out, item)
+    return write_array if is_array else write_map
+
+
+def _compile_encoder(schema: RecordSchema) -> Callable[[dict], bytes]:
+    plan = tuple(
+        (field.name, _writer(field.type),
+         field.default if field.has_default
+         else None if isinstance(field.type, list) else _REQUIRED,
+         f"{schema.name}.{field.name}")
+        for field in schema.fields)
+
+    def encode(record: dict) -> bytes:
+        out = bytearray()
+        for name, write, fallback, path in plan:
+            try:
+                value = record[name]
+            except KeyError:
+                if fallback is _REQUIRED:
+                    raise SerializationError(
+                        f"record missing required field {path}") from None
+                value = fallback
+            try:
+                write(out, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SerializationError(f"{path}: {exc}") from exc
+        return bytes(out)
+    return encode
+
+
+def encode_record(schema: RecordSchema, record: dict) -> bytes:
+    """Serialize ``record`` (a plain dict) against ``schema``."""
+    return schema._encoder(record)
+
+
+# ---------------------------------------------------------------------------
+# decoding and schema resolution (reader vs writer): one
+# ``read(data, pos) -> (value, pos)`` per type, composed once per pair
+# ---------------------------------------------------------------------------
+
+def read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The zig-zag varint at ``data[pos]`` and the position behind it."""
+    shift = accum = 0
     while True:
-        raw = buf.read(1)
-        if not raw:
-            raise SerializationError("truncated varint")
-        byte = raw[0]
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise SerializationError("truncated varint") from None
+        pos += 1
         accum |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return _zigzag_decode(accum)
+        if byte < 0x80:
+            return (accum >> 1) ^ -(accum & 1), pos
         shift += 7
         if shift > 70:
             raise SerializationError("varint too long")
 
 
-def _encode_value(buf: io.BytesIO, ftype: object, value: object, path: str) -> None:
-    if isinstance(ftype, list):  # nullable union
-        if value is None:
-            write_varint(buf, 0)
-            return
-        write_varint(buf, 1)
-        _encode_value(buf, ftype[1], value, path)
-        return
-    if isinstance(ftype, dict):
-        if "array" in ftype:
-            if not isinstance(value, (list, tuple)):
-                raise SerializationError(f"{path}: expected list, got {type(value).__name__}")
-            write_varint(buf, len(value))
-            for i, item in enumerate(value):
-                _encode_value(buf, ftype["array"], item, f"{path}[{i}]")
-            return
-        if "map" in ftype:
-            if not isinstance(value, dict):
-                raise SerializationError(f"{path}: expected dict, got {type(value).__name__}")
-            write_varint(buf, len(value))
-            for key, item in value.items():
-                _encode_primitive(buf, "string", key, path)
-                _encode_value(buf, ftype["map"], item, f"{path}[{key!r}]")
-            return
-    _encode_primitive(buf, ftype, value, path)
+def _read_null(data: bytes, pos: int) -> tuple[None, int]:
+    return None, pos
 
 
-def _encode_primitive(buf: io.BytesIO, ftype: object, value: object, path: str) -> None:
+def _read_boolean(data: bytes, pos: int) -> tuple[bool, int]:
     try:
-        if ftype == "null":
-            if value is not None:
-                raise SerializationError(f"{path}: null field got {value!r}")
-        elif ftype == "boolean":
-            buf.write(b"\x01" if value else b"\x00")
-        elif ftype in ("int", "long"):
-            write_varint(buf, int(value))  # type: ignore[arg-type]
-        elif ftype == "float":
-            buf.write(struct.pack("<f", float(value)))  # type: ignore[arg-type]
-        elif ftype == "double":
-            buf.write(struct.pack("<d", float(value)))  # type: ignore[arg-type]
-        elif ftype == "bytes":
-            data = bytes(value)  # type: ignore[arg-type]
-            write_varint(buf, len(data))
-            buf.write(data)
-        elif ftype == "string":
-            data = str(value).encode("utf-8")
-            write_varint(buf, len(data))
-            buf.write(data)
+        return data[pos] != 0, pos + 1
+    except IndexError:
+        raise SerializationError("truncated boolean") from None
+
+
+def _read_long(data: bytes, pos: int) -> tuple[int, int]:
+    try:
+        byte = data[pos]
+    except IndexError:
+        raise SerializationError("truncated varint") from None
+    if byte < 0x80:             # one byte, the common case
+        return (byte >> 1) ^ -(byte & 1), pos + 1
+    return read_varint(data, pos)
+
+
+def _fixed_reader(codec: struct.Struct, kind: str) -> Callable:
+    def read(data: bytes, pos: int) -> tuple[float, int]:
+        try:
+            return codec.unpack_from(data, pos)[0], pos + codec.size
+        except struct.error:
+            raise SerializationError(f"truncated {kind}") from None
+    return read
+
+
+def _sized_reader(kind: str, keep: bool) -> Callable:
+    """Reader (or skipper) of a length-prefixed ``bytes`` / ``string``."""
+    def read(data: bytes, pos: int) -> tuple[object, int]:
+        try:
+            length = data[pos]
+        except IndexError:
+            raise SerializationError("truncated varint") from None
+        if length < 0x80:       # _read_long's fast path, inlined: hottest
+            length = (length >> 1) ^ -(length & 1)
+            pos += 1
         else:
-            raise SerializationError(f"{path}: cannot encode type {ftype!r}")
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"{path}: {exc}") from exc
+            length, pos = read_varint(data, pos)
+        end = pos + length
+        if length < 0 or end > len(data):
+            raise SerializationError(f"truncated {kind}")
+        if not keep:
+            return None, end
+        if kind == "bytes":
+            return data[pos:end], end
+        try:
+            return data[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"invalid string: {exc}") from None
+    return read
 
 
-def _decode_value(buf: io.BytesIO, ftype: object) -> object:
-    if isinstance(ftype, list):
-        branch = read_varint(buf)
-        if branch == 0:
-            return None
-        if branch != 1:
-            raise SerializationError(f"invalid union branch {branch}")
-        return _decode_value(buf, ftype[1])
-    if isinstance(ftype, dict):
-        if "array" in ftype:
-            count = read_varint(buf)
-            return [_decode_value(buf, ftype["array"]) for _ in range(count)]
-        if "map" in ftype:
-            count = read_varint(buf)
-            out = {}
-            for _ in range(count):
-                key = _decode_primitive(buf, "string")
-                out[key] = _decode_value(buf, ftype["map"])
-            return out
-    return _decode_primitive(buf, ftype)
+_READERS = {"null": _read_null, "boolean": _read_boolean,
+            "int": _read_long, "long": _read_long,
+            "float": _fixed_reader(_FLOAT, "float"),
+            "double": _fixed_reader(_DOUBLE, "double"),
+            "bytes": _sized_reader("bytes", True),
+            "string": _sized_reader("string", True)}
+_SKIPPERS = {**_READERS, "bytes": _sized_reader("bytes", False),
+             "string": _sized_reader("string", False)}
 
 
-def _decode_primitive(buf: io.BytesIO, ftype: object) -> object:
-    if ftype == "null":
-        return None
-    if ftype == "boolean":
-        raw = buf.read(1)
-        if not raw:
-            raise SerializationError("truncated boolean")
-        return raw[0] != 0
-    if ftype in ("int", "long"):
-        return read_varint(buf)
-    if ftype == "float":
-        return struct.unpack("<f", buf.read(4))[0]
-    if ftype == "double":
-        return struct.unpack("<d", buf.read(8))[0]
-    if ftype == "bytes":
-        length = read_varint(buf)
-        data = buf.read(length)
-        if len(data) != length:
-            raise SerializationError("truncated bytes")
-        return data
-    if ftype == "string":
-        length = read_varint(buf)
-        data = buf.read(length)
-        if len(data) != length:
-            raise SerializationError("truncated string")
-        return data.decode("utf-8")
-    raise SerializationError(f"cannot decode type {ftype!r}")
+def _reader(wtype: object, rtype: object, path: str) -> Callable:
+    """Compile the reader of a value written as ``wtype`` into the shape
+    of ``rtype``, or raise: whether the pair resolves and what is
+    promoted are decided here, once.  ``rtype=_DROPPED`` compiles the
+    skipper."""
+    keep = rtype is not _DROPPED
+    while keep and isinstance(rtype, list) and not isinstance(wtype, list):
+        rtype = rtype[1]        # made nullable: the value is unchanged
+    kind = (None if not isinstance(wtype, dict)
+            else "array" if "array" in wtype else "map")
+    resolvable = type(wtype) is type(rtype) and (       # same shape, and
+        rtype == wtype or rtype in _NUMERIC_PROMOTIONS.get(wtype, ())
+        if isinstance(wtype, str)                       # the same or a wider
+        else kind is None or kind in rtype)             # leaf / same container
+    if keep and not resolvable:
+        raise SchemaCompatibilityError(
+            f"field {path}: cannot promote {wtype!r} to {rtype!r}")
+    if isinstance(wtype, str):
+        read = (_READERS if keep else _SKIPPERS)[wtype]
+        if keep and wtype in ("int", "long") and rtype in ("float", "double"):
+            def read_promoted(data: bytes, pos: int) -> tuple[float, int]:
+                value, pos = read(data, pos)
+                return float(value), pos
+            return read_promoted
+        return read
+    if isinstance(wtype, list):  # nullable union
+        read_inner = _reader(wtype[1], rtype[1] if keep else _DROPPED, path)
+
+        def read_nullable(data: bytes, pos: int) -> tuple[object, int]:
+            branch, pos = _read_long(data, pos)
+            if branch == 1:
+                return read_inner(data, pos)
+            if branch != 0:
+                raise SerializationError(f"invalid union branch {branch}")
+            return None, pos
+        return read_nullable
+    read_key = (_READERS if keep else _SKIPPERS)["string"]
+    read_item = _reader(wtype[kind], rtype[kind] if keep else _DROPPED, path)
+
+    def read_count(data: bytes, pos: int) -> tuple[int, int]:
+        count, pos = _read_long(data, pos)
+        if count < 0:
+            raise SerializationError(f"negative {kind} count {count}")
+        return count, pos
+
+    def read_array(data: bytes, pos: int) -> tuple[list | None, int]:
+        count, pos = read_count(data, pos)
+        items = [] if keep else None
+        for _ in range(count):
+            item, pos = read_item(data, pos)
+            if keep:
+                items.append(item)
+        return items, pos
+
+    def read_map(data: bytes, pos: int) -> tuple[dict | None, int]:
+        count, pos = read_count(data, pos)
+        items = {} if keep else None
+        for _ in range(count):
+            key, pos = read_key(data, pos)
+            item, pos = read_item(data, pos)
+            if keep:
+                items[key] = item
+        return items, pos
+    return read_array if kind == "array" else read_map
 
 
-def _skip_value(buf: io.BytesIO, ftype: object) -> None:
-    _decode_value(buf, ftype)
+def _compile_resolver(writer: RecordSchema,
+                      reader: RecordSchema) -> Callable[[bytes], dict]:
+    """Compile ``bytes -> dict`` for data written under ``writer`` and
+    read as ``reader``, or raise :class:`SchemaCompatibilityError`.
+    Compatibility, defaults, promotions and which fields to skip are
+    settled here; the closure keeps no reference to either schema."""
+    written = {f.name for f in writer.fields}
+    for f in reader.fields:
+        if not (f.name in written or f.has_default
+                or isinstance(f.type, list)):
+            raise SchemaCompatibilityError(
+                f"reader field {reader.name}.{f.name} is new but has no default")
+    wanted = {f.name: f.type for f in reader.fields}
+    plan = tuple((f.name if f.name in wanted else None,
+                  _reader(f.type, wanted.get(f.name, _DROPPED),
+                          f"{reader.name}.{f.name}"))
+                 for f in writer.fields)
+    # reader order; what the writer wrote overwrites its slot below
+    template = {f.name: f.default if f.has_default else None
+                for f in reader.fields}
 
-
-def encode_record(schema: RecordSchema, record: dict) -> bytes:
-    """Serialize ``record`` (a plain dict) against ``schema``."""
-    buf = io.BytesIO()
-    for field in schema.fields:
-        if field.name in record:
-            value = record[field.name]
-        elif field.has_default:
-            value = field.default
-        elif isinstance(field.type, list):
-            value = None
-        else:
-            raise SerializationError(
-                f"record missing required field {schema.name}.{field.name}")
-        _encode_value(buf, field.type, value, f"{schema.name}.{field.name}")
-    return buf.getvalue()
-
-
-def decode_record(schema: RecordSchema, data: bytes) -> dict:
-    """Deserialize bytes written with the same schema."""
-    buf = io.BytesIO(data)
-    return {f.name: _decode_value(buf, f.type) for f in schema.fields}
-
-
-# ---------------------------------------------------------------------------
-# schema resolution (reader vs writer)
-# ---------------------------------------------------------------------------
-
-def _types_resolvable(writer: object, reader: object) -> bool:
-    if isinstance(writer, str) and isinstance(reader, str):
-        if writer == reader:
-            return True
-        return reader in _NUMERIC_PROMOTIONS.get(writer, set())
-    if isinstance(writer, list) and isinstance(reader, list):
-        return _types_resolvable(writer[1], reader[1])
-    if isinstance(writer, dict) and isinstance(reader, dict):
-        if "array" in writer and "array" in reader:
-            return _types_resolvable(writer["array"], reader["array"])
-        if "map" in writer and "map" in reader:
-            return _types_resolvable(writer["map"], reader["map"])
-    # promotion of a concrete type into a nullable union of a compatible type
-    if isinstance(reader, list) and not isinstance(writer, list):
-        return _types_resolvable(writer, reader[1])
-    return False
+    def resolve(data: bytes) -> dict:
+        if type(data) is not bytes:
+            data = bytes(data)
+        pos = 0
+        record = template.copy()
+        for name, read in plan:
+            value, pos = read(data, pos)
+            if name is not None:
+                record[name] = value
+        return record
+    return resolve
 
 
 def check_compatible(writer: RecordSchema, reader: RecordSchema) -> None:
@@ -336,38 +474,12 @@ def check_compatible(writer: RecordSchema, reader: RecordSchema) -> None:
     version is posted: "new document schemas must be compatible
     according to the Avro schema resolution rules" (§IV.A).
     """
-    for rfield in reader.fields:
-        try:
-            wfield = writer.field(rfield.name)
-        except SchemaError:
-            if not rfield.has_default and not isinstance(rfield.type, list):
-                raise SchemaCompatibilityError(
-                    f"reader field {reader.name}.{rfield.name} is new but has no default")
-            continue
-        if not _types_resolvable(wfield.type, rfield.type):
-            raise SchemaCompatibilityError(
-                f"field {reader.name}.{rfield.name}: cannot promote "
-                f"{wfield.type!r} to {rfield.type!r}")
+    _compile_resolver(writer, reader)
 
 
-def _promote(value: object, writer_type: object, reader_type: object) -> object:
-    if isinstance(reader_type, list) and not isinstance(writer_type, list):
-        return _promote(value, writer_type, reader_type[1])
-    if isinstance(writer_type, str) and isinstance(reader_type, str):
-        if writer_type in ("int", "long") and reader_type in ("float", "double"):
-            return float(value)  # type: ignore[arg-type]
-    if isinstance(writer_type, list) and isinstance(reader_type, list):
-        if value is None:
-            return None
-        return _promote(value, writer_type[1], reader_type[1])
-    if isinstance(writer_type, dict) and isinstance(reader_type, dict):
-        if "array" in writer_type:
-            return [_promote(v, writer_type["array"], reader_type["array"])
-                    for v in value]  # type: ignore[union-attr]
-        if "map" in writer_type:
-            return {k: _promote(v, writer_type["map"], reader_type["map"])
-                    for k, v in value.items()}  # type: ignore[union-attr]
-    return value
+def decode_record(schema: RecordSchema, data: bytes) -> dict:
+    """Deserialize bytes written with the same schema."""
+    return schema._decoder(data)
 
 
 def decode_with_resolution(writer: RecordSchema, reader: RecordSchema,
@@ -377,22 +489,11 @@ def decode_with_resolution(writer: RecordSchema, reader: RecordSchema,
     Fields the reader dropped are skipped; fields the reader added are
     filled from defaults; numeric promotions are applied.
     """
-    check_compatible(writer, reader)
-    buf = io.BytesIO(data)
-    raw: dict[str, object] = {}
-    for wfield in writer.fields:
-        value = _decode_value(buf, wfield.type)
-        raw[wfield.name] = value
-    out: dict[str, object] = {}
-    for rfield in reader.fields:
-        if rfield.name in raw:
-            wfield = writer.field(rfield.name)
-            out[rfield.name] = _promote(raw[rfield.name], wfield.type, rfield.type)
-        elif rfield.has_default:
-            out[rfield.name] = rfield.default
-        else:
-            out[rfield.name] = None
-    return out
+    resolvers = writer._resolvers
+    resolve = resolvers.get(reader)
+    if resolve is None:     # an incompatible pair raises here, every time
+        resolve = resolvers[reader] = _compile_resolver(writer, reader)
+    return resolve(data)
 
 
 class SchemaRegistry:

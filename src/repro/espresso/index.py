@@ -34,6 +34,11 @@ class LocalSecondaryIndex:
 
     def __init__(self, schema: RecordSchema):
         self.schema = schema
+        # the reader a stored document is resolved against to be indexed:
+        # plain Avro resolution then yields the indexed values (defaulted,
+        # coerced) and skips the rest; no fields, nothing to index
+        self.projection = RecordSchema(schema.name, schema.indexed_fields,
+                                       version=schema.version)
         self._term_fields = {f.name for f in schema.fields if f.indexed}
         self._text_fields = {f.name for f in schema.fields if f.free_text}
         # (field, term) -> resource_id (a key's first element) -> set
@@ -42,7 +47,6 @@ class LocalSecondaryIndex:
         self._postings: dict[tuple[str, str], dict[str, set[tuple]]] = {}
         # doc key -> set of (field, term) for removal
         self._doc_terms: dict[tuple, set[tuple[str, str]]] = {}
-        self.documents_indexed = 0
 
     @property
     def is_empty(self) -> bool:
@@ -70,7 +74,6 @@ class LocalSecondaryIndex:
                 doc_key[0], set()).add(doc_key)
         if terms:
             self._doc_terms[doc_key] = terms
-        self.documents_indexed += 1
 
     def remove(self, doc_key: tuple) -> None:
         for term in self._doc_terms.pop(doc_key, ()):
@@ -110,6 +113,3 @@ class LocalSecondaryIndex:
             raise ConfigurationError(
                 f"field {fieldname!r} carries no index constraint")
         return sorted(matches)
-
-    def indexed_fields(self) -> set[str]:
-        return self._term_fields | self._text_fields

@@ -97,11 +97,7 @@ class DocumentSchemaRegistry:
     """
 
     def __init__(self):
-        self._registries: dict[str, SchemaRegistry] = {}
-
-    @staticmethod
-    def _key(database: str, table: str) -> str:
-        return f"{database}/{table}"
+        self._registries: dict[tuple[str, str], SchemaRegistry] = {}
 
     def post(self, database: str, table: str, schema: RecordSchema) -> int:
         """Register a (new version of a) document schema; returns version."""
@@ -109,18 +105,18 @@ class DocumentSchemaRegistry:
             raise ConfigurationError(
                 f"document schema for table {table!r} must be named "
                 f"{schema_name_for(table)!r}, got {schema.name!r}")
-        registry = self._registries.setdefault(self._key(database, table),
+        registry = self._registries.setdefault((database, table),
                                                SchemaRegistry())
         return registry.register(schema)
 
     def get(self, database: str, table: str, version: int) -> RecordSchema:
-        registry = self._registries.get(self._key(database, table))
+        registry = self._registries.get((database, table))
         if registry is None:
             raise ConfigurationError(f"no schemas for {database}/{table}")
         return registry.get(schema_name_for(table), version)
 
     def latest(self, database: str, table: str) -> RecordSchema:
-        registry = self._registries.get(self._key(database, table))
+        registry = self._registries.get((database, table))
         if registry is None:
             raise ConfigurationError(f"no schemas for {database}/{table}")
         latest = registry.latest(schema_name_for(table))
@@ -129,7 +125,7 @@ class DocumentSchemaRegistry:
         return latest
 
     def has_schema(self, database: str, table: str) -> bool:
-        registry = self._registries.get(self._key(database, table))
+        registry = self._registries.get((database, table))
         return registry is not None and bool(registry.names())
 
 

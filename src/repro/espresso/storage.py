@@ -207,18 +207,25 @@ class EspressoStorageNode:
         latest = self.schemas.latest(self.database.name, table)
         index = self._indexes.get(table)
         if index is None or index.schema.version != latest.version:
-            rebuilt = LocalSecondaryIndex(latest)
-            if index is not None and not index.is_empty:
+            stale, index = index, LocalSecondaryIndex(latest)
+            self._indexes[table] = index
+            if stale is not None and not stale.is_empty:
                 for row in self.local.table(table).scan():
-                    record = self._decode_row(table, row)
-                    rebuilt.add(record.key, record.document)
-            self._indexes[table] = rebuilt
-            index = rebuilt
+                    self._index_row(table, row)
         return index
 
-    def _encode_document(self, table: str, document: dict) -> tuple[bytes, int]:
-        schema = self.schemas.latest(self.database.name, table)
-        return encode_record(schema, document), schema.version
+    def _index_row(self, table: str, row: dict) -> None:
+        """Index a stored row through the index's *projection*: ``val``
+        resolved against the latest schema restricted to its indexed
+        fields — the terms a full decode would give, every other field
+        skipped, and nothing read at all for an un-indexed table."""
+        index = self._index_for(table)
+        if index.projection.fields:
+            key = tuple(row[k] for k in self.database.table(table).key_fields)
+            writer = self.schemas.get(self.database.name, table,
+                                      row["schema_version"])
+            index.add(key, decode_with_resolution(writer, index.projection,
+                                                  row["val"]))
 
     def _decode_row(self, table: str, row: dict) -> DocumentRecord:
         espresso_table = self.database.table(table)
@@ -240,13 +247,14 @@ class EspressoStorageNode:
             raise ConfigurationError(
                 f"table {table} keys have {espresso_table.key_depth} "
                 f"elements, got {len(key)}")
-        val, version = self._encode_document(table, document)
+        schema = self.schemas.latest(self.database.name, table)
+        val = encode_record(schema, document)
         row = dict(zip(espresso_table.key_fields, key))
         row.update({
             "timestamp": int(self.clock.now() * 1000),
             "etag": hashlib.md5(val).hexdigest()[:10],
             "val": val,
-            "schema_version": version,
+            "schema_version": schema.version,
         })
         return row
 
@@ -402,8 +410,7 @@ class EspressoStorageNode:
                 self._index_for(change.table).remove(change.key)
             else:
                 sql_table.upsert(change.row)
-                record = self._decode_row(change.table, change.row)
-                self._index_for(change.table).add(record.key, record.document)
+                self._index_row(change.table, change.row)
 
     # -- slave replication path ----------------------------------------------------------
 
@@ -523,6 +530,5 @@ class EspressoStorageNode:
             sql_table = self.local.table(table_name)
             for row in table_rows:
                 sql_table.upsert(row)
-                record = self._decode_row(table_name, row)
-                self._index_for(table_name).add(record.key, record.document)
+                self._index_row(table_name, row)
         self.partition_scn[partition] = scn

@@ -201,24 +201,39 @@ class EspressoTarget:
 
     # -- verification --------------------------------------------------------
 
-    def dump(self, table: str) -> dict[tuple, dict]:
-        """Every stored document keyed by *source* key, for full
-        comparison against the source table."""
-        out: dict[tuple, dict] = {}
+    def contains(self, table: str, source_key: tuple) -> bool:
+        """Whether a document is stored for a source key; reads no ``val``."""
+        key = self.transform.target_key(table, source_key)
+        return self._master_for(key[0]).local.table(table).contains(key)
+
+    def _master_keys(self, table: str):
+        """``(master node, target key)`` of every stored document: each
+        node's table is scanned once, keeping the rows of the partitions
+        that node masters (it stores the ones it slaves too)."""
         database = self.cluster.database
-        resource_field = database.table(table).resource_field
+        masters: dict[str, tuple[EspressoStorageNode, set[int]]] = {}
         for partition in range(database.num_partitions):
             node = self.cluster.master_node(partition)
             if node is None:
                 raise ConfigurationError(
                     f"partition {partition} has no master; converge the "
                     "cluster before verifying")
+            masters.setdefault(node.instance_name,
+                               (node, set()))[1].add(partition)
+        key_fields = database.table(table).key_fields
+        for node, partitions in masters.values():
             for row in node.local.table(table).scan():
-                if database.partition_for(row[resource_field]) != partition:
-                    continue  # this node only masters `partition` here
-                record = node.get_document(
-                    table, tuple(row[k]
-                                 for k in database.table(table).key_fields))
-                out[self.transform.source_key(table, record.key)] = \
-                    record.document
-        return out
+                if database.partition_for(row[key_fields[0]]) in partitions:
+                    yield node, tuple(row[k] for k in key_fields)
+
+    def keys(self, table: str) -> list[tuple]:
+        """The *source* key of every stored document; reads no ``val``."""
+        return [self.transform.source_key(table, key)
+                for _, key in self._master_keys(table)]
+
+    def dump(self, table: str) -> dict[tuple, dict]:
+        """Every stored document keyed by *source* key, for full
+        comparison against the source table."""
+        return {self.transform.source_key(table, key):
+                node.get_document(table, key).document
+                for node, key in self._master_keys(table)}

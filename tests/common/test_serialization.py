@@ -155,9 +155,7 @@ def test_roundtrip_property(record):
 
 @given(st.integers(min_value=-(2 ** 62), max_value=2 ** 62))
 def test_varint_roundtrip(value):
-    import io
     from repro.common.serialization import read_varint, write_varint
-    buf = io.BytesIO()
-    write_varint(buf, value)
-    buf.seek(0)
-    assert read_varint(buf) == value
+    out = bytearray()
+    write_varint(out, value)
+    assert read_varint(bytes(out), 0) == (value, len(out))
