@@ -8,7 +8,7 @@ contracts need:
 * a :class:`Project` bundles every parsed :class:`FileContext` of one
   analyzer run and lazily derives the module/class/function index, the
   call graph, and the effect summaries (each computed once per run and
-  shared by every consumer — rules, ``--graph``, tests);
+  shared by every consumer — rules and tests);
 * :class:`CallGraph` maps each function to its resolved call sites.
   Resolution is *type-informed but deliberately shallow*: enough to
   follow the idioms this repo actually uses, nothing speculative.
@@ -43,11 +43,11 @@ syntactic call site.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.core import FileContext
+from repro.analysis.core import FileContext, Frame
+from repro.analysis.flow import FUNCTION_NODES, walk_scope
 
 #: Parameter names the deadline-threading analysis treats as a budget.
 DEADLINE_PARAM_NAMES = frozenset({"deadline", "budget"})
@@ -64,6 +64,28 @@ def module_dotted(rel_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
+
+
+def bare_name(qualname: str) -> str:
+    """``repro.pkg.mod.Server.get`` -> ``get``."""
+    return qualname.rsplit(".", 1)[-1]
+
+
+def short_name(qualname: str) -> str:
+    """``repro.pkg.mod.Server.get`` -> ``Server.get`` (the last two
+    components: enough to read, short enough for a message)."""
+    return ".".join(qualname.split(".")[-2:])
+
+
+def deadline_params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """Parameters that carry a request budget into a function: named
+    like one, or annotated ``Deadline``."""
+    args = fn.args
+    return [arg.arg
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            if arg.arg in DEADLINE_PARAM_NAMES
+            or (arg.annotation is not None
+                and "Deadline" in ast.dump(arg.annotation))]
 
 
 @dataclass
@@ -83,22 +105,10 @@ class FunctionInfo:
     def is_public(self) -> bool:
         return not self.name.startswith("_")
 
-    def param_names(self) -> list[str]:
-        args = self.node.args
-        return [a.arg for a in
-                args.posonlyargs + args.args + args.kwonlyargs]
-
-    def deadline_params(self) -> list[str]:
-        """Parameters that carry a request budget into this function."""
-        params = []
-        args = self.node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            if arg.arg in DEADLINE_PARAM_NAMES:
-                params.append(arg.arg)
-            elif arg.annotation is not None and \
-                    "Deadline" in ast.dump(arg.annotation):
-                params.append(arg.arg)
-        return params
+    def frame(self, line: int, callee: str) -> Frame:
+        """A chain frame for something this function does on ``line``."""
+        return Frame(path=self.rel_path, line=line,
+                     caller=self.qualname, callee=callee)
 
 
 @dataclass
@@ -164,7 +174,7 @@ class _TypeEnv:
         for stmt in ast.walk(fn.node):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
-                qual = self.resolve_expr(stmt.value, binding=True)
+                qual = self.resolve_expr(stmt.value)
                 if qual:
                     self.locals[stmt.targets[0].id] = qual
             elif isinstance(stmt, ast.AnnAssign) \
@@ -173,7 +183,7 @@ class _TypeEnv:
                 if qual:
                     self.locals[stmt.target.id] = qual
 
-    def resolve_expr(self, expr: ast.expr, binding: bool = False) -> str | None:
+    def resolve_expr(self, expr: ast.expr) -> str | None:
         """Class qualname of ``expr``'s value, or None."""
         graph, module = self.graph, self.fn.module
         if isinstance(expr, ast.Name):
@@ -267,8 +277,10 @@ class CallGraph:
         # nested defs become their own nodes, scoped by the enclosing
         # function's qualname; each recursion level indexes only its
         # *direct* nested defs (grandchildren belong to the child)
-        for child in _direct_nested_defs(node):
-            self._index_function(module, child, cls=None, parent=qualname)
+        for child in walk_scope(ast.iter_child_nodes(node), lambdas=True):
+            if isinstance(child, FUNCTION_NODES):
+                self._index_function(module, child, cls=None,
+                                     parent=qualname)
 
     def _base_qualname(self, base: ast.expr, module: ModuleInfo) -> str | None:
         if isinstance(base, ast.Name):
@@ -300,7 +312,7 @@ class CallGraph:
                 if target is None or value is None \
                         or not _is_self_attr(target):
                     continue
-                qual = env.resolve_expr(value, binding=True)
+                qual = env.resolve_expr(value)
                 if qual:
                     cls.attr_types.setdefault(target.attr, qual)
 
@@ -437,23 +449,9 @@ class CallGraph:
                     sorted(self._resolve_function(info),
                            key=lambda s: (s.line, s.callee, s.kind))
 
-    def _function_body_nodes(self, fn: FunctionInfo) -> Iterator[ast.AST]:
-        """Nodes of this function's own body, excluding nested defs
-        (they are separate graph nodes) but including lambdas (they run
-        in this frame's dynamic extent)."""
-        stack: list[ast.AST] = list(ast.iter_child_nodes(fn.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     def _resolve_function(self, fn: FunctionInfo) -> Iterator[CallSite]:
         env = _TypeEnv(self, fn)
-        for node in self._function_body_nodes(fn):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in scope_calls(fn):
             line = getattr(node, "lineno", fn.node.lineno)
             yield from self._effect_sites(fn, node, line)
             for callee in self._callees_of(node.func, fn, env):
@@ -598,31 +596,6 @@ class CallGraph:
                     low[parent] = min(low[parent], low[node])
         return out
 
-    # -- dumps -------------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "functions": sorted(self.functions),
-            "edges": [
-                {"caller": caller, "callee": site.callee,
-                 "line": site.line, "kind": site.kind}
-                for caller in sorted(self.call_sites)
-                for site in self.call_sites[caller]
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_dot(self) -> str:
-        out = ["digraph callgraph {", "  rankdir=LR;"]
-        for caller in sorted(self.call_sites):
-            for site in self.call_sites[caller]:
-                style = ' [style=dashed]' if site.kind == "ref" else \
-                    ' [color=red]' if site.kind in ("rpc", "sleep", "fsync") \
-                    else ""
-                out.append(f'  "{caller}" -> "{site.callee}"{style};')
-        out.append("}")
-        return "\n".join(out)
-
 
 def _is_self_attr(target: ast.expr) -> bool:
     return isinstance(target, ast.Attribute) \
@@ -630,16 +603,13 @@ def _is_self_attr(target: ast.expr) -> bool:
         and target.value.id == "self"
 
 
-def _direct_nested_defs(node: ast.AST) -> Iterator[ast.AST]:
-    """Function definitions nested directly inside ``node``'s body
-    (not those belonging to a deeper def)."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield child
-            continue
-        stack.extend(ast.iter_child_nodes(child))
+def scope_calls(fn: FunctionInfo) -> Iterator[ast.Call]:
+    """Call nodes of this function's own body: nested defs excluded
+    (they are separate graph nodes), lambdas included (they run in
+    this frame's dynamic extent)."""
+    for node in walk_scope(ast.iter_child_nodes(fn.node), lambdas=True):
+        if isinstance(node, ast.Call):
+            yield node
 
 
 class Project:
@@ -669,6 +639,3 @@ class Project:
             from repro.analysis.summaries import compute_summaries
             self._summaries = compute_summaries(self)
         return self._summaries
-
-    def context_for(self, rel_path: str) -> FileContext | None:
-        return self.contexts.get(rel_path)

@@ -6,10 +6,6 @@ errors.  Typical invocations::
 
     python -m repro.analysis src/repro            # human report
     python -m repro.analysis src/repro --json     # machine report
-    python -m repro.analysis src/repro --format=github  # CI annotations
-    python -m repro.analysis src/repro --format=sarif   # SARIF 2.1.0 log
-    python -m repro.analysis src/repro --jobs 4   # parallel per-file scan
-    python -m repro.analysis src/repro --graph    # call graph as DOT
     python -m repro.analysis --rule layering-contract --stats
     repro-lint src/repro --baseline               # gate against lint-baseline.json
     repro-lint src/repro --write-baseline         # grandfather current findings
@@ -31,18 +27,10 @@ from collections import Counter
 from pathlib import Path
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.cache import (
-    DEFAULT_CACHE_DIR,
-    LintCache,
-    file_manifest,
-    run_digest,
-)
 from repro.analysis.core import Analyzer, all_rules, rule_names
 from repro.analysis.reporters import (
-    render_github,
     render_json,
     render_rule_list,
-    render_sarif,
     render_stats,
     render_text,
     stats_payload,
@@ -60,20 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report "
                              "(alias for --format=json)")
-    parser.add_argument("--format",
-                        choices=["text", "json", "github", "sarif"],
-                        default=None,
-                        help="report format; 'github' emits Actions "
-                             "::error annotations for new findings, "
-                             "'sarif' a SARIF 2.1.0 log with call "
-                             "chains as relatedLocations")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run per-file rules across N worker "
-                             "processes (default: 1)")
-    parser.add_argument("--graph", nargs="?", const="dot", default=None,
-                        choices=["dot", "json"], metavar="FORMAT",
-                        help="dump the repo-wide call graph (dot or "
-                             "json) instead of linting")
+    parser.add_argument("--format", choices=["text", "json"],
+                        default=None, help="report format")
     parser.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE_NAME,
                         default=None, metavar="PATH",
                         help="grandfather findings recorded in PATH "
@@ -96,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run only this rule (repeatable)")
     parser.add_argument("--stats", action="store_true",
                         help="report per-rule timing and finding counts")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and don't write the "
-                             f"{DEFAULT_CACHE_DIR}/ findings cache")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe the registered rules and exit")
     parser.add_argument("--root", default=None, metavar="DIR",
@@ -139,25 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     output = args.format or ("json" if args.json else "text")
 
-    analyzer = Analyzer(rules=rules, root=args.root, jobs=args.jobs)
-
-    if args.graph is not None:
-        print(_dump_graph(analyzer, args.paths, args.graph))
-        return 0
-
-    # replay the previous run when no scanned file changed; --stats
-    # bypasses the cache because replays have no timings to report
-    report = None
-    cache = digest = None
-    if not args.no_cache and not args.stats:
-        cache = LintCache(Path(args.root or ".") / DEFAULT_CACHE_DIR)
-        digest = run_digest(file_manifest(analyzer, args.paths),
-                            [rule.name for rule in rules])
-        report = cache.load(digest)
-    if report is None:
-        report = analyzer.run(args.paths)
-        if cache is not None:
-            cache.store(digest, report)
+    analyzer = Analyzer(rules=rules, root=args.root)
+    report = analyzer.run(args.paths)
 
     if args.write_baseline is not None:
         Baseline.from_findings(report.findings).save(args.write_baseline)
@@ -202,12 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     if output == "json":
         print(render_json(report, new, grandfathered, analyzer.metrics,
                           stats=stats))
-    elif output == "github":
-        annotations = render_github(new, report.parse_errors)
-        if annotations:
-            print(annotations)
-    elif output == "sarif":
-        print(render_sarif(report, new, grandfathered, rules))
     else:
         print(render_text(report, new, grandfathered, rules))
         if args.stats:
@@ -215,19 +165,3 @@ def main(argv: list[str] | None = None) -> int:
                                analyzer.rule_findings,
                                report.files_scanned))
     return 1 if (new or report.parse_errors) else 0
-
-
-def _dump_graph(analyzer: Analyzer, paths: list[str], fmt: str) -> str:
-    """Parse the given paths and render their call graph."""
-    from repro.analysis.callgraph import Project
-    from repro.analysis.core import FileContext
-    contexts = []
-    for path in analyzer.iter_files(paths):
-        source = path.read_text(encoding="utf-8")
-        try:
-            contexts.append(FileContext.parse(
-                source, analyzer._rel(path), path=path))
-        except SyntaxError:
-            continue
-    graph = Project(contexts).graph
-    return graph.to_dot() if fmt == "dot" else graph.to_json()

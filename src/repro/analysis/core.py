@@ -15,7 +15,8 @@ Vocabulary:
 * a :class:`Rule` inspects one parsed module and yields
   :class:`Finding`\\ s; rules self-register via :func:`register`;
 * a :class:`FileContext` bundles the parse tree, source lines, import
-  aliases, and per-line pragma suppressions for one file;
+  aliases, per-line pragma suppressions and the control-flow graphs
+  (one per function, built on first request) for one file;
 * the :class:`Analyzer` walks files in sorted order (the lint run is
   itself deterministic), applies suppressions, and counts everything
   through a :class:`~repro.common.metrics.MetricsRegistry`;
@@ -23,9 +24,10 @@ Vocabulary:
   grandfathers known findings so the CI gate only trips on *new*
   violations.
 
-Suppression is per statement span: ``# repro-lint: disable=rule-a``
-anywhere on the lines a finding's node covers (first line through
-``end_lineno``) silences those rules for it — so the pragma on the
+Suppression is per statement span: ``# repro-lint: disable=wall-clock``
+(any registered rule names, comma-separated) anywhere on the lines a
+finding's node covers (first line through ``end_lineno``) silences
+those rules for it — so the pragma on the
 closing line of a multi-line call still counts; ``disable=all``
 silences every rule there.
 """
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.analysis.flow import CFG, FUNCTION_NODES, build_cfg
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
 
@@ -98,10 +101,6 @@ class Finding:
     snippet: str = ""  # the stripped source line, for fingerprinting
     end_line: int = 0  # last line of the anchoring node (0 = same line)
     chain: tuple[Frame, ...] = ()
-
-    @property
-    def last_line(self) -> int:
-        return max(self.line, self.end_line)
 
     def fingerprint(self) -> str:
         """Location-drift-tolerant identity used by the baseline.
@@ -193,6 +192,9 @@ class FileContext:
     lines: list[str] = field(default_factory=list)
     imports: ImportMap = None  # type: ignore[assignment]
     suppressions: dict[int, set[str]] = field(default_factory=dict)
+    #: function node -> its CFG; every rule of the run shares these
+    _cfgs: dict[ast.AST, CFG] = field(default_factory=dict, init=False,
+                                      repr=False)
 
     @classmethod
     def parse(cls, source: str, rel_path: str,
@@ -213,6 +215,21 @@ class FileContext:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
+
+    def cfg(self, fn: ast.AST) -> CFG:
+        """The control-flow graph of one function of this file: built
+        the first time a rule asks, then shared for the rest of the run
+        (the memo lives and dies with this context)."""
+        cfg = self._cfgs.get(fn)
+        if cfg is None:
+            cfg = self._cfgs[fn] = build_cfg(fn)
+        return cfg
+
+    def function_cfgs(self) -> Iterator[CFG]:
+        """A CFG for every function in the file, nested ones included."""
+        for node in ast.walk(self.tree):
+            if isinstance(node, FUNCTION_NODES):
+                yield self.cfg(node)
 
     def suppressed(self, rule: str, lineno: int, end_lineno: int = 0) -> bool:
         """Is ``rule`` disabled anywhere on lines lineno..end_lineno?
@@ -274,6 +291,15 @@ class ProjectRule(Rule):
     def check_project(self, project) -> Iterator[Finding]:
         raise NotImplementedError
 
+    def chain_finding(self, project, path: str, line: int, message: str,
+                      chain: tuple[Frame, ...]) -> Finding:
+        """A finding anchored on a *line* — interprocedural convictions
+        sit on a frame of their chain, not on one AST node."""
+        return Finding(rule=self.name, path=path, line=line, col=0,
+                       message=message,
+                       snippet=project.contexts[path].line_text(line),
+                       end_line=line, chain=chain)
+
 
 _REGISTRY: dict[str, type[Rule]] = {}
 
@@ -317,21 +343,18 @@ class Analyzer:
     fingerprints (defaults to the current directory), so a baseline
     written from the repo root matches runs from anywhere.
 
-    ``jobs`` > 1 fans the per-file parse/scan out across a process
-    pool; the interprocedural pass (the :class:`ProjectRule`\\ s) always
-    runs in the parent over the full parse, because the call graph
-    needs every file at once.  Output is byte-identical either way —
-    results are collected in input order.
+    A run is one serial pass: every file is parsed and checked by the
+    per-file rules, then the interprocedural pass (the
+    :class:`ProjectRule`\\ s) runs once over the full parse, because
+    the call graph needs every file at once.
     """
 
     def __init__(self, rules: Iterable[Rule] | None = None,
                  root: Path | str | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 jobs: int | None = None):
+                 metrics: MetricsRegistry | None = None):
         self.rules = list(rules) if rules is not None else all_rules()
         self.root = Path(root) if root is not None else Path.cwd()
         self.metrics = metrics or MetricsRegistry()
-        self.jobs = jobs if jobs and jobs > 1 else 1
         #: per-rule wall seconds and finding counts, accumulated across
         #: the run (the --stats report)
         self.rule_seconds: dict[str, float] = {r.name: 0.0 for r in self.rules}
@@ -385,10 +408,8 @@ class Analyzer:
 
     def run(self, paths: Iterable[Path | str]) -> LintReport:
         report = LintReport()
-        files = list(self.iter_files(paths))
-        parallel = self._scan_parallel(files) if self.jobs > 1 else None
         contexts: list[FileContext] = []
-        for path in files:
+        for path in self.iter_files(paths):
             report.files_scanned += 1
             self.metrics.counter("lint.files").increment()
             source = path.read_text(encoding="utf-8")
@@ -400,41 +421,11 @@ class Analyzer:
                 report.parse_errors.append(f"{rel}: {exc.msg} (line {exc.lineno})")
                 continue
             contexts.append(ctx)
-            if parallel is None:
-                report.findings.extend(self._check_context(ctx))
-        if parallel is not None:
-            report.findings.extend(parallel)
+            report.findings.extend(self._check_context(ctx))
         report.findings.extend(self._project_findings(contexts))
         report.suppressed = self.metrics.counter("lint.suppressed").value
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return report
-
-    def _scan_parallel(self, files: list[Path]) -> list[Finding] | None:
-        """Per-file rules across a process pool; None falls back to the
-        serial path (pool unavailable in restricted environments)."""
-        from concurrent.futures import ProcessPoolExecutor
-        payload = [(str(path), str(self.root),
-                    frozenset(r.name for r in self.rules))
-                   for path in files]
-        try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                chunk = max(1, len(files) // (self.jobs * 4))
-                results = list(pool.map(_scan_file_worker, payload,
-                                        chunksize=chunk))
-        except (OSError, ImportError):
-            return None
-        findings: list[Finding] = []
-        for file_findings, suppressed, seconds, counts in results:
-            findings.extend(file_findings)
-            self.metrics.counter("lint.suppressed").increment(suppressed)
-            for name, value in seconds.items():
-                self.rule_seconds[name] = \
-                    self.rule_seconds.get(name, 0.0) + value
-            for name, value in counts.items():
-                self.rule_findings[name] = \
-                    self.rule_findings.get(name, 0) + value
-                self.metrics.counter(f"lint.findings.{name}").increment(value)
-        return findings
 
     def _project_findings(self, contexts: list[FileContext]) -> list[Finding]:
         """Run the interprocedural rules once over the whole parse.
@@ -478,28 +469,3 @@ class Analyzer:
                     frame_ctx.suppressed(finding.rule, frame.line):
                 return True
         return False
-
-
-def _scan_file_worker(args: tuple[str, str, frozenset[str]]
-                      ) -> tuple[list[Finding], int,
-                                 dict[str, float], dict[str, int]]:
-    """Process-pool unit: parse one file and run the per-file rules.
-
-    Parse errors return empty-handed — the parent's own parse of the
-    same file reports them exactly once.
-    """
-    path_str, root_str, rule_names = args
-    rules = [rule for rule in all_rules()
-             if rule.name in rule_names and not isinstance(rule, ProjectRule)]
-    analyzer = Analyzer(rules=rules, root=root_str)
-    path = Path(path_str)
-    try:
-        ctx = FileContext.parse(path.read_text(encoding="utf-8"),
-                                analyzer._rel(path), path=path)
-    except SyntaxError:
-        return [], 0, {}, {}
-    findings = analyzer._check_context(ctx)
-    suppressed = analyzer.metrics.counter("lint.suppressed").value
-    return (findings, suppressed,
-            {name: s for name, s in analyzer.rule_seconds.items() if s},
-            {name: c for name, c in analyzer.rule_findings.items() if c})

@@ -17,9 +17,28 @@ the machinery to ask path questions:
   flow to a dedicated :attr:`CFG.raise_exit` block, kept separate from
   :attr:`CFG.exit` because exiting on an exception never *acks*
   anything — protocol obligations are excused there;
-* :func:`definitions` / :func:`uses` extract the names a statement
-  binds and reads, and :meth:`CFG.reaching_definitions` runs the
-  classic forward may-analysis over them, yielding def-use chains.
+* :func:`definitions` / :func:`uses` / :func:`store_targets` extract
+  the names a statement binds and reads and the targets it stores to.
+
+Every traversal the rules need is one of three primitives, each
+written once here:
+
+* :func:`walk_scope` — the nodes of one function scope: nested ``def``
+  bodies are never entered (they are scopes of their own), lambda
+  bodies are entered or not as the caller says (a lambda runs in the
+  frame's dynamic extent but not *at* the element that builds it).
+  :func:`calls_in` and :func:`uses` are filters over it, as are the
+  call-graph and set-iteration walks;
+* one CFG per function per run: rules never call :func:`build_cfg`
+  themselves, they ask the :class:`~repro.analysis.core.FileContext`
+  that owns the tree (:meth:`~repro.analysis.core.FileContext.cfg`),
+  which builds it on first request and dies with the run;
+* :func:`walk_paths` — the "carry a state down every path from this
+  element" search of the yield-point rules, parameterized by a
+  per-element step function.  (The typestate search of
+  :mod:`repro.analysis.protocol` keeps its own loop: it branches into
+  handlers mid-block and reports on *reaching* the exit, which a
+  yield walk never does.)
 
 Precision notes, honest edition: the CFG is statement-granular (an
 exception edge leaves with the state holding at block *entry*, which
@@ -35,14 +54,11 @@ the pragma mechanism is the escape hatch — but they never hide one.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 #: AST node types treated as a function scope of their own.
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: Loop constructs whose headers re-test / re-bind on every iteration.
-LOOP_NODES = (ast.While, ast.For, ast.AsyncFor)
 
 
 @dataclass
@@ -65,18 +81,13 @@ class BasicBlock:
     standing for "bind the next item").
     """
 
-    __slots__ = ("bid", "elements", "out_edges", "in_edges", "exc_targets")
+    __slots__ = ("bid", "elements", "out_edges", "exc_targets")
 
     def __init__(self, bid: int):
         self.bid = bid
         self.elements: list[ast.AST] = []
         self.out_edges: list[Edge] = []
-        self.in_edges: list[Edge] = []
         self.exc_targets: list["BasicBlock"] = []
-
-    def successors(self) -> Iterator["BasicBlock"]:
-        for edge in self.out_edges:
-            yield edge.dst
 
     def __repr__(self) -> str:  # debugging aid, not part of the API
         kinds = [f"{e.kind}->{e.dst.bid}" for e in self.out_edges]
@@ -100,9 +111,7 @@ class CFG:
 
     def connect(self, src: BasicBlock, dst: BasicBlock, kind: str = "normal",
                 test: ast.expr | None = None) -> None:
-        edge = Edge(dst, kind, test)
-        src.out_edges.append(edge)
-        dst.in_edges.append(edge)
+        src.out_edges.append(Edge(dst, kind, test))
 
     # -- queries ----------------------------------------------------------
 
@@ -111,81 +120,6 @@ class CFG:
         for block in self.blocks:
             for index, element in enumerate(block.elements):
                 yield block, index, element
-
-    def reaching_definitions(self) -> dict[tuple[int, int], dict[str, set[tuple[int, int]]]]:
-        """Forward may-analysis: which definition sites of each local
-        name can reach each element?
-
-        Returns ``{(block id, element index): {name: {definition
-        points}}}`` where a definition point is itself a ``(block id,
-        element index)`` pair.  Rules use this to walk def-use chains
-        (e.g. "this handle was bound from ``disk.open``").
-        """
-        in_states: dict[int, dict[str, frozenset]] = {self.entry.bid: {}}
-        result: dict[tuple[int, int], dict[str, set[tuple[int, int]]]] = {}
-        worklist = [self.entry]
-        arg_defs = {name: frozenset({(-1, -1)})
-                    for name in argument_names(self.fn)}
-        in_states[self.entry.bid] = dict(arg_defs)
-        while worklist:
-            block = worklist.pop(0)
-            state = dict(in_states.get(block.bid, {}))
-            for index, element in enumerate(block.elements):
-                result[(block.bid, index)] = {
-                    name: set(defs) for name, defs in state.items()}
-                for name in definitions(element):
-                    state[name] = frozenset({(block.bid, index)})
-            for edge in block.out_edges:
-                target = edge.dst
-                merged = dict(in_states.get(target.bid, {}))
-                changed = target.bid not in in_states
-                for name, defs in state.items():
-                    combined = merged.get(name, frozenset()) | defs
-                    if combined != merged.get(name):
-                        merged[name] = combined
-                        changed = True
-                if changed:
-                    in_states[target.bid] = merged
-                    if target not in worklist:
-                        worklist.append(target)
-        return result
-
-    def forward(self, init, transfer: Callable, merge: Callable,
-                edge_transfer: Callable | None = None) -> dict[int, object]:
-        """Generic forward worklist analysis.
-
-        ``init`` is the entry state; ``transfer(state, element)`` maps a
-        state across one element; ``merge(a, b)`` joins states at a
-        confluence; ``edge_transfer(state, edge)``, if given, adjusts
-        the state crossing a labelled edge (branch sensitivity).
-        Exception edges conservatively carry the block's *entry* state
-        merged with its exit state.  Returns block id -> in-state.
-        """
-        in_states: dict[int, object] = {self.entry.bid: init}
-        worklist = [self.entry]
-        while worklist:
-            block = worklist.pop(0)
-            entry_state = in_states[block.bid]
-            state = entry_state
-            for element in block.elements:
-                state = transfer(state, element)
-            for edge in block.out_edges:
-                out = state
-                if edge.kind == "exc":
-                    out = merge(entry_state, state)
-                if edge_transfer is not None:
-                    out = edge_transfer(out, edge)
-                target = edge.dst
-                if target.bid in in_states:
-                    joined = merge(in_states[target.bid], out)
-                    if joined == in_states[target.bid]:
-                        continue
-                    in_states[target.bid] = joined
-                else:
-                    in_states[target.bid] = out
-                if target not in worklist:
-                    worklist.append(target)
-        return in_states
 
 
 # -- construction ------------------------------------------------------------
@@ -276,7 +210,7 @@ class _Builder:
         else:
             # simple statements — including nested function/class
             # definitions, which are opaque single elements here (their
-            # bodies get their own CFGs via iter_function_cfgs)
+            # bodies get their own CFGs via FileContext.function_cfgs)
             self._append(node)
 
     def _if(self, node: ast.If) -> None:
@@ -414,30 +348,51 @@ class _Builder:
 
 
 def build_cfg(fn: ast.AST) -> CFG:
-    """Build the CFG of one function definition."""
+    """Build the CFG of one function definition.  Rules do not call
+    this: :meth:`repro.analysis.core.FileContext.cfg` builds each
+    function's graph once per run and shares it."""
     return _Builder(fn).build()
 
 
-def iter_function_cfgs(tree: ast.AST) -> Iterator[CFG]:
-    """A CFG for every function in a module, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, FUNCTION_NODES):
-            yield build_cfg(node)
+# -- the scope walk ----------------------------------------------------------
+
+
+def walk_scope(roots: Iterable[ast.AST], lambdas: bool) -> Iterator[ast.AST]:
+    """Every node under ``roots`` that belongs to the enclosing
+    function's scope.
+
+    A nested ``def`` is yielded (it is a statement of this scope) but
+    never entered — its body, decorators and defaults included — since
+    it is a scope, a graph node and a CFG of its own.  Lambda bodies
+    are entered only when ``lambdas`` is true: they run in this frame's
+    dynamic extent (the call graph wants their calls) but not *at* the
+    element that builds them (a path walk must not see their reads).
+    """
+    stack: list[ast.AST] = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, FUNCTION_NODES) \
+                or (not lambdas and isinstance(node, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _evaluated_at(element: ast.AST) -> list[ast.AST]:
+    """The sub-trees a CFG element evaluates itself.  ``For``/``With``
+    pseudo-elements stand for their header expressions only (iterable
+    / context items), since the body statements are separate elements
+    of other blocks; a nested def or class is opaque."""
+    if isinstance(element, (ast.For, ast.AsyncFor)):
+        return [element.iter]
+    if isinstance(element, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in element.items]
+    if isinstance(element, FUNCTION_NODES + (ast.ClassDef,)):
+        return []
+    return [element]
 
 
 # -- definitions and uses ----------------------------------------------------
-
-
-def argument_names(fn: ast.AST) -> list[str]:
-    if not isinstance(fn, FUNCTION_NODES):
-        return []
-    args = fn.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    if args.vararg:
-        names.append(args.vararg.arg)
-    if args.kwarg:
-        names.append(args.kwarg.arg)
-    return names
 
 
 def _target_names(target: ast.expr) -> Iterator[str]:
@@ -478,51 +433,76 @@ def definitions(element: ast.AST) -> list[str]:
     return names
 
 
+def store_targets(element: ast.AST) -> Iterator[ast.expr]:
+    """The targets an assignment element stores to, one tuple level
+    unpacked.  A bare annotation (``x: int``) stores nothing; an
+    augmented assign stores to (and re-reads) its one target."""
+    if isinstance(element, ast.Assign):
+        for target in element.targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                yield from target.elts
+            else:
+                yield target
+    elif isinstance(element, ast.AugAssign) or (
+            isinstance(element, ast.AnnAssign) and element.value is not None):
+        yield element.target
+
+
 def uses(element: ast.AST) -> set[str]:
-    """Local names this element reads (loads)."""
-    out: set[str] = set()
-    if isinstance(element, FUNCTION_NODES + (ast.ClassDef,)):
-        return out   # opaque: a nested scope's reads are not this scope's
-    roots: list[ast.AST]
-    if isinstance(element, (ast.For, ast.AsyncFor)):
-        roots = [element.iter]
-    elif isinstance(element, (ast.With, ast.AsyncWith)):
-        roots = [item.context_expr for item in element.items]
-    else:
-        roots = [element]
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, FUNCTION_NODES + (ast.Lambda,)):
-                break
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add(node.id)
-    return out
+    """Local names this element reads (loads).  A nested scope's reads
+    — a lambda's included — are not this element's."""
+    return {node.id
+            for node in walk_scope(_evaluated_at(element), lambdas=False)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def calls_in(element: ast.AST) -> Iterator[ast.Call]:
-    """Call nodes inside one element, not descending into nested defs.
+    """Call nodes one element performs itself, not those of nested defs
+    or lambda bodies."""
+    for node in walk_scope(_evaluated_at(element), lambdas=False):
+        if isinstance(node, ast.Call):
+            yield node
 
-    For ``For``/``With`` pseudo-elements only the header expressions
-    (iterable / context items) are searched, since the body statements
-    are separate elements of other blocks.
+
+# -- the path walk -----------------------------------------------------------
+
+#: Returned by a :func:`walk_paths` step function to end the current
+#: path (the tracked fact was killed, or convicted and done).
+STOP = object()
+
+
+def walk_paths(cfg: CFG, block: BasicBlock, index: int,
+               step: Callable[[ast.AST, object], object]) -> None:
+    """Carry a state down every CFG path that starts at element
+    ``index`` of ``block``.
+
+    ``step(element, state)`` is called for each element in path order
+    and returns the state to carry on with, or :data:`STOP` to prune
+    this path (other paths continue).  The state starts as ``None``;
+    the yield-point rules use "the first yield point crossed" — falsy
+    before the yield, truthy after — so a block is entered at most once
+    per state *truthiness*: once on a pre-yield path, once on a
+    post-yield one.  The start block itself may be re-entered from the
+    top (a loop back-edge is how a ``while`` test goes stale).  The
+    exit blocks are never entered: a path that leaves the function
+    acts on nothing.  Whatever a step convicts it records itself.
     """
-    if isinstance(element, (ast.For, ast.AsyncFor)):
-        roots: list[ast.AST] = [element.iter]
-    elif isinstance(element, (ast.With, ast.AsyncWith)):
-        roots = [item.context_expr for item in element.items]
-    elif isinstance(element, FUNCTION_NODES + (ast.ClassDef,)):
-        return
-    else:
-        roots = [element]
-    for root in roots:
-        stack: list[ast.AST] = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, FUNCTION_NODES + (ast.Lambda,)):
-                continue
-            if isinstance(node, ast.Call):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
+    stack: list[tuple[BasicBlock, int, object]] = [(block, index, None)]
+    visited: set[tuple[int, bool]] = set()
+    while stack:
+        current, start, state = stack.pop()
+        for element in current.elements[start:]:
+            state = step(element, state)
+            if state is STOP:
+                break
+        else:
+            for edge in current.out_edges:
+                if edge.dst is cfg.exit or edge.dst is cfg.raise_exit:
+                    continue
+                key = (edge.dst.bid, bool(state))
+                if key not in visited:
+                    visited.add(key)
+                    stack.append((edge.dst, 0, state))
 
 
 def receiver_name(func: ast.expr) -> str:

@@ -44,14 +44,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.analysis.core import FileContext
 from repro.analysis.flow import (
     CFG,
     BasicBlock,
-    build_cfg,
     calls_in,
     definitions,
-    iter_function_cfgs,
     receiver_name,
+    store_targets,
 )
 
 
@@ -116,20 +116,6 @@ def _attr_target_text(target: ast.expr) -> str:
     return ""
 
 
-def _assignment_targets(element: ast.AST) -> list[ast.expr]:
-    if isinstance(element, ast.Assign):
-        out: list[ast.expr] = []
-        for target in element.targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                out.extend(target.elts)
-            else:
-                out.append(target)
-        return out
-    if isinstance(element, (ast.AugAssign, ast.AnnAssign)):
-        return [element.target]
-    return []
-
-
 def _tracked_names(cfg: CFG, spec: ProtocolSpec) -> set[str]:
     """Receiver names under this spec's contract in one function."""
     tracked: set[str] = set()
@@ -176,7 +162,7 @@ def _element_events(element: ast.AST, spec: ProtocolSpec,
             # a bare helper); forbidden events match on any receiver
             events.append(("*", event, call))
     if spec.forbidden_writes is not None:
-        for target in _assignment_targets(element):
+        for target in store_targets(element):
             attr = _attr_target_text(target)
             if attr and spec.forbidden_writes.search(attr):
                 events.append(("*", "forbidden-write", element))
@@ -314,17 +300,16 @@ def _check_gated(cfg: CFG, spec: ProtocolSpec, recv: str,
                                 (block, index + 1), call)
 
 
-def check_protocol(tree: ast.AST, spec: ProtocolSpec
+def check_protocol(ctx: FileContext, spec: ProtocolSpec
                    ) -> Iterator[ProtocolViolation]:
-    """Check one spec over every function of a parsed module."""
-    for cfg in iter_function_cfgs(tree):
+    """Check one spec over every function of a parsed file."""
+    for cfg in ctx.function_cfgs():
         yield from check_cfg(cfg, spec)
 
 
 __all__ = [
     "ProtocolSpec",
     "ProtocolViolation",
-    "build_cfg",
     "check_cfg",
     "check_protocol",
 ]

@@ -81,119 +81,6 @@ def render_json(report: LintReport, new: list[Finding],
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_github(new: list[Finding],
-                  parse_errors: list[str] | None = None) -> str:
-    """GitHub Actions workflow-command annotations, one per finding.
-
-    ``::error file=…,line=…`` lines surface inline on the PR diff; the
-    call chain of an interprocedural finding rides in the message body
-    (``%0A`` is the workflow-command newline escape).
-    """
-    out: list[str] = []
-    for error in parse_errors or []:
-        out.append(f"::error title=repro-lint parse error::{_escape(error)}")
-    for finding in new:
-        message = finding.message
-        if finding.chain:
-            message += "".join(f"\nvia {frame.render()}"
-                               for frame in finding.chain)
-        out.append(f"::error file={finding.path},line={finding.line},"
-                   f"endLine={finding.last_line},"
-                   f"title=repro-lint {finding.rule}::{_escape(message)}")
-    return "\n".join(out)
-
-
-def _escape(message: str) -> str:
-    """Workflow-command data escaping per the GitHub Actions spec."""
-    return (message.replace("%", "%25")
-                   .replace("\r", "%0D")
-                   .replace("\n", "%0A"))
-
-
-#: SARIF 2.1.0 static-analysis interchange format.
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-SARIF_VERSION = "2.1.0"
-#: partialFingerprints key; bump when :meth:`Finding.fingerprint` changes.
-SARIF_FINGERPRINT_KEY = "reproLint/v1"
-
-
-def render_sarif(report: LintReport, new: list[Finding],
-                 grandfathered: list[Finding],
-                 rules: list[Rule]) -> str:
-    """One SARIF 2.1.0 run: findings as results, chains as
-    relatedLocations.
-
-    Baselined findings are emitted with ``baselineState: unchanged``
-    (``new`` for gating findings) so SARIF viewers can apply the same
-    split the exit code does.  Each interprocedural call-chain frame
-    becomes a relatedLocation, ordered entry point first, so a viewer
-    can walk the path the scheduler takes to the yield point.  Parse
-    errors ride in the invocation's toolExecutionNotifications.
-    """
-    rule_index = {rule.name: i for i, rule in
-                  enumerate(sorted(rules, key=lambda r: r.name))}
-
-    def location(path: str, line: int, col: int = 0,
-                 end_line: int = 0, message: str | None = None) -> dict:
-        region: dict = {"startLine": line}
-        if col:
-            region["startColumn"] = col + 1  # SARIF columns are 1-based
-        if end_line > line:
-            region["endLine"] = end_line
-        out: dict = {"physicalLocation": {
-            "artifactLocation": {"uri": path, "uriBaseId": "SRCROOT"},
-            "region": region,
-        }}
-        if message is not None:
-            out["message"] = {"text": message}
-        return out
-
-    def result(finding: Finding, state: str) -> dict:
-        payload: dict = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [location(finding.path, finding.line, finding.col,
-                                   finding.last_line)],
-            "partialFingerprints": {
-                SARIF_FINGERPRINT_KEY: finding.fingerprint()},
-            "baselineState": state,
-        }
-        if finding.rule in rule_index:
-            payload["ruleIndex"] = rule_index[finding.rule]
-        if finding.chain:
-            payload["relatedLocations"] = [
-                location(frame.path, frame.line,
-                         message=f"{frame.caller} -> {frame.callee}")
-                for frame in finding.chain]
-        return payload
-
-    driver: dict = {
-        "name": "repro-lint",
-        "rules": [
-            {"id": rule.name,
-             "shortDescription": {"text": rule.summary or rule.name},
-             **({"fullDescription": {"text": rule.rationale}}
-                if rule.rationale else {})}
-            for rule in sorted(rules, key=lambda r: r.name)],
-    }
-    invocation: dict = {
-        "executionSuccessful": True,
-        "toolExecutionNotifications": [
-            {"level": "error", "message": {"text": error}}
-            for error in report.parse_errors],
-    }
-    run = {
-        "tool": {"driver": driver},
-        "invocations": [invocation],
-        "results": ([result(f, "new") for f in new]
-                    + [result(f, "unchanged") for f in grandfathered]),
-    }
-    payload = {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION,
-               "runs": [run]}
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def render_stats(rule_seconds: dict[str, float],
                  rule_findings: dict[str, int],
                  files_scanned: int) -> str:

@@ -24,8 +24,6 @@ after the contract it enforces:
 * :mod:`.breaker` — ``breaker-unrecorded-outcome``: an admitted
   ``CircuitBreaker.allow()`` reaches ``record_success`` or
   ``record_failure`` on every normal path;
-* :mod:`.staleread` — ``stale-read-across-rpc``: no branching on
-  shared state read before a network call without a re-read;
 * :mod:`.layering` — ``layering-contract``: imports follow the
   committed layer map in :mod:`repro.analysis.architecture`;
 * :mod:`.unbounded_rpc` — ``unbounded-rpc``: a held deadline bounds
@@ -34,16 +32,21 @@ after the contract it enforces:
   errors escape the package-exported public API (interprocedural);
 * :mod:`.atomicity` — ``atomicity-violation``,
   ``non-atomic-multi-write``, ``yield-in-atomic-section``: multi-step
-  shared-state updates must not straddle a transitive yield point
-  (RPC/sleep/fsync anywhere down the call chain) without
-  revalidation, a journal record, or an ``@atomic_section`` proof.
+  shared-state updates — a check-then-act on a value read before the
+  yield included — must not straddle a yield point (RPC/sleep/fsync,
+  direct or anywhere down the call chain) without revalidation, a
+  journal record, or an ``@atomic_section`` proof.
 
-The four flow rules run on the control-flow graphs built by
-:mod:`repro.analysis.flow` (via :mod:`repro.analysis.protocol` for
-the typestate pair) rather than on per-line syntax; the last two are
-:class:`~repro.analysis.core.ProjectRule`\\ s consuming the repo-wide
-call graph (:mod:`repro.analysis.callgraph`) and effect summaries
-(:mod:`repro.analysis.summaries`).
+Four rules run on the control-flow graphs of
+:mod:`repro.analysis.flow` rather than on per-line syntax: the
+typestate pair (``durability-unsynced-ack``,
+``breaker-unrecorded-outcome``) through
+:mod:`repro.analysis.protocol`, ``atomicity-violation`` and
+``non-atomic-multi-write`` through its path walk.  The last three
+modules listed hold the five
+:class:`~repro.analysis.core.ProjectRule`\\ s, which consume the
+repo-wide call graph (:mod:`repro.analysis.callgraph`) and effect
+summaries (:mod:`repro.analysis.summaries`).
 """
 
 from repro.analysis.rules import (  # noqa: F401
@@ -57,7 +60,6 @@ from repro.analysis.rules import (  # noqa: F401
     randomness,
     retry_amplification,
     retry_backoff,
-    staleread,
     swallowed,
     unbounded_rpc,
     wallclock,

@@ -9,14 +9,16 @@ effect-summary layer (:mod:`repro.analysis.summaries`) computes the
 transitive yield-point set per function; the three rules here turn it
 into convictions:
 
-* ``atomicity-violation`` — the interprocedural generalization of
-  ``stale-read-across-rpc``: a local read from mutable ``self`` state
-  crosses a *transitive* yield (a call edge that blocks somewhere
-  below, or a direct ``sleep``/``fsync``) and then drives a branch or
-  a shared-state write, with no revalidating re-read of the attribute
-  after the yield.  Direct ``net.invoke`` crossings stay with the
-  intra-procedural rule; this one starts where that one's visibility
-  ends.
+* ``atomicity-violation`` — the stale-read rule: a local read from
+  mutable ``self`` state crosses a yield (a direct
+  ``invoke``/``send``/``sleep``/``fsync``, or a call edge that blocks
+  somewhere below) and then drives a branch or a shared-state write,
+  with no revalidating re-read of the attribute after the yield.  The
+  classic Espresso/Databus instance is a master checking its partition
+  SCN, invoking a relay, then advancing based on the stale SCN.
+  Re-reading after the call is exactly the fix, and a local bound
+  *from* the yielding call (``v = self.net.invoke(...)``) is that
+  re-read, not the bug.
 * ``non-atomic-multi-write`` — two coupled shared-state writes
   separated by a yield with no journal/WAL record between them: the
   torn-state window the crash tests probe dynamically, as a static
@@ -27,34 +29,42 @@ into convictions:
   decorator and ``# repro-atomic`` region markers: a marked function
   or region must contain no transitive yield point at all.
 
-All three walk the CFG path-sensitively where it matters (a
-revalidation on one branch clears only that branch) and attach the
-summary layer's witness chain, so a conviction reads *read → yield
-via f → g → primitive → stale use* without re-derivation.
+The first two walk the CFG path-sensitively (:func:`~repro.analysis.
+flow.walk_paths`: a revalidation on one branch clears only that
+branch), and all three attach the summary layer's witness chain, so a
+conviction reads *read → yield via f → g → primitive → stale use*
+without re-derivation.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo, Project
+from repro.analysis.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    Project,
+    scope_calls,
+    short_name,
+)
 from repro.analysis.core import Finding, Frame, ProjectRule, register
 from repro.analysis.flow import (
     CFG,
-    build_cfg,
+    STOP,
     calls_in,
     definitions,
     uses,
+    walk_paths,
 )
 from repro.analysis.summaries import (
     Summary,
     YieldPoint,
     _is_bare_self_call,
-    _store_targets,
     self_param_name,
     self_store_path,
+    self_stores,
 )
 
 #: Dotted-path components that mark a call as a journaling/WAL record
@@ -64,16 +74,6 @@ _JOURNAL = re.compile(r"journal|wal", re.IGNORECASE)
 _ATOMIC_LINE = re.compile(r"#\s*repro-atomic\s*(?::\s*(begin|end))?\s*$")
 
 _SKIP_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
-
-
-def _frame(fn: FunctionInfo, line: int, callee: str) -> Frame:
-    return Frame(path=fn.rel_path, line=line,
-                 caller=fn.qualname, callee=callee)
 
 
 def _construction_only(graph: CallGraph) -> frozenset[str]:
@@ -120,6 +120,11 @@ def _methods(project: Project) -> Iterator[tuple[FunctionInfo, Summary]]:
             yield fn, summary
 
 
+def _tops(paths: Iterable[str]) -> set[str]:
+    """The top-level attribute of each dotted self path."""
+    return {path.split(".")[0] for path in paths}
+
+
 def _mutated_attrs(graph: CallGraph, cls_qual: str) -> set[str]:
     """Top-level self attributes any method (in the MRO) stores outside
     ``__init__`` — the state that can actually change under a yield."""
@@ -135,38 +140,15 @@ def _mutated_attrs(graph: CallGraph, cls_qual: str) -> set[str]:
             if self_name is None:
                 continue
             for node in ast.walk(method.node):
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    for target in _store_targets(node):
-                        path = self_store_path(target, self_name)
-                        if path is not None:
-                            attrs.add(path.split(".")[0])
-                elif isinstance(node, ast.AugAssign):
-                    path = self_store_path(node.target, self_name)
-                    if path is not None:
-                        attrs.add(path.split(".")[0])
+                if _is_write(node):
+                    attrs |= _tops(self_stores(node, self_name))
     return attrs
 
 
-def _self_attr_loads(node: ast.AST, self_name: str) -> set[str]:
-    """Top-level attribute names loaded from ``self`` in an expression
-    (receiver loads like ``self.x.get(k)`` count; ``self.m(...)`` — the
-    method lookup itself — does not)."""
-    call_funcs = {id(n.func) for n in ast.walk(node)
-                  if isinstance(n, ast.Call)}
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if (isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Load)
-                and id(sub) not in call_funcs
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == self_name):
-            out.add(sub.attr)
-    return out
-
-
 def _self_load_paths(node: ast.AST, self_name: str) -> set[str]:
-    """Full dotted self paths loaded in an expression, excluding loads
-    that only exist as the base of a store target."""
+    """Full dotted self paths loaded in an expression (receiver loads
+    like ``self.x.get(k)`` count; ``self.m(...)`` — the method lookup
+    itself — does not)."""
     call_funcs = {id(n.func) for n in ast.walk(node)
                   if isinstance(n, ast.Call)}
     out: set[str] = set()
@@ -185,26 +167,12 @@ def _self_load_paths(node: ast.AST, self_name: str) -> set[str]:
     return out
 
 
-def _reval_loads(element: ast.AST, self_name: str) -> set[str]:
-    """Attribute loads that count as a revalidating re-read.  For store
-    statements only the right-hand side counts — the Load-ctx base of a
-    subscript target (``self.x`` inside ``self.x[k] = v``) is part of
-    the write, not a re-read.  An augmented assign additionally re-reads
-    its own target (``self.x -= n`` is a read-modify-write)."""
-    if isinstance(element, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        value = element.value
-        out = _self_attr_loads(value, self_name) if value is not None \
-            else set()
-        if isinstance(element, ast.AugAssign):
-            path = self_store_path(element.target, self_name)
-            if path is not None:
-                out = out | {path.split(".")[0]}
-        return out
-    return _self_attr_loads(element, self_name)
-
-
 def _reval_load_paths(element: ast.AST, self_name: str) -> set[str]:
-    """Dotted-path variant of :func:`_reval_loads`."""
+    """Dotted self paths whose load counts as a revalidating re-read.
+    For store statements only the right-hand side counts — the Load-ctx
+    base of a subscript target (``self.x`` inside ``self.x[k] = v``) is
+    part of the write, not a re-read.  An augmented assign additionally
+    re-reads its own target (``self.x -= n`` is a read-modify-write)."""
     if isinstance(element, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
         value = element.value
         out = _self_load_paths(value, self_name) if value is not None \
@@ -215,6 +183,16 @@ def _reval_load_paths(element: ast.AST, self_name: str) -> set[str]:
                 out = out | {path}
         return out
     return _self_load_paths(element, self_name)
+
+
+def _yield_at(element: ast.AST,
+              yields: dict[int, YieldPoint]) -> YieldPoint | None:
+    """The first yield point among the calls an element performs."""
+    for call in calls_in(element):
+        point = yields.get(id(call))
+        if point is not None:
+            return point
+    return None
 
 
 def _except_lines(fn_node: ast.AST) -> set[int]:
@@ -259,15 +237,12 @@ def _durability_record(element: ast.AST,
     return False
 
 
-def _finding_for(rule: ProjectRule, project: Project, fn: FunctionInfo,
-                 line: int, message: str,
-                 chain: tuple[Frame, ...]) -> Finding:
-    ctx = project.context_for(fn.rel_path)
-    return Finding(
-        rule=rule.name, path=fn.rel_path, line=line, col=0,
-        message=message,
-        snippet=ctx.line_text(line) if ctx else "",
-        end_line=line, chain=chain)
+def _blocks_on(point: YieldPoint) -> str:
+    """``Relay.pull blocks on rpc at pkg/relay.py:40`` — the part of a
+    message that names what yields and where the primitive sits."""
+    primitive = point.chain[-1]
+    return (f"{short_name(point.callee)} blocks on "
+            f"{'/'.join(point.kinds)} at {primitive.path}:{primitive.line}")
 
 
 # -- atomicity-violation -----------------------------------------------------
@@ -276,18 +251,18 @@ def _finding_for(rule: ProjectRule, project: Project, fn: FunctionInfo,
 @register
 class AtomicityViolationRule(ProjectRule):
     name = "atomicity-violation"
-    summary = ("shared self-state read before a transitive yield point "
-               "drives a branch or write after it, without revalidation")
-    rationale = ("Any callee that blocks — an RPC, a sleep, a WAL fsync, "
-                 "however many frames down — is a yield point at which "
-                 "peers mutate shared state; acting on a pre-yield read "
-                 "afterwards is check-then-act across the scheduler. "
-                 "Re-read the attribute after the yield returns.")
+    summary = ("shared self-state read before a yield point drives a "
+               "branch or write after it, without revalidation")
+    rationale = ("Any call that blocks — an RPC, a sleep, a WAL fsync, "
+                 "direct or however many frames down — is a yield point "
+                 "at which peers mutate shared state; acting on a "
+                 "pre-yield read afterwards is check-then-act across the "
+                 "scheduler. Re-read the attribute after the yield "
+                 "returns.")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         for fn, summary in _methods(project):
-            yields = {y.node_id: y for y in summary.yield_points
-                      if y.direct != "rpc"}
+            yields = {y.node_id: y for y in summary.yield_points}
             if not yields:
                 continue
             self_name = self_param_name(fn)
@@ -296,41 +271,35 @@ class AtomicityViolationRule(ProjectRule):
             mutable = _mutated_attrs(project.graph, fn.cls.qualname)
             if not mutable:
                 continue
-            cfg = build_cfg(fn.node)
+            cfg = fn.module.ctx.cfg(fn.node)
             seen_lines: set[int] = set()
             for use in _stale_uses(cfg, yields, mutable, self_name):
                 var, attr, point, element = use
                 seen_lines.add(element.lineno)
-                primitive = point.chain[-1]
-                yield _finding_for(
-                    self, project, fn, element.lineno,
+                yield self.chain_finding(
+                    project, fn.rel_path, element.lineno,
                     f"'{var}' was read from self.{attr} before the yield "
                     f"point on line {point.line} "
-                    f"({_short(point.callee)} blocks on "
-                    f"{'/'.join(point.kinds)} at "
-                    f"{primitive.path}:{primitive.line}) but is "
+                    f"({_blocks_on(point)}) but is "
                     f"{'written back' if _is_write(element) else 'branched on'}"
                     f" after it without revalidation; re-read "
                     f"self.{attr} once control returns — any event may "
                     f"have changed it during the yield",
-                    (_frame(fn, element.lineno,
-                            f"stale use of '{var}'"),) + point.chain)
+                    (fn.frame(element.lineno, f"stale use of '{var}'"),)
+                    + point.chain)
             for path, point, element in _toctou_stores(
                     cfg, yields, mutable, self_name):
                 if element.lineno in seen_lines:
                     continue        # already convicted via a stale local
-                primitive = point.chain[-1]
-                yield _finding_for(
-                    self, project, fn, element.lineno,
+                yield self.chain_finding(
+                    project, fn.rel_path, element.lineno,
                     f"self.{path} is read before the yield point on line "
-                    f"{point.line} ({_short(point.callee)} blocks on "
-                    f"{'/'.join(point.kinds)} at "
-                    f"{primitive.path}:{primitive.line}) and written back "
+                    f"{point.line} ({_blocks_on(point)}) and written back "
                     f"on line {element.lineno} without re-reading it; "
                     f"any event may have advanced self.{path} during the "
                     f"yield — re-check it before the store",
-                    (_frame(fn, element.lineno,
-                            f"unrevalidated store to self.{path}"),)
+                    (fn.frame(element.lineno,
+                              f"unrevalidated store to self.{path}"),)
                     + point.chain)
 
 
@@ -340,12 +309,35 @@ def _is_write(element: ast.AST) -> bool:
 
 def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
                 self_name: str
-                ) -> Iterator[tuple[str, str, YieldPoint, ast.AST]]:
-    elements = list(cfg.elements())
-    for block, index, element in elements:
+                ) -> list[tuple[str, str, YieldPoint, ast.AST]]:
+    """Stale uses of every local bound from mutable shared state.  The
+    path walk starts just after the binding and carries the first
+    yield point crossed; after it, a re-read of ``self.<attr>``
+    revalidates and ends the path, as does any rebinding of the local,
+    and a branch test or shared-state write that reads the local is a
+    stale use."""
+    found: list[tuple[str, str, YieldPoint, ast.AST]] = []
+    for block, index, element in cfg.elements():
         for var, attr in _tracked_defs(element, mutable, self_name, yields):
-            yield from _walk(cfg, block, index + 1, var, attr,
-                             yields, self_name)
+            reported: set[int] = set()
+
+            def step(current: ast.AST, crossed: YieldPoint | None):
+                if crossed is not None:
+                    if attr in _tops(_reval_load_paths(current, self_name)):
+                        return STOP     # revalidated: tracking ends
+                    stale = (isinstance(current, ast.expr)
+                             or (_is_write(current)
+                                 and self_stores(current, self_name)))
+                    if stale and var in uses(current) \
+                            and id(current) not in reported:
+                        reported.add(id(current))
+                        found.append((var, attr, crossed, current))
+                if var in definitions(current):
+                    return STOP
+                return crossed or _yield_at(current, yields)
+
+            walk_paths(cfg, block, index + 1, step)
+    return found
 
 
 def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
@@ -359,141 +351,55 @@ def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
     value = element.value
     if value is None:
         return []
-    if any(id(call) in yields for call in calls_in(element)):
+    if _yield_at(element, yields) is not None:
         return []
-    attrs = _self_attr_loads(value, self_name) & mutable
+    attrs = _tops(_self_load_paths(value, self_name)) & mutable
     if not attrs:
         return []
     attr = sorted(attrs)[0]
     return [(name, attr) for name in definitions(element)]
 
 
-def _walk(cfg: CFG, block, index: int, var: str, attr: str,
-          yields: dict[int, YieldPoint], self_name: str
-          ) -> Iterator[tuple[str, str, YieldPoint, ast.AST]]:
-    """DFS from just-after a tracked def.  ``crossed`` carries the
-    first yield point on the path; a re-read of ``self.<attr>`` after
-    the yield revalidates and kills the path, as does any rebinding of
-    the local."""
-    reported: set[int] = set()
-    stack = [(block, index, None)]
-    visited: set[tuple[int, bool]] = set()
-    while stack:
-        blk, start, crossed = stack.pop()
-        killed = False
-        for i in range(start, len(blk.elements)):
-            element = blk.elements[i]
-            if crossed is not None:
-                if attr in _reval_loads(element, self_name):
-                    killed = True       # revalidated: tracking ends
-                    break
-                stale = (isinstance(element, ast.expr)
-                         or (_is_write(element)
-                             and _writes_self_state(element, self_name)))
-                if stale and var in uses(element) \
-                        and id(element) not in reported:
-                    reported.add(id(element))
-                    yield (var, attr, crossed, element)
-            if var in definitions(element):
-                killed = True
-                break
-            if crossed is None:
-                for call in calls_in(element):
-                    point = yields.get(id(call))
-                    if point is not None:
-                        crossed = point
-                        break
-        if killed:
-            continue
-        for edge in blk.out_edges:
-            if edge.dst is cfg.exit or edge.dst is cfg.raise_exit:
-                continue
-            key = (edge.dst.bid, crossed is not None)
-            if key not in visited:
-                visited.add(key)
-                stack.append((edge.dst, 0, crossed))
-
-
-def _writes_self_state(element: ast.AST, self_name: str) -> bool:
-    if isinstance(element, ast.AugAssign):
-        return self_store_path(element.target, self_name) is not None
-    return any(self_store_path(t, self_name) is not None
-               for t in _store_targets(element))
-
-
 def _toctou_stores(cfg: CFG, yields: dict[int, YieldPoint],
                    mutable: set[str], self_name: str
-                   ) -> Iterator[tuple[str, YieldPoint, ast.AST]]:
+                   ) -> list[tuple[str, YieldPoint, ast.AST]]:
     """Check-then-act without a local: a dotted self path is loaded,
     control crosses a yield, and the same path is stored with no
     re-read in between.  A store whose right-hand side re-reads the
     path revalidates itself and clears."""
+    found: list[tuple[str, YieldPoint, ast.AST]] = []
     reported: set[tuple[str, int]] = set()
     for block, index, element in cfg.elements():
-        if any(id(call) in yields for call in calls_in(element)):
+        if _yield_at(element, yields) is not None:
             continue        # the read rides the yield itself
         paths = {p for p in _reval_load_paths(element, self_name)
                  if p.split(".")[0] in mutable}
         for path in sorted(paths):
-            yield from _walk_path(cfg, block, index + 1, path,
-                                  yields, mutable, self_name, reported)
 
+            def step(current: ast.AST, crossed: YieldPoint | None):
+                stores = path in self_stores(current, self_name)
+                if crossed is None:
+                    if stores:
+                        return STOP     # superseded before any yield
+                    return _yield_at(current, yields)
+                reloads = _reval_load_paths(current, self_name)
+                if path in reloads:
+                    return STOP         # revalidated
+                if not stores:
+                    return crossed
+                # a store recomputed from post-yield mutable state is
+                # fresh, not a stale write-back
+                key = (path, current.lineno)
+                if isinstance(current, (ast.Assign, ast.AnnAssign)) \
+                        and not _tops(reloads) & mutable \
+                        and key not in reported:
+                    reported.add(key)
+                    found.append((path, crossed, current))
+                return STOP             # aug-assign re-reads; plain
+                                        # store supersedes the read
 
-def _stores_to_path(element: ast.AST, path: str, self_name: str) -> bool:
-    if isinstance(element, ast.AugAssign):
-        return self_store_path(element.target, self_name) == path
-    if isinstance(element, (ast.Assign, ast.AnnAssign)):
-        return any(self_store_path(t, self_name) == path
-                   for t in _store_targets(element))
-    return False
-
-
-def _walk_path(cfg: CFG, block, index: int, path: str,
-               yields: dict[int, YieldPoint], mutable: set[str],
-               self_name: str, reported: set[tuple[str, int]]
-               ) -> Iterator[tuple[str, YieldPoint, ast.AST]]:
-    stack = [(block, index, None)]
-    visited: set[tuple[int, bool]] = set()
-    while stack:
-        blk, start, crossed = stack.pop()
-        killed = False
-        for i in range(start, len(blk.elements)):
-            element = blk.elements[i]
-            if crossed is not None:
-                if path in _reval_load_paths(element, self_name):
-                    killed = True       # revalidated
-                    break
-                if _stores_to_path(element, path, self_name):
-                    fresh = {p.split(".")[0]
-                             for p in _reval_load_paths(element, self_name)}
-                    if isinstance(element, (ast.Assign, ast.AnnAssign)) \
-                            and not fresh & mutable:
-                        # a store recomputed from post-yield mutable
-                        # state is fresh, not a stale write-back
-                        key = (path, element.lineno)
-                        if key not in reported:
-                            reported.add(key)
-                            yield path, crossed, element
-                    killed = True       # aug-assign re-reads; plain
-                    break               # store supersedes the read
-            else:
-                if _stores_to_path(element, path, self_name):
-                    killed = True       # superseded before any yield
-                    break
-                for call in calls_in(element):
-                    point = yields.get(id(call))
-                    if point is not None:
-                        crossed = point
-                        break
-        if killed:
-            continue
-        for edge in blk.out_edges:
-            if edge.dst is cfg.exit or edge.dst is cfg.raise_exit:
-                continue
-            key2 = (edge.dst.bid, crossed is not None)
-            if key2 not in visited:
-                visited.add(key2)
-                stack.append((edge.dst, 0, crossed))
+            walk_paths(cfg, block, index + 1, step)
+    return found
 
 
 # -- non-atomic-multi-write --------------------------------------------------
@@ -520,8 +426,7 @@ class NonAtomicMultiWriteRule(ProjectRule):
             if self_name is None:
                 continue
             yields = {y.node_id: y for y in summary.yield_points}
-            call_nodes = {id(node): node for node in ast.walk(fn.node)
-                          if isinstance(node, ast.Call)}
+            call_nodes = {id(call): call for call in scope_calls(fn)}
             writer_calls: dict[int, tuple[str, tuple[Frame, ...]]] = {}
             for site in graph.callees(fn.qualname):
                 if site.kind != "call":
@@ -537,31 +442,27 @@ class NonAtomicMultiWriteRule(ProjectRule):
                     continue
                 path = sorted(callee.writes_self)[0]
                 writer_calls[site.node_id] = (
-                    path, (_frame(fn, site.line, site.callee),)
+                    path, (fn.frame(site.line, site.callee),)
                     + callee.writes_self[path])
             in_except = _except_lines(fn.node)
-            cfg = build_cfg(fn.node)
+            cfg = fn.module.ctx.cfg(fn.node)
             for pair in _torn_pairs(cfg, self_name, yields,
                                     writer_calls, in_except):
                 first, second, point = pair
-                yield _finding_for(
-                    self, project, fn, second[1],
+                yield self.chain_finding(
+                    project, fn.rel_path, second[1],
                     f"self.{first[0]} is written on line {first[1]} and "
                     f"self.{second[0]} on line {second[1]}, with a yield "
                     f"point between (line {point.line}, "
-                    f"{_short(point.callee)} blocks on "
+                    f"{short_name(point.callee)} blocks on "
                     f"{'/'.join(point.kinds)}) and no journal/WAL record "
                     f"in between; a crash or interleave during the yield "
                     f"observes the first write without the second — "
                     f"journal the pair before yielding or keep both "
                     f"writes on one side of it",
-                    (Frame(path=fn.rel_path, line=first[1],
-                           caller=fn.qualname,
-                           callee=f"write self.{first[0]}"),)
+                    (fn.frame(first[1], f"write self.{first[0]}"),)
                     + point.chain
-                    + (Frame(path=fn.rel_path, line=second[1],
-                             caller=fn.qualname,
-                             callee=f"write self.{second[0]}"),))
+                    + (fn.frame(second[1], f"write self.{second[0]}"),))
 
 
 def _element_writes(element: ast.AST, self_name: str,
@@ -573,10 +474,8 @@ def _element_writes(element: ast.AST, self_name: str,
         return []
     out: list[tuple[str, int]] = []
     if isinstance(element, (ast.Assign, ast.AnnAssign)):
-        for target in _store_targets(element):
-            path = self_store_path(target, self_name)
-            if path is not None:
-                out.append((path, element.lineno))
+        out.extend((path, element.lineno)
+                   for path in self_stores(element, self_name))
     for call in calls_in(element):
         if id(call) in writer_calls:
             out.append((writer_calls[id(call)][0], call.lineno))
@@ -587,57 +486,43 @@ def _torn_pairs(cfg: CFG, self_name: str,
                 yields: dict[int, YieldPoint],
                 writer_calls: dict[int, tuple[str, tuple[Frame, ...]]],
                 in_except: set[int]
-                ) -> Iterator[tuple[tuple[str, int], tuple[str, int],
-                                    YieldPoint]]:
-    """DFS per first-write element: convict when the *next* write on a
-    path sits across a yield with no journal call in between."""
+                ) -> list[tuple[tuple[str, int], tuple[str, int],
+                                YieldPoint]]:
+    """One path walk per first-write element: convict when the *next*
+    write on a path sits across a yield with no journal call in
+    between."""
+    found: list[tuple[tuple[str, int], tuple[str, int], YieldPoint]] = []
     reported: set[tuple[int, int]] = set()
+    # a writer call that also yields is a write, not an exposure window
+    windows = {node_id: point for node_id, point in yields.items()
+               if node_id not in writer_calls}
     for block, index, element in cfg.elements():
         writes = _element_writes(element, self_name, writer_calls,
                                  in_except)
         if not writes:
             continue
         first = writes[-1]
-        stack = [(block, index + 1, None)]
-        visited: set[tuple[int, bool]] = set()
-        while stack:
-            blk, start, crossed = stack.pop()
-            killed = False
-            for i in range(start, len(blk.elements)):
-                current = blk.elements[i]
-                # classify W → J → Y: a writer that also journals is
-                # still a write; a journaling yield is a record, not
-                # an exposure window
-                later = _element_writes(current, self_name, writer_calls,
-                                        in_except)
-                if later:
-                    second = later[0]
-                    key = (first[1], second[1])
-                    if crossed is not None and second[0] != first[0] \
-                            and key not in reported:
-                        reported.add(key)
-                        yield first, second, crossed
-                    killed = True       # adjacency: restart at next write
-                    break
-                if _durability_record(current, yields):
-                    killed = True       # journaled: pair is recoverable
-                    break
-                if crossed is None:
-                    for call in calls_in(current):
-                        point = yields.get(id(call))
-                        if point is not None \
-                                and id(call) not in writer_calls:
-                            crossed = point
-                            break
-            if killed:
-                continue
-            for edge in blk.out_edges:
-                if edge.dst is cfg.exit or edge.dst is cfg.raise_exit:
-                    continue
-                key2 = (edge.dst.bid, crossed is not None)
-                if key2 not in visited:
-                    visited.add(key2)
-                    stack.append((edge.dst, 0, crossed))
+
+        def step(current: ast.AST, crossed: YieldPoint | None):
+            # classify W → J → Y: a writer that also journals is
+            # still a write; a journaling yield is a record, not
+            # an exposure window
+            later = _element_writes(current, self_name, writer_calls,
+                                    in_except)
+            if later:
+                second = later[0]
+                key = (first[1], second[1])
+                if crossed is not None and second[0] != first[0] \
+                        and key not in reported:
+                    reported.add(key)
+                    found.append((first, second, crossed))
+                return STOP             # adjacency: restart at next write
+            if _durability_record(current, yields):
+                return STOP             # journaled: pair is recoverable
+            return crossed or _yield_at(current, windows)
+
+        walk_paths(cfg, block, index + 1, step)
+    return found
 
 
 # -- yield-in-atomic-section -------------------------------------------------
@@ -667,13 +552,11 @@ class YieldInAtomicSectionRule(ProjectRule):
                 continue
             if _declared_atomic(fn.node):
                 point = summary.yield_points[0]
-                primitive = point.chain[-1]
-                yield _finding_for(
-                    self, project, fn, point.line,
-                    f"{_short(qualname)}() is declared @atomic_section "
-                    f"but yields here: {_short(point.callee)} blocks on "
-                    f"{'/'.join(point.kinds)} at "
-                    f"{primitive.path}:{primitive.line}; hoist the "
+                yield self.chain_finding(
+                    project, fn.rel_path, point.line,
+                    f"{short_name(qualname)}() is declared "
+                    f"@atomic_section but yields here: "
+                    f"{_blocks_on(point)}; hoist the "
                     f"blocking call out of the atomic section or drop "
                     f"the declaration",
                     point.chain)
@@ -683,13 +566,10 @@ class YieldInAtomicSectionRule(ProjectRule):
                 continue
             for point in summary.yield_points:
                 if any(lo <= point.line <= hi for lo, hi in spans):
-                    primitive = point.chain[-1]
-                    yield _finding_for(
-                        self, project, fn, point.line,
+                    yield self.chain_finding(
+                        project, fn.rel_path, point.line,
                         f"statement inside a # repro-atomic region "
-                        f"yields: {_short(point.callee)} blocks on "
-                        f"{'/'.join(point.kinds)} at "
-                        f"{primitive.path}:{primitive.line}; an atomic "
+                        f"yields: {_blocks_on(point)}; an atomic "
                         f"region must not reach the scheduler",
                         point.chain)
 

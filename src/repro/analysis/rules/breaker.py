@@ -58,5 +58,5 @@ class BreakerUnrecordedOutcomeRule(Rule):
     exempt_suffixes = ("common/resilience.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for violation in check_protocol(ctx.tree, BREAKER_SPEC):
+        for violation in check_protocol(ctx, BREAKER_SPEC):
             yield self.finding(ctx, violation.node, violation.message)

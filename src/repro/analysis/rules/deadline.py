@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.callgraph import deadline_params
 from repro.analysis.core import (
     NETWORK_CALL_ATTRS,
     FileContext,
@@ -31,18 +32,6 @@ from repro.analysis.core import (
     Rule,
     register,
 )
-
-
-def _deadline_params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    params = []
-    args = fn.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if arg.arg == "deadline":
-            params.append(arg.arg)
-        elif arg.annotation is not None and \
-                "Deadline" in ast.dump(arg.annotation):
-            params.append(arg.arg)
-    return params
 
 
 def _does_network_work(fn: ast.AST) -> bool:
@@ -82,7 +71,7 @@ class DeadlineDroppedRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            params = _deadline_params(node)
+            params = deadline_params(node)
             if not params:
                 continue
             if not _does_network_work(node):

@@ -111,5 +111,5 @@ class DurabilityUnsyncedAckRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for spec in (WAL_SPEC, DISK_HANDLE_SPEC):
-            for violation in check_protocol(ctx.tree, spec):
+            for violation in check_protocol(ctx, spec):
                 yield self.finding(ctx, violation.node, violation.message)

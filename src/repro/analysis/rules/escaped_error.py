@@ -29,6 +29,7 @@ from __future__ import annotations
 import builtins
 from typing import Iterator
 
+from repro.analysis.callgraph import bare_name
 from repro.analysis.core import Finding, ProjectRule, register
 
 #: Exception types a public boundary may legitimately let escape.
@@ -66,25 +67,23 @@ class EscapedInternalErrorRule(ProjectRule):
                     continue
                 chain = summary.raises[raised]
                 site = chain[-1]
-                key = (site.path, site.line, _short(raised))
+                key = (site.path, site.line, bare_name(raised))
                 if key in reported:
                     continue
                 reported.add(key)
-                ctx = project.context_for(site.path)
                 entry = f"{fn.rel_path}:{fn.node.lineno}"
-                yield Finding(
-                    rule=self.name, path=site.path, line=site.line, col=0,
-                    message=(f"{_short(raised)} raised here escapes the "
-                             f"public API {_entry(fn.qualname)}() "
-                             f"({entry}); wrap it in the matching "
-                             "repro.common.errors type at the boundary "
-                             "it crosses"),
-                    snippet=ctx.line_text(site.line) if ctx else "",
-                    end_line=site.line, chain=chain)
+                yield self.chain_finding(
+                    project, site.path, site.line,
+                    f"{bare_name(raised)} raised here escapes the "
+                    f"public API {_entry(fn.qualname)}() "
+                    f"({entry}); wrap it in the matching "
+                    "repro.common.errors type at the boundary "
+                    "it crosses",
+                    chain)
 
     @staticmethod
     def _is_internal(raised: str, hierarchy) -> bool:
-        short = _short(raised)
+        short = bare_name(raised)
         if short in ALLOWED_ESCAPES:
             return False
         if hierarchy.is_subtype(raised, "ReproError"):
@@ -96,10 +95,6 @@ class EscapedInternalErrorRule(ProjectRule):
         builtin = getattr(builtins, short, None)
         return isinstance(builtin, type) \
             and issubclass(builtin, Exception)
-
-
-def _short(qualname: str) -> str:
-    return qualname.rsplit(".", 1)[-1]
 
 
 def _entry(qualname: str) -> str:

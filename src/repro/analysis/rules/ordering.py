@@ -29,6 +29,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.core import FileContext, Finding, Rule, register
+from repro.analysis.flow import walk_scope
 
 _SET_CALLS = frozenset({"set", "frozenset"})
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
@@ -41,18 +42,6 @@ def _scopes(tree: ast.Module) -> Iterator[tuple[ast.AST, list[ast.stmt]]]:
             yield node, node.body
 
 
-def _walk_scope(body: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function scopes
-    (each scope is analyzed on its own with its own name bindings)."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 class _ScopeInfo:
     """Which local names are (only ever) bound to set expressions."""
 
@@ -60,7 +49,9 @@ class _ScopeInfo:
         bound_set: set[str] = set()
         bound_other: set[str] = set()
         for stmt in body:
-            for node in _walk_scope([stmt]):
+            # nested function scopes are analyzed on their own, with
+            # their own name bindings
+            for node in walk_scope([stmt], lambdas=True):
                 if isinstance(node, ast.Assign):
                     targets = node.targets
                 elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -114,7 +105,7 @@ class SetIterationRule(Rule):
 
     def _check_scope(self, ctx: FileContext, body: list[ast.stmt],
                      info: _ScopeInfo) -> Iterator[Finding]:
-        for node in _walk_scope(body):
+        for node in walk_scope(body, lambdas=True):
             if isinstance(node, ast.For) and \
                     _is_set_expr(node.iter, info.set_names):
                 yield self.finding(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.analysis.callgraph import short_name
 from repro.analysis.core import Finding, ProjectRule, register
 
 
@@ -37,31 +38,17 @@ class UnboundedRpcRule(ProjectRule):
 
     def check_project(self, project) -> Iterator[Finding]:
         summaries = project.summaries
-        graph = project.graph
         for qualname in sorted(summaries):
-            summary = summaries[qualname]
-            if not summary.drops_deadline:
-                continue
-            fn = graph.functions.get(qualname)
-            if fn is None:
-                continue
-            ctx = project.context_for(fn.rel_path)
-            for chain in summary.drops_deadline:
+            for chain in summaries[qualname].drops_deadline:
                 drop = chain[0]
                 rpc = chain[-1]
                 where = f"{rpc.path}:{rpc.line}" \
                     if len(chain) > 1 else "this call"
-                yield Finding(
-                    rule=self.name, path=drop.path, line=drop.line, col=0,
-                    message=(f"{_short(qualname)}() holds a deadline but "
-                             f"calls {_short(drop.callee)} without it; the "
-                             f"chain reaches an unbounded RPC at {where} — "
-                             "forward the deadline or clamp a timeout "
-                             "from it"),
-                    snippet=ctx.line_text(drop.line) if ctx else "",
-                    end_line=drop.line, chain=chain)
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
+                yield self.chain_finding(
+                    project, drop.path, drop.line,
+                    f"{short_name(qualname)}() holds a deadline but "
+                    f"calls {short_name(drop.callee)} without it; the "
+                    f"chain reaches an unbounded RPC at {where} — "
+                    "forward the deadline or clamp a timeout "
+                    "from it",
+                    chain)

@@ -60,8 +60,16 @@ import builtins
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo, Project
+from repro.analysis.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    Project,
+    bare_name,
+    deadline_params,
+    scope_calls,
+)
 from repro.analysis.core import Frame
+from repro.analysis.flow import store_targets
 
 #: Effects the blocks analysis tracks, keyed by CallSite.kind.
 BLOCKING_KINDS = ("rpc", "sleep", "fsync")
@@ -205,15 +213,11 @@ def self_store_path(target: ast.AST, self_name: str) -> str | None:
     return None
 
 
-def _store_targets(node: ast.AST) -> Iterator[ast.AST]:
-    if isinstance(node, ast.Assign):
-        for target in node.targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                yield from target.elts
-            else:
-                yield target
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        yield node.target
+def self_stores(element: ast.AST, self_name: str) -> list[str]:
+    """Dotted self paths an assignment element stores to."""
+    paths = (self_store_path(target, self_name)
+             for target in store_targets(element))
+    return [path for path in paths if path is not None]
 
 
 @dataclass(frozen=True)
@@ -316,11 +320,9 @@ class _SiteCollector:
                 self.call_handlers[id(node)] = stack
             if self._self_name is not None and \
                     isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for target in _store_targets(node):
-                    path = self_store_path(target, self._self_name)
-                    if path is not None:
-                        self.stores.append(_StoreSite(
-                            path, node.lineno, handler is not None))
+                self.stores.extend(
+                    _StoreSite(path, node.lineno, handler is not None)
+                    for path in self_stores(node, self._self_name))
             self._walk(list(ast.iter_child_nodes(node)), stack, handler)
 
 
@@ -329,7 +331,7 @@ class _SiteCollector:
 
 def _deadline_sources(fn: FunctionInfo) -> set[str]:
     """Names through which this function holds a request budget."""
-    names = set(fn.deadline_params())
+    names = set(deadline_params(fn.node))
     for node in ast.walk(fn.node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
@@ -378,33 +380,15 @@ def _reads_any(expr: ast.AST, names: set[str]) -> bool:
 # -- the bottom-up computation -----------------------------------------------
 
 
-def _call_node_index(fn: FunctionInfo) -> dict[int, ast.Call]:
-    index: dict[int, ast.Call] = {}
-    stack: list[ast.AST] = list(ast.iter_child_nodes(fn.node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            index[id(node)] = node
-        stack.extend(ast.iter_child_nodes(node))
-    return index
-
-
-def _frame(fn: FunctionInfo, line: int, callee: str) -> Frame:
-    return Frame(path=fn.rel_path, line=line,
-                 caller=fn.qualname, callee=callee)
-
-
 def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                     summaries: dict[str, Summary],
                     hierarchy: Hierarchy) -> Summary:
     """One round of the transfer function; callee summaries default to
     empty inside an unconverged SCC."""
     out = Summary(qualname=fn.qualname,
-                  accepts_deadline=bool(fn.deadline_params()))
+                  accepts_deadline=bool(deadline_params(fn.node)))
     collector = _SiteCollector(fn)
-    calls = _call_node_index(fn)
+    calls = {id(call): call for call in scope_calls(fn)}
 
     # own raise sites
     for site in collector.raises:
@@ -412,7 +396,7 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
             if hierarchy.caught_by(name, site.handlers):
                 continue
             out.raises.setdefault(
-                name, (_frame(fn, site.line, f"raise {_short(name)}"),))
+                name, (fn.frame(site.line, f"raise {bare_name(name)}"),))
 
     sites = graph.callees(fn.qualname)
     self_name = self_param_name(fn)
@@ -423,18 +407,18 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
             continue
         out.writes_self.setdefault(
             store.path,
-            (_frame(fn, store.line, f"write self.{store.path}"),))
+            (fn.frame(store.line, f"write self.{store.path}"),))
 
     # blocking effects, yield points, propagated raises and writes
     yields: list[YieldPoint] = []
     for site in sites:
         if site.kind in BLOCKING_KINDS:
             out.blocks.setdefault(
-                site.kind, (_frame(fn, site.line, site.callee),))
+                site.kind, (fn.frame(site.line, site.callee),))
             yields.append(YieldPoint(
                 line=site.line, node_id=site.node_id,
                 kinds=(site.kind,), callee=site.callee, direct=site.kind,
-                chain=(_frame(fn, site.line, site.callee),)))
+                chain=(fn.frame(site.line, site.callee),)))
             continue
         callee = summaries.get(site.callee)
         if callee is None:
@@ -446,23 +430,23 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
             if hierarchy.caught_by(name, handler_stack):
                 continue
             out.raises[name] = \
-                (_frame(fn, site.line, site.callee),) + chain
+                (fn.frame(site.line, site.callee),) + chain
         for effect, chain in callee.blocks.items():
             if effect not in out.blocks:
                 out.blocks[effect] = \
-                    (_frame(fn, site.line, site.callee),) + chain
+                    (fn.frame(site.line, site.callee),) + chain
         if callee.blocks:
             kinds = tuple(sorted(callee.blocks))
             yields.append(YieldPoint(
                 line=site.line, node_id=site.node_id,
                 kinds=kinds, callee=site.callee, direct=None,
-                chain=(_frame(fn, site.line, site.callee),)
+                chain=(fn.frame(site.line, site.callee),)
                 + callee.blocks[kinds[0]]))
         if callee.writes_self and self_name is not None \
                 and _is_bare_self_call(calls.get(site.node_id), self_name):
             for path, chain in callee.writes_self.items():
                 out.writes_self.setdefault(
-                    path, (_frame(fn, site.line, site.callee),) + chain)
+                    path, (fn.frame(site.line, site.callee),) + chain)
     out.yield_points = tuple(sorted(
         yields, key=lambda y: (y.line, y.callee, y.kinds)))
 
@@ -486,7 +470,7 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                 # but not at this hop
                 if reads_anywhere:
                     flagged_lines.add(site.line)
-                    drops.append((_frame(fn, site.line, site.callee),))
+                    drops.append((fn.frame(site.line, site.callee),))
                 continue
             if site.kind not in ("call", "ref"):
                 continue
@@ -494,7 +478,7 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
             if callee is None or "rpc" not in callee.blocks:
                 continue
             flagged_lines.add(site.line)
-            drops.append((_frame(fn, site.line, site.callee),)
+            drops.append((fn.frame(site.line, site.callee),)
                          + callee.blocks["rpc"])
         out.drops_deadline = tuple(drops)
     return out
@@ -507,10 +491,6 @@ def _is_bare_self_call(node: ast.Call | None, self_name: str) -> bool:
             and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == self_name)
-
-
-def _short(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
 
 
 def compute_summaries(project: Project) -> dict[str, Summary]:

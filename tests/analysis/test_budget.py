@@ -1,11 +1,11 @@
 """Performance budget: the full-repo analyzer run stays under 12 s.
 
 The lint gate runs inside tier-1 CI on every change; the flow-based
-rules build CFGs per function per rule, the interprocedural pass adds
+rules build one CFG per function, the interprocedural pass adds
 a repo-wide call graph plus SCC-ordered effect summaries, and the
 atomicity pass walks per-method CFGs against the transitive
 yield-point sets on top.  This test is the backstop that keeps that
-affordable.  The budget is generous (the full run with all sixteen
+affordable.  The budget is generous (the full run with all fifteen
 rules takes ~2-4 s on a laptop) so the test is a tripwire for
 accidental quadratic behaviour, not a benchmark.
 """

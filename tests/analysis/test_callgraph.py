@@ -213,26 +213,3 @@ def test_nested_defs_are_separate_nodes():
     assert "repro.pkg.mod.outer.inner" in project.graph.functions
     assert ("repro.pkg.mod.outer.inner", "call") in \
         edges(project, "repro.pkg.mod.outer")
-
-
-def test_graph_dumps_are_well_formed():
-    import json
-
-    project = project_of({
-        "src/repro/pkg/mod.py": """
-            def callee():
-                return 1
-
-            def caller():
-                return callee()
-        """,
-    })
-    dot = project.graph.to_dot()
-    assert dot.startswith("digraph callgraph {")
-    assert '"repro.pkg.mod.caller" -> "repro.pkg.mod.callee"' in dot
-    payload = json.loads(project.graph.to_json())
-    assert {"caller": "repro.pkg.mod.caller",
-            "callee": "repro.pkg.mod.callee",
-            "kind": "call"} in [
-        {k: e[k] for k in ("caller", "callee", "kind")}
-        for e in payload["edges"]]

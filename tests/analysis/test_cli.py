@@ -78,7 +78,7 @@ def test_list_rules_names_the_full_registry(capsys):
     for rule in ("wall-clock", "unseeded-random", "set-iteration",
                  "swallowed-transport-error", "retry-without-backoff",
                  "deadline-dropped", "durability-unsynced-ack",
-                 "breaker-unrecorded-outcome", "stale-read-across-rpc",
+                 "breaker-unrecorded-outcome", "atomicity-violation",
                  "layering-contract"):
         assert rule in out
 
@@ -164,57 +164,6 @@ def test_write_and_update_baseline_are_exclusive(tmp_path):
     assert main([str(pkg), "--write-baseline", "--update-baseline"]) == 2
 
 
-def test_github_format_emits_annotations(tmp_path, capsys):
-    pkg = _write_pkg(tmp_path, VIOLATION)
-    assert main([str(pkg), "--format=github", "--root", str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("::error file=pkg/mod.py,line=5,")
-    assert "title=repro-lint wall-clock::" in out
-
-
-def test_github_format_is_silent_when_clean(tmp_path, capsys):
-    pkg = _write_pkg(tmp_path, CLEAN)
-    assert main([str(pkg), "--format=github", "--root", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == ""
-
-
 def test_json_flag_conflicts_with_other_formats(tmp_path):
     pkg = _write_pkg(tmp_path, CLEAN)
-    assert main([str(pkg), "--json", "--format=github"]) == 2
-
-
-def test_graph_dump(tmp_path, capsys):
-    pkg = tmp_path / "src" / "repro" / "pkg"
-    pkg.mkdir(parents=True)
-    (pkg / "mod.py").write_text(
-        "def callee():\n    return 1\n\n\ndef caller():\n"
-        "    return callee()\n")
-    assert main([str(tmp_path), "--graph", "--root", str(tmp_path)]) == 0
-    dot = capsys.readouterr().out
-    assert '"repro.pkg.mod.caller" -> "repro.pkg.mod.callee"' in dot
-    assert main([str(tmp_path), "--graph=json",
-                 "--root", str(tmp_path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert any(edge["caller"] == "repro.pkg.mod.caller"
-               for edge in payload["edges"])
-
-
-def test_sarif_report_shape(tmp_path, capsys):
-    pkg = _write_pkg(tmp_path, VIOLATION)
-    assert main([str(pkg), "--root", str(tmp_path),
-                 "--format=sarif"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    [run] = payload["runs"]
-    results = run["results"]
-    assert any(r["ruleId"] == "wall-clock" for r in results)
-    uris = {r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
-            for r in results}
-    assert uris == {"pkg/mod.py"}
-    assert all(r["baselineState"] == "new" for r in results)
-
-
-def test_json_flag_conflicts_with_sarif_format(tmp_path, capsys):
-    pkg = _write_pkg(tmp_path, CLEAN)
-    assert main([str(pkg), "--root", str(tmp_path),
-                 "--json", "--format=sarif"]) == 2
+    assert main([str(pkg), "--json", "--format=text"]) == 2

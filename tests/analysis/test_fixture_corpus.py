@@ -63,8 +63,7 @@ def test_fixture(fixture: Path):
 
 def test_every_flow_rule_has_fixtures():
     dirs = {path.name for path in FIXTURES.iterdir() if path.is_dir()}
-    assert {"durability", "breaker", "staleread", "layering",
-            "atomicity"} <= dirs
+    assert {"durability", "breaker", "layering", "atomicity"} <= dirs
     for directory in sorted(dirs):
         names = [p.name for p in (FIXTURES / directory).glob("*.py")]
         assert any(n.startswith("bad_") for n in names), directory

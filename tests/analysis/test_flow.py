@@ -1,16 +1,23 @@
-"""CFG construction and dataflow: shapes, edge labels, def-use."""
+"""CFG construction and the traversal core: shapes, edge labels,
+def/use extraction, the scope walk and the path walk."""
 
 import ast
 import textwrap
 
+from repro.analysis import Analyzer
+from repro.analysis.core import FileContext
 from repro.analysis.flow import (
+    STOP,
+    _Builder,
     build_cfg,
     calls_in,
     definitions,
-    iter_function_cfgs,
     receiver_name,
     uses,
+    walk_paths,
+    walk_scope,
 )
+from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
 
 
 def cfg_of(source: str):
@@ -69,7 +76,7 @@ def test_while_true_has_no_false_edge():
         if block.bid in reachable:
             continue
         reachable.add(block.bid)
-        stack.extend(block.successors())
+        stack.extend(edge.dst for edge in block.out_edges)
     assert cfg.exit.bid not in reachable
 
 
@@ -144,45 +151,17 @@ def test_break_and_continue_edges():
 
 
 def test_nested_functions_get_their_own_cfgs():
-    tree = ast.parse(textwrap.dedent("""
+    ctx = FileContext.parse(textwrap.dedent("""
         def outer():
             def inner():
                 return 1
             return inner
-    """))
-    names = [cfg.fn.name for cfg in iter_function_cfgs(tree)]
+    """), "mod.py")
+    names = [cfg.fn.name for cfg in ctx.function_cfgs()]
     assert sorted(names) == ["inner", "outer"]
-
-
-def test_reaching_definitions_sees_both_branch_defs():
-    cfg = cfg_of("""
-        def f(flag):
-            if flag:
-                x = 1
-            else:
-                x = 2
-            return x
-    """)
-    reaching = cfg.reaching_definitions()
-    return_points = [(block.bid, i)
-                     for block, i, el in cfg.elements()
-                     if isinstance(el, ast.Return)]
-    [point] = return_points
-    assert len(reaching[point]["x"]) == 2          # both defs may reach
-    assert reaching[point]["flag"] == {(-1, -1)}   # argument pseudo-def
-
-
-def test_redefinition_kills_previous_def():
-    cfg = cfg_of("""
-        def f():
-            x = 1
-            x = 2
-            return x
-    """)
-    reaching = cfg.reaching_definitions()
-    [point] = [(b.bid, i) for b, i, el in cfg.elements()
-               if isinstance(el, ast.Return)]
-    assert len(reaching[point]["x"]) == 1
+    # asking again hands back the same graphs, not rebuilt ones
+    assert [id(c) for c in ctx.function_cfgs()] == \
+        [id(c) for c in ctx.function_cfgs()]
 
 
 def test_definitions_and_uses_helpers():
@@ -199,3 +178,109 @@ def test_definitions_and_uses_helpers():
 
     walrus = ast.parse("if (n := count()) > 0:\n    pass\n").body[0].test
     assert definitions(walrus) == ["n"]
+
+
+def test_uses_skips_a_lambda_body_not_the_rest_of_the_expression():
+    # the lambda's own reads are another scope's; everything after it
+    # in the same expression is still this element's
+    stmt = ast.parse("x = f(lambda: hidden, g(stale))").body[0]
+    assert uses(stmt) == {"f", "g", "stale"}
+    assert sorted(c.func.id for c in calls_in(stmt)) == ["f", "g"]
+
+
+def test_walk_scope_yields_nested_defs_without_entering_them():
+    fn = ast.parse(textwrap.dedent("""
+        def outer(a):
+            def inner():
+                return secret()
+            cb = lambda: deferred()
+            return inner, cb
+    """)).body[0]
+
+    def called(lambdas):
+        return sorted(n.func.id
+                      for n in walk_scope(ast.iter_child_nodes(fn), lambdas)
+                      if isinstance(n, ast.Call))
+
+    assert called(lambdas=True) == ["deferred"]
+    assert called(lambdas=False) == []
+    assert [n.name for n in walk_scope(ast.iter_child_nodes(fn), True)
+            if isinstance(n, ast.FunctionDef)] == ["inner"]
+
+
+DIAMOND_WITH_LOOP = """
+    def f(self):
+        start()
+        while self.more:
+            if self.left:
+                cross()
+            else:
+                dead_end()
+            join()
+        tail()
+        return 1
+"""
+
+
+def _called(element):
+    return [c.func.id for c in calls_in(element)
+            if isinstance(c.func, ast.Name)]
+
+
+def test_walk_paths_enters_each_block_once_per_state_truthiness():
+    cfg = cfg_of(DIAMOND_WITH_LOOP)
+    entries: dict[tuple[int, bool], int] = {}
+    block_of = {id(el): block for block, _, el in cfg.elements()}
+
+    def step(element, state):
+        block = block_of[id(element)]
+        if element is block.elements[0]:
+            key = (block.bid, bool(state))
+            entries[key] = entries.get(key, 0) + 1
+        names = _called(element)
+        if "dead_end" in names:
+            return STOP             # prunes this path only
+        return "crossed" if "cross" in names else state
+
+    walk_paths(cfg, cfg.entry, 1, step)     # just after start()
+
+    # every block is entered at most once before and once after the
+    # crossing, however many paths (loop back-edge, two arms) reach it
+    assert entries and all(count == 1 for count in entries.values())
+    join = next(b for b, _, el in cfg.elements() if "join" in _called(el))
+    head = next(b for b, _, el in cfg.elements()
+                if isinstance(el, ast.Attribute) and el.attr == "more")
+    # the else arm stopped, so join is reached from the crossing arm
+    # only — and the loop head again on the back-edge, now post-crossing
+    assert (join.bid, True) in entries and (join.bid, False) not in entries
+    assert (head.bid, False) in entries and (head.bid, True) in entries
+    # a STOP ended that path and no other: tail() was still reached
+    tail = next(b for b, _, el in cfg.elements() if "tail" in _called(el))
+    assert (tail.bid, False) in entries and (tail.bid, True) in entries
+
+
+def test_walk_paths_never_visits_the_exit_blocks():
+    cfg = cfg_of(DIAMOND_WITH_LOOP)
+    # give the exits an element so a visit would be observable
+    marker = ast.parse("exit_marker()").body[0]
+    cfg.exit.elements.append(marker)
+    cfg.raise_exit.elements.append(marker)
+    visited = []
+    walk_paths(cfg, cfg.entry, 0,
+               lambda element, state: visited.append(element) or state)
+    assert visited and marker not in visited
+
+
+def test_full_repo_run_builds_each_function_cfg_at_most_once(monkeypatch):
+    built: dict[int, int] = {}
+    original = _Builder.build
+
+    def counting_build(self):
+        built[id(self.cfg.fn)] = built.get(id(self.cfg.fn), 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(_Builder, "build", counting_build)
+    report = Analyzer(root=REPO_ROOT).run([SRC_REPRO])
+    assert report.files_scanned > 80
+    assert len(built) > 1000          # the flow rules really ran
+    assert max(built.values()) == 1

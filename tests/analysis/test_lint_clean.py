@@ -10,7 +10,7 @@ grandfathered into ``lint-baseline.json``.
 
 import shutil
 
-from repro.analysis import Analyzer, Baseline
+from repro.analysis import Analyzer, Baseline, FileContext, rule_names
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
 
@@ -28,6 +28,21 @@ def test_src_repro_has_no_new_findings():
     new, _ = _load_baseline().split(report.findings)
     assert not new, "new repro-lint findings (fix, pragma, or baseline):\n" \
         + "\n".join(f.render() for f in new)
+
+
+def test_every_pragma_names_a_registered_rule():
+    """A pragma is recorded whatever it names, so one left behind by a
+    renamed or deleted rule would suppress nothing and read as if it
+    did."""
+    known = set(rule_names()) | {"all"}
+    dead = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        ctx = FileContext.parse(path.read_text(encoding="utf-8"),
+                                path.relative_to(REPO_ROOT).as_posix())
+        for lineno, rules in sorted(ctx.suppressions.items()):
+            dead.extend(f"{ctx.rel_path}:{lineno}: {rule}"
+                        for rule in sorted(rules - known))
+    assert not dead, "pragmas naming no registered rule:\n" + "\n".join(dead)
 
 
 def test_baseline_stays_near_empty():

@@ -1,9 +1,9 @@
 """The declarative typestate engine, exercised with a minimal spec."""
 
-import ast
 import re
 import textwrap
 
+from repro.analysis.core import FileContext
 from repro.analysis.protocol import ProtocolSpec, check_protocol
 
 SPEC = ProtocolSpec(
@@ -36,8 +36,8 @@ GATED = ProtocolSpec(
 
 
 def violations(source: str, spec=SPEC):
-    tree = ast.parse(textwrap.dedent(source))
-    return list(check_protocol(tree, spec))
+    ctx = FileContext.parse(textwrap.dedent(source), "mod.py")
+    return list(check_protocol(ctx, spec))
 
 
 def test_obligation_escaping_to_exit_is_reported_once():

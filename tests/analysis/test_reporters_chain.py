@@ -1,9 +1,9 @@
-"""Multi-frame findings render in every reporter format."""
+"""Multi-frame findings render in both reporter formats."""
 
 import json
 
 from repro.analysis.core import Finding, Frame, LintReport
-from repro.analysis.reporters import render_github, render_json, render_text
+from repro.analysis.reporters import render_json, render_text
 from repro.common.metrics import MetricsRegistry
 
 CHAIN = (
@@ -57,68 +57,3 @@ def test_json_reporter_omits_empty_chains():
     payload = json.loads(render_json(report, [plain], [],
                                      MetricsRegistry()))
     assert "chain" not in payload["new"][0]
-
-
-def test_github_reporter_emits_annotations_with_chain():
-    lines = render_github([FINDING]).splitlines()
-    assert len(lines) == 1
-    annotation = lines[0]
-    assert annotation.startswith(
-        "::error file=src/repro/pkg/mod.py,line=12,endLine=12,"
-        "title=repro-lint unbounded-rpc::")
-    # newlines in the message body use the workflow-command escape
-    assert "%0Avia src/repro/pkg/mod.py:12:" in annotation
-    assert "\n" not in annotation.split("::", 2)[2]
-
-
-def test_github_reporter_escapes_percent():
-    finding = Finding(rule="r", path="a.py", line=1, col=0,
-                      message="p99 is 100% wrong", snippet="")
-    assert "100%25 wrong" in render_github([finding])
-
-
-def test_github_reporter_reports_parse_errors():
-    out = render_github([], ["bad.py: invalid syntax (line 1)"])
-    assert out == ("::error title=repro-lint parse error::"
-                   "bad.py: invalid syntax (line 1)")
-
-
-def test_sarif_reporter_emits_chain_as_related_locations():
-    from repro.analysis.core import all_rules
-    from repro.analysis.reporters import render_sarif
-
-    payload = json.loads(render_sarif(report_of(), [FINDING], [],
-                                      all_rules()))
-    assert payload["version"] == "2.1.0"
-    [run] = payload["runs"]
-    [result] = run["results"]
-    assert result["ruleId"] == "unbounded-rpc"
-    assert result["level"] == "error"
-    assert result["baselineState"] == "new"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 12
-    related = result["relatedLocations"]
-    assert [r["message"]["text"] for r in related] == [
-        "repro.pkg.mod.Client.flush -> repro.pkg.mod.Client._push",
-        "repro.pkg.mod.Client._push -> <invoke>",
-    ]
-    assert [r["physicalLocation"]["region"]["startLine"]
-            for r in related] == [12, 6]
-    driver_rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert "unbounded-rpc" in driver_rules
-    assert result["ruleIndex"] == sorted(driver_rules).index("unbounded-rpc")
-
-
-def test_sarif_reporter_splits_baseline_state_and_parse_errors():
-    from repro.analysis.core import all_rules
-    from repro.analysis.reporters import render_sarif
-
-    report = report_of()
-    report.parse_errors = ["pkg/bad.py:1: invalid syntax"]
-    payload = json.loads(render_sarif(report, [], [FINDING], all_rules()))
-    [run] = payload["runs"]
-    [result] = run["results"]
-    assert result["baselineState"] == "unchanged"
-    notes = run["invocations"][0]["toolExecutionNotifications"]
-    assert [n["message"]["text"] for n in notes] == report.parse_errors
-    assert notes[0]["level"] == "error"

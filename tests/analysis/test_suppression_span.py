@@ -1,10 +1,13 @@
-"""Pragma suppression over multi-line statements.
+"""Pragma suppression over multi-line statements and call chains.
 
 A finding anchors on its node's *first* line, but a trailing pragma
 comment naturally lands on whatever line the statement ends on — so
-suppression checks the whole node span, not just the anchor line.
+suppression checks the whole node span, not just the anchor line.  An
+interprocedural finding is additionally silenced by a pragma on any
+frame of its chain.
 """
 
+from repro.analysis import Analyzer
 from tests.analysis.conftest import lint
 
 
@@ -87,3 +90,38 @@ def test_finding_records_its_span():
     """)
     [finding] = [f for f in findings if f.rule == "wall-clock"]
     assert finding.end_line >= finding.line + 2
+
+
+RACY = """\
+class Node:
+    def __init__(self, clock):
+        self.clock = clock
+        self.progress = 0
+
+    def _pump(self):
+        self.clock.sleep(1.0){pragma}
+
+    def advance(self, n):
+        cur = self.progress
+        self._pump()
+        self.progress = cur + n
+"""
+
+
+def test_chain_frame_pragma_suppresses_project_finding(tmp_path):
+    """A pragma on a *chain frame* line (here the yield inside the
+    helper, not the store the finding anchors on) suppresses an
+    interprocedural finding."""
+    mod = tmp_path / "src" / "repro" / "pkg" / "mod.py"
+    mod.parent.mkdir(parents=True)
+    mod.write_text(RACY.format(pragma=""), encoding="utf-8")
+    convicted = Analyzer(root=tmp_path).run([tmp_path])
+    assert any(f.rule == "atomicity-violation" for f in convicted.findings)
+
+    mod.write_text(RACY.format(
+        pragma="  # repro-lint: disable=atomicity-violation"),
+        encoding="utf-8")
+    suppressed = Analyzer(root=tmp_path).run([tmp_path])
+    assert not any(f.rule == "atomicity-violation"
+                   for f in suppressed.findings)
+    assert suppressed.suppressed == convicted.suppressed + 1
