@@ -19,6 +19,12 @@ reusable constraint families:
 * :class:`ReplicaAgreement` — after quiescence, every responsible
   replica of a key holds the same readable value.
 
+The two keyed families evaluate *what changed since they last looked;
+never having looked, everything changed*: given a change feed they run
+their one loop over the keys touched on either side since the previous
+evaluation plus the keys that evaluation could not clear, and over
+every key when the feed cannot bound that set (DESIGN.md §14.2).
+
 A constraint never raises on a violated invariant: it *returns*
 :class:`Violation` records carrying the evidence (expected, actual,
 SCN) so the auditor can deduplicate, meter, and blame them.  All
@@ -80,17 +86,41 @@ class Violation:
 
 
 class Constraint:
-    """Base class: a named invariant over one or more stores."""
+    """Base class: a named invariant over one or more stores.
 
-    def __init__(self, name: str, subject: str):
+    ``changed`` is the keyed families' change feed: each call returns
+    the keys touched on either side since its previous call, or None
+    when it cannot bound that set.  A constraint without a feed can
+    never bound it and reads everything every time.
+    """
+
+    def __init__(self, name: str, subject: str,
+                 changed: Callable[[], Iterable | None] | None = None):
         if not name or not subject:
             raise ConfigurationError("constraint needs a name and a subject")
         self.name = name
         self.subject = subject
+        self.changed = changed
+        # every key the last evaluation convicted or skipped as in
+        # flight; None when there is no finished evaluation to build on
+        self._pending: set | None = None
 
     def check(self) -> list[Violation]:
         """Evaluate now; returns violations (empty == invariant holds)."""
         raise NotImplementedError
+
+    def _items_in_scope(self, probe: Callable[..., dict]) -> dict:
+        """``probe``'s items restricted to this evaluation's scope:
+        ``changed ∪ pending``, or everything (``probe()`` bare) when the
+        feed cannot bound the delta or the last evaluation never
+        finished.  The caller stores the new pending set only once its
+        loop completes, so an evaluation that raised midway — its delta
+        already drained — widens the next one to everything."""
+        changed = self.changed() if self.changed is not None else None
+        pending, self._pending = self._pending, None
+        if changed is None or pending is None:
+            return probe()
+        return probe(pending.union(changed))
 
     def _violation(self, kind: str, raw_key: object, expected: str,
                    actual: str, scn: int = 0) -> Violation:
@@ -139,13 +169,19 @@ class KeySetContainment(Constraint):
     derived store; ``horizon`` is the certified-cut SCN — keys committed
     after it are legitimately in flight and are skipped, which is what
     keeps a continuously-running check free of false positives.
+
+    With a ``changed`` feed, ``source_items`` must also accept a set of
+    keys and return just those of them the source holds.  A key leaves
+    the evaluated scope only by being evaluated and found present, so
+    asking twice cannot make a missing key pass.
     """
 
     def __init__(self, name: str, subject: str,
-                 source_items: Callable[[], dict],
+                 source_items: Callable[..., dict],
                  contains: Callable[[object], bool],
-                 horizon: Callable[[], int]):
-        super().__init__(name, subject)
+                 horizon: Callable[[], int],
+                 changed: Callable[[], Iterable | None] | None = None):
+        super().__init__(name, subject, changed)
         self.source_items = source_items
         self.contains = contains
         self.horizon = horizon
@@ -153,16 +189,20 @@ class KeySetContainment(Constraint):
     def check(self) -> list[Violation]:
         horizon = int(self.horizon())
         violations = []
-        for key, scn in sorted(self.source_items().items(),
+        pending = set()
+        for key, scn in sorted(self._items_in_scope(self.source_items).items(),
                                key=lambda item: (item[1], repr(item[0]))):
             if scn > horizon:
-                continue  # committed after the cut: still in flight
+                pending.add(key)  # committed after the cut: still in flight
+                continue
             if not self.contains(key):
+                pending.add(key)
                 violations.append(self._violation(
                     "missing-key", key,
                     expected=f"present (committed at SCN {scn}, "
                              f"horizon {horizon})",
                     actual="absent", scn=scn))
+        self._pending = pending
         return violations
 
 
@@ -174,15 +214,18 @@ class ValueEquality(Constraint):
     :data:`ABSENT_VALUE` for missing keys — absence is
     :class:`KeySetContainment`'s concern, so it is skipped here.  With
     ``scn_of`` and ``horizon`` given, keys committed past the cut are
-    skipped like containment does.
+    skipped like containment does.  With a ``changed`` feed,
+    ``expected_items`` must also accept a set of keys, like
+    :class:`KeySetContainment`'s ``source_items``.
     """
 
     def __init__(self, name: str, subject: str,
-                 expected_items: Callable[[], dict],
+                 expected_items: Callable[..., dict],
                  actual_of: Callable[[object], object],
                  scn_of: Callable[[object], int] | None = None,
-                 horizon: Callable[[], int] | None = None):
-        super().__init__(name, subject)
+                 horizon: Callable[[], int] | None = None,
+                 changed: Callable[[], Iterable | None] | None = None):
+        super().__init__(name, subject, changed)
         self.expected_items = expected_items
         self.actual_of = actual_of
         self.scn_of = scn_of
@@ -191,19 +234,24 @@ class ValueEquality(Constraint):
     def check(self) -> list[Violation]:
         horizon = int(self.horizon()) if self.horizon is not None else None
         violations = []
-        for key, expected in sorted(self.expected_items().items(),
-                                    key=lambda item: repr(item[0])):
+        pending = set()
+        for key, expected in sorted(
+                self._items_in_scope(self.expected_items).items(),
+                key=lambda item: repr(item[0])):
             scn = int(self.scn_of(key)) if self.scn_of is not None else 0
             if horizon is not None and scn > horizon:
+                pending.add(key)
                 continue
             actual = self.actual_of(key)
             if actual == ABSENT_VALUE:
                 continue
             if actual != expected:
+                pending.add(key)
                 violations.append(self._violation(
                     "value-divergence", key,
                     expected=preview(expected), actual=preview(actual),
                     scn=scn))
+        self._pending = pending
         return violations
 
 

@@ -15,6 +15,13 @@ and read public positions only: binlog transactions, relay buffer
 contents, consumer checkpoints, replica engines via the routing ring.
 Everything is sorted at the point of iteration so probe output — and
 therefore violation order — is deterministic.
+
+The Espresso-target constraints also get a change feed
+(:func:`espresso_changes`): the source half follows the binlog, the
+target half reads the cluster relay's partition buffers through the
+target's ``written_since`` — duck-typed like ``contains`` and
+``get_document``.  Their probes take an optional key set and answer for
+just those keys, so an evaluation costs what moved.
 """
 
 from __future__ import annotations
@@ -48,33 +55,99 @@ from repro.sqlstore.database import SqlDatabase
 
 # -- sqlstore-side probes ---------------------------------------------------
 
-def binlog_key_scns(database: SqlDatabase, table: str
-                    ) -> Callable[[], dict[tuple, int]]:
-    """``{live key: last commit SCN}`` for one table, replayed from the
-    binlog — the authoritative "what should downstream stores hold"."""
-    def probe() -> dict[tuple, int]:
-        live: dict[tuple, int] = {}
-        for txn in database.binlog.read_from(0):
+class binlog_key_scns:
+    """``{live key: last commit SCN}`` for one table — the authoritative
+    "what should downstream stores hold" — kept by *following* the
+    append-only binlog: each call replays only the transactions
+    committed since the previous one.  ``probe()`` is the whole map (a
+    view to read, not to keep: the next call updates it in place),
+    ``probe(keys)`` the entries of just those keys.  A binlog shorter
+    than the followed position is not the log that was followed, and
+    the follower starts over from zero."""
+
+    def __init__(self, database: SqlDatabase, table: str):
+        self.database = database
+        self.table = table
+        self._live: dict[tuple, int] = {}
+        self._through = 0
+        # per changes() feed: the keys touched since that feed was last
+        # drained, or None while it cannot bound them
+        self._touched: list[set | None] = []
+
+    def __call__(self, keys: Iterable[tuple] | None = None
+                 ) -> dict[tuple, int]:
+        binlog = self.database.binlog
+        if binlog.last_scn < self._through:
+            self._live.clear()
+            self._through = 0
+            self._touched = [None] * len(self._touched)
+        live = self._live
+        for txn in binlog.read_from(self._through):
             for change in txn.changes:
-                if change.table != table:
+                if change.table != self.table:
                     continue
                 if change.kind is ChangeKind.DELETE:
                     live.pop(change.key, None)
                 else:
                     live[change.key] = txn.scn
-        return live
-    return probe
+                for touched in self._touched:
+                    if touched is not None:
+                        touched.add(change.key)
+            self._through = txn.scn
+        if keys is None:
+            return live
+        return {key: live[key] for key in keys if key in live}
+
+    def changes(self) -> Callable[[], set[tuple] | None]:
+        """A change feed over this table: each call returns the keys
+        committed (upserted or deleted) since the feed's previous call —
+        None on its first call, and after the follower started over."""
+        mine = len(self._touched)
+        self._touched.append(None)
+
+        def feed() -> set[tuple] | None:
+            self()
+            touched, self._touched[mine] = self._touched[mine], set()
+            return touched
+        return feed
 
 
 def source_documents(database: SqlDatabase, table: str, transform
-                     ) -> Callable[[], dict[tuple, dict]]:
+                     ) -> Callable[..., dict[tuple, dict]]:
     """``{source key: expected target document}`` under a row transform
-    (the migration's :class:`RowTransform`, duck-typed)."""
-    def probe() -> dict[tuple, dict]:
-        schema = database.table(table).schema
-        return {schema.key_of(row): transform.document_of(table, row)
-                for row in database.table(table).scan()}
+    (the migration's :class:`RowTransform`, duck-typed): of every row,
+    or of just the ``keys`` asked for."""
+    def probe(keys: Iterable[tuple] | None = None) -> dict[tuple, dict]:
+        sql_table = database.table(table)
+        if keys is None:
+            rows = sql_table.scan()
+        else:
+            rows = [sql_table.get(key) for key in keys
+                    if sql_table.contains(key)]
+        key_of = sql_table.schema.key_of
+        return {key_of(row): transform.document_of(table, row)
+                for row in rows}
     return probe
+
+
+def espresso_changes(scns: binlog_key_scns, target, table: str
+                     ) -> Callable[[], set[tuple] | None]:
+    """One constraint's change feed between a source table and its
+    Espresso copy: the keys committed on the source (``scns``'s binlog)
+    or written through the target's storage nodes since the previous
+    call; None when either side cannot bound its half.  Both halves are
+    drained on every call, so neither cursor falls behind the other."""
+    committed_since = scns.changes()
+    cursor = None
+
+    def feed() -> set[tuple] | None:
+        nonlocal cursor
+        committed = committed_since()
+        written, cursor = target.written_since(table, cursor)
+        if committed is None or written is None:
+            return None
+        return committed | written
+    return feed
 
 
 # -- Espresso-target constraints --------------------------------------------
@@ -84,11 +157,20 @@ def espresso_containment(name: str, database: SqlDatabase, table: str,
                          ) -> KeySetContainment:
     """Every committed source row reaches the Espresso target by the
     certified horizon (``target`` is a migration ``EspressoTarget``)."""
+    scns = binlog_key_scns(database, table)
     return KeySetContainment(
         name, subject=f"espresso:{table}",
-        source_items=binlog_key_scns(database, table),
+        source_items=scns,
         contains=lambda key: target.contains(table, key),
-        horizon=horizon)
+        horizon=horizon,
+        changed=espresso_changes(scns, target, table))
+
+
+def _document_or_absent(target, table: str) -> Callable[[tuple], object]:
+    def actual_of(key: tuple) -> object:
+        document = target.get_document(table, key)
+        return ABSENT_VALUE if document is None else document
+    return actual_of
 
 
 def espresso_value_equality(name: str, database: SqlDatabase, table: str,
@@ -96,17 +178,13 @@ def espresso_value_equality(name: str, database: SqlDatabase, table: str,
                             ) -> ValueEquality:
     """Espresso documents equal the transform of their source rows."""
     scns = binlog_key_scns(database, table)
-
-    def actual_of(key: tuple) -> object:
-        document = target.get_document(table, key)
-        return ABSENT_VALUE if document is None else document
-
     return ValueEquality(
         name, subject=f"espresso:{table}",
         expected_items=source_documents(database, table, target.transform),
-        actual_of=actual_of,
+        actual_of=_document_or_absent(target, table),
         scn_of=lambda key: scns().get(key, 0),
-        horizon=horizon)
+        horizon=horizon,
+        changed=espresso_changes(scns, target, table))
 
 
 # -- search-index constraints ------------------------------------------------
@@ -269,32 +347,38 @@ def cutover_constraints(proxy) -> list:
     table, target values equal transformed source rows, every source
     key is on the target, and the target holds no extra keys.  ``proxy``
     is a migration ``DualWriteProxy`` (duck-typed: ``source``,
-    ``target``)."""
+    ``target``).  Freshly built constraints have never looked, so their
+    first evaluation reads both stores row for row — which is what the
+    gate, building its own, always gets."""
     source, target = proxy.source, proxy.target
     constraints = []
     for table in source.table_names():
         scns = binlog_key_scns(source, table)
 
-        def actual_of(key: tuple, table: str = table) -> object:
-            document = target.get_document(table, key)
-            return ABSENT_VALUE if document is None else document
+        def target_keys(keys: Iterable[tuple] | None = None,
+                        table: str = table) -> dict[tuple, int]:
+            if keys is None:
+                return dict.fromkeys(target.keys(table), 0)
+            return {key: 0 for key in keys if target.contains(table, key)}
 
         constraints.append(KeySetContainment(
             f"cutover-containment-{table}", subject=f"espresso:{table}",
             source_items=scns,
             contains=lambda key, table=table: target.contains(table, key),
-            horizon=source_head(source)))
+            horizon=source_head(source),
+            changed=espresso_changes(scns, target, table)))
         constraints.append(ValueEquality(
             f"cutover-equality-{table}", subject=f"espresso:{table}",
             expected_items=source_documents(source, table, target.transform),
-            actual_of=actual_of))
+            actual_of=_document_or_absent(target, table),
+            changed=espresso_changes(scns, target, table)))
         constraints.append(KeySetContainment(
             f"cutover-no-extras-{table}", subject=f"source:{table}",
-            source_items=lambda table=table:
-                dict.fromkeys(target.keys(table), 0),
+            source_items=target_keys,
             contains=lambda key, table=table:
                 source.table(table).contains(key),
-            horizon=lambda: 0))
+            horizon=lambda: 0,
+            changed=espresso_changes(scns, target, table)))
     return constraints
 
 

@@ -311,6 +311,14 @@ class capture_from_binlog:
                     row_schema_for(database.table(table_name).schema))
         self.captured_through = relay.newest_scn(buffer_name)
 
+    def skip_to(self, scn: int) -> None:
+        """Leave history at or below ``scn`` to someone else: the next
+        poll pulls the transaction after it.  For a relay whose only
+        consumer resumes at ``scn`` (nothing below a sole consumer's
+        checkpoint can ever be served).  Forward only — windows the
+        relay already holds must not be captured twice."""
+        self.captured_through = max(self.captured_through, scn)
+
     def poll(self, max_transactions: int = 1000) -> int:
         """Pull committed transactions; returns how many were captured."""
         captured = 0

@@ -68,10 +68,11 @@ class MigrationJournal:
         """The most recent intact checkpoint, or None on first boot.
         A torn tail frame (crash mid-append) is dropped by the WAL's
         CRC scan, falling back to the previous record."""
-        latest = None
+        payload = None
         for payload in self._wal.replay():
-            latest = MigrationCheckpoint.decode(payload)
-        return latest
+            pass    # the last frame wins; history() decodes them all
+        return (MigrationCheckpoint.decode(payload)
+                if payload is not None else None)
 
     def history(self) -> list[MigrationCheckpoint]:
         """Every surviving checkpoint, oldest first (for audits/tests)."""

@@ -9,7 +9,9 @@ Phases:
 
 * **BACKFILL** — run DBLog watermark chunks (``chunks_per_tick`` per
   tick) until every table is fully copied; live changes replicate
-  through the Databus stream the whole time.
+  through the Databus stream the whole time.  The stream starts at the
+  source binlog's head as of the first boot: chunks own every row
+  committed before that SCN, the log owns every change after it.
 * **CATCHUP** — backfill done; drain the stream until replication lag
   (source binlog head SCN minus client checkpoint) is zero.  If the
   lag hasn't converged by ``catchup_deadline``, the writes are landing
@@ -129,9 +131,25 @@ class MigrationCoordinator:
         if restored is not None:
             self._resume(restored)
         else:
+            # first boot: the stream starts where the migration starts.
+            # Chunks own every row committed before this SCN, the log
+            # owns everything after it (the DBLog split) — a real binlog
+            # retains too little history to replay it anyway
+            self._position_stream(proxy.source.binlog.last_scn)
             self._journal()
 
     # -- resume ------------------------------------------------------------
+
+    def _position_stream(self, scn: int) -> None:
+        """The one place the change stream is positioned, for both
+        boots.  Client checkpoint and capture position move together:
+        the migration relay has this one consumer, so a window at or
+        below its checkpoint could never be served — and a capture left
+        behind the checkpoint refills the relay with exactly those."""
+        self.client.checkpoint = scn
+        self.client.has_state = scn > 0
+        if self.capture is not None:
+            self.capture.skip_to(scn)
 
     @atomic_section
     def _resume(self, checkpoint: MigrationCheckpoint) -> None:
@@ -144,8 +162,7 @@ class MigrationCoordinator:
         self.phase = MigrationPhase(checkpoint.phase)
         self.ramp_index = checkpoint.ramp_index
         self.entered_at = checkpoint.entered_at
-        self.client.checkpoint = checkpoint.stream_scn
-        self.client.has_state = checkpoint.stream_scn > 0
+        self._position_stream(checkpoint.stream_scn)
         self.backfill.restore_progress(checkpoint.backfill_progress)
         if self.phase in (MigrationPhase.SHADOW, MigrationPhase.RAMP):
             self.proxy.dual_writes_enabled = True

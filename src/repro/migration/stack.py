@@ -6,6 +6,12 @@ and benchmark needs the same ten objects wired the same way.
 :meth:`MigrationStack.build` does that wiring; ``build`` again with the
 same source/cluster/disk (after a simulated coordinator crash) makes a
 fresh coordinator that resumes from the journal on the shared disk.
+
+The relay, capture adapter and client are new on every build and start
+empty; the coordinator positions client and capture together — at the
+source binlog's head on first boot, at the journaled stream SCN on
+resume — so the new relay is never refilled with history its one
+consumer is already past.
 """
 
 from __future__ import annotations

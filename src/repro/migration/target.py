@@ -21,11 +21,15 @@ backfill agree byte-for-byte on what "equal" means.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError, KeyNotFoundError
+from repro.common.errors import (
+    ConfigurationError,
+    KeyNotFoundError,
+    SCNGoneError,
+)
 from repro.common.serialization import Field, RecordSchema
 from repro.espresso.cluster import EspressoCluster
 from repro.espresso.schema import DatabaseSchema, EspressoTableSchema
-from repro.espresso.storage import EspressoStorageNode
+from repro.espresso.storage import EspressoStorageNode, partition_buffer_name
 from repro.sqlstore.database import SqlDatabase
 from repro.sqlstore.table import Row, TableSchema
 
@@ -205,6 +209,47 @@ class EspressoTarget:
         """Whether a document is stored for a source key; reads no ``val``."""
         key = self.transform.target_key(table, source_key)
         return self._master_for(key[0]).local.table(table).contains(key)
+
+    def written_since(self, table: str, cursor: dict | None
+                      ) -> tuple[set[tuple] | None, dict | None]:
+        """The *source* keys of ``table`` written or deleted through the
+        storage nodes since ``cursor``, and the cursor to pass next time
+        (``{partition: (master, its applied SCN)}``, taken before any
+        key is read).  Every master commit goes to its partition's relay
+        buffer first, so the keys are read off those buffers — two
+        bisects and a slice per partition, nothing stored is touched.
+
+        The keys are None when the delta cannot be bounded: no cursor,
+        the buffer evicted past it, the partition's head below it, or a
+        partition whose master is not the one the cursor was taken
+        from — that is another copy of the data, and nobody has looked
+        at it yet."""
+        database = self.cluster.database
+        position: dict[int, tuple[str, int]] = {}
+        keys: set[tuple] | None = set() if cursor is not None else None
+        for partition in range(database.num_partitions):
+            master = self.cluster.master_node(partition)
+            if master is None:
+                return None, None   # mid-failover: nothing to read from
+            head = master.partition_scn.get(partition, 0)
+            position[partition] = (master.instance_name, head)
+            if keys is None:
+                continue
+            name, since = cursor[partition]
+            if name != master.instance_name or head < since:
+                keys = None
+                continue
+            buffer = self.cluster.relay.buffer(
+                partition_buffer_name(database.name, partition))
+            try:
+                events = buffer.events_since(since)
+                while events:
+                    keys.update(self.transform.source_key(table, event.key)
+                                for event in events if event.source == table)
+                    events = buffer.events_since(events[-1].scn)
+            except SCNGoneError:
+                keys = None
+        return keys, position
 
     def _master_keys(self, table: str):
         """``(master node, target key)`` of every stored document: each

@@ -66,6 +66,56 @@ def test_binlog_key_scns_tracks_upserts_and_deletes(clock):
     assert after[(0,)] == scn  # the latest commit wins
 
 
+def visited_transactions(db):
+    """Wrap ``binlog.read_from`` to record every transaction handed out."""
+    visited = []
+    read_from = db.binlog.read_from
+    db.binlog.read_from = lambda after_scn: (
+        visited.append(txn.scn) or txn for txn in read_from(after_scn))
+    return visited
+
+
+def test_binlog_key_scns_follows_the_log_instead_of_replaying_it(clock):
+    db = make_source(clock, profiles=30, inmails=0)
+    probe = binlog_key_scns(db, "profiles")
+    visited = visited_transactions(db)
+    assert len(probe()) == 30 and len(visited) == 30
+    del visited[:]
+    assert probe([(3,), (99,)]) == {(3,): 4}     # just the keys asked for
+    assert visited == []                         # nothing new: nothing read
+    scn = db.autocommit("profiles", {"member_id": 99, "name": "n", "score": 0})
+    assert probe()[(99,)] == scn and visited == [scn]
+    # the follower returns exactly what a replay from zero returns
+    assert probe() == binlog_key_scns(db, "profiles")()
+
+
+def test_binlog_key_scns_starts_over_on_a_shorter_binlog(clock):
+    db = make_source(clock, profiles=5, inmails=0)
+    probe = binlog_key_scns(db, "profiles")
+    feed = probe.changes()
+    assert feed() is None and feed() == set()
+    rebuilt = make_source(clock, profiles=2, inmails=0)
+    db.binlog = rebuilt.binlog              # not the log it followed
+    assert probe() == {(0,): 1, (1,): 2}
+    assert feed() is None                   # the delta cannot be bounded
+    assert feed() == set()
+
+
+def test_value_equality_visits_each_binlog_transaction_at_most_once(clock):
+    """``scn_of`` used to replay the whole binlog once per key: one
+    check over N keys handed out N x N transactions."""
+    source, stack = cutover_stack(clock)
+    equality = espresso_value_equality(
+        "values", source, "profiles", stack.target,
+        horizon=source_head(source))
+    visited = visited_transactions(source)
+    assert equality.check() == []
+    assert len(visited) == len(set(visited)) == len(source.binlog)
+    del visited[:]
+    assert equality.check() == []
+    assert visited == []
+
+
 # -- espresso-target constraints ---------------------------------------------
 
 def cutover_stack(clock):

@@ -162,3 +162,37 @@ def test_torn_journal_tail_falls_back_one_checkpoint(clock, disk):
     assert latest is not None
     assert latest.stream_scn <= 20          # the torn record never counts
     assert latest.backfill_progress["profiles"] in ((15,), (31,))
+
+
+def test_restart_over_a_long_binlog_resumes_without_replaying_it(clock, disk):
+    """A rebuilt stack has a fresh relay.  Resume must position the
+    capture with the client: a capture left at zero refills the relay
+    with the first 1 000 transactions per poll, none of them above the
+    resumed checkpoint, and the pump reports a stalled stream."""
+    source = make_source(clock, profiles=3000, inmails=0)
+
+    def build(cluster=None):
+        return MigrationStack.build(source, disk.scope("coordinator"), clock,
+                                    slo=FAST_SLO, chunk_size=256,
+                                    cluster=cluster)
+
+    stack = build()
+    for _ in range(5):
+        stack.coordinator.tick()
+        clock.advance(1.0)
+    resumed_scn = stack.journal.load_latest().stream_scn
+    assert resumed_scn > 3000
+    disk.crash_node("coordinator")
+    disk.restart_node("coordinator")
+    stack = build(cluster=stack.cluster)
+    assert stack.coordinator.phase is MigrationPhase.BACKFILL
+    assert stack.client.checkpoint == resumed_scn
+    stack.coordinator.tick()     # was: "stream stalled at SCN 3010"
+    assert stack.relay.buffer().oldest_scn > resumed_scn
+    while not stack.coordinator.complete:
+        stack.coordinator.tick()
+        if not stack.coordinator.complete:
+            stack.proxy.read("profiles", (1,))
+        clock.advance(1.0)
+    assert stack.coordinator.phase is MigrationPhase.CUTOVER
+    assert stack.proxy.full_comparison() == []

@@ -37,7 +37,10 @@ def migrated_stack(profiles: int, inmails: int):
 
 def test_cutover_check_decodes_each_target_document_once():
     """Containment asks ``contains``, no-extras asks ``keys``; only value
-    equality reads documents.  It was three decodes per row."""
+    equality reads documents.  It was three decodes per row.  A second
+    evaluation by the same constraints reads what moved since the first:
+    here a deleted key (``contains``) and a ghost key (``contains`` on
+    both sides) — no document at all."""
     profiles, inmails = 37, 11
     stack = migrated_stack(profiles, inmails)
     check = cutover_check(stack.proxy)
@@ -45,7 +48,6 @@ def test_cutover_check_decodes_each_target_document_once():
         assert check() == []
     assert calls.count(*DECODES) == profiles + inmails
     assert calls.count("encode_record") == 0
-    # a violation costs the same: the gate does not re-read to report it
     stack.target.delete_row("profiles", (5,))
     stack.target.put_row("profiles", {"member_id": 999, "name": "ghost",
                                       "score": 0})
@@ -53,7 +55,7 @@ def test_cutover_check_decodes_each_target_document_once():
         kinds = sorted(v.constraint for v in check())
     assert kinds == ["cutover-containment-profiles",
                      "cutover-no-extras-profiles"]
-    assert calls.count(*DECODES) == profiles + inmails - 1
+    assert calls.count(*DECODES) == 0
 
 
 def test_contains_and_keys_read_no_document():
