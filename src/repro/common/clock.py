@@ -107,16 +107,17 @@ class SimClock(Clock):
         """
         fired = 0
         while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            if self._queue[0].cancelled:
+                heapq.heappop(self._queue)
                 continue
-            self._now = max(self._now, event.fire_at)
-            event.callback()
-            fired += 1
             if fired >= limit:
                 raise NonConvergenceError(
                     f"run_all exceeded {limit} events; "
                     "likely a self-rescheduling loop")
+            event = heapq.heappop(self._queue)
+            self._now = max(self._now, event.fire_at)
+            event.callback()
+            fired += 1
 
     @property
     def pending_events(self) -> int:

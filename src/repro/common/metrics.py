@@ -22,14 +22,15 @@ class LatencyHistogram:
     while percentile error stays within one bucket width (~5%).
     """
 
-    def __init__(self, min_value: float = 1e-7, max_value: float = 100.0,
-                 buckets_per_decade: int = 48):
+    BUCKETS_PER_DECADE = 48
+
+    def __init__(self, min_value: float = 1e-7, max_value: float = 100.0):
         if min_value <= 0 or max_value <= min_value:
             raise ConfigurationError("require 0 < min_value < max_value")
         self._min = min_value
         self._log_min = math.log(min_value)
         decades = math.log10(max_value / min_value)
-        self._bucket_count = max(1, int(math.ceil(decades * buckets_per_decade))) + 1
+        self._bucket_count = max(1, int(math.ceil(decades * self.BUCKETS_PER_DECADE))) + 1
         self._scale = self._bucket_count / (math.log(max_value) - self._log_min)
         self._counts = [0] * (self._bucket_count + 1)
         self._total = 0

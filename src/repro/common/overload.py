@@ -176,16 +176,12 @@ class CoDelShedder:
     """
 
     def __init__(self, clock: Clock, target: float = 0.005,
-                 interval: float = 0.1,
-                 metrics: MetricsRegistry | None = None,
-                 name: str = "codel"):
+                 interval: float = 0.1):
         if target <= 0 or interval <= 0:
             raise ConfigurationError("target and interval must be positive")
         self.clock = clock
         self.target = target
         self.interval = interval
-        self.metrics = metrics
-        self.name = name
         self._first_above: float | None = None
         self.dropping = False
         self.passed = 0
@@ -209,10 +205,6 @@ class CoDelShedder:
             self.dropping = True
         if self.dropping and queue_delay >= self._target_for(priority):
             self.shed += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    f"{self.name}.shed."
-                    f"{PRIORITY_NAMES.get(priority, priority)}").increment()
             return True
         self.passed += 1
         return False
@@ -236,9 +228,7 @@ class ConcurrencyLimiter:
 
     def __init__(self, initial: int = 16, min_limit: int = 1,
                  max_limit: int = 1024, decrease: float = 0.7,
-                 latency_factor: float = 2.0, smoothing: float = 0.9,
-                 metrics: MetricsRegistry | None = None,
-                 name: str = "limiter"):
+                 latency_factor: float = 2.0, smoothing: float = 0.9):
         if not 1 <= min_limit <= initial <= max_limit:
             raise ConfigurationError(
                 "require 1 <= min_limit <= initial <= max_limit")
@@ -254,8 +244,6 @@ class ConcurrencyLimiter:
         self.decrease = decrease
         self.latency_factor = latency_factor
         self.smoothing = smoothing
-        self.metrics = metrics
-        self.name = name
         self.in_flight = 0
         self.baseline_latency: float | None = None
         self.overload_shrinks = 0
@@ -266,8 +254,6 @@ class ConcurrencyLimiter:
 
     def try_acquire(self) -> bool:
         if self.in_flight >= self.limit:
-            if self.metrics is not None:
-                self.metrics.counter(f"{self.name}.rejected").increment()
             return False
         self.in_flight += 1
         return True
@@ -300,8 +286,6 @@ class ConcurrencyLimiter:
     def _shrink(self) -> None:
         self._limit = max(float(self.min_limit), self._limit * self.decrease)
         self.overload_shrinks += 1
-        if self.metrics is not None:
-            self.metrics.counter(f"{self.name}.shrinks").increment()
 
 
 #: An attempt function: targets one candidate, returns (result,
@@ -327,10 +311,7 @@ class HedgedCall:
     """
 
     def __init__(self, min_delay: float = 0.001, fallback_delay: float = 0.05,
-                 percentile: float = 99.0, warmup: int = 20,
-                 median_multiplier: float = 3.0,
-                 metrics: MetricsRegistry | None = None,
-                 name: str = "hedge"):
+                 warmup: int = 20, median_multiplier: float = 3.0):
         if min_delay < 0 or fallback_delay < min_delay:
             raise ConfigurationError(
                 "require 0 <= min_delay <= fallback_delay")
@@ -338,18 +319,11 @@ class HedgedCall:
             raise ConfigurationError("median_multiplier must be > 1")
         self.min_delay = min_delay
         self.fallback_delay = fallback_delay
-        self.percentile = percentile
         self.warmup = warmup
         self.median_multiplier = median_multiplier
         self.histogram = LatencyHistogram()
-        self.metrics = metrics
-        self.name = name
         self.launched = 0
         self.backup_wins = 0
-
-    def _count(self, event: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"{self.name}.{event}").increment()
 
     def hedge_delay(self) -> float:
         """Current backup-launch delay: the observed p99, clamped to
@@ -360,7 +334,7 @@ class HedgedCall:
         hedge off — exactly when it is most needed."""
         if self.histogram.count < self.warmup:
             return self.fallback_delay
-        delay = min(self.histogram.percentile(self.percentile),
+        delay = min(self.histogram.percentile(99.0),
                     self.histogram.percentile(50.0) * self.median_multiplier)
         return max(self.min_delay, delay)
 
@@ -386,11 +360,9 @@ class HedgedCall:
             # the failure is known (bounded by the hedge delay)
             burned = min(delay, getattr(exc, "simulated_latency", delay))
             self.launched += 1
-            self._count("launched")
             backup_result, backup_latency = attempt(targets[1])
             effective = burned + backup_latency
             self.backup_wins += 1
-            self._count("backup_wins")
             self.histogram.record(effective)
             return targets[1], backup_result, effective, True
         if latency <= delay or len(targets) < 2:
@@ -398,7 +370,6 @@ class HedgedCall:
             return primary, result, latency, False
         # primary still outstanding at the hedge deadline: fire a backup
         self.launched += 1
-        self._count("launched")
         try:
             backup_result, backup_latency = attempt(targets[1])
         except (NodeUnavailableError, ServerOverloadedError):
@@ -409,8 +380,5 @@ class HedgedCall:
         self.histogram.record(effective)
         if delay + backup_latency < latency:
             self.backup_wins += 1
-            self._count("backup_wins")
-            self._count("cancelled_primary")
             return targets[1], backup_result, effective, True
-        self._count("cancelled_backup")
         return primary, result, effective, True

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
 from repro.databus.events import DatabusEvent
-from repro.databus.relay import DEFAULT_BUFFER, Relay
+from repro.databus.relay import Relay
 from repro.sqlstore.binlog import BinlogTransaction
 from repro.sqlstore.database import SqlDatabase
 
@@ -33,12 +33,10 @@ class TriggerCapture:
     capture work happens on the database's time.
     """
 
-    def __init__(self, database: SqlDatabase, relay: Relay,
-                 buffer_name: str = DEFAULT_BUFFER):
+    def __init__(self, database: SqlDatabase, relay: Relay):
         from repro.databus.events import row_schema_for
         self.database = database
         self.relay = relay
-        self.buffer_name = buffer_name
         for table_name in database.table_names():
             if relay.schemas.latest(table_name) is None:
                 relay.register_schema(
@@ -48,7 +46,7 @@ class TriggerCapture:
         database.binlog.subscribe(self._listener)
 
     def _on_commit(self, txn: BinlogTransaction) -> None:
-        self.relay.capture_transaction(txn, self.buffer_name)
+        self.relay.capture_transaction(txn)
         self.transactions_captured += 1
 
     def detach(self) -> None:
@@ -65,20 +63,18 @@ class RelayChain:
     downstream's consumer fan-out.
     """
 
-    def __init__(self, upstream: Relay, downstream: Relay,
-                 buffer_name: str = DEFAULT_BUFFER):
+    def __init__(self, upstream: Relay, downstream: Relay):
         if upstream is downstream:
             raise ConfigurationError("a relay cannot chain to itself")
         self.upstream = upstream
         self.downstream = downstream
-        self.buffer_name = buffer_name
         # mirror schemas (all versions) so downstream clients can decode
         for name in upstream.schemas.names():
             latest = upstream.schemas.latest(name)
             for version in range(1, latest.version + 1):
                 downstream.schemas.register_exact(
                     upstream.schemas.get(name, version))
-        self.copied_through = downstream.newest_scn(buffer_name)
+        self.copied_through = downstream.newest_scn()
         self.windows_copied = 0
 
     def poll(self, max_events: int = 10_000) -> int:
@@ -89,7 +85,6 @@ class RelayChain:
         then be re-seeded (same rule as any other consumer).
         """
         events = self.upstream.stream_from(self.copied_through,
-                                           self.buffer_name,
                                            max_events=max_events)
         if not events:
             return 0
@@ -98,7 +93,7 @@ class RelayChain:
         for event in events:
             window.append(event)
             if event.end_of_window:
-                self.downstream.buffer(self.buffer_name).append_window(window)
+                self.downstream.buffer().append_window(window)
                 self.copied_through = event.scn
                 self.windows_copied += 1
                 copied += len(window)

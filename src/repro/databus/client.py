@@ -96,10 +96,6 @@ class DatabusClient:
                  retry_policy: RetryPolicy | None = None,
                  clock: Clock | None = None,
                  network=None, client_name: str = "databus-client",
-                 relay_name: str | None = None,
-                 bootstrap_name: str | None = None,
-                 breaker: CircuitBreaker | None = None,
-                 retry_seed: int = 0,
                  bulk_lag_scns: int = 1000):
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
@@ -119,9 +115,6 @@ class DatabusClient:
         # subject to its failure injection.
         self.network = network
         self.client_name = client_name
-        self.relay_name = relay_name or relay.name
-        self.bootstrap_name = bootstrap_name or (
-            bootstrap.name if bootstrap is not None else None)
         if clock is not None:
             self.clock = clock
         elif network is not None:
@@ -129,9 +122,9 @@ class DatabusClient:
         else:
             self.clock = SimClock()
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
-        self.relay_breaker = breaker or CircuitBreaker(
+        self.relay_breaker = CircuitBreaker(
             self.clock, name="relay", metrics=self.metrics)
         # overload etiquette: a consumer more than bulk_lag_scns behind
         # the relay head is catching up, not tailing, and declares its
@@ -156,7 +149,7 @@ class DatabusClient:
     def _stream_from_relay(self, max_events: int) -> list[DatabusEvent]:
         priority = self._poll_priority()
         return call_with_retries(
-            lambda: self._call(self.relay_name, self.relay.stream_from,
+            lambda: self._call(self.relay.name, self.relay.stream_from,
                                self.checkpoint, self.buffer_name,
                                self.event_filter, max_events, priority),
             clock=self.clock, policy=self.retry_policy, rng=self._retry_rng,
@@ -272,7 +265,7 @@ class DatabusClient:
         """Consolidated delta: fast playback for lagging consumers."""
         self.stats.delta_bootstraps += 1
         events, high_watermark = self._call(
-            self.bootstrap_name, self.bootstrap.consolidated_delta,
+            self.bootstrap.name, self.bootstrap.consolidated_delta,
             self.checkpoint, self.event_filter)
         for event in events:
             self._deliver_single(event)
@@ -282,7 +275,7 @@ class DatabusClient:
         """Consistent snapshot: initialization for stateless consumers."""
         self.stats.snapshot_bootstraps += 1
         resume_scn = self.checkpoint
-        for kind, item in self._call(self.bootstrap_name,
+        for kind, item in self._call(self.bootstrap.name,
                                      self._snapshot_as_list):
             if kind == "row":
                 self.consumer.on_snapshot_row(item)

@@ -203,11 +203,9 @@ class Relay:
     """A shared-nothing relay process managing named event buffers."""
 
     def __init__(self, name: str = "relay-1", max_events_per_buffer: int = 100_000,
-                 max_bytes_per_buffer: int = 64 * 1024 * 1024,
                  admission: AdmissionController | None = None):
         self.name = name
         self._max_events = max_events_per_buffer
-        self._max_bytes = max_bytes_per_buffer
         self._buffers: dict[str, EventBuffer] = {}
         self.schemas = SchemaRegistry()
         self.requests_served = 0
@@ -221,7 +219,7 @@ class Relay:
 
     def buffer(self, name: str = DEFAULT_BUFFER) -> EventBuffer:
         if name not in self._buffers:
-            self._buffers[name] = EventBuffer(self._max_events, self._max_bytes)
+            self._buffers[name] = EventBuffer(self._max_events)
         return self._buffers[name]
 
     def buffer_names(self) -> list[str]:
@@ -298,18 +296,16 @@ class capture_from_binlog:
     """
 
     def __init__(self, database: SqlDatabase, relay: Relay,
-                 buffer_name: str = DEFAULT_BUFFER,
                  route: Callable[[DatabusEvent], str] | None = None):
         from repro.databus.events import row_schema_for
         self.database = database
         self.relay = relay
-        self.buffer_name = buffer_name
         self.route = route
         for table_name in database.table_names():
             if relay.schemas.latest(table_name) is None:
                 relay.register_schema(
                     row_schema_for(database.table(table_name).schema))
-        self.captured_through = relay.newest_scn(buffer_name)
+        self.captured_through = relay.newest_scn()
 
     def skip_to(self, scn: int) -> None:
         """Leave history at or below ``scn`` to someone else: the next
@@ -325,7 +321,7 @@ class capture_from_binlog:
         for txn in self.database.binlog.read_from(self.captured_through):
             if captured >= max_transactions:
                 break
-            self.relay.capture_transaction(txn, self.buffer_name, self.route)
+            self.relay.capture_transaction(txn, route=self.route)
             self.captured_through = txn.scn
             captured += 1
         return captured

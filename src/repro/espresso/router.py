@@ -63,13 +63,13 @@ class Router:
 
     def __init__(self, cluster: EspressoCluster,
                  retry_policy: RetryPolicy | None = None,
-                 auto_failover: bool = False, retry_seed: int = 0,
+                 auto_failover: bool = False,
                  admission_rate: float | None = None,
                  admission_burst: float | None = None):
         self.cluster = cluster
         self.retry_policy = retry_policy
         self.auto_failover = auto_failover
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         self.requests_routed = 0
         # per-partition admission control (off unless a rate is given):

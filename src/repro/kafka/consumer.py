@@ -71,12 +71,11 @@ class SimpleConsumer:
     """
 
     def __init__(self, cluster: KafkaCluster, fetch_max_bytes: int = 300 * 1024,
-                 retry_policy: RetryPolicy | None = None,
-                 retry_seed: int = 0):
+                 retry_policy: RetryPolicy | None = None):
         self.cluster = cluster
         self.fetch_max_bytes = fetch_max_bytes
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         self._replicated: dict[str, ReplicatedTopic] = {}
         self.fetch_requests = 0

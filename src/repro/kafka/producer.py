@@ -39,7 +39,7 @@ class Producer:
     def __init__(self, cluster: KafkaCluster, batch_size: int = 50,
                  compress: bool = False, compression_level: int = 6,
                  seed: int = 0, retry_policy: RetryPolicy | None = None,
-                 retry_seed: int = 0, max_pending: int | None = None):
+                 max_pending: int | None = None):
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if max_pending is not None and max_pending < batch_size:
@@ -55,7 +55,7 @@ class Producer:
         self.compression_level = compression_level
         self._rng = random.Random(seed)
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         # topic -> ReplicatedTopic for topics under leader/follower
         # replication; their produce path goes through the leader and

@@ -83,6 +83,7 @@ class FaultPlan:
         self.network = network
         self.rng = random.Random(seed)
         self._actions: list[FaultAction] = []
+        self._scheduled = 0   # actions[:_scheduled] are already on the clock
         self._kill_handlers: list[Callable[[str], None]] = []
         self._restart_handlers: list[Callable[[str], None]] = []
         self._kill_container_handlers: list[Callable[[str], None]] = []
@@ -309,13 +310,21 @@ class FaultPlan:
         Actions sharing a timestamp fire in the order they were added
         (the clock breaks ties by scheduling order), so a plan is fully
         determined by its construction sequence.
+
+        The clock runs to ``max(until, time of the last action)``: a
+        plan always fires everything it holds, ``until`` can only
+        extend the run.  Each action is scheduled once, so a later
+        ``run`` fires only what was added since and otherwise just
+        advances the clock.
         """
         horizon = until
         for action in self._actions:
             if horizon is None or action.at > horizon:
                 horizon = action.at
+        for action in self._actions[self._scheduled:]:
             self.clock.call_at(action.at,
                                lambda action=action: self._fire(action))
+        self._scheduled = len(self._actions)
         if horizon is not None:
             self.clock.run_until(horizon)
         return self.executed

@@ -61,7 +61,6 @@ class RoutedStore:
                  client_zone: int | None = None,
                  retry_policy: RetryPolicy | None = None,
                  breaker_config: dict | None = None,
-                 retry_seed: int = 0,
                  admission: AdmissionController | None = None,
                  hedge: HedgedCall | None = None):
         self.cluster = cluster
@@ -78,7 +77,7 @@ class RoutedStore:
         # minimum (5) so the detector always sees enough real outcomes
         # to mark a node down before calls to it are short-circuited.
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self._breaker_config = {"window": 16, "minimum_samples": 8,
                                 "reset_timeout": 1.0}
         self._breaker_config.update(breaker_config or {})

@@ -41,13 +41,12 @@ class ServerSideRoutedStore:
 
     def __init__(self, cluster: VoldemortCluster, store: str,
                  client_name: str = "thin-client",
-                 retry_policy: RetryPolicy | None = None,
-                 retry_seed: int = 0):
+                 retry_policy: RetryPolicy | None = None):
         self.cluster = cluster
         self.store = store
         self.client_name = client_name
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         # each node runs its own instance of the routing module
         self._coordinators: dict[int, RoutedStore] = {

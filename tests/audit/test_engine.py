@@ -10,14 +10,19 @@ from repro.audit import (
     CountConservation,
     KeySetContainment,
     Lineage,
+    ViolationInjector,
     WatermarkCut,
+    reconcile,
 )
 from repro.audit.engine import VIOLATIONS_FAMILY
+from repro.audit.wiring import search_containment
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError, NonConvergenceError
 from repro.common.metrics import MetricsRegistry
 from repro.databus import Relay, capture_from_binlog
 from repro.search import MEMBER_TABLE, PeopleSearchService
+from repro.simnet.disk import SimDisk
+from repro.simnet.faultplan import FaultPlan
 from repro.sqlstore import SqlDatabase
 
 
@@ -140,6 +145,41 @@ def test_run_every_fires_on_the_sim_clock(clock):
     assert auditor.ticks == 4  # stopped: no further fires
     with pytest.raises(ConfigurationError):
         auditor.run_every(0.0)
+
+
+@pytest.mark.parametrize("tick, latency", [(0.25, 0.15), (1.0, 0.9),
+                                           (4.0, 2.9)])
+def test_exp_a1_detection_latency_tracks_the_tick_interval(clock, tick,
+                                                           latency):
+    """A document dropped from the index at t=5.1, just after a tick (the
+    worst case), is reported at the next tick."""
+    db, relay, capture, service = make_pipeline(clock)
+    for member in range(64):
+        upsert(db, member, f"m{member}")
+
+    def pump():
+        capture.poll()
+        service.client.poll()
+
+    pump()
+    auditor = Auditor(clock)
+    cut = auditor.add_cut(WatermarkCut(
+        db, pump, [lambda: service.client.checkpoint]))
+    auditor.declare(search_containment(
+        "search-containment", db, MEMBER_TABLE.name, service.index,
+        horizon=lambda: cut.last_scn))
+    plan = FaultPlan(clock, SimDisk(clock=clock))
+    injector = ViolationInjector()
+    injector.skip_index_update(
+        plan, 5.1, service.index, 7, key=(7,),
+        constraint="search-containment",
+        subject=f"search:{MEMBER_TABLE.name}")
+    auditor.run_every(tick)
+    plan.run(until=5.1 + 4 * tick + 1.0)
+    auditor.stop()
+    assert reconcile(injector.planted, auditor.findings).exact
+    found = auditor.findings[0].violation
+    assert round(found.detected_at - 5.1, 6) == latency
 
 
 def test_run_every_rejects_double_start(clock):

@@ -83,6 +83,17 @@ def test_run_all_guards_against_infinite_loops():
         clock.run_all(limit=50)
 
 
+def test_run_all_drains_a_queue_of_exactly_limit_events():
+    clock = SimClock()
+    fired = []
+    for i in range(5):
+        clock.call_later(0, lambda i=i: fired.append(i))
+    clock.cancel(clock.call_later(1.0, lambda: fired.append("cancelled")))
+    clock.run_all(limit=5)
+    assert fired == [0, 1, 2, 3, 4]
+    assert clock.pending_events == 0
+
+
 def test_sleep_advances_sim_time_and_fires_events():
     clock = SimClock()
     fired = []

@@ -82,6 +82,21 @@ class TestAppendReplay:
         wal2.fsync()
         assert list(wal2.replay()) == [b"first", b"second"]
 
+    @pytest.mark.parametrize("frames", [256, 1024, 4096])
+    def test_exp_r2_a_crash_replays_exactly_the_frames_fsynced(self, disk,
+                                                               frames):
+        """Recovery work is linear in the log: one frame replayed per
+        frame made durable, none for the unsynced tail."""
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        for _ in range(frames):
+            wal.append(b"x" * 128)
+        wal.fsync()
+        wal.append(b"never synced")
+        disk.crash_node("node")
+        recovered = WriteAheadLog("node/x.wal", disk=disk)
+        assert recovered.recovered_frames == frames
+        assert recovered.size_bytes == frames * (FRAME_OVERHEAD + 128)
+
 
 class TestRecovery:
     def test_torn_tail_truncated(self, disk):

@@ -6,6 +6,7 @@ from repro.common.errors import ConfigurationError
 from repro.databus import BootstrapServer
 from repro.databus.events import DatabusEvent
 from repro.sqlstore.binlog import ChangeKind
+from repro.workloads import ZipfGenerator
 
 
 def event(scn, key=(1,), end=True, source="member", payload=b"p"):
@@ -120,3 +121,29 @@ def test_delta_playback_factor_grows_with_skew(bootstrap):
     assert len(replay) == hot_updates
     assert len(delta) == 5
     assert len(replay) / len(delta) == 40
+
+
+def zipf_fed(bootstrap, updates, distinct_rows, skew):
+    keygen = ZipfGenerator(distinct_rows, theta=skew, seed=1)
+    feed(bootstrap, *((scn, (keygen.next(),))
+                      for scn in range(1, updates + 1)))
+    return bootstrap
+
+
+def test_exp_d2_playback_factor_by_update_skew():
+    # 4 000 updates over 500 rows; the delta is one event per touched row
+    factors = {}
+    for skew in (0.0, 0.8, 1.2):
+        bootstrap = zipf_fed(BootstrapServer(), 4000, 500, skew)
+        delta, _ = bootstrap.consolidated_delta(0)
+        assert len(delta) == len({e.key for e in bootstrap.full_replay(0)[0]})
+        factors[skew] = round(4000 / len(delta), 1)
+    assert factors == {0.0: 8.0, 0.8: 8.4, 1.2: 11.0}
+
+
+def test_fig_iii3_snapshot_for_new_clients_delta_sized_by_lag(bootstrap):
+    zipf_fed(bootstrap, 3000, 400, 0.9)
+    rows = sum(kind == "row" for kind, _ in bootstrap.consistent_snapshot())
+    near_head, _ = bootstrap.consolidated_delta(2900)
+    from_zero, _ = bootstrap.consolidated_delta(0)
+    assert (rows, len(near_head), len(from_zero)) == (366, 57, 366)

@@ -240,3 +240,21 @@ def test_consolidated_delta_after_lag_is_fast_playback(pipeline):
     # far fewer than 20 deliveries thanks to consolidation
     assert len(consumer.events) < 10
     assert client.checkpoint == 21
+
+
+def test_exp_d4_fanout_costs_relay_reads_never_source_commits(pipeline):
+    db, relay, capture, _ = pipeline
+    for member in range(500):
+        insert_member(db, member)
+    capture.poll()
+    commits = db.commits
+    served = []
+    for fanout in (1, 10, 100):
+        before = relay.requests_served
+        consumers = [RecordingConsumer() for _ in range(fanout)]
+        for consumer in consumers:
+            DatabusClient(consumer, relay).run_to_head()
+        assert all(len(c.events) == 500 for c in consumers)
+        served.append((relay.requests_served - before) / fanout)
+    assert db.commits == commits          # +0 source commits in every arm
+    assert served[0] == served[1] == served[2]   # flat per consumer

@@ -9,6 +9,7 @@ from repro.databus.relay import EventBuffer
 from repro.databus.events import DatabusEvent
 from repro.sqlstore.binlog import ChangeKind
 
+from tests.common.codec_calls import DECODES, codec_calls
 from tests.databus.conftest import insert_member, update_member
 
 
@@ -91,6 +92,15 @@ class TestRelayCapture:
         schema = relay.schemas.get("member", events[0].schema_version)
         row = decode_record(schema, events[0].payload)
         assert row == {"member_id": 7, "name": "Reid", "headline": "founder"}
+
+    def test_exp_d1_capture_costs_one_encode_per_event(self, source_db, relay,
+                                                       capture):
+        for member in range(200):
+            insert_member(source_db, member)
+        with codec_calls() as calls:
+            assert capture.poll() == 200
+        assert calls.count("encode_record") == 200
+        assert calls.count(*DECODES) == 0
 
     def test_transaction_boundaries_preserved(self, source_db, relay, capture):
         txn = source_db.begin()

@@ -22,6 +22,11 @@ def test_start_assigns_masters_and_slaves(cluster):
     cluster.assert_single_master()
     for node in cluster.nodes.values():
         assert node.mastered_partitions() or node.slaved_partitions()
+    # FIG-IV.3: 8 partitions x 2 replicas on 3 nodes, balanced and disjoint
+    roles = [(node.mastered_partitions(), node.slaved_partitions())
+             for node in cluster.nodes.values()]
+    assert [(len(m), len(s)) for m, s in roles] == [(3, 2), (3, 3), (2, 3)]
+    assert not any(set(m) & set(s) for m, s in roles)
 
 
 def test_replication_propagates_to_slaves(cluster):
@@ -93,6 +98,36 @@ def test_failover_drains_relay_before_promotion(cluster):
     assert new_master.partition_scn[partition] == 5
 
 
+@pytest.mark.parametrize("lag", [0, 50, 200])
+def test_exp_e1_failover_drains_exactly_the_slave_lag(cluster, lag):
+    artist = "artist-lag"
+    partition = MUSIC.partition_for(artist)
+    master = cluster.master_node(partition)
+    for rev in range(lag):   # slaves are not pumped: they lag by `lag` windows
+        master.put_document("Artist", (artist,),
+                            {"name": artist, "genre": f"g{rev}", "bio": None})
+    cluster.crash_node(master.instance_name)
+    applied = sum(n.windows_applied for n in cluster.nodes.values())
+    cluster.failover()
+    assert sum(n.windows_applied for n in cluster.nodes.values()) - applied == lag
+    if lag:
+        survivor = cluster.master_node(partition).get_document("Artist", (artist,))
+        assert survivor.document["genre"] == f"g{lag - 1}"
+
+
+def test_exp_e1_single_master_through_a_rolling_failure_storm(cluster):
+    put_artists(cluster, 60)
+    cluster.pump_replication()
+    for name in list(cluster.nodes):
+        for change in (cluster.crash_node, cluster.recover_node):
+            change(name)
+            cluster.failover()
+            cluster.assert_single_master()
+        cluster.pump_replication()
+    assert all(cluster.masters_by_partition().values())
+    assert len(cluster.controller.transitions_issued) == 64
+
+
 def test_writes_after_failover_continue_scn_stream(cluster):
     artist = "artist-cont"
     partition = MUSIC.partition_for(artist)
@@ -129,9 +164,14 @@ def test_recovered_node_rejoins_as_consistent_replica(cluster):
 def test_expansion_bootstraps_and_takes_mastership(cluster):
     keys = put_artists(cluster, 40)
     cluster.pump_replication()
+    before = cluster.masters_by_partition()
     newcomer = cluster.add_node("storage-3")
     cluster.assert_single_master()
     assert newcomer.mastered_partitions()  # took over some masters
+    # EXP-E4: 5 masterships moved, and every node now masters 2 partitions
+    after = cluster.masters_by_partition()
+    assert sum(after[p] != before[p] for p in after) == 5
+    assert sorted(after.values()) == sorted(list(cluster.nodes) * 2)
     # the newcomer's partitions are fully caught up
     for partition in newcomer.mastered_partitions():
         prior_masters = [n for n in cluster.nodes.values()
@@ -140,8 +180,8 @@ def test_expansion_bootstraps_and_takes_mastership(cluster):
         if prior_masters:
             assert newcomer.partition_scn[partition] == max(
                 n.partition_scn[partition] for n in prior_masters)
-    # every key still served
-    for key in keys:
+    # every key still served, and writes go on (no downtime)
+    for key in keys + put_artists(cluster, 20):
         node = cluster.node_for_resource(key[0])
         assert node.get_document("Artist", key).document["name"] == key[0]
 

@@ -42,6 +42,11 @@ def test_unpartitioned_maps_everything_to_zero():
 def test_partitioning_spreads_resources():
     partitions = {MUSIC.partition_for(f"artist-{i}") for i in range(200)}
     assert len(partitions) == MUSIC.num_partitions
+    # FIG-IV.2: and evenly — 12 000 resources over the 8 partitions
+    counts = [0] * MUSIC.num_partitions
+    for i in range(12_000):
+        counts[MUSIC.partition_for(f"artist-{i}")] += 1
+    assert (min(counts), max(counts)) == (1470, 1558)   # worst 3.9% off 1 500
 
 
 def test_table_lookup():

@@ -12,6 +12,7 @@ from repro.databus.relay import Relay
 from repro.espresso import DocumentSchemaRegistry, EspressoStorageNode
 from repro.espresso.storage import partition_buffer_name, row_table_schema
 
+from tests.common.codec_calls import DECODES, codec_calls
 from tests.espresso.conftest import ALBUM_SCHEMA, ARTIST_SCHEMA, MUSIC, SONG_SCHEMA
 
 
@@ -222,6 +223,26 @@ def test_index_query_after_writes(node):
     scan_hits = node.query_full_scan("Song", "lyrics", "lucy in the sky",
                                      resource_id="Beatles")
     assert [r.key for r in scan_hits] == [r.key for r in hits]
+
+
+def test_exp_e2_index_decodes_the_matches_a_scan_decodes_the_collection(node):
+    # at 1% selectivity: N/100 documents decoded where the scan decodes N
+    written = 0
+    for size in (200, 1000, 4000):
+        for i in range(written, size):
+            node.put_document("Song", ("Beatles", f"album-{i % 20}", f"s{i}"),
+                              {"title": f"song {i}", "duration": 180,
+                               "lyrics": f"gold rain dream tag{i % 100:02d}"})
+        written = size
+        with codec_calls() as calls:
+            hits = node.query_index("Song", "lyrics", "tag07",
+                                    resource_id="Beatles")
+        assert calls.count(*DECODES) == len(hits) == size // 100
+        with codec_calls() as calls:
+            scanned = node.query_full_scan("Song", "lyrics", "tag07",
+                                           resource_id="Beatles")
+        assert calls.count(*DECODES) == size
+        assert [r.key for r in scanned] == [r.key for r in hits]
 
 
 def test_commit_rejects_scn_race_during_wal_fsync(node):

@@ -22,7 +22,11 @@ backoff delays included — is reproducible.
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import DeadlineExceededError
+from repro.common.errors import (
+    DeadlineExceededError,
+    InsufficientOperationalNodesError,
+    ObsoleteVersionError,
+)
 from repro.common.resilience import Deadline, RetryPolicy
 from repro.databus import (
     BootstrapServer,
@@ -221,6 +225,38 @@ def test_voldemort_quorum_read_with_replica_partitioned_away():
     assert routed.breaker_for(victim).state == "closed"
     assert routed.metrics.counter(
         f"node-{victim}.breaker.closed").value == 1
+
+
+def goodput_under_transient_errors(retry: bool, error_rate: float) -> float:
+    """EXP-R1: share of a 60/40 get/put mix that completes."""
+    network = SimNetwork(seed=1, latency_model=fixed_latency(0.0008))
+    cluster = VoldemortCluster(num_nodes=5, partitions_per_node=4,
+                               network=network, seed=1)
+    cluster.define_store(StoreDefinition("profiles", 3, 2, 2))
+    routed = RoutedStore(cluster, "profiles",
+                         retry_policy=POLICY if retry else None)
+    keys = [b"key-%03d" % i for i in range(50)]
+    for key in keys:
+        routed.put(key, Versioned.initial(b"seed", 0))
+    network.failures.transient_error_rate = error_rate
+    completed = 0
+    for i in range(300):
+        key = keys[i % len(keys)]
+        try:
+            current = routed.get(key)[0][0]
+            if i % 5 >= 3:
+                routed.put(key, Versioned(b"v-%d" % i,
+                                          current.clock.incremented(0)))
+            completed += 1
+        except (InsufficientOperationalNodesError, ObsoleteVersionError):
+            pass   # a half-applied write also fails the retry of its key
+    return completed / 300
+
+
+def test_exp_r1_retries_hold_goodput_through_a_lossy_network():
+    assert [goodput_under_transient_errors(True, rate)
+            for rate in (0.0, 0.01, 0.05)] == [1.0, 1.0, 1.0]
+    assert goodput_under_transient_errors(False, 0.05) == 0.98
 
 
 # -- Espresso: write retries onto the promoted master ----------------------------

@@ -4,7 +4,7 @@ rows discarded, watermarks from dead runs ignored, per-table progress."""
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.migration import MigrationStack
+from repro.migration import MigrationPhase, MigrationStack
 from repro.migration.backfill import DONE, high_label, low_label
 from repro.simnet.disk import SimDisk
 from repro.sqlstore.binlog import ChangeKind
@@ -136,3 +136,59 @@ def test_chunk_preserves_progress_reset_during_pump(clock):
     backfill.run_one_chunk()
     backfill._pump_to = orig_pump
     assert backfill.progress["profiles"] is None
+
+
+class InterferingSource:
+    """The source with ``writes`` application commits racing every
+    bracket, on rows the chunk is about to return."""
+
+    def __init__(self, db, writes, rows):
+        self.db, self.writes, self.rows = db, writes, rows
+        self.write_watermark = db.write_watermark
+
+    def scan_chunk(self, table, after_key, limit):
+        start = 0 if after_key is None else after_key[0] + 1
+        for i in range(self.writes):
+            self.db.autocommit(table, {"member_id": (start + i) % self.rows,
+                                       "name": "hot", "score": -1},
+                               kind=ChangeKind.UPDATE)
+        return self.db.scan_chunk(table, after_key, limit)
+
+
+def test_exp_m1_in_bracket_writes_discard_exactly_their_snapshot_rows(clock):
+    # 480 rows in 15 brackets of 32: writes x brackets rows are superseded
+    discarded = {}
+    for writes in (0, 2, 8):
+        source = make_source(clock, profiles=480, inmails=0)
+        stack = build(source, clock, chunk_size=32)
+        backfill = stack.coordinator.backfill
+        backfill.source = InterferingSource(source, writes, rows=480)
+        results = []
+        while not backfill.complete:
+            results.append(backfill.run_one_chunk())
+            clock.advance(0.1)
+        discarded[writes] = sum(r.rows_discarded for r in results)
+        assert sum(r.rows_applied for r in results) == 480 - discarded[writes]
+        assert len(stack.target.dump("profiles")) == 480
+    assert discarded == {0: 0, 2: 30, 8: 120}
+
+
+def test_exp_m1b_catch_up_lag_drains_linearly_under_bounded_polls(clock):
+    polls = {}
+    for burst in (100, 400):
+        source = make_source(clock, profiles=480, inmails=0)
+        stack = build(source, clock, chunk_size=32)
+        while stack.coordinator.phase is MigrationPhase.BACKFILL:
+            stack.coordinator.tick()
+            clock.advance(0.1)
+        for i in range(burst):
+            source.autocommit("profiles", {"member_id": i, "name": "backlog",
+                                           "score": i}, kind=ChangeKind.UPDATE)
+        stack.capture.poll()
+        lag = [stack.coordinator.replication_lag]
+        while lag[-1] > 0:
+            stack.client.poll(max_events=64)
+            lag.append(stack.coordinator.replication_lag)
+        assert lag[:-1] == list(range(burst, 0, -64))   # 64 commits a poll
+        polls[burst] = len(lag) - 1
+    assert polls == {100: 2, 400: 7}

@@ -11,6 +11,7 @@ from repro.common.errors import (
     ServerOverloadedError,
     TransientNetworkError,
 )
+from repro.common.overload import PRIORITY_LIVE, AdmissionController
 from repro.simnet import SimNetwork, fixed_latency
 from repro.simnet.network import ServerQueue
 
@@ -243,3 +244,47 @@ def test_queue_depth_is_the_load_signal():
     for _ in range(5):
         network.invoke("cli", "busy", ping)
     assert network.queue_depth("busy") == 5
+
+
+# -- EXP-O1: a 5x spike against a 1 000 ops/s server ----------------------
+
+def goodput_through_a_spike(protected: bool) -> dict[str, float]:
+    """ok/s by phase for an open-loop client: 600 ops/s, 3 000 from t=10 to
+    t=25, 50 ms timeout.  Unprotected: unbounded queue, 4 tries at once.
+    Protected: 40-deep queue, token-bucket admission, no retries."""
+    network = SimNetwork(seed=11, latency_model=fixed_latency(0.0002))
+    clock = network.clock
+    network.add_server_queue("server", 0.001,
+                             capacity=40 if protected else 10_000_000)
+    admission = AdmissionController(clock, rate=950.0, burst=60)
+    ok = {"before": 0, "during": 0, "after": 0}
+
+    def phase():
+        now = clock.now()
+        return "before" if now < 10.0 else "during" if now < 25.0 else "after"
+
+    while clock.now() < 40.0:
+        clock.advance(1 / 3000 if phase() == "during" else 1 / 600)
+        arrived = phase()
+        if protected and not admission.try_admit(PRIORITY_LIVE):
+            continue
+        for _ in range(1 if protected else 4):
+            try:
+                network.invoke("client", "server", ping, timeout=0.05)
+            except (NodeUnavailableError, ServerOverloadedError):
+                continue
+            ok[arrived] += 1
+            break
+    return {"before": ok["before"] / 10, "during": ok["during"] / 15,
+            "after": ok["after"] / 15}
+
+
+def test_exp_o1_metastable_collapse_is_reproduced_and_prevented():
+    unprotected = goodput_through_a_spike(protected=False)
+    assert unprotected["before"] == pytest.approx(600, abs=1)
+    # 0.5% of capacity during the spike and nothing after it ends:
+    # admitted-but-doomed work keeps the queue full
+    assert (round(unprotected["during"], 1), unprotected["after"]) == (4.9, 0)
+    protected = goodput_through_a_spike(protected=True)
+    assert round(protected["during"]) == 953      # 95% of capacity
+    assert round(protected["after"]) == 600       # 100% of baseline

@@ -1,6 +1,7 @@
 """Partitioned graph structure and §I.A's query examples."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +163,59 @@ def test_shortest_path_is_valid_and_minimal(edges):
             for x, y in zip(path, path[1:]):
                 assert y in graph.connections_of(x)
             assert len(path) - 1 == distance
+
+
+# -- EXP-G1: what a graph query costs, in adjacency lists read ------------
+
+def small_world(members=5000, half_degree=6, seed=1):
+    """Ring lattice with 10% of the edges rewired for short global paths."""
+    rng = random.Random(seed)
+    graph = PartitionedSocialGraph(num_partitions=32)
+    for member in range(members):
+        for k in range(1, half_degree + 1):
+            neighbor = (member + k) % members
+            if rng.random() < 0.1:
+                neighbor = rng.randrange(members)
+            if neighbor != member:
+                graph.connect(member, neighbor)
+    return graph
+
+
+def count_list_reads(graph):   # each adjacency-list read locates its shard
+    reads = []
+    locate = graph.partition_of
+    graph.partition_of = lambda member: reads.append(member) or locate(member)
+    return reads
+
+
+def one_sided_distance(graph, a, b, max_degrees):
+    seen = {a: 0}
+    queue = deque([a])
+    while queue:
+        member = queue.popleft()
+        if seen[member] < max_degrees:
+            for neighbor in graph.connections_of(member):
+                if neighbor == b:
+                    return seen[member] + 1
+                if neighbor not in seen:
+                    seen[neighbor] = seen[member] + 1
+                    queue.append(neighbor)
+    return None
+
+
+def test_exp_g1_graph_queries_read_a_handful_of_adjacency_lists():
+    graph = small_world()
+    reads = count_list_reads(graph)
+    rng = random.Random(4)
+    pairs = [(rng.randrange(5000), rng.randrange(5000)) for _ in range(20)]
+    for a, b in pairs:   # a count reads one list, an intersection two
+        graph.connection_count(a)
+        graph.shared_connections(a, b)
+    assert len(reads) == 3 * len(pairs)
+    del reads[:]
+    met_in_the_middle = [graph.distance(a, b, max_degrees=4) for a, b in pairs]
+    two_sided = len(reads)
+    del reads[:]
+    assert [one_sided_distance(graph, a, b, 4) for a, b in pairs] \
+        == met_in_the_middle
+    assert (two_sided, len(reads)) == (493, 4975)   # ~25 vs ~250 a query

@@ -27,6 +27,7 @@ from repro.streams.apps import (
     who_viewed_your_profile_job,
 )
 from repro.streams.task import Envelope, MessageCollector, TaskContext
+from repro.workloads import ProfileViewEventGenerator
 from repro.zookeeper import ZooKeeperServer
 
 
@@ -176,6 +177,39 @@ def test_wvyp_end_to_end_counts_through_repartition():
     assert service.views_by_window("m-42") == {0: 2, 1: 1}
     assert service.total_views("m-7") == 1
     assert service.total_views("m-unseen") == 0
+
+
+def wvyp_event_latency(cadence_s: float) -> tuple[float, float]:
+    """(mean, max) sim seconds from a profile view to its count, over
+    2 000 views, with containers polling every ``cadence_s``."""
+    deployment = Deployment(
+        who_viewed_your_profile_job(4, window_s=3600.0), ["profile-views"],
+        partitions=4)
+    clock = deployment.clock
+    generator = ProfileViewEventGenerator(num_members=500, seed=7)
+    for _ in range(40):
+        for _ in range(50):
+            event = generator.next_event(timestamp=clock.now())
+            deployment.produce("profile-views", event["viewer"],
+                               {"viewee": event["viewee"], "ts": event["ts"]},
+                               event["ts"])
+        clock.advance(cadence_s)
+        for container in deployment.containers:
+            container.run_cycle()
+    while sum(c.run_cycle() for c in deployment.containers):
+        clock.advance(cadence_s)
+    latency = [task.metrics.histogram("e2e_latency_s")
+               for container in deployment.containers
+               for (stage, _), task in container.tasks.items()
+               if stage == "count-views"]
+    assert sum(h.count for h in latency) == 2000
+    return (round(sum(h.mean * h.count for h in latency) / 2000, 3),
+            round(max(h.max for h in latency), 3))
+
+
+def test_exp_s1_event_latency_tracks_the_poll_cadence_not_processing_cost():
+    assert [wvyp_event_latency(cadence) for cadence in (0.1, 0.5, 2.0)] \
+        == [(0.071, 0.1), (0.355, 0.5), (1.419, 2.0)]
 
 
 def test_wvyp_service_raises_when_owner_is_down():

@@ -237,6 +237,32 @@ def test_snapshot_speeds_up_recovery_on_same_node():
     assert successor.stores["counts"].get("a") == 1
 
 
+def test_exp_s2_recovery_replays_live_state_not_history():
+    """Same node: the snapshot, nothing replayed.  Moved: what the last
+    barrier left in the compacted changelog — live keys, not history."""
+    replayed = {}
+    for keys in (1_000, 4_000, 16_000):
+        world = World(seed=keys)
+        world.cluster.create_topic("__changelog-job-counts", partitions=1)
+        task = world.open_task(count_stage(), snapshot_interval_commits=1)
+        for batch, start in enumerate(range(0, keys, 1000)):
+            world.produce("in", [(f"key:{i:09d}", 1)
+                                 for i in range(start, start + 1000)])
+            task.poll()
+            if batch % 8 == 7:
+                task.commit()
+        task.commit()
+        local = world.open_task(count_stage())
+        assert local.recovered_from_snapshot and local.replayed_mutations == 0
+        moved = world.open_task(count_stage(), node="n1")
+        assert not moved.recovered_from_snapshot
+        assert moved.state_fingerprint() == local.state_fingerprint()
+        replayed[keys] = moved.replayed_mutations
+    # 16 000 keys wrote 40 000 records (two commits of dirty keys + image)
+    assert replayed == {1_000: 2_000, 4_000: 8_000, 16_000: 16_000}
+    assert world.changelog("counts").oldest_offset > 0
+
+
 def test_crash_inside_commit_window_redelivers_and_downstream_dedupes():
     """The one place duplicates can enter a repartition topic: a crash
     *after* the output flush but *before* the checkpoint write.  The

@@ -42,16 +42,18 @@ def test_full_topology_is_always_one_hop():
 
 
 def test_chord_hops_scale_logarithmically():
-    def mean_hops(n):
-        ring = ChordRing(names(n))
-        start = names(n)[0]
-        total = sum(ring.lookup(f"key-{i}".encode(), start_name=start)[1]
-                    for i in range(300))
-        return total / 300
+    """EXP-V4: O(log N) finger-table hops against exactly one with the
+    full topology, at every cluster size."""
+    keys = [f"key-{i}".encode() for i in range(300)]
 
-    small, large = mean_hops(8), mean_hops(128)
-    assert large > small  # more nodes, more hops
-    assert large <= 2 * math.log2(128)  # classic Chord bound
+    def mean_hops(router, **start):
+        return round(sum(router.lookup(k, **start)[1] for k in keys) / 300, 2)
+
+    chord = {n: mean_hops(ChordRing(names(n)), start_name=names(n)[0])
+             for n in (4, 16, 64, 256)}
+    assert chord == {4: 0.74, 16: 2.62, 64: 3.84, 256: 4.78}
+    assert all(hops <= 2 * math.log2(n) for n, hops in chord.items())
+    assert all(mean_hops(FullTopologyRouter(names(n))) == 1 for n in chord)
 
 
 def test_lookup_from_unknown_node_rejected():

@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError, KeyNotFoundError
 from repro.hadoop import MiniHDFS
-from repro.voldemort import RoutedStore, StoreDefinition, VoldemortCluster
+from repro.simnet import SimNetwork, lognormal_latency
+from repro.voldemort import RoutedStore, StoreDefinition, Versioned
+from repro.voldemort import VoldemortCluster
 from repro.voldemort.readonly_pipeline import ReadOnlyPipelineController
 
 
@@ -104,3 +106,42 @@ def test_replicas_allow_reads_with_node_down(setup):
     cluster.network.failures.crash(cluster.node_name(replicas[0]))
     frontier, _ = routed.get(b"member-0")
     assert frontier[0].value == b"recs-0"
+
+
+def test_fig_ii3_build_and_pull_move_every_byte_swap_moves_none(setup):
+    # "swap << build" as bytes: throttled to 1 MB/s, the sim clock charges
+    # every byte the pull moves
+    cluster, hdfs, controller = setup
+    controller.pull_throttle_bytes_per_sec = 1_000_000
+    pairs = [(b"m-%06d" % i, b"x" * 200) for i in range(2000)]
+    build = controller.build(pairs)
+    built = sum(len(hdfs.read(f"{build.hdfs_dir}/node-{node}.{kind}"))
+                for node in cluster.ring.nodes for kind in ("data", "index"))
+    assert built > 2 * sum(len(k) + len(v) for k, v in pairs)   # RF = 2
+    start = cluster.clock.now()
+    assert sum(controller.pull(build).values()) == built == 960_000
+    pulled_at = cluster.clock.now()
+    assert pulled_at - start == pytest.approx(0.96)   # sim seconds
+    controller.swap(build)
+    assert cluster.clock.now() == pulled_at
+    assert RoutedStore(cluster, "pymk").get(b"m-000007")[0][0].value == b"x" * 200
+
+
+def test_exp_v2_read_only_path_beats_the_quorum_path(tmp_path):
+    # R=1 with no reconciliation against a read quorum of 2 of 3
+    network = SimNetwork(seed=2, latency_model=lognormal_latency(0.0009, 0.4))
+    cluster = VoldemortCluster(num_nodes=4, partitions_per_node=4,
+                               network=network, data_root=str(tmp_path))
+    cluster.define_store(StoreDefinition("ro", 2, 1, 1, engine_type="read-only"))
+    cluster.define_store(StoreDefinition("rw", 3, 2, 2))
+    pairs = [(b"k-%05d" % i, b"v" * 100) for i in range(500)]
+    ReadOnlyPipelineController(cluster, MiniHDFS(), "ro").run_cycle(pairs)
+    ro, rw = RoutedStore(cluster, "ro"), RoutedStore(cluster, "rw")
+    for key, value in pairs:
+        rw.put(key, Versioned.initial(value, 0))
+    for key, _ in pairs:
+        ro.get(key)
+        rw.get(key)
+    assert [round(store.metrics.histogram("get").summary()["mean"] * 1e3, 2)
+            for store in (ro, rw)] == [1.97, 2.35]
+    cluster.close()

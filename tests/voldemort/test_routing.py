@@ -7,7 +7,10 @@ from repro.common.errors import (
     KeyNotFoundError,
     ObsoleteVersionError,
 )
-from repro.voldemort import RoutedStore, StoreDefinition, Versioned, VoldemortCluster
+from repro.simnet import SimNetwork, fixed_latency, lognormal_latency
+from repro.voldemort import FailureDetector, RoutedStore, StoreDefinition
+from repro.voldemort import Versioned, VoldemortCluster
+from repro.workloads import KeyValueWorkload, RequestMix, zipf_sizes
 
 
 def make_cluster(nodes=4, n=3, r=2, w=2, zones=1, required_zones=0, **kwargs):
@@ -205,6 +208,10 @@ def test_failure_detector_avoids_down_nodes():
     before = cluster.server_for(replicas[1]).requests_served
     routed.get(b"key")
     assert cluster.server_for(replicas[1]).requests_served > before
+    # EXP-V5b: over 100 reads only the ones before detection are wasted
+    for _ in range(89):
+        routed.get(b"key")
+    assert cluster.network.hops_failed == 4
 
 
 def test_zone_aware_routing_spans_zones():
@@ -271,3 +278,98 @@ def test_read_repair_runs_within_a_live_deadline():
     repaired = cluster.server_for(stale_node).engine("test").get(b"key")
     assert [v.value for v in repaired] == [b"v2"]
     assert relaxed.metrics.counters["read_repairs"].value >= 1
+
+
+# -- EXPERIMENTS.md, Voldemort table: simulated latency over ~1 ms hops ----
+
+
+def serving_store(seed, median_hop=0.0009, **cluster):
+    network = SimNetwork(seed=seed,
+                         latency_model=lognormal_latency(median_hop, 0.4))
+    return RoutedStore(make_cluster(network=network, seed=seed, **cluster),
+                       "test")
+
+
+def mean_get_ms(routed):
+    return round(routed.metrics.histogram("get").summary()["mean"] * 1e3, 2)
+
+
+def test_exp_v1_flagship_60_40_mix_is_low_single_digit_ms():
+    routed = serving_store(seed=0, nodes=6)
+    workload = KeyValueWorkload(num_keys=2000, mix=RequestMix(0.6),
+                                value_bytes=1024, seed=1)
+    for op in workload.preload(500):
+        routed.put(op.key, Versioned.initial(op.value, 0))
+    for op in workload.operations(400):
+        try:
+            clock = routed.get(op.key)[0][0].clock.incremented(0)
+        except KeyNotFoundError:
+            clock = None
+        if op.kind == "put":
+            routed.put(op.key, Versioned(op.value, clock) if clock
+                       else Versioned.initial(op.value, 0))
+    gets = routed.metrics.histogram("get").summary()
+    puts = routed.metrics.histogram("put").summary()
+    assert (round(gets["mean"] * 1e3, 2), round(gets["p99"] * 1e3, 2),
+            round(puts["mean"] * 1e3, 2)) == (2.08, 4.75, 1.88)
+
+
+def test_exp_v1b_larger_quorums_wait_on_more_replicas():
+    means = []
+    for quorum in (1, 2, 3):
+        routed = serving_store(seed=quorum * 11, nodes=6, r=quorum, w=quorum)
+        for i in range(150):
+            routed.put(b"key-%d" % i, Versioned.initial(b"v" * 64, 0))
+        for i in range(150):
+            routed.get(b"key-%d" % i)
+        means.append(mean_get_ms(routed))
+    assert means == sorted(means) == [1.83, 2.28, 2.59]
+
+
+def test_exp_v3_zipfian_value_sizes_stay_single_digit_ms():
+    routed = serving_store(seed=3, median_hop=0.0012)
+    sizes = zipf_sizes(800, min_bytes=64, max_bytes=262_144, theta=1.0, seed=4)
+    payload = bytes(262_144)
+    for i, size in enumerate(sizes):
+        routed.put(b"member:%d" % i, Versioned.initial(payload[:size], 0))
+    latencies = [routed.get(b"member:%d" % i)[1] for i in range(len(sizes))]
+    large = [t for t, size in zip(latencies, sizes) if size > 65_536]
+    assert mean_get_ms(routed) == 3.13
+    assert (len(large), round(sum(large) / len(large) * 1e3, 2)) == (2, 2.50)
+
+
+def fully_replicated_after_transient_errors(repair: bool) -> float:
+    network = SimNetwork(seed=7, latency_model=fixed_latency(0.0005))
+    cluster = make_cluster(nodes=5, network=network, seed=7)
+    # a tolerant detector: transient blips should not bench a node
+    detector = FailureDetector(cluster.clock, threshold=0.3,
+                               minimum_samples=10, ping_interval=0.1)
+    routed = RoutedStore(cluster, "test", failure_detector=detector,
+                         enable_read_repair=repair,
+                         enable_hinted_handoff=repair)
+    keys = [b"key-%d" % i for i in range(300)]
+    network.failures.transient_error_rate = 0.15
+    for key in keys:
+        try:
+            routed.put(key, Versioned.initial(b"v" * 32, 0))
+        except InsufficientOperationalNodesError:
+            pass
+    network.failures.transient_error_rate = 0.0
+    for server in cluster.servers.values():
+        for node_id in cluster.servers:
+            server.deliver_hints(node_id)
+    for key in keys:   # quorum reads: read repair runs in the repair arm
+        try:
+            routed.get(key)
+        except KeyNotFoundError:
+            pass
+    held = {node: set(server.engine("test").keys())
+            for node, server in cluster.servers.items()}
+    return round(sum(all(key in held[node]
+                         for node in routed.replica_nodes(key))
+                     for key in keys) / len(keys), 3)
+
+
+def test_exp_v5_repair_mechanisms_reconcile_replicas():
+    assert fully_replicated_after_transient_errors(repair=True) == 0.983
+    assert fully_replicated_after_transient_errors(repair=False) == 0.583

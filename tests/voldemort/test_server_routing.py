@@ -7,6 +7,7 @@ from repro.common.errors import (
     NodeUnavailableError,
 )
 from repro.common.vectorclock import VectorClock
+from repro.simnet import SimNetwork, lognormal_latency
 from repro.voldemort import (
     FailureDetector,
     RoutedStore,
@@ -58,6 +59,24 @@ class TestServerSideRouting:
         _, fat_latency = fat.get(b"k")
         _, thin_latency = thin.get(b"k")
         assert thin_latency > fat_latency  # client->coordinator hop
+
+    def test_exp_v4b_thin_client_pays_one_coordinator_round_trip(self):
+        network = SimNetwork(seed=4,
+                             latency_model=lognormal_latency(0.0009, 0.4))
+        cluster = VoldemortCluster(num_nodes=5, partitions_per_node=4,
+                                   network=network)
+        cluster.define_store(StoreDefinition("s", 3, 2, 2))
+        fat, thin = RoutedStore(cluster, "s"), ServerSideRoutedStore(cluster, "s")
+        keys = [b"k-%04d" % i for i in range(300)]
+        for key in keys:
+            fat.put(key, Versioned.initial(b"v" * 64, 0))
+        for key in keys:
+            fat.get(key)
+            thin.get(key)
+        fat_ms, thin_ms = (store.metrics.histogram("get").summary()["mean"] * 1e3
+                           for store in (fat, thin))
+        assert (round(fat_ms, 2), round(thin_ms, 2)) == (2.39, 4.36)
+        assert round(thin_ms - fat_ms, 2) == 1.97   # two ~1 ms hops
 
     def test_skips_crashed_coordinator(self, cluster):
         thin = ServerSideRoutedStore(cluster, "s")
