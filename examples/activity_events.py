@@ -12,6 +12,7 @@ Run:  python examples/activity_events.py
 import json
 import tempfile
 
+from repro.audit import CountConservation
 from repro.common.clock import SimClock
 from repro.hadoop import MiniHDFS
 from repro.kafka import KafkaCluster
@@ -75,9 +76,11 @@ def main() -> None:
               f"({len(hdfs.glob_files('/kafka-loads'))} files)")
 
         # the audit proves no loss end to end
-        report = AuditReconciler(live, ["activity"]).reconcile()
-        print("audit complete:", report.complete,
-              "| windows audited:", len(report.produced))
+        reconciler = AuditReconciler(live, ["activity"])
+        audit = CountConservation("kafka-audit", "kafka:activity",
+                                  reconciler.produced, reconciler.consumed)
+        print("audit complete:", audit.check() == [],
+              "| windows audited:", len(reconciler.produced()))
         for worker in workers:
             worker.close()
         live.shutdown()

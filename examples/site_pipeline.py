@@ -13,6 +13,7 @@ Run:  python examples/site_pipeline.py
 import json
 import tempfile
 
+from repro.audit import CountConservation
 from repro.common.clock import SimClock
 from repro.common.serialization import Field, RecordSchema, decode_record
 from repro.databus.client import DatabusClient, DatabusConsumer
@@ -133,9 +134,11 @@ def main() -> None:
             producer.send("activity", {"member": member, "event": "page_view"})
         producer.flush()
         producer.publish_monitoring_events()
-        report = AuditReconciler(kafka, ["activity"]).reconcile()
-        print(f"Kafka: {sum(report.consumed.values())} activity events, "
-              f"audit complete: {report.complete}")
+        reconciler = AuditReconciler(kafka, ["activity"])
+        audit = CountConservation("kafka-audit", "kafka:activity",
+                                  reconciler.produced, reconciler.consumed)
+        print(f"Kafka: {sum(reconciler.consumed().values())} activity "
+              f"events, audit complete: {audit.check() == []}")
         kafka.shutdown()
         voldemort.close()
 

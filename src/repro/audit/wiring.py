@@ -6,7 +6,8 @@ builds those closures for the pipelines that actually exist here:
 * sqlstore → Databus → Espresso (the migration target path);
 * sqlstore → Databus → search index;
 * Voldemort replicas behind a routed store;
-* Kafka's §V.D produced/consumed audit counts;
+* Kafka's §V.D audit trail (blame only: its reconciler's two reads
+  feed ``CountConservation`` directly);
 * the migration cutover gate, re-expressed as declared constraints.
 
 Probes take their stores duck-typed wherever the layering contract has
@@ -47,6 +48,7 @@ from repro.audit.constraints import (
     KeySetContainment,
     ValueEquality,
     Violation,
+    check_all,
 )
 from repro.databus.relay import DEFAULT_BUFFER, Relay
 from repro.sqlstore.binlog import ChangeKind
@@ -314,27 +316,20 @@ def sqlstore_pipeline_lineage(database: SqlDatabase, table: str, capture,
 
 # -- Kafka audit-trail wiring ------------------------------------------------
 
-def kafka_counts(reconciler) -> tuple[Callable[[], dict], Callable[[], dict]]:
-    """(produced, consumed) probes over an ``AuditReconciler``
-    (duck-typed: anything with ``reconcile() -> AuditReport``)."""
-    return (lambda: reconciler.reconcile().produced,
-            lambda: reconciler.reconcile().consumed)
-
-
 def kafka_audit_lineage(reconciler) -> Lineage:
     """producer (claimed a count for the bucket) → broker (holds exactly
-    the claimed count)."""
+    the claimed count), read through an ``AuditReconciler``'s
+    ``produced``/``consumed`` (duck-typed)."""
     def producer_check(violation: Violation) -> bool | None:
         if violation.raw_key is None:
             return None
-        return violation.raw_key in reconciler.reconcile().produced
+        return violation.raw_key in reconciler.produced()
 
     def broker_check(violation: Violation) -> bool | None:
         if violation.raw_key is None:
             return None
-        report = reconciler.reconcile()
-        return (report.produced.get(violation.raw_key, 0)
-                == report.consumed.get(violation.raw_key, 0))
+        return (reconciler.produced().get(violation.raw_key, 0)
+                == reconciler.consumed().get(violation.raw_key, 0))
 
     return Lineage([(STAGE_PRODUCER, producer_check),
                     (STAGE_BROKER, broker_check)])
@@ -387,14 +382,7 @@ def cutover_check(proxy) -> Callable[[], list[Violation]]:
     cutover gate, evaluate the declared constraints and return their
     violations (empty == safe to cut over)."""
     constraints = cutover_constraints(proxy)
-
-    def check() -> list[Violation]:
-        out: list[Violation] = []
-        for constraint in constraints:
-            out.extend(constraint.check())
-        return out
-
-    return check
+    return lambda: check_all(constraints)
 
 
 def source_head(database: SqlDatabase) -> Callable[[], int]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.common.atomic import atomic_section
 from repro.common.clock import Clock, WallClock
@@ -98,8 +97,7 @@ class EspressoStorageNode:
     def __init__(self, instance_name: str, database: DatabaseSchema,
                  schemas: DocumentSchemaRegistry, relay: Relay,
                  clock: Clock | None = None,
-                 disk: Disk | None = None,
-                 on_apply: Callable[[int, int], None] | None = None):
+                 disk: Disk | None = None):
         self.instance_name = instance_name
         self.database = database
         self.schemas = schemas
@@ -120,7 +118,6 @@ class EspressoStorageNode:
         self.partition_scn: dict[int, int] = {}
         self.writes_accepted = 0
         self.windows_applied = 0
-        self.on_apply = on_apply
         self.recovered_windows = 0
         self._commit_wal: WriteAheadLog | None = None
         if disk is not None:
@@ -374,8 +371,6 @@ class EspressoStorageNode:
         self._wal_append_window(partition, scn, _wal_items(events))
         self._apply_committed(partition, scn, changes)
         self.writes_accepted += 1
-        if self.on_apply is not None:
-            self.on_apply(partition, scn)
         return scn
 
     @atomic_section
@@ -459,8 +454,6 @@ class EspressoStorageNode:
         self._wal_append_window(partition, scn, _wal_items(data_events))
         self._apply_committed(partition, scn, changes)
         self.windows_applied += 1
-        if self.on_apply is not None:
-            self.on_apply(partition, scn)
 
     # -- reads ------------------------------------------------------------------------------
 

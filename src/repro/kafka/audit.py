@@ -13,9 +13,9 @@ monitoring events to validate the correctness of data."
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from repro.common.clock import Clock
+from repro.common.errors import NodeUnavailableError, OverloadError
 from repro.kafka.broker import KafkaCluster
 from repro.kafka.consumer import SimpleConsumer
 from repro.kafka.producer import Producer
@@ -45,13 +45,24 @@ class AuditingProducer:
         self._counts: dict[tuple[str, int], int] = {}
 
     def send(self, topic: str, payload: dict) -> None:
-        """Publish a JSON event stamped with timestamp + server name."""
+        """Publish a JSON event stamped with timestamp + server name.
+
+        The message is counted once it is queued.  A send that fills a
+        batch whose publish is shed or fails still raises, but the batch
+        went back in the queue and ships on a later flush, so its
+        messages remain this window's to claim."""
         stamped = dict(payload)
         stamped["timestamp"] = self.clock.now()
         stamped["server"] = self.server_name
-        self._producer.send(topic, json.dumps(stamped).encode())
-        window = _window_of(stamped["timestamp"], self.window_seconds)
-        self._counts[(topic, window)] = self._counts.get((topic, window), 0) + 1
+        key = (topic, _window_of(stamped["timestamp"], self.window_seconds))
+        try:
+            self._producer.send(topic, json.dumps(stamped).encode())
+        except (NodeUnavailableError, OverloadError):
+            # without max_pending only the publish raises these, after
+            # the payload was queued
+            self._counts[key] = self._counts.get(key, 0) + 1
+            raise
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def publish_monitoring_events(self) -> int:
         """Emit one monitoring event per (topic, window) counted so far.
@@ -77,41 +88,12 @@ class AuditingProducer:
         self._producer.flush()
 
 
-@dataclass
-class AuditReport:
-    """Per-(topic, window) reconciliation."""
-
-    produced: dict[tuple[str, int], int]
-    consumed: dict[tuple[str, int], int]
-
-    @property
-    def complete(self) -> bool:
-        return self.produced == self.consumed
-
-    def missing(self) -> dict[tuple[str, int], int]:
-        """Messages produced but not (yet) consumed, per window."""
-        out = {}
-        for key, count in self.produced.items():
-            delta = count - self.consumed.get(key, 0)
-            if delta > 0:  # surpluses are unaccounted(), not missing
-                out[key] = delta
-        return out
-
-    def unaccounted(self) -> dict[tuple[str, int], int]:
-        """Messages consumed beyond any producer's claim, per window —
-        duplicates, or data whose monitoring event was lost with a
-        crashed producer."""
-        out = {}
-        for key, count in self.consumed.items():
-            delta = count - self.produced.get(key, 0)
-            if delta > 0:
-                out[key] = delta
-        return out
-
-
 class AuditReconciler:
-    """Counts consumed data messages and validates against monitoring
-    events from the audit topic."""
+    """Reads both sides of the audit, per ``(topic, window)``: what the
+    producers claimed on the audit topic and what the data topics hold.
+    ``CountConservation(name, subject, reconciler.produced,
+    reconciler.consumed)`` compares them — a deficit is lost messages, a
+    surplus duplicated ones."""
 
     def __init__(self, cluster: KafkaCluster, topics: list[str],
                  window_seconds: float = 10.0):
@@ -120,20 +102,27 @@ class AuditReconciler:
         self.window_seconds = window_seconds
         self._consumer = SimpleConsumer(cluster)
 
-    def reconcile(self) -> AuditReport:
-        produced: dict[tuple[str, int], int] = {}
+    def produced(self) -> dict[tuple[str, int], int]:
+        """Counts claimed by the monitoring events, summed over
+        producers."""
+        counts: dict[tuple[str, int], int] = {}
         for decoded in self._fetch_all(AUDIT_TOPIC):
             event = json.loads(decoded)
             key = (event["topic"], event["window"])
-            produced[key] = produced.get(key, 0) + event["count"]
-        consumed: dict[tuple[str, int], int] = {}
+            counts[key] = counts.get(key, 0) + event["count"]
+        return counts
+
+    def consumed(self) -> dict[tuple[str, int], int]:
+        """Data messages on the audited topics, bucketed by the window
+        of their producer timestamp."""
+        counts: dict[tuple[str, int], int] = {}
         for topic in self.topics:
             for payload in self._fetch_all(topic):
                 message = json.loads(payload)
-                window = _window_of(message["timestamp"], self.window_seconds)
-                key = (topic, window)
-                consumed[key] = consumed.get(key, 0) + 1
-        return AuditReport(produced, consumed)
+                key = (topic, _window_of(message["timestamp"],
+                                         self.window_seconds))
+                counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def _fetch_all(self, topic: str) -> list[bytes]:
         payloads = []

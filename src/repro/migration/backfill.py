@@ -197,9 +197,7 @@ class ChunkedBackfill:
 
     def __init__(self, source: SqlDatabase, replicator: LiveReplicator,
                  client: DatabusClient, capture=None, chunk_size: int = 64,
-                 tables: list[str] | None = None,
-                 on_chunk_read: Callable[[str, tuple | None], None] | None = None,
-                 on_chunk_complete: Callable[[str, tuple | None], None] | None = None):
+                 tables: list[str] | None = None):
         if chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive")
         self.source = source
@@ -210,8 +208,6 @@ class ChunkedBackfill:
         self.tables = sorted(tables if tables is not None
                              else source.table_names())
         self.progress: dict[str, object] = {t: None for t in self.tables}
-        self.on_chunk_read = on_chunk_read
-        self.on_chunk_complete = on_chunk_complete
         self.chunks_run = 0
 
     # -- state -------------------------------------------------------------
@@ -243,8 +239,6 @@ class ChunkedBackfill:
         if table is None:
             return None
         after_key = self.progress[table]
-        if self.on_chunk_read is not None:
-            self.on_chunk_read(table, after_key)
         low_scn = self.source.write_watermark(low_label(table))
         rows = self.source.scan_chunk(table, after_key, self.chunk_size)
         landed: list[ChunkResult] = []
@@ -268,8 +262,6 @@ class ChunkedBackfill:
             # yielded; the copied chunk is idempotent, so a racing
             # restore_progress() owner simply re-scans it
             self.progress[table] = advanced
-        if self.on_chunk_complete is not None:
-            self.on_chunk_complete(table, after_key)
         return result
 
     def _pump_to(self, scn: int) -> None:

@@ -1,14 +1,7 @@
 """Deterministic network/disk simulation and failure injection."""
 
 from repro.simnet.disk import Disk, DiskFile, DiskScope, LocalDisk, SimDisk
-from repro.simnet.faultplan import (
-    AckLedger,
-    ChunkLedger,
-    FaultAction,
-    FaultPlan,
-    ScnAuditor,
-    offsets_within_watermark,
-)
+from repro.simnet.faultplan import FaultPlan, offsets_within_watermark
 from repro.simnet.network import (
     FailureInjector,
     LatencyModel,
@@ -20,17 +13,13 @@ from repro.simnet.network import (
 )
 
 __all__ = [
-    "AckLedger",
-    "ChunkLedger",
     "Disk",
     "DiskFile",
     "DiskScope",
     "FailureInjector",
-    "FaultAction",
     "FaultPlan",
     "LatencyModel",
     "LocalDisk",
-    "ScnAuditor",
     "ServerQueue",
     "SimDisk",
     "SimNetwork",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.audit import ABSENT_VALUE, UNREADABLE, Violation
+from repro.audit import ABSENT_VALUE, UNREADABLE, CountConservation, Violation
 from repro.audit.blame import (
     STAGE_BROKER,
     STAGE_CAPTURE,
@@ -20,7 +20,6 @@ from repro.audit.wiring import (
     espresso_containment,
     espresso_value_equality,
     kafka_audit_lineage,
-    kafka_counts,
     search_containment,
     source_head,
     sqlstore_pipeline_lineage,
@@ -292,8 +291,17 @@ def test_kafka_counts_and_lineage(clock, tmp_path):
     producer.flush()
     producer.publish_monitoring_events()
     reconciler = AuditReconciler(cluster, ["events"])
-    produced, consumed = kafka_counts(reconciler)
-    assert produced() == consumed() == {("events", 0): 1}
+    assert reconciler.produced() == reconciler.consumed() == {("events", 0): 1}
+
+    # one check is one fetch-to-end pass per partition of each topic:
+    # the audit topic's and the data topic's one partition each take a
+    # fetch that returns their messages and one that finds the end
+    counts = CountConservation("c", "kafka:events",
+                               reconciler.produced, reconciler.consumed)
+    consumer = reconciler._consumer
+    before = consumer.fetch_requests
+    assert counts.check() == []
+    assert consumer.fetch_requests - before == 4
 
     # a broker-side duplicate: produced < consumed for the bucket
     payload = cluster.broker_for("events", 0).fetch("events", 0, 0)
@@ -305,6 +313,9 @@ def test_kafka_counts_and_lineage(clock, tmp_path):
     violation = Violation("c", "duplicated-messages", "kafka:events",
                           repr(("events", 0)), "1 messages", "2 messages",
                           raw_key=("events", 0))
+    before = consumer.fetch_requests
     outcomes = {name: check(violation) for name, check in lineage.stages}
     assert outcomes[STAGE_PRODUCER] is True
     assert outcomes[STAGE_BROKER] is False
+    # the producer stage reads the claims, the broker stage both sides
+    assert consumer.fetch_requests - before == 2 + 4

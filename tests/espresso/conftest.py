@@ -47,6 +47,16 @@ def router(cluster):
     return Router(cluster)
 
 
+def scn_regressions(before: dict, after: dict) -> list:
+    """Partitions whose recovered ``partition_scn`` is behind what the
+    node had applied before it crashed.  Every applied window was
+    fsynced first, so recovery must get back at least that far; density
+    (no window applied twice or skipped) is enforced by the apply path
+    itself."""
+    return [partition for partition, scn in sorted(before.items())
+            if after.get(partition, 0) < scn]
+
+
 def put_album(router, artist, album, year):
     return router.put(f"/Music/Album/{artist}/{album}",
                       {"title": album.replace("_", " "), "year": year})

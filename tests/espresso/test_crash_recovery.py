@@ -5,9 +5,15 @@ import pytest
 from repro.common.clock import SimClock
 from repro.simnet.disk import SimDisk, _SimFile
 from repro.espresso import EspressoCluster
-from repro.simnet.faultplan import ScnAuditor
+from repro.espresso.storage import EspressoStorageNode
 
-from tests.espresso.conftest import ALBUM_SCHEMA, ARTIST_SCHEMA, MUSIC, SONG_SCHEMA
+from tests.espresso.conftest import (
+    ALBUM_SCHEMA,
+    ARTIST_SCHEMA,
+    MUSIC,
+    SONG_SCHEMA,
+    scn_regressions,
+)
 
 
 @pytest.fixture
@@ -74,16 +80,15 @@ class TestCommitLogRecovery:
         name = node.instance_name
         partition = cluster.database.partition_for("abba")
         scn_before = node.partition_scn[partition]
+        applied_before = dict(node.partition_scn)
 
         cluster.crash_node(name)
         cluster.recover_node(name)
         cluster.failover()
         recovered = cluster.nodes[name]
         assert recovered.partition_scn[partition] == scn_before
+        assert scn_regressions(applied_before, recovered.partition_scn) == []
 
-        auditor = ScnAuditor()
-        recovered.on_apply = auditor.hook(name)
-        auditor.observe_recovery(name, recovered.partition_scn)
         if recovered.is_master(partition):
             recovered.put_document("Artist", ("abba",),
                                    {"name": "abba", "genre": "disco",
@@ -94,7 +99,6 @@ class TestCommitLogRecovery:
                                 {"name": "abba", "genre": "disco",
                                  "bio": None})
             recovered.catch_up(partition)
-        assert auditor.violations == []
         assert recovered.partition_scn[partition] == scn_before + 1
 
     def test_unsynced_window_refetched_from_relay(self, durable_cluster, disk,
@@ -140,6 +144,7 @@ class TestCommitLogRecovery:
         assert slaves
         slave = slaves[0]
         name = slave.instance_name
+        applied_before = dict(slave.partition_scn)
 
         cluster.crash_node(name)
         cluster.recover_node(name)
@@ -147,6 +152,36 @@ class TestCommitLogRecovery:
         record = recovered.get_document("Artist", ("queen",))
         assert record.document["name"] == "queen"
         assert recovered.partition_scn[partition] == 1
+        assert scn_regressions(applied_before, recovered.partition_scn) == []
+
+    def test_a_recovery_that_drops_a_synced_window_fails_the_scn_check(
+            self, durable_cluster, monkeypatch):
+        """The mutation the check exists for: a recovery that loses the
+        last fsynced commit-WAL frame comes back one window behind on
+        that frame's partition, and ``scn_regressions`` says which."""
+        cluster = durable_cluster
+        put_artist(cluster, "abba", genre="pop")
+        node = put_artist(cluster, "abba", genre="disco")
+        name = node.instance_name
+        partition = cluster.database.partition_for("abba")
+        applied_before = dict(node.partition_scn)
+        recover = EspressoStorageNode._recover_from_wal
+
+        def drop_last_frame(self):
+            frames = list(self._commit_wal.replay())
+            monkeypatch.setattr(self._commit_wal, "replay",
+                                lambda: iter(frames[:-1]))
+            recover(self)
+
+        monkeypatch.setattr(EspressoStorageNode, "_recover_from_wal",
+                            drop_last_frame)
+        cluster.crash_node(name)
+        cluster.recover_node(name)
+        recovered = cluster.nodes[name]
+        assert recovered.partition_scn[partition] == \
+            applied_before[partition] - 1
+        assert scn_regressions(applied_before,
+                               recovered.partition_scn) == [partition]
 
 
 def test_commit_wal_bytes_are_pinned(durable_cluster, disk):

@@ -13,6 +13,7 @@ same clock over watermark-certified cuts, must catch all five, catch
 positives), and blame the true stage for each.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -38,7 +39,6 @@ from repro.audit.wiring import (
     espresso_containment,
     espresso_value_equality,
     kafka_audit_lineage,
-    kafka_counts,
     search_containment,
     sqlstore_pipeline_lineage,
     voldemort_replica_lineage,
@@ -162,11 +162,11 @@ def build_world(seed, with_injections):
     auditor.declare(ReplicaAgreement(
         "voldemort-replicas", "voldemort:chaos",
         replica_values=replica_probe, min_replicas=3))
-    produced, consumed = kafka_counts(reconciler)
     auditor.declare(CountConservation(
-        "kafka-counts", "kafka:activity", produced, consumed))
+        "kafka-counts", "kafka:activity",
+        reconciler.produced, reconciler.consumed))
 
-    plan = FaultPlan(clock, disk, seed=seed)
+    plan = FaultPlan(clock, disk)
     injector = ViolationInjector()
 
     def workload():
@@ -317,3 +317,15 @@ def test_report_round_trips_through_json(seeded):
         "espresso-containment", "espresso-equality", "kafka-counts",
         "search-containment", "voldemort-replicas"]
     assert all(entry["blame"]["top"] for entry in document["violations"])
+
+
+def test_fault_trace_and_report_are_pinned():
+    """The executed schedule and the audit report of the seeded run,
+    against a digest taken before :class:`FaultPlan` actions became
+    ``(at, kind, node, fire)`` closures and the Kafka counts were read
+    through ``AuditReconciler.produced``/``consumed``."""
+    world = build_world(4242, with_injections=True)
+    digest = hashlib.sha256(repr(world["plan"].executed).encode()
+                            + world["auditor"].report_bytes())
+    assert digest.hexdigest() == (
+        "ddb956711137e79c91e770ebb9a8f9078822dc463324008ebbe887b44ec89102")

@@ -11,6 +11,8 @@ variant runs scaled down inside tier-1; the full scenario is
 ``chaos``-marked.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import (
@@ -46,8 +48,7 @@ def run_overload_scenario(seed, horizon=4.0, base_rate=100.0,
         network.add_server_queue(name, service_time=0.002, capacity=20)
 
     network.start_trace()
-    plan = FaultPlan(clock, SimDisk(clock=clock, seed=seed), seed=seed,
-                     network=network)
+    plan = FaultPlan(clock, SimDisk(clock=clock, seed=seed), network=network)
     rate = {"value": base_rate}
     plan.spike(at=0.25 * horizon, duration=0.375 * horizon, label="storm",
                start=lambda: rate.update(value=spike_rate),
@@ -110,6 +111,17 @@ def test_overload_smoke_scenario():
     fired = {line.split(", ")[1] for line in plan_a}
     assert "'limp'" in fired and "'net_crash'" in fired \
         and "'block'" in fired and "'set_link'" in fired
+
+
+def test_overload_trace_is_pinned():
+    """The network trace and the fault schedule of one full-length run,
+    against a digest taken before :class:`FaultPlan` actions became
+    ``(at, kind, node, fire)`` closures: same-seed comparisons within
+    one commit cannot see a rewrite that changes both runs alike."""
+    trace, plan_lines, _ = run_overload_scenario(5)
+    digest = hashlib.sha256(trace + "\n".join(plan_lines).encode())
+    assert digest.hexdigest() == (
+        "3204642272e5e01555e0b069b986cd4693b488bb01068daa10e6dc5d07a2a890")
 
 
 @pytest.mark.chaos

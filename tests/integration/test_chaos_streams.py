@@ -12,6 +12,8 @@ changelog replay + offset restore + repartition dedupe) says they must
 be identical.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -37,7 +39,7 @@ def clean_day():
 def test_faultplan_container_actions_fire_handlers_in_order():
     clock = SimClock()
     disk = SimDisk(clock=clock, seed=1)
-    plan = FaultPlan(clock, disk, seed=1)
+    plan = FaultPlan(clock, disk)
     log = []
     plan.on_kill_container(lambda name: log.append(("kill", name)))
     plan.on_restart_container(lambda name: log.append(("restart", name)))
@@ -117,3 +119,16 @@ def test_same_seed_same_fault_trace(failure_day):
     assert rerun.fault_trace == failure_day.fault_trace
     assert rerun.state_fingerprints == failure_day.state_fingerprints
     assert rerun.top_profiles == failure_day.top_profiles
+
+
+def test_fault_trace_and_state_are_pinned():
+    """A short failure day's fault trace and state fingerprints, against
+    a digest taken before :class:`FaultPlan` actions became ``(at, kind,
+    node, fire)`` closures: the twin-run comparisons above cannot see a
+    rewrite that changes both runs alike."""
+    day = run_day_in_the_life(seed=2, day_seconds=240.0)
+    digest = hashlib.sha256(
+        "\n".join(day.fault_trace).encode()
+        + repr(sorted(day.state_fingerprints.items())).encode())
+    assert digest.hexdigest() == (
+        "538a49d69b0423ecf4aa108f251766699a354432bd32daf81fbb75ec978c0ff3")

@@ -1,8 +1,14 @@
-"""EXP-K6: the audit pipeline detects loss (and confirms completeness)."""
+"""EXP-K6: the audit pipeline detects loss (and confirms completeness).
+
+The reconciler reads both sides of the audit; ``CountConservation`` is
+the one comparison: a per-window deficit is ``lost-messages``, a surplus
+``duplicated-messages``."""
 
 import pytest
 
+from repro.audit import CountConservation
 from repro.common.clock import SimClock
+from repro.common.errors import OverloadError
 from repro.kafka import KafkaCluster
 from repro.kafka.audit import AUDIT_TOPIC, AuditingProducer, AuditReconciler
 
@@ -18,6 +24,15 @@ def setup(tmp_path):
     cluster.shutdown()
 
 
+def findings(cluster) -> list[tuple]:
+    """``(kind, (topic, window), claimed, observed)`` per violated
+    bucket of the ``activity`` audit; empty when the counts agree."""
+    reconciler = AuditReconciler(cluster, ["activity"])
+    check = CountConservation("kafka-audit", "kafka:activity",
+                              reconciler.produced, reconciler.consumed)
+    return [(v.kind, v.raw_key, v.expected, v.actual) for v in check.check()]
+
+
 def test_counts_match_when_nothing_lost(setup):
     cluster, clock = setup
     producers = [AuditingProducer(cluster, f"app-{i:02d}", clock=clock)
@@ -29,10 +44,9 @@ def test_counts_match_when_nothing_lost(setup):
     for producer in producers:
         producer.flush()
         producer.publish_monitoring_events()
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.complete
-    assert sum(report.produced.values()) == 150
-    assert report.missing() == {}
+    assert findings(cluster) == []
+    produced = AuditReconciler(cluster, ["activity"]).produced()
+    assert sum(produced.values()) == 150
 
 
 def test_windows_aggregate_across_producers(setup):
@@ -47,10 +61,10 @@ def test_windows_aggregate_across_producers(setup):
     b.flush()
     a.publish_monitoring_events()
     b.publish_monitoring_events()
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.produced[("activity", 0)] == 2
-    assert report.produced[("activity", 1)] == 1
-    assert report.complete
+    produced = AuditReconciler(cluster, ["activity"]).produced()
+    assert produced[("activity", 0)] == 2
+    assert produced[("activity", 1)] == 1
+    assert findings(cluster) == []
 
 
 def test_loss_detected(setup):
@@ -64,9 +78,8 @@ def test_loss_detected(setup):
     # claim 3 more than were actually published
     producer._counts[("activity", 0)] += 3
     producer.publish_monitoring_events()
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert not report.complete
-    assert report.missing() == {("activity", 0): 3}
+    assert findings(cluster) == [
+        ("lost-messages", ("activity", 0), "13 messages", "10 messages")]
 
 
 def test_default_clock_is_the_cluster_clock(setup):
@@ -79,8 +92,8 @@ def test_default_clock_is_the_cluster_clock(setup):
     producer.send("activity", {"x": 1})
     producer.flush()
     producer.publish_monitoring_events()
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.produced == {("activity", 2): 1}  # window 25//10
+    produced = AuditReconciler(cluster, ["activity"]).produced()
+    assert produced == {("activity", 2): 1}  # window 25//10
 
 
 def test_producer_crash_loses_unflushed_batch_and_audit_says_so(setup):
@@ -95,18 +108,17 @@ def test_producer_crash_loses_unflushed_batch_and_audit_says_so(setup):
     producer.publish_monitoring_events()   # claims land on the audit topic
     del producer                           # crash: the data batch dies
 
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.missing() == {("activity", 0): 7}
+    lost = ("lost-messages", ("activity", 0), "7 messages", "0 messages")
+    assert findings(cluster) == [lost]
 
     clock.advance(30.0)                    # restart in a fresh window
     replacement = AuditingProducer(cluster, "app-a", batch_size=1000)
     replacement.send("activity", {"i": 99})
     replacement.flush()
     replacement.publish_monitoring_events()
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.missing() == {("activity", 0): 7}   # old loss persists
-    assert report.produced[("activity", 3)] == 1      # new window is clean
-    assert report.unaccounted() == {}
+    assert findings(cluster) == [lost]     # old loss persists, nothing else
+    produced = AuditReconciler(cluster, ["activity"]).produced()
+    assert produced[("activity", 3)] == 1  # new window is clean
 
 
 def test_lost_monitoring_events_show_as_unaccounted(setup):
@@ -118,10 +130,8 @@ def test_lost_monitoring_events_show_as_unaccounted(setup):
         producer.send("activity", {"i": i})
     producer.flush()
     del producer  # crash before publish_monitoring_events
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
-    assert report.missing() == {}
-    assert report.unaccounted() == {("activity", 0): 4}
-    assert not report.complete
+    assert findings(cluster) == [
+        ("duplicated-messages", ("activity", 0), "0 messages", "4 messages")]
 
 
 def test_unflushed_messages_show_as_missing_until_flush(setup):
@@ -131,8 +141,36 @@ def test_unflushed_messages_show_as_missing_until_flush(setup):
     for i in range(5):
         producer.send("activity", {"i": i})
     producer.publish_monitoring_events()  # flushes the audit topic only
-    report = AuditReconciler(cluster, ["activity"]).reconcile()
     # data messages still sitting in the producer batch
-    assert not report.complete
+    assert findings(cluster) == [
+        ("lost-messages", ("activity", 0), "5 messages", "0 messages")]
     producer.flush()
-    assert AuditReconciler(cluster, ["activity"]).reconcile().complete
+    assert findings(cluster) == []
+
+
+def test_a_shed_send_is_still_claimed(tmp_path):
+    """A send that fills a batch raises when the broker sheds the
+    publish, but the payload was queued first: the failed publish puts
+    the batch back and it ships on the next flush.  The producer must
+    claim it, or the audit reports the shipped messages as duplicates
+    nobody made."""
+    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+                           clock=SimClock(), admission_rate=1.0,
+                           admission_burst=1.0)
+    cluster.create_topic("activity", partitions=1)
+    cluster.create_topic(AUDIT_TOPIC, partitions=1)
+    producer = AuditingProducer(cluster, "app-a", batch_size=2)
+    shed = 0
+    for i in range(6):
+        try:
+            producer.send("activity", {"i": i})
+        except OverloadError:
+            shed += 1
+    assert shed == 5      # a write needs more than a one-token burst holds
+    cluster.brokers[0].admission = None   # the broker stops shedding
+    producer.flush()
+    producer.publish_monitoring_events()
+    reconciler = AuditReconciler(cluster, ["activity"])
+    assert reconciler.consumed() == {("activity", 0): 6}
+    assert findings(cluster) == []
+    cluster.shutdown()

@@ -10,23 +10,49 @@ from repro.migration import (
     MigrationPhase,
     MigrationStack,
 )
-from repro.simnet.faultplan import ChunkLedger, FaultPlan
+from repro.simnet.faultplan import FaultPlan
 
 from tests.migration.conftest import FAST_SLO, make_source
 
 
-def wire_ledger(stack, ledger):
-    stack.coordinator.backfill.on_chunk_read = ledger.on_read
-    stack.coordinator.backfill.on_chunk_complete = ledger.on_complete
+def record_chunk_reads(source) -> list:
+    """Record every ``(table, after_key)`` position the backfill reads.
+
+    ``scan_chunk`` is the only read a chunk makes: chunks own the rows
+    committed before the stream's start, the log owns every change
+    after it.  A position read twice by crash-free chunk loops means a
+    resume repeated durable work."""
+    reads = []
+    scan_chunk = source.scan_chunk
+
+    def recording(table, after_key, limit):
+        reads.append((table, after_key))
+        return scan_chunk(table, after_key, limit)
+
+    source.scan_chunk = recording
+    return reads
+
+
+def read_twice(reads: list) -> list:
+    return sorted({position for position in reads
+                   if reads.count(position) > 1}, key=repr)
+
+
+def run_to_cutover(stack, clock, key):
+    while not stack.coordinator.complete:
+        stack.coordinator.tick()
+        if not stack.coordinator.complete:
+            stack.proxy.read("profiles", key)
+        clock.advance(1.0)
 
 
 def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
         clock, disk):
     """Kill the coordinator two chunks into an eight-chunk backfill;
-    the restarted one finishes from the journal.  The ChunkLedger
-    proves no completed chunk was read twice."""
+    the restarted one finishes from the journal without reading any
+    chunk position twice."""
     source = make_source(clock, profiles=120, inmails=10)
-    ledger = ChunkLedger()
+    reads = record_chunk_reads(source)
     stacks = {}
 
     def boot():
@@ -34,10 +60,9 @@ def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
             source, disk.scope("coordinator"), clock, slo=FAST_SLO,
             chunk_size=16, cluster=stacks["live"].cluster
             if "live" in stacks else None)
-        wire_ledger(stacks["live"], ledger)
 
     boot()
-    plan = FaultPlan(clock, disk, seed=11)
+    plan = FaultPlan(clock, disk)
     plan.on_kill(lambda node: disk.crash_node(node))
     plan.on_restart(lambda node: (disk.restart_node(node), boot()))
     for t in (1.0, 2.0):
@@ -55,14 +80,10 @@ def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
     assert resumed.coordinator.phase is MigrationPhase.BACKFILL
     progress = resumed.coordinator.backfill.progress
     assert progress["inmail"] != None  # noqa: E711 - first chunks covered it
-    while not resumed.coordinator.complete:
-        resumed.coordinator.tick()
-        if not resumed.coordinator.complete:
-            resumed.proxy.read("profiles", (3,))
-        clock.advance(1.0)
+    run_to_cutover(resumed, clock, (3,))
     assert resumed.coordinator.phase is MigrationPhase.CUTOVER
-    assert ledger.violations == []
-    assert ledger.reads == ledger.completions
+    assert read_twice(reads) == []
+    assert len(reads) == 9          # one inmail chunk, eight profiles chunks
     dump = resumed.target.dump("profiles")
     assert len(dump) == 121                     # 120 seeded + mid-crash row
     assert dump[(5000,)] == {"name": "mid-crash", "score": 1}
@@ -71,13 +92,12 @@ def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
 
 def test_crash_after_every_chunk_still_converges(clock, disk):
     """Worst case: the coordinator dies after each backfill tick.  Each
-    incarnation completes at most one chunk, yet the ledger stays clean
-    and the stores end identical."""
+    incarnation completes at most one chunk, yet no chunk position is
+    read twice and the stores end identical."""
     source = make_source(clock, profiles=50, inmails=5)
-    ledger = ChunkLedger()
+    reads = record_chunk_reads(source)
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
                                  slo=FAST_SLO, chunk_size=16)
-    wire_ledger(stack, ledger)
     for _ in range(20):
         if stack.coordinator.phase is not MigrationPhase.BACKFILL:
             break
@@ -88,15 +108,37 @@ def test_crash_after_every_chunk_still_converges(clock, disk):
         stack = MigrationStack.build(source, disk.scope("coordinator"),
                                      clock, slo=FAST_SLO, chunk_size=16,
                                      cluster=stack.cluster)
-        wire_ledger(stack, ledger)
-    while not stack.coordinator.complete:
-        stack.coordinator.tick()
-        if not stack.coordinator.complete:
-            stack.proxy.read("profiles", (1,))
-        clock.advance(1.0)
+    run_to_cutover(stack, clock, (1,))
     assert stack.coordinator.phase is MigrationPhase.CUTOVER
-    assert ledger.violations == []
+    assert read_twice(reads) == []
+    assert len(reads) == 5          # one inmail chunk, four profiles chunks
     assert stack.proxy.full_comparison() == []
+
+
+def test_a_resume_that_ignores_the_journal_reads_chunks_twice(clock, disk):
+    """The mutation the position check exists for: a restarted
+    coordinator whose backfill starts over instead of resuming from the
+    journaled cursors still converges — chunks are idempotent — but
+    re-reads every chunk the crashed incarnation completed."""
+    source = make_source(clock, profiles=50, inmails=5)
+    reads = record_chunk_reads(source)
+    stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
+                                 slo=FAST_SLO, chunk_size=16)
+    for _ in range(3):
+        stack.coordinator.tick()
+        clock.advance(1.0)
+    completed = list(reads)
+    disk.crash_node("coordinator")
+    disk.restart_node("coordinator")
+    stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cluster=stack.cluster)
+    backfill = stack.coordinator.backfill
+    assert backfill.progress != {table: None for table in backfill.tables}
+    backfill.restore_progress({table: None for table in backfill.tables})
+    run_to_cutover(stack, clock, (1,))
+    assert stack.proxy.full_comparison() == []
+    assert completed and read_twice(reads) == sorted(completed, key=repr)
 
 
 def test_storage_node_crash_fails_over_transparently(clock, disk, source):
@@ -109,11 +151,7 @@ def test_storage_node_crash_fails_over_transparently(clock, disk, source):
     stack.cluster.pump_replication(3)     # slaves catch up before the kill
     stack.cluster.crash_node("storage-0")
     stack.cluster.failover()
-    while not stack.coordinator.complete:
-        stack.coordinator.tick()
-        if not stack.coordinator.complete:
-            stack.proxy.read("profiles", (2,))
-        clock.advance(1.0)
+    run_to_cutover(stack, clock, (2,))
     assert stack.coordinator.phase is MigrationPhase.CUTOVER
     assert stack.proxy.full_comparison() == []
 
@@ -132,11 +170,7 @@ def test_source_crash_loses_nothing_acked(clock, disk):
         stack.coordinator.tick()
         clock.advance(1.0)
     assert stack.client.checkpoint >= before
-    while not stack.coordinator.complete:
-        stack.coordinator.tick()
-        if not stack.coordinator.complete:
-            stack.proxy.read("profiles", (2,))
-        clock.advance(1.0)
+    run_to_cutover(stack, clock, (2,))
     assert stack.proxy.full_comparison() == []
 
 
@@ -189,10 +223,6 @@ def test_restart_over_a_long_binlog_resumes_without_replaying_it(clock, disk):
     assert stack.client.checkpoint == resumed_scn
     stack.coordinator.tick()     # was: "stream stalled at SCN 3010"
     assert stack.relay.buffer().oldest_scn > resumed_scn
-    while not stack.coordinator.complete:
-        stack.coordinator.tick()
-        if not stack.coordinator.complete:
-            stack.proxy.read("profiles", (1,))
-        clock.advance(1.0)
+    run_to_cutover(stack, clock, (1,))
     assert stack.coordinator.phase is MigrationPhase.CUTOVER
     assert stack.proxy.full_comparison() == []
