@@ -74,12 +74,11 @@ def _make_parent(disk: Disk, path: str) -> None:
 def _write_temp(disk: Disk, path: str,
                 payloads: Iterable[bytes]) -> tuple[str, int]:
     """Frame ``payloads`` into a fsynced ``path + ".tmp"`` (``"wb"``
-    discards a dead attempt's leftovers); returns its path and size."""
+    discards a dead attempt's leftovers) with one sequential write;
+    returns its path and size."""
     tmp = path + ".tmp"
-    size = 0
     with disk.open(tmp, "wb") as out:
-        for payload in payloads:
-            size += out.write(frame(payload))
+        size = out.write(b"".join(map(frame, payloads)))
         out.fsync()
     return tmp, size
 

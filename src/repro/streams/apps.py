@@ -10,10 +10,12 @@ by the job's own placement.
 **Feed fan-out** — connection events joined against activity events:
 the fan-out stage folds connection events into a local adjacency store
 and, for each activity event, emits one inbox entry per connection of
-the actor; the inbox stage appends them into capped per-member
-inboxes.  The hop between the two stages is a repartition topic keyed
-by *recipient*, and its consumer-side dedupe is what turns crash
-redelivery into effective exactly-once for inbox state.
+the actor; the inbox stage stores each entry under its own key and caps
+every member's inbox, so a commit logs one small record per new entry
+(and a tombstone per eviction) instead of the whole inbox.  The hop
+between the two stages is a repartition topic keyed by *recipient*, and
+its consumer-side dedupe is what turns crash redelivery into effective
+exactly-once for inbox state.
 
 Both jobs are pure topology + task logic; everything operational
 (recovery, placement, chaos) is the generic machinery underneath.
@@ -21,10 +23,12 @@ Both jobs are pure topology + task logic; everything operational
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro.common.errors import ConfigurationError, NodeUnavailableError
 from repro.streams.job import StreamJobSpec
-from repro.streams.task import Envelope, MessageCollector, StreamTask, \
-    TaskContext, route_key
+from repro.streams.task import SEEN_PREFIX, Envelope, MessageCollector, \
+    StreamTask, TaskContext, route_key
 
 #: inbox entries kept per member (oldest evicted first)
 INBOX_CAP = 50
@@ -161,27 +165,61 @@ class ConnectionFanoutTask(StreamTask):
             collector.send(self.output_topic, connection, entry)
 
 
+def _rank(entry: list) -> tuple:
+    """An inbox entry's place: (event time, actor, id)."""
+    return entry[0], entry[1], str(entry[2])
+
+
 class InboxTask(StreamTask):
     """Capped per-member inbox: ordered by event time, oldest evicted.
 
-    The whole inbox is the stored value, so each append is one
-    idempotent upsert of the full list — list state survives crash
-    replay the same way counters do.  Entries are kept sorted by
+    Each entry is its own key, ``<member>/<actor>/<id>`` — ``(actor,
+    id)`` names one activity event — holding ``[ts, actor, id, kind]``,
+    so an append is one small idempotent upsert and an eviction one
+    tombstone, whatever the inbox holds.  A redelivered entry is
+    already present and changes nothing.  Entries are kept sorted by
     (event time, actor, id) rather than arrival order: after a crash,
     re-emitted entries interleave differently with other producers'
     traffic in the repartition topic, and event-time order makes the
-    stored inbox independent of that interleaving.
+    stored inbox independent of that interleaving.  The order is an
+    in-memory key list per member, rebuilt from the store at ``init``
+    (which runs after recovery has restored it).
     """
 
     def init(self, context: TaskContext) -> None:
         self.inbox = context.store("inbox")
+        self._order: dict[str, list[str]] = {}   # member -> oldest first
+        entries = [(key, entry) for key, entry in self.inbox.items()
+                   if not key.startswith(SEEN_PREFIX)]
+        entries.sort(key=lambda item: _rank(item[1]))
+        for key, (_, actor, id_, _) in entries:
+            member = key[:-len(f"/{actor}/{id_}")]
+            self._order.setdefault(member, []).append(key)
+
+    def _key_rank(self, key: str) -> tuple:
+        return _rank(self.inbox.get(key))
 
     def process(self, envelope: Envelope,
                 collector: MessageCollector) -> None:
-        entries = list(self.inbox.get(envelope.key) or [])
-        entries.append(envelope.value)
-        entries.sort(key=lambda e: (e["ts"], e["actor"], str(e["id"])))
-        self.inbox.put(envelope.key, entries[-INBOX_CAP:])
+        value = envelope.value
+        key = f"{envelope.key}/{value['actor']}/{value['id']}"
+        if key in self.inbox:
+            return
+        entry = [value["ts"], value["actor"], value["id"], value["kind"]]
+        order = self._order.setdefault(envelope.key, [])
+        if len(order) >= INBOX_CAP and \
+                _rank(entry) < self._key_rank(order[0]):
+            return      # older than everything a full inbox keeps
+        self.inbox.put(key, entry)
+        insort(order, key, key=self._key_rank)
+        if len(order) > INBOX_CAP:
+            self.inbox.delete(order.pop(0))
+
+    def entries(self, member: str) -> list[dict]:
+        """The member's inbox, oldest first, as served."""
+        return [{"actor": actor, "kind": kind, "id": id_, "ts": ts}
+                for ts, actor, id_, kind in map(
+                    self.inbox.get, self._order.get(member, ()))]
 
 
 def feed_fanout_job(partitions: int,
@@ -212,5 +250,4 @@ class FeedService:
         container = self._containers[owner]
         if not container.alive:
             raise NodeUnavailableError(f"container {owner} is down")
-        task = container.task("inbox", partition)
-        return list(task.stores["inbox"].get(member) or [])
+        return container.task("inbox", partition).task.entries(member)

@@ -279,6 +279,13 @@ class TestImages:
         assert read_image(disk, "node/x.img") == []
         assert not disk.exists("node/x.img.tmp")
 
+    def test_an_image_is_one_write_and_one_fsync(self, disk):
+        payloads = [b"entry-%d" % i for i in range(100)]
+        before = disk.writes, disk.fsyncs
+        write_image(disk, "node/x.img", payloads)
+        assert (disk.writes, disk.fsyncs) == (before[0] + 1, before[1] + 1)
+        assert read_image(disk, "node/x.img") == payloads
+
     @pytest.mark.parametrize("surviving", [
         b"",                                          # empty file
         frame(b"one") + frame(b"two"),                # trailer cut off

@@ -19,7 +19,9 @@ import pytest
 from repro.common.clock import SimClock
 from repro.simnet.disk import SimDisk
 from repro.simnet.faultplan import FaultPlan
-from repro.workloads import run_day_in_the_life
+from repro.streams.state import encode_json
+from repro.workloads import ProfileViewEventGenerator, day_in_the_life, \
+    run_day_in_the_life
 
 SEED = 7
 
@@ -123,12 +125,39 @@ def test_same_seed_same_fault_trace(failure_day):
 
 def test_fault_trace_and_state_are_pinned():
     """A short failure day's fault trace and state fingerprints, against
-    a digest taken before :class:`FaultPlan` actions became ``(at, kind,
-    node, fire)`` closures: the twin-run comparisons above cannot see a
-    rewrite that changes both runs alike."""
+    a fixed digest: the twin-run comparisons above cannot see a rewrite
+    that changes both runs alike.  The fingerprints hash store layout,
+    so the digest was re-taken when the feed inbox moved from one stored
+    list per member to one key per entry; the fault trace and every
+    other store's fingerprint were unchanged by that move, and
+    :func:`test_served_inboxes_are_pinned` shows members are served the
+    same inboxes."""
     day = run_day_in_the_life(seed=2, day_seconds=240.0)
     digest = hashlib.sha256(
         "\n".join(day.fault_trace).encode()
         + repr(sorted(day.state_fingerprints.items())).encode())
     assert digest.hexdigest() == (
-        "538a49d69b0423ecf4aa108f251766699a354432bd32daf81fbb75ec978c0ff3")
+        "cbf967ccf32e20c092f009bef567d52363b0501131c2260372210d9fb47d42ad")
+
+
+def test_served_inboxes_are_pinned(monkeypatch):
+    """Every member's inbox as :class:`FeedService` serves it after a
+    short failure day, against a digest taken while a member's whole
+    inbox was one stored list.  It reads through the serving API, so
+    unlike the fingerprint digest above it does not move when the
+    inbox's storage layout does — only when what members see does."""
+    services = []
+
+    class RecordingFeedService(day_in_the_life.FeedService):
+        def __init__(self, *args):
+            super().__init__(*args)
+            services.append(self)
+
+    monkeypatch.setattr(day_in_the_life, "FeedService", RecordingFeedService)
+    run_day_in_the_life(seed=2, day_seconds=240.0)
+    [service] = services
+    served = [service.inbox(ProfileViewEventGenerator.member_id(rank))
+              for rank in range(300)]     # the scenario's num_members
+    assert sum(map(len, served)) == 4544
+    assert hashlib.sha256(encode_json(served)).hexdigest() == (
+        "7b88789025b857ac73a6a7accea8e527de755f1c46ce15d90f8a2f346fad197b")

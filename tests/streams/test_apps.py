@@ -26,6 +26,8 @@ from repro.streams.apps import (
     feed_fanout_job,
     who_viewed_your_profile_job,
 )
+from repro.streams.state import decode_record, load_snapshot, \
+    write_snapshot
 from repro.streams.task import Envelope, MessageCollector, TaskContext
 from repro.workloads import ProfileViewEventGenerator
 from repro.zookeeper import ZooKeeperServer
@@ -95,35 +97,100 @@ def test_fanout_without_connections_emits_nothing():
     assert collector.drain() == []
 
 
-def test_inbox_sorts_by_event_time_and_caps():
+def inbox_task(store: KeyedStateStore | None = None
+               ) -> tuple[InboxTask, KeyedStateStore]:
+    store = KeyedStateStore("inbox") if store is None else store
     task = InboxTask()
-    inbox = KeyedStateStore("inbox")
-    task.init(make_context("inbox", {"inbox": inbox}))
+    task.init(make_context("inbox", {"inbox": store}))
+    return task, store
+
+
+def activity(i: int, ts: float) -> dict:
+    return {"actor": "a", "kind": "k", "id": i, "ts": ts}
+
+
+def test_inbox_sorts_by_event_time_and_caps():
+    task, _ = inbox_task()
     collector = MessageCollector()
     for i in range(INBOX_CAP + 10):
         # deliver in reverse event-time order: storage must sort anyway
         ts = float(INBOX_CAP + 10 - i)
-        task.process(envelope("m", {"actor": "a", "kind": "k",
-                                    "id": i, "ts": ts}), collector)
-    entries = inbox.get("m")
+        task.process(envelope("m", activity(i, ts)), collector)
+    entries = task.entries("m")
     assert len(entries) == INBOX_CAP
     assert [e["ts"] for e in entries] == sorted(e["ts"] for e in entries)
     assert entries[0]["ts"] == 11.0   # the 10 oldest were evicted
+    assert entries[-1] == activity(0, 60.0)
 
 
 def test_inbox_order_is_arrival_independent():
-    entries = [{"actor": "a", "kind": "k", "id": i, "ts": float(i % 5)}
-               for i in range(12)]
+    entries = [activity(i, float(i % 5)) for i in range(12)]
     boxes = []
     for ordering in (entries, list(reversed(entries))):
-        task = InboxTask()
-        inbox = KeyedStateStore("inbox")
-        task.init(make_context("inbox", {"inbox": inbox}))
+        task, _ = inbox_task()
         collector = MessageCollector()
         for entry in ordering:
             task.process(envelope("m", entry), collector)
-        boxes.append(inbox.get("m"))
+        boxes.append(task.entries("m"))
+    assert len(boxes[0]) == 12
     assert boxes[0] == boxes[1]
+
+
+def test_inbox_restores_from_snapshot_and_changelog_suffix():
+    """A fresh task over a store rebuilt from a snapshot image plus the
+    changelog records drained after it serves the same inboxes, in the
+    same order, as the task that wrote them — evictions included."""
+    task, store = inbox_task()
+    collector = MessageCollector()
+    for i in range(INBOX_CAP + 5):
+        task.process(envelope(f"m{i % 2}", activity(i, float(-i))),
+                     collector)
+    store.drain()
+    disk = SimDisk(clock=SimClock(), seed=0)
+    write_snapshot(disk, "/s/inbox.snapshot", "inbox", store.records(), 7)
+    for i in range(INBOX_CAP + 5, 2 * INBOX_CAP + 20):
+        task.process(envelope(f"m{i % 2}", activity(i, float(i % 9))),
+                     collector)
+    suffix = store.drain()
+    restored = KeyedStateStore("inbox")
+    assert load_snapshot(disk, "/s/inbox.snapshot", restored) == 7
+    restored.restore(suffix)
+    fresh, _ = inbox_task(restored)
+    for member in ("m0", "m1"):
+        assert len(task.entries(member)) == INBOX_CAP
+        assert fresh.entries(member) == task.entries(member)
+
+
+def test_append_to_full_inbox_drains_one_entry_and_one_tombstone():
+    """The cost of an append is per entry, not per inbox: exactly two
+    records (the new entry and the evicted one's tombstone), of the
+    same size however full the inbox is."""
+    drained = {}
+    for fill in (INBOX_CAP, 3 * INBOX_CAP):
+        task, store = inbox_task()
+        collector = MessageCollector()
+        for i in range(1000, 1000 + fill):     # equal-width ids
+            task.process(envelope("m", activity(i, float(i))), collector)
+        store.drain()
+        task.process(envelope("m", activity(9999, 1e6)), collector)
+        records = store.drain()
+        assert [decode_record(r)[0] for r in records] == [
+            "m/a/9999", f"m/a/{1000 + fill - INBOX_CAP}"]
+        assert decode_record(records[1])[1] is None      # the tombstone
+        drained[fill] = sum(map(len, records))
+    assert drained[INBOX_CAP] == drained[3 * INBOX_CAP]
+
+
+def test_redelivered_entry_is_stored_once():
+    """Delivered twice past a lost dedupe mark, one ``(actor, id)``
+    leaves one entry and no second record."""
+    task, store = inbox_task()
+    collector = MessageCollector()
+    task.process(envelope("m", activity(7, 3.0)), collector)
+    assert len(store.drain()) == 1
+    task.process(envelope("m", activity(7, 3.0)), collector)
+    assert store.drain() == []
+    assert task.entries("m") == [activity(7, 3.0)]
 
 
 # -- end to end: topology + serving ----------------------------------------
