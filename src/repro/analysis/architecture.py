@@ -64,7 +64,8 @@ LAYER_CONTRACT: dict[str, frozenset[str]] = {
     # LinkedIn's core data ... to Espresso", §IV) — consuming the
     # change stream through Databus.  It sits *above* all three and may
     # import no substrate directly: durability comes from common's WAL,
-    # fault injection reaches it via duck-typed callbacks.
+    # and it has no fault-injection hooks (crash tests wrap the
+    # source's ``scan_chunk`` from outside).
     "migration": frozenset({"sqlstore", "databus", "espresso"}),
     # The consistency auditor (paper §V.D generalized) observes every
     # primary and derived store — it reads binlogs, relay buffers,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.common.errors import ConfigurationError, UnsupportedTypeError
 
@@ -96,6 +97,19 @@ class HashRing:
 
     def partition_for_key(self, key: bytes) -> int:
         return hash_key(key) % self.num_partitions
+
+    def partitions_for_keys(self, keys: Iterable[bytes]) -> list[int]:
+        """:meth:`partition_for_key` of each key, in one loop: the same
+        hash and the same :class:`UnsupportedTypeError` for a non-bytes
+        key, without two calls per key."""
+        md5, count = hashlib.md5, self.num_partitions
+        partitions = []
+        for key in keys:
+            if not isinstance(key, bytes):
+                hash_key(key)  # raises its UnsupportedTypeError
+            partitions.append(
+                int.from_bytes(md5(key).digest()[:8], "big") % count)
+        return partitions
 
     def node_for_partition(self, partition: int) -> Node:
         return self.nodes[self._owner[partition]]

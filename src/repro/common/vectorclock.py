@@ -136,20 +136,28 @@ def merge_frontier(frontier: Iterable, incoming) -> list | None:
     return survivors
 
 
-def frontier_of(replies: Sequence[Sequence]) -> list:
+def same_single_version(kept: Sequence, reply: Sequence) -> bool:
+    """True when both replies hold exactly one version and the clocks
+    are equal (a tuple comparison, no :meth:`VectorClock.compare`):
+    merging ``reply`` into ``kept`` would then change nothing, because
+    :func:`merge_frontier` keeps the first of a group of equals."""
+    return (len(kept) == 1 and len(reply) == 1
+            and kept[0].clock._entries == reply[0].clock._entries)
+
+
+def frontier_of(replies: Sequence[Sequence]) -> Sequence:
     """Merge replica replies into the read frontier: the versions no
     other dominates, one of each group of equals, in first-seen order
     (read repair pushes in that order, so it is part of the determinism
     contract).  Replicas agreeing on one version — the common case —
-    cost a tuple comparison each and no :meth:`VectorClock.compare`."""
+    cost a :func:`same_single_version` test each and return the first
+    reply itself."""
     first = replies[0]
-    if len(first) == 1:
-        entries = first[0].clock._entries
-        for reply in replies:
-            if len(reply) != 1 or reply[0].clock._entries != entries:
-                break
-        else:
-            return first
+    for reply in replies:
+        if not same_single_version(first, reply):
+            break
+    else:
+        return first
     frontier: list = []
     for reply in replies:
         for item in reply:

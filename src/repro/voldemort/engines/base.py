@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from repro.common.errors import ObsoleteVersionError
+from repro.common.errors import KeyNotFoundError, ObsoleteVersionError
 from repro.common.vectorclock import merge_frontier
 from repro.voldemort.versioned import Versioned
 
@@ -28,6 +28,20 @@ class StorageEngine:
 
     def get(self, key: bytes) -> list[Versioned]:
         raise NotImplementedError
+
+    def get_many(self, keys: Iterable[bytes]
+                 ) -> dict[bytes, Sequence[Versioned]]:
+        """``get`` over a batch, in one call: key -> versions, absent
+        keys omitted.  Engines may override it with a cheaper loop; a
+        returned sequence may be shared with the engine only if it is
+        immutable."""
+        found = {}
+        for key in keys:
+            try:
+                found[key] = self.get(key)
+            except KeyNotFoundError:
+                continue
+        return found
 
     def put(self, key: bytes, versioned: Versioned) -> None:
         raise NotImplementedError

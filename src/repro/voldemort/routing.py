@@ -22,6 +22,7 @@ how a parallel quorum behaves.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from repro.common.errors import (
     DeadlineExceededError,
@@ -42,7 +43,7 @@ from repro.common.overload import (
 )
 from repro.common.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.common.ring import HashRing
-from repro.common.vectorclock import frontier_of
+from repro.common.vectorclock import frontier_of, same_single_version
 from repro.voldemort.cluster import StoreDefinition, VoldemortCluster
 from repro.voldemort.failure_detector import FailureDetector
 from repro.voldemort.server import Hint
@@ -374,67 +375,94 @@ class RoutedStore:
                     self.metrics.counter("read_repair.failures").increment()
 
     def get_all(self, keys: list[bytes]
-                ) -> tuple[dict[bytes, list[Versioned]], float]:
+                ) -> tuple[dict[bytes, Sequence[Versioned]], float]:
         """Batched quorum reads: one request per node, not per key.
 
-        Planned per partition: a node is ranked once per request and a
-        partition's preference list ordered once.  Each distinct key is
-        asked of its first R replicas; keys a failed or shedding node
-        leaves short are asked of the rest of their list in one more
-        batched round (:meth:`get`'s fall-through).  Returns (key ->
-        version frontier, simulated latency); keys absent everywhere are
-        omitted.  Keys that cannot reach R replicas raise, as in ``get``.
+        Planned and counted per partition: the distinct keys are hashed
+        in one pass and grouped by partition, a node is ranked once per
+        request and a partition's preference list ordered once.  All
+        keys of a partition go to the same replicas in the same round,
+        so one answer count per partition is every one of its keys'
+        quorum count.  Each partition is asked of its first R replicas;
+        partitions a failed or shedding node leaves short are asked of
+        the rest of their list in one more batched round (:meth:`get`'s
+        fall-through).  A key's first reply is its frontier; only keys
+        whose later replies differ from it go through
+        :func:`frontier_of`.  Returns (key -> version frontier,
+        simulated latency); keys absent everywhere are omitted, and a
+        frontier may be an immutable tuple shared with an engine.  Keys
+        that cannot reach R replicas raise, as in ``get``.
         """
         if self.admission is not None:
             self.admission.admit(PRIORITY_LIVE, what="get_all")
         required = self.definition.required_reads
         ring = self.cluster.ring
+        distinct = list(dict.fromkeys(keys))
+        keys_of: dict[int, list[bytes]] = {}    # first-key order
+        for key, partition in zip(distinct,
+                                  ring.partitions_for_keys(distinct)):
+            keys_of.setdefault(partition, []).append(key)
+        # walking partitions in first-key order makes each node first
+        # appear in ``per_node`` where the first key it serves would put
+        # it: RPC order feeds the network RNG
         ranks: dict[int, tuple] = {}
-        ordered: dict[int, list[int]] = {}      # partition -> replicas
-        replicas_of: dict[bytes, list[int]] = {}    # per distinct key
-        for key in keys:
-            if key not in replicas_of:
-                partition = ring.partition_for_key(key)
-                if partition not in ordered:
-                    ordered[partition] = self._ordered_by_availability(
-                        self._preference(ring, partition), ranks)
-                replicas_of[key] = ordered[partition]
-        answered = dict.fromkeys(replicas_of, 0)
-        replies: dict[bytes, list[list[Versioned]]] = {}
+        replicas_of = {partition: self._ordered_by_availability(
+                           self._preference(ring, partition), ranks)
+                       for partition in keys_of}
+        answered = dict.fromkeys(keys_of, 0)
+        frontiers: dict[bytes, Sequence[Versioned]] = {}
+        disagreeing: dict[bytes, list[Sequence[Versioned]]] = {}
         operation_latency = 0.0
-        short = list(replicas_of)
+        short = list(keys_of)
         # first choice, then the rest of the list for whatever is short
         for first, last in ((0, required), (required, None)):
-            per_node: dict[int, list[bytes]] = {}
-            for key in short:
-                for node_id in replicas_of[key][first:last]:
-                    per_node.setdefault(node_id, []).append(key)
+            per_node: dict[int, list[int]] = {}
+            for partition in short:
+                for node_id in replicas_of[partition][first:last]:
+                    per_node.setdefault(node_id, []).append(partition)
             if first > 0:
                 self.metrics.counter("get_all.fallback_rounds").increment()
+            latency, answers = self._read_batches(per_node, keys_of,
+                                                  answered)
             # the rounds are sequential, so their latencies add
-            operation_latency += self._read_batches(per_node, answered,
-                                                    replies)
-            short = [key for key in short if answered[key] < required]
+            operation_latency += latency
+            for found in answers:
+                for key, versions in found.items():
+                    kept = frontiers.get(key)
+                    if kept is None:
+                        frontiers[key] = versions
+                    elif key in disagreeing:
+                        disagreeing[key].append(versions)
+                    elif not same_single_version(kept, versions):
+                        disagreeing[key] = [kept, versions]
+            short = [partition for partition in short
+                     if answered[partition] < required]
             if not short:
                 break
         if short:
             raise InsufficientOperationalNodesError(
-                f"{len(short)} keys reached fewer than {required} replicas",
-                required=required, achieved=min(answered[k] for k in short))
+                f"{sum(len(keys_of[p]) for p in short)} keys reached "
+                f"fewer than {required} replicas",
+                required=required, achieved=min(answered[p] for p in short))
         self.metrics.histogram("get_all").record(operation_latency)
-        return ({key: frontier_of(by_node)
-                 for key, by_node in replies.items()},
-                operation_latency)
+        for key, replies in disagreeing.items():
+            frontiers[key] = frontier_of(replies)
+        return frontiers, operation_latency
 
-    def _read_batches(self, per_node: dict[int, list[bytes]],
-                      answered: dict[bytes, int],
-                      replies: dict[bytes, list[list[Versioned]]]) -> float:
-        """One ``get_batch`` per node.  Counts each answering node toward
-        its keys' quorums, files found versions under ``replies[key]``
-        and returns the round's latency: its slowest answer."""
+    def _read_batches(self, per_node: dict[int, list[int]],
+                      keys_of: dict[int, list[bytes]],
+                      answered: dict[int, int]
+                      ) -> tuple[float, list[dict]]:
+        """One ``get_batch`` per node for the keys of its partitions.
+        Counts each answering node once toward each of its partitions'
+        quorums; returns the round's latency (its slowest answer) and
+        the answers in node order."""
         slowest = 0.0
-        for node_id, node_keys in per_node.items():
+        answers = []
+        for node_id, partitions in per_node.items():
             server = self.cluster.server_for(node_id)
+            node_keys = [key for partition in partitions
+                         for key in keys_of[partition]]
             try:
                 found, latency = self.cluster.network.invoke(
                     self.client_name, self.cluster.node_name(node_id),
@@ -444,14 +472,14 @@ class RoutedStore:
                 self.metrics.counter("get_all.replica_shed").increment()
             except NodeUnavailableError:
                 self.detector.record_failure(node_id)
+                self.metrics.counter("get_all.node_failures").increment()
             else:
                 self.detector.record_success(node_id)
                 slowest = max(slowest, latency)
-                for key in node_keys:
-                    answered[key] += 1
-                for key, versions in found.items():
-                    replies.setdefault(key, []).append(versions)
-        return slowest
+                for partition in partitions:
+                    answered[partition] += 1
+                answers.append(found)
+        return slowest, answers
 
     # -- writes ---------------------------------------------------------------------
 

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.common.errors import (
-    ConfigurationError,
-    KeyNotFoundError,
-    NodeUnavailableError,
-)
+from repro.common.errors import ConfigurationError, NodeUnavailableError
 from repro.common.wal import WriteAheadLog
 from repro.voldemort.engines.base import StorageEngine
 from repro.voldemort.engines.logstructured import decode_body, encode_body
@@ -150,21 +147,14 @@ class VoldemortServer:
         self.engine(store).delete(key, versioned)
 
     def get_batch(self, store: str, keys: list[bytes]
-                  ) -> dict[bytes, list[Versioned]]:
+                  ) -> dict[bytes, Sequence[Versioned]]:
         """Batched point reads; absent keys are omitted from the result.
 
-        One network round trip serves many keys — the server half of the
-        client's ``get_all``.
+        One network round trip and one engine call serve many keys — the
+        server half of the client's ``get_all``.
         """
         self.requests_served += 1
-        get = self.engine(store).get
-        out: dict[bytes, list[Versioned]] = {}
-        for key in keys:
-            try:
-                out[key] = get(key)
-            except KeyNotFoundError:
-                continue
-        return out
+        return self.engine(store).get_many(keys)
 
     def get_versions(self, store: str, key: bytes) -> list:
         """Just the clocks — cheaper than full values for conflict checks."""

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, UnsupportedTypeError
 from repro.common.ring import HashRing, Node, Zone, build_balanced_ring, hash_key
 
 
@@ -120,3 +120,13 @@ def test_expansion_moves_minimal_partitions(key, nodes):
                 == ring.master_for_key(key).node_id)
     else:
         assert rebalanced.master_for_key(key).node_id == 99
+
+
+def test_batch_partitions_match_per_key_partitions():
+    ring = build_balanced_ring(6, 48)
+    keys = [b"member:%d" % i for i in range(200)] + [b"", b"member:0"]
+    assert ring.partitions_for_keys(keys) == \
+        [ring.partition_for_key(key) for key in keys]
+    assert ring.partitions_for_keys([]) == []
+    with pytest.raises(UnsupportedTypeError):
+        ring.partitions_for_keys([b"fine", "str-key"])

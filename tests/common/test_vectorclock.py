@@ -10,6 +10,7 @@ from repro.common.vectorclock import (
     VectorClock,
     frontier_of,
     merge_frontier,
+    same_single_version,
 )
 
 #: the smallest thing the frontier routines accept: anything with .clock
@@ -185,3 +186,21 @@ def test_frontier_matches_pairwise_reference(reply_entries):
         for b in survivors:
             if a is not b:
                 assert a.clock.compare(b.clock) is Occurred.CONCURRENT
+
+
+@given(st.lists(st.lists(clock_entries, max_size=3), min_size=1, max_size=4))
+def test_skipping_agreeing_replies_keeps_the_frontier(reply_entries):
+    """``get_all``'s fold: a reply that is the same single version as the
+    first one adds nothing, so leaving it out of ``frontier_of`` changes
+    neither the frontier nor its order."""
+    replies, count = [], 0
+    for entry_sets in reply_entries:
+        replies.append([Item(VectorClock(e), count + i)
+                        for i, e in enumerate(entry_sets)])
+        count += len(entry_sets)
+    first = replies[0]
+    differing = [first] + [reply for reply in replies[1:]
+                           if not same_single_version(first, reply)]
+    assert [item.value for item in frontier_of(differing)] == \
+        [item.value for item in frontier_of(replies)]
+    assert same_single_version(first, first) == (len(first) == 1)

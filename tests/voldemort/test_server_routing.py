@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import (
     InsufficientOperationalNodesError,
     NodeUnavailableError,
+    UnsupportedTypeError,
 )
 from repro.common.vectorclock import VectorClock
 from repro.simnet import SimNetwork, lognormal_latency
@@ -14,7 +15,9 @@ from repro.voldemort import (
     StoreDefinition,
     Versioned,
     VoldemortCluster,
+    routing,
 )
+from repro.voldemort.engines import InMemoryStorageEngine
 from repro.voldemort.server_routing import ServerSideRoutedStore
 
 
@@ -168,6 +171,7 @@ class TestGetAll:
         assert {k: [v.value for v in vs] for k, vs in found.items()} == \
             {key: [b"v:" + key] for key in keys}
         assert routed.metrics.counter("get_all.fallback_rounds").value == 1
+        assert routed.metrics.counter("get_all.node_failures").value == 1
         assert latency > 0
 
     def test_fallback_round_only_asks_for_the_short_keys(self, cluster):
@@ -206,15 +210,14 @@ class TestGetAll:
         assert routed.metrics.counter("get_all.fallback_rounds").value == 0
 
     def test_plan_is_per_partition_not_per_key(self, monkeypatch):
-        """Count guard, no timing: a healthy 100-key batch ranks each
-        node once and, with replicas in agreement, compares no clocks."""
-        cluster = VoldemortCluster(num_nodes=6, partitions_per_node=8)
-        cluster.define_store(StoreDefinition("s", 3, 2, 2))
-        routed = RoutedStore(cluster, "s")
-        keys = [b"member:%d" % i for i in range(100)]
-        for key in keys:
-            routed.put(key, Versioned.initial(b"v", 0))
-        calls = {"is_available": 0, "compare": 0}
+        """Count guard, no timing, flat in the batch width: a healthy
+        batch ranks each node once, makes one engine batch read per
+        contacted node and no per-key ``get``, and, with replicas in
+        agreement, compares no clocks and folds no frontier.  Only keys
+        whose replies differ are folded: one ``frontier_of`` each."""
+        calls = {"is_available": 0, "compare": 0, "get": 0,
+                 "frontier_of": 0}
+        batch_reads: list[InMemoryStorageEngine] = []
 
         def counting(name, original):
             def wrapper(*args):
@@ -222,14 +225,110 @@ class TestGetAll:
                 return original(*args)
             return wrapper
 
+        def recording_get_many(engine, keys):
+            batch_reads.append(engine)
+            return original_get_many(engine, keys)
+
+        original_get_many = InMemoryStorageEngine.get_many
         monkeypatch.setattr(FailureDetector, "is_available", counting(
             "is_available", FailureDetector.is_available))
         monkeypatch.setattr(VectorClock, "compare", counting(
             "compare", VectorClock.compare))
+        monkeypatch.setattr(InMemoryStorageEngine, "get", counting(
+            "get", InMemoryStorageEngine.get))
+        monkeypatch.setattr(routing, "frontier_of", counting(
+            "frontier_of", routing.frontier_of))
+        monkeypatch.setattr(InMemoryStorageEngine, "get_many",
+                            recording_get_many)
+        for width, planted in ((50, 0), (100, 0), (200, 0), (100, 3)):
+            cluster = VoldemortCluster(num_nodes=6, partitions_per_node=8)
+            cluster.define_store(StoreDefinition("s", 3, 2, 2))
+            routed = RoutedStore(cluster, "s")
+            keys = [b"member:%d" % i for i in range(width)]
+            for key in keys:
+                routed.put(key, Versioned.initial(b"v", 0))
+            for key in keys[:planted]:   # a concurrent sibling everywhere
+                routed.put(key, Versioned(b"w", VectorClock({1: 1})))
+            for name in calls:
+                calls[name] = 0
+            batch_reads.clear()
+            hops = cluster.network.hops_delivered
+            found, _ = routed.get_all(keys)
+            assert len(found) == width
+            assert sum(len(found[key]) > 1 for key in keys) == planted
+            contacted = cluster.network.hops_delivered - hops
+            assert len(batch_reads) == len(set(map(id, batch_reads))) \
+                == contacted <= len(cluster.ring.nodes), width
+            assert calls["get"] == 0, width
+            assert calls["is_available"] <= len(cluster.ring.nodes), width
+            assert calls["frontier_of"] == planted, width
+            if not planted:
+                assert calls["compare"] == 0, width
+
+    def test_a_caller_cannot_change_what_the_engine_holds(self, cluster):
+        """Aliasing guard: ``get_all`` may hand out a version sequence
+        the memory engine stores, so that sequence must be immutable;
+        every list a read returns is the caller's own."""
+        routed = RoutedStore(cluster, "s")
+        keys = [b"key-%d" % i for i in range(20)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v:" + key, 0))
+        routed.put(keys[0], Versioned(b"sibling", VectorClock({1: 1})))
+        junk = Versioned(b"junk", VectorClock({7: 7}))
+
+        def engine_view():
+            return {node: {key: server.engine("s").get_many([key]).get(key)
+                           for key in keys}
+                    for node, server in cluster.servers.items()}
+
+        before = engine_view()
         found, _ = routed.get_all(keys)
-        assert len(found) == len(keys)
-        assert calls["is_available"] <= len(cluster.ring.nodes)
-        assert calls["compare"] == 0
+        for versions in found.values():
+            if isinstance(versions, list):
+                versions.append(junk)
+            else:
+                assert isinstance(versions, tuple)
+        for key in keys[:3]:
+            frontier, _ = routed.get(key)
+            frontier.append(junk)
+            frontier.clear()
+        again, _ = routed.get_all(keys)
+        assert engine_view() == before
+        assert {key: list(versions) for key, versions in again.items()} == \
+            {key: [v for v in versions if v is not junk]
+             for key, versions in found.items()}
+        assert routed.get(keys[0])[0] == \
+            [Versioned(b"v:" + keys[0], VectorClock({0: 1})),
+             Versioned(b"sibling", VectorClock({1: 1}))]
+
+    def test_non_bytes_key_is_rejected(self, cluster):
+        routed = RoutedStore(cluster, "s")
+        with pytest.raises(UnsupportedTypeError):
+            routed.get_all(["str-key"])
+        with pytest.raises(UnsupportedTypeError):
+            routed.get_all([b"fine", "str-key"])
+
+    def test_quorum_miss_counts_short_keys_and_the_lowest_count(self, cluster):
+        """The error names how many *keys* fell short, even though the
+        count is kept per partition, and ``achieved`` is the lowest
+        per-key count."""
+        routed = RoutedStore(cluster, "s", enable_hinted_handoff=False)
+        keys = [b"key-%d" % i for i in range(30)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v", 0))
+        down = routed.replica_nodes(keys[0])[:2]
+        for node_id in down:
+            cluster.network.failures.crash(cluster.node_name(node_id))
+        live_replicas = {key: sum(n not in down
+                                  for n in routed.replica_nodes(key))
+                         for key in keys}
+        short = [key for key in keys if live_replicas[key] < 2]
+        assert 0 < len(short) < len(keys)
+        with pytest.raises(InsufficientOperationalNodesError) as raised:
+            routed.get_all(keys + short[:2])     # repeats count once
+        assert str(raised.value).startswith(f"{len(short)} keys reached")
+        assert raised.value.required == 2
+        assert raised.value.achieved == min(live_replicas[k] for k in short)
 
     def test_empty_batch(self, cluster):
         routed = RoutedStore(cluster, "s")
