@@ -11,7 +11,6 @@ Run:  python examples/site_pipeline.py
 """
 
 import json
-import tempfile
 
 from repro.audit import CountConservation
 from repro.common.clock import SimClock
@@ -26,6 +25,7 @@ from repro.kafka.audit import AUDIT_TOPIC, AuditingProducer, AuditReconciler
 from repro.recommendations import PymkPipeline
 from repro.search import PeopleSearchService
 from repro.search.index import RankedInvertedIndex
+from repro.simnet import SimDisk
 from repro.socialgraph import PartitionedSocialGraph
 from repro.sqlstore.binlog import ChangeKind
 from repro.voldemort import RoutedStore, StoreDefinition, VoldemortCluster
@@ -108,39 +108,37 @@ def main() -> None:
           [(h.doc_id, round(h.score, 2)) for h in hits])
 
     # --- batch: scheduled PYMK refresh into Voldemort ------------------
-    with tempfile.TemporaryDirectory() as root:
-        voldemort = VoldemortCluster(num_nodes=3, partitions_per_node=4,
-                                     clock=clock, data_root=root)
-        voldemort.define_store(StoreDefinition(
-            "pymk", 2, 1, 1, engine_type="read-only"))
-        pymk = PymkPipeline(voldemort, MiniHDFS(), k=3)
-        scheduler = WorkflowScheduler(clock)
-        scheduler.schedule(Workflow("pymk-refresh", [
-            WorkflowJob("score-and-deploy", lambda ctx: pymk.run(graph))]),
-            every_seconds=86_400)
-        clock.advance(86_400 + 1)
-        routed = RoutedStore(voldemort, "pymk")
-        for member in (1, 5):
-            print(f"PYMK for member {member}:",
-                  pymk.recommendations_for(routed, member))
+    voldemort = VoldemortCluster(num_nodes=3, partitions_per_node=4,
+                                 clock=clock, disk=SimDisk(clock=clock))
+    voldemort.define_store(StoreDefinition(
+        "pymk", 2, 1, 1, engine_type="read-only"))
+    pymk = PymkPipeline(voldemort, MiniHDFS(), k=3)
+    scheduler = WorkflowScheduler(clock)
+    scheduler.schedule(Workflow("pymk-refresh", [
+        WorkflowJob("score-and-deploy", lambda ctx: pymk.run(graph))]),
+        every_seconds=86_400)
+    clock.advance(86_400 + 1)
+    routed = RoutedStore(voldemort, "pymk")
+    for member in (1, 5):
+        print(f"PYMK for member {member}:",
+              pymk.recommendations_for(routed, member))
 
-        # --- activity events through Kafka, audited --------------------
-        kafka = KafkaCluster(2, f"{root}/kafka", clock=clock,
-                             partitions_per_topic=4)
-        kafka.create_topic("activity")
-        kafka.create_topic(AUDIT_TOPIC, partitions=1)
-        producer = AuditingProducer(kafka, "frontend-1", clock=clock)
-        for member, name, _ in PROFILES:
-            producer.send("activity", {"member": member, "event": "page_view"})
-        producer.flush()
-        producer.publish_monitoring_events()
-        reconciler = AuditReconciler(kafka, ["activity"])
-        audit = CountConservation("kafka-audit", "kafka:activity",
-                                  reconciler.produced, reconciler.consumed)
-        print(f"Kafka: {sum(reconciler.consumed().values())} activity "
-              f"events, audit complete: {audit.check() == []}")
-        kafka.shutdown()
-        voldemort.close()
+    # --- activity events through Kafka, audited --------------------
+    kafka = KafkaCluster(2, "kafka", clock=clock, partitions_per_topic=4)
+    kafka.create_topic("activity")
+    kafka.create_topic(AUDIT_TOPIC, partitions=1)
+    producer = AuditingProducer(kafka, "frontend-1", clock=clock)
+    for member, name, _ in PROFILES:
+        producer.send("activity", {"member": member, "event": "page_view"})
+    producer.flush()
+    producer.publish_monitoring_events()
+    reconciler = AuditReconciler(kafka, ["activity"])
+    audit = CountConservation("kafka-audit", "kafka:activity",
+                              reconciler.produced, reconciler.consumed)
+    print(f"Kafka: {sum(reconciler.consumed().values())} activity "
+          f"events, audit complete: {audit.check() == []}")
+    kafka.shutdown()
+    voldemort.close()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Simulated and real clocks.
 
 Distributed behaviours in the paper — failover timing, hinted-handoff
-replay, retention expiry, consumer lag — are all time-dependent.  Tests
-must be deterministic, so every component takes a :class:`Clock` and the
-test suite injects a :class:`SimClock` it can advance by hand.  The
-benchmarks, which measure real work, use :class:`WallClock`.
+replay, retention expiry, consumer lag — are all time-dependent.  Runs
+must be deterministic, so every component takes a :class:`Clock` and
+defaults to a :class:`SimClock` the driver advances by hand; the tests,
+the examples and ``perfbench`` all run on one.  :class:`WallClock` is
+host time for a caller that asks for it by name: nothing defaults to it.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ the pass-through implementation backed by the real filesystem.  The
 fault-injecting simulated implementation (:class:`~repro.simnet.disk.
 SimDisk`) lives in :mod:`repro.simnet.disk` and *implements* these
 protocols — the dependency points upward (simnet → common), never
-downward, which is what lets :mod:`repro.common.wal` default to a
-:class:`LocalDisk` without ``common`` importing a simulation layer
-(the layering contract in :mod:`repro.analysis.architecture` keeps it
-that way).
+downward (the layering contract in :mod:`repro.analysis.architecture`
+keeps it that way).  Every durable component takes its :class:`Disk`
+as a required argument and is handed a :class:`SimDisk` scope;
+:class:`LocalDisk` is for a caller that names it, and nothing defaults
+to it.
 
 The one semantic addition over builtin files is the explicit
 :meth:`DiskFile.fsync`: writes land in the (real or simulated) page

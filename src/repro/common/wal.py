@@ -29,7 +29,7 @@ import zlib
 from typing import Iterable, Iterator
 
 from repro.common.errors import ChecksumError, ConfigurationError
-from repro.common.storage import Disk, LocalDisk
+from repro.common.storage import Disk
 
 __all__ = ["FRAME_OVERHEAD", "WriteAheadLog", "read_image", "write_image"]
 
@@ -86,12 +86,10 @@ def _write_temp(disk: Disk, path: str,
 class WriteAheadLog:
     """Append / fsync / replay / read / rewrite over one framed file."""
 
-    def __init__(self, path: str, disk: Disk | None = None):
+    def __init__(self, path: str, disk: Disk):
         if not path:
             raise ConfigurationError("WAL needs a path")
         self.path = path
-        if disk is None:
-            disk = LocalDisk()
         self.disk = disk
         _make_parent(disk, path)
         self.appends = 0

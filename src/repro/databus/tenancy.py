@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock, SimClock
 from repro.common.errors import ConfigurationError, ReproError
 from repro.databus.events import DatabusEvent, EventFilter
 from repro.databus.relay import DEFAULT_BUFFER, Relay
@@ -59,7 +59,7 @@ class MultiTenantRelay:
 
     def __init__(self, relay: Relay, clock: Clock | None = None):
         self.relay = relay
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         self._tenants: dict[str, _TenantState] = {}
 
     # -- registration -----------------------------------------------------

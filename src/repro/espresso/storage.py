@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock, SimClock
 from repro.common.errors import (
     ConfigurationError,
     KeyNotFoundError,
@@ -102,7 +102,7 @@ class EspressoStorageNode:
         self.database = database
         self.schemas = schemas
         self.relay = relay
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         self.local = SqlDatabase(f"{database.name}@{instance_name}",
                                  clock=self.clock)
         self._indexes: dict[str, LocalSecondaryIndex] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock, SimClock
 from repro.common.errors import ConfigurationError
 from repro.common.overload import (
     PRIORITY_LIVE,
@@ -42,18 +42,17 @@ class TopicPartition:
 class Broker:
     """One broker process: a set of partition logs plus ZK registration."""
 
-    def __init__(self, broker_id: int, data_dir: str,
+    def __init__(self, broker_id: int, data_dir: str, disk: Disk,
                  zookeeper: ZooKeeperServer | None = None,
                  clock: Clock | None = None,
                  flush_interval_messages: int = 1,
                  flush_interval_seconds: float = 0.0,
                  segment_bytes: int = 1 << 20,
-                 disk: Disk | None = None,
                  admission: AdmissionController | None = None):
         self.broker_id = broker_id
         self.data_dir = data_dir
         self.disk = disk
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         # bounded request handling: with an admission controller the
         # broker sheds overflow as fast ServerOverloadedError instead
         # of queueing requests without bound — consumer fetches outrank
@@ -73,10 +72,10 @@ class Broker:
 
     def _make_log(self, directory: str) -> PartitionLog:
         return PartitionLog(
-            directory, segment_bytes=self.segment_bytes,
+            directory, self.disk, segment_bytes=self.segment_bytes,
             flush_interval_messages=self.flush_interval_messages,
             flush_interval_seconds=self.flush_interval_seconds,
-            clock=self.clock, disk=self.disk)
+            clock=self.clock)
 
     # -- zookeeper liveness -----------------------------------------------------
 
@@ -204,14 +203,13 @@ class KafkaCluster:
         if num_brokers <= 0:
             raise ConfigurationError("need at least one broker")
         self.zookeeper = zookeeper or ZooKeeperServer()
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         self.partitions_per_topic = partitions_per_topic
-        self.disk = disk
+        self.disk = disk if disk is not None else SimDisk(clock=self.clock)
         self.brokers: dict[int, Broker] = {}
         for broker_id in range(num_brokers):
-            # with a SimDisk, each broker's files live in its own crash
-            # domain ("broker-N/..."); data_root only names real dirs
-            scope = disk.scope(f"broker-{broker_id}") if disk else None
+            # each broker's files live in its own crash domain
+            # ("broker-N/..."), under data_root inside it
             admission = None
             if admission_rate is not None:
                 admission = AdmissionController(
@@ -219,10 +217,10 @@ class KafkaCluster:
                     name=f"broker-{broker_id}.admission")
             self.brokers[broker_id] = Broker(
                 broker_id, os.path.join(data_root, f"broker-{broker_id}"),
-                self.zookeeper, clock=self.clock,
+                self.disk.scope(f"broker-{broker_id}"), self.zookeeper,
+                clock=self.clock,
                 flush_interval_messages=flush_interval_messages,
-                segment_bytes=segment_bytes, disk=scope,
-                admission=admission)
+                segment_bytes=segment_bytes, admission=admission)
         self._topics: dict[str, list[TopicPartition]] = {}
         # topic -> partition -> hosting broker id, built with the layout
         self._hosts: dict[str, dict[int, int]] = {}

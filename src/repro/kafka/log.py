@@ -38,10 +38,10 @@ Semantics reproduced here:
   flushed *and fsynced*, so acked data survives a kill; unsynced data
   may be lost but never yields a half-visible record.
 
-All file I/O goes through a :class:`~repro.simnet.disk.Disk`; the
-default :class:`~repro.simnet.disk.LocalDisk` hits the real filesystem
-while chaos tests inject a :class:`~repro.simnet.disk.SimDisk` to
-crash brokers and corrupt segments deterministically.
+All file I/O goes through the :class:`~repro.simnet.disk.Disk` the
+caller passes — a broker's scope of a
+:class:`~repro.simnet.disk.SimDisk`, which chaos tests crash and
+corrupt deterministically.
 
 :class:`MessageIdIndexedLog` is the ablation baseline: the same log
 plus the explicit id->position index the paper's design avoids.
@@ -53,7 +53,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock, SimClock
 from repro.common.errors import (
     ChecksumError,
     ConfigurationError,
@@ -61,7 +61,7 @@ from repro.common.errors import (
     SerializationError,
 )
 from repro.kafka.message import MessageSet, decode_span
-from repro.simnet.disk import Disk, LocalDisk
+from repro.simnet.disk import Disk
 
 
 def scan_valid_bytes(data: bytes) -> int:
@@ -94,24 +94,24 @@ class _Segment:
 class PartitionLog:
     """One topic-partition's on-disk log."""
 
-    def __init__(self, directory: str, segment_bytes: int = 1 << 20,
+    def __init__(self, directory: str, disk: Disk,
+                 segment_bytes: int = 1 << 20,
                  flush_interval_messages: int = 1,
                  flush_interval_seconds: float = 0.0,
                  clock: Clock | None = None,
-                 disk: Disk | None = None,
                  fsync_on_flush: bool = True):
         if segment_bytes <= 0:
             raise ConfigurationError("segment_bytes must be positive")
         if flush_interval_messages < 1:
             raise ConfigurationError("flush_interval_messages must be >= 1")
         self.directory = directory
-        self.disk = disk if disk is not None else LocalDisk()
-        self.disk.makedirs(directory)
+        self.disk = disk
+        disk.makedirs(directory)
         self.segment_bytes = segment_bytes
         self.flush_interval_messages = flush_interval_messages
         self.flush_interval_seconds = flush_interval_seconds
         self.fsync_on_flush = fsync_on_flush
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         self._segments: list[_Segment] = []
         self._base_offsets: list[int] = []   # parallel to _segments
         self._active_file = None

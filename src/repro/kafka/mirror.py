@@ -62,12 +62,10 @@ class MirrorMaker:
 class HadoopLoadJob:
     """The data-load job: replica cluster -> HDFS files per partition."""
 
-    def __init__(self, replica: KafkaCluster, hdfs: MiniHDFS, topics: list[str],
-                 output_root: str = "/kafka-loads"):
+    def __init__(self, replica: KafkaCluster, hdfs: MiniHDFS, topics: list[str]):
         self.replica = replica
         self.hdfs = hdfs
         self.topics = list(topics)
-        self.output_root = output_root
         self._consumer = SimpleConsumer(replica)
         self._offsets: dict[tuple[str, int], int] = {}
         self._run_id = 0
@@ -92,8 +90,7 @@ class HadoopLoadJob:
                 self._offsets[(topic, partition)] = next_offset
                 offset = next_offset
             if records:
-                path = (f"{self.output_root}/run-{self._run_id:06d}/"
-                        f"{topic}-{partition}")
+                path = f"/kafka-loads/run-{self._run_id:06d}/{topic}-{partition}"
                 self.hdfs.create(path, b"\n".join(records))
                 written.append(path)
                 self.messages_loaded += len(records)

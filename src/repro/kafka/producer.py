@@ -37,8 +37,7 @@ class Producer:
     """A batching producer bound to one cluster."""
 
     def __init__(self, cluster: KafkaCluster, batch_size: int = 50,
-                 compress: bool = False, compression_level: int = 6,
-                 seed: int = 0, retry_policy: RetryPolicy | None = None,
+                 compress: bool = False, seed: int = 0, retry_policy: RetryPolicy | None = None,
                  max_pending: int | None = None):
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
@@ -52,7 +51,6 @@ class Producer:
         # shedding — the caller must drain or slow down
         self.max_pending = max_pending
         self.compress = compress
-        self.compression_level = compression_level
         self._rng = random.Random(seed)
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(0)
@@ -138,7 +136,7 @@ class Producer:
             return
         message_set = MessageSet.from_payloads(batch)
         if self.compress:
-            message_set = message_set.deflated(self.compression_level)
+            message_set = message_set.deflated()
 
         replicated = self._replicated.get(topic)
 

@@ -55,8 +55,7 @@ class ReplicatedPartition:
     """One partition's replication state machine."""
 
     def __init__(self, cluster: KafkaCluster, topic: str, partition: int,
-                 replica_ids: list[int], max_lag_bytes: int = 0,
-                 min_insync_replicas: int = 1):
+                 replica_ids: list[int], min_insync_replicas: int = 1):
         if len(set(replica_ids)) != len(replica_ids) or not replica_ids:
             raise ConfigurationError("replicas must be distinct and non-empty")
         if min_insync_replicas > len(replica_ids):
@@ -65,7 +64,6 @@ class ReplicatedPartition:
         self.topic = topic
         self.partition = partition
         self.replica_ids = list(replica_ids)
-        self.max_lag_bytes = max_lag_bytes
         self.min_insync_replicas = min_insync_replicas
         self.leader_id = replica_ids[0]
         self.isr: set[int] = set(replica_ids)
@@ -119,7 +117,7 @@ class ReplicatedPartition:
         """Followers pull from the leader; returns bytes replicated.
 
         Also recomputes ISR membership: a live follower rejoins the ISR
-        once its lag is within ``max_lag_bytes``; an unreachable
+        once it has caught up with the leader; an unreachable
         follower is dropped.
         """
         replicated = 0
@@ -150,7 +148,7 @@ class ReplicatedPartition:
                 state.log_end_offset += len(data)
                 replicated += len(data)
             lag = leader_end - state.log_end_offset
-            if lag <= self.max_lag_bytes:
+            if lag <= 0:
                 self.isr.add(broker_id)
             else:
                 self.isr.discard(broker_id)

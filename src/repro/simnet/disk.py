@@ -3,12 +3,13 @@
 :class:`~repro.simnet.network.SimNetwork` gave the reproduction the
 *network* half of the chaos story: crashes, partitions, transient
 errors.  This module supplies the *storage* half.  Every durable
-component (Kafka partition logs, Voldemort's log-structured engine and
-slop store, Espresso commit logs, the Databus bootstrap store) writes
-through a :class:`Disk`, of which there are two implementations:
+component (Kafka partition logs, Voldemort's log-structured and
+read-only engines and slop store, Espresso commit logs, the Databus
+bootstrap store) writes through a :class:`Disk`, of which there are
+two implementations:
 
-* :class:`LocalDisk` — a thin pass-through to the real filesystem, used
-  by default so benchmarks keep measuring genuine I/O;
+* :class:`LocalDisk` — a thin pass-through to the real filesystem, for
+  a caller that names it (no component defaults to it);
 * :class:`SimDisk` — a fully in-memory filesystem with an explicit
   ``fsync`` boundary and injectable faults: **lost unsynced writes** on
   crash (the default crash semantic — whatever was written but never

@@ -248,12 +248,11 @@ class SimNetwork:
     """Point-to-point messaging with latency sampling and fault injection."""
 
     def __init__(self, clock: Clock | None = None, seed: int = 0,
-                 latency_model: LatencyModel | None = None,
-                 default_timeout: float = 0.5):
+                 latency_model: LatencyModel | None = None):
         self.clock = clock if clock is not None else SimClock()
         self.rng = random.Random(seed)
         self.latency_model = latency_model or fixed_latency(0.0005)
-        self.default_timeout = default_timeout
+        self.default_timeout = 0.5   # seconds, when a call names none
         self.failures = FailureInjector()
         # fault assertions/heals are part of the replayable record
         self.failures.on_change = self._record_fault

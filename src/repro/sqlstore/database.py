@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock, SimClock
 from repro.common.errors import (
     ConfigurationError,
     DuplicateKeyError,
@@ -130,7 +130,7 @@ class SqlDatabase:
 
     def __init__(self, name: str, clock: Clock | None = None):
         self.name = name
-        self.clock = clock or WallClock()
+        self.clock = clock if clock is not None else SimClock()
         self.binlog = Binlog()
         self._tables: dict[str, Table] = {}
         self._next_scn = 1

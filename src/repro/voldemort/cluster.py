@@ -7,7 +7,6 @@ factor N, required reads R, required writes W, and engine type (§II.B).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.common.clock import Clock, SimClock
@@ -62,8 +61,7 @@ class VoldemortCluster:
 
     def __init__(self, num_nodes: int = 3, partitions_per_node: int = 8,
                  num_zones: int = 1, clock: Clock | None = None,
-                 network: SimNetwork | None = None,
-                 data_root: str | None = None, seed: int = 0,
+                 network: SimNetwork | None = None, seed: int = 0,
                  disk: SimDisk | None = None):
         from repro.voldemort.server import VoldemortServer
         self.clock = clock if clock is not None else SimClock()
@@ -71,7 +69,6 @@ class VoldemortCluster:
         self.ring: HashRing = build_balanced_ring(
             num_nodes, num_nodes * partitions_per_node, num_zones)
         self.stores: dict[str, StoreDefinition] = {}
-        self.data_root = data_root
         self.disk = disk
         self.servers: dict[int, VoldemortServer] = {
             node_id: VoldemortServer(node_id, self)
@@ -112,7 +109,7 @@ class VoldemortCluster:
 
     def node_disk(self, node_id: int):
         """The node's private crash domain on the simulated disk, or
-        None when the cluster runs on the real filesystem."""
+        None when the cluster has no disk (memory stores only)."""
         if self.disk is None:
             return None
         return self.disk.scope(self.node_name(node_id))
@@ -121,27 +118,16 @@ class VoldemortCluster:
                     node_id: int) -> StorageEngine:
         if definition.engine_type == "memory":
             return InMemoryStorageEngine()
-        if definition.engine_type in ("log-structured", "read-only"):
-            if self.disk is not None:
-                if definition.engine_type == "read-only":
-                    raise ConfigurationError(
-                        "read-only stores load from real build artifacts; "
-                        "use data_root, not a SimDisk")
-                # durable mode: every acked write is fsynced, so a
-                # SimDisk crash loses nothing that was acknowledged
-                return LogStructuredEngine(
-                    definition.name, sync_every_write=True,
-                    disk=self.node_disk(node_id))
-            if self.data_root is None:
-                raise ConfigurationError(
-                    f"store {definition.name!r} needs on-disk storage; "
-                    "construct the cluster with data_root=...")
-            directory = os.path.join(self.data_root, f"node-{node_id}",
-                                     definition.name)
-            if definition.engine_type == "log-structured":
-                return LogStructuredEngine(directory)
-            return ReadOnlyStorageEngine(directory)
-        raise ConfigurationError(f"unknown engine type {definition.engine_type!r}")
+        durable = {"log-structured": LogStructuredEngine,
+                   "read-only": ReadOnlyStorageEngine}.get(definition.engine_type)
+        if durable is None:
+            raise ConfigurationError(
+                f"unknown engine type {definition.engine_type!r}")
+        if self.disk is None:
+            raise ConfigurationError(
+                f"store {definition.name!r} is durable; construct the "
+                "cluster with disk=SimDisk(...)")
+        return durable(definition.name, self.node_disk(node_id))
 
     # -- crash / restart lifecycle ---------------------------------------------
 

@@ -23,14 +23,13 @@ value reads do.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Iterator
 
 from repro.common.errors import ChecksumError, KeyNotFoundError
 from repro.common.vectorclock import VectorClock, merge_frontier
 from repro.common.wal import FRAME_OVERHEAD, WriteAheadLog
-from repro.simnet.disk import Disk, LocalDisk
+from repro.simnet.disk import Disk
 from repro.voldemort.engines.base import StorageEngine
 from repro.voldemort.versioned import Versioned
 
@@ -105,14 +104,11 @@ class LogStructuredEngine(StorageEngine):
     name = "log-structured"
     LOG_NAME = "data.log"
 
-    def __init__(self, directory: str, sync_every_write: bool = False,
-                 disk: Disk | None = None):
+    def __init__(self, directory: str, disk: Disk):
         self.directory = directory
-        self.disk = disk if disk is not None else LocalDisk()
+        self.disk = disk
         self._index: dict[bytes, list[_IndexEntry]] = {}
-        self._log = WriteAheadLog(os.path.join(directory, self.LOG_NAME),
-                                  disk=self.disk)
-        self._sync = sync_every_write
+        self._log = WriteAheadLog(f"{directory}/{self.LOG_NAME}", disk)
         self.live_bytes = 0
         self.torn_bytes_truncated = self._log.truncated_bytes
         for offset, body in self._log.frames():
@@ -156,9 +152,7 @@ class LogStructuredEngine(StorageEngine):
         self.merge_version(self._index.get(key, ()), versioned)
         body = encode_body(key, versioned)
         offset = self._log.append(body)
-        if self._sync:
-            # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
-            self._log.fsync()
+        self._log.fsync()   # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
         self._index_put(key, versioned, offset, FRAME_OVERHEAD + len(body))
 
     def record_span(self, key: bytes) -> tuple[int, int]:

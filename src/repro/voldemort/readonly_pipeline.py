@@ -10,8 +10,13 @@ Three phases, coordinated by :class:`ReadOnlyPipelineController`:
   fresh versioned directory.  Pulls are throttled, and index files are
   pulled *after* all data files "to achieve cache-locality post-swap".
 * **Swap** — once every node has pulled, the controller coordinates an
-  atomic swap: close current index files, memory-map the new ones.
-  Rollback is the same operation pointed at the previous version.
+  atomic swap: each node records the new version as the one it serves
+  after a restart, then every node reads the new index into memory in
+  one step.  Rollback is the same switch pointed at the previous
+  version.
+
+The file format and its on-disk crash rules belong to
+:mod:`repro.voldemort.engines.readonly`; this module only moves bytes.
 """
 
 from __future__ import annotations
@@ -28,27 +33,12 @@ from repro.voldemort.cluster import VoldemortCluster
 from repro.voldemort.engines.readonly import (
     INDEX_ENTRY,
     ReadOnlyStorageEngine,
+    build_index,
+    pack_record,
     write_version_dir,
 )
 
-_U32 = struct.Struct("<I")
 _NODE_TAG = struct.Struct(">I")
-
-
-def _pack_record(key: bytes, value: bytes) -> bytes:
-    return _U32.pack(len(key)) + key + _U32.pack(len(value)) + value
-
-
-def _iter_records(data: bytes):
-    offset = 0
-    while offset < len(data):
-        (key_len,) = _U32.unpack_from(data, offset)
-        key = data[offset + 4:offset + 4 + key_len]
-        value_start = offset + 4 + key_len
-        (value_len,) = _U32.unpack_from(data, value_start)
-        value = data[value_start + 4:value_start + 4 + value_len]
-        yield offset, key, value
-        offset = value_start + 4 + value_len
 
 
 @dataclass
@@ -126,7 +116,7 @@ class ReadOnlyPipelineController:
             for replica in ring.replica_partitions(partition, replication):
                 node_id = ring.node_for_partition(replica).node_id
                 composite = _NODE_TAG.pack(node_index[node_id]) + digest + key
-                yield composite, _pack_record(key, value)
+                yield composite, pack_record(key, value)
 
         def reducer(composite_key, values):
             if len(values) != 1:
@@ -149,14 +139,10 @@ class ReadOnlyPipelineController:
         for node_id in node_ids:
             part = f"{hdfs_dir}/_raw/part-{node_index[node_id]:05d}"
             data = self.hdfs.read(part)
-            index = bytearray()
-            count = 0
-            for offset, key, _value in _iter_records(data):
-                index.extend(INDEX_ENTRY.pack(hashlib.md5(key).digest(), offset))
-                count += 1
+            index = build_index(data)
             self.hdfs.create(f"{hdfs_dir}/node-{node_id}.data", data)
-            self.hdfs.create(f"{hdfs_dir}/node-{node_id}.index", bytes(index))
-            records_per_node[node_id] = count
+            self.hdfs.create(f"{hdfs_dir}/node-{node_id}.index", index)
+            records_per_node[node_id] = len(index) // INDEX_ENTRY.size
         return BuildResult(self.store, version, hdfs_dir, records_per_node)
 
     # -- pull phase --------------------------------------------------------------
@@ -173,7 +159,8 @@ class ReadOnlyPipelineController:
             data = self._fetch(f"{build.hdfs_dir}/node-{node_id}.data")
             index = self._fetch(f"{build.hdfs_dir}/node-{node_id}.index")
             engine = self._engine(node_id)
-            write_version_dir(engine.store_dir, build.version, index, data)
+            write_version_dir(engine.disk, engine.store_dir, build.version,
+                              index, data)
             pulled[node_id] = len(data) + len(index)
         return pulled
 
@@ -195,34 +182,46 @@ class ReadOnlyPipelineController:
 
     # -- swap phase ----------------------------------------------------------------
 
-    @atomic_section
     def swap(self, build: BuildResult) -> None:
-        """Atomic cluster-wide swap: verify all nodes pulled, then flip.
+        """Cluster-wide swap: verify all nodes pulled, then switch.
 
-        Verification before any node swaps keeps the cluster versions
+        Verification before any node changes keeps the cluster versions
         consistent — either every node serves the new version or none
-        does.  Declared atomic: a yield between per-node flips would
-        expose mixed versions to routed reads.
+        does.
         """
         for node_id in sorted(self.cluster.ring.nodes):
             engine = self._engine(node_id)
             if build.version not in engine.versions_on_disk():
                 raise ConfigurationError(
                     f"node {node_id} has not pulled version {build.version}")
-        for node_id in sorted(self.cluster.ring.nodes):
-            self._engine(node_id).swap(build.version)
-        self._emit_swap_event(build.version, is_rollback=False)
+        self._switch(build.version, is_rollback=False)
 
     def rollback(self) -> int:
         """Roll every node back one version; returns the version now live."""
-        versions = set()
-        for node_id in sorted(self.cluster.ring.nodes):
-            versions.add(self._engine(node_id).rollback())
+        versions = {self._engine(node_id).previous_version()
+                    for node_id in sorted(self.cluster.ring.nodes)}
         if len(versions) != 1:
             raise ConfigurationError(f"divergent rollback versions: {versions}")
         restored = versions.pop()
-        self._emit_swap_event(restored, is_rollback=True)
+        self._switch(restored, is_rollback=True)
         return restored
+
+    def _switch(self, version: int, is_rollback: bool) -> None:
+        """Each node first records ``version`` durably (an fsync, so a
+        yield point): a node killed among those records restarts into
+        the version the flip is about to serve.  Then all flip at once."""
+        for node_id in sorted(self.cluster.ring.nodes):
+            self._engine(node_id).record_serving(version)
+        self._flip(version, is_rollback)
+
+    @atomic_section
+    def _flip(self, version: int, is_rollback: bool) -> None:
+        """Every node serves ``version``.  Declared atomic: a yield
+        between per-node flips would expose mixed versions to routed
+        reads."""
+        for node_id in sorted(self.cluster.ring.nodes):
+            self._engine(node_id).load(version)
+        self._emit_swap_event(version, is_rollback)
 
     def _emit_swap_event(self, version: int, is_rollback: bool) -> None:
         previous = self._live_version

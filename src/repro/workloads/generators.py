@@ -110,12 +110,12 @@ class KeyValueWorkload:
     """Closed-loop key-value request stream with Zipfian key popularity."""
 
     def __init__(self, num_keys: int = 10_000, mix: RequestMix | None = None,
-                 key_skew: float = 0.99, value_bytes: int = 1024,
+                 value_bytes: int = 1024,
                  value_size_zipfian: bool = False, seed: int = 0):
         self.num_keys = num_keys
         self.mix = mix or RequestMix()
         self._rng = random.Random(seed)
-        self._keys = ZipfGenerator(num_keys, theta=key_skew, seed=seed + 1)
+        self._keys = ZipfGenerator(num_keys, theta=0.99, seed=seed + 1)
         if value_size_zipfian:
             self._sizes = zipf_sizes(num_keys, min_bytes=64,
                                      max_bytes=max(value_bytes, 64), seed=seed + 2)
@@ -203,15 +203,12 @@ class ProfileViewEventGenerator:
     source; counting per viewee is the stream job's repartition to do.
     """
 
-    def __init__(self, num_members: int = 10_000, seed: int = 0,
-                 viewer_skew: float = 0.9, viewee_skew: float = 1.1):
+    def __init__(self, num_members: int = 10_000, seed: int = 0):
         if num_members < 2:
             raise ConfigurationError("need at least two members")
         self.num_members = num_members
-        self._viewers = ZipfGenerator(num_members, theta=viewer_skew,
-                                      seed=seed)
-        self._viewees = ZipfGenerator(num_members, theta=viewee_skew,
-                                      seed=seed + 1)
+        self._viewers = ZipfGenerator(num_members, theta=0.9, seed=seed)
+        self._viewees = ZipfGenerator(num_members, theta=1.1, seed=seed + 1)
         self._sequence = 0
 
     @staticmethod

@@ -116,11 +116,11 @@ def test_skip_index_update_removes_an_applied_document(sim):
     assert planted.stage == STAGE_INDEXER
 
 
-def test_duplicate_kafka_message_bypasses_producer_counting(sim, tmp_path):
+def test_duplicate_kafka_message_bypasses_producer_counting(sim):
     from repro.kafka.broker import KafkaCluster
 
     clock, disk, plan = sim
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                            clock=clock)
     cluster.create_topic("events", partitions=1)
 

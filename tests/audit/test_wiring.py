@@ -277,12 +277,12 @@ def test_replica_probe_reports_sentinels_for_unserved_keys(clock):
 
 # -- Kafka audit-trail wiring ------------------------------------------------
 
-def test_kafka_counts_and_lineage(clock, tmp_path):
+def test_kafka_counts_and_lineage(clock):
     from repro.kafka.audit import AUDIT_TOPIC, AuditingProducer, AuditReconciler
     from repro.kafka.broker import KafkaCluster
     from repro.kafka.message import Message, MessageSet
 
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                            clock=clock)
     cluster.create_topic("events", partitions=1)
     cluster.create_topic(AUDIT_TOPIC, partitions=1)

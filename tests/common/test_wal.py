@@ -156,11 +156,11 @@ class TestRecovery:
 class TestLocalDiskWal:
     def test_wal_on_real_filesystem(self, tmp_path):
         path = str(tmp_path / "logs" / "test.wal")
-        wal = WriteAheadLog(path)
+        wal = WriteAheadLog(path, disk=LocalDisk())
         wal.append(b"payload")
         wal.fsync()
         wal.close()
-        reopened = WriteAheadLog(path)
+        reopened = WriteAheadLog(path, disk=LocalDisk())
         assert list(reopened.replay()) == [b"payload"]
         reopened.close()
 

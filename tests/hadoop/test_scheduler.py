@@ -147,17 +147,18 @@ class TestSchedule:
         assert results == [1, 2]
 
 
-def test_pymk_refresh_workflow_integration(tmp_path):
+def test_pymk_refresh_workflow_integration():
     """The production shape: a scheduled workflow that rescoren PYMK
     and redeploys the read-only store every 'day'."""
     from repro.hadoop import MiniHDFS
     from repro.recommendations import PymkPipeline
+    from repro.simnet import SimDisk
     from repro.socialgraph import PartitionedSocialGraph
     from repro.voldemort import RoutedStore, StoreDefinition, VoldemortCluster
 
     clock = SimClock()
     cluster = VoldemortCluster(num_nodes=2, partitions_per_node=4,
-                               clock=clock, data_root=str(tmp_path))
+                               clock=clock, disk=SimDisk(clock=clock))
     cluster.define_store(StoreDefinition(
         "pymk", 1, 1, 1, engine_type="read-only"))
     pipeline = PymkPipeline(cluster, MiniHDFS(), k=5)

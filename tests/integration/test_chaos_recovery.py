@@ -34,6 +34,7 @@ from repro.voldemort import (
     Versioned,
     VoldemortCluster,
 )
+from repro.voldemort.engines.logstructured import encode_body
 
 from tests.espresso.conftest import ARTIST_SCHEMA, MUSIC, scn_regressions
 from repro.espresso import EspressoCluster
@@ -108,9 +109,8 @@ def run_scenario(seed):
         # an in-flight (never acked) record on the Voldemort victim,
         # destined to be torn mid-frame by the armed fault
         engine = voldemort.server_for(1).engine("chaos")
-        engine._sync = False
-        engine.put(b"in-flight", Versioned.initial(b"never-acked", 0))
-        engine._sync = True
+        engine._log.append(encode_body(
+            b"in-flight", Versioned.initial(b"never-acked", 0)))
 
     plan = FaultPlan(clock, disk)
 

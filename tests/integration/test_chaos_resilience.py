@@ -127,8 +127,8 @@ def test_databus_client_survives_relay_crash_via_bootstrap():
 
 # -- Kafka: producer and consumer across a leader crash -------------------------
 
-def test_kafka_producer_delivers_all_acked_across_leader_crash(tmp_path):
-    cluster = KafkaCluster(num_brokers=3, data_root=str(tmp_path),
+def test_kafka_producer_delivers_all_acked_across_leader_crash():
+    cluster = KafkaCluster(num_brokers=3, data_root="kafka",
                            clock=SimClock())
     topic = ReplicatedTopic(cluster, "activity", partitions=1,
                             replication_factor=3, min_insync_replicas=2)

@@ -13,6 +13,7 @@ from repro.hadoop import MiniHDFS
 from repro.kafka import KafkaCluster, Producer
 from repro.kafka.consumer import ConsumerGroupMember
 from repro.kafka.mirror import HadoopLoadJob, MirrorMaker
+from repro.simnet import SimDisk
 from repro.sqlstore import Column, SqlDatabase, TableSchema
 from repro.voldemort import RoutedStore, StoreDefinition, VoldemortCluster
 from repro.voldemort.readonly_pipeline import ReadOnlyPipelineController
@@ -59,12 +60,10 @@ def test_profile_changes_flow_to_search_index():
     assert searcher.search("kafka") == [(1,)]
 
 
-def test_activity_events_to_online_and_offline_consumers(tmp_path):
+def test_activity_events_to_online_and_offline_consumers():
     clock = SimClock()
-    live = KafkaCluster(2, str(tmp_path / "live"), clock=clock,
-                        partitions_per_topic=4)
-    replica = KafkaCluster(1, str(tmp_path / "replica"), clock=clock,
-                           partitions_per_topic=4)
+    live = KafkaCluster(2, "live", clock=clock, partitions_per_topic=4)
+    replica = KafkaCluster(1, "replica", clock=clock, partitions_per_topic=4)
     live.create_topic("activity")
     generator = ActivityEventGenerator(num_members=500, seed=3)
     producer = Producer(live, batch_size=20)
@@ -94,11 +93,11 @@ def test_activity_events_to_online_and_offline_consumers(tmp_path):
     replica.shutdown()
 
 
-def test_pymk_batch_to_readonly_serving(tmp_path):
+def test_pymk_batch_to_readonly_serving():
     """People You May Know: offline link prediction -> build/pull/swap
     -> online serving (§II.C)."""
     cluster = VoldemortCluster(num_nodes=3, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", replication_factor=2, required_reads=1, required_writes=1,
         engine_type="read-only"))

@@ -14,9 +14,9 @@ from repro.kafka.audit import AUDIT_TOPIC, AuditingProducer, AuditReconciler
 
 
 @pytest.fixture
-def setup(tmp_path):
+def setup():
     clock = SimClock()
-    cluster = KafkaCluster(num_brokers=2, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=2, data_root="kafka",
                            clock=clock, partitions_per_topic=4)
     cluster.create_topic("activity")
     cluster.create_topic(AUDIT_TOPIC, partitions=1)
@@ -148,13 +148,13 @@ def test_unflushed_messages_show_as_missing_until_flush(setup):
     assert findings(cluster) == []
 
 
-def test_a_shed_send_is_still_claimed(tmp_path):
+def test_a_shed_send_is_still_claimed():
     """A send that fills a batch raises when the broker sheds the
     publish, but the payload was queued first: the failed publish puts
     the batch back and it ships on the next flush.  The producer must
     claim it, or the audit reports the shipped messages as duplicates
     nobody made."""
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                            clock=SimClock(), admission_rate=1.0,
                            admission_burst=1.0)
     cluster.create_topic("activity", partitions=1)

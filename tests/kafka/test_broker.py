@@ -9,8 +9,8 @@ from repro.kafka.message import Message, MessageSet
 
 
 @pytest.fixture
-def cluster(tmp_path):
-    built = KafkaCluster(num_brokers=3, data_root=str(tmp_path),
+def cluster():
+    built = KafkaCluster(num_brokers=3, data_root="kafka",
                          clock=SimClock(), partitions_per_topic=6)
     yield built
     built.shutdown()
@@ -65,9 +65,9 @@ def test_broker_does_not_host_other_partitions(cluster):
         other.fetch("t", 0, 0)
 
 
-def test_cluster_retention_sweep(tmp_path):
+def test_cluster_retention_sweep():
     clock = SimClock()
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                            clock=clock, segment_bytes=100)
     cluster.create_topic("t", partitions=1)
     broker = cluster.broker_for("t", 0)
@@ -78,7 +78,7 @@ def test_cluster_retention_sweep(tmp_path):
     cluster.shutdown()
 
 
-def test_create_partition_detects_concurrent_winner(cluster, tmp_path):
+def test_create_partition_detects_concurrent_winner(cluster):
     """A second create landing while the first recovers its log from
     disk must make the loser close its log and fail, not silently
     replace the registered winner."""
@@ -90,7 +90,7 @@ def test_create_partition_detects_concurrent_winner(cluster, tmp_path):
         log = orig_make(directory)
         # a concurrent create_partition wins while this log recovers
         broker._make_log = orig_make
-        winner["log"] = orig_make(str(tmp_path / "winner"))
+        winner["log"] = orig_make("winner")
         broker._logs[("races", 0)] = winner["log"]
         return log
 

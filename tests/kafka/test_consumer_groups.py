@@ -8,8 +8,8 @@ from repro.kafka.consumer import BrokerAckTracker, ConsumerGroupMember
 
 
 @pytest.fixture
-def cluster(tmp_path):
-    built = KafkaCluster(num_brokers=2, data_root=str(tmp_path),
+def cluster():
+    built = KafkaCluster(num_brokers=2, data_root="kafka",
                          clock=SimClock(), partitions_per_topic=8)
     built.create_topic("activity")
     yield built

@@ -110,8 +110,8 @@ class TestTimeBasedFlushTick:
         assert log.maybe_flush() is True
         assert log.high_watermark > 0
 
-    def test_broker_tick_flushes_by_time(self, clock, disk, tmp_path):
-        cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    def test_broker_tick_flushes_by_time(self, clock, disk):
+        cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                                clock=clock, flush_interval_messages=100,
                                disk=disk)
         broker = cluster.brokers[0]
@@ -125,8 +125,8 @@ class TestTimeBasedFlushTick:
 
 
 class TestBrokerRestart:
-    def test_cluster_kill_restart_keeps_acked(self, clock, disk, tmp_path):
-        cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    def test_cluster_kill_restart_keeps_acked(self, clock, disk):
+        cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                                clock=clock, disk=disk)
         cluster.create_topic("orders", partitions=1)
         broker = cluster.brokers[0]

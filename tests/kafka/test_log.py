@@ -1,18 +1,17 @@
 """Partition logs: segments, flush visibility, retention, recovery."""
 
-import os
-
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError, OffsetOutOfRangeError
 from repro.kafka.log import MessageIdIndexedLog, PartitionLog
 from repro.kafka.message import Message, MessageSet, iter_messages
+from repro.simnet.disk import SimDisk
 
 
-def make_log(tmp_path, **kwargs):
+def make_log(**kwargs):
     kwargs.setdefault("clock", SimClock())
-    return PartitionLog(str(tmp_path / "p0"), **kwargs)
+    return PartitionLog("p0", SimDisk().scope("b"), **kwargs)
 
 
 def payloads_in(log, offset=0, max_bytes=1 << 20):
@@ -20,8 +19,8 @@ def payloads_in(log, offset=0, max_bytes=1 << 20):
     return [d.message.payload for d in iter_messages(data, offset)]
 
 
-def test_append_assigns_byte_offsets(tmp_path):
-    log = make_log(tmp_path)
+def test_append_assigns_byte_offsets():
+    log = make_log()
     first = log.append(MessageSet([Message(b"aaa")]))
     second = log.append(MessageSet([Message(b"bbbb")]))
     assert first == 0
@@ -29,15 +28,15 @@ def test_append_assigns_byte_offsets(tmp_path):
     log.close()
 
 
-def test_read_returns_appended_messages(tmp_path):
-    log = make_log(tmp_path)
+def test_read_returns_appended_messages():
+    log = make_log()
     log.append(MessageSet([Message(b"one"), Message(b"two")]))
     assert payloads_in(log) == [b"one", b"two"]
     log.close()
 
 
-def test_flush_gates_visibility(tmp_path):
-    log = make_log(tmp_path, flush_interval_messages=10)
+def test_flush_gates_visibility():
+    log = make_log(flush_interval_messages=10)
     log.append(MessageSet([Message(b"pending")]))
     assert log.read(0) == b""  # not flushed yet
     assert log.high_watermark == 0
@@ -46,8 +45,8 @@ def test_flush_gates_visibility(tmp_path):
     log.close()
 
 
-def test_flush_by_message_count(tmp_path):
-    log = make_log(tmp_path, flush_interval_messages=3)
+def test_flush_by_message_count():
+    log = make_log(flush_interval_messages=3)
     for i in range(2):
         log.append(MessageSet([Message(b"x")]))
     assert log.high_watermark == 0
@@ -56,9 +55,9 @@ def test_flush_by_message_count(tmp_path):
     log.close()
 
 
-def test_flush_by_elapsed_time(tmp_path):
+def test_flush_by_elapsed_time():
     clock = SimClock()
-    log = make_log(tmp_path, clock=clock, flush_interval_messages=1000,
+    log = make_log(clock=clock, flush_interval_messages=1000,
                    flush_interval_seconds=5.0)
     log.append(MessageSet([Message(b"early")]))
     assert log.high_watermark == 0
@@ -68,8 +67,8 @@ def test_flush_by_elapsed_time(tmp_path):
     log.close()
 
 
-def test_segments_roll_at_size(tmp_path):
-    log = make_log(tmp_path, segment_bytes=200)
+def test_segments_roll_at_size():
+    log = make_log(segment_bytes=200)
     for i in range(20):
         log.append(MessageSet([Message(bytes(30))]))
     assert len(log.segment_base_offsets()) > 1
@@ -78,8 +77,8 @@ def test_segments_roll_at_size(tmp_path):
     log.close()
 
 
-def test_read_across_segments(tmp_path):
-    log = make_log(tmp_path, segment_bytes=100)
+def test_read_across_segments():
+    log = make_log(segment_bytes=100)
     sent = []
     for i in range(30):
         payload = f"m{i:02d}".encode()
@@ -99,8 +98,8 @@ def test_read_across_segments(tmp_path):
     log.close()
 
 
-def test_offset_out_of_range(tmp_path):
-    log = make_log(tmp_path)
+def test_offset_out_of_range():
+    log = make_log()
     log.append(MessageSet([Message(b"x")]))
     with pytest.raises(OffsetOutOfRangeError):
         log.read(9999)
@@ -109,16 +108,16 @@ def test_offset_out_of_range(tmp_path):
     log.close()
 
 
-def test_fetch_at_watermark_is_empty(tmp_path):
-    log = make_log(tmp_path)
+def test_fetch_at_watermark_is_empty():
+    log = make_log()
     log.append(MessageSet([Message(b"x")]))
     assert log.read(log.high_watermark) == b""
     log.close()
 
 
-def test_retention_deletes_old_segments(tmp_path):
+def test_retention_deletes_old_segments():
     clock = SimClock()
-    log = make_log(tmp_path, clock=clock, segment_bytes=100)
+    log = make_log(clock=clock, segment_bytes=100)
     for i in range(10):
         log.append(MessageSet([Message(bytes(40))]))
     clock.advance(100.0)
@@ -133,18 +132,18 @@ def test_retention_deletes_old_segments(tmp_path):
     log.close()
 
 
-def test_retention_spares_recent_and_active(tmp_path):
+def test_retention_spares_recent_and_active():
     clock = SimClock()
-    log = make_log(tmp_path, clock=clock, segment_bytes=100)
+    log = make_log(clock=clock, segment_bytes=100)
     log.append(MessageSet([Message(bytes(40))]))
     assert log.delete_old_segments(retention_seconds=50.0) == 0
     log.close()
 
 
-def test_recovery_after_reopen(tmp_path):
+def test_recovery_after_reopen():
     clock = SimClock()
-    path = tmp_path / "p0"
-    log = PartitionLog(str(path), clock=clock, segment_bytes=150)
+    disk = SimDisk().scope("b")
+    log = PartitionLog("p0", disk, clock=clock, segment_bytes=150)
     sent = []
     for i in range(12):
         payload = f"m{i}".encode()
@@ -152,7 +151,7 @@ def test_recovery_after_reopen(tmp_path):
         log.append(MessageSet([Message(payload)]))
     end = log.high_watermark
     log.close()
-    reopened = PartitionLog(str(path), clock=clock, segment_bytes=150)
+    reopened = PartitionLog("p0", disk, clock=clock, segment_bytes=150)
     assert reopened.high_watermark == end
     got = []
     offset = 0
@@ -166,18 +165,19 @@ def test_recovery_after_reopen(tmp_path):
     reopened.close()
 
 
-def test_no_auxiliary_index_files(tmp_path):
+def test_no_auxiliary_index_files():
     """The design point: offsets are addresses, no id index on disk."""
-    log = make_log(tmp_path)
+    log = make_log()
     for i in range(50):
         log.append(MessageSet([Message(b"x" * 20)]))
-    files = os.listdir(log.directory)
+    files = log.disk.listdir(log.directory)
     assert all(f.endswith(".kafka") for f in files)
     log.close()
 
 
-def test_message_id_index_ablation(tmp_path):
-    indexed = MessageIdIndexedLog(str(tmp_path / "indexed"), clock=SimClock())
+def test_message_id_index_ablation():
+    indexed = MessageIdIndexedLog("indexed", clock=SimClock(),
+                                  disk=SimDisk().scope("b"))
     ids = []
     for i in range(100):
         ids.extend(indexed.append(MessageSet([Message(f"m{i}".encode())])))
@@ -191,17 +191,17 @@ def test_message_id_index_ablation(tmp_path):
     indexed.close()
 
 
-def test_empty_message_set_rejected(tmp_path):
-    log = make_log(tmp_path)
+def test_empty_message_set_rejected():
+    log = make_log()
     with pytest.raises(ConfigurationError):
         log.append(MessageSet([]))
     log.close()
 
 
-def test_flush_keeps_concurrent_append_pending(tmp_path):
+def test_flush_keeps_concurrent_append_pending():
     """Bytes appended while the flush fsync is in flight are neither
     written nor durable; that flush must not expose or ack them."""
-    log = make_log(tmp_path, flush_interval_messages=10)
+    log = make_log(flush_interval_messages=10)
     log.append(MessageSet([Message(b"first")]))
     handle = log._active_file
     orig_fsync = handle.fsync

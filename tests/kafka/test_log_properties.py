@@ -11,6 +11,7 @@ from repro.kafka.message import (
     decode_span,
     iter_messages,
 )
+from repro.simnet.disk import SimDisk
 
 
 def drain(log, start=0):
@@ -33,10 +34,9 @@ message_sets = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(message_sets, st.integers(64, 512))
-def test_consume_equals_produce(tmp_path_factory, sets, segment_bytes):
+def test_consume_equals_produce(sets, segment_bytes):
     """Whatever is appended and flushed is consumed, once, in order."""
-    directory = tmp_path_factory.mktemp("log")
-    log = PartitionLog(str(directory / "p"), segment_bytes=segment_bytes,
+    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=segment_bytes,
                        clock=SimClock())
     sent = []
     for payloads in sets:
@@ -51,10 +51,9 @@ def test_consume_equals_produce(tmp_path_factory, sets, segment_bytes):
 
 @settings(max_examples=25, deadline=None)
 @given(message_sets)
-def test_reopen_preserves_log(tmp_path_factory, sets):
-    directory = tmp_path_factory.mktemp("log")
-    path = str(directory / "p")
-    log = PartitionLog(path, segment_bytes=256, clock=SimClock())
+def test_reopen_preserves_log(sets):
+    disk = SimDisk().scope("b")
+    log = PartitionLog("p", disk, segment_bytes=256, clock=SimClock())
     sent = []
     for payloads in sets:
         log.append(MessageSet([Message(p) for p in payloads]))
@@ -62,7 +61,7 @@ def test_reopen_preserves_log(tmp_path_factory, sets):
     log.flush()
     end = log.high_watermark
     log.close()
-    reopened = PartitionLog(path, segment_bytes=256, clock=SimClock())
+    reopened = PartitionLog("p", disk, segment_bytes=256, clock=SimClock())
     got, _ = drain(reopened)
     assert got == sent
     assert reopened.high_watermark == end
@@ -71,9 +70,8 @@ def test_reopen_preserves_log(tmp_path_factory, sets):
 
 @settings(max_examples=25, deadline=None)
 @given(message_sets, st.integers(0, 10))
-def test_offsets_are_strictly_increasing_and_dense(tmp_path_factory, sets, _):
-    directory = tmp_path_factory.mktemp("log")
-    log = PartitionLog(str(directory / "p"), clock=SimClock())
+def test_offsets_are_strictly_increasing_and_dense(sets, _):
+    log = PartitionLog("p", SimDisk().scope("b"), clock=SimClock())
     expected_offset = 0
     for payloads in sets:
         message_set = MessageSet([Message(p) for p in payloads])
@@ -86,9 +84,8 @@ def test_offsets_are_strictly_increasing_and_dense(tmp_path_factory, sets, _):
 
 @settings(max_examples=20, deadline=None)
 @given(message_sets)
-def test_rewind_replays_identical_prefix(tmp_path_factory, sets):
-    directory = tmp_path_factory.mktemp("log")
-    log = PartitionLog(str(directory / "p"), clock=SimClock())
+def test_rewind_replays_identical_prefix(sets):
+    log = PartitionLog("p", SimDisk().scope("b"), clock=SimClock())
     for payloads in sets:
         log.append(MessageSet([Message(p) for p in payloads]))
     log.flush()
@@ -107,12 +104,11 @@ span_sets = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(span_sets, st.integers(64, 512), st.integers(1, 400))
 def test_span_sets_reach_disk_verbatim_and_decode_in_one_pass(
-        tmp_path_factory, sets, segment_bytes, fetch_bytes):
+        sets, segment_bytes, fetch_bytes):
     """A producer-built set is appended as the bytes it already is, and
     any fetch budget — cutting frames and wrappers anywhere — still
     yields every payload once, in order."""
-    directory = tmp_path_factory.mktemp("log")
-    log = PartitionLog(str(directory / "p"), segment_bytes=segment_bytes,
+    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=segment_bytes,
                        flush_interval_messages=3, clock=SimClock())
     sent, stored = [], b""
     for payloads, compress in sets:
@@ -141,10 +137,10 @@ def test_span_sets_reach_disk_verbatim_and_decode_in_one_pass(
 @settings(max_examples=25, deadline=None)
 @given(message_sets, st.integers(0, 4000))
 def test_base_offset_list_tracks_rolls_and_deletions(
-        tmp_path_factory, sets, floor):
-    directory = tmp_path_factory.mktemp("log")
+        sets, floor):
     clock = SimClock()
-    log = PartitionLog(str(directory / "p"), segment_bytes=96, clock=clock)
+    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=96,
+                       clock=clock)
 
     def on_disk():
         return sorted(int(name.split(".")[0])

@@ -272,7 +272,7 @@ def test_span_consumption_builds_nothing_per_message_it_does_not_deliver():
     assert allocated <= 2 * count + 50
 
 
-def test_fetch_decodes_lazily_and_poll_keeps_three_objects_a_message(tmp_path):
+def test_fetch_decodes_lazily_and_poll_keeps_three_objects_a_message():
     """``SimpleConsumer.fetch`` hands over the span, not a list built
     from it, and what ``MessageStream.poll`` returns is the payload,
     the offset and one slotted ``FetchedMessage`` per message."""
@@ -280,7 +280,7 @@ def test_fetch_decodes_lazily_and_poll_keeps_three_objects_a_message(tmp_path):
     from repro.kafka import KafkaCluster, MessageStream, SimpleConsumer
 
     count = 10_000
-    cluster = KafkaCluster(1, str(tmp_path), clock=SimClock(),
+    cluster = KafkaCluster(1, "kafka", clock=SimClock(),
                            partitions_per_topic=1)
     cluster.create_topic("t")
     cluster.broker_for("t", 0).produce("t", 0, MessageSet.from_payloads(

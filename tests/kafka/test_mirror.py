@@ -9,11 +9,11 @@ from repro.kafka.mirror import HadoopLoadJob, MirrorMaker
 
 
 @pytest.fixture
-def clusters(tmp_path):
+def clusters():
     clock = SimClock()
-    live = KafkaCluster(num_brokers=2, data_root=str(tmp_path / "live"),
+    live = KafkaCluster(num_brokers=2, data_root="live",
                         clock=clock, partitions_per_topic=4)
-    replica = KafkaCluster(num_brokers=2, data_root=str(tmp_path / "replica"),
+    replica = KafkaCluster(num_brokers=2, data_root="replica",
                            clock=clock, partitions_per_topic=4)
     live.create_topic("activity")
     yield live, replica, clock

@@ -16,8 +16,8 @@ from repro.kafka.replication import ReplicatedTopic
 
 
 @pytest.fixture
-def cluster(tmp_path):
-    built = KafkaCluster(num_brokers=3, data_root=str(tmp_path),
+def cluster():
+    built = KafkaCluster(num_brokers=3, data_root="kafka",
                          clock=SimClock(), partitions_per_topic=2,
                          admission_rate=10.0, admission_burst=10.0)
     yield built
@@ -63,8 +63,8 @@ def test_consumer_fetches_outrank_produces(cluster):
     assert broker.fetch("activity", 0, 0)   # the read still serves
 
 
-def test_admission_disabled_by_default(tmp_path):
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path / "plain"),
+def test_admission_disabled_by_default():
+    cluster = KafkaCluster(num_brokers=1, data_root="plain",
                            clock=SimClock())
     assert cluster.brokers[0].admission is None
     cluster.shutdown()

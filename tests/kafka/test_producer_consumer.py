@@ -8,8 +8,8 @@ from repro.kafka import KafkaCluster, MessageStream, Producer, SimpleConsumer
 
 
 @pytest.fixture
-def cluster(tmp_path):
-    built = KafkaCluster(num_brokers=2, data_root=str(tmp_path),
+def cluster():
+    built = KafkaCluster(num_brokers=2, data_root="kafka",
                          clock=SimClock(), partitions_per_topic=4)
     built.create_topic("activity")
     yield built
@@ -157,9 +157,9 @@ def test_stream_seek_validates_ownership(cluster):
         stream.seek("activity", 3, 0)
 
 
-def test_stream_recovers_from_retention_gap(tmp_path):
+def test_stream_recovers_from_retention_gap():
     clock = SimClock()
-    cluster = KafkaCluster(num_brokers=1, data_root=str(tmp_path),
+    cluster = KafkaCluster(num_brokers=1, data_root="kafka",
                            clock=clock, partitions_per_topic=1,
                            segment_bytes=100)
     cluster.create_topic("t")

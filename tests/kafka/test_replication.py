@@ -20,8 +20,8 @@ from repro.kafka.replication import (
 
 
 @pytest.fixture
-def cluster(tmp_path):
-    built = KafkaCluster(num_brokers=3, data_root=str(tmp_path),
+def cluster():
+    built = KafkaCluster(num_brokers=3, data_root="kafka",
                          clock=SimClock(), partitions_per_topic=2)
     yield built
     built.shutdown()

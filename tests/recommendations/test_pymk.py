@@ -8,6 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.hadoop import MiniHDFS
 from repro.recommendations import PymkPipeline, score_common_neighbors
 from repro.recommendations.pymk import top_k
+from repro.simnet import SimDisk
 from repro.socialgraph import PartitionedSocialGraph
 from repro.voldemort import RoutedStore, StoreDefinition, VoldemortCluster
 
@@ -69,9 +70,9 @@ def test_top_k_orders_and_truncates():
     assert json.loads(pairs[0][1]) == [[11, 0.9], [12, 0.7]]
 
 
-def test_pipeline_end_to_end(tmp_path):
+def test_pipeline_end_to_end():
     cluster = VoldemortCluster(num_nodes=3, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", 2, 1, 1, engine_type="read-only"))
     pipeline = PymkPipeline(cluster, MiniHDFS(), k=5)
@@ -90,9 +91,9 @@ def test_pipeline_end_to_end(tmp_path):
         sorted((s for _, s in recommendations), reverse=True)
 
 
-def test_pipeline_rerun_replaces_scores(tmp_path):
+def test_pipeline_rerun_replaces_scores():
     cluster = VoldemortCluster(num_nodes=2, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", 1, 1, 1, engine_type="read-only"))
     pipeline = PymkPipeline(cluster, MiniHDFS(), k=5)
@@ -110,9 +111,9 @@ def test_pipeline_rerun_replaces_scores(tmp_path):
     assert pipeline.recommendations_for(routed, 2) == first
 
 
-def test_unknown_member_gets_empty_list(tmp_path):
+def test_unknown_member_gets_empty_list():
     cluster = VoldemortCluster(num_nodes=2, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", 1, 1, 1, engine_type="read-only"))
     pipeline = PymkPipeline(cluster, MiniHDFS())
@@ -121,9 +122,9 @@ def test_unknown_member_gets_empty_list(tmp_path):
     assert pipeline.recommendations_for(routed, 999) == []
 
 
-def test_k_validation(tmp_path):
+def test_k_validation():
     cluster = VoldemortCluster(num_nodes=2, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", 1, 1, 1, engine_type="read-only"))
     with pytest.raises(ConfigurationError):

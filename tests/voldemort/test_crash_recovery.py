@@ -11,6 +11,7 @@ from repro.voldemort import (
     Versioned,
     VoldemortCluster,
 )
+from repro.voldemort.engines.logstructured import encode_body
 from repro.voldemort.server import Hint
 
 
@@ -74,9 +75,9 @@ class TestEngineRecovery:
         routed.put(b"stable", Versioned.initial(b"stable-value", 0))
         victim = routed.replica_nodes(b"stable")[0]
         engine = cluster.server_for(victim).engine("s")
-        # bypass the quorum to write an unsynced record on one node
-        engine._sync = False
-        engine.put(b"at-risk", Versioned.initial(b"gone", 0))
+        # bypass the quorum and the engine's fsync: an unsynced record
+        engine._log.append(encode_body(b"at-risk",
+                                       Versioned.initial(b"gone", 0)))
         disk.arm_torn_write(cluster.node_name(victim),
                             path="s/data.log", keep_bytes=9)
         cluster.kill_node(victim)

@@ -1,6 +1,5 @@
 """Storage engines: multi-version contract, durability, compaction."""
 
-import os
 import struct
 import zlib
 
@@ -9,16 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ChecksumError, KeyNotFoundError, ObsoleteVersionError
 from repro.common.vectorclock import Occurred, VectorClock
+from repro.simnet.disk import SimDisk
 from repro.voldemort.engines import InMemoryStorageEngine, LogStructuredEngine
 from repro.voldemort.versioned import Versioned
 
 
+@pytest.fixture
+def disk():
+    return SimDisk().scope("node")
+
+
 @pytest.fixture(params=["memory", "log"])
-def engine(request, tmp_path):
+def engine(request, disk):
     if request.param == "memory":
         built = InMemoryStorageEngine()
     else:
-        built = LogStructuredEngine(str(tmp_path / "store"))
+        built = LogStructuredEngine("store", disk)
     yield built
     built.close()
 
@@ -91,52 +96,46 @@ class TestVersionContract:
 
 
 class TestLogStructuredDurability:
-    def test_recovery_after_reopen(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_recovery_after_reopen(self, disk):
+        engine = LogStructuredEngine("store", disk)
         first = Versioned.initial(b"v1", 1)
         engine.put(b"k", first)
         engine.put(b"k", first.next_version(b"v2", 1))
         engine.put(b"other", v(b"x"))
         engine.close()
 
-        reopened = LogStructuredEngine(path)
+        reopened = LogStructuredEngine("store", disk)
         assert [x.value for x in reopened.get(b"k")] == [b"v2"]
         assert [x.value for x in reopened.get(b"other")] == [b"x"]
         reopened.close()
 
-    def test_torn_tail_truncated_on_recovery(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_torn_tail_truncated_on_recovery(self, disk):
+        engine = LogStructuredEngine("store", disk)
         engine.put(b"good", v(b"value"))
         engine.close()
-        log_file = os.path.join(path, LogStructuredEngine.LOG_NAME)
-        with open(log_file, "ab") as f:
+        with disk.open(f"store/{LogStructuredEngine.LOG_NAME}", "ab") as f:
             f.write(b"\x01\x02\x03garbage-partial-record")
 
-        reopened = LogStructuredEngine(path)
+        reopened = LogStructuredEngine("store", disk)
         assert [x.value for x in reopened.get(b"good")] == [b"value"]
         with pytest.raises(KeyNotFoundError):
             reopened.get(b"garbage")
         reopened.close()
 
-    def test_corrupt_record_detected_on_read(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_corrupt_record_detected_on_read(self, disk):
+        engine = LogStructuredEngine("store", disk)
         engine.put(b"k", v(b"A" * 100))
-        log_file = os.path.join(path, LogStructuredEngine.LOG_NAME)
         engine._log.fsync()
         # flip a byte in the middle of the value region
-        with open(log_file, "r+b") as f:
+        with disk.open(f"store/{LogStructuredEngine.LOG_NAME}", "rb+") as f:
             f.seek(60)
             f.write(b"\xff")
         with pytest.raises(ChecksumError):
             engine.get(b"k")
         engine.close()
 
-    def test_compaction_reclaims_space(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_compaction_reclaims_space(self, disk):
+        engine = LogStructuredEngine("store", disk)
         current = Versioned.initial(b"0" * 1000, 1)
         engine.put(b"k", current)
         for i in range(20):
@@ -149,9 +148,8 @@ class TestLogStructuredDurability:
         assert [x.value for x in engine.get(b"k")] == [current.value]
         engine.close()
 
-    def test_compaction_drops_tombstones(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_compaction_drops_tombstones(self, disk):
+        engine = LogStructuredEngine("store", disk)
         first = Versioned.initial(b"v", 1)
         engine.put(b"k", first)
         engine.delete(b"k", first.next_version(None, 1))
@@ -159,14 +157,13 @@ class TestLogStructuredDurability:
         assert list(engine.keys()) == []
         engine.close()
 
-    def test_survives_compaction_then_reopen(self, tmp_path):
-        path = str(tmp_path / "store")
-        engine = LogStructuredEngine(path)
+    def test_survives_compaction_then_reopen(self, disk):
+        engine = LogStructuredEngine("store", disk)
         engine.put(b"a", v(b"1"))
         engine.put(b"b", v(b"2"))
         engine.compact()
         engine.close()
-        reopened = LogStructuredEngine(path)
+        reopened = LogStructuredEngine("store", disk)
         assert sorted(reopened.keys()) == [b"a", b"b"]
         reopened.close()
 
@@ -183,17 +180,17 @@ def _raw_record(key: bytes, clock: dict[int, int], value: bytes | None):
     return struct.pack("<II", zlib.crc32(body), len(body)) + body
 
 
-def test_data_log_byte_format_is_pinned(tmp_path):
+def test_data_log_byte_format_is_pinned(disk):
     """A log written as raw parent-format records opens under the
     engine, and what the engine appends is the same raw format."""
-    path = tmp_path / "store"
-    path.mkdir()
+    log_file = f"store/{LogStructuredEngine.LOG_NAME}"
     old = (_raw_record(b"a", {1: 1}, b"one")
            + _raw_record(b"b", {1: 1, 2: 3}, b"two")
            + _raw_record(b"a", {1: 2}, None))
-    (path / LogStructuredEngine.LOG_NAME).write_bytes(old)
+    with disk.open(log_file, "wb") as f:
+        f.write(old)
 
-    engine = LogStructuredEngine(str(path))
+    engine = LogStructuredEngine("store", disk)
     assert list(engine.keys()) == [b"b"]  # the tombstone hides a
     (got,) = engine.get(b"b")
     assert got.value == b"two" and got.clock.entries == {1: 1, 2: 3}
@@ -202,17 +199,16 @@ def test_data_log_byte_format_is_pinned(tmp_path):
         len(_raw_record(b"b", {1: 1, 2: 3}, b"two")))
     engine.put(b"c", Versioned(b"three", VectorClock({4: 1})))
     engine.close()
-    assert (path / LogStructuredEngine.LOG_NAME).read_bytes() == \
-        old + _raw_record(b"c", {4: 1}, b"three")
+    with disk.open(log_file, "rb") as f:
+        assert f.read() == old + _raw_record(b"c", {4: 1}, b"three")
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.binary(min_size=1, max_size=20),
                           st.binary(max_size=64)), max_size=30))
-def test_log_engine_matches_memory_engine(tmp_path_factory, pairs):
+def test_log_engine_matches_memory_engine(pairs):
     """The on-disk engine and dict engine agree on every history."""
-    directory = tmp_path_factory.mktemp("prop")
-    log_engine = LogStructuredEngine(str(directory / "store"))
+    log_engine = LogStructuredEngine("store", SimDisk().scope("node"))
     memory_engine = InMemoryStorageEngine()
     clocks: dict[bytes, Versioned] = {}
     try:
@@ -249,12 +245,12 @@ def reference_merge(existing: list[Versioned],
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(1, 3),
                                 min_size=1, max_size=3), max_size=12))
-def test_write_contract_matches_reference(tmp_path_factory, clock_entries):
+def test_write_contract_matches_reference(clock_entries):
     """Dominated and equal writes raise, concurrent siblings stay in
     their order, the accepted write comes last — on both engines, and
     again after the log engine replays its file."""
-    directory = str(tmp_path_factory.mktemp("contract") / "store")
-    engines = [InMemoryStorageEngine(), LogStructuredEngine(directory)]
+    disk = SimDisk().scope("node")
+    engines = [InMemoryStorageEngine(), LogStructuredEngine("store", disk)]
     expected: list[Versioned] = []
     try:
         for i, entries in enumerate(clock_entries):
@@ -271,16 +267,16 @@ def test_write_contract_matches_reference(tmp_path_factory, clock_entries):
             for engine in engines:
                 assert (engine.get(b"k") if expected else []) == expected
         engines[1].close()
-        engines[1] = LogStructuredEngine(directory)
+        engines[1] = LogStructuredEngine("store", disk)
         assert (engines[1].get(b"k") if expected else []) == expected
     finally:
         engines[1].close()
 
 
-def test_compact_aborts_when_put_races_the_fsync(tmp_path):
+def test_compact_aborts_when_put_races_the_fsync(disk):
     """A put landing while the compacted file is being fsynced must not
     be lost: the swap aborts and the next compaction retries."""
-    engine = LogStructuredEngine(str(tmp_path / "store"))
+    engine = LogStructuredEngine("store", disk)
     base = Versioned.initial(b"a-value", 1)
     engine.put(b"a", base)
     engine.put(b"a", base.next_version(b"a-newer", 1))  # leaves garbage

@@ -4,16 +4,16 @@ import pytest
 
 from repro.common.errors import ConfigurationError, KeyNotFoundError
 from repro.hadoop import MiniHDFS
-from repro.simnet import SimNetwork, lognormal_latency
+from repro.simnet import SimDisk, SimNetwork, lognormal_latency
 from repro.voldemort import RoutedStore, StoreDefinition, Versioned
 from repro.voldemort import VoldemortCluster
 from repro.voldemort.readonly_pipeline import ReadOnlyPipelineController
 
 
 @pytest.fixture
-def setup(tmp_path):
+def setup():
     cluster = VoldemortCluster(num_nodes=3, partitions_per_node=4,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition(
         "pymk", replication_factor=2, required_reads=1, required_writes=1,
         engine_type="read-only"))
@@ -26,9 +26,9 @@ def recommendations(count=100):
     return [(f"member-{i}".encode(), f"recs-{i}".encode()) for i in range(count)]
 
 
-def test_requires_readonly_store(tmp_path):
+def test_requires_readonly_store():
     cluster = VoldemortCluster(num_nodes=2, partitions_per_node=2,
-                               data_root=str(tmp_path))
+                               disk=SimDisk())
     cluster.define_store(StoreDefinition("rw", 1, 1, 1))
     with pytest.raises(ConfigurationError):
         ReadOnlyPipelineController(cluster, MiniHDFS(), "rw")
@@ -80,6 +80,18 @@ def test_rollback_restores_previous_dataset(setup):
     assert routed.get(b"m1")[0][0].value == b"v1-data"
 
 
+def test_a_restarted_node_keeps_the_rolled_back_version(setup):
+    cluster, _, controller = setup
+    controller.run_cycle([(b"m1", b"v1")])
+    controller.run_cycle([(b"m1", b"v2")])
+    assert controller.rollback() == 1
+    cluster.kill_node(0)
+    cluster.restart_node(0)
+    assert [cluster.server_for(node).engine("pymk").current_version
+            for node in sorted(cluster.ring.nodes)] == [1, 1, 1]
+    assert cluster.server_for(0).engine("pymk").get(b"m1")[0].value == b"v1"
+
+
 def test_keys_missing_after_old_version_lacks_them(setup):
     cluster, _, controller = setup
     controller.run_cycle([(b"m1", b"v1")])
@@ -127,11 +139,11 @@ def test_fig_ii3_build_and_pull_move_every_byte_swap_moves_none(setup):
     assert RoutedStore(cluster, "pymk").get(b"m-000007")[0][0].value == b"x" * 200
 
 
-def test_exp_v2_read_only_path_beats_the_quorum_path(tmp_path):
+def test_exp_v2_read_only_path_beats_the_quorum_path():
     # R=1 with no reconciliation against a read quorum of 2 of 3
     network = SimNetwork(seed=2, latency_model=lognormal_latency(0.0009, 0.4))
     cluster = VoldemortCluster(num_nodes=4, partitions_per_node=4,
-                               network=network, data_root=str(tmp_path))
+                               network=network, disk=SimDisk())
     cluster.define_store(StoreDefinition("ro", 2, 1, 1, engine_type="read-only"))
     cluster.define_store(StoreDefinition("rw", 3, 2, 2))
     pairs = [(b"k-%05d" % i, b"v" * 100) for i in range(500)]

@@ -5,6 +5,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError
 from repro.hadoop import MiniHDFS
+from repro.simnet import SimDisk
 from repro.voldemort import (
     RoutedStore,
     StoreDefinition,
@@ -66,9 +67,9 @@ class TestSlopPusher:
 
 class TestUpdateStream:
     @pytest.fixture
-    def controller(self, tmp_path):
+    def controller(self):
         cluster = VoldemortCluster(num_nodes=2, partitions_per_node=4,
-                                   data_root=str(tmp_path))
+                                   disk=SimDisk())
         cluster.define_store(StoreDefinition(
             "pymk", 2, 1, 1, engine_type="read-only"))
         return ReadOnlyPipelineController(cluster, MiniHDFS(), "pymk")
