@@ -49,6 +49,7 @@ from typing import Iterable, Iterator
 from repro.common.errors import ChecksumError, SerializationError
 
 _HEADER = struct.Struct("<IIB")   # length, crc, attributes
+_LENGTH = struct.Struct("<I")     # the header's first field alone
 ATTR_NONE = 0x00
 ATTR_GZIP = 0x01
 FRAME_OVERHEAD = _HEADER.size
@@ -109,6 +110,15 @@ def decode_span(data: bytes, base_offset: int = 0,
                 yield inner, base_offset + end
         else:
             yield payload, base_offset + end
+
+
+def frame_size(data: bytes) -> int:
+    """Bytes the frame at the start of ``data`` occupies, header
+    included — what a reader must fetch to get past a frame that a
+    byte window cut; ``FRAME_OVERHEAD`` while even its length is cut."""
+    if len(data) < _LENGTH.size:
+        return FRAME_OVERHEAD
+    return _LENGTH_PREFIX + _LENGTH.unpack_from(data)[0]
 
 
 @dataclass(frozen=True, slots=True)

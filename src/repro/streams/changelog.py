@@ -9,14 +9,17 @@ The changelog is the authority a task restores from when its container
 dies on a node whose local snapshot is gone (SNIPPETS.md §8: "state is
 restored by replaying the changelog into the local store").
 
-**Compaction.**  Once a snapshot durably covers the changelog prefix
-below offset ``X``, every record below ``X`` is redundant: the
-snapshot *is* the last-value-wins fold of that prefix.  Compaction
-therefore drops whole leading segments that end at or below ``X`` —
-prefix truncation is exactly key-based compaction here, because a
-snapshot covers **all** keys.  The broker's recovery contract is
-untouched: compaction only removes bytes a durable snapshot already
-carries.
+**Compaction.**  Once a snapshot barrier — the store's full image,
+republished into the changelog from offset ``X`` — is checkpointed,
+every record below ``X`` is redundant: the barrier *is* the
+last-value-wins fold of that prefix.  Compaction therefore drops whole
+leading segments that end at or below ``X`` — prefix truncation is
+exactly key-based compaction here, because a barrier covers **all**
+keys.  A task takes a barrier only once the records published since its
+last one (the *tail*) have reached its live key count, so a partition
+holds at most the last barrier, the tail and the one segment ``X``
+falls in.  The broker's recovery contract is untouched: compaction only
+removes bytes a durable barrier already carries.
 
 A commit's records go out as one message set, so the per-commit cost is
 one append + one fsync instead of one per mutation — the group-commit
@@ -25,9 +28,9 @@ shape ROADMAP item 1 asks for.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import MessageSet, decode_span
+from repro.kafka.message import MessageSet, decode_span, frame_size
 
 
 def changelog_topic(job: str, store: str) -> str:
@@ -79,6 +82,10 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
     *uncommitted* mutations a crashed incarnation published but never
     checkpointed — replaying them would resurrect state the input
     offsets do not cover, so the replay hard-stops at the boundary.
+
+    A record larger than ``fetch_max_bytes`` is fetched whole: its
+    frame header says how long it is.  A log that ends mid-frame below
+    ``stop`` raises :class:`ReproError` rather than restore a prefix.
     """
     if stop < start:
         raise ConfigurationError(
@@ -86,25 +93,31 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
     broker = cluster.broker_for(topic, partition)
     records: list[bytes] = []
     offset = start
+    window = fetch_max_bytes
     while offset < stop:
-        data = broker.fetch(topic, partition, offset,
-                            max_bytes=min(fetch_max_bytes, stop - offset))
+        wanted = min(window, stop - offset)
+        data = broker.fetch(topic, partition, offset, max_bytes=wanted)
         if not data:
             break
         before = offset
         for payload, next_offset in decode_span(data, base_offset=offset):
-            if next_offset > stop:
-                return records
             records.append(payload)
             offset = next_offset
-        if offset == before:
-            break  # only a partial frame fit under ``stop``; done
+        window = fetch_max_bytes
+        if offset == before:            # the window cut the next frame
+            if len(data) < wanted:
+                raise ReproError(
+                    f"{topic}-{partition} ends mid-frame at "
+                    f"{offset + len(data)}, below the checkpointed end {stop}")
+            window = frame_size(data)
+            if offset + window > stop:
+                break  # the frame straddles ``stop``: never committed
     return records
 
 
 def compact_changelog(cluster: KafkaCluster, topic: str, partition: int,
                       below_offset: int) -> int:
-    """Drop leading whole segments durably covered by a snapshot.
+    """Drop leading whole segments durably covered by a barrier.
 
     Returns the number of segments deleted.  Never touches bytes at or
     above ``below_offset`` — a replay starting there still works.

@@ -33,7 +33,13 @@ from repro.zookeeper import CreateMode, ZooKeeperServer, ZooKeeperSession
 
 
 class StreamContainer:
-    """One worker process: a Helix participant hosting TaskInstances."""
+    """One worker process: a Helix participant hosting TaskInstances.
+
+    ``snapshot_interval_commits`` is handed to every task it opens: the
+    cadence, in commits, at which a task checks whether a store's
+    changelog tail has grown to its image and so is owed a snapshot
+    barrier — not a promise that every store is republished that often.
+    """
 
     def __init__(self, name: str, spec: StreamJobSpec,
                  cluster: KafkaCluster, zookeeper: ZooKeeperServer,

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.kafka.broker import KafkaCluster
+from repro.kafka.message import encode_payloads
 from repro.simnet.disk import SimDisk
 from repro.streams.changelog import (
     ChangelogWriter,
@@ -52,6 +53,35 @@ def test_replay_stops_at_checkpoint_boundary():
     writer.flush([encode_record("a", 999)])   # never checkpointed
     assert replay_changelog(cluster, "__changelog-job-store", 0,
                             0, committed) == [encode_record("a", 1)]
+
+
+def test_replay_fetches_a_record_larger_than_its_window_whole():
+    """Regression: a frame that does not fit the fetch window used to
+    read as the end of the range, so a restore silently dropped it and
+    every record after it."""
+    cluster = make_cluster()
+    writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
+    records = [b"a" * 10, b"b" * 5_000, b"c" * 10]
+    for record in records:
+        end = writer.flush([record])
+    assert replay_changelog(cluster, "__changelog-job-store", 0, 0, end,
+                            fetch_max_bytes=1000) == records
+    assert replay_changelog(cluster, "__changelog-job-store", 0, 0, end,
+                            fetch_max_bytes=2) == records
+
+
+def test_replay_refuses_a_log_that_ends_mid_frame_below_stop():
+    cluster = make_cluster()
+    writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
+    committed = writer.flush([encode_record("a", 1)])
+    frame = encode_payloads([encode_record("b", 2)])
+    log = cluster.broker_for("__changelog-job-store", 0).log(
+        "__changelog-job-store", 0)
+    log.append_raw(frame[:len(frame) // 2])     # a torn tail
+    log.flush()
+    with pytest.raises(ReproError):
+        replay_changelog(cluster, "__changelog-job-store", 0,
+                         0, committed + len(frame))
 
 
 def test_replay_rejects_reversed_range():

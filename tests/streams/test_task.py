@@ -10,7 +10,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError
 from repro.common.wal import read_image, write_image
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import Message, MessageSet
+from repro.kafka.message import FRAME_OVERHEAD, Message, MessageSet
 from repro.simnet.disk import SimDisk
 from repro.streams import state
 from repro.streams.changelog import replay_changelog
@@ -238,8 +238,16 @@ def test_snapshot_speeds_up_recovery_on_same_node():
 
 
 def test_exp_s2_recovery_replays_live_state_not_history():
-    """Same node: the snapshot, nothing replayed.  Moved: what the last
-    barrier left in the compacted changelog — live keys, not history."""
+    """Same node: the snapshot plus the changelog tail since its barrier.
+    Moved: what the last barrier left in the compacted changelog.  Both
+    are bounded by live keys, not history.
+
+    Moved when barriers became amortised: a barrier is taken only once
+    the tail has grown to the image, so the 16 000-key run's second
+    commit (8 000 records, half the image) no longer republishes all
+    16 000 keys.  Its same-node restart now replays that tail (8 000,
+    was 0), and a moved task replays the first drain, the 8 000-key
+    image and the tail (24 000, was 16 000): at most two images."""
     replayed = {}
     for keys in (1_000, 4_000, 16_000):
         world = World(seed=keys)
@@ -253,14 +261,164 @@ def test_exp_s2_recovery_replays_live_state_not_history():
                 task.commit()
         task.commit()
         local = world.open_task(count_stage())
-        assert local.recovered_from_snapshot and local.replayed_mutations == 0
+        assert local.recovered_from_snapshot
+        assert local.replayed_mutations == task.changelog_tails["counts"]
         moved = world.open_task(count_stage(), node="n1")
         assert not moved.recovered_from_snapshot
         assert moved.state_fingerprint() == local.state_fingerprint()
-        replayed[keys] = moved.replayed_mutations
-    # 16 000 keys wrote 40 000 records (two commits of dirty keys + image)
-    assert replayed == {1_000: 2_000, 4_000: 8_000, 16_000: 16_000}
-    assert world.changelog("counts").oldest_offset > 0
+        assert local.replayed_mutations < keys
+        assert moved.replayed_mutations <= 2 * keys
+        replayed[keys] = (local.replayed_mutations, moved.replayed_mutations)
+    # the 16 000-key run wrote 24 000 records (two drains + one image)
+    # and rolled no 1 MiB segment, so nothing below the image compacted
+    assert replayed == {1_000: (0, 2_000), 4_000: (0, 8_000),
+                        16_000: (8_000, 24_000)}
+
+
+# -- a barrier pays per change, not per live key ------------------------------
+
+@pytest.mark.parametrize("commits, barriers", [(50, 1), (400, 4)])
+def test_barrier_records_never_exceed_records_drained_and_replayed(
+        commits, barriers):
+    """1 000 cold keys and 10 hot ones, a due commit every commit.  The
+    first commit drains all 1 010 and republishes them; after that each
+    commit drains the 10 hot keys, so the tail reaches the image again
+    only every 101 commits (commits 102, 203, 304)."""
+    world = World()
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+    task = world.open_task(count_stage(), snapshot_interval_commits=1)
+    hot = [(f"hot:{i}", 1) for i in range(10)]
+    world.produce("in", [(f"cold:{i:04d}", 1) for i in range(1000)] + hot)
+    barrier_records = task.metrics.counter("barrier_records")
+    drained = 0
+    for commit in range(commits):
+        task.poll()
+        task.commit()
+        drained += 1_010 if commit == 0 else 10
+        assert barrier_records.value <= drained + task.replayed_mutations
+        world.produce("in", hot)
+    assert task.metrics.counter("snapshots").value == barriers
+    assert barrier_records.value == 1_010 * barriers
+    # every published record is a drained one or a barrier one
+    assert len(world.changelog_records("counts")) == \
+        drained + barrier_records.value
+
+
+class GraphTask(StreamTask):
+    """Two stores, the shape of the feed job: ``{"edge": other}`` builds
+    ``graph``, which stops changing once the edges are in; any other
+    message counts into ``counts``."""
+
+    def init(self, context):
+        self.counts = context.store("counts")
+        self.graph = context.store("graph")
+
+    def process(self, envelope, collector):
+        if "edge" in envelope.value:
+            self.graph.put(envelope.key, envelope.value["edge"])
+        else:
+            self.counts.put(envelope.key,
+                            (self.counts.get(envelope.key) or 0) + 1)
+
+
+def test_an_idle_store_is_never_republished():
+    world = World()
+    for store in ("counts", "graph"):
+        world.cluster.create_topic(f"__changelog-job-{store}", partitions=1)
+    task = world.open_task(StageSpec(
+        name="graph", inputs=("in",), task_factory=GraphTask,
+        stores=("counts", "graph")), snapshot_interval_commits=2)
+    world.produce("in", [(f"m{i:02d}", {"edge": f"m{i + 1:02d}"})
+                         for i in range(50)])
+    task.poll()
+    task.commit()
+    task.commit()                        # due: graph's tail is its image
+    assert task.metrics.counter("barrier_records").value == 50
+    graph_end = world.changelog("graph").high_watermark
+    counts_end = world.changelog("counts").high_watermark
+    world.disk.start_trace()
+    for n in range(40):                  # 20 due commits
+        world.produce("in", [(f"v{n % 5}", {"n": n})])
+        task.poll()
+        task.commit()
+    assert world.changelog("graph").high_watermark == graph_end
+    snapshot_writes = [event[2] for event in world.disk.trace
+                       if event[0] == "write"]
+    assert not [path for path in snapshot_writes if "graph.snapshot" in path]
+    # the busy store beside it still takes its barriers
+    assert [path for path in snapshot_writes if "counts.snapshot" in path]
+    assert world.changelog("counts").high_watermark > counts_end
+
+
+def test_a_moved_task_snapshots_at_its_first_due_commit():
+    """Full replay makes the tail at least the image, so the fresh node
+    gets its local snapshot at once; after that a restart there replays
+    only the tail."""
+    world = World()
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+    task = world.open_task(count_stage(), snapshot_interval_commits=4)
+    world.produce("in", [(f"k{i:03d}", 1) for i in range(100)])
+    task.poll()
+    task.commit()
+    moved = world.open_task(count_stage(), node="n1",
+                            snapshot_interval_commits=4)
+    assert not moved.recovered_from_snapshot
+    assert moved.changelog_tails["counts"] == moved.replayed_mutations == 100
+    fresh = world.disk.scope("n1")
+    for _ in range(4):
+        assert not fresh.exists("/state/job/count-0/counts.snapshot")
+        world.produce("in", [("k000", 1)])
+        moved.poll()
+        moved.commit()
+    assert fresh.exists("/state/job/count-0/counts.snapshot")
+    assert moved.metrics.counter("barrier_records").value == 100
+    for _ in range(3):
+        world.produce("in", [("k001", 1), ("k002", 1)])
+        moved.poll()
+        moved.commit()
+    again = world.open_task(count_stage(), node="n1")
+    assert again.recovered_from_snapshot
+    assert again.replayed_mutations == moved.changelog_tails["counts"] == 6
+    assert again.state_fingerprint() == moved.state_fingerprint()
+
+
+def test_changelog_and_restore_replay_stay_within_their_census_bounds():
+    """DESIGN's census rows for the stream tier, after every commit of a
+    seeded run whose small segments make compaction run:
+
+    * the changelog partition holds at most the last barrier, the tail
+      and one segment;
+    * a same-node restore replays exactly the tail on top of the image,
+      and the tail stays shorter than the image."""
+    segment_bytes = 512
+    world = World(seed=11, segment_bytes=segment_bytes)
+    world.cluster.create_topic("__changelog-job-ledger", partitions=1)
+    task = world.open_task(ledger_stage(), snapshot_interval_commits=1)
+    log = world.changelog("ledger")
+    rng = random.Random(11)
+    for _ in range(120):
+        world.produce("in", [
+            (f"k{rng.randrange(60):02d}",
+             {"del": True} if rng.random() < 0.2
+             else {"set": rng.randrange(1000)})
+            for _ in range(rng.randrange(1, 12))])
+        task.poll()
+        task.commit()
+        tail = task.changelog_tails["ledger"]
+        header, *image = read_image(world.disk.scope("n0"),
+                                    "/state/job/ledger-0/ledger.snapshot")
+        image_end = json.loads(header)["changelog_offset"]
+        barrier_bytes = sum(FRAME_OVERHEAD + len(r) for r in image)
+        tail_bytes = log.high_watermark - image_end
+        assert log.high_watermark - log.oldest_offset <= \
+            barrier_bytes + tail_bytes + segment_bytes
+        assert len(world.changelog_records("ledger", image_end)) == tail
+        assert tail < max(len(task.stores["ledger"]), 1)
+        restored = world.open_task(ledger_stage())
+        assert restored.recovered_from_snapshot
+        assert restored.replayed_mutations == tail
+        assert restored.state_fingerprint() == task.state_fingerprint()
+    assert log.oldest_offset > 0         # compaction really ran
 
 
 def test_crash_inside_commit_window_redelivers_and_downstream_dedupes():
@@ -453,7 +611,12 @@ def test_hot_key_costs_one_record_per_commit_interval(record_encodes):
 def test_barrier_and_image_copy_records_without_encoding(record_encodes):
     """The barrier republishes the records the store already holds and
     the image is the same list — for state the task wrote and, in the
-    next incarnation, for state restored from image + replay."""
+    next incarnation, for state restored from image + replay.
+
+    Moved when barriers became amortised: the restored task takes its
+    barrier only once its tail has reached the 11-key image, so the
+    successor now updates one key over eleven commits and the third
+    incarnation replays those 11 records on top of the image (was 1)."""
     world = World()
     world.cluster.create_topic("__changelog-job-ledger", partitions=1)
     task = world.open_task(ledger_stage(), snapshot_interval_commits=2)
@@ -480,14 +643,18 @@ def test_barrier_and_image_copy_records_without_encoding(record_encodes):
     del record_encodes[:]
     successor = world.open_task(ledger_stage(), snapshot_interval_commits=2)
     assert successor.recovered_from_snapshot
-    world.produce("in", [("k05", {"set": 5})])
-    successor.poll()
-    successor.commit()                   # replayed below the next barrier
+    for n in range(11):                  # a tail short of the image
+        world.produce("in", [("k05", {"set": n})])
+        successor.poll()
+        successor.commit()               # replayed below the next barrier
+    assert successor.metrics.counter("snapshots").value == 0
     third = world.open_task(ledger_stage(), snapshot_interval_commits=1)
-    assert third.replayed_mutations == 1
+    assert third.recovered_from_snapshot
+    assert third.replayed_mutations == 11
     before = world.changelog("ledger").high_watermark
     del record_encodes[:]
     third.commit()                       # a barrier over restored keys
+    assert third.metrics.counter("barrier_records").value == 11
     assert record_encodes == []
     assert world.changelog_records("ledger", before) == \
         third.stores["ledger"].records()
