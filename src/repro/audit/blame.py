@@ -102,9 +102,6 @@ class BlameEngine:
                 f"lineage for {constraint_name!r} already registered")
         self._lineages[constraint_name] = lineage
 
-    def lineage_for(self, constraint_name: str) -> Lineage | None:
-        return self._lineages.get(constraint_name)
-
     def attribute(self, violation: Violation) -> BlameVerdict | None:
         """Walk the violation's lineage; None when none is registered."""
         lineage = self._lineages.get(violation.constraint)

@@ -28,13 +28,17 @@ Vocabulary (the DESIGN.md §12 contract):
 * :class:`ConcurrencyLimiter` — gradient/AIMD adaptive concurrency: a
   latency sample well above the smoothed baseline (or an explicit
   overload signal) multiplicatively shrinks the in-flight limit; clean
-  successes additively grow it back.  The Kafka producer uses it as
-  backpressure instead of buffering without bound.
+  successes additively grow it back.
 * :class:`HedgedCall` — tail-latency hedging: when the primary replica
   has not answered within a p99-based delay, launch one backup request
   to the next replica and keep whichever answers first (the loser is
   cancelled).  Turns one limping replica's tail into ~p99 + a fast
   replica's median.
+
+Nothing on the serving path wires :class:`CoDelShedder` or
+:class:`ConcurrencyLimiter` yet (the Kafka producer bounds its buffer
+with ``max_pending``); only their tests construct them, and DESIGN.md
+§18 lists them as unwired.
 
 Everything takes an injected :class:`~repro.common.clock.Clock` and is
 fully deterministic under a :class:`SimClock` — the overload chaos

@@ -140,9 +140,8 @@ class CircuitBreaker:
     window's success ratio drops below ``failure_threshold`` (with at
     least ``minimum_samples`` observed) the breaker opens.  Open: calls
     are rejected without touching the target until ``reset_timeout``
-    elapses on the injected clock.  Half-open: probes are admitted;
-    ``half_open_successes`` consecutive successes close the breaker,
-    any failure re-opens it.
+    elapses on the injected clock.  Half-open: probes are admitted; the
+    first success closes the breaker, a failure re-opens it.
 
     This generalizes the Voldemort success-ratio failure detector
     (§II.B) into a primitive every client path can share; transitions
@@ -154,7 +153,6 @@ class CircuitBreaker:
     def __init__(self, clock: Clock, name: str = "breaker",
                  failure_threshold: float = 0.5, window: int = 16,
                  minimum_samples: int = 4, reset_timeout: float = 1.0,
-                 half_open_successes: int = 1,
                  metrics: MetricsRegistry | None = None):
         if not 0.0 < failure_threshold <= 1.0:
             raise ConfigurationError("failure_threshold must be in (0, 1]")
@@ -165,19 +163,15 @@ class CircuitBreaker:
                 "require 1 <= minimum_samples <= window")
         if reset_timeout <= 0:
             raise ConfigurationError("reset_timeout must be positive")
-        if half_open_successes < 1:
-            raise ConfigurationError("half_open_successes must be >= 1")
         self.clock = clock
         self.name = name
         self.failure_threshold = failure_threshold
         self.minimum_samples = minimum_samples
         self.reset_timeout = reset_timeout
-        self.half_open_successes = half_open_successes
         self.metrics = metrics
         self._outcomes: deque[int] = deque(maxlen=window)
         self._state = CLOSED
         self._opened_at = 0.0
-        self._probe_successes = 0
 
     def _count(self, event: str) -> None:
         if self.metrics is not None:
@@ -190,7 +184,6 @@ class CircuitBreaker:
         if self._state == OPEN and \
                 self.clock.now() - self._opened_at >= self.reset_timeout:
             self._state = HALF_OPEN
-            self._probe_successes = 0
             self._count("breaker.half_open")
         return self._state
 
@@ -209,9 +202,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state == HALF_OPEN:
-            self._probe_successes += 1
-            if self._probe_successes >= self.half_open_successes:
-                self._close()
+            self._close()
             return
         self._outcomes.append(1)
 
@@ -241,7 +232,6 @@ class CircuitBreaker:
     def _close(self) -> None:
         self._state = CLOSED
         self._outcomes.clear()
-        self._probe_successes = 0
         self._count("breaker.closed")
 
 

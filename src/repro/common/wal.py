@@ -192,10 +192,6 @@ class WriteAheadLog:
         return self._end
 
     @property
-    def synced_bytes(self) -> int:
-        return self._synced_end
-
-    @property
     def unsynced_bytes(self) -> int:
         return self._end - self._synced_end
 

@@ -100,7 +100,3 @@ class Participant:
             states[transition.partition] = transition.to_state
         self.transitions_executed.append(transition)
         self._states_changed()
-
-    def partitions_in_state(self, resource: str, state: str) -> list[int]:
-        return sorted(p for p, s in self.current_states.get(resource, {}).items()
-                      if s == state)

@@ -228,7 +228,7 @@ class ConsumerGroupMember:
     def _ids_path(self) -> str:
         return f"/consumers/{self.group}/ids"
 
-    def _offsets_path(self, topic: str, partition: int) -> str:
+    def _offset_path(self, topic: str, partition: int) -> str:
         return f"/consumers/{self.group}/offsets/{topic}/{partition}"
 
     def _owner_path(self, topic: str, partition: int) -> str:
@@ -313,7 +313,7 @@ class ConsumerGroupMember:
 
     def _load_offset(self, topic: str, partition: int) -> int:
         try:
-            data, _ = self._zk.get(self._offsets_path(topic, partition))
+            data, _ = self._zk.get(self._offset_path(topic, partition))
             return int(data)
         except NoNodeError:
             return self._consumer.earliest_offset(topic, partition)
@@ -322,7 +322,7 @@ class ConsumerGroupMember:
         if self.stream is None:
             return
         for (topic, partition), offset in self.stream.offsets.items():
-            path = self._offsets_path(topic, partition)
+            path = self._offset_path(topic, partition)
             self._zk.ensure_path(f"/consumers/{self.group}/offsets/{topic}")
             if self._zk.exists(path):
                 self._zk.set(path, str(offset).encode())

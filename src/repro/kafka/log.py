@@ -60,7 +60,12 @@ from repro.common.errors import (
     OffsetOutOfRangeError,
     SerializationError,
 )
-from repro.kafka.message import MessageSet, decode_span
+from repro.kafka.message import (
+    FRAME_OVERHEAD,
+    MessageSet,
+    decode_span,
+    frame_size,
+)
 from repro.simnet.disk import Disk
 
 
@@ -98,8 +103,7 @@ class PartitionLog:
                  segment_bytes: int = 1 << 20,
                  flush_interval_messages: int = 1,
                  flush_interval_seconds: float = 0.0,
-                 clock: Clock | None = None,
-                 fsync_on_flush: bool = True):
+                 clock: Clock | None = None):
         if segment_bytes <= 0:
             raise ConfigurationError("segment_bytes must be positive")
         if flush_interval_messages < 1:
@@ -110,7 +114,7 @@ class PartitionLog:
         self.segment_bytes = segment_bytes
         self.flush_interval_messages = flush_interval_messages
         self.flush_interval_seconds = flush_interval_seconds
-        self.fsync_on_flush = fsync_on_flush
+        self.fsync_on_flush = True   # False models an OS-buffered broker
         self.clock = clock if clock is not None else SimClock()
         self._segments: list[_Segment] = []
         self._base_offsets: list[int] = []   # parallel to _segments
@@ -281,11 +285,16 @@ class PartitionLog:
         return self._segments[0].base_offset if self._segments else 0
 
     def read(self, offset: int, max_bytes: int = 300 * 1024) -> bytes:
-        """Raw bytes starting at ``offset``, at most ``max_bytes``.
+        """Raw bytes starting at ``offset``: ``max_bytes``, or the whole
+        frame at ``offset`` when that frame is larger.
 
         Serves only flushed data; a fetch at the high watermark returns
         empty (the consumer's blocking iterator polls again).  The
-        segment is located by binary search over base offsets.
+        segment is located by binary search over base offsets.  Every
+        segment begins and ends on a frame boundary, so the frame at
+        ``offset`` lies in one segment and comes back whole unless the
+        visible end cuts it: a reader whose window is smaller than a
+        frame still gets past it.
         """
         if max_bytes <= 0:
             raise ConfigurationError("max_bytes must be positive")
@@ -297,14 +306,17 @@ class PartitionLog:
                 f"{self.high_watermark}]")
         segment = self._segments[bisect_right(self._base_offsets, offset) - 1]
         position = offset - segment.base_offset
-        visible_end = min(segment.size,
-                          self.high_watermark - segment.base_offset)
-        length = min(max_bytes, visible_end - position)
-        if length <= 0:
+        available = min(segment.size,
+                        self.high_watermark - segment.base_offset) - position
+        if available <= 0:
             return b""
         with self.disk.open(segment.path, "rb") as f:
             f.seek(position)
-            return f.read(length)
+            data = f.read(min(max(max_bytes, FRAME_OVERHEAD), available))
+            wanted = min(frame_size(data), available)
+            if wanted > len(data):
+                data += f.read(wanted - len(data))
+            return data
 
     # -- retention ----------------------------------------------------------------------------
 

@@ -135,10 +135,6 @@ class Message:
     def wire_size(self) -> int:
         return FRAME_OVERHEAD + len(self.payload)
 
-    @property
-    def is_compressed(self) -> bool:
-        return bool(self.attributes & ATTR_GZIP)
-
 
 @dataclass(frozen=True, slots=True)
 class MessageAndOffset:

@@ -7,9 +7,11 @@ shape it took:
 
 * each topic partition has one **leader** broker and N-1 **follower**
   brokers, each holding a full copy of the partition log;
-* producers write to the leader only; followers *pull* from the leader
-  (the same fetch path consumers use — replication is just another
-  consumer);
+* producers write to the leader only; followers *pull* from the
+  leader: each poll reads the leader's partition log directly (not
+  through :meth:`Broker.fetch`), admitted as bulk-class traffic, and
+  appends whole frames only, so a follower's segments begin and end on
+  frame boundaries exactly like the leader's;
 * the **in-sync replica set (ISR)** contains the leader plus every
   follower within a bounded lag of the leader's log end;
 * a message is **committed** once every ISR member has it; consumers
@@ -34,11 +36,8 @@ from repro.common.errors import (
 )
 from repro.common.overload import PRIORITY_BULK
 from repro.kafka.broker import Broker, KafkaCluster
+from repro.kafka.log import scan_valid_bytes
 from repro.kafka.message import MessageSet
-
-
-class NotLeaderError(ConfigurationError):
-    """A produce or fetch addressed a broker that is not the leader."""
 
 
 class NotEnoughReplicasError(ConfigurationError):
@@ -140,6 +139,10 @@ class ReplicatedPartition:
                     break
                 data = self._log(self.leader_id).read(
                     state.log_end_offset, max_bytes)
+                # a window that cut the last frame would leave half a
+                # frame at the end of a follower segment, which its
+                # recovery scan truncates and its readers stall on
+                data = data[:scan_valid_bytes(data)]
                 if not data:
                     break
                 follower_log = self._log(broker_id)
@@ -262,6 +265,3 @@ class ReplicatedTopic:
 
     def leaders(self) -> dict[int, int]:
         return {p: s.leader_id for p, s in self.partitions.items()}
-
-    def committed_offsets(self) -> dict[int, int]:
-        return {p: s.committed_offset for p, s in self.partitions.items()}

@@ -21,7 +21,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigurationError
 from repro.common.storage import Disk
 from repro.common.wal import WriteAheadLog
 
@@ -80,11 +79,3 @@ class MigrationJournal:
 
     def close(self) -> None:
         self._wal.close()
-
-
-def require_checkpoint(journal: MigrationJournal) -> MigrationCheckpoint:
-    """Load-or-fail helper for resume paths that must find state."""
-    checkpoint = journal.load_latest()
-    if checkpoint is None:
-        raise ConfigurationError("journal holds no migration checkpoint")
-    return checkpoint

@@ -106,14 +106,14 @@ class PymkPipeline:
     """
 
     def __init__(self, cluster: VoldemortCluster, hdfs: MiniHDFS,
-                 store: str = "pymk", k: int = 10):
+                 k: int = 10):
         if k <= 0:
             raise ConfigurationError("k must be positive")
         self.cluster = cluster
         self.hdfs = hdfs
         self.k = k
-        self.controller = ReadOnlyPipelineController(cluster, hdfs, store)
-        self.store = store
+        self.store = "pymk"
+        self.controller = ReadOnlyPipelineController(cluster, hdfs, self.store)
         self.runs = 0
 
     def run(self, graph: PartitionedSocialGraph) -> BuildResult:

@@ -48,12 +48,6 @@ class RankedInvertedIndex:
     def __contains__(self, doc_id: object) -> bool:
         return doc_id in self._doc_terms
 
-    def doc_ids(self) -> list[object]:
-        """Indexed document ids, deterministically ordered — the
-        membership view a consistency auditor compares against the
-        source of truth."""
-        return sorted(self._doc_terms, key=repr)
-
     # -- maintenance ----------------------------------------------------------
 
     def add(self, doc_id: object, document: dict) -> None:

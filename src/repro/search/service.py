@@ -35,11 +35,10 @@ class PeopleSearchService(DatabusConsumer):
 
     def __init__(self, relay: Relay,
                  graph: PartitionedSocialGraph | None = None,
-                 field_boosts: dict[str, float] | None = None,
                  checkpoint: int = 0):
         self.relay = relay
         self.graph = graph
-        self.index = RankedInvertedIndex(field_boosts or DEFAULT_BOOSTS)
+        self.index = RankedInvertedIndex(DEFAULT_BOOSTS)
         self.client = DatabusClient(self, relay, checkpoint=checkpoint)
         self.documents_indexed = 0
 

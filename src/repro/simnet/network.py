@@ -329,9 +329,6 @@ class SimNetwork:
         self._server_queues[node] = queue
         return queue
 
-    def server_queue(self, node: str) -> ServerQueue | None:
-        return self._server_queues.get(node)
-
     def queue_depth(self, node: str) -> int:
         """Current backlog of ``node`` (0 for queueless nodes) — the
         load signal least-loaded replica selection sorts by."""

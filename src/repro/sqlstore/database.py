@@ -147,11 +147,6 @@ class SqlDatabase:
         self._tables[schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise ConfigurationError(f"no table {name}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.message import MessageSet, decode_span, frame_size
+from repro.kafka.message import MessageSet, decode_span
 
 
 def changelog_topic(job: str, store: str) -> str:
@@ -83,9 +83,10 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
     checkpointed — replaying them would resurrect state the input
     offsets do not cover, so the replay hard-stops at the boundary.
 
-    A record larger than ``fetch_max_bytes`` is fetched whole: its
-    frame header says how long it is.  A log that ends mid-frame below
-    ``stop`` raises :class:`ReproError` rather than restore a prefix.
+    A record larger than ``fetch_max_bytes`` comes back whole (the log
+    never cuts the frame a read starts at).  A log that ends mid-frame
+    below ``stop`` raises :class:`ReproError` rather than restore a
+    prefix.
     """
     if stop < start:
         raise ConfigurationError(
@@ -93,25 +94,23 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
     broker = cluster.broker_for(topic, partition)
     records: list[bytes] = []
     offset = start
-    window = fetch_max_bytes
     while offset < stop:
-        wanted = min(window, stop - offset)
-        data = broker.fetch(topic, partition, offset, max_bytes=wanted)
+        data = broker.fetch(topic, partition, offset,
+                            max_bytes=min(fetch_max_bytes, stop - offset))
         if not data:
             break
         before = offset
         for payload, next_offset in decode_span(data, base_offset=offset):
+            if next_offset > stop:
+                return records  # the frame straddles ``stop``: uncommitted
             records.append(payload)
             offset = next_offset
-        window = fetch_max_bytes
-        if offset == before:            # the window cut the next frame
-            if len(data) < wanted:
+        if offset == before:            # the log ends inside this frame
+            if offset + len(data) < stop:
                 raise ReproError(
                     f"{topic}-{partition} ends mid-frame at "
                     f"{offset + len(data)}, below the checkpointed end {stop}")
-            window = frame_size(data)
-            if offset + window > stop:
-                break  # the frame straddles ``stop``: never committed
+            break
     return records
 
 

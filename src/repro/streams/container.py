@@ -129,7 +129,7 @@ class StreamContainer:
             self.tasks[key] = TaskInstance(
                 self.spec.name, stage, transition.partition, self.cluster,
                 self._zk, self.clock, self.disk, self.data_dir,
-                group=self.spec.group, topic_partitions=self.spec.partitions,
+                topic_partitions=self.spec.partitions,
                 snapshot_interval_commits=self.snapshot_interval_commits,
                 fetch_max_bytes=self.fetch_max_bytes)
             self.metrics.counter("tasks_opened").increment()

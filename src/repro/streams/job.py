@@ -45,7 +45,7 @@ class StreamJobSpec:
 
     @property
     def group(self) -> str:
-        """The consumer-group id the job's tasks check offsets under."""
+        """The consumer-group id the job's containers register under."""
         return f"streams-{self.name}"
 
     @property

@@ -18,7 +18,6 @@ import json
 from typing import Callable
 
 from repro.common.errors import KeyNotFoundError, ObsoleteVersionError
-from repro.common.resilience import Deadline
 from repro.common.vectorclock import VectorClock
 from repro.voldemort.routing import RoutedStore
 from repro.voldemort.versioned import Versioned
@@ -39,33 +38,19 @@ class StoreClient:
 
     def __init__(self, routed_store: RoutedStore,
                  encode: Callable[[object], bytes] | None = None,
-                 decode: Callable[[bytes], object] | None = None,
-                 request_budget: float | None = None):
+                 decode: Callable[[bytes], object] | None = None):
         self._routed = routed_store
         self._encode = encode or _identity_encode
         self._decode = decode or _identity_decode
         self.store = routed_store.store
-        # per-request deadline budget (seconds); every public operation
-        # mints one Deadline at the edge and threads it through each hop
-        # (a read-then-write put shares one shrinking budget)
-        self.request_budget = request_budget
-
-    def _new_deadline(self) -> Deadline | None:
-        if self.request_budget is None:
-            return None
-        return Deadline(self._routed.cluster.clock, self.request_budget)
 
     # -- reads -------------------------------------------------------------
 
     def get(self, key: bytes, transform: tuple | None = None
             ) -> list[Versioned]:
         """The concurrent-version frontier; [] when the key is absent."""
-        return self._get(key, transform, self._new_deadline())
-
-    def _get(self, key: bytes, transform: tuple | None,
-             deadline: Deadline | None) -> list[Versioned]:
         try:
-            versions, _ = self._routed.get(key, transform, deadline=deadline)
+            versions, _ = self._routed.get(key, transform)
             return versions
         except KeyNotFoundError:
             return []
@@ -103,17 +88,15 @@ class StoreClient:
         :class:`ObsoleteVersionError` — the paper's optimistic locking.
         Returns the clock that was written.
         """
-        deadline = self._new_deadline()
         if version is None:
-            versions = self._get(key, None, deadline)
+            versions = self.get(key)
             version = VectorClock()
             for versioned in versions:
                 version = version.merged(versioned.clock)
         master = self._routed.replica_nodes(key)[0]
         new_clock = version.incremented(master)
         payload = self._encode(value) if value is not None else b""
-        self._routed.put(key, Versioned(payload, new_clock), transform,
-                         deadline=deadline)
+        self._routed.put(key, Versioned(payload, new_clock), transform)
         return new_clock
 
     def put_versioned(self, key: bytes, versioned: Versioned) -> float:
@@ -122,16 +105,14 @@ class StoreClient:
 
     def delete(self, key: bytes) -> bool:
         """Tombstone every current version; False when absent."""
-        deadline = self._new_deadline()
-        versions = self._get(key, None, deadline)
+        versions = self.get(key)
         if not versions:
             return False
         clock = VectorClock()
         for versioned in versions:
             clock = clock.merged(versioned.clock)
         master = self._routed.replica_nodes(key)[0]
-        self._routed.delete(key, Versioned(None, clock.incremented(master)),
-                            deadline=deadline)
+        self._routed.delete(key, Versioned(None, clock.incremented(master)))
         return True
 
     # -- optimistic update loop (API method 5) ------------------------------------

@@ -156,10 +156,6 @@ class VoldemortServer:
         self.requests_served += 1
         return self.engine(store).get_many(keys)
 
-    def get_versions(self, store: str, key: bytes) -> list:
-        """Just the clocks — cheaper than full values for conflict checks."""
-        return [v.clock for v in self.engine(store).get(key)]
-
     def ping(self) -> bool:
         return True
 

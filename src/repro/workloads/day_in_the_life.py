@@ -77,7 +77,7 @@ class _World:
     def __init__(self, seed: int, partitions: int, day_seconds: float,
                  containers_per_job: int):
         self.clock = SimClock()
-        self.disk = SimDisk(seed=seed)
+        self.disk = SimDisk(clock=self.clock, seed=seed)
         self.zookeeper = ZooKeeperServer()
         self.cluster = KafkaCluster(
             3, "/kafka", zookeeper=self.zookeeper, clock=self.clock,

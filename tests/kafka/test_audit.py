@@ -174,3 +174,18 @@ def test_a_shed_send_is_still_claimed():
     assert reconciler.consumed() == {("activity", 0): 6}
     assert findings(cluster) == []
     cluster.shutdown()
+
+
+def test_a_message_larger_than_the_fetch_window_is_counted(setup):
+    """Regression: the reconciler's consumer stopped at a frame larger
+    than its fetch window, so the audit reported the messages at and
+    after it as lost."""
+    cluster, clock = setup
+    producer = AuditingProducer(cluster, "app-00", clock=clock)
+    for blob in ("small", "x" * 400_000, "small"):
+        producer.send("activity", {"blob": blob})
+    producer.flush()
+    producer.publish_monitoring_events()
+    assert findings(cluster) == []
+    consumed = AuditReconciler(cluster, ["activity"]).consumed()
+    assert sum(consumed.values()) == 3

@@ -160,3 +160,15 @@ def test_broker_ack_tracker_ablation():
     # the Kafka equivalent is a single integer — compare entry counts
     kafka_equivalent_entries = 1
     assert tracker.total_state_entries() > 100 * kafka_equivalent_entries
+
+
+def test_a_frame_larger_than_the_fetch_window_is_delivered(cluster):
+    """Regression: a fetch window smaller than the next frame returned
+    only a cut of it, so the member stopped there for good."""
+    payloads = [b"a" * 10, b"b" * 5_000, b"c" * 10]
+    Producer(cluster).send_set("activity", payloads, key=b"one-partition")
+    member = ConsumerGroupMember(cluster, "g1", "c1", ["activity"],
+                                 fetch_max_bytes=1_000)
+    assert drain(member) == payloads
+    assert member.stream.lag() == 0
+    member.close()

@@ -1,5 +1,7 @@
 """Cross-datacenter mirroring and the Hadoop load pipeline (§V.D)."""
 
+import random
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -121,3 +123,34 @@ def test_mirror_preserves_cursor_reset_during_fetch(clusters):
     mirror.poll_once()
     for tp in advanced:
         assert mirror._offsets[tp] == 0
+
+
+def oversized_set(seed):
+    """A small message, one larger than a consumer's default 300 KB
+    fetch window, and another small one."""
+    big = random.Random(seed).randbytes(200_000).hex().encode()
+    return [b"before", big, b"after"]
+
+
+def test_mirror_copies_a_message_larger_than_its_fetch_window(clusters):
+    """Regression: the mirror's fetch returned a cut of the big frame,
+    so it mirrored the first message and then nothing, forever.  A pass
+    is one fetch per partition: the big frame comes whole, alone."""
+    live, replica, _ = clusters
+    payloads = oversized_set(1)
+    Producer(live).send_set("activity", payloads, key=b"one-partition")
+    mirror = MirrorMaker(live, replica, ["activity"])
+    assert [mirror.poll_once() for _ in range(4)] == [1, 1, 1, 0]
+    assert sorted(replica_payloads(replica, "activity")) == sorted(payloads)
+
+
+def test_load_job_loads_a_message_larger_than_its_fetch_window(clusters):
+    _, replica, _ = clusters
+    replica.create_topic("activity")
+    payloads = oversized_set(2)
+    Producer(replica).send_set("activity", payloads, key=b"one-partition")
+    hdfs = MiniHDFS()
+    job = HadoopLoadJob(replica, hdfs, ["activity"])
+    written = [job.run_once() for _ in range(4)]
+    assert [[hdfs.read(path) for path in paths] for paths in written] == \
+        [[payload] for payload in payloads] + [[]]

@@ -181,3 +181,46 @@ def test_recovered_follower_catches_up_and_rejoins_isr(topic, cluster):
     follower_log = cluster.brokers[follower].log("activity", 0)
     leader_log = cluster.brokers[state.leader_id].log("activity", 0)
     assert follower_log.high_watermark == leader_log.high_watermark
+
+
+def test_follower_segments_hold_whole_frames_through_failover_and_restart():
+    """Regression: a follower copied raw ``max_bytes`` windows, so its
+    flush rolled a segment between two halves of a frame.  After
+    failover its reads stalled at the split, and after a restart its
+    recovery scan (last segment only) truncated committed messages."""
+    cluster = KafkaCluster(num_brokers=2, data_root="kafka",
+                           clock=SimClock(), partitions_per_topic=1)
+    topic = ReplicatedTopic(cluster, "big", partitions=1,
+                            replication_factor=2)
+    payloads = [bytes([i]) * 600_000 for i in range(3)]
+    produce(topic, 0, payloads)
+    topic.poll_replication()
+    state = topic.partitions[0]
+    committed = state.committed_offset
+    assert committed == 3 * 600_009
+    follower = cluster.brokers[state.replica_ids[1]]
+    assert follower.log("big", 0).segment_base_offsets() == \
+        [0, 600_009, 1_200_018]
+
+    def served():
+        out, offset = [], 0
+        while data := topic.fetch(0, offset, max_bytes=1 << 20):
+            decoded = list(iter_messages(data, offset))
+            assert decoded, f"stalled at {offset}"
+            out += [d.message.payload for d in decoded]
+            offset = decoded[-1].next_offset
+        return out
+
+    cluster.brokers[state.leader_id].shutdown()
+    assert topic.handle_failures() == [0]
+    assert state.leader_id == follower.broker_id
+    assert served() == payloads
+
+    follower.shutdown()
+    cluster.disk.crash_node(f"broker-{follower.broker_id}")
+    cluster.disk.restart_node(f"broker-{follower.broker_id}")
+    follower.restart()
+    log = follower.log("big", 0)
+    assert log.torn_bytes_truncated == 0
+    assert log.high_watermark == committed == state.committed_offset
+    assert served() == payloads

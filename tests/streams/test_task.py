@@ -93,8 +93,7 @@ class World:
                   snapshot_interval_commits: int = 8) -> TaskInstance:
         return TaskInstance(
             "job", stage, 0, self.cluster, self.zk, self.clock,
-            self.disk.scope(node), "/state", group="streams-job",
-            topic_partitions=1,
+            self.disk.scope(node), "/state", topic_partitions=1,
             snapshot_interval_commits=snapshot_interval_commits)
 
 
