@@ -196,8 +196,7 @@ class ChunkedBackfill:
     """
 
     def __init__(self, source: SqlDatabase, replicator: LiveReplicator,
-                 client: DatabusClient, capture=None, chunk_size: int = 64,
-                 tables: list[str] | None = None):
+                 client: DatabusClient, capture=None, chunk_size: int = 64):
         if chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive")
         self.source = source
@@ -205,8 +204,7 @@ class ChunkedBackfill:
         self.client = client
         self.capture = capture   # binlog→relay pump (capture_from_binlog)
         self.chunk_size = chunk_size
-        self.tables = sorted(tables if tables is not None
-                             else source.table_names())
+        self.tables = source.table_names()   # sorted
         self.progress: dict[str, object] = {t: None for t in self.tables}
         self.chunks_run = 0
 

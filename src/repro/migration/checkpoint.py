@@ -52,8 +52,8 @@ class MigrationJournal:
 
     LOG_NAME = "migration.ckpt"
 
-    def __init__(self, disk: Disk, name: str = LOG_NAME):
-        self._wal = WriteAheadLog(name, disk=disk)
+    def __init__(self, disk: Disk):
+        self._wal = WriteAheadLog(self.LOG_NAME, disk=disk)
         self.records_written = 0
 
     def record(self, checkpoint: MigrationCheckpoint) -> None:

@@ -248,9 +248,10 @@ class SqlDatabase:
 
     def scan_chunk(self, table_name: str, after_key: tuple | None,
                    limit: int) -> list[Row]:
-        """Keyed chunk pagination over one table (deep copies), in
-        deterministic primary-key order — the migration backfill's
-        read path.  See :meth:`Table.scan_chunk`."""
+        """Keyed chunk pagination over one table (row copies; every
+        column value is immutable), in deterministic primary-key order —
+        the migration backfill's read path.  A chunk costs O(log N +
+        limit); see :meth:`Table.scan_chunk`."""
         return self.table(table_name).scan_chunk(after_key, limit)
 
     # -- bootstrap support ----------------------------------------------------
@@ -270,11 +271,21 @@ class SqlDatabase:
 
         The binlog is fast-forwarded too: a restored replica never held
         the pre-snapshot transactions, so its log continues from ``scn``.
+
+        All or nothing: every table's rows are validated into a staging
+        table, and the binlog refuses a reset once it holds commits,
+        before any table or the SCN changes.
         """
+        staged = []
         for name, rows in tables.items():
-            self.table(name).restore(rows)
-        self._next_scn = scn + 1
+            table = self.table(name)
+            replacement = Table(table.schema)
+            replacement.restore(rows)
+            staged.append((table, replacement))
         self.binlog.reset_to(scn)
+        for table, replacement in staged:
+            table.adopt(replacement)
+        self._next_scn = scn + 1
 
     def apply_replicated(self, txn: BinlogTransaction) -> None:
         """Apply a transaction replicated from a master, in SCN order.

@@ -7,7 +7,7 @@ columns (timestamp, etag, val blob, schema_version).
 
 from __future__ import annotations
 
-import copy
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,6 +20,10 @@ from repro.common.errors import (
 )
 
 Row = dict
+
+#: Every column value is one of these immutable types, so ``dict(row)``
+#: is a full copy of a row.
+_COLUMN_TYPES = (str, int, float, bytes, bool)
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,17 @@ class TableSchema:
                     f"table {self.name}: primary key column {pk!r} undeclared")
         if not self.primary_key:
             raise ConfigurationError(f"table {self.name}: primary key required")
+        for col in self.columns:
+            if col.type not in _COLUMN_TYPES:
+                raise ConfigurationError(
+                    f"table {self.name}: column {col.name!r} has type "
+                    f"{col.type.__name__}; values must be immutable "
+                    f"({', '.join(t.__name__ for t in _COLUMN_TYPES)})")
+            if col.nullable and col.name in self.primary_key:
+                # keys are kept in order, and None does not compare
+                raise ConfigurationError(
+                    f"table {self.name}: primary key column {col.name!r} "
+                    "cannot be nullable")
 
     def column(self, name: str) -> Column:
         for col in self.columns:
@@ -87,15 +102,27 @@ class TableSchema:
 
 
 class Table:
-    """Row storage keyed by primary key, kept in key-sorted order.
+    """Row storage keyed by primary key, kept in primary-key order.
 
     Rows are plain dicts; the table stores copies so callers cannot
     mutate storage behind its back.
+
+    The order is a sorted key list beside the row dict, so an ordered
+    read seeks by bisection instead of sorting.  A new key above the
+    list's last key is appended; any other new key waits in a set until
+    the next ordered read merges it in (one sort of two sorted runs).
+    So a write costs O(1) for the order, and a table written out of
+    order and rarely read in order — an Espresso storage node's local
+    store — sorts only when it is read.  A delete removes its key by
+    bisection (or from the set), so the list and the set together
+    always hold exactly the live keys.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self._rows: dict[tuple, Row] = {}
+        self._keys: list[tuple] = []      # sorted
+        self._unordered: set[tuple] = set()   # live keys not yet in _keys
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -117,6 +144,7 @@ class Table:
             raise DuplicateKeyError(
                 f"{self.schema.name}: duplicate key {key!r}")
         self._rows[key] = dict(row)
+        self._add_key(key)
         return key
 
     def update(self, row: Row) -> tuple:
@@ -134,23 +162,50 @@ class Table:
         key = self.schema.key_of(row)
         was_insert = key not in self._rows
         self._rows[key] = dict(row)
+        if was_insert:
+            self._add_key(key)
         return key, was_insert
 
     def delete(self, key: tuple) -> Row:
         try:
-            return self._rows.pop(key)
+            row = self._rows.pop(key)
         except KeyError:
             raise KeyNotFoundError(f"{self.schema.name}: no row {key!r}") from None
+        if key in self._unordered:
+            self._unordered.remove(key)
+        else:
+            del self._keys[bisect_left(self._keys, key)]
+        return row
+
+    def _add_key(self, key: tuple) -> None:
+        if self._keys and key < self._keys[-1]:
+            self._unordered.add(key)
+        else:
+            self._keys.append(key)
+
+    def _ordered(self) -> list[tuple]:
+        """The live keys in primary-key order (the list itself: callers
+        slice it, never keep it)."""
+        if self._unordered:
+            self._keys += sorted(self._unordered)
+            self._unordered.clear()
+            self._keys.sort()   # Timsort merges the two sorted runs
+        return self._keys
 
     def scan(self, key_prefix: tuple = ()) -> Iterator[Row]:
         """Rows in primary-key order, optionally filtered by key prefix.
 
         Prefix scans serve Espresso collection resources: all songs of
-        one artist share the leading key component.
+        one artist share the leading key component.  The prefix's rows
+        are one contiguous run of the key order, found by bisection.
         """
-        for key in sorted(self._rows):
-            if key[:len(key_prefix)] == key_prefix:
-                yield dict(self._rows[key])
+        keys = self._ordered()
+        width = len(key_prefix)
+        lo = bisect_left(keys, key_prefix, key=lambda k: k[:width])
+        hi = bisect_right(keys, key_prefix, lo, key=lambda k: k[:width])
+        rows = self._rows
+        for key in keys[lo:hi]:
+            yield dict(rows[key])
 
     def scan_chunk(self, after_key: tuple | None, limit: int) -> list[Row]:
         """Keyed pagination: up to ``limit`` rows with primary key
@@ -160,35 +215,46 @@ class Table:
         This is the DBLog-style chunk read for live migration: each
         call pages forward without copying the whole table and without
         any lock — concurrent writers keep committing while a backfill
-        walks the keyspace.  Rows are deep copies, so a chunk held by a
-        migration reader can never alias live storage.
+        walks the keyspace.  It seeks to ``after_key`` by bisection, so
+        a chunk costs O(log N + limit) however large the table.  Rows
+        are row copies; every column value is immutable, so a chunk held
+        by a migration reader can never alias live storage.
         """
         if limit <= 0:
             raise InvalidRequestError(
                 f"chunk limit must be positive, got {limit}")
-        out: list[Row] = []
-        for key in sorted(self._rows):
-            if after_key is not None and key <= after_key:
-                continue
-            out.append(copy.deepcopy(self._rows[key]))
-            if len(out) >= limit:
-                break
-        return out
+        keys = self._ordered()
+        start = 0 if after_key is None else bisect_right(keys, after_key)
+        rows = self._rows
+        return [dict(rows[key]) for key in keys[start:start + limit]]
 
     def keys(self) -> list[tuple]:
-        return sorted(self._rows)
+        return list(self._ordered())
 
     def snapshot(self) -> list[Row]:
-        """A consistent full copy (bootstrap/backup source).
+        """A consistent full copy (bootstrap/backup source), in
+        primary-key order.
 
-        Deep copies: snapshot consumers (replica bootstrap, migration
-        backfill) hold the rows long after this call returns, so they
-        must not alias live storage.
+        Row copies; every column value is immutable: snapshot consumers
+        (replica bootstrap, migration backfill) hold the rows long after
+        this call returns, so they must not alias live storage.
         """
-        return [copy.deepcopy(self._rows[k]) for k in sorted(self._rows)]
+        rows = self._rows
+        return [dict(rows[key]) for key in self._ordered()]
 
     def restore(self, rows: list[Row]) -> None:
-        """Replace contents wholesale (bootstrap target)."""
-        self._rows.clear()
+        """Replace contents wholesale (bootstrap target).
+
+        All or nothing: the rows go into a staging table first, so a bad
+        or duplicate row leaves this table as it was.
+        """
+        staged = Table(self.schema)
         for row in rows:
-            self.insert(row)
+            staged.insert(row)
+        self.adopt(staged)
+
+    def adopt(self, staged: "Table") -> None:
+        """Take over a staging table's rows and key order: the half of a
+        restore that cannot fail.  ``staged`` is not used again."""
+        self._rows, self._keys, self._unordered = \
+            staged._rows, staged._keys, staged._unordered

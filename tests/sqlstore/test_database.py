@@ -3,7 +3,12 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import KeyNotFoundError, TransactionAbortedError
+from repro.common.errors import (
+    InvalidRequestError,
+    KeyNotFoundError,
+    SchemaValidationError,
+    TransactionAbortedError,
+)
 from repro.sqlstore import (
     ChangeKind,
     Column,
@@ -153,6 +158,31 @@ def test_snapshot_restore_and_scn(db):
     replica.restore(tables, scn)
     assert len(replica.table("follows")) == 3
     assert replica.last_committed_scn == 3
+
+
+def test_a_failed_restore_changes_nothing(db):
+    """A restore is all or nothing: refused over committed transactions
+    or for a bad row, it leaves rows, SCN and binlog as they were, and
+    the next commit lands at the next SCN."""
+    db.autocommit("counts", {"company": 1, "n": 1})
+    db.autocommit("counts", {"company": 2, "n": 1})
+    snapshot = {"counts": [{"company": 9, "n": 9}], "follows": []}
+    with pytest.raises(InvalidRequestError):
+        db.restore(snapshot, 0)
+    assert [r["company"] for r in db.table("counts").scan()] == [1, 2]
+    assert db.last_committed_scn == db.binlog.last_scn == 2
+    assert db.autocommit("counts", {"company": 3, "n": 1}) == 3
+
+    replica = SqlDatabase("replica", clock=SimClock())
+    replica.create_table(FOLLOW_SCHEMA)
+    replica.create_table(COUNT_SCHEMA)
+    bad = {"follows": [{"member": 1, "company": 1, "since": 0}],
+           "counts": [{"company": 1, "n": "many"}]}
+    with pytest.raises(SchemaValidationError):
+        replica.restore(bad, 5)
+    assert len(replica.table("follows")) == 0
+    assert replica.last_committed_scn == replica.binlog.last_scn == 0
+    assert replica.autocommit("counts", {"company": 1, "n": 1}) == 1
 
 
 def test_apply_replicated_enforces_order(db):

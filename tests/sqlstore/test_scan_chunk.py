@@ -1,6 +1,8 @@
 """Keyed chunk pagination and watermark commits — the sqlstore surface
 the migration backfill stands on."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -25,6 +27,43 @@ def make_table(rows=12):
 
 def all_keys(table):
     return [SCHEMA.key_of(r) for r in table.scan()]
+
+
+class Counted(int):
+    """An int key column value that counts the comparisons made on it."""
+
+    comparisons = 0
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        Counted.comparisons += 1
+        return int.__eq__(self, other)
+
+    def __lt__(self, other):
+        Counted.comparisons += 1
+        return int.__lt__(self, other)
+
+
+COUNTED = TableSchema("counted", (Column("k", int), Column("v", int)), ("k",))
+
+
+def chunk_comparisons(rows: int, chunk: int = 64) -> int:
+    """Key comparisons one mid-table ``scan_chunk`` makes on a table of
+    ``rows`` rows written in random order (the first ordered read, which
+    merges those writes, is not counted)."""
+    table = Table(COUNTED)
+    order = list(range(rows))
+    random.Random(rows).shuffle(order)
+    for k in order:
+        table.insert({"k": Counted(k), "v": k})
+    middle = (Counted(rows // 2),)
+    table.scan_chunk(middle, chunk)
+    Counted.comparisons = 0
+    got = table.scan_chunk(middle, chunk)
+    comparisons = Counted.comparisons
+    assert [row["v"] for row in got] == \
+        list(range(rows // 2 + 1, rows // 2 + 1 + chunk))
+    return comparisons
 
 
 class TestScanChunk:
@@ -71,6 +110,12 @@ class TestScanChunk:
         snapshot = table.snapshot()
         snapshot[0]["plays"] = 999_999
         assert table.snapshot()[0]["plays"] != 999_999
+
+    def test_a_chunk_costs_comparisons_per_row_returned_not_per_row_held(
+            self):
+        small = chunk_comparisons(1024)
+        large = chunk_comparisons(16384)
+        assert large <= 1.5 * small, (small, large)
 
     def test_database_level_scan_chunk(self):
         db = SqlDatabase("music")

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, KeyNotFoundError
+from repro.common.errors import (
+    ConfigurationError,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    SchemaValidationError,
+)
 from repro.sqlstore import Column, Table, TableSchema
 
 SONG_SCHEMA = TableSchema(
@@ -34,6 +39,29 @@ def test_schema_validation():
         TableSchema("T", (Column("a", str),), ("missing",))
     with pytest.raises(ConfigurationError):
         TableSchema("T", (Column("a", str),), ())
+
+
+@pytest.mark.parametrize("columns", [
+    (Column("a", str), Column("tags", list)),
+    (Column("a", str), Column("attrs", dict)),
+    (Column("a", str, nullable=True),),
+], ids=["list", "dict", "nullable-key"])
+def test_schema_rejects_mutable_column_types_and_nullable_keys(columns):
+    """Row copies are ``dict(row)`` only because every value is
+    immutable; keys are kept in order, which ``None`` cannot join."""
+    with pytest.raises(ConfigurationError):
+        TableSchema("T", columns, ("a",))
+
+
+def test_a_failed_restore_leaves_the_table_as_it_was():
+    table = Table(SONG_SCHEMA)
+    table.insert(song_row())
+    before = table.snapshot()
+    with pytest.raises(DuplicateKeyError):
+        table.restore([song_row(album="B"), song_row(album="B")])
+    with pytest.raises(SchemaValidationError):
+        table.restore([song_row(album="B"), song_row(timestamp="late")])
+    assert table.snapshot() == before
 
 
 def test_insert_get_roundtrip():
