@@ -23,7 +23,7 @@ Both jobs are pure topology + task logic; everything operational
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 
 from repro.common.errors import ConfigurationError, NodeUnavailableError
 from repro.streams.job import StreamJobSpec
@@ -183,21 +183,24 @@ class InboxTask(StreamTask):
     traffic in the repartition topic, and event-time order makes the
     stored inbox independent of that interleaving.  The order is an
     in-memory key list per member, rebuilt from the store at ``init``
-    (which runs after recovery has restored it).
+    (which runs after recovery has restored it), with the entries'
+    ranks in a list beside it so an insert bisects without reading the
+    store.  A key fixes its ``(actor, id)``, so no two entries of a
+    member share a rank.
     """
 
     def init(self, context: TaskContext) -> None:
         self.inbox = context.store("inbox")
         self._order: dict[str, list[str]] = {}   # member -> oldest first
-        entries = [(key, entry) for key, entry in self.inbox.items()
+        self._ranks: dict[str, list[tuple]] = {}  # member -> _rank per key
+        entries = [(_rank(entry), key) for key, entry in self.inbox.items()
                    if not key.startswith(SEEN_PREFIX)]
-        entries.sort(key=lambda item: _rank(item[1]))
-        for key, (_, actor, id_, _) in entries:
+        entries.sort()
+        for rank, key in entries:
+            _, actor, id_ = rank
             member = key[:-len(f"/{actor}/{id_}")]
             self._order.setdefault(member, []).append(key)
-
-    def _key_rank(self, key: str) -> tuple:
-        return _rank(self.inbox.get(key))
+            self._ranks.setdefault(member, []).append(rank)
 
     def process(self, envelope: Envelope,
                 collector: MessageCollector) -> None:
@@ -206,13 +209,17 @@ class InboxTask(StreamTask):
         if key in self.inbox:
             return
         entry = [value["ts"], value["actor"], value["id"], value["kind"]]
+        rank = _rank(entry)
         order = self._order.setdefault(envelope.key, [])
-        if len(order) >= INBOX_CAP and \
-                _rank(entry) < self._key_rank(order[0]):
+        ranks = self._ranks.setdefault(envelope.key, [])
+        if len(order) >= INBOX_CAP and rank < ranks[0]:
             return      # older than everything a full inbox keeps
         self.inbox.put(key, entry)
-        insort(order, key, key=self._key_rank)
+        at = bisect_right(ranks, rank)
+        ranks.insert(at, rank)
+        order.insert(at, key)
         if len(order) > INBOX_CAP:
+            del ranks[0]
             self.inbox.delete(order.pop(0))
 
     def entries(self, member: str) -> list[dict]:

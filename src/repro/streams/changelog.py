@@ -84,9 +84,9 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
     offsets do not cover, so the replay hard-stops at the boundary.
 
     A record larger than ``fetch_max_bytes`` comes back whole (the log
-    never cuts the frame a read starts at).  A log that ends mid-frame
-    below ``stop`` raises :class:`ReproError` rather than restore a
-    prefix.
+    never cuts the frame a read starts at).  A log that ends below
+    ``stop``, mid-frame or on a frame boundary, raises
+    :class:`ReproError` rather than restore a prefix.
     """
     if stop < start:
         raise ConfigurationError(
@@ -98,7 +98,9 @@ def replay_changelog(cluster: KafkaCluster, topic: str, partition: int,
         data = broker.fetch(topic, partition, offset,
                             max_bytes=min(fetch_max_bytes, stop - offset))
         if not data:
-            break
+            raise ReproError(
+                f"{topic}-{partition} ends at {offset}, below the "
+                f"checkpointed end {stop}")
         before = offset
         for payload, next_offset in decode_span(data, base_offset=offset):
             if next_offset > stop:

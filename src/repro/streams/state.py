@@ -32,18 +32,53 @@ harmless — the property the at-least-once recovery contract leans on.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import make_scanner
 
 from repro.common.errors import ChecksumError, ConfigurationError
 from repro.common.storage import Disk
 from repro.common.wal import read_image, write_image
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The encoder ``_ENCODER.encode`` would build on every call, built once
+# with the same nine arguments; it shares one circular-reference
+# markers dict across calls, which an encode that raises must clear.
+_MARKERS: dict[int, object] = {}
+_C_ENCODE = None if c_make_encoder is None else c_make_encoder(
+    _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
+_SCAN = make_scanner(json.JSONDecoder())
 
 
 def encode_json(obj: object) -> bytes:
     """The stream tier's one canonical JSON form: sorted keys, no
-    whitespace — records, wire envelopes and fingerprints alike."""
-    return _ENCODER.encode(obj).encode()
+    whitespace — records, wire envelopes and fingerprints alike.
+    Byte-equal to ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":")).encode()``."""
+    if _C_ENCODE is None or isinstance(obj, str):
+        return _ENCODER.encode(obj).encode()
+    try:
+        return "".join(_C_ENCODE(obj, 0)).encode()
+    except BaseException:
+        _MARKERS.clear()    # an aborted encode leaves its open containers
+        raise
+
+
+def decode_json(payload: bytes) -> object:
+    """``json.loads(payload)``, minus its encoding sniff and whitespace
+    regexes on the common input: UTF-8 text that is exactly one JSON
+    value.  Anything else — a BOM, UTF-16/32, padding, trailing data,
+    a lone surrogate, malformed input — goes to ``json.loads`` on the
+    original bytes, so the result or exception is always its own."""
+    try:
+        text = payload.decode()
+        obj, end = _SCAN(text, 0)
+    except (ValueError, StopIteration):
+        return json.loads(payload)
+    if end != len(text):
+        return json.loads(payload)
+    return obj
 
 
 def encode_record(key: str, value: object | None) -> bytes:
@@ -53,7 +88,7 @@ def encode_record(key: str, value: object | None) -> bytes:
 
 
 def decode_record(payload: bytes) -> tuple[str, object | None]:
-    record = json.loads(payload)
+    record = decode_json(payload)
     return record["k"], record["v"]
 
 
@@ -211,7 +246,7 @@ def load_snapshot(disk: Disk, path: str,
         return None
     if not payloads:
         return None
-    header = json.loads(payloads[0])
+    header = decode_json(payloads[0])
     if (header.get("version") != _SNAPSHOT_VERSION
             or header.get("store") != store.name):
         return None

@@ -1,5 +1,7 @@
 """The two shipped applications: WVYP counters and feed fan-out."""
 
+import random
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -23,6 +25,7 @@ from repro.streams.apps import (
     ProfileViewCounterTask,
     ViewRouterTask,
     WhoViewedYourProfileService,
+    _rank,
     feed_fanout_job,
     who_viewed_your_profile_job,
 )
@@ -191,6 +194,32 @@ def test_redelivered_entry_is_stored_once():
     task.process(envelope("m", activity(7, 3.0)), collector)
     assert store.drain() == []
     assert task.entries("m") == [activity(7, 3.0)]
+
+
+def test_inbox_order_and_ranks_follow_the_store_through_evictions():
+    """The census row for the inbox order: after every step of a seeded
+    walk — appends, redeliveries, evictions and a re-``init`` over the
+    same store — each member's key list and rank list are its stored
+    entries sorted by ``_rank``, and neither exceeds ``INBOX_CAP``."""
+    rng = random.Random(29)
+    task, store = inbox_task()
+    collector = MessageCollector()
+    members = ("m0", "m1", "m2")
+    longest = 0
+    for step in range(900):
+        value = {"actor": f"a{rng.randrange(4)}", "kind": "k",
+                 "id": rng.randrange(120), "ts": float(rng.randrange(300))}
+        task.process(envelope(rng.choice(members), value), collector)
+        if step == 450:
+            task, _ = inbox_task(store)         # a restart's rebuild
+        for member in members:
+            stored = sorted((_rank(entry), key) for key, entry
+                            in store.items() if key.startswith(member + "/"))
+            assert task._order.get(member, []) == [k for _, k in stored]
+            assert task._ranks.get(member, []) == [r for r, _ in stored]
+            longest = max(longest, len(task._order.get(member, [])))
+    assert longest == INBOX_CAP
+    assert store.deletes > 0                    # evictions really ran
 
 
 # -- end to end: topology + serving ----------------------------------------

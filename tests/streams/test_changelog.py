@@ -84,6 +84,22 @@ def test_replay_refuses_a_log_that_ends_mid_frame_below_stop():
                          0, committed + len(frame))
 
 
+def test_replay_refuses_a_log_that_ends_on_a_frame_boundary_below_stop():
+    """Regression: a log ending on a whole frame below the checkpointed
+    end read as an empty fetch, and the replay handed back the prefix
+    as if it were complete state."""
+    cluster = make_cluster()
+    writer = ChangelogWriter(cluster, "__changelog-job-store", 0)
+    end = writer.flush([encode_record("a", 1), encode_record("b", 2)])
+    assert end == 48
+    with pytest.raises(ReproError):
+        replay_changelog(cluster, "__changelog-job-store", 0, 0, end + 100)
+    with pytest.raises(ReproError):     # and when the range starts at the end
+        replay_changelog(cluster, "__changelog-job-store", 0, end, end + 1)
+    assert len(replay_changelog(cluster, "__changelog-job-store", 0,
+                                0, end)) == 2
+
+
 def test_replay_rejects_reversed_range():
     cluster = make_cluster()
     with pytest.raises(ConfigurationError):

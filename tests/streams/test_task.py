@@ -13,9 +13,11 @@ from repro.kafka.broker import KafkaCluster
 from repro.kafka.message import FRAME_OVERHEAD, Message, MessageSet
 from repro.simnet.disk import SimDisk
 from repro.streams import state
+from repro.streams import task as task_module
 from repro.streams.changelog import replay_changelog
-from repro.streams.state import encode_record
+from repro.streams.state import decode_json, encode_json, encode_record
 from repro.streams.task import (
+    SEEN_PREFIX,
     Envelope,
     MessageCollector,
     StageSpec,
@@ -463,6 +465,54 @@ def test_crash_inside_commit_window_redelivers_and_downstream_dedupes():
     successor = world.open_task(summing)
     assert successor.poll() == 0
     assert successor.stores["sums"].get("x") == 7
+
+
+def test_a_polled_message_costs_one_decode_and_one_mark_read(monkeypatch):
+    """Per fetched payload, duplicates included: one ``decode_json``
+    and, when it carries a repartition stamp, one ``__seen/`` read; a
+    mark is written only for a message that was processed."""
+    world = World()
+    world.cluster.create_topic("mid", partitions=1)
+    world.cluster.create_topic("__changelog-job-sums", partitions=1)
+
+    def stamped(n: int, src_offset: int, src_seq: int) -> bytes:
+        return encode_json({"key": "x", "value": {"n": n}, "ts": 1.0,
+                            "src": "forward:0", "src_stream": "in:0",
+                            "src_offset": src_offset, "src_seq": src_seq})
+
+    payloads = [stamped(5, 0, 0), stamped(2, 40, 1),
+                stamped(5, 0, 0), stamped(2, 40, 1),   # redelivered
+                encode_stream_message("x", {"n": 1}, 1.0)]   # unstamped
+    broker = world.cluster.broker_for("mid", 0)
+    broker.produce("mid", 0, MessageSet.from_payloads(payloads))
+    broker.log("mid", 0).flush()
+    consumer = world.open_task(StageSpec(
+        name="sum", inputs=("mid",), task_factory=SumTask, stores=("sums",)))
+
+    decodes = []
+    monkeypatch.setattr(
+        task_module, "decode_json",
+        lambda payload: decodes.append(payload) or decode_json(payload))
+    store = consumer.stores["sums"]
+    marks = {"read": 0, "written": 0}
+    real_get, real_put = store.get, store.put
+
+    def get(key):
+        marks["read"] += key.startswith(SEEN_PREFIX)
+        return real_get(key)
+
+    def put(key, value):
+        marks["written"] += key.startswith(SEEN_PREFIX)
+        real_put(key, value)
+
+    monkeypatch.setattr(store, "get", get)
+    monkeypatch.setattr(store, "put", put)
+    assert consumer.poll() == 5
+    assert decodes == payloads
+    assert consumer.duplicates_dropped == 2
+    assert marks == {"read": 4, "written": 2}
+    assert real_get("x") == 8
+    assert real_get(f"{SEEN_PREFIX}forward:0/in:0") == [40, 1]
 
 
 def test_dedupe_requires_a_store():
