@@ -53,7 +53,7 @@ class WatermarkCut:
 
     def __init__(self, source, pump: Callable[[], object],
                  positions: list[Callable[[], int]],
-                 label: str = "audit-cut", max_rounds: int = 10_000):
+                 max_rounds: int = 10_000):
         if not positions:
             raise ConfigurationError("a cut needs at least one position")
         if max_rounds < 1:
@@ -61,14 +61,13 @@ class WatermarkCut:
         self.source = source
         self.pump = pump
         self.positions = list(positions)
-        self.label = label
         self.max_rounds = max_rounds
         self.cuts_certified = 0
         self.last_scn = 0
 
     def certify(self) -> int:
         """Write a watermark and pump until every position passes it."""
-        scn = self.source.write_watermark(self.label)
+        scn = self.source.write_watermark("audit-cut")
         for _ in range(self.max_rounds):
             if all(position() >= scn for position in self.positions):
                 self.cuts_certified += 1
@@ -78,7 +77,7 @@ class WatermarkCut:
         lagging = [index for index, position in enumerate(self.positions)
                    if position() < scn]
         raise NonConvergenceError(
-            f"cut {self.label!r} did not certify SCN {scn} within "
+            f"audit cut did not certify SCN {scn} within "
             f"{self.max_rounds} pump rounds (positions {lagging} lagging)")
 
 

@@ -23,13 +23,32 @@ from typing import Iterable
 from repro.common.errors import ConfigurationError, UnsupportedTypeError
 
 
-def hash_key(key: bytes) -> int:
-    """Stable 64-bit hash of a key (MD5-derived, like Voldemort's)."""
+def key_digest(key: bytes) -> bytes:
+    """The MD5 digest of a key: the one hash every placement decision in
+    the repo derives from (DESIGN §5 "Placement")."""
     if not isinstance(key, bytes):
         raise UnsupportedTypeError(
             f"keys are bytes, got {type(key).__name__}")
-    digest = hashlib.md5(key).digest()
-    return int.from_bytes(digest[:8], "big")
+    return hashlib.md5(key).digest()
+
+
+# the two widths inline the digest: they run once per routed key, and a
+# second call per key is the cost partitions_for_keys exists to avoid
+def hash_key(key: bytes) -> int:
+    """Stable 64-bit hash of a key: the first 8 bytes of its
+    :func:`key_digest`, big-endian (Voldemort's partition hash)."""
+    if not isinstance(key, bytes):
+        key_digest(key)  # raises its UnsupportedTypeError
+    return int.from_bytes(hashlib.md5(key).digest()[:8], "big")
+
+
+def partition32(key: bytes, count: int) -> int:
+    """The 32-bit sibling of :func:`hash_key`, modulo ``count``: the
+    first 4 bytes of the key's :func:`key_digest`, big-endian (the
+    Kafka producer's and Hadoop's partitioner)."""
+    if not isinstance(key, bytes):
+        key_digest(key)  # raises its UnsupportedTypeError
+    return int.from_bytes(hashlib.md5(key).digest()[:4], "big") % count
 
 
 @dataclass(frozen=True)
@@ -106,7 +125,7 @@ class HashRing:
         partitions = []
         for key in keys:
             if not isinstance(key, bytes):
-                hash_key(key)  # raises its UnsupportedTypeError
+                key_digest(key)  # raises its UnsupportedTypeError
             partitions.append(
                 int.from_bytes(md5(key).digest()[:8], "big") % count)
         return partitions

@@ -14,11 +14,11 @@ consistency.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, InvalidRequestError
+from repro.common.ring import hash_key
 from repro.common.serialization import Field, RecordSchema
 from repro.sqlstore.binlog import BinlogTransaction, ChangeKind
 from repro.sqlstore.table import TableSchema
@@ -67,8 +67,7 @@ class DatabusEvent:
         return self.kind is ChangeKind.WATERMARK
 
     def key_hash(self) -> int:
-        material = repr((self.source, self.key)).encode()
-        return int.from_bytes(hashlib.md5(material).digest()[:8], "big")
+        return hash_key(repr((self.source, self.key)).encode())
 
 
 def watermark_label(event: DatabusEvent) -> str:

@@ -14,10 +14,10 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.ring import hash_key
 from repro.common.serialization import RecordSchema, SchemaRegistry
 
 
@@ -83,8 +83,7 @@ class DatabaseSchema:
         """
         if self.partitioning == "unpartitioned":
             return 0
-        digest = hashlib.md5(resource_id.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.num_partitions
+        return hash_key(resource_id.encode("utf-8")) % self.num_partitions
 
 
 class DocumentSchemaRegistry:

@@ -22,18 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.common.errors import ConfigurationError, UnsupportedTypeError
+from repro.common.ring import partition32
 from repro.hadoop.hdfs import MiniHDFS
 
 Mapper = Callable[[object], Iterable[tuple[bytes, bytes]]]
 Reducer = Callable[[bytes, list[bytes]], Iterable[bytes]]
 Partitioner = Callable[[bytes, int], int]
-
-
-def default_partitioner(key: bytes, num_reducers: int) -> int:
-    """Hash partitioning, Hadoop's default."""
-    import hashlib
-    digest = hashlib.md5(key).digest()
-    return int.from_bytes(digest[:4], "big") % num_reducers
 
 
 @dataclass
@@ -55,7 +49,7 @@ class MapReduceJob:
     mapper: Mapper
     reducer: Reducer
     num_reducers: int = 1
-    partitioner: Partitioner = default_partitioner
+    partitioner: Partitioner = partition32   # hash partitioning, Hadoop's default
 
     def __post_init__(self):
         if self.num_reducers <= 0:

@@ -21,20 +21,20 @@ from repro.kafka.consumer import SimpleConsumer
 from repro.kafka.producer import Producer
 
 AUDIT_TOPIC = "_audit"
+#: the audit window: producers count and the reconciler buckets by it
+WINDOW_SECONDS = 10.0
 
 
-def _window_of(timestamp: float, window_seconds: float) -> int:
-    return int(timestamp // window_seconds)
+def _window_of(timestamp: float) -> int:
+    return int(timestamp // WINDOW_SECONDS)
 
 
 class AuditingProducer:
     """A producer wrapper that counts what it publishes per window."""
 
     def __init__(self, cluster: KafkaCluster, server_name: str,
-                 window_seconds: float = 10.0, clock: Clock | None = None,
-                 batch_size: int = 100):
+                 clock: Clock | None = None, batch_size: int = 100):
         self.server_name = server_name
-        self.window_seconds = window_seconds
         # default to the *cluster's* clock, not a fresh WallClock: under
         # a SimClock the message timestamps — and therefore the audit
         # windows — must come from the same deterministic time source as
@@ -54,7 +54,7 @@ class AuditingProducer:
         stamped = dict(payload)
         stamped["timestamp"] = self.clock.now()
         stamped["server"] = self.server_name
-        key = (topic, _window_of(stamped["timestamp"], self.window_seconds))
+        key = (topic, _window_of(stamped["timestamp"]))
         try:
             self._producer.send(topic, json.dumps(stamped).encode())
         except (NodeUnavailableError, OverloadError):
@@ -95,11 +95,9 @@ class AuditReconciler:
     reconciler.consumed)`` compares them — a deficit is lost messages, a
     surplus duplicated ones."""
 
-    def __init__(self, cluster: KafkaCluster, topics: list[str],
-                 window_seconds: float = 10.0):
+    def __init__(self, cluster: KafkaCluster, topics: list[str]):
         self.cluster = cluster
         self.topics = list(topics)
-        self.window_seconds = window_seconds
         self._consumer = SimpleConsumer(cluster)
 
     def produced(self) -> dict[tuple[str, int], int]:
@@ -119,8 +117,7 @@ class AuditReconciler:
         for topic in self.topics:
             for payload in self._fetch_all(topic):
                 message = json.loads(payload)
-                key = (topic, _window_of(message["timestamp"],
-                                         self.window_seconds))
+                key = (topic, _window_of(message["timestamp"]))
                 counts[key] = counts.get(key, 0) + 1
         return counts
 

@@ -46,7 +46,6 @@ class Broker:
                  zookeeper: ZooKeeperServer | None = None,
                  clock: Clock | None = None,
                  flush_interval_messages: int = 1,
-                 flush_interval_seconds: float = 0.0,
                  segment_bytes: int = 1 << 20,
                  admission: AdmissionController | None = None):
         self.broker_id = broker_id
@@ -60,7 +59,7 @@ class Broker:
         # ReplicatedPartition.poll_replication)
         self.admission = admission
         self.flush_interval_messages = flush_interval_messages
-        self.flush_interval_seconds = flush_interval_seconds
+        self.flush_interval_seconds = 0.0   # 0 disables the time trigger
         self.segment_bytes = segment_bytes
         self._logs: dict[tuple[str, int], PartitionLog] = {}
         self._zookeeper = zookeeper

@@ -22,14 +22,13 @@ class MirrorMaker:
     """Embedded consumers pulling a live cluster into a replica cluster."""
 
     def __init__(self, live: KafkaCluster, replica: KafkaCluster,
-                 topics: list[str], batch_size: int = 200,
-                 compress: bool = True):
+                 topics: list[str], batch_size: int = 200):
         self.live = live
         self.replica = replica
         self.topics = list(topics)
         self._consumer = SimpleConsumer(live)
         self._producer = Producer(replica, batch_size=batch_size,
-                                  compress=compress)
+                                  compress=True)
         # (topic, partition) -> mirrored-through offset
         self._offsets: dict[tuple[str, int], int] = {}
         for topic in self.topics:

@@ -17,7 +17,6 @@ cluster accepted.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 from repro.common.errors import (
@@ -28,6 +27,7 @@ from repro.common.errors import (
 )
 from repro.common.metrics import MetricsRegistry
 from repro.common.resilience import RetryPolicy, call_with_retries
+from repro.common.ring import partition32
 from repro.kafka.broker import KafkaCluster
 from repro.kafka.message import MessageSet
 from repro.kafka.replication import ReplicatedTopic
@@ -87,8 +87,7 @@ class Producer:
                 self._partition_count(topic)
         if key is None:
             return self._rng.randrange(count)
-        digest = hashlib.md5(key).digest()
-        return int.from_bytes(digest[:4], "big") % count
+        return partition32(key, count)
 
     def send(self, topic: str, payload: bytes,
              key: bytes | None = None) -> None:

@@ -18,9 +18,8 @@ per row at a time; the stream and the proxy never interleave.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.common.metrics import MetricsRegistry
+from repro.common.ring import partition32
 from repro.migration.target import EspressoTarget
 from repro.sqlstore.binlog import ChangeKind
 from repro.sqlstore.database import SqlDatabase
@@ -30,8 +29,7 @@ from repro.sqlstore.table import Row
 def ramp_bucket(table: str, source_key: tuple) -> int:
     """Deterministic 0–99 bucket for ramped read routing; a key's
     bucket never changes, so its reads cut over exactly once."""
-    material = repr((table, source_key)).encode()
-    return int.from_bytes(hashlib.md5(material).digest()[:4], "big") % 100
+    return partition32(repr((table, source_key)).encode(), 100)
 
 
 class ShadowReadStats:

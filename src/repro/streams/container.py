@@ -44,8 +44,7 @@ class StreamContainer:
     def __init__(self, name: str, spec: StreamJobSpec,
                  cluster: KafkaCluster, zookeeper: ZooKeeperServer,
                  clock: Clock, disk: Disk, data_dir: str,
-                 snapshot_interval_commits: int = 8,
-                 fetch_max_bytes: int = 1 << 20):
+                 snapshot_interval_commits: int = 8):
         if not name:
             raise ConfigurationError("container needs a name")
         self.name = name
@@ -56,7 +55,6 @@ class StreamContainer:
         self.disk = disk
         self.data_dir = data_dir
         self.snapshot_interval_commits = snapshot_interval_commits
-        self.fetch_max_bytes = fetch_max_bytes
         self.metrics = MetricsRegistry()
         self.participant = Participant(name, spec.helix_cluster, zookeeper,
                                        handler=self._on_transition)
@@ -130,8 +128,7 @@ class StreamContainer:
                 self.spec.name, stage, transition.partition, self.cluster,
                 self._zk, self.clock, self.disk, self.data_dir,
                 topic_partitions=self.spec.partitions,
-                snapshot_interval_commits=self.snapshot_interval_commits,
-                fetch_max_bytes=self.fetch_max_bytes)
+                snapshot_interval_commits=self.snapshot_interval_commits)
             self.metrics.counter("tasks_opened").increment()
         elif transition.from_state == "ONLINE":
             task = self.tasks.pop(key, None)

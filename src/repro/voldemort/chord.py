@@ -9,18 +9,14 @@ counts side by side.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.ring import hash_key
 
 M_BITS = 64
 RING_SIZE = 1 << M_BITS
-
-
-def chord_hash(data: bytes) -> int:
-    return int.from_bytes(hashlib.md5(data).digest()[:8], "big")
 
 
 @dataclass
@@ -42,7 +38,7 @@ class ChordRing:
             raise ConfigurationError("need at least one node")
         self.nodes: dict[int, ChordNode] = {}
         for name in node_names:
-            node_id = chord_hash(name.encode())
+            node_id = hash_key(name.encode())
             self.nodes[node_id] = ChordNode(node_id, name)
         self._sorted_ids = sorted(self.nodes)
         for node in self.nodes.values():
@@ -73,10 +69,10 @@ class ChordRing:
         Implements iterative closest-preceding-finger routing.  Hops
         count the inter-node messages a real Chord lookup would make.
         """
-        key_id = chord_hash(key)
+        key_id = hash_key(key)
         owner_id = self._successor(key_id)
         if start_name is not None:
-            current = chord_hash(start_name.encode())
+            current = hash_key(start_name.encode())
             if current not in self.nodes:
                 raise ConfigurationError(f"unknown node {start_name!r}")
         else:
@@ -109,12 +105,11 @@ class FullTopologyRouter:
     def __init__(self, node_names: list[str]):
         if not node_names:
             raise ConfigurationError("need at least one node")
-        self._ids = sorted((chord_hash(n.encode()), n) for n in node_names)
+        placed = sorted((hash_key(n.encode()), n) for n in node_names)
+        self._ids = [node_id for node_id, _ in placed]
+        self._names = [name for _, name in placed]
 
     def lookup(self, key: bytes) -> tuple[str, int]:
         """Owner via local binary search; always a single hop."""
-        key_id = chord_hash(key)
-        idx = bisect_right([i for i, _ in self._ids], key_id - 1)
-        if idx == len(self._ids):
-            idx = 0
-        return self._ids[idx][1], 1
+        idx = bisect_right(self._ids, hash_key(key) - 1)
+        return self._names[idx % len(self._ids)], 1

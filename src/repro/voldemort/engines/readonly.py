@@ -26,12 +26,12 @@ before the crash, not merely the newest one on disk.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from repro.common.errors import ChecksumError, ConfigurationError, KeyNotFoundError
+from repro.common.ring import key_digest
 from repro.common.storage import Disk
 from repro.common.vectorclock import VectorClock
 from repro.common.wal import read_image, write_image
@@ -66,7 +66,7 @@ def build_index(data: bytes) -> bytes:
     offset = 0
     while offset < len(data):
         key, _, end = _unpack_record(data, offset)
-        index += INDEX_ENTRY.pack(hashlib.md5(key).digest(), offset)
+        index += INDEX_ENTRY.pack(key_digest(key), offset)
         offset = end
     return bytes(index)
 
@@ -75,7 +75,7 @@ def build_store_files(pairs: Iterable[tuple[bytes, bytes]]) -> tuple[bytes, byte
     """Serialize (key, value) pairs into (index_bytes, data_bytes),
     sorting by MD5 of key — the sort the paper offloads to Hadoop's
     shuffle."""
-    hashed = sorted((hashlib.md5(key).digest(), key, value)
+    hashed = sorted((key_digest(key), key, value)
                     for key, value in pairs)
     for (_, key, _), (_, following, _) in zip(hashed, hashed[1:]):
         if key == following:
@@ -220,7 +220,7 @@ class ReadOnlyStorageEngine(StorageEngine):
     def get(self, key: bytes) -> list[Versioned]:
         if self.current_version is None:
             raise KeyNotFoundError("no version swapped in")
-        digest = hashlib.md5(key).digest()
+        digest = key_digest(key)
         position = bisect_left(self._digests, digest)
         # scan forward over equal digests (md5 collisions are verified
         # against the stored key)

@@ -28,6 +28,7 @@ from typing import Iterable
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import ConfigurationError
+from repro.common.ring import key_digest
 from repro.hadoop import MapReduceJob, MiniHDFS, run_job
 from repro.voldemort.cluster import VoldemortCluster
 from repro.voldemort.engines.readonly import (
@@ -111,7 +112,7 @@ class ReadOnlyPipelineController:
 
         def mapper(pair):
             key, value = pair
-            digest = hashlib.md5(key).digest()
+            digest = key_digest(key)
             partition = ring.partition_for_key(key)
             for replica in ring.replica_partitions(partition, replication):
                 node_id = ring.node_for_partition(replica).node_id

@@ -8,22 +8,18 @@ the quorum on its behalf — one extra network hop in exchange for thin
 clients that need no topology metadata.
 
 Both flavours reuse the exact same :class:`RoutedStore` module, which
-is the pluggability point the paper highlights.  The thin client also
-reuses the shared resilience layer: when its coordinator hop fails it
-rotates to the next live node and retries under the configured policy.
+is the pluggability point the paper highlights.  The thin client
+skips a coordinator it cannot reach and rotates to the next live node;
+it does not retry a forward that fails.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
-from repro.common.errors import (
-    InsufficientOperationalNodesError,
-    NodeUnavailableError,
-)
+from repro.common.errors import NodeUnavailableError
 from repro.common.metrics import MetricsRegistry
-from repro.common.resilience import Deadline, RetryPolicy, call_with_retries
+from repro.common.resilience import Deadline, call_with_retries
 from repro.voldemort.cluster import VoldemortCluster
 from repro.voldemort.routing import RoutedStore
 from repro.voldemort.versioned import Versioned
@@ -34,19 +30,17 @@ class ServerSideRoutedStore:
 
     The coordinator is chosen round-robin over live nodes (a load
     balancer stand-in); it runs the shared routing module server-side,
-    so its quorum traffic is node-to-node.  A failed forward retries on
-    the next coordinator in rotation, so a crashed coordinator costs
-    one backoff, not a failed request.
+    so its quorum traffic is node-to-node.  A coordinator the client
+    cannot reach is skipped in the rotation, so a crashed coordinator
+    costs nothing; a forward that fails after the pick fails the
+    request (no retry is configured).
     """
 
-    def __init__(self, cluster: VoldemortCluster, store: str,
-                 client_name: str = "thin-client",
-                 retry_policy: RetryPolicy | None = None):
+    client_name = "thin-client"
+
+    def __init__(self, cluster: VoldemortCluster, store: str):
         self.cluster = cluster
         self.store = store
-        self.client_name = client_name
-        self.retry_policy = retry_policy
-        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         # each node runs its own instance of the routing module
         self._coordinators: dict[int, RoutedStore] = {
@@ -66,18 +60,11 @@ class ServerSideRoutedStore:
 
     def _forward(self, name: str, attempt_once,
                  deadline: Deadline | None = None):
-        """Run one forwarded operation under the shared retry engine.
-
-        Each attempt picks a fresh coordinator, so retries naturally
-        fail over to another node.  Coordinator-side quorum shortfalls
-        are retried too — a different coordinator may sit on the right
-        side of a partition.
-        """
+        """Run one forwarded operation once, under ``deadline``, counted
+        in the store's metrics as ``<name>.attempts``."""
         return call_with_retries(
-            attempt_once, clock=self.cluster.clock,
-            policy=self.retry_policy, rng=self._retry_rng,
-            retry_on=(NodeUnavailableError, InsufficientOperationalNodesError),
-            deadline=deadline, metrics=self.metrics, name=name)
+            attempt_once, clock=self.cluster.clock, deadline=deadline,
+            metrics=self.metrics, name=name)
 
     def _hop_timeout(self, deadline: Deadline | None) -> float | None:
         if deadline is None:

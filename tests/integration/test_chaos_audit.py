@@ -113,7 +113,7 @@ def build_world(seed, with_injections):
                          disk=disk)
     kafka.create_topic("activity", partitions=2)
     kafka.create_topic(AUDIT_TOPIC, partitions=1)
-    producer = AuditingProducer(kafka, "app-00", window_seconds=10.0)
+    producer = AuditingProducer(kafka, "app-00")
     reconciler = AuditReconciler(kafka, ["activity"])
 
     # the continuous auditor over a certified cut

@@ -51,8 +51,8 @@ def test_counts_match_when_nothing_lost(setup):
 
 def test_windows_aggregate_across_producers(setup):
     cluster, clock = setup
-    a = AuditingProducer(cluster, "app-a", window_seconds=10.0, clock=clock)
-    b = AuditingProducer(cluster, "app-b", window_seconds=10.0, clock=clock)
+    a = AuditingProducer(cluster, "app-a", clock=clock)
+    b = AuditingProducer(cluster, "app-b", clock=clock)
     a.send("activity", {"x": 1})
     b.send("activity", {"x": 2})
     clock.advance(15.0)

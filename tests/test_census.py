@@ -19,15 +19,21 @@ name, an identifier in a string literal (the transform registry names
 its functions that way), and a test's parameters (pytest fixtures).  A
 name reaches test code only in its own module or a ``conftest.py``.
 The census may therefore over-count readers; it never calls a live
-symbol dead.  Imports and ``__all__`` are not readers.
+symbol dead.  Imports and ``__all__`` are not readers.  A name
+imported from a package that re-exports it resolves to the module that
+defines it.
 
 An option (a defaulted ``__init__`` parameter of a public class) is set
-when some scanned call passes it: by keyword, matched by name alone
-since a wrapper that forwards ``**kwargs`` hides its callee; by
-position, in a call naming the class; or as a key of a dict literal
-given with ``**``.  Outside its workloads, ``perfbench`` names
-``repro`` only in its tracer's patch list, which is not a reader, so
-only the workloads are scanned.
+when some scanned call passes it: by keyword or as a key of a dict
+literal given with ``**``, or by position in a call naming the class.
+A keyword sets an option only of the class the graph resolves the call
+to construct, or, through a callee that forwards its ``**kwargs``, of
+the classes its forwarding calls construct; bound to a plain function's
+parameter it sets none.  Where the graph resolves no callee, or
+``**kwargs`` go where no call passes them on, the keyword is matched by
+name alone, so the census never calls a set option unset.  Outside its
+workloads, ``perfbench`` names ``repro`` only in its tracer's patch
+list, which is not a reader, so only the workloads are scanned.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import FileContext, Project
+from repro.analysis.callgraph import FileContext, Project, module_dotted
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/repro", "tests", "perfbench/workloads", "examples")
@@ -170,14 +176,38 @@ def build_units(project: Project) -> dict[str, Unit]:
     return units
 
 
+def follow_reexports(contexts: list[FileContext]) -> None:
+    """Point each from-import at the module that defines the name rather
+    than a package that re-exports it, so the graph resolves ``from
+    repro.kafka import Producer`` to ``repro.kafka.producer.Producer``."""
+    packages = {module_dotted(ctx.rel_path): ctx.imports.names
+                for ctx in contexts if ctx.rel_path.endswith("/__init__.py")}
+    for ctx in contexts:
+        names = ctx.imports.names
+        for local, dotted in names.items():
+            package, _, name = dotted.rpartition(".")
+            while packages.get(package, {}).get(name, dotted) != dotted:
+                dotted = packages[package][name]
+                package, _, name = dotted.rpartition(".")
+            names[local] = dotted
+
+
 class Census:
     """The three classes, over one scan of ``rel_path -> source``."""
 
     def __init__(self, sources: dict[str, str], asserted: list[str]):
-        project = Project([FileContext.parse(source, rel)
-                           for rel, source in sorted(sources.items())])
+        contexts = [FileContext.parse(source, rel)
+                    for rel, source in sorted(sources.items())]
+        follow_reexports(contexts)
+        project = Project(contexts)
         self.graph = project.graph
         self.units = build_units(project)
+        # call node id -> the functions the graph resolves it to
+        self.callees: dict[int, list[str]] = defaultdict(list)
+        for sites in self.graph.call_sites.values():
+            for site in sites:
+                if site.kind == "call" and site.callee in self.graph.functions:
+                    self.callees[site.node_id].append(site.callee)
         # a name reaches production code anywhere, but test code only in
         # its own module or a conftest (imported helpers are call edges)
         self.by_name: dict[str, list[str]] = defaultdict(list)
@@ -284,27 +314,61 @@ class Census:
                         in zip(args.kwonlyargs, args.kw_defaults)
                         if default is not None]
             unset += [f"{key}({name}=)" for index, name in options
-                      if name not in keywords and positions[key] <= index]
+                      if (None, name) not in keywords
+                      and (key, name) not in keywords
+                      and positions[key] <= index]
         return unset
 
-    def _settings(self) -> tuple[set[str], dict[str, float]]:
-        """What the scanned calls set: every keyword name, matched by
-        name alone (a wrapper forwarding ``**kwargs`` hides the callee,
-        but its callers name the option), and the most positional
-        arguments any call gives each class."""
-        keywords: set[str] = set()
+    def _keyword_scope(self, call: ast.Call,
+                       seen: frozenset[str] = frozenset()) -> set[str | None]:
+        """The classes whose options the call's keywords set: those
+        whose ``__init__`` the graph resolves the call to, and, for a
+        callee that forwards its ``**kwargs``, those its forwarding
+        calls set.  A keyword bound to a plain function's parameter sets
+        none.  ``{None}`` (any class, by name alone) where a call
+        resolves to nothing or ``**kwargs`` go where no call passes
+        them on."""
+        callees = [self.graph.functions[name]
+                   for name in self.callees.get(id(call), ())]
+        if not callees:
+            return {None}
+        scope: set[str | None] = set()
+        for fn in callees:
+            if fn.name == "__init__" and fn.cls is not None:
+                scope.add(fn.cls.qualname)
+            kwargs = fn.node.args.kwarg
+            if kwargs is None:
+                continue
+            forwards = [inner for inner in ast.walk(fn.node)
+                        if isinstance(inner, ast.Call)
+                        and any(kw.arg is None and isinstance(kw.value, ast.Name)
+                                and kw.value.id == kwargs.arg
+                                for kw in inner.keywords)]
+            if not forwards or fn.qualname in seen:
+                return {None}
+            for inner in forwards:
+                scope |= self._keyword_scope(inner, seen | {fn.qualname})
+        return scope
+
+    def _settings(self) -> tuple[set[tuple[str | None, str]],
+                                 dict[str, float]]:
+        """What the scanned calls set: ``(class, keyword)`` for each
+        keyword, with class ``None`` where it is matched by name alone,
+        and the most positional arguments any call gives each class."""
+        keywords: set[tuple[str | None, str]] = set()
         positions: dict[str, float] = defaultdict(int)
         classes_named: dict[str, list[str]] = defaultdict(list)
         for qual, cls in self.graph.classes.items():
             classes_named[cls.name].append(qual)
         for module in self.graph.modules.values():
             for call, enclosing in _calls_with_class(module.ctx.tree):
-                for kw in call.keywords:
-                    if kw.arg is not None:
-                        keywords.add(kw.arg)
-                    elif isinstance(kw.value, ast.Dict):
-                        keywords.update(key.value for key in kw.value.keys
-                                        if isinstance(key, ast.Constant))
+                names = [kw.arg for kw in call.keywords if kw.arg is not None]
+                names += [key.value for kw in call.keywords
+                          if kw.arg is None and isinstance(kw.value, ast.Dict)
+                          for key in kw.value.keys
+                          if isinstance(key, ast.Constant)]
+                keywords.update((scope, name) for name in names
+                                for scope in self._keyword_scope(call))
                 count = math.inf if any(isinstance(arg, ast.Starred)
                                         for arg in call.args) \
                     else len(call.args)
@@ -443,3 +507,57 @@ def test_the_census_sorts_a_synthetic_repo_into_its_three_classes():
     assert synthetic.owners() == {key: ["tests/pkg/test_core.py"]
                                   for key in synthetic.test_only}
     assert synthetic.unset_options == ["repro.pkg.core.Engine(budget=)"]
+
+
+SCOPED = {
+    "src/repro/pkg/__init__.py": """
+        from repro.pkg.parts import Pump, Valve
+    """,
+    "src/repro/pkg/parts.py": """
+        class Pump:
+            def __init__(self, rate=1, mode="idle"):
+                self.rate = rate
+
+
+        class Valve:
+            def __init__(self, mode="shut", size=2, **extra):
+                self.mode = mode
+
+
+        class Gauge:
+            def __init__(self, rate=3, unit="bar", mode="x", scale=1):
+                self.rate = rate
+    """,
+    "tests/pkg/test_parts.py": """
+        from repro.pkg import Pump, Valve
+
+
+        def build(**options):
+            return Pump(**options)
+
+
+        def configure(unit):
+            return unit
+
+
+        def test_parts(anything):
+            Pump(mode="on")
+            build(rate=2)
+            configure(unit="psi")
+            Valve(size=3)
+            anything.tune(scale=2)
+    """,
+}
+
+
+def test_an_option_keyword_sets_only_the_class_its_call_constructs():
+    """``Pump(mode=)`` through a package re-export and ``build(rate=)``
+    through a forwarded ``**options`` set only Pump's options, and a
+    plain function's parameter sets none.  Keywords the graph cannot
+    place (``Valve``'s ``**extra``, a call on an untyped receiver) still
+    set every option of their name."""
+    scoped = Census({path: textwrap.dedent(source)
+                     for path, source in SCOPED.items()}, asserted=[])
+    assert sorted(scoped.unset_options) == [
+        "repro.pkg.parts.Gauge(mode=)", "repro.pkg.parts.Gauge(rate=)",
+        "repro.pkg.parts.Gauge(unit=)", "repro.pkg.parts.Valve(mode=)"]

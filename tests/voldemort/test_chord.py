@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.voldemort.chord import ChordRing, FullTopologyRouter, chord_hash
+from repro.common.ring import hash_key
+from repro.voldemort import chord
+from repro.voldemort.chord import ChordRing, FullTopologyRouter
 
 
 def names(n):
@@ -27,9 +29,9 @@ def test_single_node_owns_everything():
 
 
 def test_chord_and_full_topology_agree_on_owner():
-    ring = ChordRing(names(32))
-    router = FullTopologyRouter(names(32))
-    for i in range(200):
+    ring = ChordRing(names(256))
+    router = FullTopologyRouter(names(256))
+    for i in range(2000):
         key = f"key-{i}".encode()
         chord_owner, _ = ring.lookup(key)
         full_owner, _ = router.lookup(key)
@@ -63,4 +65,24 @@ def test_lookup_from_unknown_node_rejected():
 
 
 def test_chord_hash_deterministic():
-    assert chord_hash(b"x") == chord_hash(b"x")
+    """Chord places nodes with the ring's 64-bit key hash."""
+    ring = ChordRing(names(4))
+    assert sorted(ring.nodes) == sorted(hash_key(name.encode())
+                                        for name in names(4))
+    assert hash_key(b"x") == hash_key(b"x")
+
+
+def test_full_topology_lookup_searches_one_prebuilt_id_list(monkeypatch):
+    """A lookup is a binary search over the id list built once at
+    construction, not over a list rebuilt per call."""
+    searched, search = [], chord.bisect_right
+
+    def spy(ids, point):
+        searched.append(ids)
+        return search(ids, point)
+
+    router = FullTopologyRouter(names(64))
+    monkeypatch.setattr(chord, "bisect_right", spy)
+    router.lookup(b"a")
+    router.lookup(b"b")
+    assert len(searched) == 2 and searched[0] is searched[1]
