@@ -16,20 +16,30 @@ constraint that the replica set must cover a required number of zones.
 
 from __future__ import annotations
 
-import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Iterable
 
+# CPython's built-in MD5, the one hashlib falls back to without OpenSSL:
+# the same digest, with no per-call context setup, so cheaper on keys
+# (short) though not on values of a few KiB (DESIGN §5 "Placement")
+from _md5 import md5
+
 from repro.common.errors import ConfigurationError, UnsupportedTypeError
+
+_HIGH64 = struct.Struct(">Q").unpack_from    # first 8 digest bytes
+_HIGH32 = struct.Struct(">I").unpack_from    # first 4 digest bytes
 
 
 def key_digest(key: bytes) -> bytes:
     """The MD5 digest of a key: the one hash every placement decision in
     the repo derives from (DESIGN §5 "Placement")."""
+    # the built-in also takes a bytearray or memoryview: only this check
+    # keeps a key bytes
     if not isinstance(key, bytes):
         raise UnsupportedTypeError(
             f"keys are bytes, got {type(key).__name__}")
-    return hashlib.md5(key).digest()
+    return md5(key).digest()
 
 
 # the two widths inline the digest: they run once per routed key, and a
@@ -39,7 +49,7 @@ def hash_key(key: bytes) -> int:
     :func:`key_digest`, big-endian (Voldemort's partition hash)."""
     if not isinstance(key, bytes):
         key_digest(key)  # raises its UnsupportedTypeError
-    return int.from_bytes(hashlib.md5(key).digest()[:8], "big")
+    return _HIGH64(md5(key).digest())[0]
 
 
 def partition32(key: bytes, count: int) -> int:
@@ -48,7 +58,7 @@ def partition32(key: bytes, count: int) -> int:
     Kafka producer's and Hadoop's partitioner)."""
     if not isinstance(key, bytes):
         key_digest(key)  # raises its UnsupportedTypeError
-    return int.from_bytes(hashlib.md5(key).digest()[:4], "big") % count
+    return _HIGH32(md5(key).digest())[0] % count
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,12 @@ class HashRing:
         """:meth:`partition_for_key` of each key, in one loop: the same
         hash and the same :class:`UnsupportedTypeError` for a non-bytes
         key, without two calls per key."""
-        md5, count = hashlib.md5, self.num_partitions
+        high64, count = _HIGH64, self.num_partitions
         partitions = []
         for key in keys:
             if not isinstance(key, bytes):
                 key_digest(key)  # raises its UnsupportedTypeError
-            partitions.append(
-                int.from_bytes(md5(key).digest()[:8], "big") % count)
+            partitions.append(high64(md5(key).digest())[0] % count)
         return partitions
 
     def node_for_partition(self, partition: int) -> Node:

@@ -114,17 +114,18 @@ class RoutedStore:
         land on its new destination immediately.
         """
         ring = self.cluster.ring
-        return self._preference(ring, ring.partition_for_key(key))
+        return list(self._preference(ring, ring.partition_for_key(key)))
 
-    def _preference(self, ring: HashRing, partition: int) -> list[int]:
+    def _preference(self, ring: HashRing, partition: int
+                    ) -> tuple[int, ...]:
         """The ring's memoised preference list, with admin redirects
         applied per call (they come and go without a new ring)."""
         partitions, owners = ring.preference_list(
             partition, self.definition.replication_factor,
             self.definition.required_zones)
         if self.admin is None or not self.admin.redirects:
-            return list(owners)
-        return list(dict.fromkeys(  # order-preserving de-duplication
+            return owners
+        return tuple(dict.fromkeys(  # order-preserving de-duplication
             self.admin.effective_owner(p) for p in partitions))
 
     def _ping_node(self, node_id: int) -> bool:
@@ -380,7 +381,8 @@ class RoutedStore:
 
         Planned and counted per partition: the distinct keys are hashed
         in one pass and grouped by partition, a node is ranked once per
-        request and a partition's preference list ordered once.  All
+        request and each distinct preference list ordered once (a ring
+        has far fewer of them than partitions).  All
         keys of a partition go to the same replicas in the same round,
         so one answer count per partition is every one of its keys'
         quorum count.  Each partition is asked of its first R replicas;
@@ -406,9 +408,15 @@ class RoutedStore:
         # appear in ``per_node`` where the first key it serves would put
         # it: RPC order feeds the network RNG
         ranks: dict[int, tuple] = {}
-        replicas_of = {partition: self._ordered_by_availability(
-                           self._preference(ring, partition), ranks)
-                       for partition in keys_of}
+        ordered: dict[tuple[int, ...], list[int]] = {}  # this request only
+        replicas_of = {}
+        for partition in keys_of:
+            owners = self._preference(ring, partition)
+            replicas = ordered.get(owners)
+            if replicas is None:
+                replicas = ordered[owners] = self._ordered_by_availability(
+                    owners, ranks)
+            replicas_of[partition] = replicas
         answered = dict.fromkeys(keys_of, 0)
         frontiers: dict[bytes, Sequence[Versioned]] = {}
         disagreeing: dict[bytes, list[Sequence[Versioned]]] = {}
@@ -642,7 +650,7 @@ class RoutedStore:
             return 10 ** 6
         return zone.proximity.index(node_zone) + 1
 
-    def _ordered_by_availability(self, replicas: list[int],
+    def _ordered_by_availability(self, replicas: Sequence[int],
                                  ranks: dict[int, tuple] | None = None
                                  ) -> list[int]:
         """Available replicas first, nearest zone first, least-loaded

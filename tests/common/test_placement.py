@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import UnsupportedTypeError
 from repro.common.ring import (
     build_balanced_ring, hash_key, key_digest, partition32)
 from repro.databus.events import DatabusEvent, partition_filter
@@ -129,6 +130,43 @@ def test_ring_hashes_match_the_former_formulas():
     ring = build_balanced_ring(4, 64)
     assert ring.partitions_for_keys(keys) == \
         [reference_hash_key(key) % 64 for key in keys]
+
+
+def padding_edge_keys(seed):
+    """Every length 0…300 with seeded contents, so each key crosses
+    MD5's 55/56/64-byte padding edges, then all 256 one-byte keys."""
+    rng = random.Random(seed)
+    return [rng.randbytes(length) for length in range(301)] + \
+        [bytes([b]) for b in range(256)]
+
+
+def test_the_ring_kernel_equals_hashlib_md5():
+    """The ring's digest is its own MD5 implementation, not hashlib's:
+    every width must still read exactly what ``hashlib.md5`` gives."""
+    keys = padding_edge_keys(12)
+    assert [key_digest(key) for key in keys] == \
+        [hashlib.md5(key).digest() for key in keys]
+    assert [hash_key(key) for key in keys] == \
+        [reference_hash_key(key) for key in keys]
+    for count in COUNTS:
+        assert [partition32(key, count) for key in keys] == \
+            [reference_choose_partition(key, count) for key in keys]
+    for count in (1, 7, 48, 64):
+        assert build_balanced_ring(1, count).partitions_for_keys(keys) == \
+            [reference_hash_key(key) % count for key in keys]
+
+
+@pytest.mark.parametrize("key", ["k", bytearray(b"k"), memoryview(b"k")],
+                         ids=["str", "bytearray", "memoryview"])
+def test_the_ring_kernel_takes_only_bytes(key):
+    """The built-in MD5 would digest a bytearray or a memoryview; the
+    ring's ``isinstance`` check is what keeps a key ``bytes``."""
+    ring = build_balanced_ring(2, 8)
+    for call in (key_digest, hash_key, lambda k: partition32(k, 8),
+                 ring.partition_for_key,
+                 lambda k: ring.partitions_for_keys([b"ok", k])):
+        with pytest.raises(UnsupportedTypeError):
+            call(key)
 
 
 def test_espresso_partition_for_matches():
@@ -276,9 +314,10 @@ FINGERPRINTS = {
 
 
 def md5_uses(root):
-    """``(path, line)`` of every use of ``hashlib.md5`` under ``src/repro``
-    outside the ring: ``hashlib.md5``, ``from hashlib import md5`` and
-    ``hashlib.new("md5")``."""
+    """``(path, line)`` of every use of MD5 under ``src/repro`` outside
+    the ring: ``hashlib.md5``, ``from hashlib import md5``,
+    ``hashlib.new("md5")``, and any import of the built-in ``_md5``
+    (``import _md5``, ``from _md5 import …``)."""
     found = []
     for path in sorted((root / "src/repro").rglob("*.py")):
         rel = path.relative_to(root).as_posix()
@@ -297,6 +336,10 @@ def md5_uses(root):
                     and node.module == "hashlib" \
                     and any(alias.name in ("md5", "new")
                             for alias in node.names):
+                found.append((rel, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "_md5" \
+                    or isinstance(node, ast.Import) \
+                    and any(alias.name == "_md5" for alias in node.names):
                 found.append((rel, node.lineno))
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
@@ -321,5 +364,8 @@ def test_the_md5_guard_sees_every_spelling(tmp_path):
     (package / "b.py").write_text("from hashlib import md5\n")
     (package / "c.py").write_text("import hashlib\nhashlib.new('MD5')\n")
     (package / "d.py").write_text("import hashlib\nhashlib.sha1(b'k')\n")
+    (package / "e.py").write_text("import os, _md5 as m\nm.md5(b'k')\n")
+    (package / "f.py").write_text("x = 1\nfrom _md5 import md5\n")
     assert md5_uses(tmp_path) == [("src/repro/a.py", 2), ("src/repro/b.py", 1),
-                                  ("src/repro/c.py", 2)]
+                                  ("src/repro/c.py", 2), ("src/repro/e.py", 1),
+                                  ("src/repro/f.py", 2)]

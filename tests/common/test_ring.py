@@ -130,3 +130,20 @@ def test_batch_partitions_match_per_key_partitions():
     assert ring.partitions_for_keys([]) == []
     with pytest.raises(UnsupportedTypeError):
         ring.partitions_for_keys([b"fine", "str-key"])
+
+
+def test_preference_memo_holds_one_entry_per_partition_and_shape():
+    """DESIGN §17: the memo holds one entry per (partition, replication
+    factor, required zones) asked of this ring; a repeated lookup adds
+    nothing, and a new ownership is a new ring with an empty memo."""
+    ring = make_ring(nodes=6, partitions=48, zones=2)
+    for _ in range(2):
+        for partition in range(48):
+            ring.preference_list(partition, 3)
+        assert len(ring._preference) == 48
+    for partition in range(48):
+        ring.preference_list(partition, 3, required_zones=2)
+    assert len(ring._preference) == 96
+    moved = ring.with_partition_moved(0, 5)
+    assert len(moved._preference) == 0
+    assert len(ring._preference) == 96

@@ -11,7 +11,9 @@ whose full server queue sheds.  After every step both worlds must agree
 on every frontier (values, clocks and their order), the latency, the
 fallback-round count, the error raised and its ``achieved``, and the
 network trace byte for byte: RPC order feeds the network RNG, so one
-reordered batch would show there.
+reordered batch would show there.  The walk runs on the plain ring, and
+again where preference lists differ from it in order (a zone-aware
+store read from one zone) and in length (an admin redirect in place).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import KeyNotFoundError, ReproError
+from repro.common.ring import HashRing, Node, Zone
 from repro.common.vectorclock import VectorClock
 from repro.simnet import SimNetwork, lognormal_latency
 from repro.voldemort import (
@@ -30,6 +33,7 @@ from repro.voldemort import (
     Versioned,
     VoldemortCluster,
 )
+from repro.voldemort.admin import AdminService
 from tests.voldemort.reference_get_all import ReferenceRoutedStore
 
 SEEDS = range(8)
@@ -76,25 +80,47 @@ def script(seed: int) -> list[tuple]:
 
 class World:
     """One cluster, its reader and its writers; every node sits behind
-    a bounded server queue so that a burst of requests sheds."""
+    a bounded server queue so that a burst of requests sheds.
+
+    ``setting`` bends the preference lists away from the plain ring:
+    ``"zones"`` puts node 4 alone in zone 1 of a store that must span
+    both zones (two lists gain node 4) and reads from zone 1 (node 4
+    ranks first); ``"redirect"`` moves partition 0 to node 1 mid-
+    rebalance (two lists shrink to two nodes, a third changes)."""
 
     QUEUE_DEPTH = 4
 
-    def __init__(self, seed: int, reader_type: type):
+    def __init__(self, seed: int, reader_type: type, setting: str = "ring"):
         self.clock = SimClock()
         self.network = SimNetwork(clock=self.clock, seed=seed,
                                   latency_model=lognormal_latency(0.0009, 0.4))
         self.cluster = VoldemortCluster(num_nodes=NODES, partitions_per_node=4,
                                         clock=self.clock, network=self.network)
-        self.cluster.define_store(StoreDefinition("s", 3, 2, 2))
+        reader_options, admin = {}, None
+        if setting == "zones":
+            ring = self.cluster.ring
+            self.cluster.ring = HashRing(
+                [Node(n, ring.nodes[n].partitions, zone_id=int(n == 4))
+                 for n in range(NODES)],
+                ring.num_partitions, [Zone(0, (1,)), Zone(1, (0,))])
+            self.cluster.define_store(
+                StoreDefinition("s", 3, 2, 2, required_zones=2))
+            reader_options["client_zone"] = 1
+        else:
+            self.cluster.define_store(StoreDefinition("s", 3, 2, 2))
+        if setting == "redirect":
+            admin = AdminService(self.cluster)
+            admin.redirects[0] = 1
         for node in range(NODES):
             self.network.add_server_queue(self.cluster.node_name(node),
                                           service_time=0.005,
                                           capacity=self.QUEUE_DEPTH)
-        self.reader = reader_type(self.cluster, "s")
+        self.reader = reader_type(self.cluster, "s", **reader_options)
         self.writers = [RoutedStore(self.cluster, "s",
                                     client_name=f"writer-{w}")
                         for w in range(WRITERS)]
+        for routed in [self.reader] + self.writers:
+            routed.admin = admin
         self.network.start_trace()
         for key in KEYS:
             self.writers[0].put(key, Versioned.initial(b"v0:" + key, 0))
@@ -187,6 +213,30 @@ def test_get_all_matches_the_per_key_reference(seed):
             reference.network.trace_bytes(), (number, step[0])
         assert all(engine_batch_reads_match_get(engine, KEYS + GHOSTS)
                    for engine in world.engines()), number
+
+
+@pytest.mark.parametrize("setting", ["zones", "redirect"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_get_all_matches_the_reference_where_preference_lists_differ(
+        seed, setting):
+    """The same walk where some partitions' replica lists differ from
+    the plain ring's, so ordering them once per distinct list must still
+    order each partition as the per-partition reference does."""
+    world = World(seed, RoutedStore, setting)
+    reference = World(seed, ReferenceRoutedStore, setting)
+    ring = world.cluster.ring
+    plain = [ring.preference_list(p, 3)[1]
+             for p in range(ring.num_partitions)]
+    bent = [world.reader._preference(ring, p)
+            for p in range(ring.num_partitions)]
+    assert sum(a != b for a, b in zip(plain, bent)) >= 2
+    if setting == "redirect":
+        assert min(map(len, bent)) == 2
+    for number, step in enumerate(script(seed)):
+        outcome = world.apply(step)
+        assert outcome == reference.apply(step), (number, step[0])
+        assert world.network.trace_bytes() == \
+            reference.network.trace_bytes(), (number, step[0])
 
 
 def holds_tombstone(engine, key: bytes) -> bool:

@@ -373,3 +373,30 @@ def fully_replicated_after_transient_errors(repair: bool) -> float:
 def test_exp_v5_repair_mechanisms_reconcile_replicas():
     assert fully_replicated_after_transient_errors(repair=True) == 0.983
     assert fully_replicated_after_transient_errors(repair=False) == 0.583
+
+
+def test_get_all_orders_each_distinct_preference_list_once(monkeypatch):
+    """A 100-key batch over 6 nodes × 8 partitions touches ~39
+    partitions but only 6 distinct preference lists: replicas are
+    ordered once per list, not once per partition."""
+    cluster = VoldemortCluster(num_nodes=6, partitions_per_node=8)
+    cluster.define_store(StoreDefinition("test", 3, 2, 2))
+    routed = RoutedStore(cluster, "test")
+    keys = [b"member:%012d" % i for i in range(0, 20_000, 200)]
+    for key in keys:
+        routed.put(key, Versioned.initial(b"v", 0))
+    ring = cluster.ring
+    partitions = set(ring.partitions_for_keys(keys))
+    lists = {ring.preference_list(p, 3)[1] for p in partitions}
+    assert len(lists) == 6 and len(partitions) > 30
+    calls = []
+    order = RoutedStore._ordered_by_availability
+
+    def counted(self, replicas, ranks=None):
+        calls.append(tuple(replicas))
+        return order(self, replicas, ranks)
+
+    monkeypatch.setattr(RoutedStore, "_ordered_by_availability", counted)
+    found, _ = routed.get_all(keys)
+    assert set(found) == set(keys)
+    assert sorted(calls) == sorted(lists)
