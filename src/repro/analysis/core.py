@@ -350,13 +350,17 @@ class Analyzer:
     """
 
     def __init__(self, rules: Iterable[Rule] | None = None,
-                 root: Path | str | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 root: Path | str | None = None):
         self.rules = list(rules) if rules is not None else all_rules()
         self.root = Path(root) if root is not None else Path.cwd()
-        self.metrics = metrics or MetricsRegistry()
-        #: per-rule wall seconds and finding counts, accumulated across
-        #: the run (the --stats report)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start a run's counters from zero, so the report and the
+        counters describe the latest run only, however many ran before."""
+        self.metrics = MetricsRegistry()
+        #: per-rule wall seconds and finding counts of the latest run
+        #: (the --stats report)
         self.rule_seconds: dict[str, float] = {r.name: 0.0 for r in self.rules}
         self.rule_findings: dict[str, int] = {r.name: 0 for r in self.rules}
 
@@ -378,6 +382,7 @@ class Analyzer:
     def check_source(self, source: str, rel_path: str) -> list[Finding]:
         """Analyze one source string (the unit-test entry point) —
         per-file rules plus the project rules over a one-file project."""
+        self._reset()
         ctx = FileContext.parse(source, rel_path)
         findings = self._check_context(ctx)
         findings.extend(self._project_findings([ctx]))
@@ -407,6 +412,7 @@ class Analyzer:
         return kept
 
     def run(self, paths: Iterable[Path | str]) -> LintReport:
+        self._reset()
         report = LintReport()
         contexts: list[FileContext] = []
         for path in self.iter_files(paths):

@@ -1,10 +1,49 @@
 """Shared helpers for the repro-lint test suite."""
 
 import textwrap
+import time
+from dataclasses import dataclass
+
+import pytest
 
 from repro.analysis import Analyzer, all_rules
 from repro.analysis.callgraph import Project
-from repro.analysis.core import FileContext
+from repro.analysis.core import FileContext, LintReport
+from repro.analysis.flow import _Builder
+from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
+
+
+@dataclass(frozen=True)
+class FullRun:
+    """One full analysis of ``src/repro`` and what was measured on it."""
+
+    analyzer: Analyzer
+    report: LintReport
+    seconds: float
+    #: CFG builds per function node (``id`` of the ``FunctionDef``)
+    cfg_builds: dict[int, int]
+
+
+@pytest.fixture(scope="session")
+def full_run() -> FullRun:
+    """The full analysis of ``src/repro`` with every rule, run once per
+    session: the lint gate, the CFG-once check and the budget each
+    assert on this one run instead of paying for their own.  The run is
+    timed, and every CFG build during it is counted."""
+    built: dict[int, int] = {}
+    original = _Builder.build
+
+    def counting_build(self):
+        built[id(self.cfg.fn)] = built.get(id(self.cfg.fn), 0) + 1
+        return original(self)
+
+    analyzer = Analyzer(root=REPO_ROOT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Builder, "build", counting_build)
+        started = time.perf_counter()
+        report = analyzer.run([SRC_REPRO])
+        seconds = time.perf_counter() - started
+    return FullRun(analyzer, report, seconds, built)
 
 
 def lint(source: str, rule: str | None = None,

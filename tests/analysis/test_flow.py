@@ -4,11 +4,9 @@ def/use extraction, the scope walk and the path walk."""
 import ast
 import textwrap
 
-from repro.analysis import Analyzer
 from repro.analysis.core import FileContext
 from repro.analysis.flow import (
     STOP,
-    _Builder,
     build_cfg,
     calls_in,
     definitions,
@@ -17,7 +15,6 @@ from repro.analysis.flow import (
     walk_paths,
     walk_scope,
 )
-from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
 
 
 def cfg_of(source: str):
@@ -271,16 +268,8 @@ def test_walk_paths_never_visits_the_exit_blocks():
     assert visited and marker not in visited
 
 
-def test_full_repo_run_builds_each_function_cfg_at_most_once(monkeypatch):
-    built: dict[int, int] = {}
-    original = _Builder.build
-
-    def counting_build(self):
-        built[id(self.cfg.fn)] = built.get(id(self.cfg.fn), 0) + 1
-        return original(self)
-
-    monkeypatch.setattr(_Builder, "build", counting_build)
-    report = Analyzer(root=REPO_ROOT).run([SRC_REPRO])
-    assert report.files_scanned > 80
+def test_full_repo_run_builds_each_function_cfg_at_most_once(full_run):
+    built = full_run.cfg_builds
+    assert full_run.report.files_scanned > 80
     assert len(built) > 1000          # the flow rules really ran
     assert max(built.values()) == 1

@@ -20,9 +20,8 @@ def _load_baseline() -> Baseline:
     return Baseline.load(path) if path.exists() else Baseline()
 
 
-def test_src_repro_has_no_new_findings():
-    analyzer = Analyzer(root=REPO_ROOT)
-    report = analyzer.run([SRC_REPRO])
+def test_src_repro_has_no_new_findings(full_run):
+    report = full_run.report
     assert report.files_scanned > 80  # the scan really covered the tree
     assert not report.parse_errors, report.parse_errors
     new, _ = _load_baseline().split(report.findings)
@@ -102,6 +101,22 @@ def test_streams_package_is_lint_clean():
     assert not report.parse_errors, report.parse_errors
     assert not report.findings, "\n".join(f.render() for f in report.findings)
     assert report.suppressed >= 1   # the justified poll-loop writes
+
+
+def test_a_second_run_reports_that_run_only():
+    """A run's report and counters describe that run, not the
+    analyzer's history: running twice over one tree gives the same
+    answer twice."""
+    analyzer = Analyzer(root=REPO_ROOT)
+
+    def one_run():
+        report = analyzer.run([SRC_REPRO / "streams"])
+        return (report, analyzer.metrics.snapshot(),
+                dict(analyzer.rule_findings))
+
+    first, second = one_run(), one_run()
+    assert first[0].suppressed >= 1
+    assert second == first
 
 
 def test_layering_contract_matches_reality():
