@@ -80,7 +80,7 @@ def main() -> None:
           f"{search.documents_indexed} documents)")
 
     # -- plant two corruptions through the fault plan ---------------------
-    plan = FaultPlan(clock, disk)
+    plan = FaultPlan(disk)
     injector = ViolationInjector()
     victim = source.autocommit(MEMBER_TABLE.name,
                                {"member_id": 100, "name": "victim",

@@ -53,7 +53,7 @@ def drain(containers):
 
 def main() -> None:
     clock = SimClock()
-    disk = SimDisk(seed=42)
+    disk = SimDisk(clock=clock, seed=42)
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(3, "/kafka", zookeeper=zookeeper, clock=clock,
                            partitions_per_topic=PARTITIONS, disk=disk)

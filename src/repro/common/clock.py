@@ -1,11 +1,16 @@
-"""Simulated and real clocks.
+"""Simulated and real clocks, and the one-clock rule.
 
 Distributed behaviours in the paper — failover timing, hinted-handoff
-replay, retention expiry, consumer lag — are all time-dependent.  Runs
-must be deterministic, so every component takes a :class:`Clock` and
-defaults to a :class:`SimClock` the driver advances by hand; the tests,
-the examples and ``perfbench`` all run on one.  :class:`WallClock` is
-host time for a caller that asks for it by name: nothing defaults to it.
+replay, retention expiry, consumer lag — are all time-dependent, and
+runs must be deterministic, so a simulation runs on one
+:class:`SimClock` its caller advances by hand: a component handed a
+network, a disk, a cluster or a database runs on its clock
+(:func:`one_clock`).  ``SimClock()`` is built only where a simulation
+can start: ``SimNetwork``, ``SimDisk``, ``day_in_the_life._World``, and
+five objects that may have no network or disk (``SqlDatabase``,
+``EspressoCluster``, ``DatabusClient``, ``MultiTenantRelay``,
+``WorkflowScheduler``).  :class:`WallClock` is host time for a caller
+that names it; nothing in the repo does.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.errors import InvalidRequestError, NonConvergenceError
+from repro.common.errors import (ConfigurationError, InvalidRequestError,
+                                 NonConvergenceError)
 
 
 class Clock:
@@ -30,7 +36,7 @@ class Clock:
 
 
 class WallClock(Clock):
-    """Real time, for benchmarks and examples."""
+    """Host time for a caller that names it; nothing in the repo does."""
 
     def now(self) -> float:
         return time.monotonic()
@@ -123,3 +129,23 @@ class SimClock(Clock):
     @property
     def pending_events(self) -> int:
         return sum(1 for e in self._queue if not e.cancelled)
+
+
+def one_clock(*sources) -> Clock | None:
+    """The one clock ``sources`` share: each is a :class:`Clock` or an
+    object carrying one as ``.clock`` (a network, disk, disk scope,
+    cluster, database); ``None`` and clockless objects are skipped.
+    ``None`` when no source has a clock; :class:`ConfigurationError`
+    when two differ."""
+    found = None
+    for source in sources:
+        clock = source if isinstance(source, Clock) \
+            else getattr(source, "clock", None)
+        if clock is None or clock is found:
+            continue
+        if found is not None:
+            raise ConfigurationError(
+                f"{type(source).__name__} runs on a different clock from "
+                "the rest of its simulation; build it on one clock")
+        found = clock
+    return found

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import Clock, SimClock, one_clock
 from repro.common.errors import (
     ConfigurationError,
     NodeUnavailableError,
@@ -115,12 +115,7 @@ class DatabusClient:
         # subject to its failure injection.
         self.network = network
         self.client_name = client_name
-        if clock is not None:
-            self.clock = clock
-        elif network is not None:
-            self.clock = network.clock
-        else:
-            self.clock = SimClock()
+        self.clock = one_clock(clock, network) or SimClock()
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()

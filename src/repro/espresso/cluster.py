@@ -15,7 +15,7 @@ This is Figure IV.1 in executable form.  The cluster:
 
 from __future__ import annotations
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import Clock, SimClock, one_clock
 from repro.common.errors import (
     ConfigurationError,
     NotMasterError,
@@ -46,7 +46,7 @@ class EspressoCluster:
             raise ConfigurationError("need at least as many nodes as replicas")
         self.database = database
         self.disk = disk
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = one_clock(clock, disk) or SimClock()
         self.schemas = DocumentSchemaRegistry()
         self.zookeeper = ZooKeeperServer()
         self.relay = Relay(f"{database.name}-relay",

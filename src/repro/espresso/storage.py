@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import Clock, one_clock
 from repro.common.errors import (
     ConfigurationError,
     KeyNotFoundError,
@@ -96,13 +96,12 @@ class EspressoStorageNode:
 
     def __init__(self, instance_name: str, database: DatabaseSchema,
                  schemas: DocumentSchemaRegistry, relay: Relay,
-                 clock: Clock | None = None,
-                 disk: Disk | None = None):
+                 clock: Clock, disk: Disk | None = None):
         self.instance_name = instance_name
         self.database = database
         self.schemas = schemas
         self.relay = relay
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = one_clock(clock, disk)
         self.local = SqlDatabase(f"{database.name}@{instance_name}",
                                  clock=self.clock)
         self._indexes: dict[str, LocalSecondaryIndex] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import Clock, one_clock
 from repro.common.errors import ConfigurationError
 from repro.common.overload import (
     PRIORITY_LIVE,
@@ -44,14 +44,13 @@ class Broker:
 
     def __init__(self, broker_id: int, data_dir: str, disk: Disk,
                  zookeeper: ZooKeeperServer | None = None,
-                 clock: Clock | None = None,
                  flush_interval_messages: int = 1,
                  segment_bytes: int = 1 << 20,
                  admission: AdmissionController | None = None):
         self.broker_id = broker_id
         self.data_dir = data_dir
         self.disk = disk
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = disk.clock
         # bounded request handling: with an admission controller the
         # broker sheds overflow as fast ServerOverloadedError instead
         # of queueing requests without bound — consumer fetches outrank
@@ -73,8 +72,7 @@ class Broker:
         return PartitionLog(
             directory, self.disk, segment_bytes=self.segment_bytes,
             flush_interval_messages=self.flush_interval_messages,
-            flush_interval_seconds=self.flush_interval_seconds,
-            clock=self.clock)
+            flush_interval_seconds=self.flush_interval_seconds)
 
     # -- zookeeper liveness -----------------------------------------------------
 
@@ -202,9 +200,9 @@ class KafkaCluster:
         if num_brokers <= 0:
             raise ConfigurationError("need at least one broker")
         self.zookeeper = zookeeper or ZooKeeperServer()
-        self.clock = clock if clock is not None else SimClock()
         self.partitions_per_topic = partitions_per_topic
-        self.disk = disk if disk is not None else SimDisk(clock=self.clock)
+        self.disk = disk if disk is not None else SimDisk(clock=clock)
+        self.clock = one_clock(clock, self.disk)
         self.brokers: dict[int, Broker] = {}
         for broker_id in range(num_brokers):
             # each broker's files live in its own crash domain
@@ -217,7 +215,6 @@ class KafkaCluster:
             self.brokers[broker_id] = Broker(
                 broker_id, os.path.join(data_root, f"broker-{broker_id}"),
                 self.disk.scope(f"broker-{broker_id}"), self.zookeeper,
-                clock=self.clock,
                 flush_interval_messages=flush_interval_messages,
                 segment_bytes=segment_bytes, admission=admission)
         self._topics: dict[str, list[TopicPartition]] = {}

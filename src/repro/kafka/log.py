@@ -53,7 +53,6 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, SimClock
 from repro.common.errors import (
     ChecksumError,
     ConfigurationError,
@@ -102,8 +101,7 @@ class PartitionLog:
     def __init__(self, directory: str, disk: Disk,
                  segment_bytes: int = 1 << 20,
                  flush_interval_messages: int = 1,
-                 flush_interval_seconds: float = 0.0,
-                 clock: Clock | None = None):
+                 flush_interval_seconds: float = 0.0):
         if segment_bytes <= 0:
             raise ConfigurationError("segment_bytes must be positive")
         if flush_interval_messages < 1:
@@ -115,7 +113,7 @@ class PartitionLog:
         self.flush_interval_messages = flush_interval_messages
         self.flush_interval_seconds = flush_interval_seconds
         self.fsync_on_flush = True   # False models an OS-buffered broker
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = disk.clock
         self._segments: list[_Segment] = []
         self._base_offsets: list[int] = []   # parallel to _segments
         self._active_file = None

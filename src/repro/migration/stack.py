@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.common.clock import Clock
+from repro.common.clock import Clock, one_clock
 from repro.common.metrics import MetricsRegistry
 from repro.common.storage import Disk
 from repro.databus.client import DatabusClient
@@ -74,6 +74,7 @@ class MigrationStack:
         ``repro.audit.wiring.cutover_check`` to verify the cutover with
         declared constraints.
         """
+        clock = one_clock(clock, source, disk, cluster)
         if cluster is None:
             cluster = EspressoCluster(
                 espresso_schema_for(source, num_partitions=num_partitions,

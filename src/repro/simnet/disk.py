@@ -227,6 +227,11 @@ class DiskScope(Disk):
         self.disk = disk
         self.node = node
 
+    @property
+    def clock(self) -> Clock:
+        """The clock of the :class:`SimDisk` this scope views."""
+        return self.disk.clock
+
     def _abs(self, path: str) -> str:
         return f"{self.node}/{path}"
 

@@ -1,13 +1,12 @@
 """Scripted, deterministic fault plans.
 
 A :class:`FaultPlan` is a reproducible chaos schedule: kill/restart/
-corrupt actions pinned to simulated timestamps on a
-:class:`~repro.common.clock.SimClock`, executed against a
-:class:`~repro.simnet.disk.SimDisk` and whatever component lifecycle
-handlers the test registers.  Because the clock, the disk RNG, and the
-schedule itself are all seeded and sorted, running the same plan twice
-produces a byte-identical fault trace — the property the chaos tests
-assert.
+corrupt actions pinned to simulated timestamps on the clock of the
+:class:`~repro.simnet.disk.SimDisk` they run against, and on whatever
+component lifecycle handlers the test registers.  Because the clock,
+the disk RNG, and the schedule itself are all seeded and sorted, running
+the same plan twice produces a byte-identical fault trace — the property
+the chaos tests assert.
 
 A plan schedules faults and nothing else: what must hold after them is
 declared by the tests and workloads that run it.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.clock import SimClock
+from repro.common.clock import SimClock, one_clock
 from repro.common.errors import ConfigurationError
 from repro.simnet.disk import SimDisk
 
@@ -30,7 +29,7 @@ class FaultPlan:
 
     Usage::
 
-        plan = FaultPlan(clock, disk)
+        plan = FaultPlan(disk)
         plan.on_kill(lambda node: cluster.kill_node(node))
         plan.on_restart(lambda node: cluster.restart_node(node))
         plan.torn_write(at=4.9, node="node-1")   # arm before the kill
@@ -41,11 +40,12 @@ class FaultPlan:
     An action is ``(at, kind, node, fire)``: ``fire`` performs the fault
     and returns the trace detail.  ``executed`` records ``(time, kind,
     node, detail)`` tuples in firing order; together with
-    ``disk.trace_bytes()`` it forms the replayable fault trace.
+    ``disk.trace_bytes()`` it forms the replayable fault trace.  The
+    plan runs on the disk's clock, which an attached network must share.
     """
 
-    def __init__(self, clock: SimClock, disk: SimDisk, network=None):
-        self.clock = clock
+    def __init__(self, disk: SimDisk, network=None):
+        self.clock: SimClock = one_clock(disk.clock, network)
         self.disk = disk
         # gray-failure actions (limp, links, one-way blocks, flapping)
         # drive a SimNetwork's FailureInjector; plans without network

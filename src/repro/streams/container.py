@@ -20,7 +20,7 @@ controller's next rebalance hands tasks back.
 
 from __future__ import annotations
 
-from repro.common.clock import Clock
+from repro.common.clock import Clock, one_clock
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
 from repro.common.storage import Disk
@@ -51,7 +51,7 @@ class StreamContainer:
         self.spec = spec
         self.cluster = cluster
         self.zookeeper = zookeeper
-        self.clock = clock
+        self.clock = one_clock(clock, cluster, disk)
         self.disk = disk
         self.data_dir = data_dir
         self.snapshot_interval_commits = snapshot_interval_commits

@@ -42,7 +42,6 @@ exactly-once for downstream state.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -441,7 +440,7 @@ class TaskInstance:
 
     def _write_checkpoint(self, checkpoint: dict) -> None:
         path = self._checkpoint_path()
-        data = json.dumps(checkpoint, sort_keys=True).encode()
+        data = encode_json(checkpoint)
         self._zk.ensure_path(path.rsplit("/", 1)[0])
         if self._zk.exists(path):
             self._zk.set(path, data)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import Clock, one_clock
 from repro.common.errors import ConfigurationError
 from repro.common.ring import HashRing, build_balanced_ring
 from repro.simnet import SimNetwork
@@ -64,8 +64,9 @@ class VoldemortCluster:
                  network: SimNetwork | None = None, seed: int = 0,
                  disk: SimDisk | None = None):
         from repro.voldemort.server import VoldemortServer
-        self.clock = clock if clock is not None else SimClock()
-        self.network = network or SimNetwork(clock=self.clock, seed=seed)
+        clock = one_clock(clock, network, disk)
+        self.network = network or SimNetwork(clock=clock, seed=seed)
+        self.clock = self.network.clock
         self.ring: HashRing = build_balanced_ring(
             num_nodes, num_nodes * partitions_per_node, num_zones)
         self.stores: dict[str, StoreDefinition] = {}

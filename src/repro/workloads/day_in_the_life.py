@@ -207,7 +207,7 @@ def run_day_in_the_life(seed: int = 0, partitions: int = 4,
     # keeps failure-day and clean-day inboxes byte-comparable
     world.drain()
 
-    plan = FaultPlan(world.clock, world.disk)
+    plan = FaultPlan(world.disk)
 
     def kill_container(name: str) -> None:
         world.containers[name].kill()

@@ -168,7 +168,7 @@ def test_exp_a1_detection_latency_tracks_the_tick_interval(clock, tick,
     auditor.declare(search_containment(
         "search-containment", db, MEMBER_TABLE.name, service.index,
         horizon=lambda: cut.last_scn))
-    plan = FaultPlan(clock, SimDisk(clock=clock))
+    plan = FaultPlan(SimDisk(clock=clock))
     injector = ViolationInjector()
     injector.skip_index_update(
         plan, 5.1, service.index, 7, key=(7,),

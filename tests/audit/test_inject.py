@@ -36,7 +36,7 @@ from repro.voldemort import (
 def sim():
     clock = SimClock()
     disk = SimDisk(clock=clock, seed=7)
-    return clock, disk, FaultPlan(clock, disk)
+    return clock, disk, FaultPlan(disk)
 
 
 def test_inject_fires_at_its_time_and_lands_in_the_trace(sim):

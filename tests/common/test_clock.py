@@ -1,8 +1,9 @@
-"""SimClock discrete-event semantics."""
+"""SimClock discrete-event semantics, and the one-clock rule."""
 
 import pytest
 
-from repro.common.clock import SimClock, WallClock
+from repro.common.clock import SimClock, WallClock, one_clock
+from repro.common.errors import ConfigurationError
 
 
 def test_wall_clock_advances():
@@ -101,3 +102,21 @@ def test_sleep_advances_sim_time_and_fires_events():
     clock.sleep(1.0)
     assert clock.now() == 1.0
     assert fired == [0.5]
+
+
+class _Carrier:
+    def __init__(self, clock):
+        self.clock = clock
+
+
+def test_one_clock_reads_clocks_and_their_carriers():
+    clock = SimClock()
+    assert one_clock() is None
+    assert one_clock(None, object(), None) is None
+    assert one_clock(None, clock) is clock
+    assert one_clock(_Carrier(clock), None, clock, _Carrier(clock)) is clock
+
+
+def test_one_clock_refuses_two_clocks():
+    with pytest.raises(ConfigurationError, match="_Carrier"):
+        one_clock(SimClock(), None, _Carrier(SimClock()))

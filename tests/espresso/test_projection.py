@@ -87,7 +87,7 @@ def world():
 def make_node(world, name: str, role: str) -> EspressoStorageNode:
     schemas, relay, disk = world
     node = EspressoStorageNode(name, LIB, schemas, relay,
-                               disk=disk.scope(name))
+                               clock=disk.clock, disk=disk.scope(name))
     for partition in range(LIB.num_partitions):
         node.become_slave(partition)
         if role == "MASTER":

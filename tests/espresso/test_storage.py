@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.clock import SimClock
 from repro.common.errors import (
     KeyNotFoundError,
     NotMasterError,
@@ -27,7 +28,8 @@ def schemas():
 
 @pytest.fixture
 def node(schemas):
-    built = EspressoStorageNode("storage-0", MUSIC, schemas, Relay())
+    built = EspressoStorageNode("storage-0", MUSIC, schemas, Relay(),
+                                clock=SimClock())
     for partition in range(MUSIC.num_partitions):
         built.become_slave(partition)
         built.become_master(partition)
@@ -103,7 +105,8 @@ def test_conditional_put_with_etag(node):
 
 
 def test_write_requires_mastership(schemas):
-    node = EspressoStorageNode("storage-1", MUSIC, schemas, Relay())
+    node = EspressoStorageNode("storage-1", MUSIC, schemas, Relay(),
+                               clock=SimClock())
     with pytest.raises(NotMasterError):
         node.put_document("Artist", ("Akon",),
                           {"name": "Akon", "genre": "rnb", "bio": None})
@@ -117,7 +120,8 @@ def test_write_requires_mastership(schemas):
 
 def test_writes_reach_relay_before_local_ack(schemas):
     relay = Relay()
-    node = EspressoStorageNode("storage-0", MUSIC, schemas, relay)
+    node = EspressoStorageNode("storage-0", MUSIC, schemas, relay,
+                               clock=SimClock())
     partition = MUSIC.partition_for("Akon")
     node.become_slave(partition)
     node.become_master(partition)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.clock import SimClock
 from repro.databus.relay import Relay
 from repro.espresso import DocumentSchemaRegistry
 from repro.espresso.storage import EspressoStorageNode
@@ -15,7 +16,7 @@ def make_node(name="n0"):
     schemas.post("Music", "Album", ALBUM_SCHEMA)
     schemas.post("Music", "Song", SONG_SCHEMA)
     relay = Relay(max_events_per_buffer=100_000)
-    node = EspressoStorageNode(name, MUSIC, schemas, relay)
+    node = EspressoStorageNode(name, MUSIC, schemas, relay, clock=SimClock())
     for partition in range(MUSIC.num_partitions):
         node.become_slave(partition)
         node.become_master(partition)
@@ -57,7 +58,8 @@ def test_storage_matches_model_and_replica_converges(ops):
     assert stored == model
 
     # an independent slave consuming the same relay converges
-    slave = EspressoStorageNode("slave", MUSIC, master.schemas, relay)
+    slave = EspressoStorageNode("slave", MUSIC, master.schemas, relay,
+                                clock=master.clock)
     for partition in range(MUSIC.num_partitions):
         slave.become_slave(partition)
         slave.catch_up(partition)

@@ -106,7 +106,7 @@ def test_exp_k3_sequential_pull_and_offsets_not_message_ids():
     assert fetches(128 * 1024) == 8
     assert fetches(29) > 5000
     # ablation: an id index is O(messages) of broker state, offsets O(segments)
-    indexed = MessageIdIndexedLog("idx", clock=SimClock(), segment_bytes=8192,
+    indexed = MessageIdIndexedLog("idx", segment_bytes=8192,
                                   disk=SimDisk().scope("b"))
     for _ in range(3000):
         indexed.append(MessageSet([Message(b"y" * 40)]))

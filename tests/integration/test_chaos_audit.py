@@ -166,7 +166,7 @@ def build_world(seed, with_injections):
         "kafka-counts", "kafka:activity",
         reconciler.produced, reconciler.consumed))
 
-    plan = FaultPlan(clock, disk)
+    plan = FaultPlan(disk)
     injector = ViolationInjector()
 
     def workload():

@@ -112,7 +112,7 @@ def run_scenario(seed):
         engine._log.append(encode_body(
             b"in-flight", Versioned.initial(b"never-acked", 0)))
 
-    plan = FaultPlan(clock, disk)
+    plan = FaultPlan(disk)
 
     def kill(node):
         if node.startswith("broker-"):

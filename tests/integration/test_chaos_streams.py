@@ -41,7 +41,7 @@ def clean_day():
 def test_faultplan_container_actions_fire_handlers_in_order():
     clock = SimClock()
     disk = SimDisk(clock=clock, seed=1)
-    plan = FaultPlan(clock, disk)
+    plan = FaultPlan(disk)
     log = []
     plan.on_kill_container(lambda name: log.append(("kill", name)))
     plan.on_restart_container(lambda name: log.append(("restart", name)))

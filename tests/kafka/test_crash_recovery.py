@@ -20,9 +20,9 @@ def disk(clock):
     return SimDisk(clock=clock, seed=11)
 
 
-def sim_log(disk, clock, node="broker-0", **kwargs):
+def sim_log(disk, node="broker-0", **kwargs):
     kwargs.setdefault("flush_interval_messages", 1)
-    return PartitionLog("t-0", clock=clock, disk=disk.scope(node), **kwargs)
+    return PartitionLog("t-0", disk=disk.scope(node), **kwargs)
 
 
 def payloads_in(log, offset=0):
@@ -48,29 +48,29 @@ class TestScanValidBytes:
 
 class TestPartitionLogRecovery:
     def test_acked_messages_survive_crash(self, disk, clock):
-        log = sim_log(disk, clock)
+        log = sim_log(disk)
         log.append(MessageSet([Message(b"acked-1")]))
         log.append(MessageSet([Message(b"acked-2")]))
         watermark = log.high_watermark
         disk.crash_node("broker-0")
 
-        recovered = sim_log(disk, clock)
+        recovered = sim_log(disk)
         assert recovered.high_watermark == watermark
         assert payloads_in(recovered) == [b"acked-1", b"acked-2"]
 
     def test_unflushed_tail_lost_cleanly(self, disk, clock):
-        log = sim_log(disk, clock, flush_interval_messages=10)
+        log = sim_log(disk, flush_interval_messages=10)
         log.append(MessageSet([Message(b"durable")]))
         log.flush()
         log.append(MessageSet([Message(b"staged-only")]))  # never flushed
         disk.crash_node("broker-0")
 
-        recovered = sim_log(disk, clock)
+        recovered = sim_log(disk)
         assert payloads_in(recovered) == [b"durable"]
         assert recovered.torn_bytes_truncated == 0
 
     def test_torn_tail_truncated_on_recovery(self, disk, clock):
-        log = sim_log(disk, clock)
+        log = sim_log(disk)
         log.append(MessageSet([Message(b"acked")]))
         watermark = log.high_watermark
         log.fsync_on_flush = False  # simulate an OS-buffered broker
@@ -78,18 +78,18 @@ class TestPartitionLogRecovery:
         disk.arm_torn_write("broker-0", keep_bytes=7)
         disk.crash_node("broker-0")
 
-        recovered = sim_log(disk, clock)
+        recovered = sim_log(disk)
         assert recovered.torn_bytes_truncated > 0
         assert recovered.high_watermark == watermark
         assert payloads_in(recovered) == [b"acked"]
         # recovery fsynced the truncation: a re-crash changes nothing
         disk.crash_node("broker-0")
-        again = sim_log(disk, clock)
+        again = sim_log(disk)
         assert payloads_in(again) == [b"acked"]
         assert again.torn_bytes_truncated == 0
 
     def test_bit_flip_detected_at_read(self, disk, clock):
-        log = sim_log(disk, clock)
+        log = sim_log(disk)
         log.append(MessageSet([Message(b"to-be-corrupted")]))
         segment = log._segments[0]
         disk.flip_bit("broker-0", segment.path, offset=segment.size - 1)
@@ -100,7 +100,7 @@ class TestPartitionLogRecovery:
 
 class TestTimeBasedFlushTick:
     def test_append_alone_never_flushes_quiet_partition(self, disk, clock):
-        log = sim_log(disk, clock, flush_interval_messages=100,
+        log = sim_log(disk, flush_interval_messages=100,
                       flush_interval_seconds=1.0)
         log.append(MessageSet([Message(b"lonely")]))
         clock.advance(60.0)

@@ -9,9 +9,8 @@ from repro.kafka.message import Message, MessageSet, iter_messages
 from repro.simnet.disk import SimDisk
 
 
-def make_log(**kwargs):
-    kwargs.setdefault("clock", SimClock())
-    return PartitionLog("p0", SimDisk().scope("b"), **kwargs)
+def make_log(clock=None, **kwargs):
+    return PartitionLog("p0", SimDisk(clock=clock).scope("b"), **kwargs)
 
 
 def payloads_in(log, offset=0, max_bytes=1 << 20):
@@ -142,8 +141,8 @@ def test_retention_spares_recent_and_active():
 
 def test_recovery_after_reopen():
     clock = SimClock()
-    disk = SimDisk().scope("b")
-    log = PartitionLog("p0", disk, clock=clock, segment_bytes=150)
+    disk = SimDisk(clock=clock).scope("b")
+    log = PartitionLog("p0", disk, segment_bytes=150)
     sent = []
     for i in range(12):
         payload = f"m{i}".encode()
@@ -151,7 +150,7 @@ def test_recovery_after_reopen():
         log.append(MessageSet([Message(payload)]))
     end = log.high_watermark
     log.close()
-    reopened = PartitionLog("p0", disk, clock=clock, segment_bytes=150)
+    reopened = PartitionLog("p0", disk, segment_bytes=150)
     assert reopened.high_watermark == end
     got = []
     offset = 0
@@ -176,8 +175,7 @@ def test_no_auxiliary_index_files():
 
 
 def test_message_id_index_ablation():
-    indexed = MessageIdIndexedLog("indexed", clock=SimClock(),
-                                  disk=SimDisk().scope("b"))
+    indexed = MessageIdIndexedLog("indexed", disk=SimDisk().scope("b"))
     ids = []
     for i in range(100):
         ids.extend(indexed.append(MessageSet([Message(f"m{i}".encode())])))

@@ -36,8 +36,7 @@ message_sets = st.lists(
 @given(message_sets, st.integers(64, 512))
 def test_consume_equals_produce(sets, segment_bytes):
     """Whatever is appended and flushed is consumed, once, in order."""
-    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=segment_bytes,
-                       clock=SimClock())
+    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=segment_bytes)
     sent = []
     for payloads in sets:
         log.append(MessageSet([Message(p) for p in payloads]))
@@ -53,7 +52,7 @@ def test_consume_equals_produce(sets, segment_bytes):
 @given(message_sets)
 def test_reopen_preserves_log(sets):
     disk = SimDisk().scope("b")
-    log = PartitionLog("p", disk, segment_bytes=256, clock=SimClock())
+    log = PartitionLog("p", disk, segment_bytes=256)
     sent = []
     for payloads in sets:
         log.append(MessageSet([Message(p) for p in payloads]))
@@ -61,7 +60,7 @@ def test_reopen_preserves_log(sets):
     log.flush()
     end = log.high_watermark
     log.close()
-    reopened = PartitionLog("p", disk, segment_bytes=256, clock=SimClock())
+    reopened = PartitionLog("p", disk, segment_bytes=256)
     got, _ = drain(reopened)
     assert got == sent
     assert reopened.high_watermark == end
@@ -71,7 +70,7 @@ def test_reopen_preserves_log(sets):
 @settings(max_examples=25, deadline=None)
 @given(message_sets, st.integers(0, 10))
 def test_offsets_are_strictly_increasing_and_dense(sets, _):
-    log = PartitionLog("p", SimDisk().scope("b"), clock=SimClock())
+    log = PartitionLog("p", SimDisk().scope("b"))
     expected_offset = 0
     for payloads in sets:
         message_set = MessageSet([Message(p) for p in payloads])
@@ -85,7 +84,7 @@ def test_offsets_are_strictly_increasing_and_dense(sets, _):
 @settings(max_examples=20, deadline=None)
 @given(message_sets)
 def test_rewind_replays_identical_prefix(sets):
-    log = PartitionLog("p", SimDisk().scope("b"), clock=SimClock())
+    log = PartitionLog("p", SimDisk().scope("b"))
     for payloads in sets:
         log.append(MessageSet([Message(p) for p in payloads]))
     log.flush()
@@ -109,7 +108,7 @@ def test_span_sets_reach_disk_verbatim_and_decode_in_one_pass(
     any fetch budget — cutting frames and wrappers anywhere — still
     yields every payload once, in order."""
     log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=segment_bytes,
-                       flush_interval_messages=3, clock=SimClock())
+                       flush_interval_messages=3)
     sent, stored = [], b""
     for payloads, compress in sets:
         message_set = MessageSet.from_payloads(payloads)
@@ -139,8 +138,7 @@ def test_span_sets_reach_disk_verbatim_and_decode_in_one_pass(
 def test_base_offset_list_tracks_rolls_and_deletions(
         sets, floor):
     clock = SimClock()
-    log = PartitionLog("p", SimDisk().scope("b"), segment_bytes=96,
-                       clock=clock)
+    log = PartitionLog("p", SimDisk(clock=clock).scope("b"), segment_bytes=96)
 
     def on_disk():
         return sorted(int(name.split(".")[0])

@@ -61,8 +61,8 @@ def source(clock):
 
 
 @pytest.fixture
-def disk():
-    return SimDisk()
+def disk(clock):
+    return SimDisk(clock=clock)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from tests.migration.conftest import make_source
 
 
 def build(source, clock, chunk_size=16):
-    stack = MigrationStack.build(source, SimDisk().scope("c"), clock,
+    stack = MigrationStack.build(source, SimDisk(clock=clock).scope("c"), clock,
                                  chunk_size=chunk_size)
     # tables chunk in name order; mark the empty inmail table done so
     # unit tests drive the profiles table directly

@@ -62,7 +62,7 @@ def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
             if "live" in stacks else None)
 
     boot()
-    plan = FaultPlan(clock, disk)
+    plan = FaultPlan(disk)
     plan.on_kill(lambda node: disk.crash_node(node))
     plan.on_restart(lambda node: (disk.restart_node(node), boot()))
     for t in (1.0, 2.0):

@@ -24,8 +24,9 @@ def run_scenario(seed: int, profiles: int = 60, max_ticks: int = 400):
     rng = random.Random(seed)
     clock = SimClock()
     source = make_source(clock, profiles=profiles, inmails=10)
-    stack = MigrationStack.build(source, SimDisk(seed=seed).scope("c"),
-                                 clock, slo=SLO, chunk_size=8)
+    stack = MigrationStack.build(
+        source, SimDisk(clock=clock, seed=seed).scope("c"), clock, slo=SLO,
+        chunk_size=8)
     live_keys = list(range(profiles))
     trace: list[str] = []
     next_id = 10_000

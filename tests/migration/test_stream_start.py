@@ -80,7 +80,7 @@ def run_scenario(seed: int, crash: bool, max_ticks: int = 400):
     rng = random.Random(seed)
     clock = SimClock()
     source, live_keys = source_with_history(rng, clock)
-    disk = SimDisk(seed=seed)
+    disk = SimDisk(clock=clock, seed=seed)
 
     def build(cluster=None):
         return MigrationStack.build(source, disk.scope("c"), clock, slo=SLO,

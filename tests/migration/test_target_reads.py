@@ -27,8 +27,8 @@ NODES = ("storage-0", "storage-1", "storage-2")
 def migrated_stack(profiles: int, inmails: int):
     clock = SimClock()
     source = make_source(clock, profiles=profiles, inmails=inmails)
-    stack = MigrationStack.build(source, SimDisk().scope("c"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+    stack = MigrationStack.build(source, SimDisk(clock=clock).scope("c"),
+                                 clock, slo=FAST_SLO, chunk_size=16)
     drive_to_phase(stack, clock, MigrationPhase.CUTOVER)
     return stack
 
@@ -121,7 +121,7 @@ def test_contains_and_keys_agree_with_the_decoding_reads(seed):
     rng = random.Random(seed)
     clock = SimClock()
     source = make_source(clock, profiles=0, inmails=0)
-    disk = SimDisk(seed=seed)
+    disk = SimDisk(clock=clock, seed=seed)
     cluster = EspressoCluster(espresso_schema_for(source), num_nodes=3,
                               clock=clock, disk=disk)
     cluster.start()

@@ -5,7 +5,7 @@ from repro.simnet.faultplan import FaultPlan
 
 def test_a_second_run_fires_only_what_was_added_since():
     clock = SimClock()
-    plan = FaultPlan(clock, SimDisk(clock=clock))
+    plan = FaultPlan(SimDisk(clock=clock))
     calls = []
     plan.call(1.0, "x", lambda: calls.append("x"))
     # the horizon is max(until, last action): this run already reaches 1.0

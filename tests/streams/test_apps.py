@@ -227,7 +227,7 @@ def test_inbox_order_and_ranks_follow_the_store_through_evictions():
 class Deployment:
     def __init__(self, spec, input_topics: list[str], partitions: int = 2):
         self.clock = SimClock()
-        self.disk = SimDisk(seed=21)
+        self.disk = SimDisk(clock=self.clock, seed=21)
         self.zookeeper = ZooKeeperServer()
         self.cluster = KafkaCluster(1, "/kafka", zookeeper=self.zookeeper,
                                     clock=self.clock,

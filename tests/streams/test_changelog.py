@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError, ReproError
 from repro.kafka.broker import KafkaCluster
 from repro.kafka.message import encode_payloads
@@ -17,8 +16,7 @@ from repro.streams.state import encode_record
 
 
 def make_cluster(segment_bytes: int = 1 << 20) -> KafkaCluster:
-    cluster = KafkaCluster(1, "/kafka", clock=SimClock(),
-                           partitions_per_topic=1,
+    cluster = KafkaCluster(1, "/kafka", partitions_per_topic=1,
                            segment_bytes=segment_bytes,
                            disk=SimDisk(seed=3))
     cluster.create_topic("__changelog-job-store", partitions=1)

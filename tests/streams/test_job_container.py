@@ -46,7 +46,7 @@ def count_spec(partitions: int = 2) -> StreamJobSpec:
 class Estate:
     def __init__(self, partitions: int = 2, containers: int = 2):
         self.clock = SimClock()
-        self.disk = SimDisk(seed=11)
+        self.disk = SimDisk(clock=self.clock, seed=11)
         self.zookeeper = ZooKeeperServer()
         self.cluster = KafkaCluster(1, "/kafka", zookeeper=self.zookeeper,
                                     clock=self.clock,
@@ -105,7 +105,7 @@ def test_repartition_topics_are_namespaced_and_deduplicated():
 def test_coordinator_rejects_mispartitioned_inputs():
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(1, "/kafka", zookeeper=zookeeper,
-                           clock=SimClock(), partitions_per_topic=3,
+                           partitions_per_topic=3,
                            disk=SimDisk(seed=1))
     cluster.create_topic("in", partitions=3)   # != the job's 2
     with pytest.raises(ConfigurationError, match="co-partitioned"):
@@ -115,7 +115,7 @@ def test_coordinator_rejects_mispartitioned_inputs():
 def test_coordinator_creates_internal_topics():
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(1, "/kafka", zookeeper=zookeeper,
-                           clock=SimClock(), partitions_per_topic=2,
+                           partitions_per_topic=2,
                            disk=SimDisk(seed=1))
     cluster.create_topic("in", partitions=2)
     JobCoordinator(count_spec(2), cluster, zookeeper)
@@ -227,7 +227,7 @@ def test_deploy_guards():
         estate.coordinator.deploy(estate.containers)   # already deployed
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(1, "/kafka", zookeeper=zookeeper,
-                           clock=SimClock(), partitions_per_topic=2,
+                           partitions_per_topic=2,
                            disk=SimDisk(seed=2))
     cluster.create_topic("in", partitions=2)
     coordinator = JobCoordinator(count_spec(2), cluster, zookeeper)
@@ -252,7 +252,7 @@ def test_drain_loop_cannot_strand_uncommitted_repartition_records():
     downstream work — or ``while sum(run_cycle())`` drains one cycle
     too early and the sink never sees the records."""
     clock = SimClock()
-    disk = SimDisk(seed=23)
+    disk = SimDisk(clock=clock, seed=23)
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(1, "/kafka", zookeeper=zookeeper, clock=clock,
                            partitions_per_topic=2, disk=disk)

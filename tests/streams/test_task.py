@@ -67,7 +67,7 @@ class SumTask(StreamTask):
 class World:
     def __init__(self, seed: int = 5, segment_bytes: int = 1 << 20):
         self.clock = SimClock()
-        self.disk = SimDisk(seed=seed)
+        self.disk = SimDisk(clock=self.clock, seed=seed)
         self.zk_server = ZooKeeperServer()
         self.zk = self.zk_server.connect()
         self.cluster = KafkaCluster(1, "/kafka", zookeeper=self.zk_server,

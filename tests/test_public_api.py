@@ -126,3 +126,46 @@ def test_no_component_falls_back_to_the_host():
     and LocalDisk exist for a caller that names them, but none of these
     files does, and none opens, maps or creates a real file."""
     assert host_reaches(ROOT) == []
+
+
+# where a simulation's clock may start: the network and the disk, five
+# objects that can be built with neither, and the day-in-the-life world
+CLOCK_SITES = sorted([
+    ("src/repro/simnet/network.py", "SimNetwork"),
+    ("src/repro/simnet/disk.py", "SimDisk"),
+    ("src/repro/sqlstore/database.py", "SqlDatabase"),
+    ("src/repro/espresso/cluster.py", "EspressoCluster"),
+    ("src/repro/databus/client.py", "DatabusClient"),
+    ("src/repro/databus/tenancy.py", "MultiTenantRelay"),
+    ("src/repro/hadoop/scheduler.py", "WorkflowScheduler"),
+    ("src/repro/workloads/day_in_the_life.py", "_World"),
+])
+
+
+def clock_sites(root):
+    """``(path, class)`` of every ``SimClock(...)`` call under
+    ``src/repro``; ``class`` is the innermost enclosing class, or None."""
+    found = []
+
+    def visit(node, owner, rel):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name == "SimClock":
+                found.append((rel, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, rel)
+
+    for path in sorted((root / "src/repro").rglob("*.py")):
+        visit(ast.parse(path.read_text()), None,
+              path.relative_to(root).as_posix())
+    return sorted(found)
+
+
+def test_a_simulation_clock_is_built_only_where_a_simulation_starts():
+    """A component handed a network or a disk runs on that clock; only
+    the allowlisted sites build a ``SimClock`` of their own, each once."""
+    assert clock_sites(ROOT) == CLOCK_SITES

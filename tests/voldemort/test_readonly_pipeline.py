@@ -143,7 +143,8 @@ def test_exp_v2_read_only_path_beats_the_quorum_path():
     # R=1 with no reconciliation against a read quorum of 2 of 3
     network = SimNetwork(seed=2, latency_model=lognormal_latency(0.0009, 0.4))
     cluster = VoldemortCluster(num_nodes=4, partitions_per_node=4,
-                               network=network, disk=SimDisk())
+                               network=network,
+                               disk=SimDisk(clock=network.clock))
     cluster.define_store(StoreDefinition("ro", 2, 1, 1, engine_type="read-only"))
     cluster.define_store(StoreDefinition("rw", 3, 2, 2))
     pairs = [(b"k-%05d" % i, b"v" * 100) for i in range(500)]
