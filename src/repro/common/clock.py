@@ -7,9 +7,10 @@ runs must be deterministic, so a simulation runs on one
 network, a disk, a cluster or a database runs on its clock
 (:func:`one_clock`).  ``SimClock()`` is built only where a simulation
 can start: ``SimNetwork``, ``SimDisk``, ``day_in_the_life._World``, and
-five objects that may have no network or disk (``SqlDatabase``,
-``EspressoCluster``, ``DatabusClient``, ``MultiTenantRelay``,
-``WorkflowScheduler``).  :class:`WallClock` is host time for a caller
+four objects that may have no network or disk (``SqlDatabase``,
+``DatabusClient``, ``MultiTenantRelay``, ``WorkflowScheduler``).  A
+Kafka, Voldemort or Espresso cluster handed no disk builds a ``SimDisk``
+on its clock.  :class:`WallClock` is host time for a caller
 that names it; nothing in the repo does.
 """
 

@@ -15,7 +15,7 @@ This is Figure IV.1 in executable form.  The cluster:
 
 from __future__ import annotations
 
-from repro.common.clock import Clock, SimClock, one_clock
+from repro.common.clock import Clock, one_clock
 from repro.common.errors import (
     ConfigurationError,
     NotMasterError,
@@ -45,8 +45,8 @@ class EspressoCluster:
         if num_nodes < database.replication_factor:
             raise ConfigurationError("need at least as many nodes as replicas")
         self.database = database
-        self.disk = disk
-        self.clock = one_clock(clock, disk) or SimClock()
+        self.disk = disk if disk is not None else SimDisk(clock=clock)
+        self.clock = one_clock(clock, self.disk)
         self.schemas = DocumentSchemaRegistry()
         self.zookeeper = ZooKeeperServer()
         self.relay = Relay(f"{database.name}-relay",
@@ -64,9 +64,9 @@ class EspressoCluster:
     # -- node management ------------------------------------------------------
 
     def _make_node(self, instance_name: str) -> EspressoStorageNode:
-        scope = self.disk.scope(instance_name) if self.disk else None
         return EspressoStorageNode(instance_name, self.database, self.schemas,
-                                   self.relay, clock=self.clock, disk=scope)
+                                   self.relay, clock=self.clock,
+                                   disk=self.disk.scope(instance_name))
 
     def _create_node(self, instance_name: str) -> EspressoStorageNode:
         node = self._make_node(instance_name)
@@ -166,21 +166,19 @@ class EspressoCluster:
         return applied
 
     def crash_node(self, instance_name: str) -> None:
-        """Hard failure: liveness vanishes, roles are lost, and (with a
-        SimDisk) unsynced commit-log bytes are gone."""
+        """Hard failure: liveness vanishes, roles are lost, and unsynced
+        commit-log bytes are gone."""
         self.participants[instance_name].disconnect()
         self.nodes[instance_name].roles.clear()
-        if self.disk is not None:
-            self.disk.crash_node(instance_name)
+        self.disk.crash_node(instance_name)
 
     def recover_node(self, instance_name: str) -> None:
-        """Bring a crashed node back.  With a SimDisk the node object is
-        rebuilt from its commit log — documents, indexes, and applied
-        SCNs recover together — before rejoining the cluster; converge
-        (failover) to hand it roles again."""
-        if self.disk is not None:
-            self.disk.restart_node(instance_name)
-            self.nodes[instance_name] = self._make_node(instance_name)
+        """Bring a crashed node back.  The node object is rebuilt from its
+        commit log — documents, indexes, and applied SCNs recover
+        together — before rejoining the cluster; converge (failover) to
+        hand it roles again."""
+        self.disk.restart_node(instance_name)
+        self.nodes[instance_name] = self._make_node(instance_name)
         self.participants[instance_name].connect()
 
     def failover(self) -> None:

@@ -13,12 +13,12 @@ buffer before the local commit is acknowledged (the semi-synchronous
 "written to two places" rule).  Slaves consume those buffers in SCN
 order, which is what makes replication timeline consistent.
 
-When constructed with a :class:`~repro.simnet.disk.Disk`, every
-committed window — master commit or slave apply — is framed into a
-per-node commit :class:`~repro.common.wal.WriteAheadLog` and fsynced
-*before* the in-memory apply (DESIGN.md §9).  A restarted node replays
-that log, rebuilding documents, local secondary indexes, and the
-last-applied SCN in one pass, so the three can never diverge.  A
+Every committed window — master commit or slave apply — is framed
+into a per-node commit :class:`~repro.common.wal.WriteAheadLog` on the
+node's :class:`~repro.simnet.disk.Disk` and fsynced *before* the
+in-memory apply (DESIGN.md §9).  A restarted node replays that log,
+rebuilding documents, local secondary indexes, and the last-applied
+SCN in one pass, so the three can never diverge.  A
 window captured by the relay but lost to a crash before the WAL fsync
 is re-fetched from the relay by the normal catch-up path: the dense
 SCN sequence makes replay idempotent (duplicates skip, gaps raise).
@@ -96,7 +96,7 @@ class EspressoStorageNode:
 
     def __init__(self, instance_name: str, database: DatabaseSchema,
                  schemas: DocumentSchemaRegistry, relay: Relay,
-                 clock: Clock, disk: Disk | None = None):
+                 clock: Clock, disk: Disk):
         self.instance_name = instance_name
         self.database = database
         self.schemas = schemas
@@ -118,10 +118,8 @@ class EspressoStorageNode:
         self.writes_accepted = 0
         self.windows_applied = 0
         self.recovered_windows = 0
-        self._commit_wal: WriteAheadLog | None = None
-        if disk is not None:
-            self._commit_wal = WriteAheadLog("commit.wal", disk=disk)
-            self._recover_from_wal()
+        self._commit_wal = WriteAheadLog("commit.wal", disk=disk)
+        self._recover_from_wal()
 
     # -- commit log / recovery --------------------------------------------------
 
@@ -129,8 +127,6 @@ class EspressoStorageNode:
                            items: list[tuple[int, str, int, bytes]]) -> None:
         """Frame one committed window and make it durable *before* the
         in-memory apply; items are (kind code, table, version, payload)."""
-        if self._commit_wal is None:
-            return
         out = bytearray(_WAL_WINDOW.pack(partition, scn, len(items)))
         for code, table, version, payload in items:
             name = table.encode()
@@ -508,19 +504,30 @@ class EspressoStorageNode:
 
     def load_partition_snapshot(self, partition: int, scn: int,
                                 rows: dict[str, list[dict]]) -> None:
-        # persist the snapshot as one synthetic insert window: without
-        # it, a WAL replay would rebuild post-snapshot windows on top of
-        # a missing base and silently diverge from the donor
-        items = []
+        """Replace the partition with a donor's snapshot: delete the
+        rows it lacks (the donor deleted them), then insert its rows.
+        Both go into one synthetic window, persisted before it is
+        applied: without it, a WAL replay would rebuild post-snapshot
+        windows on top of a missing base and diverge from the donor."""
+        _, held = self.partition_snapshot(partition)
+        deletes, inserts = [], []
         for table_name in sorted(rows):
-            schema = self.relay.schemas.latest(table_name)
-            for row in rows[table_name]:
-                items.append((_KIND_CODES[ChangeKind.INSERT], table_name,
-                              schema.version, encode_record(schema, row)))
+            key_fields = self.database.table(table_name).key_fields
+            donor = {tuple(row[k] for k in key_fields): row
+                     for row in rows[table_name]}
+            for row in held[table_name]:
+                key = tuple(row[k] for k in key_fields)
+                if key not in donor:
+                    deletes.append(
+                        ChangeEvent(table_name, ChangeKind.DELETE, key, row))
+            inserts += [ChangeEvent(table_name, ChangeKind.INSERT, key, row)
+                        for key, row in donor.items()]
+        changes = deletes + inserts
+        items = []
+        for change in changes:
+            schema = self.relay.schemas.latest(change.table)
+            items.append((_KIND_CODES[change.kind], change.table,
+                          schema.version, encode_record(schema, change.row)))
         self._wal_append_window(partition, scn, items)
-        for table_name, table_rows in rows.items():
-            sql_table = self.local.table(table_name)
-            for row in table_rows:
-                sql_table.upsert(row)
-                self._index_row(table_name, row)
+        self._apply_changes(changes)
         self.partition_scn[partition] = scn

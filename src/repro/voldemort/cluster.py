@@ -52,11 +52,14 @@ class StoreDefinition:
 
 
 class VoldemortCluster:
-    """Nodes + ring + store definitions + the shared simulated network.
+    """Nodes + ring + store definitions + the shared simulated network
+    and disk.
 
     The cluster object is the wiring harness: it builds one
     :class:`repro.voldemort.server.VoldemortServer` per ring node and
-    creates the configured engine for every store on every node.
+    creates the configured engine for every store on every node.  A
+    cluster handed no disk builds a :class:`SimDisk` on its clock, so
+    every node has a crash domain for its engines and its slop store.
     """
 
     def __init__(self, num_nodes: int = 3, partitions_per_node: int = 8,
@@ -70,7 +73,7 @@ class VoldemortCluster:
         self.ring: HashRing = build_balanced_ring(
             num_nodes, num_nodes * partitions_per_node, num_zones)
         self.stores: dict[str, StoreDefinition] = {}
-        self.disk = disk
+        self.disk = disk if disk is not None else SimDisk(clock=self.clock)
         self.servers: dict[int, VoldemortServer] = {
             node_id: VoldemortServer(node_id, self)
             for node_id in self.ring.nodes
@@ -109,10 +112,7 @@ class VoldemortCluster:
         return self.servers[node_id]
 
     def node_disk(self, node_id: int):
-        """The node's private crash domain on the simulated disk, or
-        None when the cluster has no disk (memory stores only)."""
-        if self.disk is None:
-            return None
+        """The node's private crash domain on the cluster's disk."""
         return self.disk.scope(self.node_name(node_id))
 
     def make_engine(self, definition: StoreDefinition,
@@ -124,10 +124,6 @@ class VoldemortCluster:
         if durable is None:
             raise ConfigurationError(
                 f"unknown engine type {definition.engine_type!r}")
-        if self.disk is None:
-            raise ConfigurationError(
-                f"store {definition.name!r} is durable; construct the "
-                "cluster with disk=SimDisk(...)")
         return durable(definition.name, self.node_disk(node_id))
 
     # -- crash / restart lifecycle ---------------------------------------------
@@ -139,23 +135,21 @@ class VoldemortCluster:
         later :meth:`restart_node` can rebuild it from disk."""
         name = self.node_name(node_id)
         self.network.failures.crash(name)
-        lost = 0
-        if self.disk is not None:
-            lost = self.disk.crash_node(name)
-        return lost
+        return self.disk.crash_node(name)
 
     def restart_node(self, node_id: int):
         """Boot a replacement server from the node's surviving files.
 
-        Engines re-run their recovery scans (index rebuild, torn-tail
-        truncation), the slop WAL is replayed into outstanding hints,
-        and the network resumes delivering.  In-memory stores restart
-        empty — that is the honest semantics of a non-durable engine.
+        Durable engines re-run their recovery scans (index rebuild,
+        torn-tail truncation), the slop WAL is replayed into the hints
+        the node still holds, and the network resumes delivering.
+        In-memory stores restart empty — that is the honest semantics
+        of a non-durable engine — but their hints do not: a hint is
+        fsynced before the write it stands for is acked.
         """
         from repro.voldemort.server import VoldemortServer
         name = self.node_name(node_id)
-        if self.disk is not None:
-            self.disk.restart_node(name)
+        self.disk.restart_node(name)
         server = VoldemortServer(node_id, self)
         for definition in self.stores.values():
             server.open_store(definition)

@@ -6,13 +6,12 @@ also holds *hints* — writes accepted on behalf of an unreachable
 replica during hinted handoff (§II.B "Repair mechanism") — and can
 replay them once the destination recovers.
 
-When the cluster runs on a :class:`~repro.simnet.disk.SimDisk`, hints
-are persisted through a :class:`~repro.common.wal.WriteAheadLog` (the
-"slop store"): every accepted hint is fsynced before the routing layer
-counts the write as successful, and every delivery appends a fsynced
-tombstone marker, so a killed node restarts with exactly its
-outstanding hints — acked vector clocks intact, delivered hints gone —
-and compacts ``slops.wal`` down to them.
+Hints are persisted through a :class:`~repro.common.wal.WriteAheadLog`
+on the node's disk (the "slop store"): every accepted hint is fsynced
+before the routing layer counts the write as successful, and every
+delivery appends a fsynced tombstone marker, so a killed node restarts
+with exactly its outstanding hints — acked vector clocks intact,
+delivered hints gone — and compacts ``slops.wal`` down to them.
 """
 
 from __future__ import annotations
@@ -71,11 +70,9 @@ class VoldemortServer:
         self.requests_served = 0
         self._hint_seqs: list[int] = []   # aligned with self.hints
         self._next_hint_seq = 0
-        self._slop_wal: WriteAheadLog | None = None
-        disk = cluster.node_disk(node_id)
-        if disk is not None:
-            self._slop_wal = WriteAheadLog("slops.wal", disk=disk)
-            self._recover_hints()
+        self._slop_wal = WriteAheadLog("slops.wal",
+                                       disk=cluster.node_disk(node_id))
+        self._recover_hints()
 
     def _recover_hints(self) -> None:
         """Rebuild outstanding hints: stored minus delivered.  If any
@@ -164,9 +161,8 @@ class VoldemortServer:
     def store_hint(self, hint: Hint) -> None:
         seq = self._next_hint_seq
         self._next_hint_seq += 1
-        if self._slop_wal is not None:
-            self._slop_wal.append(_encode_hint(seq, hint))
-            self._slop_wal.fsync()  # the write is acked against this hint
+        self._slop_wal.append(_encode_hint(seq, hint))
+        self._slop_wal.fsync()  # the write is acked against this hint
         self.hints.append(hint)
         self._hint_seqs.append(seq)
 
@@ -205,7 +201,7 @@ class VoldemortServer:
             except NodeUnavailableError:
                 remaining.append(hint)
                 remaining_seqs.append(seq)
-        if delivered_seqs and self._slop_wal is not None:
+        if delivered_seqs:
             for seq in delivered_seqs:
                 self._slop_wal.append(
                     bytes([_HINT_DELIVERED]) + _HINT_SEQ.pack(seq))
@@ -227,5 +223,4 @@ class VoldemortServer:
         for engine in self._engines.values():
             engine.close()
         self._engines.clear()
-        if self._slop_wal is not None:
-            self._slop_wal.close()
+        self._slop_wal.close()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from tests.espresso.conftest import MUSIC
+from repro.espresso import EspressoCluster
+
+from tests.espresso.conftest import ALBUM_SCHEMA, ARTIST_SCHEMA, MUSIC, SONG_SCHEMA
 
 
 def put_artists(cluster, count=20):
@@ -250,3 +252,41 @@ def test_too_few_nodes_rejected():
     from repro.espresso import EspressoCluster
     with pytest.raises(ConfigurationError):
         EspressoCluster(MUSIC, num_nodes=1)  # replication_factor 2
+
+
+def test_snapshot_bootstrap_drops_rows_the_donor_deleted():
+    """A replica that missed a delete and then the relay's history
+    bootstraps from a snapshot that replaces its partition: the deleted
+    row goes, and a replay of its commit log rebuilds the same rows."""
+    cluster = EspressoCluster(MUSIC, relay_buffer_events=20)
+    for table, schema in (("Artist", ARTIST_SCHEMA), ("Album", ALBUM_SCHEMA),
+                          ("Song", SONG_SCHEMA)):
+        cluster.post_document_schema(table, schema)
+    cluster.start()
+    partition = MUSIC.partition_for("victim")
+    neighbours = [f"artist-{i}" for i in range(1000)
+                  if MUSIC.partition_for(f"artist-{i}") == partition]
+    cluster.node_for_resource("victim").put_document(
+        "Artist", ("victim",), {"name": "victim", "genre": "pop", "bio": None})
+    cluster.pump_replication()
+    view = cluster.controller.external_view(MUSIC.name)
+    slave_name = view.instances_in_state(partition, "SLAVE")[0]
+    cluster.crash_node(slave_name)
+    cluster.failover()
+    master = cluster.master_node(partition)
+    master.delete_document("Artist", ("victim",))
+    for artist in neighbours[:60]:   # evicts the relay's history
+        master.put_document("Artist", (artist,),
+                            {"name": artist, "genre": "pop", "bio": None})
+    cluster.recover_node(slave_name)
+    cluster.failover()
+    cluster.pump_replication()
+    replica = cluster.nodes[slave_name]
+    assert replica.partition_snapshot(partition) == \
+        master.partition_snapshot(partition)
+    pop = replica.query_index("Artist", "genre", "pop", resource_id="victim")
+    assert pop == []
+    cluster.crash_node(slave_name)
+    cluster.recover_node(slave_name)
+    assert cluster.nodes[slave_name].partition_snapshot(partition) == \
+        master.partition_snapshot(partition)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import KeyNotFoundError
 from repro.simnet.disk import SimDisk, _SimFile
 from repro.espresso import EspressoCluster
 from repro.espresso.storage import EspressoStorageNode
@@ -182,6 +183,37 @@ class TestCommitLogRecovery:
             applied_before[partition] - 1
         assert scn_regressions(applied_before,
                                recovered.partition_scn) == [partition]
+
+    def test_a_cluster_built_with_no_disk_recovers_from_its_log(self,
+                                                               cluster):
+        """The cluster builds its own disk, so a crash loses the page
+        cache and the node comes back from its commit log like any
+        other."""
+        genres = {"abba": "pop", "blur": "pop", "can": "krautrock"}
+        for artist, genre in genres.items():
+            node = put_artist(cluster, artist, genre=genre)
+        cluster.pump_replication()
+        name = node.instance_name
+
+        def state(node):
+            documents = {}
+            for artist in genres:
+                try:
+                    documents[artist] = node.get_document("Artist", (artist,))
+                except KeyNotFoundError:
+                    pass
+            hits = {genre: node.query_index("Artist", "genre", genre)
+                    for genre in sorted(set(genres.values()))}
+            return documents, hits
+
+        before = state(node)
+        assert before[0]
+        cluster.crash_node(name)
+        cluster.recover_node(name)
+        recovered = cluster.nodes[name]
+        assert recovered is not node
+        assert recovered.recovered_windows > 0
+        assert state(recovered) == before
 
 
 def test_commit_wal_bytes_are_pinned(durable_cluster, disk):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.clock import SimClock
 from repro.common.errors import (
     KeyNotFoundError,
     NotMasterError,
@@ -12,6 +11,7 @@ from repro.common.serialization import Field, RecordSchema
 from repro.databus.relay import Relay
 from repro.espresso import DocumentSchemaRegistry, EspressoStorageNode
 from repro.espresso.storage import partition_buffer_name, row_table_schema
+from repro.simnet import SimDisk
 
 from tests.common.codec_calls import DECODES, codec_calls
 from tests.espresso.conftest import ALBUM_SCHEMA, ARTIST_SCHEMA, MUSIC, SONG_SCHEMA
@@ -26,10 +26,15 @@ def schemas():
     return registry
 
 
+def storage_node(name, schemas, relay):
+    disk = SimDisk()
+    return EspressoStorageNode(name, MUSIC, schemas, relay,
+                               clock=disk.clock, disk=disk.scope(name))
+
+
 @pytest.fixture
 def node(schemas):
-    built = EspressoStorageNode("storage-0", MUSIC, schemas, Relay(),
-                                clock=SimClock())
+    built = storage_node("storage-0", schemas, Relay())
     for partition in range(MUSIC.num_partitions):
         built.become_slave(partition)
         built.become_master(partition)
@@ -105,8 +110,7 @@ def test_conditional_put_with_etag(node):
 
 
 def test_write_requires_mastership(schemas):
-    node = EspressoStorageNode("storage-1", MUSIC, schemas, Relay(),
-                               clock=SimClock())
+    node = storage_node("storage-1", schemas, Relay())
     with pytest.raises(NotMasterError):
         node.put_document("Artist", ("Akon",),
                           {"name": "Akon", "genre": "rnb", "bio": None})
@@ -120,8 +124,7 @@ def test_write_requires_mastership(schemas):
 
 def test_writes_reach_relay_before_local_ack(schemas):
     relay = Relay()
-    node = EspressoStorageNode("storage-0", MUSIC, schemas, relay,
-                               clock=SimClock())
+    node = storage_node("storage-0", schemas, relay)
     partition = MUSIC.partition_for("Akon")
     node.become_slave(partition)
     node.become_master(partition)

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.clock import SimClock
 from repro.databus.relay import Relay
 from repro.espresso import DocumentSchemaRegistry
 from repro.espresso.storage import EspressoStorageNode
+from repro.simnet import SimDisk
 
 from tests.espresso.conftest import ALBUM_SCHEMA, ARTIST_SCHEMA, MUSIC, SONG_SCHEMA
 
@@ -16,7 +16,9 @@ def make_node(name="n0"):
     schemas.post("Music", "Album", ALBUM_SCHEMA)
     schemas.post("Music", "Song", SONG_SCHEMA)
     relay = Relay(max_events_per_buffer=100_000)
-    node = EspressoStorageNode(name, MUSIC, schemas, relay, clock=SimClock())
+    disk = SimDisk()
+    node = EspressoStorageNode(name, MUSIC, schemas, relay, clock=disk.clock,
+                               disk=disk.scope(name))
     for partition in range(MUSIC.num_partitions):
         node.become_slave(partition)
         node.become_master(partition)
@@ -59,7 +61,8 @@ def test_storage_matches_model_and_replica_converges(ops):
 
     # an independent slave consuming the same relay converges
     slave = EspressoStorageNode("slave", MUSIC, master.schemas, relay,
-                                clock=master.clock)
+                                clock=master.clock,
+                                disk=SimDisk(clock=master.clock).scope("slave"))
     for partition in range(MUSIC.num_partitions):
         slave.become_slave(partition)
         slave.catch_up(partition)

@@ -96,6 +96,17 @@ def test_everything_a_top_level_object_builds_shares_its_clock(build):
         assert component.clock is clock, type(component).__name__
 
 
+@pytest.mark.parametrize("build", [
+    lambda: KafkaCluster(1, "/kafka"),
+    lambda: VoldemortCluster(num_nodes=3, partitions_per_node=2),
+    lambda: EspressoCluster(MUSIC, num_nodes=3),
+], ids=["kafka", "voldemort", "espresso"])
+def test_a_cluster_built_on_nothing_owns_a_disk_on_its_clock(build):
+    cluster = build()
+    assert isinstance(cluster.disk, SimDisk)
+    assert cluster.disk.clock is cluster.clock
+
+
 def on(clock, odd_one, name):
     """``clock``, or a clock of its own for the part named ``odd_one``."""
     return SimClock() if name == odd_one else clock

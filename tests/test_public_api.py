@@ -128,13 +128,12 @@ def test_no_component_falls_back_to_the_host():
     assert host_reaches(ROOT) == []
 
 
-# where a simulation's clock may start: the network and the disk, five
+# where a simulation's clock may start: the network and the disk, four
 # objects that can be built with neither, and the day-in-the-life world
 CLOCK_SITES = sorted([
     ("src/repro/simnet/network.py", "SimNetwork"),
     ("src/repro/simnet/disk.py", "SimDisk"),
     ("src/repro/sqlstore/database.py", "SqlDatabase"),
-    ("src/repro/espresso/cluster.py", "EspressoCluster"),
     ("src/repro/databus/client.py", "DatabusClient"),
     ("src/repro/databus/tenancy.py", "MultiTenantRelay"),
     ("src/repro/hadoop/scheduler.py", "WorkflowScheduler"),

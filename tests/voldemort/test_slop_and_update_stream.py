@@ -7,6 +7,7 @@ from repro.common.errors import ConfigurationError
 from repro.hadoop import MiniHDFS
 from repro.simnet import SimDisk
 from repro.voldemort import (
+    FailureDetector,
     RoutedStore,
     StoreDefinition,
     Versioned,
@@ -63,6 +64,27 @@ class TestSlopPusher:
         cluster.network.failures.recover(cluster.node_name(dead))
         assert pusher.push_once() == 1
         assert pusher.push_once() == 0
+
+
+def test_a_hint_survives_its_holders_restart_on_a_cluster_built_with_no_disk():
+    """The cluster builds its own disk, so the slop store is durable
+    for a memory store too: the holder comes back with the hint it
+    acked, addressed to the replica it is still owed to."""
+    cluster = VoldemortCluster(num_nodes=4, partitions_per_node=4)
+    cluster.define_store(StoreDefinition("s", 2, 1, 1))
+    routed = RoutedStore(cluster, "s", failure_detector=FailureDetector(
+        cluster.clock, minimum_samples=1))
+    dead = routed.replica_nodes(b"key")[1]
+    cluster.network.failures.crash(cluster.node_name(dead))
+    routed.put(b"key", Versioned.initial(b"v", 0))
+    assert not routed.detector.is_available(dead)
+    holder = next(n for n, s in cluster.servers.items() if s.hints)
+
+    cluster.kill_node(holder)
+    cluster.restart_node(dead)
+    cluster.restart_node(holder)
+    hints = cluster.server_for(holder).hints
+    assert [(h.key, h.destination_node) for h in hints] == [(b"key", dead)]
 
 
 class TestUpdateStream:
