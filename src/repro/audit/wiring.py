@@ -22,7 +22,11 @@ The Espresso-target constraints also get a change feed
 target half reads the cluster relay's partition buffers through the
 target's ``written_since`` — duck-typed like ``contains`` and
 ``get_document``.  Their probes take an optional key set and answer for
-just those keys, so an evaluation costs what moved.
+just those keys, so an evaluation costs what moved.  Asked for
+everything (a first look, a voided feed, the cutover gate), they answer
+with the keys of the partitions whose source and master content
+digests differ (the target's ``unsettled_partitions``): a migration
+whose copies agree reads no row.
 """
 
 from __future__ import annotations
@@ -115,21 +119,44 @@ class binlog_key_scns:
 
 
 def source_documents(database: SqlDatabase, table: str, transform
-                     ) -> Callable[..., dict[tuple, dict]]:
-    """``{source key: expected target document}`` under a row transform
-    (the migration's :class:`RowTransform`, duck-typed): of every row,
-    or of just the ``keys`` asked for."""
-    def probe(keys: Iterable[tuple] | None = None) -> dict[tuple, dict]:
+                     ) -> Callable[[Iterable[tuple]], dict[tuple, dict]]:
+    """``{source key: expected target document}`` of the ``keys`` asked
+    for that the source holds, under a row transform (the migration's
+    :class:`RowTransform`, duck-typed)."""
+    def probe(keys: Iterable[tuple]) -> dict[tuple, dict]:
         sql_table = database.table(table)
-        if keys is None:
-            rows = sql_table.scan()
-        else:
-            rows = [sql_table.get(key) for key in keys
-                    if sql_table.contains(key)]
-        key_of = sql_table.schema.key_of
-        return {key_of(row): transform.document_of(table, row)
-                for row in rows}
+        return {key: transform.document_of(table, sql_table.get(key))
+                for key in keys if sql_table.contains(key)}
     return probe
+
+
+def _unsettled_keys(database: SqlDatabase, table: str, target
+                    ) -> tuple[set[tuple], list[tuple]]:
+    """What an unbounded evaluation reads: every key, on either side, of
+    each partition whose source and master content digests differ — and
+    the ones the target holds.  Equal digests mean equal documents under
+    equal keys, so a settled partition holds no violation and nothing a
+    later evaluation must revisit."""
+    partitions = set(target.unsettled_partitions(database, table))
+    if not partitions:
+        return set(), []
+    held = target.keys(table, partitions)
+    keys = set(held)
+    keys.update(key for key in database.table(table).keys()
+                if target.partition_of(table, key) in partitions)
+    return keys, held
+
+
+def _digest_scoped(probe: Callable[[Iterable[tuple]], dict],
+                   database: SqlDatabase, table: str, target
+                   ) -> Callable[..., dict]:
+    """``probe`` for a feed-driven constraint: a key set as asked, and
+    for "everything" the keys of the unsettled partitions."""
+    def scoped(keys: Iterable[tuple] | None = None) -> dict:
+        if keys is None:
+            keys = _unsettled_keys(database, table, target)[0]
+        return probe(keys)
+    return scoped
 
 
 def espresso_changes(scns: binlog_key_scns, target, table: str
@@ -162,7 +189,7 @@ def espresso_containment(name: str, database: SqlDatabase, table: str,
     scns = binlog_key_scns(database, table)
     return KeySetContainment(
         name, subject=f"espresso:{table}",
-        source_items=scns,
+        source_items=_digest_scoped(scns, database, table, target),
         contains=lambda key: target.contains(table, key),
         horizon=horizon,
         changed=espresso_changes(scns, target, table))
@@ -182,7 +209,9 @@ def espresso_value_equality(name: str, database: SqlDatabase, table: str,
     scns = binlog_key_scns(database, table)
     return ValueEquality(
         name, subject=f"espresso:{table}",
-        expected_items=source_documents(database, table, target.transform),
+        expected_items=_digest_scoped(
+            source_documents(database, table, target.transform),
+            database, table, target),
         actual_of=_document_or_absent(target, table),
         scn_of=lambda key: scns().get(key, 0),
         horizon=horizon,
@@ -343,8 +372,9 @@ def cutover_constraints(proxy) -> list:
     key is on the target, and the target holds no extra keys.  ``proxy``
     is a migration ``DualWriteProxy`` (duck-typed: ``source``,
     ``target``).  Freshly built constraints have never looked, so their
-    first evaluation reads both stores row for row — which is what the
-    gate, building its own, always gets."""
+    first evaluation — which is what the gate, building its own, always
+    gets — reads the rows of every partition whose digests differ, and
+    of no other: a clean gate reads no row."""
     source, target = proxy.source, proxy.target
     constraints = []
     for table in source.table_names():
@@ -353,18 +383,21 @@ def cutover_constraints(proxy) -> list:
         def target_keys(keys: Iterable[tuple] | None = None,
                         table: str = table) -> dict[tuple, int]:
             if keys is None:
-                return dict.fromkeys(target.keys(table), 0)
+                return dict.fromkeys(
+                    _unsettled_keys(source, table, target)[1], 0)
             return {key: 0 for key in keys if target.contains(table, key)}
 
         constraints.append(KeySetContainment(
             f"cutover-containment-{table}", subject=f"espresso:{table}",
-            source_items=scns,
+            source_items=_digest_scoped(scns, source, table, target),
             contains=lambda key, table=table: target.contains(table, key),
             horizon=source_head(source),
             changed=espresso_changes(scns, target, table)))
         constraints.append(ValueEquality(
             f"cutover-equality-{table}", subject=f"espresso:{table}",
-            expected_items=source_documents(source, table, target.transform),
+            expected_items=_digest_scoped(
+                source_documents(source, table, target.transform),
+                source, table, target),
             actual_of=_document_or_absent(target, table),
             changed=espresso_changes(scns, target, table)))
         constraints.append(KeySetContainment(

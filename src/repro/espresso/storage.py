@@ -22,6 +22,12 @@ SCN in one pass, so the three can never diverge.  A
 window captured by the relay but lost to a crash before the WAL fsync
 is re-fetched from the relay by the normal catch-up path: the dense
 SCN sequence makes replay idempotent (duplicates skip, gaps raise).
+
+A node keeps, on first ask, one content digest per partition of each
+table it holds (:meth:`EspressoStorageNode.partition_digests`): the sum
+of :func:`document_fingerprint` over the partition's rows, moved by
+every local mutation.  Two copies of a partition with equal digests
+hold the same documents, so a verifier compares digests before rows.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ _WAL_WINDOW = struct.Struct("<IQI")   # partition, scn, change count
 _WAL_CHANGE = struct.Struct("<III")   # schema version, table len, payload len
 _KIND_LIST = (ChangeKind.INSERT, ChangeKind.UPDATE, ChangeKind.DELETE)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KIND_LIST)}
+# document fingerprint framing: schema version and key-part count, then
+# each key part's length before its bytes
+_FINGERPRINT_HEAD = struct.Struct("<IH")
+_FINGERPRINT_PART = struct.Struct("<I")
+# the digest definition a node's local table keeps per partition
+_PARTITION_DIGEST = "espresso-partition-content"
 
 
 def row_table_schema(database: DatabaseSchema, table_name: str) -> TableSchema:
@@ -73,6 +85,23 @@ def _wal_items(events: list[DatabusEvent]) -> list[tuple[int, str, int, bytes]]:
     """Commit-WAL items of one window's data events."""
     return [(_KIND_CODES[e.kind], e.source, e.schema_version, e.payload)
             for e in events]
+
+
+def document_fingerprint(key: tuple[str, ...], schema_version: int,
+                         val: bytes) -> int:
+    """The 64-bit content fingerprint of one stored document: blake2b-8
+    of its key fields, its ``schema_version`` and its ``val`` bytes.
+    Whoever computes it over the same three values gets the same int,
+    which is what lets a digest of rows held elsewhere (a migration
+    source) be compared with a node's."""
+    hasher = hashlib.blake2b(
+        _FINGERPRINT_HEAD.pack(schema_version, len(key)), digest_size=8)
+    for part in key:
+        data = part.encode()
+        hasher.update(_FINGERPRINT_PART.pack(len(data)))
+        hasher.update(data)
+    hasher.update(val)
+    return int.from_bytes(hasher.digest(), "little")
 
 
 def partition_buffer_name(database: str, partition: int) -> str:
@@ -249,6 +278,25 @@ class EspressoStorageNode:
             "schema_version": schema.version,
         })
         return row
+
+    # -- content digests ---------------------------------------------------------------
+
+    def partition_digests(self, table: str) -> dict[int, int]:
+        """``{partition: digest}`` of every row of ``table`` this node
+        holds, mastered or slaved: the sum mod 2**64 of each row's
+        :func:`document_fingerprint`.  The first ask folds the table
+        once; from then on the local table keeps the sums current
+        through every mutation, replication and snapshot load included,
+        and a mutation made by hand moves them too.  A partition with no
+        row may be missing (read it as 0)."""
+        key_fields = self.database.table(table).key_fields
+        partition_for = self.database.partition_for
+
+        def fingerprint(row: dict) -> tuple[int, int]:
+            key = tuple(row[k] for k in key_fields)
+            return partition_for(key[0]), document_fingerprint(
+                key, row["schema_version"], row["val"])
+        return self.local.table(table).digest(_PARTITION_DIGEST, fingerprint)
 
     # -- master write path -----------------------------------------------------------
 

@@ -131,8 +131,11 @@ class DualWriteProxy:
     # -- read path ----------------------------------------------------------
 
     def _source_row(self, table: str, source_key: tuple) -> Row | None:
+        """The source's row, in the shape the target serves it."""
         t = self.source.table(table)
-        return dict(t.get(source_key)) if t.contains(source_key) else None
+        if not t.contains(source_key):
+            return None
+        return self.target.transform.complete_row(table, t.get(source_key))
 
     def read(self, table: str, source_key: tuple) -> Row | None:
         """Serve a row, shadow-comparing both stores while dual-writes

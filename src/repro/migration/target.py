@@ -26,10 +26,14 @@ from repro.common.errors import (
     KeyNotFoundError,
     SCNGoneError,
 )
-from repro.common.serialization import Field, RecordSchema
+from repro.common.serialization import Field, RecordSchema, encode_record
 from repro.espresso.cluster import EspressoCluster
 from repro.espresso.schema import DatabaseSchema, EspressoTableSchema
-from repro.espresso.storage import EspressoStorageNode, partition_buffer_name
+from repro.espresso.storage import (
+    EspressoStorageNode,
+    document_fingerprint,
+    partition_buffer_name,
+)
 from repro.sqlstore.database import SqlDatabase
 from repro.sqlstore.table import Row, TableSchema
 
@@ -82,17 +86,34 @@ def espresso_schema_for(source: SqlDatabase, num_partitions: int = 8,
 class RowTransform:
     """Deterministic source-row ↔ target-document translation for one
     source database.  Both the backfill and the shadow-read comparator
-    use this one object, so "source == target" has a single meaning."""
+    use this one object, so "source == target" has a single meaning.
+
+    A document holds every non-key column, ``None`` for a nullable one
+    the row omits: the target decodes an omitted nullable field as
+    ``None``, so that is the value the two sides agree on."""
 
     def __init__(self, source: SqlDatabase):
-        self._schemas = {name: source.table(name).schema
-                         for name in source.table_names()}
+        # per table: its schema, its key column types and its non-key
+        # column names, in schema order
+        self._tables: dict[str, tuple[TableSchema, tuple[type, ...],
+                                      tuple[str, ...]]] = {}
+        for name in source.table_names():
+            schema = source.table(name).schema
+            self._tables[name] = (
+                schema,
+                tuple(schema.column(pk).type for pk in schema.primary_key),
+                tuple(c.name for c in schema.columns
+                      if c.name not in schema.primary_key))
 
-    def schema(self, table: str) -> TableSchema:
+    def _table(self, table: str) -> tuple[TableSchema, tuple[type, ...],
+                                          tuple[str, ...]]:
         try:
-            return self._schemas[table]
+            return self._tables[table]
         except KeyError:
             raise ConfigurationError(f"unknown table {table!r}") from None
+
+    def schema(self, table: str) -> TableSchema:
+        return self._table(table)[0]
 
     def target_key(self, table: str, source_key: tuple) -> tuple[str, ...]:
         """Source primary key → Espresso resource key (stringified)."""
@@ -101,18 +122,14 @@ class RowTransform:
 
     def source_key(self, table: str, target_key: tuple[str, ...]) -> tuple:
         """Espresso resource key → typed source primary key."""
-        schema = self.schema(table)
-        out = []
-        for name, part in zip(schema.primary_key, target_key):
-            out.append(schema.column(name).type(part))
-        return tuple(out)
+        _, key_types, _ = self._table(table)
+        return tuple(kind(part) for kind, part in zip(key_types, target_key))
 
     def document_of(self, table: str, row: Row) -> dict:
-        """The non-key columns of a source row, in schema column order."""
-        schema = self.schema(table)
-        key_columns = set(schema.primary_key)
-        return {c.name: row[c.name] for c in schema.columns
-                if c.name not in key_columns and c.name in row}
+        """The non-key columns of a source row, in schema column order,
+        ``None`` for an omitted nullable one."""
+        _, _, value_columns = self._table(table)
+        return {name: row.get(name) for name in value_columns}
 
     def row_of(self, table: str, target_key: tuple[str, ...],
                document: dict) -> Row:
@@ -121,6 +138,14 @@ class RowTransform:
         row = dict(zip(schema.primary_key,
                        self.source_key(table, target_key)))
         row.update(document)
+        return row
+
+    def complete_row(self, table: str, row: Row) -> Row:
+        """Fill ``row`` in place with ``None`` for every omitted nullable
+        column, and return it: the shape :meth:`row_of` rebuilds."""
+        _, _, value_columns = self._table(table)
+        for name in value_columns:
+            row.setdefault(name, None)
         return row
 
 
@@ -251,30 +276,41 @@ class EspressoTarget:
                 keys = None
         return keys, position
 
-    def _master_keys(self, table: str):
-        """``(master node, target key)`` of every stored document: each
-        node's table is scanned once, keeping the rows of the partitions
-        that node masters (it stores the ones it slaves too)."""
-        database = self.cluster.database
-        masters: dict[str, tuple[EspressoStorageNode, set[int]]] = {}
-        for partition in range(database.num_partitions):
+    def _masters(self) -> list[EspressoStorageNode]:
+        """Every partition's master node, in partition order."""
+        masters = []
+        for partition in range(self.cluster.database.num_partitions):
             node = self.cluster.master_node(partition)
             if node is None:
                 raise ConfigurationError(
                     f"partition {partition} has no master; converge the "
                     "cluster before verifying")
-            masters.setdefault(node.instance_name,
-                               (node, set()))[1].add(partition)
+            masters.append(node)
+        return masters
+
+    def _master_keys(self, table: str, partitions: set[int] | None = None):
+        """``(master node, target key)`` of every stored document (of
+        just ``partitions`` when given): each node's table is scanned
+        once, keeping the rows of the partitions that node masters (it
+        stores the ones it slaves too)."""
+        database = self.cluster.database
+        masters: dict[str, tuple[EspressoStorageNode, set[int]]] = {}
+        for partition, node in enumerate(self._masters()):
+            if partitions is None or partition in partitions:
+                masters.setdefault(node.instance_name,
+                                   (node, set()))[1].add(partition)
         key_fields = database.table(table).key_fields
-        for node, partitions in masters.values():
+        for node, mastered in masters.values():
             for row in node.local.table(table).scan():
-                if database.partition_for(row[key_fields[0]]) in partitions:
+                if database.partition_for(row[key_fields[0]]) in mastered:
                     yield node, tuple(row[k] for k in key_fields)
 
-    def keys(self, table: str) -> list[tuple]:
-        """The *source* key of every stored document; reads no ``val``."""
+    def keys(self, table: str, partitions: set[int] | None = None
+             ) -> list[tuple]:
+        """The *source* key of every stored document, or of those in
+        ``partitions``; reads no ``val``."""
         return [self.transform.source_key(table, key)
-                for _, key in self._master_keys(table)]
+                for _, key in self._master_keys(table, partitions)]
 
     def dump(self, table: str) -> dict[tuple, dict]:
         """Every stored document keyed by *source* key, for full
@@ -282,3 +318,56 @@ class EspressoTarget:
         return {self.transform.source_key(table, key):
                 node.get_document(table, key).document
                 for node, key in self._master_keys(table)}
+
+    # -- content digests -------------------------------------------------------
+
+    def partition_of(self, table: str, source_key: tuple) -> int:
+        """The Espresso partition a source key's document lives in."""
+        return self.cluster.database.partition_for(
+            self.transform.target_key(table, source_key)[0])
+
+    def source_digests(self, source: SqlDatabase, table: str
+                       ) -> dict[int, int]:
+        """``{partition: digest}`` of ``source``'s rows of ``table`` as
+        this target would store them: each row's
+        :func:`~repro.espresso.storage.document_fingerprint` over its
+        target key, the latest document schema's version and its
+        document encoded under that schema, in its target key's
+        partition.  The source table keeps the sums from the first ask,
+        under a definition named by what it computes — Espresso
+        database, partition count, table, schema version — so every
+        verifier of this migration shares one."""
+        database = self.cluster.database
+        latest = self.cluster.schemas.latest(database.name, table)
+        transform, partition_for = self.transform, database.partition_for
+        key_of = source.table(table).schema.key_of
+
+        def fingerprint(row: Row) -> tuple[int, int]:
+            key = transform.target_key(table, key_of(row))
+            return partition_for(key[0]), document_fingerprint(
+                key, latest.version,
+                encode_record(latest, transform.document_of(table, row)))
+        definition = ("espresso-document", database.name,
+                      database.num_partitions, table, latest.version)
+        return source.table(table).digest(definition, fingerprint)
+
+    def unsettled_partitions(self, source: SqlDatabase, table: str
+                             ) -> list[int]:
+        """The partitions of ``table`` whose master's digest differs
+        from the source's: equal digests mean equal multisets of (key,
+        schema version, ``val`` bytes), up to a 2**-64 collision, so
+        only these partitions can hold a difference.  A row the target
+        holds under an older document schema differs here, and decodes
+        equal in a row-by-row comparison."""
+        masters = self._masters()
+        expected = self.source_digests(source, table)
+        held: dict[str, dict[int, int]] = {}
+        unsettled = []
+        for partition, node in enumerate(masters):
+            digests = held.get(node.instance_name)
+            if digests is None:
+                digests = held[node.instance_name] = \
+                    node.partition_digests(table)
+            if digests.get(partition, 0) != expected.get(partition, 0):
+                unsettled.append(partition)
+        return unsettled

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.common.errors import (
     ConfigurationError,
@@ -24,6 +24,23 @@ Row = dict
 #: Every column value is one of these immutable types, so ``dict(row)``
 #: is a full copy of a row.
 _COLUMN_TYPES = (str, int, float, bytes, bool)
+
+#: A content fingerprint: row -> (bucket, 64-bit int).
+Fingerprint = Callable[[Row], tuple[Hashable, int]]
+
+_DIGEST_MASK = (1 << 64) - 1
+
+
+def _fold_digests(fingerprint: Fingerprint, rows: Iterable[Row]
+                 ) -> dict[Hashable, int]:
+    """Per-bucket sums, mod 2**64, of ``rows``' fingerprints: equal sums
+    mean equal multisets of fingerprinted content, up to a 2**-64
+    collision, whatever order the rows came in."""
+    sums: dict[Hashable, int] = {}
+    for row in rows:
+        bucket, value = fingerprint(row)
+        sums[bucket] = (sums.get(bucket, 0) + value) & _DIGEST_MASK
+    return sums
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,11 @@ class Table:
     store — sorts only when it is read.  A delete removes its key by
     bisection (or from the set), so the list and the set together
     always hold exactly the live keys.
+
+    A caller can have the table keep content digests (:meth:`digest`):
+    per-bucket fingerprint sums that every mutation moves, so comparing
+    two copies of the data reads no row.  An untracked table pays one
+    branch per mutation for them.
     """
 
     def __init__(self, schema: TableSchema):
@@ -123,6 +145,8 @@ class Table:
         self._rows: dict[tuple, Row] = {}
         self._keys: list[tuple] = []      # sorted
         self._unordered: set[tuple] = set()   # live keys not yet in _keys
+        # definition -> (fingerprint, {bucket: sum of fingerprints})
+        self._digests: dict[Hashable, tuple[Fingerprint, dict]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -143,7 +167,10 @@ class Table:
         if key in self._rows:
             raise DuplicateKeyError(
                 f"{self.schema.name}: duplicate key {key!r}")
-        self._rows[key] = dict(row)
+        row = dict(row)
+        if self._digests:
+            self._move_digests(None, row)
+        self._rows[key] = row
         self._add_key(key)
         return key
 
@@ -153,24 +180,33 @@ class Table:
         key = self.schema.key_of(row)
         if key not in self._rows:
             raise KeyNotFoundError(f"{self.schema.name}: no row {key!r}")
-        self._rows[key] = dict(row)
+        row = dict(row)
+        if self._digests:
+            self._move_digests(self._rows[key], row)
+        self._rows[key] = row
         return key
 
     def upsert(self, row: Row) -> tuple[tuple, bool]:
         """Insert-or-replace; returns (key, was_insert)."""
         self.schema.validate_row(row)
         key = self.schema.key_of(row)
-        was_insert = key not in self._rows
-        self._rows[key] = dict(row)
-        if was_insert:
+        old = self._rows.get(key)
+        row = dict(row)
+        if self._digests:
+            self._move_digests(old, row)
+        self._rows[key] = row
+        if old is None:
             self._add_key(key)
-        return key, was_insert
+        return key, old is None
 
     def delete(self, key: tuple) -> Row:
         try:
-            row = self._rows.pop(key)
+            row = self._rows[key]
         except KeyError:
             raise KeyNotFoundError(f"{self.schema.name}: no row {key!r}") from None
+        if self._digests:
+            self._move_digests(row, None)
+        del self._rows[key]
         if key in self._unordered:
             self._unordered.remove(key)
         else:
@@ -255,6 +291,48 @@ class Table:
 
     def adopt(self, staged: "Table") -> None:
         """Take over a staging table's rows and key order: the half of a
-        restore that cannot fail.  ``staged`` is not used again."""
+        restore that cannot fail.  ``staged`` is not used again.  Every
+        digest this table keeps is refolded from the adopted rows."""
         self._rows, self._keys, self._unordered = \
             staged._rows, staged._keys, staged._unordered
+        for definition, (fingerprint, _) in self._digests.items():
+            self._digests[definition] = (
+                fingerprint, _fold_digests(fingerprint, self._rows.values()))
+
+    # -- content digests --------------------------------------------------
+
+    def digest(self, definition: Hashable, fingerprint: Fingerprint
+               ) -> dict[Hashable, int]:
+        """``{bucket: sum of fingerprints mod 2**64}`` of the rows held,
+        under the fingerprint registered as ``definition``.
+
+        The first ask registers ``fingerprint`` and folds it over the
+        rows held; from then on every mutation — ``insert``, ``update``,
+        ``upsert``, ``delete``, ``restore``, ``adopt`` — moves the sums,
+        so a later ask reads no row.  ``definition`` names what the
+        fingerprint computes: a later ask under the same name gets the
+        kept sums, whatever callable it passes.  A bucket holding no row
+        may be missing (read it as 0).  Returns a copy.
+        """
+        tracked = self._digests.get(definition)
+        if tracked is None:
+            tracked = (fingerprint,
+                       _fold_digests(fingerprint, self._rows.values()))
+            self._digests[definition] = tracked
+        return dict(tracked[1])
+
+    def _move_digests(self, old: Row | None, new: Row | None) -> None:
+        """Take ``old``'s fingerprints out of every kept digest and put
+        ``new``'s in.  Called before the row store changes, and every
+        fingerprint is computed before any sum moves: a fingerprint that
+        raises leaves the table and its digests as they were."""
+        moves = []
+        for fingerprint, sums in self._digests.values():
+            if old is not None:
+                bucket, value = fingerprint(old)
+                moves.append((sums, bucket, -value))
+            if new is not None:
+                bucket, value = fingerprint(new)
+                moves.append((sums, bucket, value))
+        for sums, bucket, value in moves:
+            sums[bucket] = (sums.get(bucket, 0) + value) & _DIGEST_MASK

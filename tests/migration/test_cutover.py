@@ -3,8 +3,12 @@ and the checkpoint journal's record of all of it."""
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import Field, RecordSchema
 from repro.migration import MigrationPhase, MigrationSlo, MigrationStack
+from repro.sqlstore.database import SqlDatabase
+from repro.sqlstore.table import Column, TableSchema
 
 from tests.migration.conftest import FAST_SLO, drive_to_phase, make_source
 
@@ -118,6 +122,59 @@ def test_declared_cutover_check_rolls_back_with_rendered_evidence(
     # operator sees which declared invariant refused the cutover
     assert "cutover-containment-profiles" in reason
     assert "missing-key" in reason
+
+
+@pytest.mark.parametrize("gate", [None, cutover_check],
+                         ids=["full-comparison", "declared"])
+def test_a_row_omitting_a_nullable_column_migrates_clean(clock, disk, gate):
+    """A row may omit a nullable column; its document holds None there,
+    which is what the target decodes.  So its shadow reads match, the
+    gate finds no difference, and a proxied read has one shape whichever
+    store serves it."""
+    source = SqlDatabase("members", clock=clock)
+    source.create_table(TableSchema(
+        "profiles",
+        (Column("member_id", int), Column("name", str),
+         Column("headline", str, nullable=True)),
+        ("member_id",)))
+    source.autocommit("profiles", {"member_id": 1, "name": "a",
+                                   "headline": "x"})
+    source.autocommit("profiles", {"member_id": 2, "name": "b"})
+    source.autocommit("profiles", {"member_id": 3, "name": "c",
+                                   "headline": None})
+    stack = MigrationStack.build(source, disk.scope("c"), clock,
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=gate)
+    keys = [(1,), (2,), (3,)]
+    from_source = [stack.proxy.read("profiles", key) for key in keys]
+    while not stack.coordinator.complete:
+        stack.coordinator.tick()
+        for key in keys:
+            stack.proxy.read("profiles", key)
+        clock.advance(1.0)
+    assert stack.coordinator.phase is MigrationPhase.CUTOVER, \
+        stack.coordinator.rollback_reason
+    assert stack.proxy.full_comparison() == []
+    assert from_source[1] == {"member_id": 2, "name": "b", "headline": None}
+    assert [stack.proxy.read("profiles", key) for key in keys] == from_source
+
+
+def test_a_declared_gate_passes_rows_stored_under_an_older_schema(
+        clock, source, disk):
+    """Mid-ramp the document schema moves to v2 (an index on ``name``):
+    the backfilled rows stay stored under v1, the gate's digests differ
+    for their partitions, and their rows decode equal."""
+    stack = MigrationStack.build(source, disk.scope("c"), clock,
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
+    drive_to_phase(stack, clock, MigrationPhase.RAMP)
+    stack.cluster.post_document_schema("profiles", RecordSchema(
+        "profiles",
+        [Field("name", "string", indexed=True), Field("score", "long")],
+        version=2))
+    stack.proxy.upsert("profiles", {"member_id": 3, "name": "v2", "score": 3})
+    drive_to_phase(stack, clock, MigrationPhase.CUTOVER)
+    assert stack.proxy.full_comparison() == []
 
 
 def test_journal_records_every_transition(clock, stack):

@@ -37,17 +37,21 @@ def migrated_stack(profiles: int, inmails: int):
 
 def test_cutover_check_decodes_each_target_document_once():
     """Containment asks ``contains``, no-extras asks ``keys``; only value
-    equality reads documents.  It was three decodes per row.  A second
-    evaluation by the same constraints reads what moved since the first:
-    here a deleted key (``contains``) and a ghost key (``contains`` on
-    both sides) — no document at all."""
+    equality reads documents, and only in the partitions whose source
+    and master digests differ: a clean gate decodes none, and encodes
+    each source row once to fill the source digest.  A second evaluation
+    by the same constraints reads what moved since the first: here a
+    deleted key (``contains``) and a ghost key (``contains`` on both
+    sides) — no document at all.  A fresh gate then decodes each
+    document the source also holds in those two keys' partitions, once,
+    and encodes nothing: the source digest is shared."""
     profiles, inmails = 37, 11
     stack = migrated_stack(profiles, inmails)
     check = cutover_check(stack.proxy)
     with codec_calls() as calls:
         assert check() == []
-    assert calls.count(*DECODES) == profiles + inmails
-    assert calls.count("encode_record") == 0
+    assert calls.count(*DECODES) == 0
+    assert calls.count("encode_record") == profiles + inmails
     stack.target.delete_row("profiles", (5,))
     stack.target.put_row("profiles", {"member_id": 999, "name": "ghost",
                                       "score": 0})
@@ -56,6 +60,17 @@ def test_cutover_check_decodes_each_target_document_once():
     assert kinds == ["cutover-containment-profiles",
                      "cutover-no-extras-profiles"]
     assert calls.count(*DECODES) == 0
+    partitions = {stack.target.partition_of("profiles", (5,)),
+                  stack.target.partition_of("profiles", (999,))}
+    compared = [key for key in stack.source.table("profiles").keys()
+                if stack.target.partition_of("profiles", key) in partitions
+                and stack.target.contains("profiles", key)]
+    with codec_calls() as calls:
+        kinds = sorted(v.constraint for v in cutover_check(stack.proxy)())
+    assert kinds == ["cutover-containment-profiles",
+                     "cutover-no-extras-profiles"]
+    assert calls.count(*DECODES) == len(compared) < profiles
+    assert calls.count("encode_record") == 0
 
 
 def test_contains_and_keys_read_no_document():
