@@ -29,19 +29,23 @@ class StorageEngine:
     def get(self, key: bytes) -> list[Versioned]:
         raise NotImplementedError
 
-    def get_many(self, keys: Iterable[bytes]
-                 ) -> dict[bytes, Sequence[Versioned]]:
-        """``get`` over a batch, in one call: key -> versions, absent
-        keys omitted.  Engines may override it with a cheaper loop; a
-        returned sequence may be shared with the engine only if it is
-        immutable."""
-        found = {}
-        for key in keys:
-            try:
-                found[key] = self.get(key)
-            except KeyNotFoundError:
-                continue
-        return found
+    def get_many(self, groups: Iterable[Iterable[bytes]]
+                 ) -> list[dict[bytes, Sequence[Versioned]]]:
+        """``get`` over a batch of key groups, in one call: one dict per
+        group (a routed batch sends one group per partition), key ->
+        versions, absent keys omitted.  Engines may override it with a
+        cheaper loop; a returned sequence may be shared with the engine
+        only if it is immutable."""
+        answers = []
+        for keys in groups:
+            found = {}
+            for key in keys:
+                try:
+                    found[key] = self.get(key)
+                except KeyNotFoundError:
+                    continue
+            answers.append(found)
+        return answers
 
     def put(self, key: bytes, versioned: Versioned) -> None:
         raise NotImplementedError

@@ -27,24 +27,27 @@ class InMemoryStorageEngine(StorageEngine):
             raise KeyNotFoundError(repr(key))
         return versions
 
-    def get_many(self, keys: Iterable[bytes]
-                 ) -> dict[bytes, Sequence[Versioned]]:
+    def get_many(self, groups: Iterable[Iterable[bytes]]
+                 ) -> list[dict[bytes, Sequence[Versioned]]]:
         """One dict lookup per key and no exception for an absent one;
         a key holding one live version returns its stored tuple."""
         data = self._data
-        found = {}
-        for key in keys:
-            versions = data.get(key)
-            if versions is None:
-                continue
-            if len(versions) == 1:
-                if versions[0].value is not None:
-                    found[key] = versions
-                continue
-            live = [v for v in versions if not v.is_tombstone]
-            if live:
-                found[key] = live
-        return found
+        answers = []
+        for keys in groups:
+            found = {}
+            for key in keys:
+                versions = data.get(key)
+                if versions is None:
+                    continue
+                if len(versions) == 1:
+                    if versions[0].value is not None:
+                        found[key] = versions
+                    continue
+                live = [v for v in versions if not v.is_tombstone]
+                if live:
+                    found[key] = live
+            answers.append(found)
+        return answers
 
     def get_including_tombstones(self, key: bytes) -> list[Versioned]:
         """All stored versions, tombstones included (repair needs these)."""

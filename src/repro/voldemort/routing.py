@@ -388,12 +388,15 @@ class RoutedStore:
         quorum count.  Each partition is asked of its first R replicas;
         partitions a failed or shedding node leaves short are asked of
         the rest of their list in one more batched round (:meth:`get`'s
-        fall-through).  A key's first reply is its frontier; only keys
-        whose later replies differ from it go through
-        :func:`frontier_of`.  Returns (key -> version frontier,
-        simulated latency); keys absent everywhere are omitted, and a
-        frontier may be an immutable tuple shared with an engine.  Keys
-        that cannot reach R replicas raise, as in ``get``.
+        fall-through).  A node answers one dict per partition, and
+        replies are compared a partition at a time: its first reply
+        gives its keys their frontiers, a later reply equal to it (every
+        value and clock) adds nothing, and only a partition whose
+        replies differ is walked key by key, where only keys whose
+        replies differ go through :func:`frontier_of`.  Returns (key ->
+        version frontier, simulated latency); keys absent everywhere are
+        omitted, and a frontier may be an immutable tuple shared with an
+        engine.  Keys that cannot reach R replicas raise, as in ``get``.
         """
         if self.admission is not None:
             self.admission.admit(PRIORITY_LIVE, what="get_all")
@@ -418,6 +421,7 @@ class RoutedStore:
                     owners, ranks)
             replicas_of[partition] = replicas
         answered = dict.fromkeys(keys_of, 0)
+        first_replies: dict[int, dict] = {}     # partition -> first answer
         frontiers: dict[bytes, Sequence[Versioned]] = {}
         disagreeing: dict[bytes, list[Sequence[Versioned]]] = {}
         operation_latency = 0.0
@@ -434,15 +438,23 @@ class RoutedStore:
                                                   answered)
             # the rounds are sequential, so their latencies add
             operation_latency += latency
-            for found in answers:
-                for key, versions in found.items():
-                    kept = frontiers.get(key)
-                    if kept is None:
-                        frontiers[key] = versions
-                    elif key in disagreeing:
-                        disagreeing[key].append(versions)
-                    elif not same_single_version(kept, versions):
-                        disagreeing[key] = [kept, versions]
+            for partitions, groups in answers:
+                for partition, found in zip(partitions, groups):
+                    first_reply = first_replies.setdefault(partition, found)
+                    if first_reply is found:
+                        frontiers.update(found)
+                        continue
+                    if found == first_reply:
+                        continue
+                    for key, versions in found.items():
+                        kept = frontiers.get(key)
+                        if kept is None:
+                            frontiers[key] = versions
+                        elif key in disagreeing:
+                            disagreeing[key].append(versions)
+                        elif versions != kept and \
+                                not same_single_version(kept, versions):
+                            disagreeing[key] = [kept, versions]
             short = [partition for partition in short
                      if answered[partition] < required]
             if not short:
@@ -460,21 +472,21 @@ class RoutedStore:
     def _read_batches(self, per_node: dict[int, list[int]],
                       keys_of: dict[int, list[bytes]],
                       answered: dict[int, int]
-                      ) -> tuple[float, list[dict]]:
-        """One ``get_batch`` per node for the keys of its partitions.
+                      ) -> tuple[float, list[tuple[list[int], list[dict]]]]:
+        """One ``get_batch`` per node, one key group per partition.
         Counts each answering node once toward each of its partitions'
-        quorums; returns the round's latency (its slowest answer) and
-        the answers in node order."""
+        quorums; returns the round's latency (its slowest answer) and,
+        in node order, each answering node's partitions beside its
+        per-partition answers."""
         slowest = 0.0
         answers = []
         for node_id, partitions in per_node.items():
             server = self.cluster.server_for(node_id)
-            node_keys = [key for partition in partitions
-                         for key in keys_of[partition]]
             try:
-                found, latency = self.cluster.network.invoke(
+                groups, latency = self.cluster.network.invoke(
                     self.client_name, self.cluster.node_name(node_id),
-                    server.get_batch, self.store, node_keys)
+                    server.get_batch, self.store,
+                    [keys_of[partition] for partition in partitions])
             except ServerOverloadedError:
                 self.detector.record_success(node_id)
                 self.metrics.counter("get_all.replica_shed").increment()
@@ -486,7 +498,7 @@ class RoutedStore:
                 slowest = max(slowest, latency)
                 for partition in partitions:
                     answered[partition] += 1
-                answers.append(found)
+                answers.append((partitions, groups))
         return slowest, answers
 
     # -- writes ---------------------------------------------------------------------

@@ -143,15 +143,16 @@ class VoldemortServer:
         self.requests_served += 1
         self.engine(store).delete(key, versioned)
 
-    def get_batch(self, store: str, keys: list[bytes]
-                  ) -> dict[bytes, Sequence[Versioned]]:
-        """Batched point reads; absent keys are omitted from the result.
+    def get_batch(self, store: str, groups: list[list[bytes]]
+                  ) -> list[dict[bytes, Sequence[Versioned]]]:
+        """Batched point reads, one answer per key group (the client
+        sends one group per partition); absent keys are omitted.
 
         One network round trip and one engine call serve many keys — the
         server half of the client's ``get_all``.
         """
         self.requests_served += 1
-        return self.engine(store).get_many(keys)
+        return self.engine(store).get_many(groups)
 
     def ping(self) -> bool:
         return True

@@ -7,10 +7,12 @@ replies, and every key goes through ``frontier_of``.  It is slower and
 obviously right, which is what a reference model is for;
 `test_get_all_equivalence.py` holds the per-partition read to it.
 
-The two methods are copied verbatim.  They still reach the server
-through ``get_batch``, so the reference models the routing layer, not
-the engine: the walk checks the engine's batch read against a loop of
-``get`` separately.
+The two methods are copied verbatim but for one call-shape change:
+``get_batch`` now takes key groups and answers one dict per group, so
+the reference sends its node's keys as a single group and unpacks the
+one dict.  They still reach the server through ``get_batch``, so the
+reference models the routing layer, not the engine: the walk checks the
+engine's batch read against a loop of ``get`` separately.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ class ReferenceRoutedStore(RoutedStore):
         for node_id, node_keys in per_node.items():
             server = self.cluster.server_for(node_id)
             try:
-                found, latency = self.cluster.network.invoke(
+                (found,), latency = self.cluster.network.invoke(
                     self.client_name, self.cluster.node_name(node_id),
-                    server.get_batch, self.store, node_keys)
+                    server.get_batch, self.store, [node_keys])
             except ServerOverloadedError:
                 self.detector.record_success(node_id)
                 self.metrics.counter("get_all.replica_shed").increment()

@@ -13,7 +13,8 @@ fallback-round count, the error raised and its ``achieved``, and the
 network trace byte for byte: RPC order feeds the network RNG, so one
 reordered batch would show there.  The walk runs on the plain ring, and
 again where preference lists differ from it in order (a zone-aware
-store read from one zone) and in length (an admin redirect in place).
+store read from one zone) and in length (an admin redirect in place),
+and on the durable engine, whose replicas decode their own versions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 
 import pytest
 
+from repro.common import vectorclock
 from repro.common.clock import SimClock
 from repro.common.errors import KeyNotFoundError, ReproError
 from repro.common.ring import HashRing, Node, Zone
@@ -32,6 +34,7 @@ from repro.voldemort import (
     StoreDefinition,
     Versioned,
     VoldemortCluster,
+    routing,
 )
 from repro.voldemort.admin import AdminService
 from tests.voldemort.reference_get_all import ReferenceRoutedStore
@@ -86,11 +89,13 @@ class World:
     ``"zones"`` puts node 4 alone in zone 1 of a store that must span
     both zones (two lists gain node 4) and reads from zone 1 (node 4
     ranks first); ``"redirect"`` moves partition 0 to node 1 mid-
-    rebalance (two lists shrink to two nodes, a third changes)."""
+    rebalance (two lists shrink to two nodes, a third changes).
+    ``engine_type`` picks the store's engine."""
 
     QUEUE_DEPTH = 4
 
-    def __init__(self, seed: int, reader_type: type, setting: str = "ring"):
+    def __init__(self, seed: int, reader_type: type, setting: str = "ring",
+                 engine_type: str = "memory"):
         self.clock = SimClock()
         self.network = SimNetwork(clock=self.clock, seed=seed,
                                   latency_model=lognormal_latency(0.0009, 0.4))
@@ -103,11 +108,12 @@ class World:
                 [Node(n, ring.nodes[n].partitions, zone_id=int(n == 4))
                  for n in range(NODES)],
                 ring.num_partitions, [Zone(0, (1,)), Zone(1, (0,))])
-            self.cluster.define_store(
-                StoreDefinition("s", 3, 2, 2, required_zones=2))
+            self.cluster.define_store(StoreDefinition(
+                "s", 3, 2, 2, engine_type, required_zones=2))
             reader_options["client_zone"] = 1
         else:
-            self.cluster.define_store(StoreDefinition("s", 3, 2, 2))
+            self.cluster.define_store(
+                StoreDefinition("s", 3, 2, 2, engine_type))
         if setting == "redirect":
             admin = AdminService(self.cluster)
             admin.redirects[0] = 1
@@ -121,6 +127,7 @@ class World:
                         for w in range(WRITERS)]
         for routed in [self.reader] + self.writers:
             routed.admin = admin
+        self.planted: dict[tuple[int, bytes], VectorClock] = {}
         self.network.start_trace()
         for key in KEYS:
             self.writers[0].put(key, Versioned.initial(b"v0:" + key, 0))
@@ -168,15 +175,18 @@ class World:
 
     def _plant_tombstone(self, node: int, key: bytes) -> None:
         """A delete that reached this replica only: a tombstone whose
-        clock dominates everything the replica holds for ``key``."""
+        clock dominates everything the replica holds for ``key``.  Only
+        plants make tombstones, so the one it can hold is the last one
+        planted here, and the live versions are the rest."""
         engine = self.cluster.server_for(node).engine("s")
-        clock = VectorClock()
+        clock = self.planted.get((node, key), VectorClock())
         try:
-            for versioned in engine.get_including_tombstones(key):
+            for versioned in engine.get(key):
                 clock = clock.merged(versioned.clock)
         except KeyNotFoundError:
             pass
-        engine.put(key, Versioned(None, clock.incremented(TOMBSTONE_WRITER)))
+        clock = self.planted[node, key] = clock.incremented(TOMBSTONE_WRITER)
+        engine.put(key, Versioned(None, clock))
 
     def _get_all(self, batch: list[bytes]) -> tuple:
         fallbacks = self.reader.metrics.counter("get_all.fallback_rounds")
@@ -198,8 +208,8 @@ def engine_batch_reads_match_get(engine, keys: list[bytes]) -> bool:
             expected[key] = engine.get(key)
         except KeyNotFoundError:
             continue
-    return {key: list(versions)
-            for key, versions in engine.get_many(keys).items()} == expected
+    (found,) = engine.get_many([keys])
+    return {key: list(versions) for key, versions in found.items()} == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -237,6 +247,81 @@ def test_get_all_matches_the_reference_where_preference_lists_differ(
         assert outcome == reference.apply(step), (number, step[0])
         assert world.network.trace_bytes() == \
             reference.network.trace_bytes(), (number, step[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_get_all_matches_the_reference_on_the_durable_engine(seed):
+    """The walk on the log-structured engine: each replica decodes its
+    own ``Versioned`` objects, so two replicas in agreement hand back
+    equal versions, never the same ones, and the whole-partition
+    comparison has to go through value equality."""
+    world = World(seed, RoutedStore, engine_type="log-structured")
+    reference = World(seed, ReferenceRoutedStore,
+                      engine_type="log-structured")
+    for number, step in enumerate(script(seed)):
+        outcome = world.apply(step)
+        assert outcome == reference.apply(step), (number, step[0])
+        assert world.network.trace_bytes() == \
+            reference.network.trace_bytes(), (number, step[0])
+        assert all(engine_batch_reads_match_get(engine, KEYS + GHOSTS)
+                   for engine in world.engines()), number
+
+
+def keep_equal_clocks_apart(monkeypatch) -> None:
+    """A stand-in for a fix of the anomaly, patched into the seam that
+    reconciles replies: two versions with one clock and different values
+    are both kept, as siblings.  Engines keep their own merge."""
+    merge = vectorclock.merge_frontier
+
+    def merge_keeping_twins(frontier, incoming):
+        twins = [kept for kept in frontier if kept.clock == incoming.clock]
+        if twins and all(kept.value != incoming.value for kept in twins):
+            return list(frontier) + [incoming]
+        return merge(frontier, incoming)
+
+    def same_single_version(kept, reply):
+        return len(kept) == 1 == len(reply) and kept[0] == reply[0]
+
+    monkeypatch.setattr(vectorclock, "merge_frontier", merge_keeping_twins)
+    for module in (vectorclock, routing):
+        monkeypatch.setattr(module, "same_single_version",
+                            same_single_version)
+
+
+@pytest.mark.parametrize("seam", ["today", "twins_kept"])
+def test_equal_clocks_with_different_values_read_as_get_reads_them(
+        seam, monkeypatch):
+    """Dotted-version-vector anomaly: two replicas of one partition hold
+    one clock with two values (two writers minted the same clock), and
+    the other keys of the partition agree.  Equal clocks are not equal
+    answers, so the key goes through the per-key merge: ``get_all``
+    answers as the per-key reference and as ``get`` do, whatever the
+    merge makes of it — today it keeps the first value; with a seam
+    that keeps both, a comparison of clocks alone would drop one."""
+    if seam == "twins_kept":
+        keep_equal_clocks_apart(monkeypatch)
+    worlds = [World(0, RoutedStore), World(0, ReferenceRoutedStore)]
+    outcomes = []
+    for world in worlds:
+        ring, reader = world.cluster.ring, world.reader
+        key = KEYS[0]
+        partition = ring.partition_for_key(key)
+        batch = [k for k in KEYS if ring.partition_for_key(k) == partition]
+        assert len(batch) > 1
+        # one clock past the preloaded version, minted twice
+        clock = VectorClock({0: 1, WRITERS + 1: 1})
+        for node, value in zip(reader.replica_nodes(key), (b"x", b"y")):
+            world.cluster.server_for(node).engine("s").put(
+                key, Versioned(value, clock))
+        found, _ = reader.get_all(batch)
+        world.clock.advance(1.0)    # queues drain: get asks the same two
+        frontier, _ = reader.get(key)
+        assert list(found[key]) == frontier
+        assert {v.clock for v in frontier} == {clock}
+        assert len(frontier) == (2 if seam == "twins_kept" else 1)
+        outcomes.append({k: list(versions) for k, versions in found.items()})
+    assert outcomes[0] == outcomes[1]
+    assert worlds[0].network.trace_bytes() == worlds[1].network.trace_bytes()
 
 
 def holds_tombstone(engine, key: bytes) -> bool:

@@ -187,8 +187,9 @@ class TestGetAll:
         asked: list[bytes] = []
         for server in cluster.servers.values():
             original = server.get_batch
-            server.get_batch = lambda store, batch, original=original: (
-                asked.extend(batch), original(store, batch))[1]
+            server.get_batch = lambda store, groups, original=original: (
+                asked.extend(key for group in groups for key in group),
+                original(store, groups))[1]
         found, _ = routed.get_all(keys)
         assert set(found) == set(keys)
         # every key is served by exactly two live replicas: a short key
@@ -213,8 +214,10 @@ class TestGetAll:
         """Count guard, no timing, flat in the batch width: a healthy
         batch ranks each node once, makes one engine batch read per
         contacted node and no per-key ``get``, and, with replicas in
-        agreement, compares no clocks and folds no frontier.  Only keys
-        whose replies differ are folded: one ``frontier_of`` each."""
+        agreement, compares no clocks and folds no frontier — siblings
+        every replica holds included, since equal answers are taken
+        whole.  Only keys whose replies differ are folded: a sibling on
+        one replica costs one ``frontier_of`` for its key."""
         calls = {"is_available": 0, "compare": 0, "get": 0,
                  "frontier_of": 0}
         batch_reads: list[InMemoryStorageEngine] = []
@@ -240,15 +243,22 @@ class TestGetAll:
             "frontier_of", routing.frontier_of))
         monkeypatch.setattr(InMemoryStorageEngine, "get_many",
                             recording_get_many)
-        for width, planted in ((50, 0), (100, 0), (200, 0), (100, 3)):
+        for width, planted, everywhere in ((50, 0, True), (100, 0, True),
+                                           (200, 0, True), (100, 3, True),
+                                           (100, 3, False)):
             cluster = VoldemortCluster(num_nodes=6, partitions_per_node=8)
             cluster.define_store(StoreDefinition("s", 3, 2, 2))
             routed = RoutedStore(cluster, "s")
             keys = [b"member:%d" % i for i in range(width)]
             for key in keys:
                 routed.put(key, Versioned.initial(b"v", 0))
-            for key in keys[:planted]:   # a concurrent sibling everywhere
-                routed.put(key, Versioned(b"w", VectorClock({1: 1})))
+            for key in keys[:planted]:   # a concurrent sibling
+                sibling = Versioned(b"w", VectorClock({1: 1}))
+                if everywhere:
+                    routed.put(key, sibling)
+                else:   # on the first replica, which every read asks
+                    first = routed.replica_nodes(key)[0]
+                    cluster.server_for(first).engine("s").put(key, sibling)
             for name in calls:
                 calls[name] = 0
             batch_reads.clear()
@@ -261,7 +271,8 @@ class TestGetAll:
                 == contacted <= len(cluster.ring.nodes), width
             assert calls["get"] == 0, width
             assert calls["is_available"] <= len(cluster.ring.nodes), width
-            assert calls["frontier_of"] == planted, width
+            assert calls["frontier_of"] == (0 if everywhere else planted), \
+                width
             if not planted:
                 assert calls["compare"] == 0, width
 
@@ -277,9 +288,11 @@ class TestGetAll:
         junk = Versioned(b"junk", VectorClock({7: 7}))
 
         def engine_view():
-            return {node: {key: server.engine("s").get_many([key]).get(key)
-                           for key in keys}
-                    for node, server in cluster.servers.items()}
+            view = {}
+            for node, server in cluster.servers.items():
+                (found,) = server.engine("s").get_many([keys])
+                view[node] = {key: found.get(key) for key in keys}
+            return view
 
         before = engine_view()
         found, _ = routed.get_all(keys)

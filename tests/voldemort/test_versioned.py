@@ -1,5 +1,9 @@
 """Versioned value semantics."""
 
+import dataclasses
+
+import pytest
+
 from repro.common.vectorclock import VectorClock
 from repro.voldemort import Versioned
 
@@ -27,3 +31,14 @@ def test_concurrent_versions():
 def test_tombstone():
     versioned = Versioned(None, VectorClock({1: 1}))
     assert versioned.is_tombstone
+
+
+def test_a_version_is_slotted_and_frozen():
+    """Every stored version is a ``Versioned``, so it carries no
+    per-object ``__dict__``; equality still compares value and clock."""
+    versioned = Versioned.initial(b"v", 1)
+    assert not hasattr(versioned, "__dict__")
+    assert versioned == Versioned(b"v", VectorClock({1: 1}))
+    assert versioned != Versioned(b"w", VectorClock({1: 1}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        versioned.value = b"w"
