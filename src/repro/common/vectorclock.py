@@ -49,6 +49,11 @@ class VectorClock:
     def entries(self) -> dict[int, int]:
         return dict(self._entries)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The ``(node, counter)`` pairs in node order, without a copy."""
+        return self._entries
+
     def counter_of(self, node_id: int) -> int:
         for node, counter in self._entries:
             if node == node_id:

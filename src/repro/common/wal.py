@@ -134,15 +134,19 @@ class WriteAheadLog:
         for _, payload in self.frames():
             yield payload
 
-    def read(self, offset: int) -> bytes:
-        """The payload of the frame at byte ``offset``; raises
-        :class:`ChecksumError` if that frame is damaged."""
+    def read(self, offset: int, length: int) -> bytes:
+        """The payload of the ``length``-byte frame at byte ``offset``,
+        in one positioned read.  ``length`` counts the header, so it is
+        ``FRAME_OVERHEAD + len(payload)``: the span :meth:`append` moved
+        the end by, which a caller's index holds.  Raises
+        :class:`ChecksumError` unless the read is full, the header's
+        length field agrees with ``length`` and the CRC matches."""
         self._file.seek(offset)
-        header = self._file.read(FRAME_OVERHEAD)
-        if len(header) == FRAME_OVERHEAD:
-            crc, length = _FRAME.unpack(header)
-            payload = self._file.read(length)
-            if len(payload) == length and zlib.crc32(payload) == crc:
+        data = self._file.read(length)
+        if len(data) == length >= FRAME_OVERHEAD:
+            crc, size = _FRAME.unpack_from(data)
+            payload = data[FRAME_OVERHEAD:]
+            if size == length - FRAME_OVERHEAD and zlib.crc32(payload) == crc:
                 return payload
         raise ChecksumError(f"corrupt frame at {self.path}@{offset}")
 

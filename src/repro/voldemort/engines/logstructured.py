@@ -7,8 +7,8 @@ in-memory key index, crash recovery by log replay, CRC detection of
 torn writes, and compaction that drops superseded versions.
 
 ``data.log`` is a :class:`~repro.common.wal.WriteAheadLog`: the kernel
-owns the checksummed frame, the torn-tail rule, the checked read by
-offset and the atomic compaction swap.  This module owns what goes
+owns the checksummed frame, the torn-tail rule, the checked read of a
+frame and the atomic compaction swap.  This module owns what goes
 inside a frame (little-endian):
 
     body = [key_len : 4B][key]
@@ -18,7 +18,10 @@ inside a frame (little-endian):
 
 and the in-memory index, which maps key -> list of (clock, offset,
 length, tombstone) so the multi-version merge never touches disk; only
-value reads do.
+value reads do.  ``length`` is the whole frame, so a ``get`` makes one
+positioned read per live version: the kernel checks the frame's length
+and CRC, and the engine checks the key and slices out the value,
+stepping over the clock without decoding it (the index holds it).
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 _CLOCK_ENTRY = struct.Struct("<QQ")
 _FLAG_TOMBSTONE = 0x01
+_TOMBSTONE, _LIVE = bytes([_FLAG_TOMBSTONE]), bytes([0])
 
 
-def _encode_clock(clock: VectorClock) -> bytes:
-    entries = clock.entries
-    out = bytearray(_U16.pack(len(entries)))
-    for node, counter in sorted(entries.items()):
-        out.extend(_CLOCK_ENTRY.pack(node, counter))
-    return bytes(out)
+def _encode_clock(clock: VectorClock) -> list[bytes]:
+    """The clock's packed parts: its count, then each pair in node
+    order, straight from the clock's sorted tuple."""
+    pairs = clock.pairs
+    return [_U16.pack(len(pairs)), *[_CLOCK_ENTRY.pack(*p) for p in pairs]]
 
 
 def _decode_clock(data: bytes, offset: int) -> tuple[VectorClock, int]:
@@ -60,15 +63,10 @@ def _decode_clock(data: bytes, offset: int) -> tuple[VectorClock, int]:
 
 def encode_body(key: bytes, versioned: Versioned) -> bytes:
     value = versioned.value if versioned.value is not None else b""
-    flags = _FLAG_TOMBSTONE if versioned.is_tombstone else 0
-    body = bytearray()
-    body.extend(_U32.pack(len(key)))
-    body.extend(key)
-    body.extend(_encode_clock(versioned.clock))
-    body.append(flags)
-    body.extend(_U32.pack(len(value)))
-    body.extend(value)
-    return bytes(body)
+    flags = _TOMBSTONE if versioned.is_tombstone else _LIVE
+    return b"".join((_U32.pack(len(key)), key,
+                     *_encode_clock(versioned.clock),
+                     flags, _U32.pack(len(value)), value))
 
 
 def decode_body(body: bytes) -> tuple[bytes, Versioned]:
@@ -109,7 +107,6 @@ class LogStructuredEngine(StorageEngine):
         self.disk = disk
         self._index: dict[bytes, list[_IndexEntry]] = {}
         self._log = WriteAheadLog(f"{directory}/{self.LOG_NAME}", disk)
-        self.live_bytes = 0
         self.torn_bytes_truncated = self._log.truncated_bytes
         for offset, body in self._log.frames():
             key, versioned = decode_body(body)
@@ -128,24 +125,32 @@ class LogStructuredEngine(StorageEngine):
         if survivors is None:
             return  # record superseded later in the log
         self._index[key] = survivors
-        self.live_bytes += length
 
     # -- StorageEngine interface ------------------------------------------
 
     def get(self, key: bytes) -> list[Versioned]:
-        entries = [e for e in self._index.get(key, []) if not e.tombstone]
+        entries = [e for e in self._index.get(key, ()) if not e.tombstone]
         if not entries:
             raise KeyNotFoundError(repr(key))
-        out = []
-        for entry in entries:
-            out.append(Versioned(self._read_value(key, entry), entry.clock))
-        return out
+        return [Versioned(self._read_value(key, entry), entry.clock)
+                for entry in entries]
 
     def _read_value(self, key: bytes, entry: _IndexEntry) -> bytes:
-        stored_key, versioned = decode_body(self._log.read(entry.offset))
-        if stored_key != key:
-            raise ChecksumError(f"index pointed {key!r} at record for {stored_key!r}")
-        return versioned.value or b""
+        """The value of the record ``entry`` names: one positioned read
+        of the whole frame, then a slice.  The clock is stepped over,
+        not decoded: the index already holds it."""
+        body = self._log.read(entry.offset, entry.length)
+        (key_len,) = _U32.unpack_from(body, 0)
+        if key_len != len(key) or not body.startswith(key, _U32.size):
+            stored = body[_U32.size:_U32.size + key_len]
+            raise ChecksumError(f"index pointed {key!r} at record for {stored!r}")
+        clock_at = _U32.size + key_len
+        (count,) = _U16.unpack_from(body, clock_at)
+        # past the clock, the flags byte and the value's length; the
+        # value runs to the end of the body
+        value_at = (clock_at + _U16.size + _CLOCK_ENTRY.size * count
+                    + 1 + _U32.size)
+        return body[value_at:]
 
     def put(self, key: bytes, versioned: Versioned) -> None:
         # enforce the version contract against the in-memory clocks first
@@ -153,18 +158,20 @@ class LogStructuredEngine(StorageEngine):
         body = encode_body(key, versioned)
         offset = self._log.append(body)
         self._log.fsync()   # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
+        # merged again, not stored from the first merge: another put may
+        # have landed while the fsync yielded
         self._index_put(key, versioned, offset, FRAME_OVERHEAD + len(body))
 
     def record_span(self, key: bytes) -> tuple[int, int]:
         """(offset, length) of the newest live on-disk record for
         ``key`` — the targeting information a fault injector needs to
         corrupt one specific key's bytes (the CRC on the read path is
-        what must catch the damage)."""
-        entries = self._index.get(key)
-        if not entries:
-            raise KeyNotFoundError(repr(key))
-        entry = entries[-1]
-        return entry.offset, entry.length
+        what must catch the damage).  A tombstone is never named: no
+        read touches it, so damage planted there would go unseen."""
+        for entry in reversed(self._index.get(key, ())):
+            if not entry.tombstone:
+                return entry.offset, entry.length
+        raise KeyNotFoundError(repr(key))
 
     def keys(self) -> Iterator[bytes]:
         for key, entries in self._index.items():
@@ -190,7 +197,8 @@ class LogStructuredEngine(StorageEngine):
         """Rewrite only live versions (tombstones are dropped); returns
         bytes reclaimed, or 0 if a put raced the swap and the kernel
         aborted it — the next compaction picks the garbage up."""
-        bodies = [self._log.read(entry.offset) for _, entry in self._live()]
+        bodies = [self._log.read(entry.offset, entry.length)
+                  for _, entry in self._live()]
         reclaimed = self._log.rewrite(bodies)
         if reclaimed is None:
             return 0
@@ -198,11 +206,10 @@ class LogStructuredEngine(StorageEngine):
         # collected: the index still lists exactly those records
         fresh: dict[bytes, list[_IndexEntry]] = {}
         offset = 0
-        for (key, entry), body in zip(self._live(), bodies):
-            length = FRAME_OVERHEAD + len(body)
+        for key, entry in self._live():
             fresh.setdefault(key, []).append(
-                _IndexEntry(entry.clock, offset, length, False))
-            offset += length
+                _IndexEntry(entry.clock, offset, entry.length, False))
+            offset += entry.length
         self._index = fresh
         return reclaimed
 

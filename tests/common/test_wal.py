@@ -168,11 +168,13 @@ class TestLocalDiskWal:
 class TestReadAndFrames:
     def test_read_by_offset(self, disk):
         wal = WriteAheadLog("node/x.wal", disk=disk)
-        offsets = [wal.append(p) for p in (b"alpha", b"", b"gamma")]
-        assert [wal.read(o) for o in offsets] == [b"alpha", b"", b"gamma"]
+        payloads = (b"alpha", b"", b"gamma")
+        offsets = [wal.append(p) for p in payloads]
+        assert [wal.read(o, FRAME_OVERHEAD + len(p))
+                for o, p in zip(offsets, payloads)] == [b"alpha", b"", b"gamma"]
         # reading moves no append: the next frame still lands at the end
         assert wal.append(b"delta") == wal.size_bytes - FRAME_OVERHEAD - 5
-        assert wal.read(offsets[2]) == b"gamma"
+        assert wal.read(offsets[2], FRAME_OVERHEAD + 5) == b"gamma"
 
     @pytest.mark.parametrize("where", ["crc", "length", "payload"])
     def test_read_detects_damage(self, disk, where):
@@ -182,17 +184,38 @@ class TestReadAndFrames:
         wal.fsync()
         delta = {"crc": 1, "length": 5, "payload": FRAME_OVERHEAD + 2}[where]
         disk.flip_bit("node", "x.wal", offset=offset + delta, bit=6)
-        assert wal.read(0) == b"first"
+        assert wal.read(0, FRAME_OVERHEAD + 5) == b"first"
         with pytest.raises(ChecksumError):
-            wal.read(offset)
+            wal.read(offset, FRAME_OVERHEAD + 6)
 
     def test_read_past_the_end_is_damage(self, disk):
         wal = WriteAheadLog("node/x.wal", disk=disk)
         wal.append(b"only")
         with pytest.raises(ChecksumError):
-            wal.read(wal.size_bytes)
+            wal.read(wal.size_bytes, FRAME_OVERHEAD + 4)
         with pytest.raises(ChecksumError):
-            wal.read(wal.size_bytes - 3)
+            wal.read(wal.size_bytes - 3, FRAME_OVERHEAD + 4)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_read_rejects_a_length_the_header_disagrees_with(
+            self, disk, delta):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        wal.append(b"first")
+        wal.append(b"second")
+        with pytest.raises(ChecksumError):
+            wal.read(0, FRAME_OVERHEAD + 5 + delta)
+
+    def test_read_is_one_positioned_read(self, disk, monkeypatch):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        offset = wal.append(b"payload")
+        sizes = []
+        real_read = _SimFile.read
+        monkeypatch.setattr(
+            _SimFile, "read",
+            lambda handle, size=-1: sizes.append(size)
+            or real_read(handle, size))
+        assert wal.read(offset, FRAME_OVERHEAD + 7) == b"payload"
+        assert sizes == [FRAME_OVERHEAD + 7]
 
     def test_frames_carry_offsets(self, disk):
         wal = WriteAheadLog("node/x.wal", disk=disk)
@@ -234,8 +257,8 @@ class TestRewrite:
         assert reclaimed == FRAME_OVERHEAD + 4
         assert wal.size_bytes == before - reclaimed
         assert wal.unsynced_bytes == 0
-        assert wal.read(0) == b"keep-1"
-        assert wal.read(FRAME_OVERHEAD + 6) == b"keep-2"
+        assert wal.read(0, FRAME_OVERHEAD + 6) == b"keep-1"
+        assert wal.read(FRAME_OVERHEAD + 6, FRAME_OVERHEAD + 6) == b"keep-2"
         assert not disk.exists("node/x.wal.tmp")
         # the reopened handle appends after the survivors
         assert wal.append(b"next") == wal.size_bytes - FRAME_OVERHEAD - 4

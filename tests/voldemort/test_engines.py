@@ -8,8 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ChecksumError, KeyNotFoundError, ObsoleteVersionError
 from repro.common.vectorclock import Occurred, VectorClock
-from repro.simnet.disk import SimDisk
-from repro.voldemort.engines import InMemoryStorageEngine, LogStructuredEngine
+from repro.common.wal import FRAME_OVERHEAD
+from repro.simnet.disk import SimDisk, _SimFile
+from repro.voldemort.engines import (
+    InMemoryStorageEngine,
+    LogStructuredEngine,
+    logstructured,
+)
 from repro.voldemort.versioned import Versioned
 
 
@@ -168,6 +173,108 @@ class TestLogStructuredDurability:
         reopened.close()
 
 
+def _flip_bit(disk, offset: int) -> None:
+    disk.disk.flip_bit(disk.node, f"store/{LogStructuredEngine.LOG_NAME}",
+                       offset=offset)
+
+
+class TestPositionedRead:
+    """A replica ``get`` reads each live version's whole frame once, at
+    the offset and length its index entry holds, and never decodes the
+    clock it already has; every kind of damage is still caught."""
+
+    def test_one_disk_read_per_live_version(self, disk, monkeypatch):
+        engine = LogStructuredEngine("store", disk)
+        for node in (1, 2, 3):  # three concurrent versions
+            engine.put(b"k", Versioned(b"v%d" % node, VectorClock({node: 1})))
+        engine.put(b"other", v(b"x"))
+        reads = []
+        real_read = _SimFile.read
+        monkeypatch.setattr(
+            _SimFile, "read",
+            lambda handle, size=-1: reads.append(size)
+            or real_read(handle, size))
+
+        def no_decode(*args):
+            raise AssertionError("the read path decoded a clock")
+
+        monkeypatch.setattr(logstructured, "_decode_clock", no_decode)
+        got = engine.get(b"k")
+        assert [x.value for x in got] == [b"v1", b"v2", b"v3"]
+        assert [x.clock for x in got] == [VectorClock({n: 1}) for n in (1, 2, 3)]
+        assert reads == [entry.length for entry in engine._index[b"k"]]
+        reads.clear()
+        assert [x.value for x in engine.get(b"other")] == [b"x"]
+        assert len(reads) == 1
+        engine.close()
+
+    @pytest.mark.parametrize("where", ["crc", "length", "key", "value"])
+    def test_a_flipped_byte_is_caught(self, disk, where):
+        engine = LogStructuredEngine("store", disk)
+        engine.put(b"before", v(b"first"))
+        engine.put(b"key", v(b"value"))
+        engine.put(b"after", v(b"last"))
+        offset, length = engine.record_span(b"key")
+        at = {"crc": 0, "length": 4, "key": FRAME_OVERHEAD + 4,
+              "value": length - 1}[where]
+        _flip_bit(disk, offset + at)
+        with pytest.raises(ChecksumError):
+            engine.get(b"key")
+        assert [x.value for x in engine.get(b"before")] == [b"first"]
+        assert [x.value for x in engine.get(b"after")] == [b"last"]
+        engine.close()
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_an_index_length_the_header_disagrees_with_is_caught(
+            self, disk, delta):
+        engine = LogStructuredEngine("store", disk)
+        engine.put(b"key", v(b"value"))
+        engine.put(b"after", v(b"last"))
+        engine._index[b"key"][0].length += delta
+        with pytest.raises(ChecksumError):
+            engine.get(b"key")
+        engine.close()
+
+    def test_an_index_entry_at_another_keys_frame_is_caught(self, disk):
+        engine = LogStructuredEngine("store", disk)
+        engine.put(b"key", v(b"value"))
+        engine.put(b"yek", v(b"other"))
+        (entry,) = engine._index[b"key"]
+        entry.offset, entry.length = engine.record_span(b"yek")
+        with pytest.raises(ChecksumError, match="at record for b'yek'"):
+            engine.get(b"key")
+        engine.close()
+
+
+class TestRecordSpan:
+    def test_names_the_live_record_not_a_concurrent_tombstone(self, disk):
+        """A bit flipped where ``record_span`` points — the last byte,
+        as ``FaultInjector.flip_voldemort_bit`` places it — must surface
+        on the next read, so the span never names a tombstone."""
+        engine = LogStructuredEngine("store", disk)
+        engine.put(b"k", Versioned(b"live", VectorClock({1: 1})))
+        engine.delete(b"k", Versioned(None, VectorClock({2: 1})))
+        live, tombstone = engine._index[b"k"]
+        assert tombstone.tombstone
+        offset, length = engine.record_span(b"k")
+        assert (offset, length) == (live.offset, live.length)
+        _flip_bit(disk, offset + length - 1)
+        with pytest.raises(ChecksumError):
+            engine.get(b"k")
+        engine.close()
+
+    def test_a_key_with_only_tombstones_has_no_span(self, disk):
+        engine = LogStructuredEngine("store", disk)
+        first = Versioned.initial(b"v", 1)
+        engine.put(b"k", first)
+        engine.delete(b"k", first.next_version(None, 1))
+        with pytest.raises(KeyNotFoundError):
+            engine.record_span(b"k")
+        with pytest.raises(KeyNotFoundError):
+            engine.record_span(b"never-written")
+        engine.close()
+
+
 def _raw_record(key: bytes, clock: dict[int, int], value: bytes | None):
     """One ``data.log`` record spelled out byte by byte, independently
     of the engine and the WAL kernel: the format as of PR 11."""
@@ -207,8 +314,11 @@ def test_data_log_byte_format_is_pinned(disk):
 @given(st.lists(st.tuples(st.binary(min_size=1, max_size=20),
                           st.binary(max_size=64)), max_size=30))
 def test_log_engine_matches_memory_engine(pairs):
-    """The on-disk engine and dict engine agree on every history."""
-    log_engine = LogStructuredEngine("store", SimDisk().scope("node"))
+    """The on-disk engine and dict engine agree on every history, and
+    again after a compaction and a reopen have rewritten every offset
+    the positioned reads go to."""
+    disk = SimDisk().scope("node")
+    log_engine = LogStructuredEngine("store", disk)
     memory_engine = InMemoryStorageEngine()
     clocks: dict[bytes, Versioned] = {}
     try:
@@ -220,9 +330,14 @@ def test_log_engine_matches_memory_engine(pairs):
             clocks[key] = versioned
             log_engine.put(key, versioned)
             memory_engine.put(key, versioned)
-        for key in clocks:
-            assert ([x.value for x in log_engine.get(key)]
-                    == [x.value for x in memory_engine.get(key)])
+        for step in ("written", "compacted", "reopened"):
+            if step == "compacted":
+                log_engine.compact()
+            elif step == "reopened":
+                log_engine.close()
+                log_engine = LogStructuredEngine("store", disk)
+            for key in clocks:
+                assert log_engine.get(key) == memory_engine.get(key), step
     finally:
         log_engine.close()
 
