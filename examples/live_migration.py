@@ -10,13 +10,15 @@ whole migration subsystem on a member-profiles table:
 2. catch-up on the live Databus stream until replication lag is zero,
 3. dual writes with shadow-read verification,
 4. a ramped cutover (5% → 25% → 50% → 100% of reads), and
-5. the final full comparison gate before the target becomes the only
-   store — plus a coordinator crash mid-backfill to show the journal
-   resuming without re-reading completed chunks.
+5. the final gate, the declared digest-scoped constraints of
+   ``repro.audit``, before the target becomes the only store — plus a
+   coordinator crash mid-backfill to show the journal resuming without
+   re-reading completed chunks.
 
 Run:  python examples/live_migration.py
 """
 
+from repro.audit.wiring import cutover_check
 from repro.common.clock import SimClock
 from repro.migration import MigrationPhase, MigrationSlo, MigrationStack
 from repro.simnet.disk import SimDisk
@@ -44,7 +46,8 @@ def main() -> None:
     disk = SimDisk(clock=clock, seed=7)
     source = make_source(clock)
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                 slo=SLO, chunk_size=16)
+                                 slo=SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     print(f"source: {len(source.table('profiles'))} profile rows, "
           f"target: {len(stack.cluster.nodes)}-node Espresso cluster")
 
@@ -61,7 +64,8 @@ def main() -> None:
     disk.restart_node("coordinator")
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
                                  slo=SLO, chunk_size=16,
-                                 cluster=stack.cluster)
+                                 cluster=stack.cluster,
+                                 cutover_check=cutover_check)
     resumed = stack.coordinator.backfill.progress["profiles"]
     print(f"crash + restart: journal resumes the cursor at {resumed} "
           f"(no completed chunk re-read)")
@@ -88,8 +92,8 @@ def main() -> None:
     shadow = stack.proxy.shadow
     print(f"shadow verification: {shadow.total_reads} compared reads, "
           f"{shadow.total_mismatches} mismatches")
-    print(f"cutover gate: {len(stack.proxy.full_comparison())} differences "
-          f"between source and target")
+    print(f"cutover gate: {len(cutover_check(stack.proxy)())} violated "
+          f"constraints between source and target")
     row = stack.proxy.read("profiles", (5000,))
     print(f"served from Espresso after cutover: member 5000 = "
           f"{row['name']!r}")

@@ -411,9 +411,10 @@ def cutover_constraints(proxy) -> list:
 
 
 def cutover_check(proxy) -> Callable[[], list[Violation]]:
-    """A drop-in for ``MigrationCoordinator(cutover_check=...)``: at the
-    cutover gate, evaluate the declared constraints and return their
-    violations (empty == safe to cut over)."""
+    """The migration's cutover gate, passed as
+    ``MigrationStack.build(..., cutover_check=cutover_check)``: at the
+    gate, evaluate the declared constraints and return their violations
+    (empty == safe to cut over)."""
     constraints = cutover_constraints(proxy)
     return lambda: check_all(constraints)
 

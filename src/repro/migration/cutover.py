@@ -23,9 +23,10 @@ Phases:
 * **RAMP(n%)** — serve reads from the target for the n% of keys whose
   hash bucket is below the ramp, stepping up the schedule after each
   ``ramp_step_duration`` with no mismatch-rate breach.
-* **CUTOVER** — final gate: a full row-by-row comparison of both
-  stores.  Identical → the target becomes the store of record
-  (``serve_target_only``).  Any difference → roll back instead.
+* **CUTOVER** — final gate: the injected ``cutover_check`` evaluates
+  the declared, digest-scoped constraints of both stores.  No
+  violation → the target becomes the store of record
+  (``serve_target_only``).  Any violation → roll back instead.
 * **ROLLBACK** — dual-writes off, ramp to 0%, reads/writes back on the
   source, and CDC resumes from its checkpoint to re-heal the target
   (replayed writes are idempotent upserts, so healing is safe).
@@ -102,25 +103,23 @@ class MigrationCoordinator:
 
     def __init__(self, proxy: DualWriteProxy, backfill: ChunkedBackfill,
                  journal: MigrationJournal, clock: Clock,
-                 slo: MigrationSlo | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 cutover_check: Callable[[], list] | None = None):
+                 metrics: MetricsRegistry,
+                 cutover_check: Callable[[], list],
+                 slo: MigrationSlo | None = None):
         self.proxy = proxy
         self.backfill = backfill
-        # the final verification gate: a callable returning a list of
-        # discrepancies (empty == safe).  Defaults to the proxy's ad-hoc
-        # row comparison; pass repro.audit.wiring.cutover_check(proxy)
-        # to gate on declared constraints instead (same data, but the
-        # differences come back as structured Violation records).  The
-        # coordinator never imports audit — the layering contract points
-        # the other way — so the constraint arrives as a plain callable.
+        # the final verification gate: a callable returning the declared
+        # constraints' violations (empty == safe), each with a
+        # ``render()``.  The coordinator never imports audit — the
+        # layering contract points the other way — so callers pass
+        # repro.audit.wiring.cutover_check(proxy) as a plain callable.
         self.cutover_check = cutover_check
         self.client = backfill.client
         self.capture = backfill.capture
         self.journal = journal
         self.clock = clock
         self.slo = slo if slo is not None else MigrationSlo()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = metrics
         self.phase = MigrationPhase.BACKFILL
         self.ramp_index = 0
         self.entered_at = clock.now()
@@ -305,25 +304,18 @@ class MigrationCoordinator:
             self._enter_cutover()
 
     def _enter_cutover(self) -> None:
-        """The final gate: both stores must be row-for-row identical."""
-        if self.cutover_check is not None:
-            differences = list(self.cutover_check())
-        else:
-            differences = self.proxy.full_comparison()
+        """The final gate: the declared cutover constraints must hold.
+        Their violations render whole into the rollback reason."""
+        differences = list(self.cutover_check())
         if differences:
-            first = differences[0]
-            # a full_comparison difference is (table, key, src, dst);
-            # trim the row images.  Constraint Violations render whole.
-            preview = (first[:2] if isinstance(first, tuple)
-                       else getattr(first, "render", lambda: repr(first))())
             self.rollback(
                 f"cutover verification found {len(differences)} differing "
-                f"rows (first: {preview})")
+                f"rows (first: {differences[0].render()})")
             return
         self.proxy.serve_target_only = True
         self.proxy.dual_writes_enabled = False
         self._transition(MigrationPhase.CUTOVER,
-                         "full comparison clean; target is store of record")
+                         "cutover constraints hold; target is store of record")
 
     # -- rollback ----------------------------------------------------------
 

@@ -88,10 +88,10 @@ class DualWriteProxy:
     """
 
     def __init__(self, source: SqlDatabase, target: EspressoTarget,
-                 metrics: MetricsRegistry | None = None):
+                 metrics: MetricsRegistry):
         self.source = source
         self.target = target
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = metrics
         self.shadow = ShadowReadStats()
         self.dual_writes_enabled = False
         self.ramp_percent = 0
@@ -167,7 +167,9 @@ class DualWriteProxy:
                         ) -> list[tuple[str, tuple, dict | None, dict | None]]:
         """Row-by-row source↔target comparison; returns every
         disagreement as (table, key, source document, target document).
-        Empty list == stores are identical (the cutover gate)."""
+        Empty list == stores are identical.  This is the oracle the
+        cutover gate is tested against, not a gate: it decodes every
+        row of both stores, and no production path calls it."""
         differences = []
         transform = self.target.transform
         for table in sorted(tables if tables is not None

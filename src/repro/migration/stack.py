@@ -55,13 +55,10 @@ class MigrationStack:
 
     @classmethod
     def build(cls, source: SqlDatabase, disk: Disk, clock: Clock,
-              slo: MigrationSlo | None = None, chunk_size: int = 64,
-              cluster: EspressoCluster | None = None,
-              num_nodes: int = 3, num_partitions: int = 8,
-              replication_factor: int = 2,
               cutover_check: Callable[["DualWriteProxy"],
-                                      Callable[[], list]] | None = None
-              ) -> "MigrationStack":
+                                      Callable[[], list]],
+              slo: MigrationSlo | None = None, chunk_size: int = 64,
+              cluster: EspressoCluster | None = None) -> "MigrationStack":
         """Wire a full stack.
 
         ``disk`` holds the coordinator's checkpoint journal — reuse the
@@ -70,16 +67,13 @@ class MigrationStack:
 
         ``cutover_check`` is a *factory* taking the built proxy and
         returning the coordinator's verification gate (the proxy does
-        not exist until build time) — pass
-        ``repro.audit.wiring.cutover_check`` to verify the cutover with
-        declared constraints.
+        not exist until build time): pass
+        ``repro.audit.wiring.cutover_check``, the declared constraints.
         """
         clock = one_clock(clock, source, disk, cluster)
         if cluster is None:
-            cluster = EspressoCluster(
-                espresso_schema_for(source, num_partitions=num_partitions,
-                                    replication_factor=replication_factor),
-                num_nodes=num_nodes, clock=clock)
+            cluster = EspressoCluster(espresso_schema_for(source),
+                                      clock=clock)
             cluster.start()
         metrics = MetricsRegistry()
         transform = RowTransform(source)
@@ -94,9 +88,8 @@ class MigrationStack:
         proxy = DualWriteProxy(source, target, metrics)
         journal = MigrationJournal(disk)
         coordinator = MigrationCoordinator(
-            proxy, backfill, journal, clock, slo=slo, metrics=metrics,
-            cutover_check=(cutover_check(proxy)
-                           if cutover_check is not None else None))
+            proxy, backfill, journal, clock, metrics,
+            cutover_check(proxy), slo=slo)
         return cls(source=source, cluster=cluster, relay=relay,
                    capture=capture, client=client, replicator=replicator,
                    target=target, proxy=proxy, journal=journal,

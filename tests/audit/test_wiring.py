@@ -120,7 +120,8 @@ def test_value_equality_visits_each_binlog_transaction_at_most_once(clock):
 def cutover_stack(clock):
     source = make_source(clock, profiles=10, inmails=4)
     stack = MigrationStack.build(source, SimDisk(clock=clock).scope("c"),
-                                 clock, slo=FAST_SLO, chunk_size=16)
+                                 clock, slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     drive_to_phase(stack, clock, MigrationPhase.CUTOVER)
     return source, stack
 

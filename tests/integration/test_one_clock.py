@@ -10,6 +10,7 @@ is ``tests/workloads/test_day_in_the_life.py``.
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError
 from repro.databus import DatabusClient, Relay
@@ -80,7 +81,8 @@ def fault_plan_on_a_disk(clock):
 
 def migration_stack_on_a_source(clock):
     stack = MigrationStack.build(make_source(clock, profiles=4, inmails=1),
-                                 SimDisk(clock=clock).scope("c"), clock)
+                                 SimDisk(clock=clock).scope("c"), clock,
+                                 cutover_check=cutover_check)
     return [stack.cluster, *stack.cluster.nodes.values(), stack.client,
             stack.coordinator]
 
@@ -127,7 +129,8 @@ def migration_stack(odd_one):
     clock = SimClock()
     MigrationStack.build(
         SqlDatabase("members", clock=on(clock, odd_one, "source")),
-        SimDisk(clock=on(clock, odd_one, "disk")).scope("c"), clock)
+        SimDisk(clock=on(clock, odd_one, "disk")).scope("c"), clock,
+        cutover_check=cutover_check)
 
 
 @pytest.mark.parametrize("build", [

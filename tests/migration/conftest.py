@@ -3,6 +3,7 @@ and a fully wired migration stack on a simulated clock and disk."""
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.clock import SimClock
 from repro.migration import MigrationSlo, MigrationStack
 from repro.simnet.disk import SimDisk
@@ -68,4 +69,5 @@ def disk(clock):
 @pytest.fixture
 def stack(source, disk, clock):
     return MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                slo=FAST_SLO, chunk_size=16)
+                                slo=FAST_SLO, chunk_size=16,
+                                cutover_check=cutover_check)

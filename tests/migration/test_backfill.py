@@ -3,6 +3,7 @@ rows discarded, watermarks from dead runs ignored, per-table progress."""
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.errors import ConfigurationError
 from repro.migration import MigrationPhase, MigrationStack
 from repro.migration.backfill import DONE, high_label, low_label
@@ -14,7 +15,8 @@ from tests.migration.conftest import make_source
 
 def build(source, clock, chunk_size=16):
     stack = MigrationStack.build(source, SimDisk(clock=clock).scope("c"), clock,
-                                 chunk_size=chunk_size)
+                                 chunk_size=chunk_size,
+                                 cutover_check=cutover_check)
     # tables chunk in name order; mark the empty inmail table done so
     # unit tests drive the profiles table directly
     stack.coordinator.backfill.restore_progress({"inmail": DONE})

@@ -4,6 +4,7 @@ transparent to the migration, and a torn journal tail falls back to the
 previous checkpoint.  Fault schedules run under :class:`FaultPlan` so
 every scenario is a deterministic, replayable trace."""
 
+from repro.audit.wiring import cutover_check
 from repro.migration import (
     MigrationCheckpoint,
     MigrationJournal,
@@ -59,7 +60,7 @@ def test_coordinator_crash_mid_backfill_resumes_from_checkpoint(
         stacks["live"] = MigrationStack.build(
             source, disk.scope("coordinator"), clock, slo=FAST_SLO,
             chunk_size=16, cluster=stacks["live"].cluster
-            if "live" in stacks else None)
+            if "live" in stacks else None, cutover_check=cutover_check)
 
     boot()
     plan = FaultPlan(disk)
@@ -97,7 +98,8 @@ def test_crash_after_every_chunk_still_converges(clock, disk):
     source = make_source(clock, profiles=50, inmails=5)
     reads = record_chunk_reads(source)
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     for _ in range(20):
         if stack.coordinator.phase is not MigrationPhase.BACKFILL:
             break
@@ -107,7 +109,8 @@ def test_crash_after_every_chunk_still_converges(clock, disk):
         disk.restart_node("coordinator")
         stack = MigrationStack.build(source, disk.scope("coordinator"),
                                      clock, slo=FAST_SLO, chunk_size=16,
-                                     cluster=stack.cluster)
+                                     cluster=stack.cluster,
+                                     cutover_check=cutover_check)
     run_to_cutover(stack, clock, (1,))
     assert stack.coordinator.phase is MigrationPhase.CUTOVER
     assert read_twice(reads) == []
@@ -123,7 +126,8 @@ def test_a_resume_that_ignores_the_journal_reads_chunks_twice(clock, disk):
     source = make_source(clock, profiles=50, inmails=5)
     reads = record_chunk_reads(source)
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     for _ in range(3):
         stack.coordinator.tick()
         clock.advance(1.0)
@@ -132,7 +136,8 @@ def test_a_resume_that_ignores_the_journal_reads_chunks_twice(clock, disk):
     disk.restart_node("coordinator")
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
                                  slo=FAST_SLO, chunk_size=16,
-                                 cluster=stack.cluster)
+                                 cluster=stack.cluster,
+                                 cutover_check=cutover_check)
     backfill = stack.coordinator.backfill
     assert backfill.progress != {table: None for table in backfill.tables}
     backfill.restore_progress({table: None for table in backfill.tables})
@@ -146,7 +151,8 @@ def test_storage_node_crash_fails_over_transparently(clock, disk, source):
     failover, not a migration failure: Helix promotes a caught-up
     slave and the chunk loop keeps routing to partition masters."""
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     stack.coordinator.tick()
     stack.cluster.pump_replication(3)     # slaves catch up before the kill
     stack.cluster.crash_node("storage-0")
@@ -162,7 +168,8 @@ def test_source_crash_loses_nothing_acked(clock, disk):
     exactly where the checkpoint says."""
     source = make_source(clock, profiles=40, inmails=0)
     stack = MigrationStack.build(source, disk.scope("coordinator"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     stack.coordinator.tick()
     before = stack.client.checkpoint
     # "source outage": nothing commits, the coordinator keeps ticking
@@ -208,7 +215,8 @@ def test_restart_over_a_long_binlog_resumes_without_replaying_it(clock, disk):
     def build(cluster=None):
         return MigrationStack.build(source, disk.scope("coordinator"), clock,
                                     slo=FAST_SLO, chunk_size=256,
-                                    cluster=cluster)
+                                    cluster=cluster,
+                                    cutover_check=cutover_check)
 
     stack = build()
     for _ in range(5):

@@ -60,8 +60,8 @@ def test_mismatch_during_ramp_rolls_back(clock, stack):
 
 
 def test_cutover_gate_catches_unread_divergence(clock, stack):
-    """A target row nobody shadow-read diverges; the full comparison at
-    the cutover gate still refuses to finalize."""
+    """A target row nobody shadow-read diverges; the declared
+    constraints at the cutover gate still refuse to finalize."""
     drive_to_phase(stack, clock, MigrationPhase.RAMP)
     stack.target.put_row("profiles", {"member_id": 33, "name": "BAD",
                                       "score": 0})
@@ -74,7 +74,8 @@ def test_catchup_deadline_breach_rolls_back(clock, source, disk):
     slo = MigrationSlo(min_shadow_reads=3, shadow_duration=1.0,
                        ramp_step_duration=1.0, catchup_deadline=5.0)
     stack = MigrationStack.build(source, disk.scope("c"), clock,
-                                 slo=slo, chunk_size=16)
+                                 slo=slo, chunk_size=16,
+                                 cutover_check=cutover_check)
     while stack.coordinator.phase is MigrationPhase.BACKFILL:
         stack.coordinator.tick()
         clock.advance(1.0)
@@ -95,10 +96,8 @@ def test_catchup_deadline_breach_rolls_back(clock, source, disk):
 
 
 def test_declared_cutover_check_passes_a_clean_migration(clock, source, disk):
-    """The ad-hoc full_comparison gate swapped for declared audit
-    constraints: a converged migration still cuts over."""
-    from repro.audit.wiring import cutover_check
-
+    """The declared audit constraints gate a converged migration
+    through to cutover."""
     stack = MigrationStack.build(source, disk.scope("c"), clock,
                                  slo=FAST_SLO, chunk_size=16,
                                  cutover_check=cutover_check)
@@ -108,8 +107,6 @@ def test_declared_cutover_check_passes_a_clean_migration(clock, source, disk):
 
 def test_declared_cutover_check_rolls_back_with_rendered_evidence(
         clock, source, disk):
-    from repro.audit.wiring import cutover_check
-
     stack = MigrationStack.build(source, disk.scope("c"), clock,
                                  slo=FAST_SLO, chunk_size=16,
                                  cutover_check=cutover_check)
@@ -124,13 +121,15 @@ def test_declared_cutover_check_rolls_back_with_rendered_evidence(
     assert "missing-key" in reason
 
 
-@pytest.mark.parametrize("gate", [None, cutover_check],
+@pytest.mark.parametrize("regate", [False, True],
                          ids=["full-comparison", "declared"])
-def test_a_row_omitting_a_nullable_column_migrates_clean(clock, disk, gate):
+def test_a_row_omitting_a_nullable_column_migrates_clean(clock, disk, regate):
     """A row may omit a nullable column; its document holds None there,
     which is what the target decodes.  So its shadow reads match, the
     gate finds no difference, and a proxied read has one shape whichever
-    store serves it."""
+    store serves it.  Both cases cut over through the declared gate and
+    hold the row walk, its oracle, clean on the same run; ``declared``
+    also finds a freshly built gate clean after the cutover."""
     source = SqlDatabase("members", clock=clock)
     source.create_table(TableSchema(
         "profiles",
@@ -144,7 +143,7 @@ def test_a_row_omitting_a_nullable_column_migrates_clean(clock, disk, gate):
                                    "headline": None})
     stack = MigrationStack.build(source, disk.scope("c"), clock,
                                  slo=FAST_SLO, chunk_size=16,
-                                 cutover_check=gate)
+                                 cutover_check=cutover_check)
     keys = [(1,), (2,), (3,)]
     from_source = [stack.proxy.read("profiles", key) for key in keys]
     while not stack.coordinator.complete:
@@ -155,6 +154,8 @@ def test_a_row_omitting_a_nullable_column_migrates_clean(clock, disk, gate):
     assert stack.coordinator.phase is MigrationPhase.CUTOVER, \
         stack.coordinator.rollback_reason
     assert stack.proxy.full_comparison() == []
+    if regate:
+        assert cutover_check(stack.proxy)() == []
     assert from_source[1] == {"member_id": 2, "name": "b", "headline": None}
     assert [stack.proxy.read("profiles", key) for key in keys] == from_source
 
@@ -202,7 +203,7 @@ def test_run_to_completion_helper(clock, source, disk):
                                  slo=MigrationSlo(min_shadow_reads=0,
                                                   shadow_duration=1.0,
                                                   ramp_step_duration=1.0),
-                                 chunk_size=16)
+                                 chunk_size=16, cutover_check=cutover_check)
     final = stack.coordinator.run_to_completion(tick_interval=1.0)
     assert final is MigrationPhase.CUTOVER
 

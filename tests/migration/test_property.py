@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.clock import SimClock
 from repro.migration import MigrationPhase, MigrationSlo, MigrationStack
 from repro.simnet.disk import SimDisk
@@ -26,7 +27,7 @@ def run_scenario(seed: int, profiles: int = 60, max_ticks: int = 400):
     source = make_source(clock, profiles=profiles, inmails=10)
     stack = MigrationStack.build(
         source, SimDisk(clock=clock, seed=seed).scope("c"), clock, slo=SLO,
-        chunk_size=8)
+        chunk_size=8, cutover_check=cutover_check)
     live_keys = list(range(profiles))
     trace: list[str] = []
     next_id = 10_000

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.audit.wiring import cutover_check
 from repro.common.clock import SimClock
 from repro.migration import MigrationPhase, MigrationSlo, MigrationStack
 from repro.simnet.disk import SimDisk
@@ -29,7 +30,8 @@ def test_first_boot_starts_client_and_capture_at_the_binlog_head(clock, disk):
     source = make_source(clock, profiles=50, inmails=20)
     head = source.binlog.last_scn
     stack = MigrationStack.build(source, disk.scope("c"), clock,
-                                 slo=FAST_SLO, chunk_size=16)
+                                 slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
     assert stack.client.checkpoint == stack.capture.captured_through == head
     assert stack.journal.load_latest().stream_scn == head
     # live changes while the chunks run: each reaches the target once,
@@ -84,7 +86,8 @@ def run_scenario(seed: int, crash: bool, max_ticks: int = 400):
 
     def build(cluster=None):
         return MigrationStack.build(source, disk.scope("c"), clock, slo=SLO,
-                                    chunk_size=8, cluster=cluster)
+                                    chunk_size=8, cluster=cluster,
+                                    cutover_check=cutover_check)
 
     stack = build()
     crash_tick = rng.randrange(1, 20) if crash else None

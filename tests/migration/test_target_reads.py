@@ -24,12 +24,14 @@ from tests.migration.conftest import FAST_SLO, drive_to_phase, make_source
 NODES = ("storage-0", "storage-1", "storage-2")
 
 
-def migrated_stack(profiles: int, inmails: int):
+def migrated_stack(profiles: int, inmails: int,
+                   phase: MigrationPhase = MigrationPhase.CUTOVER):
     clock = SimClock()
     source = make_source(clock, profiles=profiles, inmails=inmails)
     stack = MigrationStack.build(source, SimDisk(clock=clock).scope("c"),
-                                 clock, slo=FAST_SLO, chunk_size=16)
-    drive_to_phase(stack, clock, MigrationPhase.CUTOVER)
+                                 clock, slo=FAST_SLO, chunk_size=16,
+                                 cutover_check=cutover_check)
+    drive_to_phase(stack, clock, phase)
     return stack
 
 
@@ -38,20 +40,25 @@ def migrated_stack(profiles: int, inmails: int):
 def test_cutover_check_decodes_each_target_document_once():
     """Containment asks ``contains``, no-extras asks ``keys``; only value
     equality reads documents, and only in the partitions whose source
-    and master digests differ: a clean gate decodes none, and encodes
-    each source row once to fill the source digest.  A second evaluation
-    by the same constraints reads what moved since the first: here a
-    deleted key (``contains``) and a ghost key (``contains`` on both
-    sides) — no document at all.  A fresh gate then decodes each
-    document the source also holds in those two keys' partitions, once,
-    and encodes nothing: the source digest is shared."""
+    and master digests differ: a clean gate decodes none.  The
+    coordinator's own gate encodes each source row once to fill the
+    source digest, and a gate built after it shares that digest, so it
+    encodes nothing.  A second evaluation by the same constraints reads
+    what moved since the first: here a deleted key (``contains``) and a
+    ghost key (``contains`` on both sides) — no document at all.  A
+    fresh gate then decodes each document the source also holds in
+    those two keys' partitions, once, and encodes nothing."""
     profiles, inmails = 37, 11
-    stack = migrated_stack(profiles, inmails)
+    stack = migrated_stack(profiles, inmails, MigrationPhase.RAMP)
+    with codec_calls() as calls:
+        drive_to_phase(stack, stack.coordinator.clock,
+                       MigrationPhase.CUTOVER)
+    assert calls.count("encode_record") == profiles + inmails
     check = cutover_check(stack.proxy)
     with codec_calls() as calls:
         assert check() == []
     assert calls.count(*DECODES) == 0
-    assert calls.count("encode_record") == profiles + inmails
+    assert calls.count("encode_record") == 0
     stack.target.delete_row("profiles", (5,))
     stack.target.put_row("profiles", {"member_id": 999, "name": "ghost",
                                       "score": 0})
