@@ -25,11 +25,13 @@ Determinism contract: fault byte offsets are drawn from a seeded
 through the same ``start_trace`` / ``trace_bytes`` machinery as the
 network, so a seeded fault scenario replays byte-identically.
 
-Each file is one buffer plus a durability watermark (see
-:class:`_FileState`): ``fsync`` moves the watermark and copies nothing,
-a crash cuts the buffer back to it.  The pre-image of durable bytes is
-saved only when a write lands below the watermark, which no durable
-component does on its hot path.
+Each file is the list of extents written to it plus a durability
+watermark (see :class:`_FileState`): an append adds an extent and moves
+no byte already stored, a read of exactly one earlier write returns the
+bytes that write stored, ``fsync`` moves the watermark and copies
+nothing, and a crash cuts the extents back to it.  The pre-image of
+durable bytes is saved only when a write lands below the watermark,
+which no durable component does on its hot path.
 
 Files are namespaced per node (``disk.scope("node-0")``) so one
 :class:`SimDisk` can back a whole cluster while crashes stay surgical:
@@ -45,9 +47,11 @@ them from this module.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import random
+from bisect import bisect_left, bisect_right
 
 from repro.common.clock import Clock, SimClock
 from repro.common.errors import ConfigurationError, FileMissingError
@@ -65,59 +69,152 @@ __all__ = ["Disk", "DiskFile", "LocalDisk", "DiskScope", "SimDisk"]
 
 
 class _FileState:
-    """One simulated file: a single buffer plus a durability watermark.
+    """One simulated file: the extents written to it plus a durability
+    watermark.
 
-    ``data`` is what readers (and the page cache) see.  The *durable
-    image* — what a crash preserves — is ``mark`` bytes long, and as
-    long as the file only grows between fsyncs it is simply
-    ``data[:mark]``: ``fsync`` moves ``mark`` to ``len(data)`` and
-    copies nothing, so a durable append costs the bytes it wrote and
-    not the size of the file — the property an append-only log is
-    built on.
+    The file's bytes are ``extents`` laid end to end; ``ends[i]`` is the
+    offset one past ``extents[i]`` (so :meth:`read` bisects to an
+    offset) and ``size`` is the file's length.  An append adds one
+    extent, so no buffer ever grows or moves, and a read of exactly one
+    earlier write hands back the ``bytes`` that write stored — every
+    :meth:`~repro.common.wal.WriteAheadLog.read` of a frame one
+    ``append`` wrote.  No extent is empty.
+
+    The *durable image* — what a crash preserves — is ``mark`` bytes
+    long, and as long as the file only grows between fsyncs it is
+    simply the first ``mark`` bytes: ``fsync`` moves ``mark`` to
+    ``size`` and copies nothing, so a durable append costs the bytes it
+    wrote and not the size of the file — the property an append-only
+    log is built on.
 
     Three mutations can land *below* the watermark: ``truncate``, a
     ``"wb"`` reopen and a seek-and-overwrite.  Each calls
     :meth:`save_below` first, which keeps the pre-image of the durable
     bytes from the lowest offset touched: ``pre`` holds durable bytes
-    ``[mark - len(pre), mark)``, the durable image is
-    ``data[:mark - len(pre)] + pre``, and ``len(data) >= mark -
+    ``[mark - len(pre), mark)``, the durable image is the file's first
+    ``mark - len(pre)`` bytes followed by ``pre``, and ``size >= mark -
     len(pre)`` always.  The next fsync drops the pre-image; a crash
     puts it back.
     """
 
-    __slots__ = ("data", "mark", "pre")
+    __slots__ = ("extents", "ends", "size", "mark", "pre")
 
     def __init__(self):
-        self.data = bytearray()   # what readers (and the page cache) see
+        self.extents: list[bytes] = []  # what readers (and the page cache) see
+        self.ends: list[int] = []       # offset one past each extent
+        self.size = 0
         self.mark = 0             # length of the image a crash preserves
-        self.pre = b""            # durable bytes that data no longer holds
+        self.pre = b""            # durable bytes the extents no longer hold
 
     @property
     def unsynced_bytes(self) -> int:
-        return max(0, len(self.data) - self.mark)
+        return max(0, self.size - self.mark)
+
+    def read(self, start: int, end: int) -> bytes:
+        """Bytes ``[start, end)``, for ``0 <= start`` and ``end <=
+        size``; one whole extent is returned as itself."""
+        if start >= end:
+            return b""
+        extents, ends = self.extents, self.ends
+        i = bisect_right(ends, start)
+        first = extents[i]
+        skip = start - (ends[i] - len(first))
+        if end <= ends[i]:
+            if skip == 0 and end == ends[i]:
+                return first
+            return first[skip:skip + end - start]
+        j = bisect_left(ends, end, i)
+        last = extents[j]
+        with memoryview(first) as head, memoryview(last) as tail:
+            return b"".join((head[skip:], *extents[i + 1:j],
+                             tail[:len(last) - (ends[j] - end)]))
+
+    def _append(self, data: bytes) -> None:
+        if data:
+            self.extents.append(data)
+            self.size += len(data)
+            self.ends.append(self.size)
+
+    def _split(self, offset: int) -> int:
+        """Make ``offset`` (``0 <= offset <= size``) an extent boundary;
+        returns the index of the extent starting there."""
+        ends = self.ends
+        i = bisect_right(ends, offset)
+        if i < len(ends):
+            extent = self.extents[i]
+            cut = offset - (ends[i] - len(extent))
+            if cut:
+                self.extents[i:i + 1] = (extent[:cut], extent[cut:])
+                ends.insert(i, offset)
+                i += 1
+        return i
+
+    def cut(self, offset: int) -> None:
+        """Drop every byte from ``offset`` on; nothing if it is past the
+        end (a truncate never extends)."""
+        if offset < self.size:
+            i = self._split(offset)
+            del self.extents[i:]
+            del self.ends[i:]
+            self.size = offset
+
+    def write(self, pos: int, data: bytes) -> None:
+        """Put ``data`` at ``pos``; a gap past the end reads as zeros."""
+        size = self.size
+        if pos > size:
+            self._append(bytes(pos - size))
+        elif pos < size:
+            self.save_below(pos)
+            end = pos + len(data)
+            if end < size:
+                if data:
+                    i, j = self._split(pos), self._split(end)
+                    self.extents[i:j] = (data,)
+                    self.ends[i:j] = (end,)
+                return
+            self.cut(pos)
+        # the append every durable file makes; never below the mark
+        self._append(data)
+
+    def flip(self, offset: int, mask: int) -> None:
+        """XOR one stored byte with ``mask``, in the live bytes and in
+        the durable image (the same byte unless the pre-image holds
+        it)."""
+        if not 0 <= offset < self.size:
+            raise IndexError(f"offset {offset} outside a {self.size} B file")
+        i = bisect_right(self.ends, offset)
+        extent = bytearray(self.extents[i])
+        extent[offset - (self.ends[i] - len(extent))] ^= mask
+        self.extents[i] = bytes(extent)
+        saved = offset - (self.mark - len(self.pre))
+        if 0 <= saved < len(self.pre):
+            pre = bytearray(self.pre)
+            pre[saved] ^= mask
+            self.pre = bytes(pre)
 
     def save_below(self, offset: int) -> None:
-        """``data`` is about to change at ``offset`` and beyond: keep
+        """The file is about to change at ``offset`` and beyond: keep
         the durable bytes that change would destroy."""
         shared = self.mark - len(self.pre)
         if offset < shared:
-            with memoryview(self.data) as view:
-                self.pre = bytes(view[offset:shared]) + self.pre
+            self.pre = self.read(offset, shared) + self.pre
 
     def sync(self) -> None:
         """Everything written so far is durable."""
-        self.mark = len(self.data)
+        self.mark = self.size
         self.pre = b""
 
     def revert(self, keep: int = 0) -> None:
         """Power cut: back to the durable image, plus the first ``keep``
         at-risk bytes (a torn write), all of which is then durable."""
-        data = self.data
-        if self.pre:
-            torn = data[self.mark:self.mark + keep]
-            data[self.mark - len(self.pre):] = self.pre + torn
+        mark, pre = self.mark, self.pre
+        if pre:
+            torn = self.read(mark, mark + keep)
+            self.cut(mark - len(pre))
+            self._append(pre)
+            self._append(torn)
         else:
-            del data[self.mark + keep:]
+            self.cut(mark + keep)
         self.sync()
 
 
@@ -132,7 +229,7 @@ class _SimFile(DiskFile):
         self._readable = readable
         self._writable = writable
         self._append = append
-        self._pos = len(state.data) if append else 0
+        self._pos = state.size if append else 0
         self._closed = False
 
     def _check_open(self) -> None:
@@ -143,9 +240,9 @@ class _SimFile(DiskFile):
         self._check_open()
         if not self._readable:
             raise io.UnsupportedOperation("file not open for reading")
-        data = self._state.data
-        end = len(data) if size < 0 else min(len(data), self._pos + size)
-        out = bytes(memoryview(data)[self._pos:end])  # one copy, not two
+        state = self._state
+        end = state.size if size < 0 else min(state.size, self._pos + size)
+        out = state.read(self._pos, end)
         self._pos = end
         return out
 
@@ -153,35 +250,32 @@ class _SimFile(DiskFile):
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
-        buf = self._state.data
-        pos = len(buf) if self._append else self._pos
-        end = pos + len(data)
-        if pos >= len(buf):
-            # the append every durable file makes; never below the mark
-            if pos > len(buf):
-                buf.extend(bytes(pos - len(buf)))
-            buf.extend(data)
-        else:
-            self._state.save_below(pos)
-            buf[pos:end] = data
+        if type(data) is not bytes:
+            data = bytes(data)  # the file must not alias a caller's buffer
+        state = self._state
+        pos = state.size if self._append else self._pos
+        state.write(pos, data)
         disk = self._disk
         disk.writes += 1
         if disk.trace is not None:
             disk._record("write", self._path, str(pos), len(data))
-        self._pos = end
+        self._pos = pos + len(data)
         return len(data)
 
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
         self._check_open()
         if whence == os.SEEK_SET:
-            self._pos = offset
+            pos = offset
         elif whence == os.SEEK_CUR:
-            self._pos += offset
+            pos = self._pos + offset
         elif whence == os.SEEK_END:
-            self._pos = len(self._state.data) + offset
+            pos = self._state.size + offset
         else:
             raise ValueError(f"bad whence {whence}")
-        return self._pos
+        if pos < 0:  # what lseek(2) says, leaving the position alone
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        self._pos = pos
+        return pos
 
     def tell(self) -> int:
         self._check_open()
@@ -191,8 +285,10 @@ class _SimFile(DiskFile):
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
+        if size < 0:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
         self._state.save_below(size)
-        del self._state.data[size:]
+        self._state.cut(size)
         self._pos = min(self._pos, size)
         self._disk._record("truncate", self._path, "", size)
         return size
@@ -334,14 +430,14 @@ class SimDisk(Disk):
             self._dirs.add(parent)
         if mode == "wb":
             state.save_below(0)
-            state.data.clear()
+            state.cut(0)
         handle = _SimFile(
             self, path, state,
             readable=mode in ("rb", "ab+", "rb+"),
             writable=mode != "rb",
             append=mode in ("ab", "ab+"))
         self._handles.setdefault(path, []).append(handle)
-        self._record("open", path, mode, len(state.data))
+        self._record("open", path, mode, state.size)
         return handle
 
     def exists(self, path: str) -> bool:
@@ -355,7 +451,7 @@ class SimDisk(Disk):
 
     def getsize(self, path: str) -> int:
         try:
-            return len(self._files[path].data)
+            return self._files[path].size
         except KeyError:
             raise FileMissingError(path) from None
 
@@ -380,7 +476,7 @@ class SimDisk(Disk):
             self._handles[dst] = moved
             for handle in moved:
                 handle._path = dst
-        self._record("replace", src, dst, len(state.data))
+        self._record("replace", src, dst, state.size)
 
     def makedirs(self, path: str) -> None:
         self._dirs.add(path.rstrip("/"))
@@ -410,27 +506,21 @@ class SimDisk(Disk):
     def flip_bit(self, node: str, path: str, offset: int | None = None,
                  bit: int | None = None) -> int:
         """Silently corrupt one stored byte (media corruption).  The
-        flip hits both the live bytes and the durable image (the same
-        byte of ``data`` unless a pre-image covers it), so it survives
-        crashes; CRC validation must catch it.  Returns the corrupted
-        byte offset."""
+        flip hits both the live bytes and the durable image, so it
+        survives crashes; CRC validation must catch it.  Returns the
+        corrupted byte offset."""
         full = f"{node}/{path}"
         try:
             state = self._files[full]
         except KeyError:
             raise FileMissingError(full) from None
-        if not state.data:
+        if not state.size:
             raise ConfigurationError(f"cannot flip a bit in empty {full!r}")
         if offset is None:
-            offset = self.rng.randrange(len(state.data))
+            offset = self.rng.randrange(state.size)
         if bit is None:
             bit = self.rng.randrange(8)
-        state.data[offset] ^= 1 << bit
-        saved = offset - (state.mark - len(state.pre))
-        if 0 <= saved < len(state.pre):
-            pre = bytearray(state.pre)
-            pre[saved] ^= 1 << bit
-            state.pre = bytes(pre)
+        state.flip(offset, 1 << bit)
         self._record("flip", full, f"bit={bit}", offset)
         return offset
 

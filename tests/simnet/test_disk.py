@@ -1,6 +1,9 @@
 """SimDisk semantics: fsync boundary, crashes, torn writes, bit flips."""
 
+import errno
 import hashlib
+import os
+import tracemalloc
 
 import pytest
 
@@ -58,6 +61,99 @@ class TestBasicFiles:
         scope.open("data/f", "ab").write(b"x")
         assert disk.exists("node-0/data/f")
         assert scope.exists("data/f")
+
+
+    @pytest.mark.parametrize("offset, whence", [
+        (-3, os.SEEK_SET), (-20, os.SEEK_CUR), (-20, os.SEEK_END)])
+    def test_negative_seek_raises_einval_like_a_real_file(
+            self, disk, tmp_path, offset, whence):
+        """A seek before byte 0 fails and leaves the position where it
+        was, on the simulated disk exactly as on the host's."""
+        real = str(tmp_path / "f")
+        for d, path in ((disk, "n/f"), (LocalDisk(), real)):
+            with d.open(path, "wb") as f:
+                f.write(b"0123456789")
+            with d.open(path, "rb+") as f:
+                f.seek(4)
+                with pytest.raises(OSError) as raised:
+                    f.seek(offset, whence)
+                assert raised.value.errno == errno.EINVAL
+                assert f.tell() == 4
+                assert f.read(2) == b"45"
+                f.write(b"XY")
+            with d.open(path, "rb") as f:
+                assert f.read() == b"012345XY89"
+
+    def test_negative_truncate_raises_einval_like_a_real_file(
+            self, disk, tmp_path):
+        real = str(tmp_path / "f")
+        for d, path in ((disk, "n/f"), (LocalDisk(), real)):
+            with d.open(path, "wb") as f:
+                f.write(b"0123456789")
+                with pytest.raises(OSError) as raised:
+                    f.truncate(-3)
+                assert raised.value.errno == errno.EINVAL
+            assert d.getsize(path) == 10
+
+    @pytest.mark.parametrize("mutate", ["before-fsync", "after-fsync"])
+    def test_a_written_buffer_is_not_aliased(self, disk, mutate):
+        """The file holds what the buffer held at ``write``: changing a
+        ``bytearray`` or a ``memoryview`` afterwards changes neither the
+        page cache nor the durable image."""
+        first = bytearray(b"bytearray|")
+        second = bytearray(b"memoryview")
+        f = disk.open("n/f", "ab")
+        f.write(first)
+        f.write(memoryview(second))
+
+        def scribble():
+            first[:] = b"X" * len(first)
+            second[0:4] = b"YYYY"
+
+        if mutate == "before-fsync":
+            scribble()
+        f.fsync()
+        if mutate == "after-fsync":
+            scribble()
+        with disk.open("n/f", "rb") as g:
+            assert g.read() == b"bytearray|memoryview"
+        disk.crash_node("n")
+        with disk.open("n/f", "rb") as g:
+            assert g.read() == b"bytearray|memoryview"
+
+
+class TestExtents:
+    """A file is the extents written to it: reading back one whole
+    write hands back the very bytes that write stored."""
+
+    def test_a_read_of_one_whole_write_is_that_write(self, disk):
+        frames = [b"first frame", b"second, the one read back", b"third"]
+        f = disk.open("n/log", "ab+")
+        for frame in frames:
+            f.write(frame)
+        f.fsync()
+        f.seek(len(frames[0]))
+        assert f.read(len(frames[1])) is frames[1]
+        with disk.open("n/log", "rb") as g:
+            assert g.read() == b"".join(frames)
+            g.seek(len(frames[0]) + 1)
+            assert g.read(3) == b"eco"
+
+    def test_reading_one_mebibyte_extent_allocates_nothing(self, disk):
+        f = disk.open("n/log", "ab+")
+        f.write(b"header")
+        f.write(bytes(1 << 20))
+        f.write(b"trailer")
+        f.fsync()
+        f.seek(len(b"header"))
+        tracemalloc.start()
+        try:
+            data = f.read(1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 1 << 20
+        assert peak < 4 * 1024
 
 
 class TestCrashSemantics:
@@ -214,6 +310,15 @@ class TestBitFlips:
         disk.crash_node("n")
         with disk.open("n/f", "rb") as g:
             assert g.read()[0] == 0x80
+
+    @pytest.mark.parametrize("offset", [-1, 8])
+    def test_flip_outside_the_file_rejected(self, disk, offset):
+        f = disk.open("n/f", "ab")
+        f.write(b"\x00" * 8)
+        with pytest.raises(IndexError):
+            disk.flip_bit("n", "f", offset=offset, bit=0)
+        with disk.open("n/f", "rb") as g:
+            assert g.read() == b"\x00" * 8
 
     def test_flip_empty_file_rejected(self, disk):
         disk.open("n/f", "ab")

@@ -1,13 +1,14 @@
 """SimDisk's watermark representation against the two-image model it
 replaced, and the cost the replacement exists to remove.
 
-``SimDisk`` keeps one buffer per file plus a durability watermark and a
-lazily saved pre-image (DESIGN.md §9.1).  The model below is the
-implementation that was deleted — every file holds *two* full images,
-``data`` and ``synced``, and ``fsync`` copies one onto the other — kept
-here, and only here, as the oracle: it is slow and obviously right.  A
-seeded random walk drives both through every operation of the public
-surface and compares everything observable after every step.
+``SimDisk`` keeps the extents written to each file plus a durability
+watermark and a lazily saved pre-image (DESIGN.md §9.1).  The model
+below is the implementation that was deleted — every file holds *two*
+full images, ``data`` and ``synced``, and ``fsync`` copies one onto the
+other — kept here, and only here, as the oracle: it is slow and
+obviously right.  A seeded random walk drives both through every
+operation of the public surface and compares everything observable
+after every step.
 """
 
 import io
@@ -483,7 +484,7 @@ def test_durable_append_costs_the_bytes_written_not_the_file_size():
     for _ in range(16):
         f.write(chunk)
     frame = b"x" * 100
-    f.write(frame)      # if the buffer must grow, it grows here, untimed
+    f.write(frame)      # a warm-up frame, untimed
     f.fsync()
     tracemalloc.start()
     try:
