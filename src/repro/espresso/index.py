@@ -18,6 +18,7 @@ indexed access path the paper allows.
 from __future__ import annotations
 
 import re
+from sys import intern
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import RecordSchema
@@ -29,8 +30,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+class _Posting(dict):
+    """One ``(field, term)``'s documents: resource_id -> set of keys.
+
+    ``term`` is the pair, of interned strings, that every document
+    holding it shares; it lives exactly as long as the posting."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, fieldname: str, term: str):
+        super().__init__()
+        self.term = (intern(fieldname), intern(term))
+
+
 class LocalSecondaryIndex:
-    """Inverted index over one table's documents on one node."""
+    """Inverted index over one table's documents on one node.
+
+    An indexed document costs references: it keeps one tuple of the
+    ``(field, term)`` pairs its postings own, never a copy of them."""
 
     def __init__(self, schema: RecordSchema):
         self.schema = schema
@@ -44,9 +61,9 @@ class LocalSecondaryIndex:
         # (field, term) -> resource_id (a key's first element) -> set
         # of document keys, so a collection-scoped query touches one
         # resource's keys and never the rest of the table's
-        self._postings: dict[tuple[str, str], dict[str, set[tuple]]] = {}
-        # doc key -> set of (field, term) for removal
-        self._doc_terms: dict[tuple, set[tuple[str, str]]] = {}
+        self._postings: dict[tuple[str, str], _Posting] = {}
+        # doc key -> its postings' (field, term) pairs, for removal
+        self._doc_terms: dict[tuple, tuple[tuple[str, str], ...]] = {}
 
     @property
     def is_empty(self) -> bool:
@@ -68,12 +85,16 @@ class LocalSecondaryIndex:
     def add(self, doc_key: tuple, document: dict) -> None:
         """Index (or re-index) one document."""
         self.remove(doc_key)
-        terms = self._terms_for(document)
-        for term in terms:
-            self._postings.setdefault(term, {}).setdefault(
-                doc_key[0], set()).add(doc_key)
+        terms = []
+        for term in self._terms_for(document):
+            posting = self._postings.get(term)
+            if posting is None:
+                posting = _Posting(*term)
+                self._postings[posting.term] = posting
+            posting.setdefault(doc_key[0], set()).add(doc_key)
+            terms.append(posting.term)
         if terms:
-            self._doc_terms[doc_key] = terms
+            self._doc_terms[doc_key] = tuple(terms)
 
     def remove(self, doc_key: tuple) -> None:
         for term in self._doc_terms.pop(doc_key, ()):

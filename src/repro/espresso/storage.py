@@ -230,19 +230,24 @@ class EspressoStorageNode:
         if index is None or index.schema.version != latest.version:
             stale, index = index, LocalSecondaryIndex(latest)
             self._indexes[table] = index
-            if stale is not None and not stale.is_empty:
+            # every stored row is re-indexed under the new schema, even
+            # when the old one indexed nothing: a field the new schema
+            # adds with a default indexes every old row under it
+            if stale is not None and index.projection.fields:
+                key_fields = self.database.table(table).key_fields
                 for row in self.local.table(table).scan():
-                    self._index_row(table, row)
+                    self._index_row(table, tuple(row[k] for k in key_fields),
+                                    row)
         return index
 
-    def _index_row(self, table: str, row: dict) -> None:
-        """Index a stored row through the index's *projection*: ``val``
-        resolved against the latest schema restricted to its indexed
-        fields — the terms a full decode would give, every other field
-        skipped, and nothing read at all for an un-indexed table."""
+    def _index_row(self, table: str, key: tuple, row: dict) -> None:
+        """Index a stored row under ``key`` through the index's
+        *projection*: ``val`` resolved against the latest schema
+        restricted to its indexed fields — the terms a full decode would
+        give, every other field skipped, and nothing read at all for an
+        un-indexed table."""
         index = self._index_for(table)
         if index.projection.fields:
-            key = tuple(row[k] for k in self.database.table(table).key_fields)
             writer = self.schemas.get(self.database.name, table,
                                       row["schema_version"])
             index.add(key, decode_with_resolution(writer, index.projection,
@@ -448,7 +453,7 @@ class EspressoStorageNode:
                 self._index_for(change.table).remove(change.key)
             else:
                 sql_table.upsert(change.row)
-                self._index_row(change.table, change.row)
+                self._index_row(change.table, change.key, change.row)
 
     # -- slave replication path ----------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import intern
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
@@ -27,9 +28,20 @@ class SearchHit:
 
 FeatureScorer = Callable[[object], float]
 
+# distinct weighted term frequencies an index shares between postings;
+# a weight seen after the table is full is stored as its own float
+_SHARED_WEIGHTS_MAX = 256
+
 
 class RankedInvertedIndex:
-    """Documents are dicts of text fields; fields carry boosts."""
+    """Documents are dicts of text fields; fields carry boosts.
+
+    An indexed document costs references: every term string is interned
+    (one object per distinct term, shared by its posting and every
+    document holding it, and freed with its last reference), a document
+    keeps one tuple of its terms, and postings share equal weights
+    through a table of at most ``_SHARED_WEIGHTS_MAX`` floats.
+    """
 
     def __init__(self, field_boosts: dict[str, float]):
         if not field_boosts:
@@ -39,8 +51,9 @@ class RankedInvertedIndex:
         self.field_boosts = dict(field_boosts)
         # term -> doc_id -> weighted term frequency
         self._postings: dict[str, dict[object, float]] = {}
-        self._doc_terms: dict[object, set[str]] = {}
+        self._doc_terms: dict[object, tuple[str, ...]] = {}
         self._doc_lengths: dict[object, float] = {}
+        self._weights: dict[float, float] = {}
 
     def __len__(self) -> int:
         return len(self._doc_terms)
@@ -61,14 +74,18 @@ class RankedInvertedIndex:
                 weighted_tf[token] = weighted_tf.get(token, 0.0) + boost
         if not weighted_tf:
             return
-        for term, tf in weighted_tf.items():
-            self._postings.setdefault(term, {})[doc_id] = tf
-        self._doc_terms[doc_id] = set(weighted_tf)
+        terms = tuple(map(intern, weighted_tf))
+        weights = self._weights
+        for term, tf in zip(terms, weighted_tf.values()):
+            if tf not in weights and len(weights) < _SHARED_WEIGHTS_MAX:
+                weights[tf] = tf
+            self._postings.setdefault(term, {})[doc_id] = weights.get(tf, tf)
+        self._doc_terms[doc_id] = terms
         self._doc_lengths[doc_id] = math.sqrt(
             sum(tf * tf for tf in weighted_tf.values()))
 
     def remove(self, doc_id: object) -> None:
-        for term in self._doc_terms.pop(doc_id, set()):
+        for term in self._doc_terms.pop(doc_id, ()):
             bucket = self._postings.get(term)
             if bucket is not None:
                 bucket.pop(doc_id, None)

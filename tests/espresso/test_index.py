@@ -1,12 +1,19 @@
 """Local secondary index: term and free-text postings."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import Field, RecordSchema
 from repro.espresso import LocalSecondaryIndex
 from repro.espresso.index import tokenize
 
 from tests.espresso.conftest import SONG_SCHEMA, ALBUM_SCHEMA
+
+MAILBOX_SCHEMA = RecordSchema("Mailbox", [
+    Field("subject", "string"), Field("folder", "string", indexed=True)])
 
 
 def test_tokenize():
@@ -80,11 +87,28 @@ def test_case_insensitive_matching():
     assert text_index.query("lyrics", "love me") == [("A", "x", "s")]
 
 
+def assert_no_state_outlives_its_documents(index, live: set) -> None:
+    """Every posting, resource bucket and term tuple belongs to a live
+    document, and each document's pairs are its postings' own."""
+    assert set(index._doc_terms) == live
+    held = set()
+    for term, by_resource in index._postings.items():
+        assert by_resource and by_resource.term is term
+        for resource_id, keys in by_resource.items():
+            assert keys and all(key[0] == resource_id for key in keys)
+            assert all(term in index._doc_terms[key] for key in keys)
+            held |= keys
+    assert held == live
+    for key, terms in index._doc_terms.items():
+        assert len(set(terms)) == len(terms)
+        assert all(index._postings[term].term is term for term in terms)
+
+
 def test_scoped_and_unscoped_queries_agree_with_a_model():
     """Seeded walk over add / re-index / remove: every answer, scoped
     to a collection or not, equals a scan of the documents kept beside
-    the index, in sorted key order."""
-    import random
+    the index, in sorted key order, and no state outlives its
+    documents."""
     rng = random.Random(7)
     index = LocalSecondaryIndex(SONG_SCHEMA)
     words = ["love", "me", "do", "sky", "lucy"]
@@ -106,6 +130,7 @@ def test_scoped_and_unscoped_queries_agree_with_a_model():
                 and resource_id in (None, k[0]))
             assert index.query("lyrics", " ".join(tokens),
                                resource_id=resource_id) == expected
+        assert_no_state_outlives_its_documents(index, set(documents))
     for key in list(documents):
         index.remove(key)
     assert index.is_empty and not index._postings
@@ -130,3 +155,26 @@ def test_scoped_query_does_not_look_at_other_collections():
     assert index.query("year", "2000", resource_id="artist-7") == [
         ("artist-7", "debut")]
     assert CountedKey.reads == 0    # not once per album of the year 2000
+
+
+def test_a_one_term_document_costs_references_not_copies():
+    """5 000 mailbox documents shaped like espresso-cdc's (one indexed
+    folder of three, five messages per member): each costs its key's
+    place in a resource bucket and one tuple of a shared pair — 486 B
+    per document when each kept a set of fresh pairs of fresh strings."""
+    rng = random.Random(0)
+    keys = [(f"m{i % 1000:05d}", f"{i // 1000:04d}") for i in range(5000)]
+    documents = [{"subject": "s",
+                  "folder": rng.choice(("inbox", "archive", "sent"))}
+                 for _ in keys]
+    index = LocalSecondaryIndex(MAILBOX_SCHEMA)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key, document in zip(keys, documents):
+            index.add(key, document)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.query("folder", "inbox", resource_id="m00007")
+    assert held / len(keys) <= 420

@@ -100,6 +100,12 @@ def catch_up(slave: EspressoStorageNode) -> None:
         slave.catch_up(partition)
 
 
+def sorted_terms(doc_terms: dict) -> dict:
+    """Each document's terms as a sorted tuple: the index keeps a tuple
+    per document, so a duplicated or a missing term still shows."""
+    return {key: tuple(sorted(terms)) for key, terms in doc_terms.items()}
+
+
 def assert_index_is_the_full_decode(node: EspressoStorageNode) -> None:
     index = node._index_for("Doc")
     rows = list(node.local.table("Doc").scan())
@@ -110,7 +116,7 @@ def assert_index_is_the_full_decode(node: EspressoStorageNode) -> None:
         terms = index._terms_for(record.document)
         assert terms            # every seeded document has indexed values
         expected[record.key] = terms
-    assert index._doc_terms == expected
+    assert sorted_terms(index._doc_terms) == sorted_terms(expected)
     # ... and the postings answer queries from exactly those terms
     for fieldname, value in [("label", "l1"), ("rank", "3"), ("rank", "3.0"),
                              ("region", "emea"), ("body", "lucy sky")]:
@@ -148,16 +154,16 @@ def test_index_terms_equal_the_full_decode_on_every_apply_path(world, seed):
 
     replayed = make_node(world, "n1", "SLAVE")      # WAL replay
     assert replayed.recovered_windows > 0
-    assert replayed._index_for("Doc")._doc_terms == \
-        slave._index_for("Doc")._doc_terms
+    assert sorted_terms(replayed._index_for("Doc")._doc_terms) == \
+        sorted_terms(slave._index_for("Doc")._doc_terms)
     assert_index_is_the_full_decode(replayed)
 
     loaded = make_node(world, "n2", "SLAVE")        # snapshot load
     for partition in range(LIB.num_partitions):
         scn, rows = master.partition_snapshot(partition)
         loaded.load_partition_snapshot(partition, scn, rows)
-    assert loaded._index_for("Doc")._doc_terms == \
-        master._index_for("Doc")._doc_terms
+    assert sorted_terms(loaded._index_for("Doc")._doc_terms) == \
+        sorted_terms(master._index_for("Doc")._doc_terms)
     assert_index_is_the_full_decode(loaded)
 
 
@@ -240,3 +246,37 @@ def test_writes_to_an_indexed_table_project_once_and_decode_no_document(world):
     assert calls.count("decode_with_resolution", schema=doc_schema) == \
         len(documents)
     assert calls.count("decode_record") == 0
+
+
+# -- schema change -------------------------------------------------------------
+
+NOTE = DatabaseSchema(
+    name="Notes", num_partitions=1, replication_factor=1,
+    tables=(EspressoTableSchema("Doc", ("owner", "doc")),))
+REGION = Field("region", "string", default="emea", has_default=True,
+               indexed=True)
+
+
+@pytest.mark.parametrize("v1", [
+    RecordSchema("Doc", [Field("title", "string")]),
+    RecordSchema("Doc", [Field("title", "string"),
+                         Field("tag", ["null", "string"], indexed=True)]),
+], ids=["nothing-indexed", "indexed-field-null"])
+def test_a_defaulted_indexed_field_indexes_every_old_row(v1):
+    """v2 adds a defaulted indexed field while v1's index holds no term
+    (no indexed field, or only null ones): every v1 row is re-indexed
+    under the default, so the index answers what the scan answers."""
+    schemas = DocumentSchemaRegistry()
+    schemas.post("Notes", "Doc", v1)
+    disk = SimDisk()
+    node = EspressoStorageNode("n0", NOTE, schemas, Relay(),
+                               clock=disk.clock, disk=disk.scope("n0"))
+    node.become_slave(0)
+    node.become_master(0)
+    node.put_document("Doc", ("o1", "d1"), {"title": "a"})
+    schemas.post("Notes", "Doc",
+                 RecordSchema("Doc", list(v1.fields) + [REGION]))
+    scanned = [r.key for r in node.query_full_scan("Doc", "region", "emea")]
+    assert scanned == [("o1", "d1")]
+    assert [r.key for r in node.query_index("Doc", "region", "emea")] == \
+        scanned
