@@ -15,7 +15,11 @@ to it.
 The one semantic addition over builtin files is the explicit
 :meth:`DiskFile.fsync`: writes land in the (real or simulated) page
 cache immediately, and only an fsync moves the durability line — the
-contract DESIGN.md §9 states as *acked ⇒ fsynced ⇒ recoverable*.
+contract DESIGN.md §9 states as *acked ⇒ fsynced ⇒ recoverable*.  The
+one addition to ``write`` is the *gather write*: a tuple of buffers is
+one write of their bytes laid end to end, so a caller can hand a frame
+header and a payload it does not own to the device without joining
+them first.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ class DiskFile:
     def read(self, size: int = -1) -> bytes:
         raise NotImplementedError
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: bytes | tuple[bytes, ...]) -> int:
+        """Write ``data``, or the parts of a tuple laid end to end, as
+        one write; returns the number of bytes written."""
         raise NotImplementedError
 
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
@@ -99,7 +105,9 @@ class _LocalFile(DiskFile):
     def read(self, size: int = -1) -> bytes:
         return self._raw.read(size)
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: bytes | tuple[bytes, ...]) -> int:
+        if type(data) is tuple:
+            data = b"".join(data)
         return self._raw.write(data)
 
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:

@@ -6,11 +6,14 @@ crash recovery has one set of semantics to reason about:
 
     [crc32 : 4B][length : 4B][payload]
 
-``crc32`` covers the payload only.  Appends buffer in the (simulated or
-real) page cache; :meth:`WriteAheadLog.fsync` moves the durability
-line.  The contract (DESIGN.md §9, ``durability-unsynced-ack`` lint
-rule) is *ack ⇒ fsync ⇒ recoverable*: acknowledge a write only after
-the frame holding it has been fsynced.
+``crc32`` covers the payload only.  An append may hand the payload in
+parts; the frame on disk is the same, and every part after the first
+goes to the device as a gather write, by reference, so a caller's value
+is stored as its own object rather than copied into the frame.  Appends
+buffer in the (simulated or real) page cache; :meth:`WriteAheadLog.fsync`
+moves the durability line.  The contract (DESIGN.md §9,
+``durability-unsynced-ack`` lint rule) is *ack ⇒ fsync ⇒ recoverable*:
+acknowledge a write only after the frame holding it has been fsynced.
 
 Opening a log replays frames from the start and **stops at the first
 bad frame** — a short header, a length that overruns the file, or a CRC
@@ -152,12 +155,21 @@ class WriteAheadLog:
 
     # -- append path ------------------------------------------------------
 
-    def append(self, payload: bytes) -> int:
-        """Stage one record; returns its byte offset.  NOT yet durable —
-        callers must :meth:`fsync` before acknowledging."""
+    def append(self, payload: bytes, *rest: bytes) -> int:
+        """Stage one record, whose payload is ``payload`` followed by
+        any ``rest``; returns its byte offset.  NOT yet durable —
+        callers must :meth:`fsync` before acknowledging.
+
+        The frame is the one ``append(b"".join(parts))`` writes: the
+        CRC is chained over the parts, the header is fused onto the
+        first, and the others are handed to the disk as they are."""
         offset = self._end
-        self._file.write(frame(payload))
-        self._end += FRAME_OVERHEAD + len(payload)
+        crc, length = zlib.crc32(payload), len(payload)
+        for part in rest:
+            crc = zlib.crc32(part, crc)
+            length += len(part)
+        self._file.write((_FRAME.pack(crc, length) + payload, *rest))
+        self._end += FRAME_OVERHEAD + length
         self._recovered = None
         self.appends += 1
         return offset

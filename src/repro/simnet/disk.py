@@ -26,12 +26,12 @@ through the same ``start_trace`` / ``trace_bytes`` machinery as the
 network, so a seeded fault scenario replays byte-identically.
 
 Each file is the list of extents written to it plus a durability
-watermark (see :class:`_FileState`): an append adds an extent and moves
-no byte already stored, a read of exactly one earlier write returns the
-bytes that write stored, ``fsync`` moves the watermark and copies
-nothing, and a crash cuts the extents back to it.  The pre-image of
-durable bytes is saved only when a write lands below the watermark,
-which no durable component does on its hot path.
+watermark (see :class:`_FileState`): an append adds an extent per part
+of the write and moves no byte already stored, a read of exactly one
+earlier write returns the bytes that write stored, ``fsync`` moves the
+watermark and copies nothing, and a crash cuts the extents back to it.
+The pre-image of durable bytes is saved only when a write lands below
+the watermark, which no durable component does on its hot path.
 
 Files are namespaced per node (``disk.scope("node-0")``) so one
 :class:`SimDisk` can back a whole cluster while crashes stay surgical:
@@ -75,10 +75,11 @@ class _FileState:
     The file's bytes are ``extents`` laid end to end; ``ends[i]`` is the
     offset one past ``extents[i]`` (so :meth:`read` bisects to an
     offset) and ``size`` is the file's length.  An append adds one
-    extent, so no buffer ever grows or moves, and a read of exactly one
-    earlier write hands back the ``bytes`` that write stored — every
-    :meth:`~repro.common.wal.WriteAheadLog.read` of a frame one
-    ``append`` wrote.  No extent is empty.
+    extent per part it was handed, so no buffer ever grows or moves,
+    and a read of exactly one earlier single-part write hands back the
+    ``bytes`` that write stored; a read of several whole extents — a
+    frame a gather write left in two parts — joins them.  No extent is
+    empty.
 
     The *durable image* — what a crash preserves — is ``mark`` bytes
     long, and as long as the file only grows between fsyncs it is
@@ -112,28 +113,43 @@ class _FileState:
 
     def read(self, start: int, end: int) -> bytes:
         """Bytes ``[start, end)``, for ``0 <= start`` and ``end <=
-        size``; one whole extent is returned as itself."""
+        size``; one whole extent is returned as itself, and several
+        whole extents are joined as they are."""
         if start >= end:
             return b""
         extents, ends = self.extents, self.ends
         i = bisect_right(ends, start)
-        first = extents[i]
-        skip = start - (ends[i] - len(first))
-        if end <= ends[i]:
-            if skip == 0 and end == ends[i]:
+        first, stop = extents[i], ends[i]
+        skip = start - (stop - len(first))
+        if end <= stop:
+            if skip == 0 and end == stop:
                 return first
             return first[skip:skip + end - start]
-        j = bisect_left(ends, end, i)
+        # a frame one gather write left as two extents ends on the next
+        # one: look there before bisecting the whole file
+        j = i + 1
+        if ends[j] < end:
+            j = bisect_left(ends, end, j + 1)
+        if skip == 0 and end == ends[j]:
+            return b"".join(extents[i:j + 1])
         last = extents[j]
         with memoryview(first) as head, memoryview(last) as tail:
             return b"".join((head[skip:], *extents[i + 1:j],
                              tail[:len(last) - (ends[j] - end)]))
 
-    def _append(self, data: bytes) -> None:
-        if data:
-            self.extents.append(data)
-            self.size += len(data)
-            self.ends.append(self.size)
+    def gather(self, parts: tuple) -> int:
+        """Append each non-empty part as its own extent (a ``bytes``
+        part as itself, any other buffer copied once); returns the
+        number of bytes appended."""
+        extents, ends = self.extents, self.ends
+        start = size = self.size
+        for part in parts:
+            if part:
+                extents.append(part if type(part) is bytes else bytes(part))
+                size += len(part)
+                ends.append(size)
+        self.size = size
+        return size - start
 
     def _split(self, offset: int) -> int:
         """Make ``offset`` (``0 <= offset <= size``) an extent boundary;
@@ -158,23 +174,29 @@ class _FileState:
             del self.ends[i:]
             self.size = offset
 
-    def write(self, pos: int, data: bytes) -> None:
-        """Put ``data`` at ``pos``; a gap past the end reads as zeros."""
+    def write(self, pos: int, parts: tuple) -> int:
+        """Put ``parts``, laid end to end, at ``pos``; returns their
+        length.  At the end of the file — the append every durable file
+        makes, never below the mark — each part becomes its own extent;
+        anywhere else the parts are joined first.  A gap past the end
+        reads as zeros."""
         size = self.size
+        if pos == size:
+            return self.gather(parts)
+        data = b"".join(parts)  # a lone ``bytes`` part is returned as is
         if pos > size:
-            self._append(bytes(pos - size))
-        elif pos < size:
+            self.gather((bytes(pos - size), data))
+        else:
             self.save_below(pos)
             end = pos + len(data)
-            if end < size:
-                if data:
-                    i, j = self._split(pos), self._split(end)
-                    self.extents[i:j] = (data,)
-                    self.ends[i:j] = (end,)
-                return
-            self.cut(pos)
-        # the append every durable file makes; never below the mark
-        self._append(data)
+            if end >= size:
+                self.cut(pos)
+                self.gather((data,))
+            elif data:
+                i, j = self._split(pos), self._split(end)
+                self.extents[i:j] = (data,)
+                self.ends[i:j] = (end,)
+        return len(data)
 
     def flip(self, offset: int, mask: int) -> None:
         """XOR one stored byte with ``mask``, in the live bytes and in
@@ -211,8 +233,7 @@ class _FileState:
         if pre:
             torn = self.read(mark, mark + keep)
             self.cut(mark - len(pre))
-            self._append(pre)
-            self._append(torn)
+            self.gather((pre, torn))
         else:
             self.cut(mark + keep)
         self.sync()
@@ -246,21 +267,24 @@ class _SimFile(DiskFile):
         self._pos = end
         return out
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: bytes | tuple[bytes, ...]) -> int:
+        """One write of ``data``, or of a tuple's parts laid end to end
+        (a gather write): one counted write, one trace event, and the
+        total length returned either way."""
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
-        if type(data) is not bytes:
-            data = bytes(data)  # the file must not alias a caller's buffer
         state = self._state
         pos = state.size if self._append else self._pos
-        state.write(pos, data)
+        # a part that is not ``bytes`` is copied, so the file never
+        # aliases a caller's buffer; a ``bytes`` part is stored as is
+        length = state.write(pos, data if type(data) is tuple else (data,))
         disk = self._disk
         disk.writes += 1
         if disk.trace is not None:
-            disk._record("write", self._path, str(pos), len(data))
-        self._pos = pos + len(data)
-        return len(data)
+            disk._record("write", self._path, str(pos), length)
+        self._pos = pos + length
+        return length
 
     def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
         self._check_open()

@@ -16,9 +16,15 @@ inside a frame (little-endian):
            [flags : 1B]                # bit 0: tombstone
            [value_len : 4B][value]
 
-and the in-memory index, which maps key -> list of (clock, offset,
-length, tombstone) so the multi-version merge never touches disk; only
-value reads do.  ``length`` is the whole frame, so a ``get`` makes one
+A ``put`` appends the body in two parts: the *head* (everything before
+the value) and the value itself, so the frame on disk is byte for byte
+the one ``encode_body`` frames, but the log holds the caller's value
+object instead of a copy of it (the kernel fuses its header onto the
+head and hands the value to the disk as a gather write).
+
+The in-memory index maps key -> list of (clock, offset, length,
+tombstone) so the multi-version merge never touches disk; only value
+reads do.  ``length`` is the whole frame, so a ``get`` makes one
 positioned read per live version: the kernel checks the frame's length
 and CRC, and the engine checks the key and slices out the value,
 stepping over the clock without decoding it (the index holds it).
@@ -61,12 +67,24 @@ def _decode_clock(data: bytes, offset: int) -> tuple[VectorClock, int]:
     return VectorClock(entries), offset
 
 
-def encode_body(key: bytes, versioned: Versioned) -> bytes:
-    value = versioned.value if versioned.value is not None else b""
-    flags = _TOMBSTONE if versioned.is_tombstone else _LIVE
-    return b"".join((_U32.pack(len(key)), key,
+def _encode_parts(key: bytes, versioned: Versioned) -> tuple[bytes, bytes]:
+    """The body as ``(head, value)``: the head is every field before the
+    value, and the value is ``versioned.value`` itself (``b""`` for a
+    tombstone)."""
+    value = versioned.value
+    if value is None:
+        value, flags = b"", _TOMBSTONE
+    else:
+        flags = _LIVE
+    head = b"".join((_U32.pack(len(key)), key,
                      *_encode_clock(versioned.clock),
-                     flags, _U32.pack(len(value)), value))
+                     flags, _U32.pack(len(value))))
+    return head, value
+
+
+def encode_body(key: bytes, versioned: Versioned) -> bytes:
+    head, value = _encode_parts(key, versioned)
+    return head + value
 
 
 def decode_body(body: bytes) -> tuple[bytes, Versioned]:
@@ -155,12 +173,15 @@ class LogStructuredEngine(StorageEngine):
     def put(self, key: bytes, versioned: Versioned) -> None:
         # enforce the version contract against the in-memory clocks first
         self.merge_version(self._index.get(key, ()), versioned)
-        body = encode_body(key, versioned)
-        offset = self._log.append(body)
+        head, value = _encode_parts(key, versioned)
+        # the value goes to the log by reference: no replica copies it
+        # (a tombstone's empty value adds nothing to the write)
+        offset = self._log.append(head, value)
         self._log.fsync()   # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
         # merged again, not stored from the first merge: another put may
         # have landed while the fsync yielded
-        self._index_put(key, versioned, offset, FRAME_OVERHEAD + len(body))
+        self._index_put(key, versioned, offset,
+                        FRAME_OVERHEAD + len(head) + len(value))
 
     def record_span(self, key: bytes) -> tuple[int, int]:
         """(offset, length) of the newest live on-disk record for

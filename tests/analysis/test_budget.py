@@ -9,7 +9,9 @@ affordable.  The budget is generous (the full run with all fifteen
 rules, CFG-build counter included, took 6.7-8.7 s across five tier-1
 runs on a shared 2-core Xeon host under Python 3.11, so at least 3.3 s
 of headroom) so the test is a tripwire for accidental quadratic
-behaviour, not a benchmark.
+behaviour, not a benchmark.  The run is timed in CPU time of the
+analyzing thread (``time.thread_time``), so a host that takes the CPU
+away mid-run cannot fail it.
 
 The run is the session's shared ``full_run`` (``conftest.py``): tier-1
 analyzes all of ``src/repro`` once, and a guard here keeps it that way.

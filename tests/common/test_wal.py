@@ -98,6 +98,75 @@ class TestAppendReplay:
         assert recovered.size_bytes == frames * (FRAME_OVERHEAD + 128)
 
 
+RECORDS = [(b"alpha",), (b"be", b"ta"), (b"", b"gamma", bytearray(b"!")),
+           (b"head", b"")]
+TAIL = (b"tail-head|", b"tail-value" * 4)
+
+
+def _multi_part_run(gather, keep):
+    """Append ``RECORDS``, fsync, then a ``TAIL`` frame torn ``keep``
+    bytes in, and recover: everything a caller can observe."""
+    disk = SimDisk(clock=SimClock(), seed=1)
+    disk.start_trace()
+
+    def append(wal, parts):
+        return wal.append(*parts) if gather else wal.append(b"".join(parts))
+
+    wal = WriteAheadLog("node/x.wal", disk=disk)
+    offsets = [append(wal, parts) for parts in RECORDS]
+    reads = [wal.read(offset, FRAME_OVERHEAD + sum(map(len, parts)))
+             for offset, parts in zip(offsets, RECORDS)]
+    wal.fsync()
+    replayed = list(wal.replay())
+    append(wal, TAIL)
+    size = wal.size_bytes
+    disk.arm_torn_write("node", path="x.wal", keep_bytes=keep)
+    disk.crash_node("node")
+    recovered = WriteAheadLog("node/x.wal", disk=disk)
+    with disk.open("node/x.wal", "rb") as f:
+        contents = f.read()
+    return (offsets, reads, replayed, size, disk.writes, contents,
+            recovered.truncated_bytes, list(recovered.replay()),
+            disk.trace_bytes())
+
+
+class TestMultiPartAppend:
+    """``append(*parts)`` writes the frame ``append(b"".join(parts))``
+    writes, in one write: reads, replay and torn-tail recovery cannot
+    tell them apart."""
+
+    @pytest.mark.parametrize("keep", [0, FRAME_OVERHEAD + 3,
+                                      FRAME_OVERHEAD + 10 + 7, 10 ** 6])
+    def test_a_multi_part_append_is_the_joined_append(self, keep):
+        joined = _multi_part_run(gather=False, keep=keep)
+        assert _multi_part_run(gather=True, keep=keep) == joined
+        (_, reads, replayed, _, writes, _, truncated, survivors,
+         _) = joined
+        records = [b"".join(parts) for parts in RECORDS]
+        assert reads == replayed == records
+        assert writes == len(RECORDS) + 1
+        whole = keep >= FRAME_OVERHEAD + sum(map(len, TAIL))
+        assert survivors == records + [b"".join(TAIL)] * whole
+        assert truncated == (0 if whole else keep)
+
+    def test_the_parts_after_the_first_are_written_as_they_are(
+            self, disk, monkeypatch):
+        written = []
+        real_write = _SimFile.write
+        monkeypatch.setattr(
+            _SimFile, "write",
+            lambda handle, data: written.append(data)
+            or real_write(handle, data))
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        value = b"a value the caller holds" * 8
+        wal.append(b"head", value)
+        wal.append(b"single")
+        ((head, passed), (single,)) = written
+        assert head == frame(b"head" + value)[:FRAME_OVERHEAD + 4]
+        assert passed is value
+        assert single == frame(b"single")
+
+
 class TestRecovery:
     def test_torn_tail_truncated(self, disk):
         wal = WriteAheadLog("node/x.wal", disk=disk)

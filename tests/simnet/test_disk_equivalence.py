@@ -8,7 +8,8 @@ full images, ``data`` and ``synced``, and ``fsync`` copies one onto the
 other — kept here, and only here, as the oracle: it is slow and
 obviously right.  A seeded random walk drives both through every
 operation of the public surface and compares everything observable
-after every step.
+after every step.  A write is issued either as one buffer or as a tuple
+of parts (a gather write); the model writes the parts joined.
 """
 
 import io
@@ -20,7 +21,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigurationError, FileMissingError
-from repro.simnet.disk import SimDisk
+from repro.simnet.disk import LocalDisk, SimDisk
 
 
 # -- the reference model: two images per file --------------------------------
@@ -65,6 +66,8 @@ class _RefFile:
         self._check_open()
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
+        if isinstance(data, tuple):
+            data = b"".join(data)
         state = self._state.data
         if self._append:
             self._pos = len(state)
@@ -272,6 +275,16 @@ MODES = ("rb", "ab", "ab+", "wb", "rb+")
 STEPS = 4000
 
 
+def _maybe_parts(script, data):
+    """``data`` as it is, or cut into a tuple of up to four parts (empty
+    parts included) laid end to end."""
+    if script.random() < 0.5:
+        return data
+    cuts = sorted(script.randrange(len(data) + 1)
+                  for _ in range(script.randrange(4)))
+    return tuple(data[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)]))
+
+
 def _outcome(call):
     """A call's observable result: its value or the type it raised."""
     try:
@@ -343,21 +356,22 @@ class _Walk:
             else:
                 assert real == model, self.report("open")
         elif op == "write":
-            data = script.randbytes(script.randrange(41))
-            self.on_handle(f"write {len(data)}",
+            data = _maybe_parts(script, script.randbytes(script.randrange(41)))
+            self.on_handle(f"write {data!r}",
                            lambda h, size: h.write(data))
         elif op == "overwrite":
             # anywhere in the file or up to 8 B past it (a zero-filled gap)
-            data = script.randbytes(script.randrange(1, 25))
+            data = _maybe_parts(script,
+                                script.randbytes(script.randrange(1, 25)))
             where = script.random()
             if script.random() < 0.5:
                 self.on_handle(
-                    f"seek {where:.2f} from start + write {len(data)}",
+                    f"seek {where:.2f} from start + write {data!r}",
                     lambda h, size: (h.seek(int(where * (size + 9))),
                                      h.write(data)))
             else:
                 self.on_handle(
-                    f"seek {where:.2f} from end + write {len(data)}",
+                    f"seek {where:.2f} from end + write {data!r}",
                     lambda h, size: (h.seek(-int(where * (size + 1)),
                                             os.SEEK_END),
                                      h.write(data)))
@@ -470,6 +484,81 @@ def test_each_mutation_below_the_mark_is_undone_by_a_crash():
         disk.crash_node("n")
         with disk.open("n/f", "rb") as g:
             assert g.read() == b"0123456789"
+
+
+# -- gather writes: a tuple of parts is the joined write ----------------------
+
+PARTS = (b"head-", bytearray(b"middle-"), b"", memoryview(b"tail"))
+
+
+def _gather_script(disk, root, gather):
+    """An append, an overwrite below the end, an append after it and a
+    ``"wb"`` reopen, each writing ``PARTS`` as a tuple or joined; returns
+    every write's result and the bytes read back after each stage."""
+    def write(f):
+        return f.write(PARTS if gather else b"".join(PARTS))
+
+    def contents():
+        with disk.open(f"{root}/f", "rb") as f:
+            return f.read()
+
+    seen = []
+    with disk.open(f"{root}/f", "ab") as f:
+        seen += [f.write(b"0123456789"), write(f)]
+        f.fsync()
+    seen.append(contents())
+    with disk.open(f"{root}/f", "rb+") as f:
+        f.seek(3)
+        seen += [write(f), f.tell()]
+        f.seek(0, os.SEEK_END)
+        seen += [write(f), f.tell()]
+    seen.append(contents())
+    with disk.open(f"{root}/f", "wb") as f:
+        seen += [write(f), f.tell()]
+    seen.append(contents())
+    return seen
+
+
+def test_a_tuple_write_is_the_joined_write_on_both_disks(tmp_path):
+    expected = _gather_script(SimDisk(clock=SimClock()), "n", gather=False)
+    assert expected[2] == b"0123456789head-middle-tail"
+    assert expected[-1] == b"head-middle-tail"
+    clock = SimClock()
+    sims = [SimDisk(clock=clock), SimDisk(clock=clock)]
+    for disk in sims:
+        disk.start_trace()
+    assert _gather_script(sims[0], "n", gather=True) == expected
+    _gather_script(sims[1], "n", gather=False)
+    assert sims[0].trace_bytes() == sims[1].trace_bytes()
+    assert sims[0].writes == sims[1].writes == 5
+    # the overwrite and the "wb" reopen landed below the mark: a crash
+    # puts the last fsynced image back on both
+    for disk in sims:
+        disk.crash_node("n")
+        with disk.open("n/f", "rb") as f:
+            assert f.read() == expected[2]
+    local = LocalDisk()
+    for name, gather in (("gather", True), ("joined", False)):
+        local.makedirs(str(tmp_path / name))
+        assert _gather_script(local, str(tmp_path / name), gather) == expected
+
+
+def test_a_gather_append_stores_each_bytes_part_as_it_is():
+    """At the end of a file each part becomes its own extent: a
+    ``bytes`` part is stored as that object, any other buffer is copied
+    once, and a read of the whole write joins the parts."""
+    disk = SimDisk(clock=SimClock())
+    head, value = b"header", bytes(range(200))
+    scratch = bytearray(b"reused")
+    f = disk.open("n/log", "ab+")
+    assert f.write((head, value, scratch)) == 6 + 200 + 6
+    scratch[:] = b"XXXXXX"
+    extents = disk._files["n/log"].extents
+    assert extents[0] is head and extents[1] is value
+    f.seek(0)
+    assert f.read() == head + value + b"reused"
+    f.seek(len(head))
+    assert f.read(len(value)) is value
 
 
 # -- the cost the watermark removes ------------------------------------------

@@ -1,6 +1,7 @@
 """Storage engines: multi-version contract, durability, compaction."""
 
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ChecksumError, KeyNotFoundError, ObsoleteVersionError
 from repro.common.vectorclock import Occurred, VectorClock
-from repro.common.wal import FRAME_OVERHEAD
+from repro.common.wal import FRAME_OVERHEAD, frame
 from repro.simnet.disk import SimDisk, _SimFile
 from repro.voldemort.engines import (
     InMemoryStorageEngine,
     LogStructuredEngine,
     logstructured,
 )
+from repro.voldemort.engines.logstructured import encode_body
 from repro.voldemort.versioned import Versioned
 
 
@@ -308,6 +310,125 @@ def test_data_log_byte_format_is_pinned(disk):
     engine.close()
     with disk.open(log_file, "rb") as f:
         assert f.read() == old + _raw_record(b"c", {4: 1}, b"three")
+
+
+def test_data_log_is_the_framed_bodies_end_to_end(disk):
+    """A put hands the log its value as a separate part; the file is
+    still exactly ``frame(encode_body(...))`` per record, for a live
+    value, an empty one and a tombstone."""
+    script = [(b"a", Versioned(b"one" * 50, VectorClock({1: 1}))),
+              (b"b", Versioned(b"", VectorClock({2: 1}))),
+              (b"a", Versioned(None, VectorClock({1: 2}))),
+              (b"a", Versioned(b"again", VectorClock({1: 3, 2: 1})))]
+    engine = LogStructuredEngine("store", disk)
+    for key, versioned in script:
+        if versioned.is_tombstone:
+            engine.delete(key, versioned)
+        else:
+            engine.put(key, versioned)
+    engine.close()
+    with disk.open(f"store/{LogStructuredEngine.LOG_NAME}", "rb") as f:
+        assert f.read() == b"".join(frame(encode_body(key, versioned))
+                                    for key, versioned in script)
+
+
+class TestSharedValues:
+    """Three replicas on one disk store the value a client sent them as
+    that very object; damage to one replica's file stays in that file."""
+
+    VALUE = bytes(range(256)) * 4
+
+    def _replicas(self):
+        disk = SimDisk(seed=3)
+        engines = [LogStructuredEngine("store", disk.scope(f"r{i}"))
+                   for i in range(3)]
+        versioned = Versioned(bytes(self.VALUE), VectorClock({1: 1}))
+        return disk, engines, versioned
+
+    def test_the_log_holds_the_callers_value(self):
+        disk, engines, versioned = self._replicas()
+        for engine in engines:
+            engine.put(b"k", versioned)
+        for i, engine in enumerate(engines):
+            extents = disk._files[f"r{i}/store/data.log"].extents
+            assert extents[-1] is versioned.value
+            assert [x.value for x in engine.get(b"k")] == [self.VALUE]
+
+    def test_a_flipped_bit_in_one_replicas_value_stays_there(self):
+        disk, engines, versioned = self._replicas()
+        for engine in engines:
+            engine.put(b"k", versioned)
+        offset, length = engines[0].record_span(b"k")
+        value_at = offset + length - len(self.VALUE)
+        disk.flip_bit("r0", "store/data.log", offset=value_at + 100, bit=3)
+        with pytest.raises(ChecksumError):
+            engines[0].get(b"k")
+        for engine in engines[1:]:
+            assert [x.value for x in engine.get(b"k")] == [self.VALUE]
+        assert versioned.value == self.VALUE
+
+    def test_a_write_torn_inside_the_value_loses_that_frame_whole(
+            self, monkeypatch):
+        disk, engines, versioned = self._replicas()
+        first = Versioned(b"first", VectorClock({1: 1}))
+        for engine in engines:
+            engine.put(b"first", first)
+        for engine in engines[1:]:
+            engine.put(b"k", versioned)
+        before = {i: disk._files[f"r{i}/store/data.log"].read(
+            0, disk.getsize(f"r{i}/store/data.log")) for i in (1, 2)}
+
+        class Crash(Exception):
+            pass
+
+        def die(handle):
+            raise Crash
+
+        head = len(encode_body(b"k", versioned)) - len(self.VALUE)
+        disk.arm_torn_write("r0", "store/data.log",
+                            keep_bytes=FRAME_OVERHEAD + head + 500)
+        with monkeypatch.context() as patch:
+            patch.setattr(_SimFile, "fsync", die)
+            with pytest.raises(Crash):
+                engines[0].put(b"k", versioned)
+        disk.crash_node("r0")
+
+        recovered = LogStructuredEngine("store", disk.scope("r0"))
+        assert recovered.torn_bytes_truncated == FRAME_OVERHEAD + head + 500
+        assert list(recovered.keys()) == [b"first"]
+        with pytest.raises(KeyNotFoundError):
+            recovered.get(b"k")
+        recovered.close()
+        for i in (1, 2):
+            with disk.open(f"r{i}/store/data.log", "rb") as f:
+                assert f.read() == before[i]
+            assert [x.value for x in engines[i].get(b"k")] == [self.VALUE]
+        assert versioned.value == self.VALUE
+
+
+def test_a_replica_put_retains_its_head_not_its_value():
+    """2 000 puts of a 1 KiB value on each of three replicas: what the
+    puts leave allocated is the index and each frame's head, not a copy
+    of the value per replica (1 402 B per put when the log copied it,
+    ~430 B now)."""
+    disk = SimDisk()
+    engines = [LogStructuredEngine("store", disk.scope(f"r{i}"))
+               for i in range(3)]
+    keys = [b"key-%06d" % i for i in range(2000)]
+    versions = [Versioned(bytes([i % 256]) * 1024, VectorClock({1: i + 1}))
+                for i in range(2000)]
+    for engine in engines:
+        engine.put(b"warm-up", versions[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key, versioned in zip(keys, versions):
+            for engine in engines:
+                engine.put(key, versioned)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / (len(keys) * len(engines)) <= 700
 
 
 @settings(max_examples=50, deadline=None)
