@@ -31,7 +31,9 @@ def tokenize(text: str) -> list[str]:
 
 
 class _Posting(dict):
-    """One ``(field, term)``'s documents: resource_id -> set of keys.
+    """One ``(field, term)``'s documents: resource_id -> its keys, a
+    1-tuple while the resource holds one and a set from the second on
+    (most resources of a one-document-per-member table hold one).
 
     ``term`` is the pair, of interned strings, that every document
     holding it shares; it lives exactly as long as the posting."""
@@ -58,8 +60,8 @@ class LocalSecondaryIndex:
                                        version=schema.version)
         self._term_fields = {f.name for f in schema.fields if f.indexed}
         self._text_fields = {f.name for f in schema.fields if f.free_text}
-        # (field, term) -> resource_id (a key's first element) -> set
-        # of document keys, so a collection-scoped query touches one
+        # (field, term) -> resource_id (a key's first element) -> its
+        # document keys, so a collection-scoped query touches one
         # resource's keys and never the rest of the table's
         self._postings: dict[tuple[str, str], _Posting] = {}
         # doc key -> its postings' (field, term) pairs, for removal
@@ -85,26 +87,39 @@ class LocalSecondaryIndex:
     def add(self, doc_key: tuple, document: dict) -> None:
         """Index (or re-index) one document."""
         self.remove(doc_key)
+        resource_id = doc_key[0]
         terms = []
         for term in self._terms_for(document):
             posting = self._postings.get(term)
             if posting is None:
                 posting = _Posting(*term)
                 self._postings[posting.term] = posting
-            posting.setdefault(doc_key[0], set()).add(doc_key)
+            bucket = posting.get(resource_id)
+            if bucket is None:
+                posting[resource_id] = (doc_key,)
+            elif type(bucket) is tuple:
+                posting[resource_id] = {*bucket, doc_key}
+            else:
+                bucket.add(doc_key)
             terms.append(posting.term)
         if terms:
             self._doc_terms[doc_key] = tuple(terms)
 
     def remove(self, doc_key: tuple) -> None:
-        for term in self._doc_terms.pop(doc_key, ()):
+        terms = self._doc_terms.pop(doc_key, None)
+        if terms is None:
+            return
+        resource_id = doc_key[0]
+        for term in terms:
             by_resource = self._postings[term]
-            bucket = by_resource[doc_key[0]]
-            bucket.discard(doc_key)
-            if not bucket:
-                del by_resource[doc_key[0]]
-                if not by_resource:
-                    del self._postings[term]
+            bucket = by_resource[resource_id]
+            if type(bucket) is not tuple:    # a 1-tuple holds only doc_key
+                bucket.discard(doc_key)
+                if bucket:
+                    continue
+            del by_resource[resource_id]
+            if not by_resource:
+                del self._postings[term]
 
     def _matches(self, fieldname: str, term: str,
                  resource_id: str | None) -> set[tuple]:

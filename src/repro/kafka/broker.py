@@ -199,6 +199,9 @@ class KafkaCluster:
                  admission_burst: float | None = None):
         if num_brokers <= 0:
             raise ConfigurationError("need at least one broker")
+        if partitions_per_topic < 1:
+            raise ConfigurationError(
+                f"partitions_per_topic must be >= 1, got {partitions_per_topic}")
         self.zookeeper = zookeeper or ZooKeeperServer()
         self.partitions_per_topic = partitions_per_topic
         self.disk = disk if disk is not None else SimDisk(clock=clock)
@@ -223,10 +226,15 @@ class KafkaCluster:
 
     def create_topic(self, topic: str,
                      partitions: int | None = None) -> list[TopicPartition]:
-        """Create a topic, spreading partitions round-robin over brokers."""
+        """Create a topic, spreading partitions round-robin over brokers;
+        ``partitions=None`` takes the cluster's ``partitions_per_topic``."""
         if topic in self._topics:
             raise ConfigurationError(f"topic {topic!r} exists")
-        count = partitions or self.partitions_per_topic
+        count = self.partitions_per_topic if partitions is None \
+            else partitions
+        if count < 1:
+            raise ConfigurationError(
+                f"topic {topic!r} needs at least one partition, got {count}")
         layout = []
         broker_ids = sorted(self.brokers)
         for partition in range(count):

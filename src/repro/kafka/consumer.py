@@ -160,8 +160,13 @@ class MessageStream:
         they are delivered together or the rest would be skipped.
         """
         out: list[FetchedMessage] = []
+        append = out.append
+        fetched = FetchedMessage
+        # max_messages - len(out); the rest of a wrapper may take it
+        # below zero
+        budget = max_messages
         for topic, partition in self.assignments:
-            if len(out) >= max_messages:
+            if budget <= 0:
                 break
             offset = self.offsets[(topic, partition)]
             try:
@@ -173,11 +178,12 @@ class MessageStream:
                 span = self._consumer.fetch(topic, partition, offset)
             consumed_to = None
             for payload, next_offset in span:
-                if next_offset != consumed_to and len(out) >= max_messages:
-                    break
-                out.append(FetchedMessage(topic, partition, payload,
-                                          next_offset))
-                consumed_to = next_offset
+                if next_offset != consumed_to:
+                    if budget <= 0:
+                        break
+                    consumed_to = next_offset
+                append(fetched(topic, partition, payload, next_offset))
+                budget -= 1
             # one store per fetch; a seek() that landed while the fetch
             # was in flight wins over it
             if consumed_to is not None \

@@ -66,9 +66,10 @@ def encode_payloads(payloads: Iterable[bytes],
     crc32 = zlib.crc32
     seed = _ATTR_CRC[attributes]
     parts: list[bytes] = []
+    append = parts.append
     for payload in payloads:
-        parts.append(pack(len(payload) + 1, crc32(payload, seed), attributes))
-        parts.append(payload)
+        append(pack(len(payload) + 1, crc32(payload, seed), attributes))
+        append(payload)
     return b"".join(parts)
 
 
@@ -89,23 +90,29 @@ def decode_span(data: bytes, base_offset: int = 0,
     wrapper is yielded as the one stored message it is, still deflated:
     what recovery and byte-offset bookkeeping want.
     """
+    # every name the loop reads is a local: it runs once per message
     unpack_from = _HEADER.unpack_from
     crc32 = zlib.crc32
+    attr_crc = _ATTR_CRC
+    overhead = FRAME_OVERHEAD
+    prefix = _LENGTH_PREFIX
+    expand = 0 if shallow else ATTR_GZIP
     position = 0
     total = len(data)
-    while position + FRAME_OVERHEAD <= total:
+    last_header = total - overhead
+    while position <= last_header:
         length, crc, attributes = unpack_from(data, position)
         if length < 1:
             raise SerializationError(f"invalid frame length {length}")
-        end = position + _LENGTH_PREFIX + length
+        end = position + prefix + length
         if end > total:
             return
-        payload = data[position + FRAME_OVERHEAD:end]
-        if crc32(payload, _ATTR_CRC[attributes]) != crc:
+        payload = data[position + overhead:end]
+        if crc32(payload, attr_crc[attributes]) != crc:
             raise ChecksumError(
                 f"corrupt message at offset {base_offset + position}")
         position = end
-        if attributes & ATTR_GZIP and not shallow:
+        if attributes & expand:
             for inner, _ in decode_span(zlib.decompress(payload)):
                 yield inner, base_offset + end
         else:

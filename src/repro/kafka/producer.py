@@ -52,6 +52,7 @@ class Producer:
         self.max_pending = max_pending
         self.compress = compress
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
@@ -97,8 +98,22 @@ class Producer:
         are already buffered unacked."""
         if self.max_pending is not None:
             self._check_backpressure(1)
-        partition = self._choose_partition(topic, key)
-        batch = self._batches.setdefault((topic, partition), [])
+        count = self._partition_counts.get(topic)
+        if key is None and count is not None:
+            # randrange(count), inline and without its argument checks:
+            # the getrandbits draws CPython's _randbelow makes, so a
+            # seed picks the partitions it always picked, at a fraction
+            # of the cost (tests/kafka pins the stream to randrange's)
+            getrandbits = self._getrandbits
+            bits = count.bit_length()
+            partition = getrandbits(bits)
+            while partition >= count:
+                partition = getrandbits(bits)
+        else:
+            partition = self._choose_partition(topic, key)
+        batch = self._batches.get((topic, partition))
+        if batch is None:
+            batch = self._batches.setdefault((topic, partition), [])
         batch.append(payload)
         if len(batch) >= self.batch_size:
             self._publish(topic, partition)

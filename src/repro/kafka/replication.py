@@ -212,6 +212,10 @@ class ReplicatedTopic:
 
     def __init__(self, cluster: KafkaCluster, topic: str, partitions: int,
                  replication_factor: int, min_insync_replicas: int = 1):
+        if partitions < 1:
+            raise ConfigurationError(
+                f"topic {topic!r} needs at least one partition, "
+                f"got {partitions}")
         if replication_factor > len(cluster.brokers):
             raise ConfigurationError(
                 "replication factor exceeds broker count")

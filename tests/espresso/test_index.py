@@ -14,6 +14,9 @@ from tests.espresso.conftest import SONG_SCHEMA, ALBUM_SCHEMA
 
 MAILBOX_SCHEMA = RecordSchema("Mailbox", [
     Field("subject", "string"), Field("folder", "string", indexed=True)])
+PROFILE_SCHEMA = RecordSchema("Profile", [
+    Field("name", "string"), Field("headline", "string"),
+    Field("industry", "string", indexed=True)])
 
 
 def test_tokenize():
@@ -96,8 +99,9 @@ def assert_no_state_outlives_its_documents(index, live: set) -> None:
         assert by_resource and by_resource.term is term
         for resource_id, keys in by_resource.items():
             assert keys and all(key[0] == resource_id for key in keys)
+            assert type(keys) is set or len(keys) == 1
             assert all(term in index._doc_terms[key] for key in keys)
-            held |= keys
+            held.update(keys)
     assert held == live
     for key, terms in index._doc_terms.items():
         assert len(set(terms)) == len(terms)
@@ -178,3 +182,30 @@ def test_a_one_term_document_costs_references_not_copies():
         tracemalloc.stop()
     assert index.query("folder", "inbox", resource_id="m00007")
     assert held / len(keys) <= 420
+
+
+def test_a_one_document_resource_costs_no_set():
+    """5 000 profile documents shaped like espresso-cdc's (one indexed
+    industry of five, one document per member): a resource that holds
+    one key keeps it in a 1-tuple — 320 B per document when every
+    bucket was a set, 216 B of it the one-element set."""
+    rng = random.Random(0)
+    keys = [(f"m{i:05d}",) for i in range(5000)]
+    documents = [{"name": "n", "headline": "h",
+                  "industry": rng.choice(("software", "finance", "health",
+                                          "media", "retail"))}
+                 for _ in keys]
+    index = LocalSecondaryIndex(PROFILE_SCHEMA)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key, document in zip(keys, documents):
+            index.add(key, document)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert index.query("industry", documents[7]["industry"],
+                       resource_id="m00007") == [("m00007",)]
+    assert held / len(keys) <= 180
+    assert_no_state_outlives_its_documents(index, set(keys))
+

@@ -29,6 +29,25 @@ def test_duplicate_topic_rejected(cluster):
         cluster.create_topic("t")
 
 
+@pytest.mark.parametrize("partitions", [0, -2])
+def test_a_topic_without_partitions_is_rejected(cluster, partitions):
+    """A zero-partition topic used to be created, and its first keyless
+    send failed inside the partition draw; 0 also silently meant "the
+    default"."""
+    with pytest.raises(ConfigurationError):
+        cluster.create_topic("empty", partitions=partitions)
+    assert "empty" not in cluster.topics()
+    assert len(cluster.create_topic("default", partitions=None)) == 6
+
+
+@pytest.mark.parametrize("partitions_per_topic", [0, -1])
+def test_a_cluster_without_default_partitions_is_rejected(
+        partitions_per_topic):
+    with pytest.raises(ConfigurationError):
+        KafkaCluster(num_brokers=1, data_root="kafka", clock=SimClock(),
+                     partitions_per_topic=partitions_per_topic)
+
+
 def test_unknown_topic_rejected(cluster):
     with pytest.raises(ConfigurationError):
         cluster.topic_layout("ghost")

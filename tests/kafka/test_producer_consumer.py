@@ -1,10 +1,13 @@
 """Producer batching/partitioning and SimpleConsumer/MessageStream."""
 
+import random
+
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, OffsetOutOfRangeError
 from repro.kafka import KafkaCluster, MessageStream, Producer, SimpleConsumer
+from repro.kafka.consumer import FetchedMessage
 
 
 @pytest.fixture
@@ -63,6 +66,110 @@ def test_random_partitioning_spreads(cluster):
     partitions = {producer._choose_partition("activity", None)
                   for _ in range(200)}
     assert len(partitions) == 4
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 6, 7, 8, 64])
+def test_keyless_sends_land_where_randrange_puts_them(count):
+    """The producer draws a keyless partition with getrandbits itself,
+    skipping randrange's argument checks; every message must still land
+    on the partition ``random.Random(seed).randrange(count)`` names, in
+    sequence, publishes and all.  An interpreter whose randrange draws
+    differently fails here, not in a benchmark's shifted latencies."""
+    sends = 10_000
+    for seed in range(3):
+        cluster = KafkaCluster(num_brokers=1, data_root="kafka",
+                               clock=SimClock(), partitions_per_topic=count,
+                               flush_interval_messages=1000)
+        cluster.create_topic("t")
+        producer = Producer(cluster, batch_size=64, seed=seed)
+        for seq in range(sends):
+            producer.send("t", b"%d" % seq)
+        producer.flush()
+        cluster.flush_all()
+        assert producer.publish_requests > sends // 64
+        landed = [None] * sends
+        for partition in range(count):
+            stream = MessageStream(SimpleConsumer(cluster),
+                                   [("t", partition)], {("t", partition): 0})
+            for fetched in stream:
+                landed[int(fetched.payload)] = partition
+        reference = random.Random(seed)
+        assert landed == [reference.randrange(count) for _ in range(sends)]
+        cluster.shutdown()
+
+
+def reference_poll(stream, max_messages):
+    """``MessageStream.poll`` as it was while it measured ``len(out)``
+    per message: the model the countdown loop must match."""
+    out = []
+    for topic, partition in stream.assignments:
+        if len(out) >= max_messages:
+            break
+        offset = stream.offsets[(topic, partition)]
+        try:
+            span = stream._consumer.fetch(topic, partition, offset)
+        except OffsetOutOfRangeError:
+            offset = stream._consumer.earliest_offset(topic, partition)
+            stream.offsets[(topic, partition)] = offset
+            span = stream._consumer.fetch(topic, partition, offset)
+        consumed_to = None
+        for payload, next_offset in span:
+            if next_offset != consumed_to and len(out) >= max_messages:
+                break
+            out.append(FetchedMessage(topic, partition, payload,
+                                      next_offset))
+            consumed_to = next_offset
+        if consumed_to is not None \
+                and stream.offsets[(topic, partition)] == offset:
+            stream.offsets[(topic, partition)] = consumed_to
+    return out
+
+
+def publish_mix(rng, plain, gzip, sets):
+    """``sets`` seeded message sets of 1-8 payloads, each plain or one
+    gzip wrapper, on a random partition."""
+    for _ in range(sets):
+        producer = gzip if rng.random() < 0.5 else plain
+        size = rng.randint(1, 8)
+        producer.send_set("t", [b"m-%06d" % rng.randrange(10**6)
+                                for _ in range(size)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_poll_matches_the_reference_loop(seed):
+    """Over plain and gzip-wrapped sets on three partitions, every
+    bounded poll returns what the reference loop returns and leaves the
+    same offsets: with no budget, one message, one partition's whole
+    count, a budget that runs out inside a wrapper, and more than
+    there is."""
+    rng = random.Random(seed)
+    cluster = KafkaCluster(num_brokers=2, data_root="kafka",
+                           clock=SimClock(), partitions_per_topic=3)
+    cluster.create_topic("t")
+    plain = Producer(cluster, seed=seed)
+    gzip = Producer(cluster, compress=True, seed=seed + 100)
+    publish_mix(rng, plain, gzip, 40)
+    assignments = [("t", p) for p in range(3)]
+    first = list(SimpleConsumer(cluster).fetch("t", 0, 0))
+    ends = [next_offset for _, next_offset in first]
+    inside = [i + 1 for i in range(len(ends) - 1) if ends[i] == ends[i + 1]]
+    assert inside, "the mix must hold a wrapper of two or more messages"
+    budgets = [0, 1, len(first), inside[len(inside) // 2], 10_000]
+    for max_messages in budgets:
+        stream = MessageStream(SimpleConsumer(cluster), assignments,
+                               {a: 0 for a in assignments})
+        model = MessageStream(SimpleConsumer(cluster), assignments,
+                              {a: 0 for a in assignments})
+        for round_ in range(200):
+            got = stream.poll(max_messages)
+            assert got == reference_poll(model, max_messages)
+            assert stream.offsets == model.offsets
+            if round_ == 1:
+                publish_mix(rng, plain, gzip, 5)
+            elif not got:
+                break
+        if max_messages:
+            assert stream.lag() == 0
 
 
 def test_compressed_producer_roundtrip(cluster):

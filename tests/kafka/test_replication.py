@@ -54,6 +54,13 @@ def test_replication_factor_validation(cluster):
         ReplicatedTopic(cluster, "t", 1, replication_factor=4)
 
 
+@pytest.mark.parametrize("partitions", [0, -1])
+def test_a_replicated_topic_without_partitions_is_rejected(
+        cluster, partitions):
+    with pytest.raises(ConfigurationError):
+        ReplicatedTopic(cluster, "empty", partitions, 1)
+
+
 def test_messages_invisible_until_replicated(topic):
     produce(topic, 0, [b"m1"])
     # leader has it, but followers have not pulled: committed stays 0
