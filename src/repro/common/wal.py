@@ -9,7 +9,8 @@ crash recovery has one set of semantics to reason about:
 ``crc32`` covers the payload only.  An append may hand the payload in
 parts; the frame on disk is the same, and every part after the first
 goes to the device as a gather write, by reference, so a caller's value
-is stored as its own object rather than copied into the frame.  Appends
+is stored as its own object rather than copied into the frame.  A
+rewrite's temp file is one gather write under the same rule.  Appends
 buffer in the (simulated or real) page cache; :meth:`WriteAheadLog.fsync`
 moves the durability line.  The contract (DESIGN.md §9,
 ``durability-unsynced-ack`` lint rule) is *ack ⇒ fsync ⇒ recoverable*:
@@ -46,6 +47,16 @@ def frame(payload: bytes) -> bytes:
     return _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
 
 
+def _chain(first: bytes, rest) -> tuple[int, int]:
+    """The CRC and length of the payload ``first`` followed by the
+    parts in ``rest``: its frame header's two fields."""
+    crc, length = zlib.crc32(first), len(first)
+    for part in rest:
+        crc = zlib.crc32(part, crc)
+        length += len(part)
+    return crc, length
+
+
 def scan_frames(data: bytes) -> tuple[list[tuple[int, bytes]], int]:
     """Parse ``data`` into ``(offset, payload)`` frames.
 
@@ -74,14 +85,38 @@ def _make_parent(disk: Disk, path: str) -> None:
         disk.makedirs(parent)
 
 
+def _gather(records: Iterable[bytes | tuple[bytes, ...]]) -> tuple:
+    """The parts of one gather write that frames ``records`` back to
+    back.  A record is a payload or a tuple of its parts, framed as
+    :meth:`WriteAheadLog.append` frames them: each header is joined
+    with its record's first part and with every small piece up to the
+    next later part, which goes to the disk by reference."""
+    out: list[bytes] = []
+    small: list[bytes] = []
+    for record in records:
+        if type(record) is not tuple:
+            small.append(frame(record))
+            continue
+        first, *rest = record
+        small += (_FRAME.pack(*_chain(first, rest)), first)
+        for part in rest:
+            if part:
+                out += (b"".join(small), part)
+                small = []
+    if small:
+        out.append(b"".join(small))
+    return tuple(out)
+
+
 def _write_temp(disk: Disk, path: str,
-                payloads: Iterable[bytes]) -> tuple[str, int]:
-    """Frame ``payloads`` into a fsynced ``path + ".tmp"`` (``"wb"``
-    discards a dead attempt's leftovers) with one sequential write;
-    returns its path and size."""
+                records: Iterable[bytes | tuple[bytes, ...]]
+                ) -> tuple[str, int]:
+    """Frame ``records`` into a fsynced ``path + ".tmp"`` (``"wb"``
+    discards a dead attempt's leftovers) with one sequential gather
+    write; returns its path and size."""
     tmp = path + ".tmp"
     with disk.open(tmp, "wb") as out:
-        size = out.write(b"".join(map(frame, payloads)))
+        size = out.write(_gather(records))
         out.fsync()
     return tmp, size
 
@@ -153,6 +188,24 @@ class WriteAheadLog:
                 return payload
         raise ChecksumError(f"corrupt frame at {self.path}@{offset}")
 
+    def read_parts(self, offset: int, length: int,
+                   cut: int) -> tuple[bytes, bytes]:
+        """The payload :meth:`read` returns, as its first ``cut`` bytes
+        and the rest, each in its own positioned read: a rest that one
+        part of an append stored comes back as the object the disk
+        holds, so a :meth:`rewrite` handed these parts shares it.
+        Checked as :meth:`read` checks, whatever ``cut`` is."""
+        self._file.seek(offset)
+        head = self._file.read(min(FRAME_OVERHEAD + cut, length))
+        rest = self._file.read(length - len(head))
+        if len(head) + len(rest) == length >= FRAME_OVERHEAD:
+            crc, size = _FRAME.unpack_from(head)
+            head = head[FRAME_OVERHEAD:]
+            if (size == length - FRAME_OVERHEAD
+                    and zlib.crc32(rest, zlib.crc32(head)) == crc):
+                return head, rest
+        raise ChecksumError(f"corrupt frame at {self.path}@{offset}")
+
     # -- append path ------------------------------------------------------
 
     def append(self, payload: bytes, *rest: bytes) -> int:
@@ -164,10 +217,7 @@ class WriteAheadLog:
         CRC is chained over the parts, the header is fused onto the
         first, and the others are handed to the disk as they are."""
         offset = self._end
-        crc, length = zlib.crc32(payload), len(payload)
-        for part in rest:
-            crc = zlib.crc32(part, crc)
-            length += len(part)
+        crc, length = _chain(payload, rest)
         self._file.write((_FRAME.pack(crc, length) + payload, *rest))
         self._end += FRAME_OVERHEAD + length
         self._recovered = None
@@ -182,15 +232,17 @@ class WriteAheadLog:
 
     # -- compaction -------------------------------------------------------
 
-    def rewrite(self, payloads: Iterable[bytes]) -> int | None:
+    def rewrite(self, records: Iterable[bytes | tuple[bytes, ...]]
+                ) -> int | None:
         """Compaction: atomically replace the log's contents with
-        ``payloads``, framed back to back from offset 0; returns the
-        bytes reclaimed.  Returns ``None`` and leaves the log untouched
-        if an append landed during the temp file's fsync — the caller
-        chose ``payloads`` before that record existed, so the swap
-        would drop it."""
+        ``records`` (each a payload, or a tuple of its parts as
+        :meth:`append` takes them), framed back to back from offset 0;
+        returns the bytes reclaimed.  Returns ``None`` and leaves the
+        log untouched if an append landed during the temp file's fsync
+        — the caller chose ``records`` before that record existed, so
+        the swap would drop it."""
         before = self._end
-        tmp, size = _write_temp(self.disk, self.path, payloads)
+        tmp, size = _write_temp(self.disk, self.path, records)
         if self._end != before:
             self.disk.remove(tmp)
             return None

@@ -16,10 +16,11 @@ order, which is what makes replication timeline consistent.
 Every committed window — master commit or slave apply — is framed
 into a per-node commit :class:`~repro.common.wal.WriteAheadLog` on the
 node's :class:`~repro.simnet.disk.Disk` and fsynced *before* the
-in-memory apply (DESIGN.md §9).  A restarted node replays that log,
-rebuilding documents, local secondary indexes, and the last-applied
-SCN in one pass, so the three can never diverge.  A
-window captured by the relay but lost to a crash before the WAL fsync
+in-memory apply (DESIGN.md §9); the frame holds each change's payload
+by reference, the very bytes the relay's event carries.  A restarted
+node replays that log, rebuilding documents, local secondary indexes,
+and the last-applied SCN in one pass, so the three can never diverge.
+A window captured by the relay but lost to a crash before the WAL fsync
 is re-fetched from the relay by the normal catch-up path: the dense
 SCN sequence makes replay idempotent (duplicates skip, gaps raise).
 
@@ -60,6 +61,7 @@ _WAL_WINDOW = struct.Struct("<IQI")   # partition, scn, change count
 _WAL_CHANGE = struct.Struct("<III")   # schema version, table len, payload len
 _KIND_LIST = (ChangeKind.INSERT, ChangeKind.UPDATE, ChangeKind.DELETE)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KIND_LIST)}
+_KIND_BYTES = [bytes((code,)) for code in range(len(_KIND_LIST))]
 # document fingerprint framing: schema version and key-part count, then
 # each key part's length before its bytes
 _FINGERPRINT_HEAD = struct.Struct("<IH")
@@ -155,15 +157,24 @@ class EspressoStorageNode:
     def _wal_append_window(self, partition: int, scn: int,
                            items: list[tuple[int, str, int, bytes]]) -> None:
         """Frame one committed window and make it durable *before* the
-        in-memory apply; items are (kind code, table, version, payload)."""
-        out = bytearray(_WAL_WINDOW.pack(partition, scn, len(items)))
+        in-memory apply; items are (kind code, table, version, payload).
+
+        The frame is one gather write: the window header and each
+        change's header are joined into the piece before each payload,
+        and the payload goes by reference — on a master and a slave
+        alike, the bytes the relay encoded are not copied."""
+        parts: list[bytes] = []
+        head = [_WAL_WINDOW.pack(partition, scn, len(items))]
         for code, table, version, payload in items:
             name = table.encode()
-            out.append(code)
-            out.extend(_WAL_CHANGE.pack(version, len(name), len(payload)))
-            out.extend(name)
-            out.extend(payload)
-        self._commit_wal.append(bytes(out))
+            head += (_KIND_BYTES[code],
+                     _WAL_CHANGE.pack(version, len(name), len(payload)), name)
+            if payload:
+                parts += (b"".join(head), payload)
+                head = []
+        if head:
+            parts.append(b"".join(head))
+        self._commit_wal.append(*parts)
         self._commit_wal.fsync()  # the commit is acked against this frame
 
     def _recover_from_wal(self) -> None:

@@ -51,6 +51,7 @@ import errno
 import io
 import os
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 
 from repro.common.clock import Clock, SimClock
@@ -74,12 +75,13 @@ class _FileState:
 
     The file's bytes are ``extents`` laid end to end; ``ends[i]`` is the
     offset one past ``extents[i]`` (so :meth:`read` bisects to an
-    offset) and ``size`` is the file's length.  An append adds one
-    extent per part it was handed, so no buffer ever grows or moves,
-    and a read of exactly one earlier single-part write hands back the
-    ``bytes`` that write stored; a read of several whole extents — a
-    frame a gather write left in two parts — joins them.  No extent is
-    empty.
+    offset), packed 8 bytes an extent in an ``array('q')`` rather than
+    a list of ``int`` objects, and ``size`` is the file's length.  An
+    append adds one extent per part it was handed, so no buffer ever
+    grows or moves, and a read of exactly one earlier single-part write
+    hands back the ``bytes`` that write stored; a read of several whole
+    extents — a frame a gather write left in two parts — joins them.
+    No extent is empty.
 
     The *durable image* — what a crash preserves — is ``mark`` bytes
     long, and as long as the file only grows between fsyncs it is
@@ -102,7 +104,7 @@ class _FileState:
 
     def __init__(self):
         self.extents: list[bytes] = []  # what readers (and the page cache) see
-        self.ends: list[int] = []       # offset one past each extent
+        self.ends = array("q")          # offset one past each extent
         self.size = 0
         self.mark = 0             # length of the image a crash preserves
         self.pre = b""            # durable bytes the extents no longer hold
@@ -195,7 +197,7 @@ class _FileState:
             elif data:
                 i, j = self._split(pos), self._split(end)
                 self.extents[i:j] = (data,)
-                self.ends[i:j] = (end,)
+                self.ends[i:j] = array("q", (end,))
         return len(data)
 
     def flip(self, offset: int, mask: int) -> None:

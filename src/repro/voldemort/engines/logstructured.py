@@ -20,7 +20,9 @@ A ``put`` appends the body in two parts: the *head* (everything before
 the value) and the value itself, so the frame on disk is byte for byte
 the one ``encode_body`` frames, but the log holds the caller's value
 object instead of a copy of it (the kernel fuses its header onto the
-head and hands the value to the disk as a gather write).
+head and hands the value to the disk as a gather write).  A compaction
+reads each live record back in the same two parts and rewrites them
+as one gather write, so the value it stored is kept, not copied.
 
 The in-memory index maps key -> list of (clock, offset, length,
 tombstone) so the multi-version merge never touches disk; only value
@@ -80,6 +82,13 @@ def _encode_parts(key: bytes, versioned: Versioned) -> tuple[bytes, bytes]:
                      *_encode_clock(versioned.clock),
                      flags, _U32.pack(len(value))))
     return head, value
+
+
+def _value_at(key_len: int, clock_count: int) -> int:
+    """Where a body's value starts: past the key, the clock, the flags
+    byte and the value's length."""
+    return (_U32.size + key_len + _U16.size + _CLOCK_ENTRY.size * clock_count
+            + 1 + _U32.size)
 
 
 def encode_body(key: bytes, versioned: Versioned) -> bytes:
@@ -162,13 +171,9 @@ class LogStructuredEngine(StorageEngine):
         if key_len != len(key) or not body.startswith(key, _U32.size):
             stored = body[_U32.size:_U32.size + key_len]
             raise ChecksumError(f"index pointed {key!r} at record for {stored!r}")
-        clock_at = _U32.size + key_len
-        (count,) = _U16.unpack_from(body, clock_at)
-        # past the clock, the flags byte and the value's length; the
-        # value runs to the end of the body
-        value_at = (clock_at + _U16.size + _CLOCK_ENTRY.size * count
-                    + 1 + _U32.size)
-        return body[value_at:]
+        (count,) = _U16.unpack_from(body, _U32.size + key_len)
+        # the value runs to the end of the body
+        return body[_value_at(key_len, count):]
 
     def put(self, key: bytes, versioned: Versioned) -> None:
         # enforce the version contract against the in-memory clocks first
@@ -218,12 +223,17 @@ class LogStructuredEngine(StorageEngine):
         """Rewrite only live versions (tombstones are dropped); returns
         bytes reclaimed, or 0 if a put raced the swap and the kernel
         aborted it — the next compaction picks the garbage up."""
-        bodies = [self._log.read(entry.offset, entry.length)
-                  for _, entry in self._live()]
-        reclaimed = self._log.rewrite(bodies)
+        # each record goes back as (head, value), the value read on its
+        # own: the extent a put stored is rewritten by reference, so
+        # replicas that shared a value still share it
+        records = [self._log.read_parts(
+                       entry.offset, entry.length,
+                       _value_at(len(key), len(entry.clock.pairs)))
+                   for key, entry in self._live()]
+        reclaimed = self._log.rewrite(records)
         if reclaimed is None:
             return 0
-        # the swap happened, so no put landed since ``bodies`` was
+        # the swap happened, so no put landed since ``records`` was
         # collected: the index still lists exactly those records
         fresh: dict[bytes, list[_IndexEntry]] = {}
         offset = 0

@@ -286,6 +286,34 @@ class TestReadAndFrames:
         assert wal.read(offset, FRAME_OVERHEAD + 7) == b"payload"
         assert sizes == [FRAME_OVERHEAD + 7]
 
+    @pytest.mark.parametrize("cut", [0, 4, 7, 200])
+    def test_read_parts_is_the_read_split_at_the_cut(self, disk, cut):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        value = b"a value the caller holds" * 4
+        wal.append(b"first")
+        offset = wal.append(b"head", value)
+        length = FRAME_OVERHEAD + 4 + len(value)
+        head, rest = wal.read_parts(offset, length, cut)
+        assert head + rest == wal.read(offset, length)
+        assert len(head) == min(cut, 4 + len(value))
+        if cut == 4:  # the part the append stored comes back as itself
+            assert rest is value
+
+    @pytest.mark.parametrize("where", ["crc", "length", "head", "rest"])
+    def test_read_parts_detects_damage(self, disk, where):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        wal.append(b"first")
+        offset = wal.append(b"head", b"value")
+        wal.fsync()
+        delta = {"crc": 1, "length": 5, "head": FRAME_OVERHEAD + 2,
+                 "rest": FRAME_OVERHEAD + 6}[where]
+        disk.flip_bit("node", "x.wal", offset=offset + delta, bit=6)
+        assert wal.read_parts(0, FRAME_OVERHEAD + 5, 2) == (b"fi", b"rst")
+        with pytest.raises(ChecksumError):
+            wal.read_parts(offset, FRAME_OVERHEAD + 9, 4)
+        with pytest.raises(ChecksumError):
+            wal.read_parts(wal.size_bytes - 3, FRAME_OVERHEAD + 9, 4)
+
     def test_frames_carry_offsets(self, disk):
         wal = WriteAheadLog("node/x.wal", disk=disk)
         offsets = [wal.append(p) for p in (b"a", b"bb", b"ccc")]
@@ -362,6 +390,36 @@ class TestRewrite:
         assert reopened.rewrite([b"live", b"late"]) == FRAME_OVERHEAD + 7
 
 
+    def test_a_rewrite_of_parts_is_the_rewrite_of_their_join(self):
+        """Records handed in parts leave the file, the trace and the
+        replay a rewrite of the joined payloads leaves, in one write;
+        a part after a record's first is stored as the object handed
+        in, and everything else is joined around it."""
+        value = b"a value the caller holds" * 4
+        records = [b"one", (b"head", value), (b"", b"x"), (b"tomb", b""),
+                   b""]
+        joined = [r if type(r) is bytes else b"".join(r) for r in records]
+
+        def run(records):
+            disk = SimDisk(clock=SimClock(), seed=1)
+            wal = WriteAheadLog("node/x.wal", disk=disk)
+            wal.append(b"garbage")
+            wal.fsync()
+            disk.start_trace()
+            wal.rewrite(records)
+            with disk.open("node/x.wal", "rb") as f:
+                contents = f.read()
+            replayed = list(WriteAheadLog("node/x.wal", disk=disk).replay())
+            return (disk._files["node/x.wal"].extents,
+                    (contents, disk.trace_bytes(), disk.writes, replayed))
+
+        extents, gathered = run(records)
+        assert gathered == run(joined)[1]
+        assert gathered[0] == b"".join(map(frame, joined))
+        assert gathered[3] == joined
+        assert len(extents) == 5 and extents[1] is value
+
+
 class TestImages:
     def test_roundtrip_and_missing(self, disk):
         assert read_image(disk, "node/x.img") is None
@@ -376,6 +434,7 @@ class TestImages:
         before = disk.writes, disk.fsyncs
         write_image(disk, "node/x.img", payloads)
         assert (disk.writes, disk.fsyncs) == (before[0] + 1, before[1] + 1)
+        assert len(disk._files["node/x.img"].extents) == 1
         assert read_image(disk, "node/x.img") == payloads
 
     @pytest.mark.parametrize("surviving", [

@@ -155,6 +155,24 @@ class TestExtents:
         assert len(data) == 1 << 20
         assert peak < 4 * 1024
 
+    def test_the_extent_index_costs_sixteen_bytes_an_extent(self, disk):
+        """10 000 appends of payloads the caller already holds: beyond
+        the payloads themselves, the file keeps a list slot and a packed
+        end offset per extent (about 48 B when the ends were a list of
+        ``int`` objects)."""
+        payloads = [b"payload %06d" % i for i in range(10_000)]
+        f = disk.open("n/log", "ab")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for payload in payloads:
+                f.write(payload)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert disk._files["n/log"].extents[-1] is payloads[-1]
+        assert held / len(payloads) <= 20
+
 
 class TestCrashSemantics:
     def test_unsynced_bytes_lost_on_crash(self, disk):
