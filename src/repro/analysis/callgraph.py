@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from repro.analysis.core import FileContext, Frame
@@ -51,6 +52,9 @@ from repro.analysis.flow import FUNCTION_NODES, walk_scope
 
 #: Parameter names the deadline-threading analysis treats as a budget.
 DEADLINE_PARAM_NAMES = frozenset({"deadline", "budget"})
+
+#: Methods that build an object before anything else can reach it.
+CONSTRUCTORS = frozenset({"__init__", "__new__", "__post_init__"})
 
 
 def module_dotted(rel_path: str) -> str:
@@ -618,24 +622,37 @@ class Project:
 
     def __init__(self, contexts: list[FileContext]):
         self.contexts = {ctx.rel_path: ctx for ctx in contexts}
-        self._graph: CallGraph | None = None
-        self._summaries = None   # populated by repro.analysis.summaries
 
-    @property
+    @cached_property
     def graph(self) -> CallGraph:
-        if self._graph is None:
-            modules = [
-                ModuleInfo(rel_path=ctx.rel_path,
-                           dotted=module_dotted(ctx.rel_path), ctx=ctx)
-                for ctx in sorted(self.contexts.values(),
-                                  key=lambda c: c.rel_path)
-            ]
-            self._graph = CallGraph(modules)
-        return self._graph
+        return CallGraph([
+            ModuleInfo(rel_path=ctx.rel_path,
+                       dotted=module_dotted(ctx.rel_path), ctx=ctx)
+            for ctx in sorted(self.contexts.values(),
+                              key=lambda c: c.rel_path)])
 
-    @property
+    @cached_property
     def summaries(self):
-        if self._summaries is None:
-            from repro.analysis.summaries import compute_summaries
-            self._summaries = compute_summaries(self)
-        return self._summaries
+        from repro.analysis.summaries import compute_summaries
+        return compute_summaries(self)
+
+    @cached_property
+    def construction_only(self) -> frozenset[str]:
+        """Functions reachable *only* from constructors, directly or
+        through other such functions; one with no known callers (public
+        surface) or on a call cycle stays out."""
+        callers: dict[str, set[str]] = {}
+        for caller in self.graph.functions:
+            for site in self.graph.callees(caller):
+                if site.kind in ("call", "ref"):
+                    callers.setdefault(site.callee, set()).add(caller)
+        constructors = {qual for qual, fn in self.graph.functions.items()
+                        if fn.name in CONSTRUCTORS}
+        only: set[str] = set()
+        while True:
+            known = constructors | only
+            grown = {qual for qual, srcs in callers.items()
+                     if qual not in known and srcs <= known}
+            if not grown:
+                return frozenset(only)
+            only |= grown

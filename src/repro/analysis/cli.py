@@ -154,7 +154,8 @@ def main(argv: list[str] | None = None) -> int:
 
     stats = None
     if args.stats:
-        stats = stats_payload(analyzer.rule_seconds, analyzer.rule_findings)
+        stats = stats_payload(analyzer.rule_seconds, analyzer.rule_findings,
+                              analyzer.project_seconds)
     if output == "json":
         print(render_json(report, new, grandfathered, analyzer.metrics,
                           stats=stats))
@@ -163,5 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.stats:
             print(render_stats(analyzer.rule_seconds,
                                analyzer.rule_findings,
-                               report.files_scanned))
+                               report.files_scanned,
+                               analyzer.project_seconds))
     return 1 if (new or report.parse_errors) else 0

@@ -363,6 +363,9 @@ class Analyzer:
         #: (the --stats report)
         self.rule_seconds: dict[str, float] = {r.name: 0.0 for r in self.rules}
         self.rule_findings: dict[str, int] = {r.name: 0 for r in self.rules}
+        #: wall seconds of the call graph and summaries build, which the
+        #: project rules share and no one rule is charged for
+        self.project_seconds = 0.0
 
     def _rel(self, path: Path) -> str:
         try:
@@ -446,6 +449,9 @@ class Analyzer:
             return []
         from repro.analysis.callgraph import Project   # lazy: import cycle
         project = Project(contexts)
+        started = time.perf_counter()  # repro-lint: disable=wall-clock
+        project.summaries              # builds the call graph too
+        self.project_seconds += time.perf_counter() - started  # repro-lint: disable=wall-clock
         by_path = {ctx.rel_path: ctx for ctx in contexts}
         kept: list[Finding] = []
         for rule in project_rules:

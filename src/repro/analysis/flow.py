@@ -448,18 +448,22 @@ def store_targets(element: ast.AST) -> Iterator[ast.expr]:
         yield element.target
 
 
+def evaluated_nodes(element: ast.AST) -> Iterator[ast.AST]:
+    """The nodes one element evaluates itself, not those of nested defs
+    or lambda bodies."""
+    return walk_scope(_evaluated_at(element), lambdas=False)
+
+
 def uses(element: ast.AST) -> set[str]:
     """Local names this element reads (loads).  A nested scope's reads
     — a lambda's included — are not this element's."""
-    return {node.id
-            for node in walk_scope(_evaluated_at(element), lambdas=False)
+    return {node.id for node in evaluated_nodes(element)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def calls_in(element: ast.AST) -> Iterator[ast.Call]:
-    """Call nodes one element performs itself, not those of nested defs
-    or lambda bodies."""
-    for node in walk_scope(_evaluated_at(element), lambdas=False):
+    """Call nodes one element performs itself."""
+    for node in evaluated_nodes(element):
         if isinstance(node, ast.Call):
             yield node
 

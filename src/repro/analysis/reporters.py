@@ -83,8 +83,9 @@ def render_json(report: LintReport, new: list[Finding],
 
 def render_stats(rule_seconds: dict[str, float],
                  rule_findings: dict[str, int],
-                 files_scanned: int) -> str:
-    """Per-rule timing/finding table for ``--stats``."""
+                 files_scanned: int, build_seconds: float) -> str:
+    """Per-rule timing/finding table for ``--stats``, with the shared
+    project build (call graph and summaries) as a row of its own."""
     out = [f"per-rule stats over {files_scanned} file(s):"]
     width = max((len(name) for name in rule_seconds), default=4)
     for name in sorted(rule_seconds):
@@ -92,18 +93,22 @@ def render_stats(rule_seconds: dict[str, float],
         count = rule_findings.get(name, 0)
         out.append(f"  {name:<{width}}  {millis:8.1f} ms  "
                    f"{count} finding(s)")
-    total = sum(rule_seconds.values()) * 1000.0
+    out.append(f"  {'project build':<{width}}  "
+               f"{build_seconds * 1000.0:8.1f} ms")
+    total = (sum(rule_seconds.values()) + build_seconds) * 1000.0
     out.append(f"  {'total':<{width}}  {total:8.1f} ms")
     return "\n".join(out)
 
 
 def stats_payload(rule_seconds: dict[str, float],
-                  rule_findings: dict[str, int]) -> dict:
+                  rule_findings: dict[str, int],
+                  build_seconds: float) -> dict:
     """The ``--stats`` section of the JSON report."""
+    seconds = {**rule_seconds, "project build": build_seconds}
     return {
-        name: {"ms": round(rule_seconds[name] * 1000.0, 3),
+        name: {"ms": round(seconds[name] * 1000.0, 3),
                "findings": rule_findings.get(name, 0)}
-        for name in sorted(rule_seconds)
+        for name in sorted(seconds)
     }
 
 

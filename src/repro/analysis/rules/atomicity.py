@@ -18,13 +18,15 @@ into convictions:
   SCN, invoking a relay, then advancing based on the stale SCN.
   Re-reading after the call is exactly the fix, and a local bound
   *from* the yielding call (``v = self.net.invoke(...)``) is that
-  re-read, not the bug.
+  re-read, not the bug.  Mutable state, and what counts as a write,
+  is the summary's mutation effect, however the write is spelled; a
+  local bound by a *take* (``b = self.q.pop()``) owns its value.
 * ``non-atomic-multi-write`` — two coupled shared-state writes
   separated by a yield with no journal/WAL record between them: the
   torn-state window the crash tests probe dynamically, as a static
-  conviction.  Augmented assigns (counter bumps) and stores in
-  ``except`` handlers (compensation) are not writes; a bare
-  ``self.method()`` whose summary writes state *is*.
+  conviction.  Augmented assigns (counter bumps) and writes in
+  ``except`` handlers (compensation) do not pair; a bare
+  ``self.method()`` whose summary writes state does.
 * ``yield-in-atomic-section`` — discharges the ``@atomic_section``
   decorator and ``# repro-atomic`` region markers: a marked function
   or region must contain no transitive yield point at all.
@@ -43,28 +45,29 @@ import re
 from typing import Iterable, Iterator
 
 from repro.analysis.callgraph import (
-    CallGraph,
+    CONSTRUCTORS,
     FunctionInfo,
     Project,
-    scope_calls,
     short_name,
 )
-from repro.analysis.core import Finding, Frame, ProjectRule, register
+from repro.analysis.core import Finding, ProjectRule, register
 from repro.analysis.flow import (
     CFG,
     STOP,
     calls_in,
     definitions,
+    evaluated_nodes,
     uses,
     walk_paths,
 )
 from repro.analysis.summaries import (
+    WRITE_KINDS,
+    Mutation,
     Summary,
     YieldPoint,
-    _is_bare_self_call,
+    owning_method,
     self_param_name,
-    self_store_path,
-    self_stores,
+    self_path,
 )
 
 #: Dotted-path components that mark a call as a journaling/WAL record
@@ -73,51 +76,25 @@ _JOURNAL = re.compile(r"journal|wal", re.IGNORECASE)
 
 _ATOMIC_LINE = re.compile(r"#\s*repro-atomic\s*(?::\s*(begin|end))?\s*$")
 
-_SKIP_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
+#: id(CFG element) -> the summary's mutation sites the element performs
+Sites = dict[int, list[Mutation]]
 
 
-def _construction_only(graph: CallGraph) -> frozenset[str]:
-    """Functions reachable *only* from constructors, directly or through
-    other construction-only functions — recovery/rebuild helpers that run
-    before the node joins the schedule, so their yield points cannot
-    interleave with live traffic.  A function with no known callers is
-    public surface and stays in scope; call cycles conservatively stay
-    in scope too (the fixpoint below never admits them)."""
-    callers: dict[str, set[str]] = {}
-    for caller in graph.functions:
-        for site in graph.callees(caller):
-            if site.kind in ("call", "ref"):
-                callers.setdefault(site.callee, set()).add(caller)
-    constructors = {qual for qual, fn in graph.functions.items()
-                    if fn.name in _SKIP_METHODS}
-    only: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for qual, srcs in callers.items():
-            if qual in only or qual in constructors:
-                continue
-            if srcs and all(s in constructors or s in only for s in srcs):
-                only.add(qual)
-                changed = True
-    return frozenset(only)
-
-
-def _methods(project: Project) -> Iterator[tuple[FunctionInfo, Summary]]:
-    """Methods with their summaries, deterministic order; constructors
-    and construction-only helpers excluded (single-threaded setup
-    cannot race)."""
+def _methods(project: Project
+             ) -> Iterator[tuple[FunctionInfo, Summary, str]]:
+    """Methods with their summaries and receiver names, deterministic
+    order; constructors and construction-only helpers excluded
+    (single-threaded setup cannot race)."""
     graph = project.graph
-    summaries = project.summaries
-    setup_only = _construction_only(graph)
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
-        if fn.cls is None or fn.name in _SKIP_METHODS \
-                or qualname in setup_only:
+        if fn.cls is None or fn.name in CONSTRUCTORS \
+                or qualname in project.construction_only:
             continue
-        summary = summaries.get(qualname)
-        if summary is not None:
-            yield fn, summary
+        summary = project.summaries.get(qualname)
+        self_name = self_param_name(fn)
+        if summary is not None and self_name is not None:
+            yield fn, summary, self_name
 
 
 def _tops(paths: Iterable[str]) -> set[str]:
@@ -125,24 +102,35 @@ def _tops(paths: Iterable[str]) -> set[str]:
     return {path.split(".")[0] for path in paths}
 
 
-def _mutated_attrs(graph: CallGraph, cls_qual: str) -> set[str]:
-    """Top-level self attributes any method (in the MRO) stores outside
-    ``__init__`` — the state that can actually change under a yield."""
-    attrs: set[str] = set()
-    for qual in graph.mro(cls_qual):
-        info = graph.classes.get(qual)
-        if info is None:
-            continue
-        for name, method in info.methods.items():
-            if name in _SKIP_METHODS:
-                continue
-            self_name = self_param_name(method)
-            if self_name is None:
-                continue
-            for node in ast.walk(method.node):
-                if _is_write(node):
-                    attrs |= _tops(self_stores(node, self_name))
-    return attrs
+def _mutable_attrs(project: Project) -> dict[str, set[str]]:
+    """Class qualname -> the top-level self attributes some method in
+    its MRO (or a def nested in one) mutates outside the constructors,
+    however the write is spelled: the state that can change under a
+    yield."""
+    graph = project.graph
+    own: dict[str, set[str]] = {qual: set() for qual in graph.classes}
+    for qual, fn in graph.functions.items():
+        method = owning_method(fn, graph)
+        if method.cls is not None and method.name not in CONSTRUCTORS:
+            own[method.cls.qualname] |= _tops(
+                site.path for site in project.summaries[qual].mutations)
+    return {qual: set().union(*(own[base] for base in graph.mro(qual)))
+            for qual in own}
+
+
+def _element_sites(cfg: CFG, summary: Summary) -> Sites:
+    """The summary's mutation sites grouped by the CFG element that
+    performs them, in summary order."""
+    if not summary.mutations:
+        return {}
+    owner = {id(node): id(element) for _, _, element in cfg.elements()
+             for node in evaluated_nodes(element)}
+    sites: Sites = {}
+    for site in summary.mutations:
+        element = owner.get(site.node_id)
+        if element is not None:
+            sites.setdefault(element, []).append(site)
+    return sites
 
 
 def _self_load_paths(node: ast.AST, self_name: str) -> set[str]:
@@ -151,38 +139,25 @@ def _self_load_paths(node: ast.AST, self_name: str) -> set[str]:
     itself — does not)."""
     call_funcs = {id(n.func) for n in ast.walk(node)
                   if isinstance(n, ast.Call)}
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if not (isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Load)
-                and id(sub) not in call_funcs):
-            continue
-        parts = [sub.attr]
-        base = sub.value
-        while isinstance(base, ast.Attribute):
-            parts.append(base.attr)
-            base = base.value
-        if isinstance(base, ast.Name) and base.id == self_name:
-            out.add(".".join(reversed(parts)))
-    return out
+    return {path for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load) and id(sub) not in call_funcs
+            and (path := self_path(sub, self_name)) is not None}
 
 
-def _reval_load_paths(element: ast.AST, self_name: str) -> set[str]:
+def _reval_load_paths(element: ast.AST, self_name: str,
+                      sites: list[Mutation]) -> set[str]:
     """Dotted self paths whose load counts as a revalidating re-read.
-    For store statements only the right-hand side counts — the Load-ctx
-    base of a subscript target (``self.x`` inside ``self.x[k] = v``) is
-    part of the write, not a re-read.  An augmented assign additionally
-    re-reads its own target (``self.x -= n`` is a read-modify-write)."""
+    For an assignment only its value counts — the Load-ctx base of a
+    subscript target (``self.x`` inside ``self.x[k] = v``) is part of
+    the write, not a re-read, as is a mutator's receiver (``self.x`` in
+    ``self.x.append(v)``) — and a read-modify-write (``self.x -= n``)
+    re-reads its own target."""
     if isinstance(element, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        value = element.value
-        out = _self_load_paths(value, self_name) if value is not None \
-            else set()
-        if isinstance(element, ast.AugAssign):
-            path = self_store_path(element.target, self_name)
-            if path is not None:
-                out = out | {path}
-        return out
-    return _self_load_paths(element, self_name)
+        element = element.value
+    loads = _self_load_paths(element, self_name) if element else set()
+    written = {s.path for s in sites if s.kind in ("call", "take")}
+    return loads - written | {s.path for s in sites if s.kind == "rmw"}
 
 
 def _yield_at(element: ast.AST,
@@ -193,18 +168,6 @@ def _yield_at(element: ast.AST,
         if point is not None:
             return point
     return None
-
-
-def _except_lines(fn_node: ast.AST) -> set[int]:
-    """Line numbers of statements inside ``except`` handler bodies."""
-    lines: set[int] = set()
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.ExceptHandler):
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if hasattr(sub, "lineno"):
-                        lines.add(sub.lineno)
-    return lines
 
 
 def _journal_call(call: ast.Call) -> bool:
@@ -261,34 +224,32 @@ class AtomicityViolationRule(ProjectRule):
                  "returns.")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        for fn, summary in _methods(project):
+        mutable_attrs = _mutable_attrs(project)
+        for fn, summary, self_name in _methods(project):
             yields = {y.node_id: y for y in summary.yield_points}
-            if not yields:
-                continue
-            self_name = self_param_name(fn)
-            if self_name is None:
-                continue
-            mutable = _mutated_attrs(project.graph, fn.cls.qualname)
-            if not mutable:
+            mutable = mutable_attrs.get(fn.cls.qualname)
+            if not yields or not mutable:
                 continue
             cfg = fn.module.ctx.cfg(fn.node)
+            sites = _element_sites(cfg, summary)
             seen_lines: set[int] = set()
-            for use in _stale_uses(cfg, yields, mutable, self_name):
-                var, attr, point, element = use
+            for var, attr, point, element in _stale_uses(
+                    cfg, yields, mutable, self_name, sites):
                 seen_lines.add(element.lineno)
+                use = "branched on" if isinstance(element, ast.expr) \
+                    else "written back"
                 yield self.chain_finding(
                     project, fn.rel_path, element.lineno,
                     f"'{var}' was read from self.{attr} before the yield "
                     f"point on line {point.line} "
-                    f"({_blocks_on(point)}) but is "
-                    f"{'written back' if _is_write(element) else 'branched on'}"
+                    f"({_blocks_on(point)}) but is {use}"
                     f" after it without revalidation; re-read "
                     f"self.{attr} once control returns — any event may "
                     f"have changed it during the yield",
                     (fn.frame(element.lineno, f"stale use of '{var}'"),)
                     + point.chain)
             for path, point, element in _toctou_stores(
-                    cfg, yields, mutable, self_name):
+                    cfg, yields, mutable, self_name, sites):
                 if element.lineno in seen_lines:
                     continue        # already convicted via a stale local
                 yield self.chain_finding(
@@ -303,32 +264,30 @@ class AtomicityViolationRule(ProjectRule):
                     + point.chain)
 
 
-def _is_write(element: ast.AST) -> bool:
-    return isinstance(element, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-
-
 def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
-                self_name: str
+                self_name: str, sites: Sites
                 ) -> list[tuple[str, str, YieldPoint, ast.AST]]:
     """Stale uses of every local bound from mutable shared state.  The
     path walk starts just after the binding and carries the first
     yield point crossed; after it, a re-read of ``self.<attr>``
     revalidates and ends the path, as does any rebinding of the local,
-    and a branch test or shared-state write that reads the local is a
-    stale use."""
+    and a branch test or shared-state write (a mutation site of any
+    kind) that reads the local is a stale use."""
     found: list[tuple[str, str, YieldPoint, ast.AST]] = []
     for block, index, element in cfg.elements():
-        for var, attr in _tracked_defs(element, mutable, self_name, yields):
+        for var, attr in _tracked_defs(element, mutable, self_name, yields,
+                                       sites.get(id(element), [])):
             reported: set[int] = set()
 
             def step(current: ast.AST, crossed: YieldPoint | None):
                 if crossed is not None:
-                    if attr in _tops(_reval_load_paths(current, self_name)):
+                    at = sites.get(id(current), [])
+                    if attr in _tops(_reval_load_paths(current, self_name,
+                                                       at)):
                         return STOP     # revalidated: tracking ends
-                    stale = (isinstance(current, ast.expr)
-                             or (_is_write(current)
-                                 and self_stores(current, self_name)))
-                    if stale and var in uses(current) \
+                    wrote = any(site.kind != "self-call" for site in at)
+                    if (wrote or isinstance(current, ast.expr)) \
+                            and var in uses(current) \
                             and id(current) not in reported:
                         reported.add(id(current))
                         found.append((var, attr, crossed, current))
@@ -341,27 +300,25 @@ def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
 
 
 def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
-                  yields: dict[int, YieldPoint]
+                  yields: dict[int, YieldPoint], sites: list[Mutation]
                   ) -> list[tuple[str, str]]:
     """``(local, attr)`` pairs bound from mutable shared state.  An
     element that itself yields is a post-yield (re)read, not a stale
-    source."""
-    if not isinstance(element, (ast.Assign, ast.AnnAssign)):
+    source, and a value *taken* out of shared state (``pop`` and kin)
+    is owned by the local: it left the attribute atomically."""
+    if not isinstance(element, (ast.Assign, ast.AnnAssign)) \
+            or element.value is None \
+            or _yield_at(element, yields) is not None:
         return []
-    value = element.value
-    if value is None:
-        return []
-    if _yield_at(element, yields) is not None:
-        return []
-    attrs = _tops(_self_load_paths(value, self_name)) & mutable
-    if not attrs:
-        return []
-    attr = sorted(attrs)[0]
-    return [(name, attr) for name in definitions(element)]
+    taken = _tops(site.path for site in sites if site.kind == "take")
+    attrs = (_tops(_self_load_paths(element.value, self_name)) & mutable) \
+        - taken
+    return [(name, min(attrs)) for name in definitions(element)] \
+        if attrs else []
 
 
 def _toctou_stores(cfg: CFG, yields: dict[int, YieldPoint],
-                   mutable: set[str], self_name: str
+                   mutable: set[str], self_name: str, sites: Sites
                    ) -> list[tuple[str, YieldPoint, ast.AST]]:
     """Check-then-act without a local: a dotted self path is loaded,
     control crosses a yield, and the same path is stored with no
@@ -372,31 +329,30 @@ def _toctou_stores(cfg: CFG, yields: dict[int, YieldPoint],
     for block, index, element in cfg.elements():
         if _yield_at(element, yields) is not None:
             continue        # the read rides the yield itself
-        paths = {p for p in _reval_load_paths(element, self_name)
+        paths = {p for p in _reval_load_paths(
+                     element, self_name, sites.get(id(element), []))
                  if p.split(".")[0] in mutable}
         for path in sorted(paths):
 
             def step(current: ast.AST, crossed: YieldPoint | None):
-                stores = path in self_stores(current, self_name)
+                at = sites.get(id(current), [])
+                kinds = {site.kind for site in at if site.path == path}
                 if crossed is None:
-                    if stores:
+                    if kinds & {"store", "rmw"}:
                         return STOP     # superseded before any yield
                     return _yield_at(current, yields)
-                reloads = _reval_load_paths(current, self_name)
+                reloads = _reval_load_paths(current, self_name, at)
                 if path in reloads:
                     return STOP         # revalidated
-                if not stores:
+                if "store" not in kinds:
                     return crossed
                 # a store recomputed from post-yield mutable state is
                 # fresh, not a stale write-back
                 key = (path, current.lineno)
-                if isinstance(current, (ast.Assign, ast.AnnAssign)) \
-                        and not _tops(reloads) & mutable \
-                        and key not in reported:
+                if not _tops(reloads) & mutable and key not in reported:
                     reported.add(key)
                     found.append((path, crossed, current))
-                return STOP             # aug-assign re-reads; plain
-                                        # store supersedes the read
+                return STOP             # a plain store supersedes
 
             walk_paths(cfg, block, index + 1, step)
     return found
@@ -417,38 +373,11 @@ class NonAtomicMultiWriteRule(ProjectRule):
                  "atomic section.")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = project.graph
-        summaries = project.summaries
-        for fn, summary in _methods(project):
+        for fn, summary, _ in _methods(project):
             if not summary.yield_points:
                 continue
-            self_name = self_param_name(fn)
-            if self_name is None:
-                continue
-            yields = {y.node_id: y for y in summary.yield_points}
-            call_nodes = {id(call): call for call in scope_calls(fn)}
-            writer_calls: dict[int, tuple[str, tuple[Frame, ...]]] = {}
-            for site in graph.callees(fn.qualname):
-                if site.kind != "call":
-                    continue
-                callee = summaries.get(site.callee)
-                if callee is None or not callee.writes_self:
-                    continue
-                # only bare self.method() calls write *this* object's
-                # state; self.metrics.counter(...) mutates the registry,
-                # not the instance under scrutiny
-                if not _is_bare_self_call(call_nodes.get(site.node_id),
-                                          self_name):
-                    continue
-                path = sorted(callee.writes_self)[0]
-                writer_calls[site.node_id] = (
-                    path, (fn.frame(site.line, site.callee),)
-                    + callee.writes_self[path])
-            in_except = _except_lines(fn.node)
-            cfg = fn.module.ctx.cfg(fn.node)
-            for pair in _torn_pairs(cfg, self_name, yields,
-                                    writer_calls, in_except):
-                first, second, point = pair
+            for first, second, point in _torn_pairs(
+                    fn.module.ctx.cfg(fn.node), summary):
                 yield self.chain_finding(
                     project, fn.rel_path, second[1],
                     f"self.{first[0]} is written on line {first[1]} and "
@@ -465,27 +394,16 @@ class NonAtomicMultiWriteRule(ProjectRule):
                     + (fn.frame(second[1], f"write self.{second[0]}"),))
 
 
-def _element_writes(element: ast.AST, self_name: str,
-                    writer_calls: dict[int, tuple[str, tuple[Frame, ...]]],
-                    in_except: set[int]) -> list[tuple[str, int]]:
-    """Shared-state writes an element performs: direct non-augmented
-    stores plus bare self-calls whose summary writes state."""
-    if getattr(element, "lineno", 0) in in_except:
-        return []
-    out: list[tuple[str, int]] = []
-    if isinstance(element, (ast.Assign, ast.AnnAssign)):
-        out.extend((path, element.lineno)
-                   for path in self_stores(element, self_name))
-    for call in calls_in(element):
-        if id(call) in writer_calls:
-            out.append((writer_calls[id(call)][0], call.lineno))
-    return out
+def _element_writes(sites: list[Mutation]) -> list[tuple[str, int]]:
+    """Coupled shared-state writes among an element's mutation sites:
+    not counter bumps, not compensation in an ``except`` handler; a
+    bare self-call whose summary writes state is one."""
+    return [(site.path, site.line) for site in sites
+            if site.kind in WRITE_KINDS | {"self-call"}
+            and not site.in_except]
 
 
-def _torn_pairs(cfg: CFG, self_name: str,
-                yields: dict[int, YieldPoint],
-                writer_calls: dict[int, tuple[str, tuple[Frame, ...]]],
-                in_except: set[int]
+def _torn_pairs(cfg: CFG, summary: Summary
                 ) -> list[tuple[tuple[str, int], tuple[str, int],
                                 YieldPoint]]:
     """One path walk per first-write element: convict when the *next*
@@ -493,12 +411,15 @@ def _torn_pairs(cfg: CFG, self_name: str,
     between."""
     found: list[tuple[tuple[str, int], tuple[str, int], YieldPoint]] = []
     reported: set[tuple[int, int]] = set()
+    yields = {y.node_id: y for y in summary.yield_points}
+    sites = _element_sites(cfg, summary)
     # a writer call that also yields is a write, not an exposure window
+    writer_calls = {site.node_id for site in summary.mutations
+                    if site.kind == "self-call"}
     windows = {node_id: point for node_id, point in yields.items()
                if node_id not in writer_calls}
     for block, index, element in cfg.elements():
-        writes = _element_writes(element, self_name, writer_calls,
-                                 in_except)
+        writes = _element_writes(sites.get(id(element), []))
         if not writes:
             continue
         first = writes[-1]
@@ -507,8 +428,7 @@ def _torn_pairs(cfg: CFG, self_name: str,
             # classify W → J → Y: a writer that also journals is
             # still a write; a journaling yield is a record, not
             # an exposure window
-            later = _element_writes(current, self_name, writer_calls,
-                                    in_except)
+            later = _element_writes(sites.get(id(current), []))
             if later:
                 second = later[0]
                 key = (first[1], second[1])
@@ -542,13 +462,12 @@ class YieldInAtomicSectionRule(ProjectRule):
     def check_project(self, project: Project) -> Iterator[Finding]:
         regions = {rel_path: _atomic_regions(ctx.source)
                    for rel_path, ctx in sorted(project.contexts.items())}
-        setup_only = _construction_only(project.graph)
         for qualname in sorted(project.summaries):
             summary = project.summaries[qualname]
             if not summary.yield_points:
                 continue
             fn = project.graph.functions.get(qualname)
-            if fn is None or qualname in setup_only:
+            if fn is None or qualname in project.construction_only:
                 continue
             if _declared_atomic(fn.node):
                 point = summary.yield_points[0]

@@ -32,6 +32,7 @@ from repro.analysis.core import (
     Rule,
     register,
 )
+from repro.analysis.summaries import _reads_any
 
 
 def _does_network_work(fn: ast.AST) -> bool:
@@ -44,17 +45,6 @@ def _does_network_work(fn: ast.AST) -> bool:
         if isinstance(node.func, ast.Name) and \
                 node.func.id == "call_with_retries":
             return True
-    return False
-
-
-def _reads_name(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                name: str) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and node.id == name and \
-                isinstance(node.ctx, ast.Load):
-            return True
-        # forwarded as a keyword: fn(..., deadline=deadline) is covered
-        # by the Load above; deadline=None re-binding is not a read
     return False
 
 
@@ -77,7 +67,7 @@ class DeadlineDroppedRule(Rule):
             if not _does_network_work(node):
                 continue
             for param in params:
-                if not _reads_name(node, param):
+                if not _reads_any(node, {param}):
                     yield self.finding(
                         ctx, node,
                         f"{node.name}() accepts {param!r} but never reads "

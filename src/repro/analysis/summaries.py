@@ -22,13 +22,14 @@ a fixpoint iteration inside recursive components):
   other events interleave while the primitive runs — so the atomicity
   rules treat the yield-point set as "where shared state may change
   under you".
-* **writes-self** — which ``self``-rooted attribute paths the function
-  stores to (``self.x = …``, ``self.x[k] = …``, ``self.a.b = …``),
-  propagated through bare ``self.method()`` calls only: a collaborator
-  call (``self.store.put(...)``) does not count as writing *this*
-  object's state.  Augmented assigns are excluded (counter bumps are
-  not coupled-state transitions), as are stores inside ``except``
-  handlers (compensation, not the happy path).
+* **mutations** — every site where the function mutates a ``self``
+  path, however spelled, with its line, kind and whether it sits in an
+  ``except`` handler (:func:`mutations_at` is the one classifier).
+* **writes-self** — the coupled-state subset of the mutations (no
+  augmented assigns, which bump one cell, and no compensation in an
+  ``except`` handler), propagated through bare ``self.method()``
+  calls only: a collaborator call (``self.store.put(...)``) writes the
+  collaborator's state, not this object's.
 * **drops-deadline** — assuming the function *receives* a deadline
   (a ``deadline``/``budget`` parameter, or one it constructs), does
   that budget flow into every transitive RPC?  Flow is tracked as a
@@ -38,9 +39,10 @@ a fixpoint iteration inside recursive components):
   reads no tainted name is a *drop*; the witness chain runs from that
   call down to a concrete RPC site.
 
-Every set carries one deterministic witness chain of
-:class:`~repro.analysis.core.Frame`\\ s so rules can report *entry
-point → offending call* without re-deriving paths.
+Every raise, block, yield point and dropped deadline carries one
+deterministic witness chain of :class:`~repro.analysis.core.Frame`\\ s
+so rules can report *entry point → offending call* without
+re-deriving paths.
 
 Precision notes, honest edition: handler matching is
 position-insensitive (a ``try`` catches for its whole body, including
@@ -69,10 +71,24 @@ from repro.analysis.callgraph import (
     scope_calls,
 )
 from repro.analysis.core import Frame
-from repro.analysis.flow import store_targets
 
 #: Effects the blocks analysis tracks, keyed by CallSite.kind.
 BLOCKING_KINDS = ("rpc", "sleep", "fsync")
+
+#: Methods that change the container they are called on, and the
+#: ``heapq``/``bisect`` functions that change their first argument.
+MUTATORS = frozenset({
+    "append", "appendleft", "extend", "insert", "pop", "popleft",
+    "popitem", "remove", "discard", "add", "clear", "update",
+    "setdefault", "sort", "reverse"})
+_MUTATOR_FUNCTIONS = frozenset({
+    "heappush", "heappop", "heappushpop", "heapreplace", "heapify",
+    "insort", "insort_left", "insort_right"})
+#: Mutators whose result the caller owns: the value left shared state
+#: in one atomic step, so a local bound from it cannot go stale.
+TAKES = frozenset({"pop", "popleft", "popitem", "heappop"})
+#: The mutation kinds that are coupled-state writes (writes-self).
+WRITE_KINDS = frozenset({"store", "del", "call", "take"})
 
 
 @dataclass(frozen=True)
@@ -113,9 +129,12 @@ class Summary:
     #: every site where this function may yield to the scheduler,
     #: sorted by (line, callee) for deterministic reporting
     yield_points: tuple[YieldPoint, ...] = ()
-    #: self-rooted attribute path ("scn", "proxy.ramp_percent") ->
-    #: witness chain down to the store site
-    writes_self: dict[str, tuple[Frame, ...]] = field(default_factory=dict)
+    #: the self-path mutation sites in this function's body, in walk
+    #: order, then its bare self-calls whose summary writes self
+    mutations: tuple[Mutation, ...] = ()
+    #: self-rooted attribute paths ("scn", "proxy.ramp_percent") the
+    #: function writes, itself or through bare self-calls
+    writes_self: set[str] = field(default_factory=set)
 
 
 class Hierarchy:
@@ -198,33 +217,82 @@ def self_param_name(fn: FunctionInfo) -> str | None:
     return positional[0].arg
 
 
-def self_store_path(target: ast.AST, self_name: str) -> str | None:
-    """The dotted attribute path a store target writes under ``self``
-    (``self.a.b[k] = v`` -> ``"a.b"``), or None for non-self targets."""
-    node = target
-    if isinstance(node, ast.Subscript):
-        node = node.value
+def owning_method(fn: FunctionInfo, graph: CallGraph) -> FunctionInfo:
+    """The method a function belongs to: itself, or the method a def is
+    nested in (a closure's ``self`` is its method's)."""
+    while fn.cls is None and fn.parent in graph.functions:
+        fn = graph.functions[fn.parent]
+    return fn
+
+
+def self_path(node: ast.AST, self_name: str) -> str | None:
+    """The dotted attribute path an expression names under ``self``,
+    looking through subscripts and the results of methods called on a
+    path (``self.a[k].b`` -> ``"a.b"``, ``self.x.setdefault(k, [])`` ->
+    ``"x"``), or None when it is not rooted at ``self``."""
     parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
+    while True:
+        if isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        elif isinstance(node, (ast.Subscript, ast.Starred)):
+            node = node.value
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and not isinstance(node.func.value, ast.Name):
+            node = node.func.value
+        else:
+            break
     if isinstance(node, ast.Name) and node.id == self_name and parts:
         return ".".join(reversed(parts))
     return None
 
 
-def self_stores(element: ast.AST, self_name: str) -> list[str]:
-    """Dotted self paths an assignment element stores to."""
-    paths = (self_store_path(target, self_name)
-             for target in store_targets(element))
-    return [path for path in paths if path is not None]
+def mutations_at(node: ast.AST, self_name: str) -> list[tuple[str, str]]:
+    """The one mutation classifier: ``(path, kind)`` for every self
+    path this AST node itself (not a child) mutates.  Kinds: ``store``
+    (one tuple level unpacked), ``rmw`` (augmented assign), ``del``,
+    ``call`` (a :data:`MUTATORS` method on a self path, or a function
+    given one) and ``take`` (a :data:`TAKES` call)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) \
+            else getattr(func, "attr", "")
+        if name in MUTATORS and isinstance(func, ast.Attribute):
+            path = self_path(func.value, self_name)
+        elif name in _MUTATOR_FUNCTIONS and node.args:
+            path = self_path(node.args[0], self_name)
+        else:
+            return []
+        return [(path, "take" if name in TAKES else "call")] if path else []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) \
+            and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    kind = {ast.AugAssign: "rmw", ast.Delete: "del"}.get(type(node), "store")
+    unpacked = [elt for target in targets for elt in (
+        target.elts if isinstance(target, (ast.Tuple, ast.List))
+        else [target])]
+    return [(path, kind) for target in unpacked
+            if (path := self_path(target, self_name)) is not None]
 
 
 @dataclass(frozen=True)
-class _StoreSite:
+class Mutation:
+    """One site at which a function mutates a self path."""
+
     path: str
+    #: a :func:`mutations_at` kind, or ``self-call`` for a bare
+    #: ``self.method()`` call whose summary writes self
+    kind: str
     line: int
+    #: inside an ``except`` handler body (compensation)
     in_except: bool
+    #: id() of the AST node that mutates (the statement or call)
+    node_id: int
 
 
 @dataclass(frozen=True)
@@ -236,17 +304,18 @@ class _RaiseSite:
 
 class _SiteCollector:
     """One pass over a function body recording, for every ``raise`` and
-    every call node, the stack of enclosing handler catch-sets."""
+    every call node, the stack of enclosing handler catch-sets, and
+    every self mutation site with whether a handler body holds it."""
 
-    def __init__(self, fn: FunctionInfo):
-        self.fn = fn
+    def __init__(self, fn: FunctionInfo, self_name: str | None):
         self.imports = fn.module.ctx.imports
         self.raises: list[_RaiseSite] = []
-        #: id(call node) -> handler stack
-        self.call_handlers: dict[int, tuple[frozenset[str], ...]] = {}
-        #: direct self.<path> stores (augmented assigns excluded)
-        self.stores: list[_StoreSite] = []
-        self._self_name = self_param_name(fn)
+        #: id(call node) -> (handler stack, inside a handler body?)
+        self.call_handlers: dict[
+            int, tuple[tuple[frozenset[str], ...], bool]] = {}
+        #: direct self.<path> mutation sites, in walk order
+        self.mutations: list[Mutation] = []
+        self._self_name = self_name
         self._walk(list(ast.iter_child_nodes(fn.node)), (), None)
 
     def _spec_names(self, handler: ast.ExceptHandler) -> frozenset[str]:
@@ -264,8 +333,7 @@ class _SiteCollector:
         return frozenset(names) if names else frozenset({"*"})
 
     def _resolve(self, name: str) -> str:
-        dotted = self.imports.names.get(name)
-        return dotted or name
+        return self.imports.names.get(name) or name
 
     def _raised_names(self, node: ast.Raise,
                       handler: tuple[frozenset[str], str | None] | None
@@ -317,64 +385,55 @@ class _SiteCollector:
                 self._walk(list(node.finalbody), stack, handler)
                 continue
             if isinstance(node, ast.Call):
-                self.call_handlers[id(node)] = stack
-            if self._self_name is not None and \
-                    isinstance(node, (ast.Assign, ast.AnnAssign)):
-                self.stores.extend(
-                    _StoreSite(path, node.lineno, handler is not None)
-                    for path in self_stores(node, self._self_name))
+                self.call_handlers[id(node)] = (stack, handler is not None)
+            if self._self_name is not None:
+                self.mutations.extend(
+                    Mutation(path, kind, node.lineno, handler is not None,
+                             id(node))
+                    for path, kind in mutations_at(node, self._self_name))
             self._walk(list(ast.iter_child_nodes(node)), stack, handler)
 
 
 # -- deadline taint ----------------------------------------------------------
 
 
-def _deadline_sources(fn: FunctionInfo) -> set[str]:
-    """Names through which this function holds a request budget."""
+def _name_assigns(fn: FunctionInfo) -> list[tuple[str, ast.expr]]:
+    """``(name, value)`` of every one-name assignment in the function."""
+    return [(node.targets[0].id, node.value) for node in ast.walk(fn.node)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)]
+
+
+def _deadline_sources(fn: FunctionInfo,
+                      assigns: list[tuple[str, ast.expr]]) -> set[str]:
+    """Names through which this function holds a request budget: its
+    deadline parameters, and locals bound from ``Deadline(...)``,
+    ``resilience.Deadline(...)`` or ``Deadline.after(...)``."""
     names = set(deadline_params(fn.node))
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Call):
-            func = node.value.func
-            labels: set[str] = set()
-            if isinstance(func, ast.Name):
-                labels.add(func.id)             # Deadline(...)
-            elif isinstance(func, ast.Attribute):
-                labels.add(func.attr)           # resilience.Deadline(...)
-                if isinstance(func.value, ast.Name):
-                    labels.add(func.value.id)   # Deadline.after(...)
-            if "Deadline" in labels:
-                names.add(node.targets[0].id)
+    for target, value in assigns:
+        if isinstance(value, ast.Call):
+            func = value.func
+            if "Deadline" in (getattr(func, "id", ""),
+                              getattr(func, "attr", ""),
+                              getattr(getattr(func, "value", None), "id", "")):
+                names.add(target)
     return names
 
 
-def _taint_closure(fn: FunctionInfo, sources: set[str]) -> set[str]:
+def _taint_closure(assigns: list[tuple[str, ast.expr]],
+                   sources: set[str]) -> set[str]:
     """Locals reachable from the deadline by assignment dataflow
     (flow-insensitive: one pass per growth round)."""
     tainted = set(sources)
-    changed = True
-    while changed:
-        changed = False
-        for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            target = node.targets[0].id
-            if target in tainted:
-                continue
-            if _reads_any(node.value, tainted):
-                tainted.add(target)
-                changed = True
+    while grown := {target for target, value in assigns
+                    if target not in tainted and _reads_any(value, tainted)}:
+        tainted |= grown
     return tainted
 
 
 def _reads_any(expr: ast.AST, names: set[str]) -> bool:
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
-                and node.id in names:
-            return True
-    return False
+    return any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+               and node.id in names for node in ast.walk(expr))
 
 
 # -- the bottom-up computation -----------------------------------------------
@@ -387,7 +446,8 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
     empty inside an unconverged SCC."""
     out = Summary(qualname=fn.qualname,
                   accepts_deadline=bool(deadline_params(fn.node)))
-    collector = _SiteCollector(fn)
+    self_name = self_param_name(owning_method(fn, graph))
+    collector = _SiteCollector(fn, self_name)
     calls = {id(call): call for call in scope_calls(fn)}
 
     # own raise sites
@@ -399,15 +459,11 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                 name, (fn.frame(site.line, f"raise {bare_name(name)}"),))
 
     sites = graph.callees(fn.qualname)
-    self_name = self_param_name(fn)
 
-    # own shared-state stores (except-handler stores are compensation)
-    for store in collector.stores:
-        if store.in_except:
-            continue
-        out.writes_self.setdefault(
-            store.path,
-            (fn.frame(store.line, f"write self.{store.path}"),))
+    # own shared-state writes (except-handler writes are compensation)
+    mutations = collector.mutations
+    out.writes_self = {site.path for site in mutations
+                       if site.kind in WRITE_KINDS and not site.in_except}
 
     # blocking effects, yield points, propagated raises and writes
     yields: list[YieldPoint] = []
@@ -423,7 +479,8 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
         callee = summaries.get(site.callee)
         if callee is None:
             continue
-        handler_stack = collector.call_handlers.get(site.node_id, ())
+        handler_stack, in_except = collector.call_handlers.get(
+            site.node_id, ((), False))
         for name, chain in callee.raises.items():
             if name in out.raises:
                 continue
@@ -444,16 +501,18 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                 + callee.blocks[kinds[0]]))
         if callee.writes_self and self_name is not None \
                 and _is_bare_self_call(calls.get(site.node_id), self_name):
-            for path, chain in callee.writes_self.items():
-                out.writes_self.setdefault(
-                    path, (fn.frame(site.line, site.callee),) + chain)
+            mutations.append(Mutation(min(callee.writes_self), "self-call",
+                                      site.line, in_except, site.node_id))
+            out.writes_self |= callee.writes_self
+    out.mutations = tuple(mutations)
     out.yield_points = tuple(sorted(
         yields, key=lambda y: (y.line, y.callee, y.kinds)))
 
     # deadline threading, assuming this function holds a budget
-    deadline_names = _deadline_sources(fn)
+    assigns = _name_assigns(fn)
+    deadline_names = _deadline_sources(fn, assigns)
     if deadline_names:
-        tainted = _taint_closure(fn, deadline_names)
+        tainted = _taint_closure(assigns, deadline_names)
         reads_anywhere = _reads_any(fn.node, set(deadline_names))
         drops: list[tuple[Frame, ...]] = []
         flagged_lines: set[int] = set()
@@ -521,7 +580,7 @@ def compute_summaries(project: Project) -> dict[str, Summary]:
                         or set(new.blocks) != set(old.blocks) \
                         or len(new.drops_deadline) != len(old.drops_deadline) \
                         or len(new.yield_points) != len(old.yield_points) \
-                        or set(new.writes_self) != set(old.writes_self):
+                        or new.writes_self != old.writes_self:
                     changed = True
                 summaries[qual] = new
     return summaries
@@ -545,12 +604,9 @@ def iter_public_boundary(project: Project) -> Iterator[FunctionInfo]:
     :mod:`repro.common.errors` taxonomy is the contract.
     """
     graph = project.graph
-    exported: set[str] = set()
-    for ctx in project.contexts.values():
-        if not ctx.rel_path.endswith("__init__.py"):
-            continue
-        for name, dotted in ctx.imports.names.items():
-            exported.add(dotted)
+    exported = {dotted for ctx in project.contexts.values()
+                if ctx.rel_path.endswith("__init__.py")
+                for dotted in ctx.imports.names.values()}
     seen: set[str] = set()
     for dotted in sorted(exported):
         if dotted in graph.functions:

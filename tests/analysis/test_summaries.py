@@ -1,4 +1,5 @@
-"""Effect-summary semantics: may-raise, blocks, and deadline threading."""
+"""Effect-summary semantics: may-raise, blocks, self mutations and
+deadline threading."""
 
 from tests.analysis.conftest import project_of
 
@@ -91,11 +92,36 @@ def test_blocks_propagate_transitively():
                 def flush(self, keys):
                     for key in keys:
                         self._push(key)
+
+                def stage(self, k, v):
+                    self._batches[k] = [v]
+                    self._batches[k] += [v]
+                    self._batches[k].n = v
+                    del self._batches[k]
+                    self._batches.setdefault(k, []).append(v)
+                    self._batches.update({k: [v]})
+                    try:
+                        return self._batches.pop(k)
+                    except KeyError:
+                        self._batches.clear()
         """,
     })
     blocks = summary(project, "repro.pkg.mod.Client.flush").blocks
     assert "rpc" in blocks
     assert blocks["rpc"][0].callee == "repro.pkg.mod.Client._push"
+    # every spelling of a write to self._batches is one mutation site
+    sites = summary(project, "repro.pkg.mod.Client.stage").mutations
+    assert [(m.line, m.kind, m.path, m.in_except) for m in sites] == [
+        (14, "store", "_batches", False),
+        (15, "rmw", "_batches", False),
+        (16, "store", "_batches.n", False),
+        (17, "del", "_batches", False),
+        (18, "call", "_batches", False),    # .append on its result
+        (18, "call", "_batches", False),    # .setdefault
+        (19, "call", "_batches", False),
+        (21, "take", "_batches", False),
+        (23, "call", "_batches", True),
+    ]
 
 
 def test_forwarded_deadline_is_not_a_drop():

@@ -223,6 +223,33 @@ def test_flush_keeps_concurrent_append_pending():
     log.close()
 
 
+def test_flush_reentered_during_fsync_writes_each_span_once():
+    """A flush that runs while another flush's fsync is in flight writes
+    only what was staged after the first one took its spans, and
+    neither flush exposes a byte before an fsync has covered it."""
+    log = make_log(flush_interval_messages=10)
+    log.append(MessageSet([Message(b"a")]))
+    handle = log._active_file
+    orig_fsync = handle.fsync
+
+    def reentering_fsync():
+        handle.fsync = orig_fsync   # re-enter once
+        assert log.high_watermark == 0      # "a" is written, not synced
+        log.append(MessageSet([Message(b"b")]))
+        log.flush()
+        orig_fsync()
+
+    handle.fsync = reentering_fsync
+    log.flush()
+    log.append(MessageSet([Message(b"c")]))
+    log.flush()
+
+    assert payloads_in(log) == [b"a", b"b", b"c"]
+    assert log.high_watermark == log.log_end_offset
+    assert log.size_bytes() == log.log_end_offset   # no frame twice
+    log.close()
+
+
 # -- the write pattern, pinned ---------------------------------------------
 
 PINNED_TRACE_SHA = \
