@@ -26,7 +26,7 @@ from repro.helix.idealstate import compute_ideal_state
 from repro.helix.statemodel import ONLINE_OFFLINE
 from repro.kafka.broker import KafkaCluster
 from repro.streams.changelog import changelog_topic
-from repro.streams.task import StageSpec
+from repro.streams.task import StageSpec, repartition_topic
 from repro.zookeeper import ZooKeeperServer
 
 
@@ -72,7 +72,7 @@ class StreamJobSpec:
         """
         if not label:
             raise ConfigurationError("repartition needs a label")
-        topic = f"__repartition-{self.name}-{label}"
+        topic = repartition_topic(self.name, label)
         if topic not in self.repartition_topics:
             self.repartition_topics.append(topic)
         return topic
@@ -91,6 +91,16 @@ class StreamJobSpec:
                 # stages sharing one would interleave their mutations
                 raise ConfigurationError(
                     f"store {store!r} already owned by another stage")
+        consumed = {topic for spec in self._stages.values()
+                    for topic in spec.inputs}
+        for topic in inputs:
+            if topic in consumed and \
+                    topic.startswith(repartition_topic(self.name, "")):
+                # its one reader's checkpoint is what frees its
+                # segments, so a second reader would lose input
+                raise ConfigurationError(
+                    f"repartition topic {topic!r} already consumed by "
+                    "another stage")
         spec = StageSpec(name=name, inputs=tuple(inputs),
                          task_factory=task_factory, stores=tuple(stores),
                          window_interval_s=window_interval_s)

@@ -15,7 +15,9 @@ The commit protocol (the recovery contract, DESIGN.md §16) is::
        changelog tail has grown to its image (fsync + local snapshot)
     4. write the checkpoint znode atomically:
          {input offsets, per-store changelog offsets}
-    5. compact each barriered changelog below its barrier start
+    5. compact each barriered changelog below its barrier start, and
+       drop each repartition input's segments below its checkpointed
+       offset
 
 A store's *tail* is the number of changelog records published since
 its last barrier.  Taking a barrier only once the tail has reached the
@@ -38,6 +40,13 @@ src_offset, src_seq)`` stamp; the consuming task keeps a per-producer
 high-water mark in its own store and drops duplicates, which turns
 the at-least-once redelivery after a crash into effective
 exactly-once for downstream state.
+
+A repartition topic is internal and has exactly one reader, the
+downstream task (:meth:`StreamJobSpec.stage` refuses a second), whose
+checkpoint says how far back it can ever read again.  Step 5 therefore
+frees its whole segments below that offset, as Kafka Streams deletes
+consumed repartition records after a commit: the topic holds the
+uncommitted tail plus at most one segment per partition.
 """
 
 from __future__ import annotations
@@ -161,6 +170,13 @@ class StageSpec:
             raise ConfigurationError(f"stage {self.name!r} needs inputs")
 
 
+def repartition_topic(job: str, label: str) -> str:
+    """The reserved topic name for one job's re-keyed hop ``label``;
+    ``repartition_topic(job, "")`` is the prefix every one of the job's
+    repartition topics starts with."""
+    return f"__repartition-{job}-{label}"
+
+
 def route_key(key: str, partitions: int) -> int:
     """Key → partition: the ring's :func:`partition32` of the key's
     UTF-8 bytes, which is the Kafka producer's key routing, so upstream
@@ -200,6 +216,10 @@ class TaskInstance:
             self._changelogs[store_name] = ChangelogWriter(
                 cluster, topic, partition)
             self.stores[store_name] = KeyedStateStore(store_name)
+        # inputs whose segments this task frees below its checkpoint
+        self._repartition_inputs = tuple(
+            topic for topic in stage.inputs
+            if topic.startswith(repartition_topic(job_name, "")))
         self._collector = MessageCollector()
         # (topic, partition) -> staged output messages
         self._outputs: dict[tuple[str, int], list[bytes]] = {}
@@ -403,6 +423,12 @@ class TaskInstance:
         to replay than its image is to republish.  Compaction runs
         only after the checkpoint covers the barrier, so a crash between
         the two steps never strands a replay range.
+
+        The same step frees each repartition input below the offset the
+        checkpoint just recorded: this task is its only reader and never
+        resumes below its checkpoint.  Whole segments go, never the
+        active one, and offsets are logical, so watermarks, ``lag()``
+        and the ``__seen/`` marks (upstream positions) are unchanged.
         """
         staged = self._outputs
         self._outputs = {}
@@ -439,6 +465,10 @@ class TaskInstance:
             compact_changelog(self.cluster,
                               self._changelogs[store_name].topic,
                               self.partition, barrier_start)
+        for topic in self._repartition_inputs:
+            self.cluster.broker_for(topic, self.partition).log(
+                topic, self.partition).delete_segments_below(
+                checkpoint["inputs"][topic])
         return sum(len(messages) for messages in staged.values())
 
     def _write_checkpoint(self, checkpoint: dict) -> None:

@@ -181,15 +181,9 @@ class VoldemortServer:
         """
         from repro.common.errors import ObsoleteVersionError
         network = self.cluster.network
-        delivered = 0
-        remaining: list[Hint] = []
-        remaining_seqs: list[int] = []
         delivered_seqs: list[int] = []
-        snapshot = list(zip(self.hints, self._hint_seqs))
-        for hint, seq in snapshot:
+        for hint, seq in list(zip(self.hints, self._hint_seqs)):
             if hint.destination_node != destination_node:
-                remaining.append(hint)
-                remaining_seqs.append(seq)
                 continue
             target = self.cluster.server_for(hint.destination_node)
             try:
@@ -197,26 +191,25 @@ class VoldemortServer:
                                self.cluster.node_name(hint.destination_node),
                                target.engine(hint.store).put,
                                hint.key, hint.versioned)
-                delivered += 1
-                delivered_seqs.append(seq)
             except ObsoleteVersionError:
-                delivered += 1
-                delivered_seqs.append(seq)
+                pass
             except NodeUnavailableError:
-                remaining.append(hint)
-                remaining_seqs.append(seq)
+                continue
+            delivered_seqs.append(seq)
         if delivered_seqs:
             for seq in delivered_seqs:
                 self._slop_wal.append(
                     bytes([_HINT_DELIVERED]) + _HINT_SEQ.pack(seq))
             self._slop_wal.fsync()
-        # hints queued while the deliveries and the fsync were in
-        # flight are beyond the snapshot: carry them over, don't drop
-        remaining.extend(self.hints[len(snapshot):])
-        remaining_seqs.extend(self._hint_seqs[len(snapshot):])
-        self.hints = remaining
-        self._hint_seqs = remaining_seqs
-        return delivered
+            # the lists may have changed while the deliveries and the
+            # fsync were in flight (a hint stored, another destination
+            # delivered): drop exactly what this call delivered
+            done = set(delivered_seqs)
+            kept = [i for i, seq in enumerate(self._hint_seqs)
+                    if seq not in done]
+            self.hints = [self.hints[i] for i in kept]
+            self._hint_seqs = [self._hint_seqs[i] for i in kept]
+        return len(delivered_seqs)
 
     # -- maintenance -----------------------------------------------------------------
 

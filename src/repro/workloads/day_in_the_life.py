@@ -69,6 +69,8 @@ class ScenarioResult:
     offset_violations: list[str] = field(default_factory=list)
     # stores whose cached records differ from a fresh encode of items()
     stale_record_stores: list[str] = field(default_factory=list)
+    # "topic-partition" -> first offset a repartition log still holds
+    repartition_oldest_offsets: dict[str, int] = field(default_factory=dict)
 
 
 class _World:
@@ -285,6 +287,12 @@ def run_day_in_the_life(seed: int = 0, partitions: int = 4,
     result.offset_violations = offsets_within_watermark(
         offsets, lambda topic, partition: world.cluster.broker_for(
             topic, partition).log(topic, partition).high_watermark)
+    for spec in (world.wvyp_spec, world.feed_spec):
+        for topic in spec.repartition_topics:
+            for partition in range(spec.partitions):
+                result.repartition_oldest_offsets[f"{topic}-{partition}"] = \
+                    world.cluster.broker_for(topic, partition).log(
+                        topic, partition).oldest_offset
 
     wvyp_fleet = [world.containers[f"wvyp-{i}"]
                   for i in range(containers_per_job)]

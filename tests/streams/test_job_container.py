@@ -102,6 +102,20 @@ def test_repartition_topics_are_namespaced_and_deduplicated():
     assert spec.repartition_topics == [topic]
 
 
+def test_a_repartition_topic_has_one_consuming_stage():
+    """Its one reader's checkpoint is what frees its segments."""
+    spec = StreamJobSpec("feedish", 2)
+    topic = spec.repartition("hop")
+    spec.stage("fwd", ["in"], lambda: ForwardByValueTask(topic))
+    spec.stage("sink", [topic], CountTask, stores=["counts"])
+    with pytest.raises(ConfigurationError, match="already consumed"):
+        spec.stage("audit", [topic], CountTask, stores=["audit"])
+    with pytest.raises(ConfigurationError, match="already consumed"):
+        spec.stage("join", ["in", topic], CountTask, stores=["joined"])
+    spec.stage("tee", ["in"], CountTask, stores=["tee"])  # plain inputs may
+    assert [stage.name for stage in spec.stages] == ["fwd", "sink", "tee"]
+
+
 def test_coordinator_rejects_mispartitioned_inputs():
     zookeeper = ZooKeeperServer()
     cluster = KafkaCluster(1, "/kafka", zookeeper=zookeeper,

@@ -194,3 +194,39 @@ class TestHintDeliveryRaces:
         assert server.deliver_hints(dead) == 1
         assert [h.key for h in server.hints] == [b"late-key"]
         assert len(server.hints) == len(server._hint_seqs)
+
+    def test_a_delivery_inside_another_delivery_keeps_each_hint_once(
+            self, cluster):
+        """Two deliveries (different destinations) overlap: the second
+        runs inside the first one's fsync, and a hint is stored inside
+        the second's.  Each delivered hint leaves exactly once and the
+        hint stored mid-fsync stays, in memory and after a restart."""
+        holder, a, b, c = sorted(cluster.servers)
+        server = cluster.server_for(holder)
+        value = Versioned.initial(b"v", 0)
+        server.store_hint(Hint("s", b"for-a", value, a))
+        server.store_hint(Hint("s", b"for-b", value, b))
+        orig_fsync = server._slop_wal.fsync
+        fsyncs = []
+
+        def racing_fsync():
+            fsyncs.append(len(fsyncs))
+            if len(fsyncs) == 1:        # the delivery to a is in flight
+                assert server.deliver_hints(b) == 1
+            elif len(fsyncs) == 2:      # the delivery to b is in flight
+                server.store_hint(Hint("s", b"for-c", value, c))
+            orig_fsync()
+
+        server._slop_wal.fsync = racing_fsync
+        assert server.deliver_hints(a) == 1
+        assert len(fsyncs) == 3
+        assert [h.key for h in server.hints] == [b"for-c"]
+        assert len(server.hints) == len(server._hint_seqs)
+        for node, key in ((a, b"for-a"), (b, b"for-b")):
+            assert cluster.server_for(node).engine("s").get(key)[0].value \
+                == b"v"
+
+        cluster.kill_node(holder)
+        cluster.restart_node(holder)
+        assert [h.key for h in cluster.server_for(holder).hints] == \
+            [b"for-c"]
