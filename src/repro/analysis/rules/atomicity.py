@@ -133,29 +133,52 @@ def _element_sites(cfg: CFG, summary: Summary) -> Sites:
     return sites
 
 
-def _self_load_paths(node: ast.AST, self_name: str) -> set[str]:
+def _self_load_paths(node: ast.AST, self_name: str,
+                     skip: set[int] | frozenset[int] = frozenset()
+                     ) -> set[str]:
     """Full dotted self paths loaded in an expression (receiver loads
     like ``self.x.get(k)`` count; ``self.m(...)`` — the method lookup
-    itself — does not)."""
+    itself — does not), leaving out the attribute nodes in ``skip``."""
     call_funcs = {id(n.func) for n in ast.walk(node)
                   if isinstance(n, ast.Call)}
     return {path for sub in ast.walk(node)
             if isinstance(sub, ast.Attribute)
             and isinstance(sub.ctx, ast.Load) and id(sub) not in call_funcs
+            and id(sub) not in skip
             and (path := self_path(sub, self_name)) is not None}
 
 
+def _keyed_by(element: ast.AST, var: str) -> set[int]:
+    """The attribute nodes an element loads through a subscript whose
+    key or slice reads ``var`` — below it (``self.x`` in
+    ``self.x[len(var):]``) or above it (``.y`` in ``self.x[var].y``):
+    such a load reads shared state *through* the stale local."""
+    nodes = list(evaluated_nodes(element))
+    keyed = [node for node in nodes if isinstance(node, ast.Subscript)
+             and any(isinstance(name, ast.Name) and name.id == var
+                     for name in ast.walk(node.slice))]
+    below = {id(sub) for node in keyed for sub in ast.walk(node.value)
+             if isinstance(sub, ast.Attribute)}
+    keyed_ids = {id(node) for node in keyed}
+    above = {id(sub) for sub in nodes if isinstance(sub, ast.Attribute)
+             and any(id(node) in keyed_ids for node in ast.walk(sub.value))}
+    return below | above
+
+
 def _reval_load_paths(element: ast.AST, self_name: str,
-                      sites: list[Mutation]) -> set[str]:
+                      sites: list[Mutation],
+                      skip: set[int] | frozenset[int] = frozenset()
+                      ) -> set[str]:
     """Dotted self paths whose load counts as a revalidating re-read.
     For an assignment only its value counts — the Load-ctx base of a
     subscript target (``self.x`` inside ``self.x[k] = v``) is part of
     the write, not a re-read, as is a mutator's receiver (``self.x`` in
     ``self.x.append(v)``) — and a read-modify-write (``self.x -= n``)
-    re-reads its own target."""
+    re-reads its own target.  Attribute nodes in ``skip`` are not
+    re-reads."""
     if isinstance(element, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
         element = element.value
-    loads = _self_load_paths(element, self_name) if element else set()
+    loads = _self_load_paths(element, self_name, skip) if element else set()
     written = {s.path for s in sites if s.kind in ("call", "take")}
     return loads - written | {s.path for s in sites if s.kind == "rmw"}
 
@@ -272,7 +295,11 @@ def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
     yield point crossed; after it, a re-read of ``self.<attr>``
     revalidates and ends the path, as does any rebinding of the local,
     and a branch test or shared-state write (a mutation site of any
-    kind) that reads the local is a stale use."""
+    kind) that reads the local is a stale use.  A write's re-read whose
+    subscript or slice reads the local (``self.x = kept +
+    self.x[len(var):]``) leans on the stale value and revalidates
+    nothing; a branch test that compares fresh state with the local is
+    the revalidation itself, however it indexes."""
     found: list[tuple[str, str, YieldPoint, ast.AST]] = []
     for block, index, element in cfg.elements():
         for var, attr in _tracked_defs(element, mutable, self_name, yields,
@@ -282,12 +309,15 @@ def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
             def step(current: ast.AST, crossed: YieldPoint | None):
                 if crossed is not None:
                     at = sites.get(id(current), [])
+                    test = isinstance(current, ast.expr)
+                    used = var in uses(current)
+                    skip = _keyed_by(current, var) if used and not test \
+                        else frozenset()
                     if attr in _tops(_reval_load_paths(current, self_name,
-                                                       at)):
+                                                       at, skip)):
                         return STOP     # revalidated: tracking ends
                     wrote = any(site.kind != "self-call" for site in at)
-                    if (wrote or isinstance(current, ast.expr)) \
-                            and var in uses(current) \
+                    if (wrote or test) and used \
                             and id(current) not in reported:
                         reported.add(id(current))
                         found.append((var, attr, crossed, current))

@@ -24,6 +24,7 @@ Both jobs are pure topology + task logic; everything operational
 from __future__ import annotations
 
 from bisect import bisect_right
+from sys import intern
 
 from repro.common.errors import ConfigurationError, NodeUnavailableError
 from repro.streams.job import StreamJobSpec
@@ -178,29 +179,35 @@ class InboxTask(StreamTask):
     so an append is one small idempotent upsert and an eviction one
     tombstone, whatever the inbox holds.  A redelivered entry is
     already present and changes nothing.  Entries are kept sorted by
-    (event time, actor, id) rather than arrival order: after a crash,
-    re-emitted entries interleave differently with other producers'
-    traffic in the repartition topic, and event-time order makes the
-    stored inbox independent of that interleaving.  The order is an
-    in-memory key list per member, rebuilt from the store at ``init``
-    (which runs after recovery has restored it), with the entries'
-    ranks in a list beside it so an insert bisects without reading the
-    store.  A key fixes its ``(actor, id)``, so no two entries of a
-    member share a rank.
+    :func:`_rank` — (event time, actor, id) — rather than arrival
+    order: after a crash, re-emitted entries interleave differently
+    with other producers' traffic in the repartition topic, and
+    event-time order makes the stored inbox independent of that
+    interleaving.  The order is an in-memory key list per member,
+    rebuilt from the store at ``init`` (which runs after recovery has
+    restored it), with each entry's own ``ts`` object in a list beside
+    it: an insert bisects the times and computes a neighbour's full
+    rank only where the times tie.  A key fixes its ``(actor, id)``, so
+    no two entries of a member share a rank.  Actor and kind strings
+    are interned, so an entry costs its key, its record and a few
+    references.
     """
 
     def init(self, context: TaskContext) -> None:
         self.inbox = context.store("inbox")
         self._order: dict[str, list[str]] = {}   # member -> oldest first
-        self._ranks: dict[str, list[tuple]] = {}  # member -> _rank per key
-        entries = [(_rank(entry), key) for key, entry in self.inbox.items()
-                   if not key.startswith(SEEN_PREFIX)]
+        self._times: dict[str, list] = {}        # member -> ts per key
+        entries = []
+        for key, entry in self.inbox.items():
+            if not key.startswith(SEEN_PREFIX):
+                entry[1] = intern(entry[1])
+                entry[3] = intern(entry[3])
+                entries.append((_rank(entry), key))
         entries.sort()
-        for rank, key in entries:
-            _, actor, id_ = rank
+        for (ts, actor, id_), key in entries:
             member = key[:-len(f"/{actor}/{id_}")]
             self._order.setdefault(member, []).append(key)
-            self._ranks.setdefault(member, []).append(rank)
+            self._times.setdefault(member, []).append(ts)
 
     def process(self, envelope: Envelope,
                 collector: MessageCollector) -> None:
@@ -208,19 +215,28 @@ class InboxTask(StreamTask):
         key = f"{envelope.key}/{value['actor']}/{value['id']}"
         if key in self.inbox:
             return
-        entry = [value["ts"], value["actor"], value["id"], value["kind"]]
-        rank = _rank(entry)
+        ts = value["ts"]
+        entry = [ts, intern(value["actor"]), value["id"],
+                 intern(value["kind"])]
         order = self._order.setdefault(envelope.key, [])
-        ranks = self._ranks.setdefault(envelope.key, [])
-        if len(order) >= INBOX_CAP and rank < ranks[0]:
-            return      # older than everything a full inbox keeps
+        times = self._times.setdefault(envelope.key, [])
+        if len(order) >= INBOX_CAP and ts <= times[0]:
+            if ts < times[0] or _rank(entry) < self._rank_at(order, 0):
+                return      # older than everything a full inbox keeps
         self.inbox.put(key, entry)
-        at = bisect_right(ranks, rank)
-        ranks.insert(at, rank)
+        at = bisect_right(times, ts)
+        while at and times[at - 1] == ts \
+                and self._rank_at(order, at - 1) > _rank(entry):
+            at -= 1                     # a tie: the full rank decides
+        times.insert(at, ts)
         order.insert(at, key)
         if len(order) > INBOX_CAP:
-            del ranks[0]
+            del times[0]
             self.inbox.delete(order.pop(0))
+
+    def _rank_at(self, order: list[str], index: int) -> tuple:
+        """The :func:`_rank` of the member's ``index``-th stored entry."""
+        return _rank(self.inbox.get(order[index]))
 
     def entries(self, member: str) -> list[dict]:
         """The member's inbox, oldest first, as served."""

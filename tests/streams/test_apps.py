@@ -1,6 +1,8 @@
 """The two shipped applications: WVYP counters and feed fan-out."""
 
 import random
+import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
@@ -29,9 +31,10 @@ from repro.streams.apps import (
     feed_fanout_job,
     who_viewed_your_profile_job,
 )
-from repro.streams.state import decode_record, load_snapshot, \
-    write_snapshot
-from repro.streams.task import Envelope, MessageCollector, TaskContext
+from repro.streams.state import decode_json, decode_record, encode_json, \
+    load_snapshot, write_snapshot
+from repro.streams.task import SEEN_PREFIX, Envelope, MessageCollector, \
+    TaskContext
 from repro.workloads import ProfileViewEventGenerator
 from repro.zookeeper import ZooKeeperServer
 
@@ -199,8 +202,9 @@ def test_redelivered_entry_is_stored_once():
 def test_inbox_order_and_ranks_follow_the_store_through_evictions():
     """The census row for the inbox order: after every step of a seeded
     walk — appends, redeliveries, evictions and a re-``init`` over the
-    same store — each member's key list and rank list are its stored
-    entries sorted by ``_rank``, and neither exceeds ``INBOX_CAP``."""
+    same store — each member's key list is its stored entries sorted by
+    ``_rank``, its time list holds those entries' own ``ts`` objects in
+    the same order, and neither exceeds ``INBOX_CAP``."""
     rng = random.Random(29)
     task, store = inbox_task()
     collector = MessageCollector()
@@ -216,10 +220,128 @@ def test_inbox_order_and_ranks_follow_the_store_through_evictions():
             stored = sorted((_rank(entry), key) for key, entry
                             in store.items() if key.startswith(member + "/"))
             assert task._order.get(member, []) == [k for _, k in stored]
-            assert task._ranks.get(member, []) == [r for r, _ in stored]
+            times = task._times.get(member, [])
+            assert times == [r[0] for r, _ in stored]
+            entries = dict(store.items())
+            assert all(ts is entries[k][0]
+                       for ts, k in zip(times, task._order.get(member, [])))
             longest = max(longest, len(task._order.get(member, [])))
     assert longest == INBOX_CAP
     assert store.deletes > 0                    # evictions really ran
+
+
+class RankListInboxTask(InboxTask):
+    """The inbox as it was with a rank tuple per entry: a ``_ranks``
+    list beside the key list, bisected on every insert.  The reference
+    the time-list task must match entry for entry and record for
+    record."""
+
+    def init(self, context: TaskContext) -> None:
+        self.inbox = context.store("inbox")
+        self._order: dict[str, list[str]] = {}
+        self._ranks: dict[str, list[tuple]] = {}
+        entries = [(_rank(entry), key) for key, entry in self.inbox.items()
+                   if not key.startswith(SEEN_PREFIX)]
+        entries.sort()
+        for rank, key in entries:
+            _, actor, id_ = rank
+            member = key[:-len(f"/{actor}/{id_}")]
+            self._order.setdefault(member, []).append(key)
+            self._ranks.setdefault(member, []).append(rank)
+
+    def process(self, envelope: Envelope,
+                collector: MessageCollector) -> None:
+        value = envelope.value
+        key = f"{envelope.key}/{value['actor']}/{value['id']}"
+        if key in self.inbox:
+            return
+        entry = [value["ts"], value["actor"], value["id"], value["kind"]]
+        rank = _rank(entry)
+        order = self._order.setdefault(envelope.key, [])
+        ranks = self._ranks.setdefault(envelope.key, [])
+        if len(order) >= INBOX_CAP and rank < ranks[0]:
+            return
+        self.inbox.put(key, entry)
+        at = bisect_right(ranks, rank)
+        ranks.insert(at, rank)
+        order.insert(at, key)
+        if len(order) > INBOX_CAP:
+            del ranks[0]
+            self.inbox.delete(order.pop(0))
+
+
+def started(cls: type[InboxTask], store: KeyedStateStore) -> InboxTask:
+    task = cls()
+    task.init(make_context("inbox", {"inbox": store}))
+    return task
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_time_list_inbox_matches_the_rank_list_reference(seed):
+    """Seeded walks with heavy ``ts`` ties (int and float times that
+    compare equal), int and str ids, redeliveries, evictions and
+    re-``init``s over the stores: the task and the reference keep equal
+    store items, serve equal inboxes and make the same puts and
+    deletes, with every drain's records byte-equal."""
+    rng = random.Random(seed)
+    members = [f"m{i}" for i in range(4)]
+    delivered: list[tuple[str, dict]] = []
+    tasks = [started(cls, KeyedStateStore("inbox"))
+             for cls in (InboxTask, RankListInboxTask)]
+    collector = MessageCollector()
+    for step in range(1500):
+        if delivered and rng.random() < 0.15:
+            member, value = rng.choice(delivered)         # redelivery
+        else:
+            ts = rng.randrange(40)
+            value = {"actor": f"a{rng.randrange(5)}",
+                     "kind": rng.choice(("post", "like")),
+                     "id": rng.choice((int, str))(rng.randrange(60)),
+                     "ts": float(ts) if rng.random() < 0.5 else ts}
+            member = rng.choice(members)
+            delivered.append((member, value))
+        for task in tasks:
+            task.process(envelope(member, dict(value)), collector)
+        if step % 300 == 299:                             # a restart
+            tasks = [started(type(task), task.inbox) for task in tasks]
+        if step % 50 == 0:
+            assert tasks[0].inbox.drain() == tasks[1].inbox.drain()
+    new, reference = (task.inbox for task in tasks)
+    assert new.items() == reference.items()
+    assert (new.puts, new.deletes) == (reference.puts, reference.deletes)
+    assert new.deletes > 0                                # evictions ran
+    for member in members:
+        assert tasks[0].entries(member) == tasks[1].entries(member)
+        assert len(tasks[0].entries(member)) == INBOX_CAP
+
+
+def test_an_inbox_entry_retains_at_most_480_bytes():
+    """DESIGN §17's inbox row: 5 000 entries decoded from JSON across
+    200 members retain at most 480 B each after a drain — the key, the
+    entry, its record and a few references.  Actor and kind are interned
+    and the order keeps each entry's own ``ts``, so no decoded string
+    or rank tuple is held per entry (a rank tuple per entry held
+    about 660 B)."""
+    rng = random.Random(5)
+    payloads = [encode_json({
+        "actor": ProfileViewEventGenerator.member_id(rng.randrange(1000)),
+        "kind": rng.choice(("login", "like", "share", "comment")),
+        "id": i, "ts": rng.random() * 86400.0}) for i in range(5000)]
+    members = [ProfileViewEventGenerator.member_id(m) for m in range(200)]
+    task, store = inbox_task()
+    collector = MessageCollector()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, payload in enumerate(payloads):
+            task.process(envelope(members[i % 200], decode_json(payload)),
+                         collector)
+        store.drain()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 5000
+    assert retained / 5000 <= 480
 
 
 # -- end to end: topology + serving ----------------------------------------
