@@ -476,13 +476,14 @@ STOP = object()
 
 
 def walk_paths(cfg: CFG, block: BasicBlock, index: int,
-               step: Callable[[ast.AST, object], object]) -> None:
+               step: Callable[[ast.AST, object], object],
+               state: object = None) -> None:
     """Carry a state down every CFG path that starts at element
     ``index`` of ``block``.
 
     ``step(element, state)`` is called for each element in path order
     and returns the state to carry on with, or :data:`STOP` to prune
-    this path (other paths continue).  The state starts as ``None``;
+    this path (other paths continue).  The state starts as ``state``;
     the yield-point rules use "the first yield point crossed" — falsy
     before the yield, truthy after — so a block is entered at most once
     per state *truthiness*: once on a pre-yield path, once on a
@@ -491,7 +492,7 @@ def walk_paths(cfg: CFG, block: BasicBlock, index: int,
     exit blocks are never entered: a path that leaves the function
     acts on nothing.  Whatever a step convicts it records itself.
     """
-    stack: list[tuple[BasicBlock, int, object]] = [(block, index, None)]
+    stack: list[tuple[BasicBlock, int, object]] = [(block, index, state)]
     visited: set[tuple[int, bool]] = set()
     while stack:
         current, start, state = stack.pop()

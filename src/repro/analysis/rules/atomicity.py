@@ -61,6 +61,7 @@ from repro.analysis.flow import (
     walk_paths,
 )
 from repro.analysis.summaries import (
+    MUTATORS,
     WRITE_KINDS,
     Mutation,
     Summary,
@@ -148,14 +149,14 @@ def _self_load_paths(node: ast.AST, self_name: str,
             and (path := self_path(sub, self_name)) is not None}
 
 
-def _keyed_by(element: ast.AST, var: str) -> set[int]:
+def _keyed_by(element: ast.AST, names: set[str]) -> set[int]:
     """The attribute nodes an element loads through a subscript whose
-    key or slice reads ``var`` — below it (``self.x`` in
+    key or slice reads one of ``names`` — below it (``self.x`` in
     ``self.x[len(var):]``) or above it (``.y`` in ``self.x[var].y``):
-    such a load reads shared state *through* the stale local."""
+    such a load reads shared state *through* a stale local."""
     nodes = list(evaluated_nodes(element))
     keyed = [node for node in nodes if isinstance(node, ast.Subscript)
-             and any(isinstance(name, ast.Name) and name.id == var
+             and any(isinstance(name, ast.Name) and name.id in names
                      for name in ast.walk(node.slice))]
     below = {id(sub) for node in keyed for sub in ast.walk(node.value)
              if isinstance(sub, ast.Attribute)}
@@ -256,15 +257,18 @@ class AtomicityViolationRule(ProjectRule):
             cfg = fn.module.ctx.cfg(fn.node)
             sites = _element_sites(cfg, summary)
             seen_lines: set[int] = set()
-            for var, attr, point, element in _stale_uses(
+            for var, origin, attr, point, element in _stale_uses(
                     cfg, yields, mutable, self_name, sites):
                 seen_lines.add(element.lineno)
                 use = "branched on" if isinstance(element, ast.expr) \
                     else "written back"
+                built = "" if var == origin else \
+                    f"'{var}' was built after the yield from '{origin}', " \
+                    f"and "
                 yield self.chain_finding(
                     project, fn.rel_path, element.lineno,
-                    f"'{var}' was read from self.{attr} before the yield "
-                    f"point on line {point.line} "
+                    f"{built}'{origin}' was read from self.{attr} before "
+                    f"the yield point on line {point.line} "
                     f"({_blocks_on(point)}) but is {use}"
                     f" after it without revalidation; re-read "
                     f"self.{attr} once control returns — any event may "
@@ -289,44 +293,81 @@ class AtomicityViolationRule(ProjectRule):
 
 def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
                 self_name: str, sites: Sites
-                ) -> list[tuple[str, str, YieldPoint, ast.AST]]:
-    """Stale uses of every local bound from mutable shared state.  The
-    path walk starts just after the binding and carries the first
-    yield point crossed; after it, a re-read of ``self.<attr>``
-    revalidates and ends the path, as does any rebinding of the local,
-    and a branch test or shared-state write (a mutation site of any
-    kind) that reads the local is a stale use.  A write's re-read whose
-    subscript or slice reads the local (``self.x = kept +
-    self.x[len(var):]``) leans on the stale value and revalidates
-    nothing; a branch test that compares fresh state with the local is
-    the revalidation itself, however it indexes."""
-    found: list[tuple[str, str, YieldPoint, ast.AST]] = []
+                ) -> list[tuple[str, str, str, YieldPoint, ast.AST]]:
+    """Stale uses of every local bound from mutable shared state, as
+    ``(local, origin, attr, yield point, element)``.  The path walk
+    starts just after the binding and carries the first yield point
+    crossed; after it, a re-read of ``self.<attr>`` revalidates and
+    ends the path, as does any rebinding of the local, and a branch
+    test or shared-state write (a mutation site of any kind) that reads
+    the local is a stale use.  A write's re-read whose subscript or
+    slice reads a stale local (``self.x = kept + self.x[len(var):]``)
+    leans on the stale value and revalidates nothing; a branch test
+    that compares fresh state with the local is the revalidation
+    itself, however it indexes.  After the yield, a local built from a
+    stale one by an assignment (``tail = f(var)``) or by a mutator
+    called on it (``kept.extend(var)``) is stale too, and is followed
+    from there (:func:`_built_locals`)."""
+    found: list[tuple[str, str, str, YieldPoint, ast.AST]] = []
+    position = {id(element): (block, index)
+                for block, index, element in cfg.elements()}
     for block, index, element in cfg.elements():
-        for var, attr in _tracked_defs(element, mutable, self_name, yields,
-                                       sites.get(id(element), [])):
+        for origin, attr in _tracked_defs(element, mutable, self_name,
+                                          yields, sites.get(id(element), [])):
             reported: set[int] = set()
+            followed: set[tuple[str, int]] = set()
 
-            def step(current: ast.AST, crossed: YieldPoint | None):
-                if crossed is not None:
-                    at = sites.get(id(current), [])
-                    test = isinstance(current, ast.expr)
-                    used = var in uses(current)
-                    skip = _keyed_by(current, var) if used and not test \
-                        else frozenset()
-                    if attr in _tops(_reval_load_paths(current, self_name,
-                                                       at, skip)):
-                        return STOP     # revalidated: tracking ends
-                    wrote = any(site.kind != "self-call" for site in at)
-                    if (wrote or test) and used \
-                            and id(current) not in reported:
-                        reported.add(id(current))
-                        found.append((var, attr, crossed, current))
-                if var in definitions(current):
-                    return STOP
-                return crossed or _yield_at(current, yields)
+            def follow(var: str, stale: set[str], start: ast.AST,
+                       crossed: YieldPoint | None) -> None:
+                def step(current: ast.AST, crossed: YieldPoint | None):
+                    if crossed is not None:
+                        at = sites.get(id(current), [])
+                        test = isinstance(current, ast.expr)
+                        read = uses(current)
+                        keys = stale & read
+                        skip = _keyed_by(current, keys) \
+                            if keys and not test else frozenset()
+                        if attr in _tops(_reval_load_paths(
+                                current, self_name, at, skip)):
+                            return STOP     # revalidated: tracking ends
+                        wrote = any(site.kind != "self-call" for site in at)
+                        if var in read and (wrote or test):
+                            if id(current) not in reported:
+                                reported.add(id(current))
+                                found.append((var, origin, attr, crossed,
+                                              current))
+                        elif var in read:
+                            for carrier in _built_locals(current, self_name):
+                                if carrier not in stale and (
+                                        carrier, id(current)) not in followed:
+                                    followed.add((carrier, id(current)))
+                                    follow(carrier, stale | {carrier},
+                                           current, crossed)
+                    if var in definitions(current):
+                        return STOP
+                    return crossed or _yield_at(current, yields)
 
-            walk_paths(cfg, block, index + 1, step)
+                at_block, at_index = position[id(start)]
+                walk_paths(cfg, at_block, at_index + 1, step, crossed)
+
+            follow(origin, {origin}, element, None)
     return found
+
+
+def _built_locals(element: ast.AST, self_name: str) -> list[str]:
+    """Locals a non-test element builds: the names an assignment binds,
+    and the receiver of a mutator it calls on a plain local (``kept`` in
+    ``kept.extend(...)``).  A loop target is an element of what it
+    iterates, not a copy of the collection, and builds nothing."""
+    built = definitions(element) if isinstance(
+        element, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else []
+    for call in calls_in(element):
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr in MUTATORS \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id != self_name:
+            built.append(func.value.id)
+    return built
 
 
 def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,

@@ -262,7 +262,6 @@ def call_with_retries(fn: Callable, *, clock: Clock,
     ``<name>.exhausted``, ``<name>.deadline_exceeded``.
     """
     policy = policy or NO_RETRY
-    rng = rng or random.Random(0)
     last_exc: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):
         if deadline is not None and deadline.expired:
@@ -285,6 +284,8 @@ def call_with_retries(fn: Callable, *, clock: Clock,
             last_exc = exc
             if attempt == policy.max_attempts:
                 break
+            if rng is None:     # built at the first backoff, not per call
+                rng = random.Random(0)
             delay = policy.backoff(attempt, rng)
             if deadline is not None:
                 if deadline.remaining() <= 0:

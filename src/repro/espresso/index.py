@@ -17,17 +17,23 @@ indexed access path the paper allows.
 
 from __future__ import annotations
 
-import re
 from sys import intern
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import RecordSchema
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+#: byte -> itself for ``0-9a-z``, a space for every other byte
+_SEPARATORS = bytes(byte if byte in b"0123456789abcdefghijklmnopqrstuvwxyz"
+                    else 0x20 for byte in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The runs of ``[a-z0-9]`` in ``text.lower()``.  A non-ASCII code
+    point (a lone surrogate too) encodes to bytes >= 0x80, which the
+    table makes separators, so this is ``re.findall("[a-z0-9]+", ...)``
+    in one translation."""
+    return text.lower().encode("utf-8", "surrogatepass") \
+        .translate(_SEPARATORS).decode("ascii").split()
 
 
 class _Posting(dict):

@@ -13,7 +13,7 @@ A ``*`` table name with a POST is a transactional multi-table update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from urllib.parse import parse_qs, unquote, urlparse
+from urllib.parse import parse_qs, unquote
 
 from repro.common.errors import ConfigurationError
 
@@ -46,11 +46,20 @@ class EspressoUri:
 def parse_uri(uri: str) -> EspressoUri:
     """Parse a path (optionally a full URL) into an :class:`EspressoUri`.
 
+    The URI is split, not URL-parsed: a ``#fragment`` is dropped, a
+    ``?query`` goes to ``parse_qs``, and a URI that does not start with
+    ``/`` may carry a ``scheme://authority`` prefix before its path.
+    Nothing is stripped or normalised, and ``;`` is part of a segment.
+
     >>> parse_uri("/Music/Album/Cher/Greatest_Hits").key
     ('Cher', 'Greatest_Hits')
     """
-    parsed = urlparse(uri)
-    path = parsed.path
+    path, _, query_string = uri.partition("#")[0].partition("?")
+    if not path.startswith("/"):
+        _, scheme_sep, authority_path = path.partition("://")
+        if scheme_sep:
+            _, slash, tail = authority_path.partition("/")
+            path = slash + tail
     if not path.startswith("/"):
         raise ConfigurationError(f"Espresso URIs are absolute paths: {uri!r}")
     parts = [unquote(p) for p in path.strip("/").split("/") if p]
@@ -61,8 +70,8 @@ def parse_uri(uri: str) -> EspressoUri:
     resource_id = parts[2] if len(parts) > 2 else None
     subresources = tuple(parts[3:])
     query = None
-    if parsed.query:
-        params = parse_qs(parsed.query)
+    if query_string:
+        params = parse_qs(query_string)
         if "query" in params:
             query = params["query"][0]
     return EspressoUri(database, table, resource_id, subresources, query)

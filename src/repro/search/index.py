@@ -64,7 +64,9 @@ class RankedInvertedIndex:
     # -- maintenance ----------------------------------------------------------
 
     def add(self, doc_id: object, document: dict) -> None:
-        self.remove(doc_id)
+        """Index ``document`` under ``doc_id``.  A re-index updates in
+        place: only the postings of terms the new document lacks are
+        removed, and a shared term's weight is overwritten."""
         weighted_tf: dict[str, float] = {}
         for fieldname, boost in self.field_boosts.items():
             text = document.get(fieldname)
@@ -73,13 +75,25 @@ class RankedInvertedIndex:
             for token in tokenize(str(text)):
                 weighted_tf[token] = weighted_tf.get(token, 0.0) + boost
         if not weighted_tf:
+            self.remove(doc_id)
             return
+        postings = self._postings
+        for term in self._doc_terms.get(doc_id, ()):
+            if term not in weighted_tf:
+                bucket = postings[term]
+                del bucket[doc_id]
+                if not bucket:
+                    del postings[term]
         terms = tuple(map(intern, weighted_tf))
         weights = self._weights
         for term, tf in zip(terms, weighted_tf.values()):
             if tf not in weights and len(weights) < _SHARED_WEIGHTS_MAX:
                 weights[tf] = tf
-            self._postings.setdefault(term, {})[doc_id] = weights.get(tf, tf)
+            bucket = postings.get(term)
+            if bucket is None:
+                postings[term] = {doc_id: weights.get(tf, tf)}
+            else:
+                bucket[doc_id] = weights.get(tf, tf)
         self._doc_terms[doc_id] = terms
         self._doc_lengths[doc_id] = math.sqrt(
             sum(tf * tf for tf in weighted_tf.values()))

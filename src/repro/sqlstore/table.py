@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.common.errors import (
@@ -108,14 +109,27 @@ class TableSchema:
             raise SchemaValidationError(
                 f"row missing primary key column {exc}") from exc
 
+    @cached_property
+    def _row_plan(self) -> tuple[frozenset[str],
+                                 tuple[tuple[str, type, bool, Column], ...]]:
+        """The declared names, and ``(name, type, nullable, column)`` per
+        column in order: what :meth:`validate_row` checks, built once."""
+        return (frozenset(c.name for c in self.columns),
+                tuple((c.name, c.type, c.nullable, c) for c in self.columns))
+
     def validate_row(self, row: Row) -> None:
-        declared = {c.name for c in self.columns}
-        unknown = set(row) - declared
-        if unknown:
+        """Unknown columns first, then each column in order.  A value of
+        exactly the column's type, or a ``None`` where nulls are allowed,
+        passes here; any other goes to :meth:`Column.validate`."""
+        declared, columns = self._row_plan
+        if not row.keys() <= declared:
             raise SchemaValidationError(
-                f"table {self.name}: unknown columns {sorted(unknown)}")
-        for col in self.columns:
-            col.validate(row.get(col.name))
+                f"table {self.name}: unknown columns "
+                f"{sorted(row.keys() - declared)}")
+        for name, kind, nullable, col in columns:
+            value = row.get(name)
+            if type(value) is not kind and (value is not None or not nullable):
+                col.validate(value)
 
 
 class Table:

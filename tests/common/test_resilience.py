@@ -287,3 +287,37 @@ def test_retry_schedule_reproducible_across_runs():
                           rng=random.Random(99))
         return clock.now()
     assert run() == run()
+
+
+def test_a_retried_call_without_an_rng_backs_off_as_random_0():
+    """The generator is built at the first backoff, not per call, and
+    draws what ``random.Random(0)`` draws, one backoff after another."""
+    class RecordingClock(SimClock):
+        def __init__(self):
+            super().__init__()
+            self.slept = []
+
+        def sleep(self, seconds):
+            self.slept.append(seconds)
+            super().sleep(seconds)
+
+    policy = RetryPolicy(max_attempts=5, jitter=0.5)
+    clock = RecordingClock()
+    assert call_with_retries(_flaky(4), clock=clock, policy=policy) == 5
+    reference = random.Random(0)
+    assert clock.slept == [policy.backoff(n, reference) for n in range(1, 5)]
+
+
+def test_a_call_that_never_backs_off_builds_no_generator(monkeypatch):
+    made = []
+
+    class CountedRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountedRandom)
+    assert call_with_retries(lambda: 1, clock=SimClock()) == 1
+    assert call_with_retries(_flaky(1), clock=SimClock(),
+                             policy=RetryPolicy(max_attempts=2)) == 2
+    assert made == [(0,)]       # only the retried call built one

@@ -1,9 +1,11 @@
 """Local secondary index: term and free-text postings."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import Field, RecordSchema
@@ -22,6 +24,39 @@ PROFILE_SCHEMA = RecordSchema("Profile", [
 def test_tokenize():
     assert tokenize("Lucy in the Sky, with Diamonds!") == \
         ["lucy", "in", "the", "sky", "with", "diamonds"]
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The regex tokenizer the byte translation replaced."""
+    return re.findall("[a-z0-9]+", text.lower())
+
+
+#: any code point, lone surrogates included (``st.characters()`` alone
+#: never draws one)
+ANY_CHARACTER = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                  categories=["Cs"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(ANY_CHARACTER))
+def test_tokenize_matches_the_regex_on_any_text(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0130",              # İ: lowercases to "i" plus a combining dot
+    "K\u212a9",            # the Kelvin sign lowercases to ASCII "k"
+    "a\ud800b",            # a lone surrogate separates
+    "stra\u00dfe",         # ß stays non-ASCII under lower()
+    "\ufb01ne",            # the ﬁ ligature too
+    "caf\u00e9 ol\u00e9\u00b2 x\u00b9y",  # superscript digits are not digits
+    "  \t\nA_b-C.d/E\x00f\x7f",
+    "",
+])
+def test_tokenize_matches_the_regex_on_named_cases(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_term_index_exact_match():

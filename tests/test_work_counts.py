@@ -18,19 +18,35 @@ counts at the two sizes must agree within a declared factor: a count
 that grows with the run's length fails that shape check even where its
 pin was re-taken.
 
+A layer count cannot see a gain that only removes interpreter work (a
+parser, a comprehension, a helper call per request), so ``espresso-cdc``
+also pins the Python-level calls of a small measured phase, counted by
+a ``sys.setprofile`` hook: an exact change detector, re-taken like any
+other pin, for the interpreter it was taken on.
+
 ``streams-day`` at seed 0, 8 and 16 commit cycles, takes about 1.6 s in
-all (about 0.4 s and 0.6 s a run, 8 cycles twice), 1.8% of tier-1's
-test time, on a shared 2-core Xeon host under Python 3.11.
+all (about 0.4 s and 0.6 s a run, 8 cycles twice); ``espresso-cdc`` at
+seed 0, 260 and 1 040 requests, about 2.2 s (each run's set-up, 4 000
+preloaded writes, is about 0.6 s of it), and the profiled 260-request
+run 0.9–1.2 s (0.1–0.2 s of it profiled, against 0.05 s unprofiled).
+The module is about 5 s, 5% of tier-1's test time, on a shared 2-core
+Xeon host under Python 3.11.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 
 from perfbench.workloads import WORKLOADS
+from repro.espresso.index import LocalSecondaryIndex
 from repro.kafka.log import PartitionLog
+from repro.search.index import RankedInvertedIndex
 from repro.streams.changelog import ChangelogWriter
 from repro.streams.task import SEEN_PREFIX, TaskInstance
+from tests.common.codec_calls import CODEC_FUNCTIONS, codec_calls
 
 #: per-operation counts at the two sizes differ by at most this factor
 FLAT_FACTOR = 2.0
@@ -133,11 +149,168 @@ def test_streams_day_counts_repeat_at_the_same_seed(streams_day):
     assert run_streams_day(8) == streams_day[8]
 
 
-def test_streams_day_work_per_operation_is_flat_across_sizes(streams_day):
-    small, large = (streams_day[cycles] for cycles in sorted(STREAMS_DAY))
-    for name in sorted(set(small) - {"ops"} - NOT_FLAT):
+def assert_flat(small: dict[str, int], large: dict[str, int],
+                exempt: frozenset[str] | set[str] = frozenset()) -> None:
+    """Every count but ``exempt`` costs, per operation, within
+    ``FLAT_FACTOR`` at the two sizes."""
+    for name in sorted(set(small) - {"ops"} - exempt):
         per_small = small[name] / small["ops"]
         per_large = large[name] / large["ops"]
         assert per_small > 0 and per_large > 0, name
         ratio = max(per_small, per_large) / min(per_small, per_large)
         assert ratio <= FLAT_FACTOR, (name, per_small, per_large)
+
+
+def test_streams_day_work_per_operation_is_flat_across_sizes(streams_day):
+    assert_flat(*(streams_day[cycles] for cycles in sorted(STREAMS_DAY)),
+                exempt=NOT_FLAT)
+
+
+# -- espresso-cdc -------------------------------------------------------------
+
+#: measured phase of ``espresso-cdc`` at seed 0, by requests
+ESPRESSO_CDC = {
+    260: {"ops": 260, "codec.encode_record": 392,
+          "codec.decode_record": 259, "codec.decode_with_resolution": 392,
+          "commit_wal.appends": 382, "commit_wal.fsyncs": 382,
+          "disk.writes": 382, "disk.bytes": 146_858,
+          "relay.windows": 191, "relay.events": 196,
+          "local_index.adds": 392, "ranked_index.adds": 191},
+    1040: {"ops": 1040, "codec.encode_record": 1562,
+           "codec.decode_record": 1110, "codec.decode_with_resolution": 1562,
+           "commit_wal.appends": 1520, "commit_wal.fsyncs": 1520,
+           "disk.writes": 1520, "disk.bytes": 583_922,
+           "relay.windows": 760, "relay.events": 781,
+           "local_index.adds": 1562, "ranked_index.adds": 760},
+}
+
+#: Python-level calls (``call`` and ``c_call`` profile events) in the
+#: measured phase of ``espresso-cdc`` at seed 0 and 260 requests, under
+#: the interpreter the pin was taken on
+ESPRESSO_CDC_CALLS = {"interpreter": (3, 11), "ops": 260, "calls": 110_413}
+
+
+class _Counted:
+    """Counts the calls of the wrapped methods while open."""
+
+    def __init__(self, *methods: tuple[type, str]):
+        self.calls = {method: 0 for method in methods}
+        self._saved: list[tuple[type, str, object]] = []
+
+    def __enter__(self) -> "_Counted":
+        for cls, name in self.calls:
+            original = cls.__dict__[name]
+            self._saved.append((cls, name, original))
+
+            def counted(obj, *args, _original=original, _key=(cls, name),
+                        **kwargs):
+                self.calls[_key] += 1
+                return _original(obj, *args, **kwargs)
+
+            setattr(cls, name, counted)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for cls, name, original in reversed(self._saved):
+            setattr(cls, name, original)
+
+
+def _espresso_totals(workload) -> dict[str, int]:
+    cluster = workload.cluster
+    nodes = list(cluster.nodes.values())
+    buffers = [cluster.relay.buffer(name)
+               for name in cluster.relay.buffer_names()]
+    return {
+        "commit_wal.appends": sum(n._commit_wal.appends for n in nodes),
+        "commit_wal.fsyncs": sum(n._commit_wal.fsyncs for n in nodes),
+        "disk.writes": workload.disk.writes,
+        "relay.windows": sum(b.windows_appended for b in buffers),
+        "relay.events": sum(b.events_appended for b in buffers),
+    }
+
+
+def _espresso_cdc(requests: int, seed: int = 0):
+    cls = WORKLOADS["espresso-cdc"]
+    workload = cls(seed, requests / cls.REQUESTS)
+    assert workload.steps == requests
+    workload.setup()
+    return workload
+
+
+def run_espresso_cdc(requests: int, seed: int = 0) -> dict[str, int]:
+    """The measured phase's counts of one ``espresso-cdc`` run."""
+    workload = _espresso_cdc(requests, seed)
+    before = _espresso_totals(workload)
+    workload.disk.start_trace()
+    with codec_calls() as calls, _Counted(
+            (LocalSecondaryIndex, "add"),
+            (RankedInvertedIndex, "add")) as counted:
+        for i in range(workload.steps):
+            workload.prepare(i)
+            workload.step(i)
+    after = _espresso_totals(workload)
+    assert workload.check() == []
+    counts = {name: after[name] - before[name] for name in after}
+    counts["disk.bytes"] = sum(event[4] for event in workload.disk.trace
+                               if event[0] == "write")
+    counts["local_index.adds"] = counted.calls[LocalSecondaryIndex, "add"]
+    counts["ranked_index.adds"] = counted.calls[RankedInvertedIndex, "add"]
+    for name in CODEC_FUNCTIONS:
+        counts[f"codec.{name}"] = calls.count(name)
+    counts["ops"] = workload.ops
+    return counts
+
+
+@pytest.fixture(scope="module")
+def espresso_cdc() -> dict[int, dict[str, int]]:
+    return {requests: run_espresso_cdc(requests) for requests in ESPRESSO_CDC}
+
+
+@pytest.mark.parametrize("requests", sorted(ESPRESSO_CDC))
+def test_espresso_cdc_work_counts_are_pinned(espresso_cdc, requests):
+    assert espresso_cdc[requests] == ESPRESSO_CDC[requests]
+
+
+def test_espresso_cdc_work_per_operation_is_flat_across_sizes(espresso_cdc):
+    assert_flat(*(espresso_cdc[requests] for requests in sorted(ESPRESSO_CDC)))
+
+
+def count_python_calls(requests: int, seed: int = 0) -> tuple[int, int]:
+    """``(ops, calls)``: every Python-level call (a function or a
+    builtin) the measured phase of one ``espresso-cdc`` run makes,
+    counted by a profile hook on this thread only.  The cyclic garbage
+    collector is off while it counts: a collection runs whatever
+    ``gc.callbacks`` other libraries installed (hypothesis installs
+    one), at points that depend on the heap this process built before."""
+    workload = _espresso_cdc(requests, seed)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for i in range(workload.steps):
+            workload.prepare(i)
+            workload.step(i)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return workload.ops, calls
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != ESPRESSO_CDC_CALLS["interpreter"],
+    reason="call counts are the interpreter's: re-take the pin on another")
+def test_espresso_cdc_python_calls_are_pinned():
+    """Interpreter overhead, gated: a change that adds a Python-level
+    call to the request path (a parser, a comprehension, a helper) moves
+    this count even when every layer's own count stays put."""
+    ops, calls = count_python_calls(ESPRESSO_CDC_CALLS["ops"])
+    assert (ops, calls) == (ESPRESSO_CDC_CALLS["ops"],
+                            ESPRESSO_CDC_CALLS["calls"])

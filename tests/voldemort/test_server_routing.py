@@ -1,5 +1,7 @@
 """Server-side routing (Figure II.1 pluggability) and batched get_all."""
 
+import random
+
 import pytest
 
 from repro.common.errors import (
@@ -35,6 +37,23 @@ class TestServerSideRouting:
         frontier, latency = thin.get(b"k")
         assert frontier[0].value == b"v"
         assert latency > 0
+
+    def test_a_forwarded_operation_builds_no_random_generator(
+            self, cluster, monkeypatch):
+        """A forward runs once (``NO_RETRY``): it never backs off, so it
+        must not pay for a Mersenne Twister it never draws from."""
+        thin = ServerSideRoutedStore(cluster, "s")
+        made = []
+
+        class CountedRandom(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountedRandom)
+        thin.put(b"k", Versioned.initial(b"v", 0))
+        assert thin.get(b"k")[0][0].value == b"v"
+        assert made == []
 
     def test_same_data_visible_to_client_side_router(self, cluster):
         thin = ServerSideRoutedStore(cluster, "s")
