@@ -26,7 +26,7 @@ What resolves (the supported idioms):
   chains like ``self.cluster.network.invoke`` resolve link by link;
 * local variables bound from a constructor call or annotated parameter;
 * functions passed by reference (the ``call_with_retries(fn, ...)``
-  pattern the retry-amplification rule tracks): a bare ``Name`` or
+  pattern the summaries' retries effect follows): a bare ``Name`` or
   ``self.attr`` argument resolving to a known function adds a ``ref``
   edge, treated by the summary layer as a possible call.
 
@@ -47,11 +47,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from repro.analysis.core import FileContext, Frame
-from repro.analysis.flow import FUNCTION_NODES, walk_scope
+from repro.analysis.core import NETWORK_CALL_ATTRS, FileContext, Frame
+from repro.analysis.flow import FUNCTION_NODES, callee_name, walk_scope
 
 #: Parameter names the deadline-threading analysis treats as a budget.
 DEADLINE_PARAM_NAMES = frozenset({"deadline", "budget"})
+
+#: Method names that are blocking primitives, by CallSite.kind.
+_PRIMITIVES = {**dict.fromkeys(NETWORK_CALL_ATTRS, "rpc"),
+               "sleep": "sleep", "fsync": "fsync"}
 
 #: Methods that build an object before anything else can reach it.
 CONSTRUCTORS = frozenset({"__init__", "__new__", "__post_init__"})
@@ -147,9 +151,11 @@ class CallSite:
     """One resolved call (or by-reference use) inside a function.
 
     ``kind`` is ``call`` for a direct invocation, ``ref`` for a
-    function passed by reference (possible deferred call), and
+    function passed by reference (possible deferred call),
     ``rpc``/``sleep``/``fsync`` for direct blocking primitives that
-    have no project-level callee.
+    have no project-level callee, and ``retry`` for a
+    ``call_with_retries(...)`` call (beside its ``call`` edge, when the
+    function resolves).
     """
 
     caller: str
@@ -351,10 +357,7 @@ class CallGraph:
                 return None
         while True:
             if isinstance(node, ast.Subscript):   # Optional[T] / list[T]
-                base = node.value
-                label = base.attr if isinstance(base, ast.Attribute) \
-                    else getattr(base, "id", "")
-                if label in ("Optional", "Union"):
+                if callee_name(node.value) in ("Optional", "Union"):
                     inner = node.slice
                     if isinstance(inner, ast.Tuple) and inner.elts:
                         node = inner.elts[0]
@@ -469,30 +472,21 @@ class CallGraph:
 
     def _effect_sites(self, fn: FunctionInfo, node: ast.Call,
                       line: int) -> Iterator[CallSite]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in ("invoke", "send"):
-            yield CallSite(fn.qualname, f"<{func.attr}>", line, kind="rpc",
-                           node_id=id(node))
-        elif func.attr == "sleep":
-            yield CallSite(fn.qualname, "<sleep>", line, kind="sleep",
-                           node_id=id(node))
-        elif func.attr == "fsync":
-            yield CallSite(fn.qualname, "<fsync>", line, kind="fsync",
+        name = callee_name(node.func)
+        kind = "retry" if name == "call_with_retries" else \
+            _PRIMITIVES.get(name) if isinstance(node.func, ast.Attribute) \
+            else None
+        if kind is not None:
+            yield CallSite(fn.qualname, f"<{name}>", line, kind=kind,
                            node_id=id(node))
 
     def _callees_of(self, func: ast.expr, fn: FunctionInfo,
                     env: _TypeEnv) -> list[str]:
         module = fn.module
         if isinstance(func, ast.Name):
-            # nested function of this frame first
-            nested = f"{fn.qualname}.{func.id}"
-            if nested in self.functions:
-                return [nested]
-            target = self._lookup_function(func.id, module)
-            if target is not None:
-                return [target.qualname]
+            named = self._named_function(func.id, fn)
+            if named:
+                return named
             cls = self._lookup_class(func.id, module)
             if cls is not None:
                 init = self.resolve_method(cls.qualname, "__init__",
@@ -518,16 +512,19 @@ class CallGraph:
                                                with_overrides=False)
         return []
 
+    def _named_function(self, name: str, fn: FunctionInfo) -> list[str]:
+        """The function a bare name in ``fn`` denotes: a def nested in
+        this frame first, then a module-level or imported one."""
+        nested = f"{fn.qualname}.{name}"
+        if nested in self.functions:
+            return [nested]
+        target = self._lookup_function(name, fn.module)
+        return [target.qualname] if target is not None else []
+
     def _ref_targets(self, arg: ast.expr, fn: FunctionInfo,
                      env: _TypeEnv) -> list[str]:
         if isinstance(arg, ast.Name):
-            nested = f"{fn.qualname}.{arg.id}"
-            if nested in self.functions:
-                return [nested]
-            target = self._lookup_function(arg.id, fn.module)
-            if target is not None:
-                return [target.qualname]
-            return []
+            return self._named_function(arg.id, fn)
         if isinstance(arg, ast.Attribute) and \
                 isinstance(arg.value, ast.Name):
             recv_type = env.resolve_expr(arg.value)

@@ -395,23 +395,29 @@ class Analyzer:
     def _check_context(self, ctx: FileContext) -> list[Finding]:
         kept: list[Finding] = []
         for rule in self.rules:
-            if isinstance(rule, ProjectRule) or rule.exempt(ctx):
-                continue
-            # timing the linter itself is diagnostics, not simulated
-            # behaviour, so the real clock is fine here
-            started = time.perf_counter()  # repro-lint: disable=wall-clock
-            for finding in rule.check(ctx):
-                if ctx.suppressed(finding.rule, finding.line,
-                                  finding.end_line):
-                    self.metrics.counter("lint.suppressed").increment()
-                    continue
-                self.metrics.counter(
-                    f"lint.findings.{finding.rule}").increment()
-                self.rule_findings[rule.name] += 1
-                kept.append(finding)
-            elapsed = time.perf_counter() - started  # repro-lint: disable=wall-clock
-            self.rule_seconds[rule.name] += elapsed
+            if not isinstance(rule, ProjectRule) and not rule.exempt(ctx):
+                kept.extend(self._keep(rule, rule.check(ctx),
+                                       {ctx.rel_path: ctx}))
         kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        return kept
+
+    def _keep(self, rule: Rule, findings: Iterable[Finding],
+              by_path: dict[str, FileContext]) -> list[Finding]:
+        """Drain one rule's findings: drop (and count) the suppressed
+        ones, count the rest, and charge the rule the time it took."""
+        # timing the linter itself is diagnostics, not simulated
+        # behaviour, so the real clock is fine here
+        started = time.perf_counter()  # repro-lint: disable=wall-clock
+        kept: list[Finding] = []
+        for finding in findings:
+            if self._chain_suppressed(finding, by_path):
+                self.metrics.counter("lint.suppressed").increment()
+                continue
+            self.metrics.counter(f"lint.findings.{finding.rule}").increment()
+            self.rule_findings[rule.name] += 1
+            kept.append(finding)
+        elapsed = time.perf_counter() - started  # repro-lint: disable=wall-clock
+        self.rule_seconds[rule.name] += elapsed
         return kept
 
     def run(self, paths: Iterable[Path | str]) -> LintReport:
@@ -453,20 +459,9 @@ class Analyzer:
         project.summaries              # builds the call graph too
         self.project_seconds += time.perf_counter() - started  # repro-lint: disable=wall-clock
         by_path = {ctx.rel_path: ctx for ctx in contexts}
-        kept: list[Finding] = []
-        for rule in project_rules:
-            started = time.perf_counter()  # repro-lint: disable=wall-clock
-            for finding in rule.check_project(project):
-                if self._chain_suppressed(finding, by_path):
-                    self.metrics.counter("lint.suppressed").increment()
-                    continue
-                self.metrics.counter(
-                    f"lint.findings.{finding.rule}").increment()
-                self.rule_findings[rule.name] += 1
-                kept.append(finding)
-            elapsed = time.perf_counter() - started  # repro-lint: disable=wall-clock
-            self.rule_seconds[rule.name] += elapsed
-        return kept
+        return [finding for rule in project_rules
+                for finding in self._keep(rule, rule.check_project(project),
+                                          by_path)]
 
     @staticmethod
     def _chain_suppressed(finding: Finding,

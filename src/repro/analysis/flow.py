@@ -34,15 +34,15 @@ written once here:
   that owns the tree (:meth:`~repro.analysis.core.FileContext.cfg`),
   which builds it on first request and dies with the run;
 * :func:`walk_paths` — the "carry a state down every path from this
-  element" search of the yield-point rules, parameterized by a
-  per-element step function.  (The typestate search of
-  :mod:`repro.analysis.protocol` keeps its own loop: it branches into
-  handlers mid-block and reports on *reaching* the exit, which a
-  yield walk never does.)
+  element" search, parameterized by a per-element step function: the
+  yield-point rules carry the first yield crossed, the typestate rules
+  of :mod:`repro.analysis.protocol` an open obligation, and both read
+  what reached the normal exit from its return value.
 
-Precision notes, honest edition: the CFG is statement-granular (an
-exception edge leaves with the state holding at block *entry*, which
-path searches over-approximate by also branching mid-block);
+Precision notes, honest edition: the CFG is statement-granular, and an
+exception edge leaves a block with every state the walk held inside it
+(an exception may fire between any two elements, so a handler sees the
+state before a mid-block discharge as well as after it);
 ``while True`` gets no false edge (otherwise every infinite dispatch
 loop would leak a phantom exit path); ``finally`` bodies are built
 once on the merged normal+exceptional path rather than duplicated per
@@ -54,6 +54,7 @@ the pragma mechanism is the escape hatch — but they never hide one.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -380,13 +381,16 @@ def walk_scope(roots: Iterable[ast.AST], lambdas: bool) -> Iterator[ast.AST]:
 
 def _evaluated_at(element: ast.AST) -> list[ast.AST]:
     """The sub-trees a CFG element evaluates itself.  ``For``/``With``
-    pseudo-elements stand for their header expressions only (iterable
-    / context items), since the body statements are separate elements
-    of other blocks; a nested def or class is opaque."""
+    and ``except`` pseudo-elements stand for their header expressions
+    only (iterable / context items / caught types), since the body
+    statements are separate elements; a nested def or class is
+    opaque."""
     if isinstance(element, (ast.For, ast.AsyncFor)):
         return [element.iter]
     if isinstance(element, (ast.With, ast.AsyncWith)):
         return [item.context_expr for item in element.items]
+    if isinstance(element, ast.ExceptHandler):
+        return [element.type] if element.type else []
     if isinstance(element, FUNCTION_NODES + (ast.ClassDef,)):
         return []
     return [element]
@@ -468,6 +472,44 @@ def calls_in(element: ast.AST) -> Iterator[ast.Call]:
             yield node
 
 
+def reads_any(node: ast.AST, names: set[str]) -> bool:
+    """Does anything under ``node`` load one of ``names``?  Nested
+    scopes count: a closure that reads a name reads it for its frame."""
+    return any(isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+               and sub.id in names for sub in ast.walk(node))
+
+
+def callee_name(func: ast.expr) -> str:
+    """The last name of what a call calls (``f`` / ``a.b.f`` -> ``f``)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The exception names an ``except`` clause catches, as written
+    (``errors.NodeDown`` -> ``NodeDown``); ``*`` for a bare ``except``."""
+    if handler.type is None:
+        return {"*"}
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return {name for node in nodes if (name := callee_name(node))}
+
+
+_WORD = re.compile(r"[A-Z]?[a-z0-9]+|[A-Z]+(?![a-z])")
+
+
+def names_word(name: str, words: frozenset[str]) -> bool:
+    """Is one of ``words`` a whole word of ``name``?  Words split at
+    ``.``, ``_`` and CamelCase humps, case-folded: ``_commit_wal``,
+    ``repro.common.wal.WriteAheadLog`` and ``MigrationJournal`` hold
+    ``wal`` / ``journal``; ``walk``, ``swallow`` and ``wall_clock`` do
+    not."""
+    return any(word.lower() in words for word in _WORD.findall(name))
+
+
 # -- the path walk -----------------------------------------------------------
 
 #: Returned by a :func:`walk_paths` step function to end the current
@@ -477,9 +519,10 @@ STOP = object()
 
 def walk_paths(cfg: CFG, block: BasicBlock, index: int,
                step: Callable[[ast.AST, object], object],
-               state: object = None) -> None:
+               state: object = None) -> list[object]:
     """Carry a state down every CFG path that starts at element
-    ``index`` of ``block``.
+    ``index`` of ``block``; return the states that reached the normal
+    exit.
 
     ``step(element, state)`` is called for each element in path order
     and returns the state to carry on with, or :data:`STOP` to prune
@@ -488,26 +531,38 @@ def walk_paths(cfg: CFG, block: BasicBlock, index: int,
     before the yield, truthy after — so a block is entered at most once
     per state *truthiness*: once on a pre-yield path, once on a
     post-yield one.  The start block itself may be re-entered from the
-    top (a loop back-edge is how a ``while`` test goes stale).  The
-    exit blocks are never entered: a path that leaves the function
-    acts on nothing.  Whatever a step convicts it records itself.
+    top (a loop back-edge is how a ``while`` test goes stale).  Normal
+    edges carry the state the block ends with; exception edges carry
+    every state the block passed through, the one it was entered with
+    included, since the raise may come before any element's effect.
+    The exit blocks are never stepped: a path that leaves the function
+    acts on nothing, and one that leaves by an uncaught raise is not
+    reported.  Whatever a step convicts it records itself.
     """
+    exits: list[object] = []
     stack: list[tuple[BasicBlock, int, object]] = [(block, index, state)]
     visited: set[tuple[int, bool]] = set()
     while stack:
         current, start, state = stack.pop()
+        # the first state of each truthiness the block passed through:
+        # a later one of the same truthiness would find its key visited
+        passed = {bool(state): state}
         for element in current.elements[start:]:
             state = step(element, state)
             if state is STOP:
                 break
-        else:
-            for edge in current.out_edges:
-                if edge.dst is cfg.exit or edge.dst is cfg.raise_exit:
-                    continue
-                key = (edge.dst.bid, bool(state))
-                if key not in visited:
-                    visited.add(key)
-                    stack.append((edge.dst, 0, state))
+            passed.setdefault(bool(state), state)
+        for edge in current.out_edges:
+            carried = passed.values() if edge.kind == "exc" else \
+                () if state is STOP else (state,)
+            for value in carried:
+                if edge.dst is cfg.exit:
+                    exits.append(value)
+                elif edge.dst is not cfg.raise_exit \
+                        and (edge.dst.bid, bool(value)) not in visited:
+                    visited.add((edge.dst.bid, bool(value)))
+                    stack.append((edge.dst, 0, value))
+    return exits
 
 
 def receiver_name(func: ast.expr) -> str:

@@ -17,9 +17,10 @@ Instances:
   the breaker's sliding window and freezes its state.
 
 A :class:`ProtocolSpec` declares the protocol; :func:`check_protocol`
-enforces it by path search: from each obligation site, walk every CFG
-path; a path that reaches the normal exit (or a forbidden event)
-without passing a discharge *on the same receiver* is a violation.
+enforces it by path search over :func:`~repro.analysis.flow.walk_paths`:
+from each obligation site, walk every CFG path; a path that reaches
+the normal exit (or a forbidden event) without passing a discharge
+*on the same receiver* is a violation.
 Paths that leave via an uncaught exception are excused — an exception
 propagating out of the function means the caller never gets an ack to
 mis-trust.  This is exactly where the PR 3 line-based heuristic fell
@@ -42,16 +43,19 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.analysis.core import FileContext
 from repro.analysis.flow import (
     CFG,
+    STOP,
     BasicBlock,
     calls_in,
+    callee_name,
     definitions,
     receiver_name,
     store_targets,
+    walk_paths,
 )
 
 
@@ -59,21 +63,21 @@ from repro.analysis.flow import (
 class ProtocolSpec:
     """One two-phase object protocol.
 
-    ``receiver`` matches receiver *names* to track (``self._slop_wal``
+    ``receiver`` tests receiver *names* to track (``self._slop_wal``
     tracks as ``_slop_wal``); ``derive_open_from`` additionally tracks
-    locals bound from ``<matching receiver>.open(...)`` — the def-use
+    locals bound from ``<passing receiver>.open(...)`` — the def-use
     link that lets ``with disk.open(p, "wb") as f`` put ``f`` under the
     same contract.  ``method_events`` maps method-name regexes to event
     names; the first match wins, so put specific patterns first.
     """
 
     name: str
-    receiver: re.Pattern
+    receiver: Callable[[str], object]
     method_events: tuple[tuple[re.Pattern, str], ...]
     obligation: str
     discharge: frozenset[str]
     exit_message: str
-    derive_open_from: re.Pattern | None = None
+    derive_open_from: Callable[[str], object] | None = None
     #: attribute/subscript assignment targets matching this pattern are
     #: forbidden while an obligation is open (watermark advances)
     forbidden_writes: re.Pattern | None = None
@@ -124,13 +128,13 @@ def _tracked_names(cfg: CFG, spec: ProtocolSpec) -> set[str]:
             if not isinstance(call.func, ast.Attribute):
                 continue
             recv = receiver_name(call.func)
-            if recv and spec.receiver.search(recv) \
+            if recv and spec.receiver(recv) \
                     and spec.classify(call.func.attr) is not None:
                 tracked.add(recv)
             # locals bound from <disk>.open(...) join the tracked set
             if spec.derive_open_from is not None \
                     and call.func.attr == "open" \
-                    and recv and spec.derive_open_from.search(recv):
+                    and recv and spec.derive_open_from(recv):
                 for name in definitions(element):
                     tracked.add(name)
     return tracked
@@ -143,19 +147,11 @@ def _element_events(element: ast.AST, spec: ProtocolSpec,
     they fire regardless of which tracked object is mid-protocol."""
     events: list[tuple[str, str, ast.AST]] = []
     for call in calls_in(element):
-        method = None
-        if isinstance(call.func, ast.Attribute):
-            method = call.func.attr
-            recv = receiver_name(call.func)
-        elif isinstance(call.func, ast.Name):
-            method = call.func.id
-            recv = None
-        if method is None:
-            continue
-        event = spec.classify(method)
+        event = spec.classify(callee_name(call.func))
         if event is None:
             continue
-        if recv is not None and recv in tracked:
+        recv = receiver_name(call.func)
+        if recv in tracked:
             events.append((recv, event, call))
         elif event in spec.forbidden_events:
             # acks fire on whatever object sends them (self, a client,
@@ -201,60 +197,38 @@ def _gated_edge_kind(test: ast.expr, call: ast.Call) -> str | None:
 
 # -- the path search ---------------------------------------------------------
 
+#: id(CFG element) -> the (receiver, event, node) triples it emits
+Events = dict[int, list[tuple[str, str, ast.AST]]]
 
-def _search_from(cfg: CFG, spec: ProtocolSpec, recv: str,
-                 events_at: dict[tuple[int, int], list[tuple[str, str, ast.AST]]],
-                 start: tuple[BasicBlock, int],
-                 obligation_node: ast.AST) -> Iterator[ProtocolViolation]:
-    """Walk every path from just-after the obligation site; yield a
-    violation for each way the obligation can escape undischarged."""
-    reported_exit = False
-    reported_nodes: set[int] = set()
-    # (block, starting element index); full-block revisits are pruned
-    stack: list[tuple[BasicBlock, int]] = [start]
-    seen_blocks: set[int] = set()
-    seen_exc: set[int] = set()
-    while stack:
-        block, index = stack.pop()
-        # an exception may fire between any two elements of this block:
-        # the obligation stays open into the handlers
-        if block.bid not in seen_exc:
-            seen_exc.add(block.bid)
-            for edge in block.out_edges:
-                if edge.kind == "exc" and edge.dst is not cfg.raise_exit:
-                    if edge.dst.bid not in seen_blocks:
-                        seen_blocks.add(edge.dst.bid)
-                        stack.append((edge.dst, 0))
-        discharged = False
-        for i in range(index, len(block.elements)):
-            for event_recv, event, node in events_at.get((block.bid, i), ()):
-                if event_recv == recv and event in spec.discharge:
-                    discharged = True
-                    break
-                if event == "forbidden-write" or event in spec.forbidden_events:
-                    if id(node) not in reported_nodes:
-                        reported_nodes.add(id(node))
-                        message = (spec.forbidden_write_message
-                                   if event == "forbidden-write"
-                                   else spec.forbidden_event_message)
-                        yield ProtocolViolation(node, message.format(recv=recv),
-                                                spec)
-            if discharged:
-                break
-        if discharged:
-            continue
-        for edge in block.out_edges:
-            if edge.kind == "exc":
-                continue   # handled above; raise_exit is excused
-            if edge.dst is cfg.exit:
-                if not reported_exit:
-                    reported_exit = True
-                    yield ProtocolViolation(
-                        obligation_node, spec.exit_message.format(recv=recv),
-                        spec)
-            elif edge.dst.bid not in seen_blocks:
-                seen_blocks.add(edge.dst.bid)
-                stack.append((edge.dst, 0))
+
+def _search_paths(cfg: CFG, spec: ProtocolSpec, recv: str, events: Events,
+                  block: BasicBlock, index: int,
+                  obligation_node: ast.AST) -> list[ProtocolViolation]:
+    """Walk every path from element ``index`` of ``block`` with the
+    obligation open: a discharge on the same receiver ends a path, a
+    forbidden event on it is a violation, and so is reaching the normal
+    exit (once per obligation)."""
+    found: list[ProtocolViolation] = []
+    reported: set[int] = set()
+
+    def step(element: ast.AST, state: object) -> object:
+        for event_recv, event, node in events.get(id(element), ()):
+            if event_recv == recv and event in spec.discharge:
+                return STOP
+            if (event == "forbidden-write" or event in spec.forbidden_events) \
+                    and id(node) not in reported:
+                reported.add(id(node))
+                message = spec.forbidden_write_message \
+                    if event == "forbidden-write" \
+                    else spec.forbidden_event_message
+                found.append(ProtocolViolation(
+                    node, message.format(recv=recv), spec))
+        return state
+
+    if walk_paths(cfg, block, index, step, True):
+        found.append(ProtocolViolation(
+            obligation_node, spec.exit_message.format(recv=recv), spec))
+    return found
 
 
 def check_cfg(cfg: CFG, spec: ProtocolSpec) -> Iterator[ProtocolViolation]:
@@ -262,42 +236,31 @@ def check_cfg(cfg: CFG, spec: ProtocolSpec) -> Iterator[ProtocolViolation]:
     tracked = _tracked_names(cfg, spec)
     if not tracked:
         return
-    events_at: dict[tuple[int, int], list[tuple[str, str, ast.AST]]] = {}
+    events: Events = {}
+    for _, _, element in cfg.elements():
+        emitted = _element_events(element, spec, tracked)
+        if emitted:
+            events[id(element)] = emitted
     for block, index, element in cfg.elements():
-        events = _element_events(element, spec, tracked)
-        if events:
-            events_at[(block.bid, index)] = events
-
-    for block, index, element in cfg.elements():
-        for recv, event, node in events_at.get((block.bid, index), ()):
+        for recv, event, node in events.get(id(element), ()):
             if event != spec.obligation:
                 continue
-            if spec.gate:
-                yield from _check_gated(cfg, spec, recv, events_at,
-                                        block, index, node)
-            else:
-                yield from _search_from(cfg, spec, recv, events_at,
-                                        (block, index + 1), node)
-
-
-def _check_gated(cfg: CFG, spec: ProtocolSpec, recv: str,
-                 events_at: dict, block: BasicBlock, index: int,
-                 call: ast.AST) -> Iterator[ProtocolViolation]:
-    """Open a gated obligation on the admitted branch edge(s)."""
-    element = block.elements[index]
-    admitted_kind = None
-    if isinstance(element, ast.expr):   # a branch-test pseudo-element
-        admitted_kind = _gated_edge_kind(element, call)
-    if admitted_kind is not None:
-        for edge in block.out_edges:
-            if edge.kind == admitted_kind:
-                yield from _search_from(cfg, spec, recv, events_at,
-                                        (edge.dst, 0), call)
-    else:
-        # result not directly branched on: conservatively obligate the
-        # fall-through — both branches if the element was a test
-        yield from _search_from(cfg, spec, recv, events_at,
-                                (block, index + 1), call)
+            if not spec.gate:
+                yield from _search_paths(cfg, spec, recv, events,
+                                         block, index + 1, node)
+                continue
+            # a gated obligation opens on the admitted branch edge; a
+            # gating call whose result is not branched on conservatively
+            # obligates the fall-through (both branches of a test)
+            admitted = _gated_edge_kind(element, node) \
+                if isinstance(element, ast.expr) else None
+            if admitted is None:
+                yield from _search_paths(cfg, spec, recv, events,
+                                         block, index + 1, node)
+            for edge in block.out_edges:
+                if admitted is not None and edge.kind == admitted:
+                    yield from _search_paths(cfg, spec, recv, events,
+                                             edge.dst, 0, node)
 
 
 def check_protocol(ctx: FileContext, spec: ProtocolSpec

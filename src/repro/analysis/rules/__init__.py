@@ -38,15 +38,19 @@ after the contract it enforces:
   journal record, or an ``@atomic_section`` proof.
 
 Four rules run on the control-flow graphs of
-:mod:`repro.analysis.flow` rather than on per-line syntax: the
-typestate pair (``durability-unsynced-ack``,
+:mod:`repro.analysis.flow` rather than on per-line syntax, and all
+four walk their paths through :func:`~repro.analysis.flow.walk_paths`:
+the typestate pair (``durability-unsynced-ack``,
 ``breaker-unrecorded-outcome``) through
 :mod:`repro.analysis.protocol`, ``atomicity-violation`` and
-``non-atomic-multi-write`` through its path walk.  The last three
-modules listed hold the five
-:class:`~repro.analysis.core.ProjectRule`\\ s, which consume the
+``non-atomic-multi-write`` as step functions of their own.  Seven are
+:class:`~repro.analysis.core.ProjectRule`\\ s, which read the
 repo-wide call graph (:mod:`repro.analysis.callgraph`) and effect
-summaries (:mod:`repro.analysis.summaries`).
+summaries (:mod:`repro.analysis.summaries`) instead of re-deriving
+them: ``deadline-dropped`` and ``unbounded-rpc`` (one set of deadline
+drops, split by whether the function reads its budget),
+``retry-amplification`` (the ``retries`` effect),
+``escaped-internal-error`` and the three atomicity rules.
 """
 
 from repro.analysis.rules import (  # noqa: F401

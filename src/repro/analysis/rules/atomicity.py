@@ -55,8 +55,10 @@ from repro.analysis.flow import (
     CFG,
     STOP,
     calls_in,
+    callee_name,
     definitions,
     evaluated_nodes,
+    names_word,
     uses,
     walk_paths,
 )
@@ -71,9 +73,9 @@ from repro.analysis.summaries import (
     self_path,
 )
 
-#: Dotted-path components that mark a call as a journaling/WAL record
-#: (the durability act that makes a multi-write pair recoverable).
-_JOURNAL = re.compile(r"journal|wal", re.IGNORECASE)
+#: Name words that mark a call as a journaling/WAL record (the
+#: durability act that makes a multi-write pair recoverable).
+_JOURNAL = frozenset({"journal", "wal"})
 
 _ATOMIC_LINE = re.compile(r"#\s*repro-atomic\s*(?::\s*(begin|end))?\s*$")
 
@@ -197,10 +199,10 @@ def _yield_at(element: ast.AST,
 def _journal_call(call: ast.Call) -> bool:
     node: ast.AST = call.func
     while isinstance(node, ast.Attribute):
-        if _JOURNAL.search(node.attr):
+        if names_word(node.attr, _JOURNAL):
             return True
         node = node.value
-    return isinstance(node, ast.Name) and bool(_JOURNAL.search(node.id))
+    return isinstance(node, ast.Name) and names_word(node.id, _JOURNAL)
 
 
 def _durability_record(element: ast.AST,
@@ -218,7 +220,7 @@ def _durability_record(element: ast.AST,
         point = yields.get(id(call))
         if point is not None and (
                 point.direct == "fsync"
-                or any(_JOURNAL.search(frame.callee)
+                or any(names_word(frame.callee, _JOURNAL)
                        for frame in point.chain)):
             return True
     return False
@@ -256,101 +258,131 @@ class AtomicityViolationRule(ProjectRule):
                 continue
             cfg = fn.module.ctx.cfg(fn.node)
             sites = _element_sites(cfg, summary)
-            seen_lines: set[int] = set()
-            for var, origin, attr, point, element in _stale_uses(
+            for var, origin, path, point, element in _stale_uses(
                     cfg, yields, mutable, self_name, sites):
-                seen_lines.add(element.lineno)
-                use = "branched on" if isinstance(element, ast.expr) \
-                    else "written back"
-                built = "" if var == origin else \
-                    f"'{var}' was built after the yield from '{origin}', " \
-                    f"and "
+                line = element.lineno
+                if var is None:
+                    message = (
+                        f"self.{path} is read before the yield point on "
+                        f"line {point.line} ({_blocks_on(point)}) and "
+                        f"written back on line {line} without re-reading "
+                        f"it; any event may have advanced self.{path} "
+                        f"during the yield — re-check it before the store")
+                    what = f"unrevalidated store to self.{path}"
+                else:
+                    use = "branched on" if isinstance(element, ast.expr) \
+                        else "written back"
+                    built = "" if var == origin else \
+                        f"'{var}' was built after the yield from " \
+                        f"'{origin}', and "
+                    message = (
+                        f"{built}'{origin}' was read from self.{path} "
+                        f"before the yield point on line {point.line} "
+                        f"({_blocks_on(point)}) but is {use} after it "
+                        f"without revalidation; re-read self.{path} once "
+                        f"control returns — any event may have changed "
+                        f"it during the yield")
+                    what = f"stale use of '{var}'"
                 yield self.chain_finding(
-                    project, fn.rel_path, element.lineno,
-                    f"{built}'{origin}' was read from self.{attr} before "
-                    f"the yield point on line {point.line} "
-                    f"({_blocks_on(point)}) but is {use}"
-                    f" after it without revalidation; re-read "
-                    f"self.{attr} once control returns — any event may "
-                    f"have changed it during the yield",
-                    (fn.frame(element.lineno, f"stale use of '{var}'"),)
-                    + point.chain)
-            for path, point, element in _toctou_stores(
-                    cfg, yields, mutable, self_name, sites):
-                if element.lineno in seen_lines:
-                    continue        # already convicted via a stale local
-                yield self.chain_finding(
-                    project, fn.rel_path, element.lineno,
-                    f"self.{path} is read before the yield point on line "
-                    f"{point.line} ({_blocks_on(point)}) and written back "
-                    f"on line {element.lineno} without re-reading it; "
-                    f"any event may have advanced self.{path} during the "
-                    f"yield — re-check it before the store",
-                    (fn.frame(element.lineno,
-                              f"unrevalidated store to self.{path}"),)
-                    + point.chain)
+                    project, fn.rel_path, line, message,
+                    (fn.frame(line, what),) + point.chain)
 
 
 def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
                 self_name: str, sites: Sites
-                ) -> list[tuple[str, str, str, YieldPoint, ast.AST]]:
-    """Stale uses of every local bound from mutable shared state, as
-    ``(local, origin, attr, yield point, element)``.  The path walk
-    starts just after the binding and carries the first yield point
-    crossed; after it, a re-read of ``self.<attr>`` revalidates and
-    ends the path, as does any rebinding of the local, and a branch
-    test or shared-state write (a mutation site of any kind) that reads
-    the local is a stale use.  A write's re-read whose subscript or
-    slice reads a stale local (``self.x = kept + self.x[len(var):]``)
-    leans on the stale value and revalidates nothing; a branch test
-    that compares fresh state with the local is the revalidation
-    itself, however it indexes.  After the yield, a local built from a
-    stale one by an assignment (``tail = f(var)``) or by a mutator
-    called on it (``kept.extend(var)``) is stale too, and is followed
-    from there (:func:`_built_locals`)."""
-    found: list[tuple[str, str, str, YieldPoint, ast.AST]] = []
+                ) -> list[tuple[str | None, str | None, str, YieldPoint,
+                                ast.AST]]:
+    """Stale uses of values read from mutable shared state, as
+    ``(holder, origin, path, yield point, element)``.
+
+    One fact is tracked per read: an element that loads a mutable self
+    path (and does not itself yield) starts a path walk that carries
+    the first yield point crossed.  The value lives either in a local
+    the element binds (``origin``; the path is then the attribute it
+    was read from) or, with no local, in the path itself (holder and
+    origin None).  After the yield a re-read of the path revalidates
+    and ends the walk.  A local's stale use is a branch test or a
+    shared-state write (a mutation site of any kind) that reads it; a
+    rebinding of the local ends its walk.  The path's own stale use is
+    a plain store to it that re-reads no mutable state (a store
+    recomputed from post-yield state is fresh); a store or
+    read-modify-write before the yield supersedes the read.
+
+    A write's re-read whose subscript or slice reads a stale local
+    (``self.x = kept + self.x[len(var):]``) leans on the stale value
+    and revalidates nothing; a branch test that compares fresh state
+    with the local is the revalidation itself, however it indexes.
+    After the yield, a local built from a stale one by an assignment
+    (``tail = f(var)``) or by a mutator called on it
+    (``kept.extend(var)``) is stale too, and is followed from there
+    (:func:`_built_locals`).  Each element is convicted once, by the
+    first fact to reach it, locals before paths."""
+    found: list[tuple[str | None, str | None, str, YieldPoint, ast.AST]] = []
+    convicted: set[int] = set()
     position = {id(element): (block, index)
                 for block, index, element in cfg.elements()}
-    for block, index, element in cfg.elements():
-        for origin, attr in _tracked_defs(element, mutable, self_name,
-                                          yields, sites.get(id(element), [])):
-            reported: set[int] = set()
-            followed: set[tuple[str, int]] = set()
+    local_facts: list[tuple[ast.AST, str, str | None]] = []
+    path_facts: list[tuple[ast.AST, str, str | None]] = []
+    for _, _, element in cfg.elements():
+        if _yield_at(element, yields) is not None:
+            continue            # the read rides the yield itself
+        at = sites.get(id(element), [])
+        local_facts.extend((element, attr, name) for name, attr
+                           in _tracked_defs(element, mutable, self_name, at))
+        path_facts.extend((element, path, None) for path in sorted(
+            p for p in _reval_load_paths(element, self_name, at)
+            if p.split(".")[0] in mutable))
 
-            def follow(var: str, stale: set[str], start: ast.AST,
-                       crossed: YieldPoint | None) -> None:
-                def step(current: ast.AST, crossed: YieldPoint | None):
-                    if crossed is not None:
-                        at = sites.get(id(current), [])
-                        test = isinstance(current, ast.expr)
-                        read = uses(current)
-                        keys = stale & read
-                        skip = _keyed_by(current, keys) \
-                            if keys and not test else frozenset()
-                        if attr in _tops(_reval_load_paths(
-                                current, self_name, at, skip)):
-                            return STOP     # revalidated: tracking ends
-                        wrote = any(site.kind != "self-call" for site in at)
-                        if var in read and (wrote or test):
-                            if id(current) not in reported:
-                                reported.add(id(current))
-                                found.append((var, origin, attr, crossed,
-                                              current))
-                        elif var in read:
-                            for carrier in _built_locals(current, self_name):
-                                if carrier not in stale and (
-                                        carrier, id(current)) not in followed:
-                                    followed.add((carrier, id(current)))
-                                    follow(carrier, stale | {carrier},
-                                           current, crossed)
-                    if var in definitions(current):
-                        return STOP
-                    return crossed or _yield_at(current, yields)
+    def follow(path: str, origin: str | None, var: str | None,
+               stale: set[str], start: ast.AST,
+               crossed: YieldPoint | None,
+               followed: set[tuple[str, int]]) -> None:
+        def step(current: ast.AST, crossed: YieldPoint | None):
+            at = sites.get(id(current), [])
+            stores = {site.kind for site in at if site.path == path}
+            if crossed is None:
+                if var is None and stores & {"store", "rmw"}:
+                    return STOP     # superseded before any yield
+            else:
+                test = isinstance(current, ast.expr)
+                read = uses(current) if var is not None else set()
+                keys = stale & read
+                skip = _keyed_by(current, keys) \
+                    if keys and not test else frozenset()
+                reloads = _reval_load_paths(current, self_name, at, skip)
+                if any(load == path or load.startswith(path + ".")
+                       for load in reloads):
+                    return STOP     # revalidated: tracking ends
+                if var is None:
+                    if "store" not in stores:
+                        return crossed
+                    if not _tops(reloads) & mutable \
+                            and id(current) not in convicted:
+                        convicted.add(id(current))
+                        found.append((None, None, path, crossed, current))
+                    return STOP     # a plain store supersedes
+                wrote = any(site.kind != "self-call" for site in at)
+                if var in read and (wrote or test):
+                    if id(current) not in convicted:
+                        convicted.add(id(current))
+                        found.append((var, origin, path, crossed, current))
+                elif var in read:
+                    for carrier in _built_locals(current, self_name):
+                        if carrier not in stale and (
+                                carrier, id(current)) not in followed:
+                            followed.add((carrier, id(current)))
+                            follow(path, origin, carrier, stale | {carrier},
+                                   current, crossed, followed)
+            if var is not None and var in definitions(current):
+                return STOP
+            return crossed or _yield_at(current, yields)
 
-                at_block, at_index = position[id(start)]
-                walk_paths(cfg, at_block, at_index + 1, step, crossed)
+        at_block, at_index = position[id(start)]
+        walk_paths(cfg, at_block, at_index + 1, step, crossed)
 
-            follow(origin, {origin}, element, None)
+    for element, path, var in local_facts + path_facts:
+        follow(path, var, var, {var} if var else set(), element, None,
+               set())
     return found
 
 
@@ -371,62 +403,18 @@ def _built_locals(element: ast.AST, self_name: str) -> list[str]:
 
 
 def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
-                  yields: dict[int, YieldPoint], sites: list[Mutation]
-                  ) -> list[tuple[str, str]]:
-    """``(local, attr)`` pairs bound from mutable shared state.  An
-    element that itself yields is a post-yield (re)read, not a stale
-    source, and a value *taken* out of shared state (``pop`` and kin)
-    is owned by the local: it left the attribute atomically."""
+                  sites: list[Mutation]) -> list[tuple[str, str]]:
+    """``(local, attr)`` pairs bound from mutable shared state.  A value
+    *taken* out of shared state (``pop`` and kin) is owned by the
+    local: it left the attribute atomically."""
     if not isinstance(element, (ast.Assign, ast.AnnAssign)) \
-            or element.value is None \
-            or _yield_at(element, yields) is not None:
+            or element.value is None:
         return []
     taken = _tops(site.path for site in sites if site.kind == "take")
     attrs = (_tops(_self_load_paths(element.value, self_name)) & mutable) \
         - taken
     return [(name, min(attrs)) for name in definitions(element)] \
         if attrs else []
-
-
-def _toctou_stores(cfg: CFG, yields: dict[int, YieldPoint],
-                   mutable: set[str], self_name: str, sites: Sites
-                   ) -> list[tuple[str, YieldPoint, ast.AST]]:
-    """Check-then-act without a local: a dotted self path is loaded,
-    control crosses a yield, and the same path is stored with no
-    re-read in between.  A store whose right-hand side re-reads the
-    path revalidates itself and clears."""
-    found: list[tuple[str, YieldPoint, ast.AST]] = []
-    reported: set[tuple[str, int]] = set()
-    for block, index, element in cfg.elements():
-        if _yield_at(element, yields) is not None:
-            continue        # the read rides the yield itself
-        paths = {p for p in _reval_load_paths(
-                     element, self_name, sites.get(id(element), []))
-                 if p.split(".")[0] in mutable}
-        for path in sorted(paths):
-
-            def step(current: ast.AST, crossed: YieldPoint | None):
-                at = sites.get(id(current), [])
-                kinds = {site.kind for site in at if site.path == path}
-                if crossed is None:
-                    if kinds & {"store", "rmw"}:
-                        return STOP     # superseded before any yield
-                    return _yield_at(current, yields)
-                reloads = _reval_load_paths(current, self_name, at)
-                if path in reloads:
-                    return STOP         # revalidated
-                if "store" not in kinds:
-                    return crossed
-                # a store recomputed from post-yield mutable state is
-                # fresh, not a stale write-back
-                key = (path, current.lineno)
-                if not _tops(reloads) & mutable and key not in reported:
-                    reported.add(key)
-                    found.append((path, crossed, current))
-                return STOP             # a plain store supersedes
-
-            walk_paths(cfg, block, index + 1, step)
-    return found
 
 
 # -- non-atomic-multi-write --------------------------------------------------
@@ -565,14 +553,8 @@ class YieldInAtomicSectionRule(ProjectRule):
 
 
 def _declared_atomic(node: ast.AST) -> bool:
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func \
-            if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else \
-            target.id if isinstance(target, ast.Name) else ""
-        if name == "atomic_section":
-            return True
-    return False
+    return any(callee_name(getattr(decorator, "func", decorator))
+               == "atomic_section" for decorator in node.decorator_list)
 
 
 def _atomic_regions(source: str) -> list[tuple[int, int]]:

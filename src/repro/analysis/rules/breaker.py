@@ -31,7 +31,7 @@ from repro.analysis.protocol import ProtocolSpec, check_protocol
 
 BREAKER_SPEC = ProtocolSpec(
     name="circuit-breaker",
-    receiver=re.compile(r"breaker", re.IGNORECASE),
+    receiver=re.compile(r"breaker", re.IGNORECASE).search,
     method_events=(
         (re.compile(r"^allow$"), "allow"),
         (re.compile(r"^(record_success|record_failure|reset)$"), "record"),

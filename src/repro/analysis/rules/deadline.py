@@ -10,10 +10,12 @@ being bounded, and the deadline tests above that hop pass while the
 hop below ignores them.
 
 Flagged: a function with a parameter named ``deadline`` (or annotated
-``Deadline``) whose body makes simulated-network calls
-(``.invoke``/``.send``) or delegates to ``call_with_retries`` but
-never *reads* the deadline parameter — no ``deadline.clamp(...)``, no
-``deadline.check()``, no forwarding it to a callee.
+``Deadline``) that never *reads* it — no ``deadline.clamp(...)``, no
+``deadline.check()``, no forwarding it to a callee — while the effect
+summaries record a drop in it: a simulated-network call
+(``.invoke``/``.send``), a ``call_with_retries``, or a call that
+reaches either.  A function that reads its deadline somewhere and
+still drops it at one call is ``unbounded-rpc``'s.
 
 Functions that merely accept the parameter for interface conformance
 and do no network work are not flagged.
@@ -21,35 +23,14 @@ and do no network work are not flagged.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.analysis.callgraph import deadline_params
-from repro.analysis.core import (
-    NETWORK_CALL_ATTRS,
-    FileContext,
-    Finding,
-    Rule,
-    register,
-)
-from repro.analysis.summaries import _reads_any
-
-
-def _does_network_work(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Attribute) and \
-                node.func.attr in NETWORK_CALL_ATTRS:
-            return True
-        if isinstance(node.func, ast.Name) and \
-                node.func.id == "call_with_retries":
-            return True
-    return False
+from repro.analysis.core import Finding, ProjectRule, register
 
 
 @register
-class DeadlineDroppedRule(Rule):
+class DeadlineDroppedRule(ProjectRule):
     name = "deadline-dropped"
     summary = ("function accepts a Deadline but performs network calls "
                "without consulting or forwarding it")
@@ -57,20 +38,15 @@ class DeadlineDroppedRule(Rule):
                  "clamps its timeout to the remaining budget; one hop "
                  "that drops the deadline unbounds the whole request.")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def check_project(self, project) -> Iterator[Finding]:
+        for qualname in sorted(project.summaries):
+            summary = project.summaries[qualname]
+            if not summary.drops_deadline or summary.reads_deadline:
                 continue
-            params = deadline_params(node)
-            if not params:
-                continue
-            if not _does_network_work(node):
-                continue
-            for param in params:
-                if not _reads_any(node, {param}):
-                    yield self.finding(
-                        ctx, node,
-                        f"{node.name}() accepts {param!r} but never reads "
-                        "it before its network calls; clamp per-hop "
-                        "timeouts with deadline.clamp(...) and forward it "
-                        "downstream")
+            fn = project.graph.functions[qualname]
+            for param in deadline_params(fn.node):
+                yield self.finding(
+                    fn.module.ctx, fn.node,
+                    f"{fn.name}() accepts {param!r} but never reads it "
+                    "before its network calls; clamp per-hop timeouts "
+                    "with deadline.clamp(...) and forward it downstream")

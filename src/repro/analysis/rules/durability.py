@@ -36,17 +36,24 @@ caller owns the fsync placement).
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Iterator
 
 from repro.analysis.core import FileContext, Finding, Rule, register
+from repro.analysis.flow import names_word
 from repro.analysis.protocol import ProtocolSpec, check_protocol
 
-_DURABLE_RECEIVER = re.compile(r"(^|_)(wal|disk)(_|$)", re.IGNORECASE)
+_DURABLE_WORDS = frozenset({"wal", "disk"})
+
+
+def _durable_receiver(name: str) -> bool:
+    return names_word(name, _DURABLE_WORDS)
+
 
 #: Named WAL/disk receivers: append/write opens the obligation.
 WAL_SPEC = ProtocolSpec(
     name="wal",
-    receiver=_DURABLE_RECEIVER,
+    receiver=_durable_receiver,
     method_events=(
         (re.compile(r"^(append|write)$"), "write"),
         (re.compile(r"fsync|^sync$"), "sync"),
@@ -71,29 +78,21 @@ WAL_SPEC = ProtocolSpec(
 
 #: File handles whose provenance is ``<disk>.open(...)``: same contract,
 #: receiver recognized by dataflow instead of naming convention.
-DISK_HANDLE_SPEC = ProtocolSpec(
+DISK_HANDLE_SPEC = replace(
+    WAL_SPEC,
     name="disk-handle",
-    receiver=re.compile(r"$^"),   # nothing matches by name alone
-    derive_open_from=_DURABLE_RECEIVER,
+    receiver=lambda name: False,   # nothing matches by name alone
+    derive_open_from=_durable_receiver,
     method_events=(
         (re.compile(r"^(write|truncate|writelines)$"), "write"),
-        (re.compile(r"fsync|^sync$"), "sync"),
-        (re.compile(r"(^|_)ack"), "ack"),
+        *WAL_SPEC.method_events[1:],
     ),
-    obligation="write",
-    discharge=frozenset({"sync"}),
-    forbidden_events=frozenset({"ack"}),
-    forbidden_writes=re.compile(r"watermark|(^|_)scn(_|$)|applied_through",
-                                re.IGNORECASE),
     exit_message=(
         "{recv} (opened from a disk) is written on a path that returns "
         "without an fsync; the caller can ack bytes a crash will erase"),
     forbidden_event_message=(
         "ack fires while {recv} holds unsynced bytes; fsync before "
         "acknowledging"),
-    forbidden_write_message=(
-        "watermark advances while {recv} holds unsynced bytes; a crash "
-        "now replays a watermark the log cannot back"),
 )
 
 

@@ -31,6 +31,7 @@ from typing import Iterator
 
 from repro.analysis.callgraph import bare_name
 from repro.analysis.core import Finding, ProjectRule, register
+from repro.analysis.summaries import Hierarchy, iter_public_boundary
 
 #: Exception types a public boundary may legitimately let escape.
 ALLOWED_ESCAPES = frozenset({
@@ -54,7 +55,6 @@ class EscapedInternalErrorRule(ProjectRule):
                  "turns an expected failure into a crash.")
 
     def check_project(self, project) -> Iterator[Finding]:
-        from repro.analysis.summaries import Hierarchy, iter_public_boundary
         summaries = project.summaries
         hierarchy = Hierarchy(project.graph)
         reported: set[tuple[str, int, str]] = set()
@@ -88,7 +88,7 @@ class EscapedInternalErrorRule(ProjectRule):
             return False
         if hierarchy.is_subtype(raised, "ReproError"):
             return False
-        if raised in hierarchy._bases:
+        if raised in hierarchy.bases:
             # a scanned class outside the taxonomy: internal iff it is
             # exception-shaped at all
             return hierarchy.is_subtype(raised, "Exception")

@@ -10,16 +10,18 @@ the front door precisely so that *one* bounded retry budget, owned by
 one layer, is the only re-sending that happens.
 
 A *retrying context* here is either a ``call_with_retries(...)`` call
-(its function argument is the retried region) or a retry-shaped loop
-(per ``retry-without-backoff``'s definition) that catches a transport
-error and keeps looping.  The rule flags, inside such a context:
+(its arguments are the retried region) or a retry loop (per
+``retry-without-backoff``'s definition,
+:func:`~repro.analysis.summaries.retry_catch`) that catches a
+transport error and keeps looping.  The rule flags, inside such a
+context in any function:
 
 * another ``call_with_retries`` call;
-* another retry loop that catches a transport error and continues;
-* a call to — or, for ``call_with_retries`` arguments, a bare
-  reference to — a same-file function/method that itself contains
-  either: the one-file approximation of the cross-layer nesting this
-  rule exists to catch.
+* another retry loop;
+* a call to — or, for ``call_with_retries`` arguments, a function
+  passed by reference that is — a function whose effect summary
+  *retries*: it holds a retrying context itself or reaches one through
+  any number of frames, in any file of the scan.
 
 The fix is to pick the layer that owns the retry (usually the
 outermost one with the deadline budget) and make every inner layer
@@ -31,57 +33,19 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import (
-    TRANSPORT_ERROR_NAMES,
-    FileContext,
-    Finding,
-    Rule,
-    register,
-)
-from repro.analysis.rules.retry_backoff import (
-    _callee_name,
-    _handler_retries,
-    _is_retry_loop,
-)
-from repro.analysis.rules.swallowed import _caught_names
+from repro.analysis.callgraph import bare_name
+from repro.analysis.core import Finding, ProjectRule, register
+from repro.analysis.flow import callee_name, walk_scope
+from repro.analysis.summaries import retry_catch
 
 
 def _is_retry_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and \
-        _callee_name(node.func) == "call_with_retries"
-
-
-def _is_retrying_loop(node: ast.AST) -> bool:
-    """A loop that re-attempts after transport failures (paced or not —
-    pacing fixes storms, not multiplication)."""
-    if not isinstance(node, (ast.While, ast.For)) or not _is_retry_loop(node):
-        return False
-    for child in ast.walk(node):
-        if isinstance(child, ast.Try):
-            for handler in child.handlers:
-                if _caught_names(handler) & TRANSPORT_ERROR_NAMES and \
-                        _handler_retries(handler):
-                    return True
-    return False
-
-
-def _retrying_functions(tree: ast.AST) -> set[str]:
-    """Names of same-file functions whose body contains a retrying
-    context (so calling them from inside one nests the budgets)."""
-    names = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for child in ast.walk(node):
-            if child is not node and \
-                    (_is_retry_call(child) or _is_retrying_loop(child)):
-                names.add(node.name)
-                break
-    return names
+        callee_name(node.func) == "call_with_retries"
 
 
 @register
-class RetryAmplificationRule(Rule):
+class RetryAmplificationRule(ProjectRule):
     name = "retry-amplification"
     summary = ("retrying context nested inside another retrying context; "
                "retry budgets multiply load under overload")
@@ -90,45 +54,55 @@ class RetryAmplificationRule(Rule):
                  "makes overload metastable.  Exactly one layer owns the "
                  "retry; inner layers fail fast or shed.")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        retrying_methods = _retrying_functions(ctx.tree)
+    def check_project(self, project) -> Iterator[Finding]:
+        graph, summaries = project.graph, project.summaries
         flagged: set[int] = set()
-        for outer in ast.walk(ctx.tree):
-            is_retry_call = _is_retry_call(outer)
-            if is_retry_call:
-                # the retried region is the call's arguments (the fn
-                # plus any callbacks), not the call node itself
-                region: list[ast.AST] = list(outer.args) + \
-                    [kw.value for kw in outer.keywords]
-            elif _is_retrying_loop(outer):
-                region = list(outer.body) + list(outer.orelse)
-            else:
-                continue
-            for root in region:
-                for inner in ast.walk(root):
-                    if id(inner) in flagged:
-                        continue
-                    if _is_retry_call(inner):
-                        detail = "nested call_with_retries"
-                    elif _is_retrying_loop(inner):
-                        detail = "nested retry loop"
-                    elif isinstance(inner, ast.Call) and \
-                            _callee_name(inner.func) in retrying_methods:
-                        detail = (f"call to {_callee_name(inner.func)}(), "
-                                  "which retries internally")
-                    elif is_retry_call and inner is root and \
-                            isinstance(inner, ast.Name) and \
-                            inner.id in retrying_methods:
-                        # the retried callable itself retries: passing
-                        # a retrying function to call_with_retries
-                        detail = (f"{inner.id} (which retries internally) "
-                                  "passed as the retried function")
-                    else:
-                        continue
-                    flagged.add(id(inner))
-                    yield self.finding(
-                        ctx, inner,
-                        f"{detail} inside a retrying context: budgets "
-                        "multiply (attempts^depth requests per failure); "
-                        "let exactly one layer own the retry and make "
-                        "the other fail fast")
+        for qualname in sorted(graph.functions):
+            fn = graph.functions[qualname]
+            if not summaries[qualname].retries:
+                continue        # no retrying context here or below
+            # (call node, kind) -> bare names of the callees that retry
+            retrying: dict[tuple[int, str], set[str]] = {}
+            for site in graph.callees(qualname):
+                callee = summaries.get(site.callee)
+                if callee is not None and callee.retries:
+                    retrying.setdefault((site.node_id, site.kind), set()) \
+                        .add(bare_name(site.callee))
+            for outer in walk_scope(ast.iter_child_nodes(fn.node),
+                                    lambdas=True):
+                if _is_retry_call(outer):
+                    # the retried region is the call's arguments (the fn
+                    # plus any callbacks), not the call node itself
+                    region = [*outer.args, *(kw.value for kw in outer.keywords)]
+                    passed = retrying.get((id(outer), "ref"), set())
+                elif retry_catch(outer):
+                    region, passed = [*outer.body, *outer.orelse], set()
+                else:
+                    continue
+                for root in region:
+                    for inner in walk_scope([root], lambdas=True):
+                        if id(inner) in flagged:
+                            continue
+                        name = callee_name(getattr(inner, "func", inner))
+                        if _is_retry_call(inner):
+                            detail = "nested call_with_retries"
+                        elif retry_catch(inner):
+                            detail = "nested retry loop"
+                        elif isinstance(inner, ast.Call) and \
+                                (id(inner), "call") in retrying:
+                            detail = (f"call to {name}(), "
+                                      "which retries internally")
+                        elif inner is root and name in passed and \
+                                isinstance(inner, (ast.Name, ast.Attribute)):
+                            # the retried callable itself retries
+                            detail = (f"{name} (which retries internally) "
+                                      "passed as the retried function")
+                        else:
+                            continue
+                        flagged.add(id(inner))
+                        yield self.finding(
+                            fn.module.ctx, inner,
+                            f"{detail} inside a retrying context: budgets "
+                            "multiply (attempts^depth requests per "
+                            "failure); let exactly one layer own the retry "
+                            "and make the other fail fast")

@@ -12,7 +12,9 @@ A loop is considered a *retry loop* when it is a ``while`` loop, a
 ``for`` over ``range(...)``, or a ``for`` whose target is named like
 ``attempt``/``retry``/``round``/``tries``, AND it catches a transport
 error from ``repro.common.errors`` without re-raising or exiting the
-loop (i.e. the failure leads to another attempt).  Such a loop must
+loop (i.e. the failure leads to another attempt): the summaries'
+:func:`~repro.analysis.summaries.retry_catch`, which the ``retries``
+effect and ``retry-amplification`` share.  Such a loop must
 contain a pacing call: ``call_with_retries``, a ``RetryPolicy``
 backoff, or a ``clock.sleep`` — matched by callee name containing
 ``sleep``/``backoff`` or equal to ``call_with_retries``.
@@ -24,57 +26,21 @@ are not retry loops and are not flagged.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
-from repro.analysis.core import (
-    TRANSPORT_ERROR_NAMES,
-    FileContext,
-    Finding,
-    Rule,
-    register,
-)
-from repro.analysis.rules.swallowed import _caught_names
-
-_RETRY_TARGET = re.compile(r"attempt|retry|retries|round|tries", re.IGNORECASE)
-
-
-def _is_retry_loop(node: ast.While | ast.For) -> bool:
-    if isinstance(node, ast.While):
-        return True
-    if isinstance(node.iter, ast.Call) and \
-            isinstance(node.iter.func, ast.Name) and \
-            node.iter.func.id == "range":
-        return True
-    return isinstance(node.target, ast.Name) and \
-        bool(_RETRY_TARGET.search(node.target.id))
-
-
-def _callee_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
+from repro.analysis.core import FileContext, Finding, Rule, register
+from repro.analysis.flow import callee_name
+from repro.analysis.summaries import retry_catch
 
 
 def _has_pacing_call(node: ast.AST) -> bool:
     for child in ast.walk(node):
         if isinstance(child, ast.Call):
-            name = _callee_name(child.func).lower()
+            name = callee_name(child.func).lower()
             if "sleep" in name or "backoff" in name or \
                     name == "call_with_retries":
                 return True
     return False
-
-
-def _handler_retries(handler: ast.ExceptHandler) -> bool:
-    """The handler leads to another loop iteration: it neither
-    re-raises nor exits the loop."""
-    for stmt in ast.walk(ast.Module(body=handler.body, type_ignores=[])):
-        if isinstance(stmt, (ast.Raise, ast.Return, ast.Break)):
-            return False
-    return True
 
 
 @register
@@ -88,25 +54,11 @@ class RetryWithoutBackoffRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.While, ast.For)):
-                continue
-            if not _is_retry_loop(node):
-                continue
-            if _has_pacing_call(node):
-                continue
-            for child in ast.walk(node):
-                if not isinstance(child, ast.Try):
-                    continue
-                for handler in child.handlers:
-                    caught = _caught_names(handler) & TRANSPORT_ERROR_NAMES
-                    if caught and _handler_retries(handler):
-                        yield self.finding(
-                            ctx, node,
-                            f"loop retries after {'/'.join(sorted(caught))} "
-                            "with no backoff; route through "
-                            "resilience.call_with_retries or sleep a "
-                            "RetryPolicy.backoff delay between attempts")
-                        break
-                else:
-                    continue
-                break
+            caught = retry_catch(node)
+            if caught and not _has_pacing_call(node):
+                yield self.finding(
+                    ctx, node,
+                    f"loop retries after {'/'.join(sorted(caught))} "
+                    "with no backoff; route through "
+                    "resilience.call_with_retries or sleep a "
+                    "RetryPolicy.backoff delay between attempts")

@@ -35,21 +35,7 @@ from repro.analysis.core import (
     Rule,
     register,
 )
-
-
-def _caught_names(handler: ast.ExceptHandler) -> set[str]:
-    """Bare except reports as {"<bare>"}; names are last attributes."""
-    if handler.type is None:
-        return {"<bare>"}
-    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) \
-        else [handler.type]
-    names: set[str] = set()
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+from repro.analysis.flow import caught_names
 
 
 def _swallows(handler: ast.ExceptHandler) -> bool:
@@ -91,7 +77,7 @@ class SwallowedTransportErrorRule(Rule):
             for handler in node.handlers:
                 if not _swallows(handler):
                     continue
-                caught = _caught_names(handler)
+                caught = caught_names(handler)
                 transport = caught & TRANSPORT_ERROR_NAMES
                 if transport:
                     yield self.finding(
@@ -100,7 +86,7 @@ class SwallowedTransportErrorRule(Rule):
                         "pass-only handler; record the failure (metrics, "
                         "failure detector, hint) so resilience machinery "
                         "sees it")
-                elif (caught & {"<bare>", "Exception", "BaseException"}) \
+                elif (caught & {"*", "Exception", "BaseException"}) \
                         and _has_network_call(node.body):
                     yield self.finding(
                         ctx, handler,

@@ -1,21 +1,23 @@
 """``unbounded-rpc``: a held deadline must bound every transitive RPC.
 
-The intra-procedural ``deadline-dropped`` rule catches a function that
-accepts a :class:`~repro.common.resilience.Deadline` and never reads
-it.  This rule catches what that one structurally cannot: the function
-reads its deadline conscientiously and then calls a helper that
-performs network work *without the budget* — three frames down, the
-request is back on default timeouts and the end-to-end bound the edge
-promised is fiction.
+The ``deadline-dropped`` rule catches a function that accepts a
+:class:`~repro.common.resilience.Deadline` and never reads it.  This
+rule catches the other half: the function reads its deadline
+conscientiously and then calls a helper that performs network work
+*without the budget* — three frames down, the request is back on
+default timeouts and the end-to-end bound the edge promised is
+fiction.
 
-Powered by the effect summaries: a function that receives (or
-constructs) a deadline is an entry point of a bounded call chain; the
-summary layer marks every call site in it where the budget stops
-flowing — an RPC-reaching callee invoked without any deadline-tainted
-argument, or a direct ``invoke``/``send`` that ignores the budget
-while the function uses it elsewhere.  Each finding carries the full
-witness chain (entry point → dropping call → … → concrete RPC site),
-and a pragma on any frame suppresses it.
+Both rules read one fact from the effect summaries: a function that
+receives (or constructs) a deadline is an entry point of a bounded call
+chain, and the summary layer marks every call site in it where the
+budget stops flowing — a direct ``invoke``/``send`` or
+``call_with_retries``, or a callee that reaches an RPC or retries,
+called without any deadline-tainted argument.  Whether the function
+reads its deadline anywhere decides which rule owns its drops; this
+one reports each drop with the full witness chain (entry point →
+dropping call → … → concrete RPC site), and a pragma on any frame
+suppresses it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class UnboundedRpcRule(ProjectRule):
     def check_project(self, project) -> Iterator[Finding]:
         summaries = project.summaries
         for qualname in sorted(summaries):
+            if not summaries[qualname].reads_deadline:
+                continue        # deadline-dropped's: the budget is unread
             for chain in summaries[qualname].drops_deadline:
                 drop = chain[0]
                 rpc = chain[-1]

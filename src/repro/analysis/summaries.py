@@ -30,16 +30,24 @@ a fixpoint iteration inside recursive components):
   ``except`` handler), propagated through bare ``self.method()``
   calls only: a collaborator call (``self.store.put(...)``) writes the
   collaborator's state, not this object's.
+* **retries** — whether the function transitively re-sends failed
+  work: a ``call_with_retries(...)`` call, or a retry-shaped loop whose
+  handler catches a transport error and goes round again
+  (:func:`retry_catch`), here or in any callee, called or passed by
+  reference.
 * **drops-deadline** — assuming the function *receives* a deadline
   (a ``deadline``/``budget`` parameter, or one it constructs), does
-  that budget flow into every transitive RPC?  Flow is tracked as a
-  taint set: the deadline names themselves plus every local assigned
-  from an expression that reads a tainted name (``timeout =
-  deadline.clamp(t)`` taints ``timeout``).  An RPC-reaching call that
-  reads no tainted name is a *drop*; the witness chain runs from that
-  call down to a concrete RPC site.
+  that budget flow into every transitive network call?  Flow is
+  tracked as a taint set: the deadline names themselves plus every
+  local assigned from an expression that reads a tainted name
+  (``timeout = deadline.clamp(t)`` taints ``timeout``).  A call that
+  reaches an RPC or retries, and reads no tainted name, is a *drop*;
+  the witness chain runs from that call down to the concrete site.
+  ``reads_deadline`` says whether the function reads its budget
+  anywhere, which is what splits the drops between the
+  ``deadline-dropped`` and ``unbounded-rpc`` rules.
 
-Every raise, block, yield point and dropped deadline carries one
+Every raise, block, retry, yield point and dropped deadline carries one
 deterministic witness chain of :class:`~repro.analysis.core.Frame`\\ s
 so rules can report *entry point → offending call* without
 re-deriving paths.
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -70,7 +79,8 @@ from repro.analysis.callgraph import (
     deadline_params,
     scope_calls,
 )
-from repro.analysis.core import Frame
+from repro.analysis.core import TRANSPORT_ERROR_NAMES, Frame
+from repro.analysis.flow import callee_name, caught_names, reads_any
 
 #: Effects the blocks analysis tracks, keyed by CallSite.kind.
 BLOCKING_KINDS = ("rpc", "sleep", "fsync")
@@ -121,11 +131,15 @@ class Summary:
     raises: dict[str, tuple[Frame, ...]] = field(default_factory=dict)
     #: effect name ("rpc"/"sleep"/"fsync") -> witness chain to the site
     blocks: dict[str, tuple[Frame, ...]] = field(default_factory=dict)
-    accepts_deadline: bool = False
-    #: witness chains, one per call site where the received deadline
-    #: stops bounding a transitive RPC (empty: every RPC is bounded,
-    #: or there are none)
+    #: witness chain to a retrying context (empty: the function does
+    #: not retry, itself or below)
+    retries: tuple[Frame, ...] = ()
+    #: witness chains, one per call site where the held deadline stops
+    #: bounding transitive network work (empty: all of it is bounded,
+    #: or there is none)
     drops_deadline: tuple[tuple[Frame, ...], ...] = ()
+    #: the function reads a deadline it holds somewhere in its body
+    reads_deadline: bool = False
     #: every site where this function may yield to the scheduler,
     #: sorted by (line, callee) for deterministic reporting
     yield_points: tuple[YieldPoint, ...] = ()
@@ -144,17 +158,16 @@ class Hierarchy:
         self.graph = graph
         #: scanned-class qualname -> (scanned base qualnames,
         #: unresolved base names assumed builtin)
-        self._bases: dict[str, tuple[list[str], list[str]]] = {}
+        self.bases: dict[str, tuple[list[str], list[str]]] = {}
         for qual, cls in graph.classes.items():
             builtin_bases: list[str] = []
             resolved = set(cls.base_names)
             for base in cls.node.bases:
-                name = base.id if isinstance(base, ast.Name) else \
-                    base.attr if isinstance(base, ast.Attribute) else ""
+                name = callee_name(base)
                 if name and not any(r.endswith("." + name) or r == name
                                     for r in resolved):
                     builtin_bases.append(name)
-            self._bases[qual] = (cls.base_names, builtin_bases)
+            self.bases[qual] = (cls.base_names, builtin_bases)
 
     @staticmethod
     def _builtin(name: str) -> type | None:
@@ -166,7 +179,7 @@ class Hierarchy:
         ``sub`` be caught by ``except sup``?"""
         if sub == sup:
             return True
-        if sub in self._bases:
+        if sub in self.bases:
             seen: set[str] = set()
             stack = [sub]
             while stack:
@@ -176,7 +189,7 @@ class Hierarchy:
                 seen.add(current)
                 if current == sup or current.rsplit(".", 1)[-1] == sup:
                     return True
-                scanned, builtin_names = self._bases.get(current, ([], []))
+                scanned, builtin_names = self.bases.get(current, ([], []))
                 stack.extend(scanned)
                 for name in builtin_names:
                     if self._builtin_subtype(name, sup):
@@ -256,8 +269,7 @@ def mutations_at(node: ast.AST, self_name: str) -> list[tuple[str, str]]:
     given one) and ``take`` (a :data:`TAKES` call)."""
     if isinstance(node, ast.Call):
         func = node.func
-        name = func.id if isinstance(func, ast.Name) \
-            else getattr(func, "attr", "")
+        name = callee_name(func)
         if name in MUTATORS and isinstance(func, ast.Attribute):
             path = self_path(func.value, self_name)
         elif name in _MUTATOR_FUNCTIONS and node.args:
@@ -278,6 +290,38 @@ def mutations_at(node: ast.AST, self_name: str) -> list[tuple[str, str]]:
         else [target])]
     return [(path, kind) for target in unpacked
             if (path := self_path(target, self_name)) is not None]
+
+
+_RETRY_TARGET = re.compile(r"attempt|retry|retries|round|tries", re.IGNORECASE)
+
+
+def retry_catch(loop: ast.AST) -> set[str]:
+    """The transport errors a retry-shaped loop catches and goes round
+    again on, from its first such handler; empty when it has none (or
+    is not a loop at all).
+
+    Retry-shaped: a ``while``, a ``for`` over ``range(...)``, or a
+    ``for`` whose target is named like ``attempt``/``retry``/``round``/
+    ``tries`` (a fan-out ``for node in replicas`` is not).  The handler
+    goes round again when it neither raises, returns nor breaks."""
+    if isinstance(loop, ast.For):
+        shaped = isinstance(loop.iter, ast.Call) \
+            and isinstance(loop.iter.func, ast.Name) \
+            and loop.iter.func.id == "range" \
+            or isinstance(loop.target, ast.Name) \
+            and bool(_RETRY_TARGET.search(loop.target.id))
+    else:
+        shaped = isinstance(loop, ast.While)
+    if not shaped:
+        return set()
+    for node in ast.walk(loop):
+        for handler in node.handlers if isinstance(node, ast.Try) else ():
+            caught = caught_names(handler) & TRANSPORT_ERROR_NAMES
+            if caught and not any(
+                    isinstance(sub, (ast.Raise, ast.Return, ast.Break))
+                    for stmt in handler.body for sub in ast.walk(stmt)):
+                return caught
+    return set()
 
 
 @dataclass(frozen=True)
@@ -315,22 +359,18 @@ class _SiteCollector:
             int, tuple[tuple[frozenset[str], ...], bool]] = {}
         #: direct self.<path> mutation sites, in walk order
         self.mutations: list[Mutation] = []
+        #: lines of the retry loops (:func:`retry_catch`), in walk order
+        self.retry_loops: list[int] = []
         self._self_name = self_name
         self._walk(list(ast.iter_child_nodes(fn.node)), (), None)
 
     def _spec_names(self, handler: ast.ExceptHandler) -> frozenset[str]:
-        if handler.type is None:
-            return frozenset({"*"})          # bare except catches all
-        nodes = handler.type.elts \
-            if isinstance(handler.type, ast.Tuple) else [handler.type]
-        names: set[str] = set()
-        for node in nodes:
-            if isinstance(node, ast.Name):
-                names.add(self._resolve(node.id))
-            elif isinstance(node, ast.Attribute):
-                dotted = self.imports.resolve_call(node)
-                names.add(dotted or node.attr)
-        return frozenset(names) if names else frozenset({"*"})
+        """What a handler catches; a bare one, or one it cannot name,
+        catches all."""
+        names = caught_names(handler)
+        if not names or "*" in names:
+            return frozenset({"*"})
+        return frozenset(map(self._resolve, names))
 
     def _resolve(self, name: str) -> str:
         return self.imports.names.get(name) or name
@@ -386,6 +426,8 @@ class _SiteCollector:
                 continue
             if isinstance(node, ast.Call):
                 self.call_handlers[id(node)] = (stack, handler is not None)
+            elif retry_catch(node):
+                self.retry_loops.append(node.lineno)
             if self._self_name is not None:
                 self.mutations.extend(
                     Mutation(path, kind, node.lineno, handler is not None,
@@ -411,12 +453,10 @@ def _deadline_sources(fn: FunctionInfo,
     ``resilience.Deadline(...)`` or ``Deadline.after(...)``."""
     names = set(deadline_params(fn.node))
     for target, value in assigns:
-        if isinstance(value, ast.Call):
-            func = value.func
-            if "Deadline" in (getattr(func, "id", ""),
-                              getattr(func, "attr", ""),
-                              getattr(getattr(func, "value", None), "id", "")):
-                names.add(target)
+        if isinstance(value, ast.Call) and "Deadline" in (
+                callee_name(value.func),
+                callee_name(getattr(value.func, "value", value.func))):
+            names.add(target)
     return names
 
 
@@ -426,14 +466,9 @@ def _taint_closure(assigns: list[tuple[str, ast.expr]],
     (flow-insensitive: one pass per growth round)."""
     tainted = set(sources)
     while grown := {target for target, value in assigns
-                    if target not in tainted and _reads_any(value, tainted)}:
+                    if target not in tainted and reads_any(value, tainted)}:
         tainted |= grown
     return tainted
-
-
-def _reads_any(expr: ast.AST, names: set[str]) -> bool:
-    return any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-               and node.id in names for node in ast.walk(expr))
 
 
 # -- the bottom-up computation -----------------------------------------------
@@ -444,8 +479,7 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                     hierarchy: Hierarchy) -> Summary:
     """One round of the transfer function; callee summaries default to
     empty inside an unconverged SCC."""
-    out = Summary(qualname=fn.qualname,
-                  accepts_deadline=bool(deadline_params(fn.node)))
+    out = Summary(qualname=fn.qualname)
     self_name = self_param_name(owning_method(fn, graph))
     collector = _SiteCollector(fn, self_name)
     calls = {id(call): call for call in scope_calls(fn)}
@@ -465,9 +499,15 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
     out.writes_self = {site.path for site in mutations
                        if site.kind in WRITE_KINDS and not site.in_except}
 
-    # blocking effects, yield points, propagated raises and writes
+    # blocking and retrying effects, yield points, propagated raises
+    # and writes
+    if collector.retry_loops:
+        out.retries = (fn.frame(collector.retry_loops[0], "<retry loop>"),)
     yields: list[YieldPoint] = []
     for site in sites:
+        if site.kind == "retry":
+            out.retries = out.retries or (fn.frame(site.line, site.callee),)
+            continue
         if site.kind in BLOCKING_KINDS:
             out.blocks.setdefault(
                 site.kind, (fn.frame(site.line, site.callee),))
@@ -492,6 +532,8 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
             if effect not in out.blocks:
                 out.blocks[effect] = \
                     (fn.frame(site.line, site.callee),) + chain
+        if callee.retries and not out.retries:
+            out.retries = (fn.frame(site.line, site.callee),) + callee.retries
         if callee.blocks:
             kinds = tuple(sorted(callee.blocks))
             yields.append(YieldPoint(
@@ -513,32 +555,24 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
     deadline_names = _deadline_sources(fn, assigns)
     if deadline_names:
         tainted = _taint_closure(assigns, deadline_names)
-        reads_anywhere = _reads_any(fn.node, set(deadline_names))
+        out.reads_deadline = reads_any(fn.node, deadline_names)
         drops: list[tuple[Frame, ...]] = []
         flagged_lines: set[int] = set()
         for site in sites:
             node = calls.get(site.node_id)
-            bounded = node is not None and _reads_any(node, tainted)
-            if bounded or site.line in flagged_lines:
-                continue
-            if site.kind == "rpc":
-                # a direct RPC that never sees the budget is the intra
-                # deadline-dropped rule's territory when the deadline
-                # is wholly unread; interprocedurally we flag it only
-                # when the function *does* use the deadline elsewhere
-                # but not at this hop
-                if reads_anywhere:
-                    flagged_lines.add(site.line)
-                    drops.append((fn.frame(site.line, site.callee),))
-                continue
-            if site.kind not in ("call", "ref"):
+            if node is not None and reads_any(node, tainted) \
+                    or site.line in flagged_lines:
                 continue
             callee = summaries.get(site.callee)
-            if callee is None or "rpc" not in callee.blocks:
+            if site.kind in ("rpc", "retry"):
+                below: tuple[Frame, ...] = ()
+            elif site.kind in ("call", "ref") and callee is not None \
+                    and ("rpc" in callee.blocks or callee.retries):
+                below = callee.blocks.get("rpc") or callee.retries
+            else:
                 continue
             flagged_lines.add(site.line)
-            drops.append((fn.frame(site.line, site.callee),)
-                         + callee.blocks["rpc"])
+            drops.append((fn.frame(site.line, site.callee),) + below)
         out.drops_deadline = tuple(drops)
     return out
 
@@ -578,6 +612,7 @@ def compute_summaries(project: Project) -> dict[str, Summary]:
                 old = summaries[qual]
                 if set(new.raises) != set(old.raises) \
                         or set(new.blocks) != set(old.blocks) \
+                        or bool(new.retries) != bool(old.retries) \
                         or len(new.drops_deadline) != len(old.drops_deadline) \
                         or len(new.yield_points) != len(old.yield_points) \
                         or new.writes_self != old.writes_self:

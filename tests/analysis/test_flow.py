@@ -268,6 +268,54 @@ def test_walk_paths_never_visits_the_exit_blocks():
     assert visited and marker not in visited
 
 
+def test_walk_paths_carries_the_state_before_a_mid_block_discharge_to_handlers():
+    cfg = cfg_of("""
+        def f(self):
+            try:
+                start()
+                discharge()
+                more()
+            except Exception:
+                handler()
+            tail()
+    """)
+    in_handler = []
+
+    def step(element, state):
+        names = _called(element)
+        if "handler" in names:
+            in_handler.append(state)
+        if "discharge" in names:
+            return STOP             # the obligation is met here
+        return "open" if "start" in names else state
+
+    walk_paths(cfg, cfg.entry, 0, step)
+    # discharge() itself may raise: the handler runs with it still open
+    assert "open" in in_handler
+
+
+def test_walk_paths_returns_the_states_that_reach_the_normal_exit():
+    cfg = cfg_of("""
+        def f(self, x):
+            if x:
+                mark()
+                return 1
+            if other():
+                close()
+                return 2
+            raise ValueError(x)
+    """)
+
+    def step(element, state):
+        names = _called(element)
+        if "close" in names:
+            return STOP
+        return "marked" if "mark" in names else state
+
+    # the STOPped return and the raise reach no normal exit
+    assert walk_paths(cfg, cfg.entry, 0, step) == ["marked"]
+
+
 def test_full_repo_run_builds_each_function_cfg_at_most_once(full_run):
     built = full_run.cfg_builds
     assert full_run.report.files_scanned > 80

@@ -8,7 +8,7 @@ from repro.analysis.protocol import ProtocolSpec, check_protocol
 
 SPEC = ProtocolSpec(
     name="test-lock",
-    receiver=re.compile(r"lock"),
+    receiver=re.compile(r"lock").search,
     method_events=(
         (re.compile(r"^acquire$"), "acquire"),
         (re.compile(r"^release$"), "release"),
@@ -23,7 +23,7 @@ SPEC = ProtocolSpec(
 
 GATED = ProtocolSpec(
     name="test-gate",
-    receiver=re.compile(r"gate"),
+    receiver=re.compile(r"gate").search,
     method_events=(
         (re.compile(r"^enter$"), "enter"),
         (re.compile(r"^leave$"), "leave"),

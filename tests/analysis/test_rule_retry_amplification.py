@@ -1,7 +1,7 @@
 """The retry-amplification rule: no retrying context nested inside
 another — retry budgets multiply into metastable overload."""
 
-from tests.analysis.conftest import lint
+from tests.analysis.conftest import lint, lint_project
 
 RULE = "retry-amplification"
 
@@ -141,3 +141,33 @@ def test_pragma_suppression():
                 clock=clock)
     """, RULE)
     assert findings == []
+
+
+def test_retrying_helper_in_another_file_flagged(tmp_path):
+    # the nesting the one-file approximation could not see: the inner
+    # budget lives in another module, reached through the call graph
+    findings = lint_project({
+        "src/repro/pkg/util.py": """
+            from repro.common.resilience import call_with_retries
+
+            def read_one(clock, node):
+                return call_with_retries(lambda: node.read(), clock=clock)
+        """,
+        "src/repro/pkg/mod.py": """
+            from repro.common.resilience import call_with_retries
+            from repro.pkg.util import read_one
+
+            def read_quorum(clock, nodes):
+                return call_with_retries(
+                    lambda: [read_one(clock, n) for n in nodes], clock=clock)
+
+            def read_first(clock, nodes):
+                return call_with_retries(read_one, clock=clock)
+        """,
+    }, RULE, tmp_path)
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/pkg/mod.py", 7), ("src/repro/pkg/mod.py", 10)]
+    assert "call to read_one(), which retries internally" \
+        in findings[0].message
+    assert "read_one (which retries internally) passed as the retried " \
+        "function" in findings[1].message

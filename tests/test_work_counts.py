@@ -18,6 +18,12 @@ counts at the two sizes must agree within a declared factor: a count
 that grows with the run's length fails that shape check even where its
 pin was re-taken.
 
+The same runs also pin the model: each run's sample count and
+``sim_p50_ms`` / ``sim_p99_ms``, computed the way the harness computes
+them (``perfbench.harness.percentile`` over the sorted ``sim_ms``).
+They repeat to the last bit at one seed, so a change that moves the
+simulated latency fails a named pin instead of passing as noise.
+
 A layer count cannot see a gain that only removes interpreter work (a
 parser, a comprehension, a helper call per request), so ``espresso-cdc``
 also pins the Python-level calls of a small measured phase, counted by
@@ -40,6 +46,7 @@ import sys
 
 import pytest
 
+from perfbench.harness import percentile
 from perfbench.workloads import WORKLOADS
 from repro.espresso.index import LocalSecondaryIndex
 from repro.kafka.log import PartitionLog
@@ -61,6 +68,15 @@ STREAMS_DAY = {
          "state.deletes": 112, "changelog.records": 19810,
          "kafka.appended": 28130, "task.commits": 292,
          "inbox.entries": 4608},
+}
+
+#: sim-clock latency of the same runs: samples, and the harness's own
+#: nearest-rank p50 / p99 of ``workload.sim_ms`` (ms).  They are the
+#: model, not the Python: a change that only speeds the code up leaves
+#: them bit-identical, and one that moves them says why
+STREAMS_DAY_SIM = {
+    8: (382, 12311.09713492846, 22204.381279664787),
+    16: (791, 12463.87870087682, 22337.72617608732),
 }
 
 #: counts exempt from the shape check, with the reason
@@ -112,8 +128,17 @@ class _Recorder:
         }
 
 
-def run_streams_day(cycles: int, seed: int = 0) -> dict[str, int]:
-    """The measured phase's counts of one ``streams-day`` run."""
+def sim_latency(workload) -> tuple[int, float, float]:
+    """``(samples, sim_p50_ms, sim_p99_ms)`` of one run, as the harness
+    reports them."""
+    sims = sorted(workload.sim_ms)
+    return len(sims), percentile(sims, 50), percentile(sims, 99)
+
+
+def run_streams_day(cycles: int, seed: int = 0
+                    ) -> tuple[dict[str, int], tuple[int, float, float]]:
+    """The measured phase's counts and sim latency of one
+    ``streams-day`` run."""
     cls = WORKLOADS["streams-day"]
     with _Recorder() as recorder:
         workload = cls(seed, cycles / cls.CYCLES)
@@ -132,17 +157,22 @@ def run_streams_day(cycles: int, seed: int = 0) -> dict[str, int]:
         for (stage, _), task in container.tasks.items() if stage == "inbox"
         for key in task.stores["inbox"].keys()
         if not key.startswith(SEEN_PREFIX))
-    return counts
+    return counts, sim_latency(workload)
 
 
 @pytest.fixture(scope="module")
-def streams_day() -> dict[int, dict[str, int]]:
+def streams_day() -> dict[int, tuple[dict[str, int], tuple]]:
     return {cycles: run_streams_day(cycles) for cycles in STREAMS_DAY}
 
 
 @pytest.mark.parametrize("cycles", sorted(STREAMS_DAY))
 def test_streams_day_work_counts_are_pinned(streams_day, cycles):
-    assert streams_day[cycles] == STREAMS_DAY[cycles]
+    assert streams_day[cycles][0] == STREAMS_DAY[cycles]
+
+
+@pytest.mark.parametrize("cycles", sorted(STREAMS_DAY_SIM))
+def test_streams_day_sim_latency_is_pinned(streams_day, cycles):
+    assert streams_day[cycles][1] == STREAMS_DAY_SIM[cycles]
 
 
 def test_streams_day_counts_repeat_at_the_same_seed(streams_day):
@@ -162,7 +192,7 @@ def assert_flat(small: dict[str, int], large: dict[str, int],
 
 
 def test_streams_day_work_per_operation_is_flat_across_sizes(streams_day):
-    assert_flat(*(streams_day[cycles] for cycles in sorted(STREAMS_DAY)),
+    assert_flat(*(streams_day[cycles][0] for cycles in sorted(STREAMS_DAY)),
                 exempt=NOT_FLAT)
 
 
@@ -182,6 +212,12 @@ ESPRESSO_CDC = {
            "disk.writes": 1520, "disk.bytes": 583_922,
            "relay.windows": 760, "relay.events": 781,
            "local_index.adds": 1562, "ranked_index.adds": 760},
+}
+
+#: sim-clock latency of the same runs, as for ``streams-day``
+ESPRESSO_CDC_SIM = {
+    260: (191, 26.070151939400183, 53.56189578832218),
+    1040: (760, 23.81195160088029, 56.59068611028284),
 }
 
 #: Python-level calls (``call`` and ``c_call`` profile events) in the
@@ -237,8 +273,10 @@ def _espresso_cdc(requests: int, seed: int = 0):
     return workload
 
 
-def run_espresso_cdc(requests: int, seed: int = 0) -> dict[str, int]:
-    """The measured phase's counts of one ``espresso-cdc`` run."""
+def run_espresso_cdc(requests: int, seed: int = 0
+                     ) -> tuple[dict[str, int], tuple[int, float, float]]:
+    """The measured phase's counts and sim latency of one
+    ``espresso-cdc`` run."""
     workload = _espresso_cdc(requests, seed)
     before = _espresso_totals(workload)
     workload.disk.start_trace()
@@ -258,21 +296,27 @@ def run_espresso_cdc(requests: int, seed: int = 0) -> dict[str, int]:
     for name in CODEC_FUNCTIONS:
         counts[f"codec.{name}"] = calls.count(name)
     counts["ops"] = workload.ops
-    return counts
+    return counts, sim_latency(workload)
 
 
 @pytest.fixture(scope="module")
-def espresso_cdc() -> dict[int, dict[str, int]]:
+def espresso_cdc() -> dict[int, tuple[dict[str, int], tuple]]:
     return {requests: run_espresso_cdc(requests) for requests in ESPRESSO_CDC}
 
 
 @pytest.mark.parametrize("requests", sorted(ESPRESSO_CDC))
 def test_espresso_cdc_work_counts_are_pinned(espresso_cdc, requests):
-    assert espresso_cdc[requests] == ESPRESSO_CDC[requests]
+    assert espresso_cdc[requests][0] == ESPRESSO_CDC[requests]
+
+
+@pytest.mark.parametrize("requests", sorted(ESPRESSO_CDC_SIM))
+def test_espresso_cdc_sim_latency_is_pinned(espresso_cdc, requests):
+    assert espresso_cdc[requests][1] == ESPRESSO_CDC_SIM[requests]
 
 
 def test_espresso_cdc_work_per_operation_is_flat_across_sizes(espresso_cdc):
-    assert_flat(*(espresso_cdc[requests] for requests in sorted(ESPRESSO_CDC)))
+    assert_flat(*(espresso_cdc[requests][0]
+                  for requests in sorted(ESPRESSO_CDC)))
 
 
 def count_python_calls(requests: int, seed: int = 0) -> tuple[int, int]:
