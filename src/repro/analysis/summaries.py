@@ -302,20 +302,31 @@ def retry_catch(loop: ast.AST) -> set[str]:
 
     Retry-shaped: a ``while``, a ``for`` over ``range(...)``, or a
     ``for`` whose target is named like ``attempt``/``retry``/``round``/
-    ``tries`` (a fan-out ``for node in replicas`` is not).  The handler
-    goes round again when it neither raises, returns nor breaks."""
+    ``tries`` (a fan-out ``for node in replicas`` is not).  A ``range``
+    loop whose ``try`` body reads its index sends a different request
+    each time round, so that ``try`` is a fan-out's too (``for i in
+    range(n): send(i)``), unless the index is named like a retry.  The
+    handler goes round again when it neither raises, returns nor
+    breaks."""
+    index: set[str] = set()
     if isinstance(loop, ast.For):
-        shaped = isinstance(loop.iter, ast.Call) \
-            and isinstance(loop.iter.func, ast.Name) \
-            and loop.iter.func.id == "range" \
-            or isinstance(loop.target, ast.Name) \
+        named = isinstance(loop.target, ast.Name) \
             and bool(_RETRY_TARGET.search(loop.target.id))
+        ranged = isinstance(loop.iter, ast.Call) \
+            and isinstance(loop.iter.func, ast.Name) \
+            and loop.iter.func.id == "range"
+        shaped = named or ranged
+        if ranged and not named and isinstance(loop.target, ast.Name):
+            index = {loop.target.id}
     else:
         shaped = isinstance(loop, ast.While)
     if not shaped:
         return set()
     for node in ast.walk(loop):
-        for handler in node.handlers if isinstance(node, ast.Try) else ():
+        if not isinstance(node, ast.Try) or index and any(
+                reads_any(stmt, index) for stmt in node.body):
+            continue
+        for handler in node.handlers:
             caught = caught_names(handler) & TRANSPORT_ERROR_NAMES
             if caught and not any(
                     isinstance(sub, (ast.Raise, ast.Return, ast.Break))

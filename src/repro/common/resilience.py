@@ -201,6 +201,9 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> None:
+        if self._state == CLOSED:     # the common case: no state to read
+            self._outcomes.append(1)
+            return
         if self.state == HALF_OPEN:
             self._close()
             return

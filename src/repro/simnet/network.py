@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Callable
 
 from repro.common.clock import Clock, SimClock
@@ -64,11 +66,22 @@ def uniform_latency(low: float, high: float) -> LatencyModel:
 
 
 def lognormal_latency(median: float, sigma: float = 0.5) -> LatencyModel:
-    """Heavy-tailed latency typical of datacenter RPC distributions."""
-    import math
-    mu = math.log(median)
+    """Heavy-tailed latency typical of datacenter RPC distributions.
+
+    ``rng.lognormvariate(mu, sigma)``, inline: the Kinderman–Monahan
+    normal draw ``Random.normalvariate`` makes, on bound locals, so a
+    seed gives the same floats, bit for bit, without two method calls
+    per hop (tests/simnet pins the stream to ``lognormvariate``'s)."""
+    mu = log(median)
+
     def model(rng: random.Random) -> float:
-        return rng.lognormvariate(mu, sigma)
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return exp(mu + z * sigma)
     return model
 
 
@@ -186,6 +199,10 @@ class FailureInjector:
         in_any_src = any(src in g for g in self._partition_groups)
         in_any_dst = any(dst in g for g in self._partition_groups)
         return not in_any_src and not in_any_dst
+
+
+#: the link of a pair with no override: the network's model, no loss
+_NO_LINK: tuple[LatencyModel | None, float] = (None, 0.0)
 
 
 def _groups_repr(groups: list[frozenset[str]]) -> str:
@@ -335,14 +352,14 @@ class SimNetwork:
         queue = self._server_queues.get(node)
         return 0 if queue is None else queue.depth()
 
-    def _link(self, src: str, dst: str) -> tuple[LatencyModel | None, float]:
-        return self._links.get((src, dst), (None, 0.0))
-
     def _sample_hop(self, src: str, dst: str,
                     model: LatencyModel | None) -> float:
         """One one-way hop delay, with gray-failure inflation applied
-        for either limping endpoint."""
+        for either limping endpoint (scaled only while some node limps:
+        a factor of 1.0 would leave every float as it is)."""
         sample = (model or self.latency_model)(self.rng)
+        if not self.failures._limping:
+            return sample
         return sample * self.failures.slowdown(src) * \
             self.failures.slowdown(dst)
 
@@ -375,7 +392,9 @@ class SimNetwork:
             exc = NodeUnavailableError(f"{dst} unreachable from {src}")
             exc.simulated_latency = timeout
             raise exc
-        link_model, loss_rate = self._link(src, dst)
+        # a link override is looked up only while one is set
+        link_model, loss_rate = self._links.get((src, dst), _NO_LINK) \
+            if self._links else _NO_LINK
         if loss_rate > 0 and self.rng.random() < loss_rate:
             self.hops_failed += 1
             burned = self._sample_hop(src, dst, link_model)
@@ -407,7 +426,7 @@ class SimNetwork:
                     retry_after=queue.capacity * queue.service_time)
                 exc.simulated_latency = latency
                 raise exc
-            if queue_delay > 0:
+            if queue_delay > 0 and self.trace is not None:
                 self._record("queue", src, dst, "wait", queue_delay)
             latency += queue_delay + service
         if latency > timeout:
@@ -419,7 +438,8 @@ class SimNetwork:
         result = func(*args, **kwargs)
         self.hops_delivered += 1
         self.bytes_sent += payload_bytes
-        self._record("invoke", src, dst, "ok", latency)
+        if self.trace is not None:
+            self._record("invoke", src, dst, "ok", latency)
         return result, latency
 
     # -- asynchronous one-way delivery -----------------------------------
@@ -448,7 +468,9 @@ class SimNetwork:
             self.hops_failed += 1
             self._record("send", src, dst, "unreachable")
             return False
-        link_model, loss_rate = self._link(src, dst)
+        # a link override is looked up only while one is set
+        link_model, loss_rate = self._links.get((src, dst), _NO_LINK) \
+            if self._links else _NO_LINK
         if loss_rate > 0 and self.rng.random() < loss_rate:
             self.hops_failed += 1
             self._record("send", src, dst, "lost")
@@ -466,7 +488,8 @@ class SimNetwork:
             # while the message was in flight
             if self.failures.reachable(src, dst):
                 self.hops_delivered += 1
-                self._record("deliver", src, dst, "ok", delay)
+                if self.trace is not None:
+                    self._record("deliver", src, dst, "ok", delay)
                 callback()
             else:
                 self.hops_failed += 1
@@ -474,5 +497,6 @@ class SimNetwork:
 
         self.clock.call_later(delay, deliver)
         self.bytes_sent += payload_bytes
-        self._record("send", src, dst, "queued", delay)
+        if self.trace is not None:
+            self._record("send", src, dst, "queued", delay)
         return True

@@ -62,15 +62,20 @@ class AdminService:
         """Add an empty node and plan moves that even out partition counts.
 
         Takes partitions round-robin from the most-loaded donors until
-        the newcomer holds roughly ``total / nodes`` partitions.
+        the newcomer holds roughly ``total / nodes`` partitions.  The
+        server is built, its stores opened and it is registered before
+        the ring names it: building it can fsync (a torn slop WAL), and
+        a hinted handoff running then picks its fallbacks from the ring.
         """
-        ring = self.cluster.ring.with_node_added(new_node_id, zone_id)
-        self.cluster.ring = ring
         from repro.voldemort.server import VoldemortServer
+        if new_node_id in self.cluster.ring.nodes:
+            raise ConfigurationError(f"node {new_node_id} already in ring")
         server = VoldemortServer(new_node_id, self.cluster)
         for definition in self.cluster.stores.values():
             server.open_store(definition)
         self.cluster.servers[new_node_id] = server
+        ring = self.cluster.ring.with_node_added(new_node_id, zone_id)
+        self.cluster.ring = ring
 
         target = ring.num_partitions // len(ring.nodes)
         plan = RebalancePlan()

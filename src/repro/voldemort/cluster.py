@@ -70,6 +70,7 @@ class VoldemortCluster:
         clock = one_clock(clock, network, disk)
         self.network = network or SimNetwork(clock=clock, seed=seed)
         self.clock = self.network.clock
+        self._node_names: dict[int, str] = {}
         self.ring: HashRing = build_balanced_ring(
             num_nodes, num_nodes * partitions_per_node, num_zones)
         self.stores: dict[str, StoreDefinition] = {}
@@ -106,7 +107,11 @@ class VoldemortCluster:
     # -- helpers ---------------------------------------------------------------
 
     def node_name(self, node_id: int) -> str:
-        return f"node-{node_id}"
+        try:
+            return self._node_names[node_id]
+        except KeyError:
+            name = self._node_names[node_id] = f"node-{node_id}"
+            return name
 
     def server_for(self, node_id: int):
         return self.servers[node_id]

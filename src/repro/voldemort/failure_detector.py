@@ -73,7 +73,10 @@ class FailureDetector:
         return self._node(node_id).available
 
     def record_success(self, node_id: int) -> None:
-        health = self._node(node_id)
+        try:
+            health = self._health[node_id]
+        except KeyError:
+            health = self._node(node_id)
         health.outcomes.append(1)
 
     def record_failure(self, node_id: int) -> None:

@@ -22,6 +22,7 @@ how a parallel quorum behaves.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Sequence
 
 from repro.common.errors import (
@@ -33,7 +34,7 @@ from repro.common.errors import (
     OverloadError,
     ServerOverloadedError,
 )
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import LatencyHistogram, MetricsRegistry
 from repro.common.overload import (
     PRIORITY_BULK,
     PRIORITY_LIVE,
@@ -142,17 +143,29 @@ class RoutedStore:
 
     def breaker_for(self, node_id: int) -> CircuitBreaker:
         """The per-node circuit breaker (created on first use)."""
-        if node_id not in self._breakers:
-            self._breakers[node_id] = CircuitBreaker(
+        try:
+            return self._breakers[node_id]
+        except KeyError:
+            breaker = self._breakers[node_id] = CircuitBreaker(
                 self.cluster.clock, name=f"node-{node_id}",
                 metrics=self.metrics, **self._breaker_config)
-        return self._breakers[node_id]
+            return breaker
 
     def _reset_breaker(self, node_id: int) -> None:
         """Detector says the node recovered; forget breaker history."""
         breaker = self._breakers.get(node_id)
         if breaker is not None:
             breaker.reset()
+
+    @cached_property
+    def _get_latency(self) -> LatencyHistogram:
+        """The ``get`` histogram, registered at the first read."""
+        return self.metrics.histogram("get")
+
+    @cached_property
+    def _put_latency(self) -> LatencyHistogram:
+        """The ``put`` histogram, registered at the first write."""
+        return self.metrics.histogram("put")
 
     def _hop_timeout(self, deadline: Deadline | None) -> float | None:
         """Per-hop timeout clamped by the remaining request budget."""
@@ -240,11 +253,16 @@ class RoutedStore:
                 f"only {answered} of {required} required reads succeeded",
                 required=required, achieved=answered)
         operation_latency = sorted(latencies)[required - 1] if latencies else 0.0
-        self.metrics.histogram("get").record(operation_latency)
+        self._get_latency.record(operation_latency)
         if not responses:
             raise KeyNotFoundError(repr(key))
-        frontier = frontier_of(list(responses.values()))
-        if self.enable_read_repair and transform is None:
+        replies = list(responses.values())
+        frontier = frontier_of(replies)
+        # frontier_of returns the first reply itself only when every
+        # reply holds that one version: then no replica lacks it, and
+        # only a replica that answered "no such key" needs a repair
+        if self.enable_read_repair and transform is None and (
+                missing_nodes or frontier is not replies[0]):
             self._read_repair(key, frontier, responses, missing_nodes,
                               deadline)
         return frontier, operation_latency
@@ -569,7 +587,7 @@ class RoutedStore:
                 f"only {successes} of {required} required writes succeeded",
                 required=required, achieved=successes)
         operation_latency = sorted(latencies)[required - 1]
-        self.metrics.histogram("put").record(operation_latency)
+        self._put_latency.record(operation_latency)
         return operation_latency
 
     def _write_round(self, key: bytes, versioned: Versioned,

@@ -7,7 +7,9 @@ and where those medians come from (``CHANGES.md`` for a change's own
 measured paragraph, ``merge-check`` for the paired runs the benchmark
 was checked with when the change merged).  A claim without a row is not
 a claim: every ``perf_opt`` entry in CHANGES.md numbered ``FIRST_PR``
-or later must have one.  ``BENCHMARK.json`` is read, never written.
+or later must have one.  A change writes its own row before it has a
+commit, so the newest row alone may name none (``null``); the next
+change fills it in.  ``BENCHMARK.json`` is read, never written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FIELDS = {"pr", "commit", "workload", "metric", "parent", "change", "source"}
 #: the first PR whose claims the file must hold (earlier ones are
 #: still being back-filled)
-FIRST_PR = 50
+FIRST_PR = 41
 _PERF_ENTRY = re.compile(r"^- \*\*PR (\d+) \(perf_opt\)", re.MULTILINE)
 
 
@@ -33,7 +35,11 @@ def test_every_row_is_complete():
     assert rows
     for row in rows:
         assert set(row) == FIELDS, row
-        assert re.fullmatch(r"[0-9a-f]{7,40}", row["commit"]), row
+        if row["commit"] is None:
+            assert row is rows[-1] and row["pr"] == max(
+                other["pr"] for other in rows), row
+        else:
+            assert re.fullmatch(r"[0-9a-f]{7,40}", row["commit"]), row
         assert row["source"] in ("CHANGES.md", "merge-check"), row
 
 

@@ -26,16 +26,20 @@ simulated latency fails a named pin instead of passing as noise.
 
 A layer count cannot see a gain that only removes interpreter work (a
 parser, a comprehension, a helper call per request), so ``espresso-cdc``
-also pins the Python-level calls of a small measured phase, counted by
-a ``sys.setprofile`` hook: an exact change detector, re-taken like any
-other pin, for the interpreter it was taken on.
+and ``voldemort-rw`` also pin the Python-level calls of a small measured
+phase, counted by a ``sys.setprofile`` hook: an exact change detector,
+re-taken like any other pin, for the interpreter it was taken on.
 
 ``streams-day`` at seed 0, 8 and 16 commit cycles, takes about 1.6 s in
 all (about 0.4 s and 0.6 s a run, 8 cycles twice); ``espresso-cdc`` at
 seed 0, 260 and 1 040 requests, about 2.2 s (each run's set-up, 4 000
 preloaded writes, is about 0.6 s of it), and the profiled 260-request
 run 0.9–1.2 s (0.1–0.2 s of it profiled, against 0.05 s unprofiled).
-The module is about 5 s, 5% of tier-1's test time, on a shared 2-core
+``voldemort-rw`` at 1 000 and 4 000 requests, with its whole-cluster
+restart, about 1.5 s (3 000 preloaded keys); ``voldemort-multiget`` at
+500 and 2 000 requests about 2.5 s (20 000 preloaded keys, about 0.6 s
+a run); the profiled 1 000-request ``voldemort-rw`` run about 0.4 s.
+The module is about 9 s, 9% of tier-1's test time, on a shared 2-core
 Xeon host under Python 3.11.
 """
 
@@ -48,11 +52,16 @@ import pytest
 
 from perfbench.harness import percentile
 from perfbench.workloads import WORKLOADS
+from repro.common.vectorclock import VectorClock
+from repro.common.wal import WriteAheadLog
 from repro.espresso.index import LocalSecondaryIndex
 from repro.kafka.log import PartitionLog
 from repro.search.index import RankedInvertedIndex
+from repro.simnet.disk import _SimFile
+from repro.simnet.network import SimNetwork
 from repro.streams.changelog import ChangelogWriter
 from repro.streams.task import SEEN_PREFIX, TaskInstance
+from repro.voldemort.engines import InMemoryStorageEngine, LogStructuredEngine
 from tests.common.codec_calls import CODEC_FUNCTIONS, codec_calls
 
 #: per-operation counts at the two sizes differ by at most this factor
@@ -92,12 +101,12 @@ class _Recorder:
 
     CLASSES = (TaskInstance, ChangelogWriter, PartitionLog)
 
-    def __init__(self):
-        self.made: dict[type, list] = {cls: [] for cls in self.CLASSES}
+    def __init__(self, classes: tuple[type, ...] = CLASSES):
+        self.made: dict[type, list] = {cls: [] for cls in classes}
         self._inits: dict[type, object] = {}
 
     def __enter__(self) -> "_Recorder":
-        for cls in self.CLASSES:
+        for cls in self.made:
             init = self._inits[cls] = cls.__init__
             made = self.made[cls]
 
@@ -222,8 +231,9 @@ ESPRESSO_CDC_SIM = {
 
 #: Python-level calls (``call`` and ``c_call`` profile events) in the
 #: measured phase of ``espresso-cdc`` at seed 0 and 260 requests, under
-#: the interpreter the pin was taken on
-ESPRESSO_CDC_CALLS = {"interpreter": (3, 11), "ops": 260, "calls": 110_413}
+#: the interpreter the pin was taken on (110 413 while a closed
+#: breaker's ``record_success`` read its ``state`` property)
+ESPRESSO_CDC_CALLS = {"interpreter": (3, 11), "ops": 260, "calls": 110_365}
 
 
 class _Counted:
@@ -319,14 +329,13 @@ def test_espresso_cdc_work_per_operation_is_flat_across_sizes(espresso_cdc):
                   for requests in sorted(ESPRESSO_CDC)))
 
 
-def count_python_calls(requests: int, seed: int = 0) -> tuple[int, int]:
+def count_python_calls(workload) -> tuple[int, int]:
     """``(ops, calls)``: every Python-level call (a function or a
-    builtin) the measured phase of one ``espresso-cdc`` run makes,
-    counted by a profile hook on this thread only.  The cyclic garbage
+    builtin) the measured phase of one set-up workload makes, counted
+    by a profile hook on this thread only.  The cyclic garbage
     collector is off while it counts: a collection runs whatever
     ``gc.callbacks`` other libraries installed (hypothesis installs
     one), at points that depend on the heap this process built before."""
-    workload = _espresso_cdc(requests, seed)
     calls = 0
 
     def profile(frame, event, arg):
@@ -355,6 +364,211 @@ def test_espresso_cdc_python_calls_are_pinned():
     """Interpreter overhead, gated: a change that adds a Python-level
     call to the request path (a parser, a comprehension, a helper) moves
     this count even when every layer's own count stays put."""
-    ops, calls = count_python_calls(ESPRESSO_CDC_CALLS["ops"])
+    ops, calls = count_python_calls(_espresso_cdc(ESPRESSO_CDC_CALLS["ops"]))
     assert (ops, calls) == (ESPRESSO_CDC_CALLS["ops"],
                             ESPRESSO_CDC_CALLS["calls"])
+
+
+# -- voldemort-rw and voldemort-multiget ---------------------------------------
+
+#: measured phase of ``voldemort-rw`` at seed 0, by requests
+VOLDEMORT_RW = {
+    1000: {"ops": 1000, "network.invokes": 3209, "engine.gets": 2000,
+           "engine.puts": 1209, "disk.reads": 2000, "disk.writes": 1209,
+           "disk.bytes": 1_303_302, "vectorclock.compares": 2418,
+           "read_repairs": 0},
+    4000: {"ops": 4000, "network.invokes": 12_899, "engine.gets": 8000,
+           "engine.puts": 4899, "disk.reads": 8000, "disk.writes": 4899,
+           "disk.bytes": 5_281_122, "vectorclock.compares": 9798,
+           "read_repairs": 0},
+}
+
+#: sim-clock latency of the same runs
+VOLDEMORT_RW_SIM = {
+    1000: (1000, 2.8910094781301643, 6.5258397233603285),
+    4000: (4000, 2.922018383945084, 6.4578866564536845),
+}
+
+#: frames the WALs of every node replay when ``voldemort-rw`` restarts
+#: the whole cluster after its measured phase, by requests: every frame
+#: the engines ever appended (the preload's 3 000 keys on 3 replicas,
+#: then the measured puts), since nothing compacts and no hint is held
+VOLDEMORT_RW_REPLAYED = {1000: 10_209, 4000: 13_899}
+
+#: measured phase of ``voldemort-multiget`` at seed 0, by requests (the
+#: memory engine: no disk work, and ``get_all`` reaches engines through
+#: ``get_many``)
+VOLDEMORT_MULTIGET = {
+    500: {"ops": 500, "network.invokes": 2536, "engine.gets": 106,
+          "engine.get_manys": 2178, "engine.puts": 252, "disk.reads": 0,
+          "disk.writes": 0, "disk.bytes": 0, "vectorclock.compares": 823,
+          "read_repairs": 0},
+    2000: {"ops": 2000, "network.invokes": 9984, "engine.gets": 426,
+           "engine.get_manys": 8394, "engine.puts": 1164, "disk.reads": 0,
+           "disk.writes": 0, "disk.bytes": 0,
+           "vectorclock.compares": 10_156, "read_repairs": 0},
+}
+
+#: sim-clock latency of the same runs
+VOLDEMORT_MULTIGET_SIM = {
+    500: (500, 2.712744921170429, 5.493675862145084),
+    2000: (2000, 2.6713901506357076, 5.330267756606522),
+}
+
+#: counts exempt from the Voldemort shape checks, with the reason
+VOLDEMORT_NOT_FLAT = {
+    # no replica misses a write in a failure-free run: a read repair
+    # would be a bug, so the pin holds it at 0
+    "voldemort-rw": {"read_repairs"},
+    "voldemort-multiget": {
+        "read_repairs",
+        # the memory engine: no disk work at all, pinned at 0
+        "disk.reads", "disk.writes", "disk.bytes",
+        # the 32 hot keys' sibling sets fill toward the nine concurrent
+        # versions (eight blind writers and the preload) as the run goes
+        # on, and a put or get of a hot key compares against each
+        # sibling: 1.0 compares per operation at 250 requests, 2.8 at
+        # 1 000, 5.1 at 2 000, 7.9 at 4 000, with mean sets of 2.3, 5.0,
+        # 7.2 and 8.6 versions
+        "vectorclock.compares"},
+}
+
+#: Python-level calls in the measured phase of ``voldemort-rw`` at seed
+#: 0 and 1 000 requests, as for ``espresso-cdc``
+VOLDEMORT_RW_CALLS = {"interpreter": (3, 11), "ops": 1000, "calls": 255_685}
+
+#: the measured-phase calls counted for both Voldemort workloads
+_VOLDEMORT_METHODS = (
+    (SimNetwork, "invoke"),
+    (LogStructuredEngine, "get"), (LogStructuredEngine, "put"),
+    (InMemoryStorageEngine, "get"), (InMemoryStorageEngine, "get_many"),
+    (InMemoryStorageEngine, "put"),
+    (_SimFile, "read"), (VectorClock, "compare"))
+
+
+def _voldemort(name: str, requests: int, seed: int = 0):
+    cls = WORKLOADS[name]
+    workload = cls(seed, requests / cls.REQUESTS)
+    assert workload.steps == requests
+    workload.setup()
+    return workload
+
+
+def run_voldemort(name: str, requests: int, seed: int = 0
+                  ) -> tuple[dict[str, int], tuple[int, float, float], object]:
+    """The measured phase's counts and sim latency of one Voldemort
+    workload run, and the workload (set up, measured, checked)."""
+    workload = _voldemort(name, requests, seed)
+    routed = workload.routed if name == "voldemort-rw" else workload.reader
+    disk = workload.cluster.disk
+    writes_before = disk.writes
+    repairs_before = routed.metrics.counter("read_repairs").value
+    disk.start_trace()
+    with _Counted(*_VOLDEMORT_METHODS) as counted:
+        for i in range(workload.steps):
+            workload.prepare(i)
+            workload.step(i)
+    calls = counted.calls
+    counts = {
+        "ops": workload.ops,
+        "network.invokes": calls[SimNetwork, "invoke"],
+        "engine.gets": calls[LogStructuredEngine, "get"]
+        + calls[InMemoryStorageEngine, "get"],
+        "engine.puts": calls[LogStructuredEngine, "put"]
+        + calls[InMemoryStorageEngine, "put"],
+        "disk.reads": calls[_SimFile, "read"],
+        "disk.writes": disk.writes - writes_before,
+        "disk.bytes": sum(event[4] for event in disk.trace
+                          if event[0] == "write"),
+        "vectorclock.compares": calls[VectorClock, "compare"],
+        "read_repairs": routed.metrics.counter("read_repairs").value
+        - repairs_before,
+    }
+    if name == "voldemort-multiget":
+        counts["engine.get_manys"] = calls[InMemoryStorageEngine, "get_many"]
+    disk.trace = None
+    assert workload.check() == []
+    return counts, sim_latency(workload), workload
+
+
+def frames_replayed_on_restart(workload) -> int:
+    """Frames every WAL of the cluster replays when the workload kills
+    and restarts all its nodes (``Workload.recover``)."""
+    with _Recorder((WriteAheadLog,)) as recorder:
+        workload.recover()
+    return sum(wal.recovered_frames for wal in recorder.made[WriteAheadLog])
+
+
+@pytest.fixture(scope="module")
+def voldemort_rw() -> dict[int, tuple]:
+    runs = {}
+    for requests in VOLDEMORT_RW:
+        counts, sim, workload = run_voldemort("voldemort-rw", requests)
+        runs[requests] = (counts, sim, frames_replayed_on_restart(workload))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def voldemort_multiget() -> dict[int, tuple]:
+    return {requests: run_voldemort("voldemort-multiget", requests)[:2]
+            for requests in VOLDEMORT_MULTIGET}
+
+
+@pytest.mark.parametrize("requests", sorted(VOLDEMORT_RW))
+def test_voldemort_rw_work_counts_are_pinned(voldemort_rw, requests):
+    assert voldemort_rw[requests][0] == VOLDEMORT_RW[requests]
+
+
+@pytest.mark.parametrize("requests", sorted(VOLDEMORT_RW_SIM))
+def test_voldemort_rw_sim_latency_is_pinned(voldemort_rw, requests):
+    assert voldemort_rw[requests][1] == VOLDEMORT_RW_SIM[requests]
+
+
+@pytest.mark.parametrize("requests", sorted(VOLDEMORT_RW_REPLAYED))
+def test_voldemort_rw_restart_replays_every_frame_once(voldemort_rw,
+                                                       requests):
+    counts, _, replayed = voldemort_rw[requests]
+    assert replayed == VOLDEMORT_RW_REPLAYED[requests]
+    cls = WORKLOADS["voldemort-rw"]
+    assert replayed == 3 * cls.KEYS + counts["engine.puts"]
+
+
+def test_voldemort_rw_work_per_operation_is_flat_across_sizes(voldemort_rw):
+    assert_flat(*(voldemort_rw[requests][0]
+                  for requests in sorted(VOLDEMORT_RW)),
+                exempt=VOLDEMORT_NOT_FLAT["voldemort-rw"])
+
+
+@pytest.mark.parametrize("requests", sorted(VOLDEMORT_MULTIGET))
+def test_voldemort_multiget_work_counts_are_pinned(voldemort_multiget,
+                                                   requests):
+    assert voldemort_multiget[requests][0] == VOLDEMORT_MULTIGET[requests]
+
+
+@pytest.mark.parametrize("requests", sorted(VOLDEMORT_MULTIGET_SIM))
+def test_voldemort_multiget_sim_latency_is_pinned(voldemort_multiget,
+                                                  requests):
+    assert voldemort_multiget[requests][1] == \
+        VOLDEMORT_MULTIGET_SIM[requests]
+
+
+def test_voldemort_multiget_work_per_operation_is_flat_across_sizes(
+        voldemort_multiget):
+    assert_flat(*(voldemort_multiget[requests][0]
+                  for requests in sorted(VOLDEMORT_MULTIGET)),
+                exempt=VOLDEMORT_NOT_FLAT["voldemort-multiget"])
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != VOLDEMORT_RW_CALLS["interpreter"],
+    reason="call counts are the interpreter's: re-take the pin on another")
+def test_voldemort_rw_python_calls_are_pinned():
+    """Interpreter overhead of the Voldemort request path, gated as for
+    ``espresso-cdc``: a read that walks its replies when they agree, a
+    hop that builds an unused trace record or scales by a limp factor
+    no node has, or a replica's bookkeeping going back through its
+    method and property hops, each moves this count."""
+    ops, calls = count_python_calls(
+        _voldemort("voldemort-rw", VOLDEMORT_RW_CALLS["ops"]))
+    assert (ops, calls) == (VOLDEMORT_RW_CALLS["ops"],
+                            VOLDEMORT_RW_CALLS["calls"])

@@ -86,3 +86,40 @@ def test_move_validates_current_owner(cluster):
     plan = RebalancePlan([PartitionMove(0, wrong_donor, owner)])
     with pytest.raises(ConfigurationError):
         admin.execute_rebalance(plan)
+
+
+def test_a_handoff_during_the_new_servers_construction_skips_the_new_node(
+        cluster, monkeypatch):
+    """The newcomer's id was used before and left a torn ``slops.wal``,
+    so building its server fsyncs the cut.  A write that needs a hinted
+    handoff lands inside that fsync.  The new node is not a fallback
+    yet: the ring names it only once its server is registered, so the
+    handoff finds no live fallback (every old node is a replica), the
+    write is acked by W replicas, and no ``KeyError`` escapes."""
+    from repro.simnet.disk import _SimFile
+
+    admin = AdminService(cluster)
+    admin.add_store(StoreDefinition("s1", 3, 2, 2))
+    routed = RoutedStore(cluster, "s1")
+    stale = cluster.disk.scope("node-99").open("slops.wal", "ab")
+    stale.write(b"torn")          # shorter than a frame header
+    stale.fsync()
+    stale.close()
+    cluster.network.failures.crash("node-1")
+    landed = []
+    fsync = _SimFile.fsync
+
+    def racing_fsync(handle):
+        if handle._path == "node-99/slops.wal" and not landed:
+            landed.append(routed.put(b"k", Versioned.initial(b"v", 0)))
+        fsync(handle)
+
+    monkeypatch.setattr(_SimFile, "fsync", racing_fsync)
+    admin.plan_expansion(99)
+    assert len(landed) == 1
+    assert routed.metrics.counter("hints_stored").value == 0
+    # once registered and on the ring, the newcomer holds hints
+    routed.put(b"k2", Versioned.initial(b"v", 0))
+    assert 99 in cluster.ring.nodes
+    assert routed.metrics.counter("hints_stored").value == 1
+    assert cluster.server_for(99).hints_for(1)
