@@ -33,16 +33,17 @@ written once here:
   themselves, they ask the :class:`~repro.analysis.core.FileContext`
   that owns the tree (:meth:`~repro.analysis.core.FileContext.cfg`),
   which builds it on first request and dies with the run;
-* :func:`walk_paths` — the "carry a state down every path from this
-  element" search, parameterized by a per-element step function: the
-  yield-point rules carry the first yield crossed, the typestate rules
-  of :mod:`repro.analysis.protocol` an open obligation, and both read
-  what reached the normal exit from its return value.
+* :func:`solve` — one forward dataflow over sets of facts with a
+  per-element transfer function, solved once per function: the
+  yield-point rules carry values and pending writes tagged with the
+  first yield they crossed, the typestate rules of
+  :mod:`repro.analysis.protocol` open obligations, and each reads its
+  convictions off the fixpoint with :func:`replay`.
 
 Precision notes, honest edition: the CFG is statement-granular, and an
-exception edge leaves a block with every state the walk held inside it
+exception edge leaves a block with every fact the block held inside it
 (an exception may fire between any two elements, so a handler sees the
-state before a mid-block discharge as well as after it);
+facts from before a mid-block discharge as well as after it);
 ``while True`` gets no false edge (otherwise every infinite dispatch
 loop would leak a phantom exit path); ``finally`` bodies are built
 once on the merged normal+exceptional path rather than duplicated per
@@ -56,6 +57,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 #: AST node types treated as a function scope of their own.
@@ -121,6 +123,13 @@ class CFG:
         for block in self.blocks:
             for index, element in enumerate(block.elements):
                 yield block, index, element
+
+    @cached_property
+    def calls(self) -> dict[int, list[ast.Call]]:
+        """id(element) -> :func:`calls_in` of it, for every element:
+        taken once, since every CFG rule asks for every element's."""
+        return {id(element): list(calls_in(element))
+                for _, _, element in self.elements()}
 
 
 # -- construction ------------------------------------------------------------
@@ -367,7 +376,7 @@ def walk_scope(roots: Iterable[ast.AST], lambdas: bool) -> Iterator[ast.AST]:
     it is a scope, a graph node and a CFG of its own.  Lambda bodies
     are entered only when ``lambdas`` is true: they run in this frame's
     dynamic extent (the call graph wants their calls) but not *at* the
-    element that builds them (a path walk must not see their reads).
+    element that builds them (a dataflow step must not see their reads).
     """
     stack: list[ast.AST] = list(roots)
     while stack:
@@ -510,59 +519,62 @@ def names_word(name: str, words: frozenset[str]) -> bool:
     return any(word.lower() in words for word in _WORD.findall(name))
 
 
-# -- the path walk -----------------------------------------------------------
+# -- the forward dataflow ----------------------------------------------------
 
-#: Returned by a :func:`walk_paths` step function to end the current
-#: path (the tracked fact was killed, or convicted and done).
-STOP = object()
+#: A per-element transfer function: the facts before an element -> the
+#: facts after it.  :func:`replay` also hands it a list to record the
+#: element's convictions in; :func:`solve` does not.
+Step = Callable[..., frozenset]
 
 
-def walk_paths(cfg: CFG, block: BasicBlock, index: int,
-               step: Callable[[ast.AST, object], object],
-               state: object = None) -> list[object]:
-    """Carry a state down every CFG path that starts at element
-    ``index`` of ``block``; return the states that reached the normal
-    exit.
+def solve(cfg: CFG, step: Step,
+          edge: Callable[[BasicBlock, Edge, frozenset], frozenset]
+          | None = None) -> list[frozenset]:
+    """The least fixpoint of one forward problem over sets of facts: the
+    facts that enter each block, indexed by block id.
 
-    ``step(element, state)`` is called for each element in path order
-    and returns the state to carry on with, or :data:`STOP` to prune
-    this path (other paths continue).  The state starts as ``state``;
-    the yield-point rules use "the first yield point crossed" — falsy
-    before the yield, truthy after — so a block is entered at most once
-    per state *truthiness*: once on a pre-yield path, once on a
-    post-yield one.  The start block itself may be re-entered from the
-    top (a loop back-edge is how a ``while`` test goes stale).  Normal
-    edges carry the state the block ends with; exception edges carry
-    every state the block passed through, the one it was entered with
-    included, since the raise may come before any element's effect.
-    The exit blocks are never stepped: a path that leaves the function
-    acts on nothing, and one that leaves by an uncaught raise is not
-    reported.  Whatever a step convicts it records itself.
+    Every block is stepped once, in block order (dead code gens facts
+    too), and again only when the facts that enter it grow.  A normal
+    edge carries the facts the block ends with; an exception edge every
+    fact the block passed through, those it was entered with included,
+    since the raise may come before any element's effect.
+    ``edge(block, out_edge, facts)`` may rewrite what one edge carries
+    (a gated obligation opens on its admitted edge).  The exit blocks
+    are never stepped; ``into[cfg.exit.bid]`` is what reached the
+    normal exit.
     """
-    exits: list[object] = []
-    stack: list[tuple[BasicBlock, int, object]] = [(block, index, state)]
-    visited: set[tuple[int, bool]] = set()
-    while stack:
-        current, start, state = stack.pop()
-        # the first state of each truthiness the block passed through:
-        # a later one of the same truthiness would find its key visited
-        passed = {bool(state): state}
-        for element in current.elements[start:]:
-            state = step(element, state)
-            if state is STOP:
-                break
-            passed.setdefault(bool(state), state)
-        for edge in current.out_edges:
-            carried = passed.values() if edge.kind == "exc" else \
-                () if state is STOP else (state,)
-            for value in carried:
-                if edge.dst is cfg.exit:
-                    exits.append(value)
-                elif edge.dst is not cfg.raise_exit \
-                        and (edge.dst.bid, bool(value)) not in visited:
-                    visited.add((edge.dst.bid, bool(value)))
-                    stack.append((edge.dst, 0, value))
-    return exits
+    exits = {cfg.exit.bid, cfg.raise_exit.bid}
+    into = [frozenset()] * len(cfg.blocks)
+    pending = set(range(len(cfg.blocks))) - exits
+    while pending:
+        block = cfg.blocks[min(pending)]
+        pending.remove(block.bid)
+        facts = passed = into[block.bid]
+        for element in block.elements:
+            facts = step(element, facts)
+            passed |= facts
+        for out in block.out_edges:
+            carried = passed if out.kind == "exc" else facts
+            if edge is not None:
+                carried = edge(block, out, carried)
+            if not carried <= into[out.dst.bid]:
+                into[out.dst.bid] |= carried
+                pending |= {out.dst.bid} - exits
+    return into
+
+
+def replay(cfg: CFG, into: list[frozenset], step: Step) -> list:
+    """Step every element once more, in block order, from the facts the
+    fixpoint ``into`` gives its block, as ``step(element, facts,
+    found)``: the convictions each records in ``found`` from the facts
+    that really reach it, in that order."""
+    found: list = []
+    for block in cfg.blocks:
+        if block is not cfg.exit and block is not cfg.raise_exit:
+            facts = into[block.bid]
+            for element in block.elements:
+                facts = step(element, facts, found)
+    return found
 
 
 def receiver_name(func: ast.expr) -> str:

@@ -17,10 +17,11 @@ Instances:
   the breaker's sliding window and freezes its state.
 
 A :class:`ProtocolSpec` declares the protocol; :func:`check_protocol`
-enforces it by path search over :func:`~repro.analysis.flow.walk_paths`:
-from each obligation site, walk every CFG path; a path that reaches
-the normal exit (or a forbidden event) without passing a discharge
-*on the same receiver* is a violation.
+enforces it with one forward dataflow per function
+(:func:`~repro.analysis.flow.solve`) whose facts are the open
+obligations: an obligation that reaches the normal exit (or a
+forbidden event) on some path without passing a discharge *on the
+same receiver* is a violation.
 Paths that leave via an uncaught exception are excused — an exception
 propagating out of the function means the caller never gets an ack to
 mis-trust.  This is exactly where the PR 3 line-based heuristic fell
@@ -48,14 +49,12 @@ from typing import Callable, Iterator
 from repro.analysis.core import FileContext
 from repro.analysis.flow import (
     CFG,
-    STOP,
-    BasicBlock,
-    calls_in,
     callee_name,
     definitions,
     receiver_name,
+    replay,
+    solve,
     store_targets,
-    walk_paths,
 )
 
 
@@ -124,7 +123,7 @@ def _tracked_names(cfg: CFG, spec: ProtocolSpec) -> set[str]:
     """Receiver names under this spec's contract in one function."""
     tracked: set[str] = set()
     for _, _, element in cfg.elements():
-        for call in calls_in(element):
+        for call in cfg.calls[id(element)]:
             if not isinstance(call.func, ast.Attribute):
                 continue
             recv = receiver_name(call.func)
@@ -140,13 +139,15 @@ def _tracked_names(cfg: CFG, spec: ProtocolSpec) -> set[str]:
     return tracked
 
 
-def _element_events(element: ast.AST, spec: ProtocolSpec,
-                    tracked: set[str]) -> list[tuple[str, str, ast.AST]]:
-    """(receiver, event, node) triples this element emits, in source
-    order.  Forbidden-write events use the pseudo-receiver ``*`` —
-    they fire regardless of which tracked object is mid-protocol."""
+def _element_events(element: ast.AST, calls: list[ast.Call],
+                    spec: ProtocolSpec, tracked: set[str]
+                    ) -> list[tuple[str, str, ast.AST]]:
+    """(receiver, event, node) triples this element, performing
+    ``calls``, emits in source order.  Forbidden-write events use the
+    pseudo-receiver ``*`` — they fire regardless of which tracked
+    object is mid-protocol."""
     events: list[tuple[str, str, ast.AST]] = []
-    for call in calls_in(element):
+    for call in calls:
         event = spec.classify(callee_name(call.func))
         if event is None:
             continue
@@ -170,97 +171,79 @@ def _element_events(element: ast.AST, spec: ProtocolSpec,
 # -- gated obligations -------------------------------------------------------
 
 
-def _gated_edge_kind(test: ast.expr, call: ast.Call) -> str | None:
+def _gated_edge_kind(test: ast.AST, call: ast.Call,
+                     kind: str = "true") -> str | None:
     """Which branch edge means "the gating call returned True"?
 
     Folds ``not`` nesting: ``if allow():`` -> ``true`` edge, ``if not
     allow():`` -> ``false`` edge.  Returns None when the call is not
-    part of this test.
+    part of this test (or the element is no test at all).
     """
-    def search(node: ast.expr, parity: int) -> int | None:
-        if node is call:
-            return parity
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            return search(node.operand, parity ^ 1)
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                found = search(value, parity)
-                if found is not None:
-                    return found
-        return None
-
-    parity = search(test, 0)
-    if parity is None:
-        return None
-    return "false" if parity else "true"
+    if test is call:
+        return kind
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _gated_edge_kind(test.operand, call,
+                                "false" if kind == "true" else "true")
+    if isinstance(test, ast.BoolOp):
+        return next(filter(None, (_gated_edge_kind(value, call, kind)
+                                  for value in test.values)), None)
+    return None
 
 
-# -- the path search ---------------------------------------------------------
-
-#: id(CFG element) -> the (receiver, event, node) triples it emits
-Events = dict[int, list[tuple[str, str, ast.AST]]]
-
-
-def _search_paths(cfg: CFG, spec: ProtocolSpec, recv: str, events: Events,
-                  block: BasicBlock, index: int,
-                  obligation_node: ast.AST) -> list[ProtocolViolation]:
-    """Walk every path from element ``index`` of ``block`` with the
-    obligation open: a discharge on the same receiver ends a path, a
-    forbidden event on it is a violation, and so is reaching the normal
-    exit (once per obligation)."""
-    found: list[ProtocolViolation] = []
-    reported: set[int] = set()
-
-    def step(element: ast.AST, state: object) -> object:
-        for event_recv, event, node in events.get(id(element), ()):
-            if event_recv == recv and event in spec.discharge:
-                return STOP
-            if (event == "forbidden-write" or event in spec.forbidden_events) \
-                    and id(node) not in reported:
-                reported.add(id(node))
-                message = spec.forbidden_write_message \
-                    if event == "forbidden-write" \
-                    else spec.forbidden_event_message
-                found.append(ProtocolViolation(
-                    node, message.format(recv=recv), spec))
-        return state
-
-    if walk_paths(cfg, block, index, step, True):
-        found.append(ProtocolViolation(
-            obligation_node, spec.exit_message.format(recv=recv), spec))
-    return found
+# -- the dataflow ------------------------------------------------------------
 
 
 def check_cfg(cfg: CFG, spec: ProtocolSpec) -> Iterator[ProtocolViolation]:
-    """All protocol violations of one spec in one function."""
+    """All protocol violations of one spec in one function.  The facts
+    are the open obligations, named by their sites: a discharge closes
+    those open on its receiver, and a forbidden event or the normal
+    exit convicts each one that reaches it."""
     tracked = _tracked_names(cfg, spec)
     if not tracked:
         return
-    events: Events = {}
-    for _, _, element in cfg.elements():
-        emitted = _element_events(element, spec, tracked)
-        if emitted:
-            events[id(element)] = emitted
-    for block, index, element in cfg.elements():
-        for recv, event, node in events.get(id(element), ()):
+    events: dict[int, list[tuple[str, str, ast.AST]]] = {}
+    sites: list[tuple[str, ast.AST]] = []    # fact -> (receiver, node)
+    # id(element), or (block id, edge kind) for a gate -> facts opened
+    opens: dict[object, list[int]] = {}
+    for block, _, element in cfg.elements():
+        emitted = events[id(element)] = _element_events(
+            element, cfg.calls[id(element)], spec, tracked)
+        for recv, event, node in emitted:
             if event != spec.obligation:
                 continue
-            if not spec.gate:
-                yield from _search_paths(cfg, spec, recv, events,
-                                         block, index + 1, node)
-                continue
+            sites.append((recv, node))
             # a gated obligation opens on the admitted branch edge; a
             # gating call whose result is not branched on conservatively
             # obligates the fall-through (both branches of a test)
-            admitted = _gated_edge_kind(element, node) \
-                if isinstance(element, ast.expr) else None
-            if admitted is None:
-                yield from _search_paths(cfg, spec, recv, events,
-                                         block, index + 1, node)
-            for edge in block.out_edges:
-                if admitted is not None and edge.kind == admitted:
-                    yield from _search_paths(cfg, spec, recv, events,
-                                             edge.dst, 0, node)
+            admitted = _gated_edge_kind(element, node) if spec.gate else None
+            opens.setdefault(id(element) if admitted is None
+                             else (block.bid, admitted), []).append(
+                len(sites) - 1)
+    if not sites:
+        return
+
+    def step(element: ast.AST, facts: frozenset,
+             found: list | None = None) -> frozenset:
+        for recv, event, node in events[id(element)]:
+            if event in spec.discharge:
+                facts = frozenset(f for f in facts if sites[f][0] != recv)
+            elif found is not None and (event == "forbidden-write"
+                                        or event in spec.forbidden_events):
+                message = spec.forbidden_write_message \
+                    if event == "forbidden-write" \
+                    else spec.forbidden_event_message
+                found.extend(ProtocolViolation(
+                    node, message.format(recv=sites[fact][0]), spec)
+                    for fact in sorted(facts))
+        return facts.union(opens.get(id(element), ()))
+
+    into = solve(cfg, step, lambda block, edge, facts: facts.union(
+        opens.get((block.bid, edge.kind), ())))
+    yield from replay(cfg, into, step)
+    for fact in sorted(into[cfg.exit.bid]):
+        recv, node = sites[fact]
+        yield ProtocolViolation(node, spec.exit_message.format(recv=recv),
+                                spec)
 
 
 def check_protocol(ctx: FileContext, spec: ProtocolSpec

@@ -39,11 +39,14 @@ after the contract it enforces:
 
 Four rules run on the control-flow graphs of
 :mod:`repro.analysis.flow` rather than on per-line syntax, and all
-four walk their paths through :func:`~repro.analysis.flow.walk_paths`:
-the typestate pair (``durability-unsynced-ack``,
-``breaker-unrecorded-outcome``) through
-:mod:`repro.analysis.protocol`, ``atomicity-violation`` and
-``non-atomic-multi-write`` as step functions of their own.  Seven are
+four are one forward dataflow each, solved once per function by
+:func:`~repro.analysis.flow.solve` and read off its fixpoint: the
+typestate pair (``durability-unsynced-ack``,
+``breaker-unrecorded-outcome``) through :mod:`repro.analysis.protocol`
+(facts: open obligations), ``atomicity-violation`` (values read from
+shared state, fresh or stale since a yield) and
+``non-atomic-multi-write`` (pending writes) as transfer functions of
+their own.  Seven are
 :class:`~repro.analysis.core.ProjectRule`\\ s, which read the
 repo-wide call graph (:mod:`repro.analysis.callgraph`) and effect
 summaries (:mod:`repro.analysis.summaries`) instead of re-deriving

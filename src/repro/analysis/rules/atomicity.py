@@ -31,17 +31,18 @@ into convictions:
   decorator and ``# repro-atomic`` region markers: a marked function
   or region must contain no transitive yield point at all.
 
-The first two walk the CFG path-sensitively (:func:`~repro.analysis.
-flow.walk_paths`: a revalidation on one branch clears only that
-branch), and all three attach the summary layer's witness chain, so a
-conviction reads *read → yield via f → g → primitive → stale use*
-without re-derivation.
+The first two are forward dataflows over the CFG, one fixpoint per
+method (:func:`~repro.analysis.flow.solve`: a revalidation on one
+branch clears only that branch's facts), and all three attach the
+summary layer's witness chain, so a conviction reads *read → yield via
+f → g → primitive → stale use* without re-derivation.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.analysis.callgraph import (
@@ -53,14 +54,14 @@ from repro.analysis.callgraph import (
 from repro.analysis.core import Finding, ProjectRule, register
 from repro.analysis.flow import (
     CFG,
-    STOP,
     calls_in,
     callee_name,
     definitions,
     evaluated_nodes,
     names_word,
+    replay,
+    solve,
     uses,
-    walk_paths,
 )
 from repro.analysis.summaries import (
     MUTATORS,
@@ -78,9 +79,6 @@ from repro.analysis.summaries import (
 _JOURNAL = frozenset({"journal", "wal"})
 
 _ATOMIC_LINE = re.compile(r"#\s*repro-atomic\s*(?::\s*(begin|end))?\s*$")
-
-#: id(CFG element) -> the summary's mutation sites the element performs
-Sites = dict[int, list[Mutation]]
 
 
 def _methods(project: Project
@@ -121,14 +119,14 @@ def _mutable_attrs(project: Project) -> dict[str, set[str]]:
             for qual in own}
 
 
-def _element_sites(cfg: CFG, summary: Summary) -> Sites:
-    """The summary's mutation sites grouped by the CFG element that
-    performs them, in summary order."""
+def _element_sites(cfg: CFG, summary: Summary) -> dict[int, list[Mutation]]:
+    """The summary's mutation sites grouped by the id of the CFG element
+    that performs them, in summary order."""
     if not summary.mutations:
         return {}
     owner = {id(node): id(element) for _, _, element in cfg.elements()
              for node in evaluated_nodes(element)}
-    sites: Sites = {}
+    sites: dict[int, list[Mutation]] = {}
     for site in summary.mutations:
         element = owner.get(site.node_id)
         if element is not None:
@@ -151,23 +149,6 @@ def _self_load_paths(node: ast.AST, self_name: str,
             and (path := self_path(sub, self_name)) is not None}
 
 
-def _keyed_by(element: ast.AST, names: set[str]) -> set[int]:
-    """The attribute nodes an element loads through a subscript whose
-    key or slice reads one of ``names`` — below it (``self.x`` in
-    ``self.x[len(var):]``) or above it (``.y`` in ``self.x[var].y``):
-    such a load reads shared state *through* a stale local."""
-    nodes = list(evaluated_nodes(element))
-    keyed = [node for node in nodes if isinstance(node, ast.Subscript)
-             and any(isinstance(name, ast.Name) and name.id in names
-                     for name in ast.walk(node.slice))]
-    below = {id(sub) for node in keyed for sub in ast.walk(node.value)
-             if isinstance(sub, ast.Attribute)}
-    keyed_ids = {id(node) for node in keyed}
-    above = {id(sub) for sub in nodes if isinstance(sub, ast.Attribute)
-             and any(id(node) in keyed_ids for node in ast.walk(sub.value))}
-    return below | above
-
-
 def _reval_load_paths(element: ast.AST, self_name: str,
                       sites: list[Mutation],
                       skip: set[int] | frozenset[int] = frozenset()
@@ -186,14 +167,11 @@ def _reval_load_paths(element: ast.AST, self_name: str,
     return loads - written | {s.path for s in sites if s.kind == "rmw"}
 
 
-def _yield_at(element: ast.AST,
-              yields: dict[int, YieldPoint]) -> YieldPoint | None:
-    """The first yield point among the calls an element performs."""
-    for call in calls_in(element):
-        point = yields.get(id(call))
-        if point is not None:
-            return point
-    return None
+def _yield_at(calls: list[ast.Call], yields: dict[int, int]) -> int | None:
+    """The index of the first yield point among an element's ``calls``
+    (``yields`` maps a call's id to its point's index)."""
+    return next((yields[id(call)] for call in calls if id(call) in yields),
+                None)
 
 
 def _journal_call(call: ast.Call) -> bool:
@@ -205,25 +183,15 @@ def _journal_call(call: ast.Call) -> bool:
     return isinstance(node, ast.Name) and names_word(node.id, _JOURNAL)
 
 
-def _durability_record(element: ast.AST,
-                       yields: dict[int, YieldPoint]) -> bool:
-    """True when the element makes a durability record that covers the
-    preceding write: a call whose dotted path names a journal/WAL, a
-    direct ``.fsync()``, or a yield point whose witness chain passes a
-    journal-named frame (journaling through a helper)."""
-    for call in calls_in(element):
-        if _journal_call(call):
-            return True
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "fsync":
-            return True
-        point = yields.get(id(call))
-        if point is not None and (
-                point.direct == "fsync"
-                or any(names_word(frame.callee, _JOURNAL)
-                       for frame in point.chain)):
-            return True
-    return False
+def _durability_record(calls: list[ast.Call], journaled: set[int]) -> bool:
+    """True when an element's ``calls`` make a durability record that
+    covers the preceding write: a call whose dotted path names a
+    journal/WAL, a direct ``.fsync()``, or a call in ``journaled``, the
+    yield points whose witness chain passes a journal-named frame
+    (journaling through a helper) or that are an fsync."""
+    return any(_journal_call(call) or id(call) in journaled
+               or isinstance(call.func, ast.Attribute)
+               and call.func.attr == "fsync" for call in calls)
 
 
 def _blocks_on(point: YieldPoint) -> str:
@@ -252,14 +220,12 @@ class AtomicityViolationRule(ProjectRule):
     def check_project(self, project: Project) -> Iterator[Finding]:
         mutable_attrs = _mutable_attrs(project)
         for fn, summary, self_name in _methods(project):
-            yields = {y.node_id: y for y in summary.yield_points}
             mutable = mutable_attrs.get(fn.cls.qualname)
-            if not yields or not mutable:
+            if not summary.yield_points or not mutable:
                 continue
-            cfg = fn.module.ctx.cfg(fn.node)
-            sites = _element_sites(cfg, summary)
             for var, origin, path, point, element in _stale_uses(
-                    cfg, yields, mutable, self_name, sites):
+                    fn.module.ctx.cfg(fn.node), summary, mutable,
+                    self_name):
                 line = element.lineno
                 if var is None:
                     message = (
@@ -288,133 +254,160 @@ class AtomicityViolationRule(ProjectRule):
                     (fn.frame(line, what),) + point.chain)
 
 
-def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
-                self_name: str, sites: Sites
+class _Element:
+    """What the staleness transfer reads off one CFG element: its
+    yield, its mutation sites, the self paths it re-reads and, on first
+    use, the locals it reads and binds."""
+
+    def __init__(self, node: ast.AST, self_name: str, at: list[Mutation],
+                 point: int | None):
+        self.node, self.self_name, self.at, self.point = \
+            node, self_name, at, point
+        self.test = isinstance(node, ast.expr)
+        self.wrote = any(site.kind != "self-call" for site in at)
+        self.reloads = _reval_load_paths(node, self_name, at)
+
+    @cached_property
+    def read(self) -> set[str]:
+        return uses(self.node)
+
+    @cached_property
+    def defs(self) -> list[str]:
+        return definitions(self.node)
+
+    def stores(self, path: str) -> set[str]:
+        return {site.kind for site in self.at if site.path == path}
+
+    def built(self) -> list[str]:
+        """The locals a non-test element builds: those an assignment
+        binds, and the plain local a mutator is called on (``kept`` in
+        ``kept.extend(...)``).  A loop target is an element of what it
+        iterates, not a copy of the collection, and builds nothing."""
+        return (self.defs if isinstance(self.node, (
+            ast.Assign, ast.AnnAssign, ast.AugAssign)) else []) + [
+            call.func.value.id for call in calls_in(self.node)
+            if isinstance(call.func, ast.Attribute)
+            and call.func.attr in MUTATORS
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id != self.self_name]
+
+    def reloads_past(self, stale: set[str]) -> set[str]:
+        """The re-reads that revalidate while the ``stale`` locals live.
+        A non-test load through a subscript whose key or slice reads one
+        — below it (``self.x`` in ``self.x[len(var):]``) or above it
+        (``.y`` in ``self.x[var].y``) — reads shared state *through* the
+        stale value and revalidates nothing; a branch test that compares
+        fresh state with the local is the revalidation itself."""
+        names = stale and stale & self.read
+        if self.test or not names:
+            return self.reloads
+        nodes = list(evaluated_nodes(self.node))
+        keyed = {id(node): node for node in nodes
+                 if isinstance(node, ast.Subscript)
+                 and any(isinstance(name, ast.Name) and name.id in names
+                         for name in ast.walk(node.slice))}
+        skip = {id(sub) for node in keyed.values()
+                for sub in ast.walk(node.value)
+                if isinstance(sub, ast.Attribute)}
+        skip |= {id(sub) for sub in nodes if isinstance(sub, ast.Attribute)
+                 and any(id(node) in keyed for node in ast.walk(sub.value))}
+        return _reval_load_paths(self.node, self.self_name, self.at, skip)
+
+
+def _stale_uses(cfg: CFG, summary: Summary, mutable: set[str],
+                self_name: str
                 ) -> list[tuple[str | None, str | None, str, YieldPoint,
                                 ast.AST]]:
     """Stale uses of values read from mutable shared state, as
-    ``(holder, origin, path, yield point, element)``.
+    ``(holder, origin, path, yield point, element)``, from one forward
+    dataflow (DESIGN §15.4).
 
-    One fact is tracked per read: an element that loads a mutable self
-    path (and does not itself yield) starts a path walk that carries
-    the first yield point crossed.  The value lives either in a local
-    the element binds (``origin``; the path is then the attribute it
-    was read from) or, with no local, in the path itself (holder and
-    origin None).  After the yield a re-read of the path revalidates
-    and ends the walk.  A local's stale use is a branch test or a
-    shared-state write (a mutation site of any kind) that reads it; a
-    rebinding of the local ends its walk.  The path's own stale use is
-    a plain store to it that re-reads no mutable state (a store
-    recomputed from post-yield state is fresh); a store or
-    read-modify-write before the yield supersedes the read.
-
-    A write's re-read whose subscript or slice reads a stale local
-    (``self.x = kept + self.x[len(var):]``) leans on the stale value
-    and revalidates nothing; a branch test that compares fresh state
-    with the local is the revalidation itself, however it indexes.
-    After the yield, a local built from a stale one by an assignment
-    (``tail = f(var)``) or by a mutator called on it
-    (``kept.extend(var)``) is stale too, and is followed from there
-    (:func:`_built_locals`).  Each element is convicted once, by the
-    first fact to reach it, locals before paths."""
-    found: list[tuple[str | None, str | None, str, YieldPoint, ast.AST]] = []
-    convicted: set[int] = set()
-    position = {id(element): (block, index)
-                for block, index, element in cfg.elements()}
-    local_facts: list[tuple[ast.AST, str, str | None]] = []
-    path_facts: list[tuple[ast.AST, str, str | None]] = []
+    A fact is ``(origin, yield, holder)``: the read that produced the
+    value, the first yield crossed since (None while fresh) and the
+    local that holds it (None: the self path itself).  A non-yielding
+    element gens a fresh fact per local it binds from a mutable path (a
+    value *taken* by ``pop`` and kin is the local's own) and per
+    mutable path it re-reads; a yield turns fresh facts stale.  A
+    rebinding kills a local's fact; a store or read-modify-write before
+    the yield kills a path's, and so does any store after it.  After
+    the yield a re-read of the path (:meth:`_Element.reloads_past`)
+    kills either.  A local's stale use is a branch test or mutation
+    site that reads it, and any other element that reads it makes what
+    it builds stale too (``tail = f(var)``, ``kept.extend(var)``).  The
+    path's own stale use is a plain store to it that re-reads no
+    mutable state.  Each element is convicted once, by the least fact
+    that convicts it: locals before paths, then the reads' element
+    order, then the earliest yield point, then the holder's name."""
+    sites = _element_sites(cfg, summary)
+    yields = {point.node_id: index
+              for index, point in enumerate(summary.yield_points)}
+    info = {id(element): _Element(element, self_name,
+                                  sites.get(id(element), []),
+                                  _yield_at(cfg.calls[id(element)], yields))
+            for _, _, element in cfg.elements()}
+    local_origins, path_origins = [], []
     for _, _, element in cfg.elements():
-        if _yield_at(element, yields) is not None:
+        at = info[id(element)]
+        if at.point is not None:
             continue            # the read rides the yield itself
-        at = sites.get(id(element), [])
-        local_facts.extend((element, attr, name) for name, attr
-                           in _tracked_defs(element, mutable, self_name, at))
-        path_facts.extend((element, path, None) for path in sorted(
-            p for p in _reval_load_paths(element, self_name, at)
-            if p.split(".")[0] in mutable))
-
-    def follow(path: str, origin: str | None, var: str | None,
-               stale: set[str], start: ast.AST,
-               crossed: YieldPoint | None,
-               followed: set[tuple[str, int]]) -> None:
-        def step(current: ast.AST, crossed: YieldPoint | None):
-            at = sites.get(id(current), [])
-            stores = {site.kind for site in at if site.path == path}
-            if crossed is None:
-                if var is None and stores & {"store", "rmw"}:
-                    return STOP     # superseded before any yield
-            else:
-                test = isinstance(current, ast.expr)
-                read = uses(current) if var is not None else set()
-                keys = stale & read
-                skip = _keyed_by(current, keys) \
-                    if keys and not test else frozenset()
-                reloads = _reval_load_paths(current, self_name, at, skip)
-                if any(load == path or load.startswith(path + ".")
-                       for load in reloads):
-                    return STOP     # revalidated: tracking ends
-                if var is None:
-                    if "store" not in stores:
-                        return crossed
-                    if not _tops(reloads) & mutable \
-                            and id(current) not in convicted:
-                        convicted.add(id(current))
-                        found.append((None, None, path, crossed, current))
-                    return STOP     # a plain store supersedes
-                wrote = any(site.kind != "self-call" for site in at)
-                if var in read and (wrote or test):
-                    if id(current) not in convicted:
-                        convicted.add(id(current))
-                        found.append((var, origin, path, crossed, current))
-                elif var in read:
-                    for carrier in _built_locals(current, self_name):
-                        if carrier not in stale and (
-                                carrier, id(current)) not in followed:
-                            followed.add((carrier, id(current)))
-                            follow(path, origin, carrier, stale | {carrier},
-                                   current, crossed, followed)
-            if var is not None and var in definitions(current):
-                return STOP
-            return crossed or _yield_at(current, yields)
-
-        at_block, at_index = position[id(start)]
-        walk_paths(cfg, at_block, at_index + 1, step, crossed)
-
-    for element, path, var in local_facts + path_facts:
-        follow(path, var, var, {var} if var else set(), element, None,
-               set())
-    return found
-
-
-def _built_locals(element: ast.AST, self_name: str) -> list[str]:
-    """Locals a non-test element builds: the names an assignment binds,
-    and the receiver of a mutator it calls on a plain local (``kept`` in
-    ``kept.extend(...)``).  A loop target is an element of what it
-    iterates, not a copy of the collection, and builds nothing."""
-    built = definitions(element) if isinstance(
-        element, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else []
-    for call in calls_in(element):
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in MUTATORS \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id != self_name:
-            built.append(func.value.id)
-    return built
-
-
-def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
-                  sites: list[Mutation]) -> list[tuple[str, str]]:
-    """``(local, attr)`` pairs bound from mutable shared state.  A value
-    *taken* out of shared state (``pop`` and kin) is owned by the
-    local: it left the attribute atomically."""
-    if not isinstance(element, (ast.Assign, ast.AnnAssign)) \
-            or element.value is None:
+        if isinstance(element, (ast.Assign, ast.AnnAssign)) \
+                and element.value is not None:
+            attrs = _tops(_self_load_paths(element.value, self_name)) \
+                & mutable - _tops(site.path for site in at.at
+                                  if site.kind == "take")
+            local_origins.extend((element, name, min(attrs))
+                                 for name in at.defs if attrs)
+        path_origins.extend((element, None, path) for path in sorted(
+            p for p in at.reloads if p.split(".")[0] in mutable))
+    origins = local_origins + path_origins
+    if not origins:
         return []
-    taken = _tops(site.path for site in sites if site.kind == "take")
-    attrs = (_tops(_self_load_paths(element.value, self_name)) & mutable) \
-        - taken
-    return [(name, min(attrs)) for name in definitions(element)] \
-        if attrs else []
+    gens: dict[int, list[tuple[int, None, str | None]]] = {}
+    for rank, (element, name, _) in enumerate(origins):
+        gens.setdefault(id(element), []).append((rank, None, name))
+
+    def step(element: ast.AST, facts: frozenset,
+             found: list | None = None) -> frozenset:
+        out = set(gens.get(id(element), ()))
+        at = info[id(element)]
+        local_reloads = at.reloads_past(
+            {var for _, point, var in facts if point is not None})
+        for fact in facts:
+            rank, point, var = fact
+            path = origins[rank][2]
+            if point is None:
+                if var is None and at.stores(path) & {"store", "rmw"} \
+                        or var in at.defs:
+                    continue
+                out.add(fact if at.point is None else (rank, at.point, var))
+                continue
+            reloads = at.reloads if var is None else local_reloads
+            if any(load == path or load.startswith(path + ".")
+                   for load in reloads):
+                continue        # revalidated
+            if var is None:
+                if "store" not in at.stores(path):
+                    out.add(fact)
+                elif found is not None and not _tops(reloads) & mutable:
+                    found.append((fact, element))
+                continue
+            if var in at.read and (at.wrote or at.test):
+                if found is not None:
+                    found.append((fact, element))
+            elif var in at.read:
+                out.update((rank, point, built) for built in at.built()
+                           if built != var)
+            if var not in at.defs:
+                out.add(fact)
+        return frozenset(out)
+
+    first: dict[int, tuple[tuple[int, int, str | None], ast.AST]] = {}
+    for fact, element in sorted(replay(cfg, solve(cfg, step), step),
+                                key=lambda pair: pair[0]):
+        first.setdefault(id(element), (fact, element))
+    return [(var, origins[rank][1], origins[rank][2],
+             summary.yield_points[point], element)
+            for (rank, point, var), element in first.values()]
 
 
 # -- non-atomic-multi-write --------------------------------------------------
@@ -453,55 +446,59 @@ class NonAtomicMultiWriteRule(ProjectRule):
                     + (fn.frame(second[1], f"write self.{second[0]}"),))
 
 
-def _element_writes(sites: list[Mutation]) -> list[tuple[str, int]]:
-    """Coupled shared-state writes among an element's mutation sites:
-    not counter bumps, not compensation in an ``except`` handler; a
-    bare self-call whose summary writes state is one."""
-    return [(site.path, site.line) for site in sites
-            if site.kind in WRITE_KINDS | {"self-call"}
-            and not site.in_except]
-
-
 def _torn_pairs(cfg: CFG, summary: Summary
                 ) -> list[tuple[tuple[str, int], tuple[str, int],
                                 YieldPoint]]:
-    """One path walk per first-write element: convict when the *next*
-    write on a path sits across a yield with no journal call in
-    between."""
-    found: list[tuple[tuple[str, int], tuple[str, int], YieldPoint]] = []
-    reported: set[tuple[int, int]] = set()
-    yields = {y.node_id: y for y in summary.yield_points}
+    """Coupled writes torn by a yield, as ``(first, second, yield
+    point)``.  The facts are a pending write and the first yield crossed
+    since it: the *next* write on a path convicts each one it meets
+    across a yield and replaces them with its own, and a journal/WAL
+    record clears them.  A pair of lines is reported once, with its
+    earliest yield point."""
     sites = _element_sites(cfg, summary)
+    points = summary.yield_points
+    journaled = {point.node_id for point in points
+                 if point.direct == "fsync"
+                 or any(names_word(frame.callee, _JOURNAL)
+                        for frame in point.chain)}
     # a writer call that also yields is a write, not an exposure window
     writer_calls = {site.node_id for site in summary.mutations
                     if site.kind == "self-call"}
-    windows = {node_id: point for node_id, point in yields.items()
-               if node_id not in writer_calls}
-    for block, index, element in cfg.elements():
-        writes = _element_writes(sites.get(id(element), []))
-        if not writes:
-            continue
-        first = writes[-1]
+    windows = {point.node_id: index for index, point in enumerate(points)
+               if point.node_id not in writer_calls}
+    # coupled writes: not counter bumps, not compensation in an
+    # ``except`` handler; a bare self-call whose summary writes state
+    writes = {element: written for element, at in sites.items() if (
+        written := [(site.path, site.line) for site in at
+                    if site.kind in WRITE_KINDS | {"self-call"}
+                    and not site.in_except])}
+    if not writes:
+        return []
 
-        def step(current: ast.AST, crossed: YieldPoint | None):
-            # classify W → J → Y: a writer that also journals is
-            # still a write; a journaling yield is a record, not
-            # an exposure window
-            later = _element_writes(sites.get(id(current), []))
-            if later:
-                second = later[0]
-                key = (first[1], second[1])
-                if crossed is not None and second[0] != first[0] \
-                        and key not in reported:
-                    reported.add(key)
-                    found.append((first, second, crossed))
-                return STOP             # adjacency: restart at next write
-            if _durability_record(current, yields):
-                return STOP             # journaled: pair is recoverable
-            return crossed or _yield_at(current, windows)
+    def step(element: ast.AST, facts: frozenset,
+             found: list | None = None) -> frozenset:
+        # classify W → J → Y: a writer that also journals is still a
+        # write; a journaling yield is a record, not an exposure window
+        later = writes.get(id(element))
+        if later:
+            if found is not None:
+                found.extend((first[1], later[0][1], point, first, later[0])
+                             for first, point in facts
+                             if point is not None and first[0] != later[0][0])
+            return frozenset({(later[-1], None)})
+        calls = cfg.calls[id(element)]
+        if not facts or _durability_record(calls, journaled):
+            return frozenset()
+        point = _yield_at(calls, windows)
+        return facts if point is None else frozenset(
+            (first, point if crossed is None else crossed)
+            for first, crossed in facts)
 
-        walk_paths(cfg, block, index + 1, step)
-    return found
+    pairs: dict[tuple[int, int], tuple] = {}
+    for line, second_line, point, first, second in sorted(
+            replay(cfg, solve(cfg, step), step)):
+        pairs.setdefault((line, second_line), (first, second, points[point]))
+    return list(pairs.values())
 
 
 # -- yield-in-atomic-section -------------------------------------------------

@@ -147,11 +147,17 @@ class BootstrapServer:
 
         With durable storage the whole batch is framed and fsynced
         before it lands in the in-memory log — the delivery is only
-        acked against bytes that will survive a crash.
+        acked against bytes that will survive a crash.  No window at
+        or below the applied watermark is taken, whatever the log
+        holds: after a checkpoint and a reopen the log holds nothing at
+        or below it, a window older than the snapshot would fold over
+        newer rows, and recovery skips a logged row at or below the
+        checkpoint's watermark, so one at its SCN would be acked and
+        then lost.
         """
-        last = self._log[-1].scn if self._log else None
+        last = self._log[-1].scn if self._log else 0
         for event in events:
-            if last is not None and event.scn < last:
+            if event.scn < last or event.scn <= self._applied_through:
                 raise ConfigurationError(
                     f"bootstrap received out-of-order SCN {event.scn}")
             last = event.scn

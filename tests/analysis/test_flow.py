@@ -1,18 +1,18 @@
 """CFG construction and the traversal core: shapes, edge labels,
-def/use extraction, the scope walk and the path walk."""
+def/use extraction, the scope walk and the forward dataflow solver."""
 
 import ast
 import textwrap
 
 from repro.analysis.core import FileContext
 from repro.analysis.flow import (
-    STOP,
     build_cfg,
     calls_in,
     definitions,
     receiver_name,
+    replay,
+    solve,
     uses,
-    walk_paths,
     walk_scope,
 )
 
@@ -224,36 +224,43 @@ def _called(element):
             if isinstance(c.func, ast.Name)]
 
 
+def _crossing_step(element, facts):
+    """start() gens "fresh", cross() turns it "crossed", dead_end()
+    kills every fact."""
+    names = _called(element)
+    if "dead_end" in names:
+        return frozenset()
+    if "cross" in names:
+        facts = frozenset("crossed" if f == "fresh" else f for f in facts)
+    return facts | {"fresh"} if "start" in names else facts
+
+
 def test_walk_paths_enters_each_block_once_per_state_truthiness():
     cfg = cfg_of(DIAMOND_WITH_LOOP)
-    entries: dict[tuple[int, bool], int] = {}
+    entries: dict[int, list[frozenset]] = {}
     block_of = {id(el): block for block, _, el in cfg.elements()}
 
-    def step(element, state):
+    def step(element, facts):
         block = block_of[id(element)]
         if element is block.elements[0]:
-            key = (block.bid, bool(state))
-            entries[key] = entries.get(key, 0) + 1
-        names = _called(element)
-        if "dead_end" in names:
-            return STOP             # prunes this path only
-        return "crossed" if "cross" in names else state
+            entries.setdefault(block.bid, []).append(facts)
+        return _crossing_step(element, facts)
 
-    walk_paths(cfg, cfg.entry, 1, step)     # just after start()
+    into = solve(cfg, step)
 
-    # every block is entered at most once before and once after the
-    # crossing, however many paths (loop back-edge, two arms) reach it
-    assert entries and all(count == 1 for count in entries.values())
+    # every block is stepped once, and again only when the facts
+    # entering it grew (loop back-edge, two arms)
+    assert entries and all(all(a < b for a, b in zip(seen, seen[1:]))
+                           for seen in entries.values())
+    assert all(seen[-1] == into[bid] for bid, seen in entries.items())
     join = next(b for b, _, el in cfg.elements() if "join" in _called(el))
     head = next(b for b, _, el in cfg.elements()
                 if isinstance(el, ast.Attribute) and el.attr == "more")
-    # the else arm stopped, so join is reached from the crossing arm
-    # only — and the loop head again on the back-edge, now post-crossing
-    assert (join.bid, True) in entries and (join.bid, False) not in entries
-    assert (head.bid, False) in entries and (head.bid, True) in entries
-    # a STOP ended that path and no other: tail() was still reached
     tail = next(b for b, _, el in cfg.elements() if "tail" in _called(el))
-    assert (tail.bid, False) in entries and (tail.bid, True) in entries
+    # the else arm killed its facts, so join is reached crossed only —
+    # and the loop head again on the back-edge, now crossed too
+    assert into[join.bid] == {"crossed"}
+    assert into[head.bid] == {"fresh", "crossed"} == into[tail.bid]
 
 
 def test_walk_paths_never_visits_the_exit_blocks():
@@ -263,9 +270,15 @@ def test_walk_paths_never_visits_the_exit_blocks():
     cfg.exit.elements.append(marker)
     cfg.raise_exit.elements.append(marker)
     visited = []
-    walk_paths(cfg, cfg.entry, 0,
-               lambda element, state: visited.append(element) or state)
+
+    def step(element, facts, found=None):
+        visited.append(element)
+        return _crossing_step(element, facts)
+
+    into = solve(cfg, step)
+    replay(cfg, into, step)
     assert visited and marker not in visited
+    assert into[cfg.exit.bid] == {"fresh", "crossed"}
 
 
 def test_walk_paths_carries_the_state_before_a_mid_block_discharge_to_handlers():
@@ -281,17 +294,17 @@ def test_walk_paths_carries_the_state_before_a_mid_block_discharge_to_handlers()
     """)
     in_handler = []
 
-    def step(element, state):
+    def step(element, facts, found=None):
         names = _called(element)
         if "handler" in names:
-            in_handler.append(state)
+            in_handler.append(facts)
         if "discharge" in names:
-            return STOP             # the obligation is met here
-        return "open" if "start" in names else state
+            return frozenset()      # the obligation is met here
+        return facts | {"open"} if "start" in names else facts
 
-    walk_paths(cfg, cfg.entry, 0, step)
+    replay(cfg, solve(cfg, step), step)
     # discharge() itself may raise: the handler runs with it still open
-    assert "open" in in_handler
+    assert "open" in in_handler[-1]
 
 
 def test_walk_paths_returns_the_states_that_reach_the_normal_exit():
@@ -306,14 +319,43 @@ def test_walk_paths_returns_the_states_that_reach_the_normal_exit():
             raise ValueError(x)
     """)
 
-    def step(element, state):
+    def step(element, facts):
         names = _called(element)
         if "close" in names:
-            return STOP
-        return "marked" if "mark" in names else state
+            return frozenset()
+        return facts | {"marked"} if "mark" in names else facts
 
-    # the STOPped return and the raise reach no normal exit
-    assert walk_paths(cfg, cfg.entry, 0, step) == ["marked"]
+    # the discharged return and the raise bring no fact to the exit
+    assert solve(cfg, step)[cfg.exit.bid] == {"marked"}
+
+
+def test_solve_opens_an_edge_fact_on_that_edge_only():
+    cfg = cfg_of("""
+        def f(self):
+            if admit():
+                inside()
+            else:
+                refused()
+            after()
+    """)
+    head = cfg.entry
+    seen = {}
+
+    def step(element, facts, found=None):
+        for name in _called(element):
+            seen[name] = facts
+        return facts
+
+    def edge(block, out, facts):
+        return facts | {"admitted"} \
+            if block is head and out.kind == "true" else facts
+
+    into = solve(cfg, step, edge)
+    replay(cfg, into, step)
+    # only the true edge carries the fact, and it flows on to the join
+    assert seen["admit"] == frozenset() == seen["refused"]
+    assert seen["inside"] == {"admitted"} == seen["after"]
+    assert into[cfg.exit.bid] == {"admitted"}
 
 
 def test_full_repo_run_builds_each_function_cfg_at_most_once(full_run):

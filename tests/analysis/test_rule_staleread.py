@@ -7,10 +7,12 @@ state no method ever stores to cannot go stale under a yield.
 """
 
 import textwrap
+from pathlib import Path
 
 from tests.analysis.conftest import lint
 
 RULE = "atomicity-violation"
+FIXTURES = Path(__file__).parent / "fixtures" / "atomicity"
 
 #: the class every case is a method of; :func:`lint_method` reports
 #: lines relative to the method source, as the cases are written
@@ -188,3 +190,14 @@ def test_pragma_suppresses():
                 self.apply(current)
     """)
     assert findings == []
+
+
+def test_a_stale_local_across_two_branch_yields_names_the_earliest():
+    # the fixture's relay call (line 20) and fsync (line 22) each make
+    # the read stale on one arm; both reach the write-back, and the
+    # conviction names the earlier yield point
+    source = (FIXTURES / "bad_stale_local_two_yields.py").read_text()
+    findings = lint(source, RULE)
+    assert [f.line for f in findings] == [23]
+    assert "'current' was read from self.partition_scn before the yield " \
+        "point on line 20 (<invoke> blocks on rpc" in findings[0].message

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import ChecksumError
+from repro.common.errors import ChecksumError, ConfigurationError
 from repro.databus import BootstrapServer
 from repro.databus.events import DatabusEvent
 from repro.simnet.disk import SimDisk, _SimFile
@@ -105,6 +105,38 @@ class TestCheckpoint:
         assert recovered.high_watermark == 2
         (got,) = recovered.consolidated_delta(since_scn=0)[0]
         assert got.payload == b"v2"
+
+    def test_scn_order_survives_a_reopen_after_checkpoint(self, disk):
+        server = make_server(disk)
+        server.on_events([event(1, payload=b"v1")])
+        server.on_events([event(2, payload=b"v2")])
+        server.checkpoint()
+        with pytest.raises(ConfigurationError, match="out-of-order SCN 1"):
+            server.on_events([event(1, payload=b"v1")])
+
+        reopened = make_server(disk)
+        assert reopened.log_length == 0     # nothing above the watermark
+        with pytest.raises(ConfigurationError, match="out-of-order SCN 1"):
+            reopened.on_events([event(1, payload=b"v1")])
+        (got,) = reopened.consolidated_delta(since_scn=0)[0]
+        assert got.payload == b"v2"
+        reopened.on_events([event(3, payload=b"v3")])
+        assert reopened.high_watermark == 3
+
+    def test_a_window_at_the_checkpointed_scn_is_refused_not_lost(self, disk):
+        """Recovery skips a logged row at or below the checkpoint's
+        watermark, so a second window at that SCN, once acked, would be
+        served until a crash and then be gone."""
+        server = make_server(disk)
+        server.on_events([event(1, payload=b"v1")])
+        server.checkpoint()
+        with pytest.raises(ConfigurationError, match="out-of-order SCN 1"):
+            server.on_events([event(1, payload=b"v1b")])
+        disk.crash_node("bootstrap-1")
+
+        recovered = make_server(disk)
+        (got,) = recovered.consolidated_delta(since_scn=0)[0]
+        assert got.payload == b"v1"
 
     def test_serving_continues_after_recovery(self, disk):
         server = make_server(disk)

@@ -37,10 +37,16 @@ preloaded writes, is about 0.6 s of it), and the profiled 260-request
 run 0.9–1.2 s (0.1–0.2 s of it profiled, against 0.05 s unprofiled).
 ``voldemort-rw`` at 1 000 and 4 000 requests, with its whole-cluster
 restart, about 1.5 s (3 000 preloaded keys); ``voldemort-multiget`` at
-500 and 2 000 requests about 2.5 s (20 000 preloaded keys, about 0.6 s
-a run); the profiled 1 000-request ``voldemort-rw`` run about 0.4 s.
-The module is about 9 s, 9% of tier-1's test time, on a shared 2-core
-Xeon host under Python 3.11.
+500 and 2 000 requests about 1.1 s, from one 2 000-request run whose
+first 500 requests are the 500-request run, so its 20 000-key preload
+(about 0.6 s) is paid once; the profiled 1 000-request ``voldemort-rw``
+run about 0.4 s.  ``migrate-live`` at scale 0.1 and 0.25 (97 and 121
+coordinator ticks, 1 000 and 2 500 backfilled rows), each run's
+``check()`` included, about 0.6 s (0.9 s on a busy host).  The module
+took 7.2 and 8.0 s, 9.4% and 9.1% of tier-1's test time, in two full
+runs on a shared 2-core Xeon host under Python 3.11 (8.8 and 9.3 s,
+12.7% and 10.8%, before ``migrate-live`` joined and the multiget runs
+were shared, alternating on the same host).
 """
 
 from __future__ import annotations
@@ -56,9 +62,11 @@ from repro.common.vectorclock import VectorClock
 from repro.common.wal import WriteAheadLog
 from repro.espresso.index import LocalSecondaryIndex
 from repro.kafka.log import PartitionLog
+from repro.migration.target import EspressoTarget
 from repro.search.index import RankedInvertedIndex
 from repro.simnet.disk import _SimFile
 from repro.simnet.network import SimNetwork
+from repro.sqlstore.table import Table
 from repro.streams.changelog import ChangelogWriter
 from repro.streams.task import SEEN_PREFIX, TaskInstance
 from repro.voldemort.engines import InMemoryStorageEngine, LogStructuredEngine
@@ -454,41 +462,56 @@ def _voldemort(name: str, requests: int, seed: int = 0):
     return workload
 
 
-def run_voldemort(name: str, requests: int, seed: int = 0
-                  ) -> tuple[dict[str, int], tuple[int, float, float], object]:
+def run_voldemort(name: str, requests: int, seed: int = 0,
+                  marks: tuple[int, ...] = ()
+                  ) -> tuple[dict[int, tuple[dict[str, int],
+                                             tuple[int, float, float]]],
+                             object]:
     """The measured phase's counts and sim latency of one Voldemort
-    workload run, and the workload (set up, measured, checked)."""
+    workload run, by steps taken: after all ``requests`` and after each
+    of the first ``marks`` steps (a shorter run's requests are a prefix
+    of a longer one's, on the same preload), and the workload (set up,
+    measured, checked at the end)."""
     workload = _voldemort(name, requests, seed)
     routed = workload.routed if name == "voldemort-rw" else workload.reader
     disk = workload.cluster.disk
     writes_before = disk.writes
     repairs_before = routed.metrics.counter("read_repairs").value
     disk.start_trace()
+
+    def taken() -> tuple[dict[str, int], tuple[int, float, float]]:
+        calls = counted.calls
+        counts = {
+            "ops": workload.ops,
+            "network.invokes": calls[SimNetwork, "invoke"],
+            "engine.gets": calls[LogStructuredEngine, "get"]
+            + calls[InMemoryStorageEngine, "get"],
+            "engine.puts": calls[LogStructuredEngine, "put"]
+            + calls[InMemoryStorageEngine, "put"],
+            "disk.reads": calls[_SimFile, "read"],
+            "disk.writes": disk.writes - writes_before,
+            "disk.bytes": sum(event[4] for event in disk.trace
+                              if event[0] == "write"),
+            "vectorclock.compares": calls[VectorClock, "compare"],
+            "read_repairs": routed.metrics.counter("read_repairs").value
+            - repairs_before,
+        }
+        if name == "voldemort-multiget":
+            counts["engine.get_manys"] = \
+                calls[InMemoryStorageEngine, "get_many"]
+        return counts, sim_latency(workload)
+
+    runs = {}
     with _Counted(*_VOLDEMORT_METHODS) as counted:
         for i in range(workload.steps):
+            if i in marks:
+                runs[i] = taken()
             workload.prepare(i)
             workload.step(i)
-    calls = counted.calls
-    counts = {
-        "ops": workload.ops,
-        "network.invokes": calls[SimNetwork, "invoke"],
-        "engine.gets": calls[LogStructuredEngine, "get"]
-        + calls[InMemoryStorageEngine, "get"],
-        "engine.puts": calls[LogStructuredEngine, "put"]
-        + calls[InMemoryStorageEngine, "put"],
-        "disk.reads": calls[_SimFile, "read"],
-        "disk.writes": disk.writes - writes_before,
-        "disk.bytes": sum(event[4] for event in disk.trace
-                          if event[0] == "write"),
-        "vectorclock.compares": calls[VectorClock, "compare"],
-        "read_repairs": routed.metrics.counter("read_repairs").value
-        - repairs_before,
-    }
-    if name == "voldemort-multiget":
-        counts["engine.get_manys"] = calls[InMemoryStorageEngine, "get_many"]
+    runs[workload.steps] = taken()
     disk.trace = None
     assert workload.check() == []
-    return counts, sim_latency(workload), workload
+    return runs, workload
 
 
 def frames_replayed_on_restart(workload) -> int:
@@ -503,15 +526,19 @@ def frames_replayed_on_restart(workload) -> int:
 def voldemort_rw() -> dict[int, tuple]:
     runs = {}
     for requests in VOLDEMORT_RW:
-        counts, sim, workload = run_voldemort("voldemort-rw", requests)
-        runs[requests] = (counts, sim, frames_replayed_on_restart(workload))
+        measured, workload = run_voldemort("voldemort-rw", requests)
+        runs[requests] = (*measured[requests],
+                          frames_replayed_on_restart(workload))
     return runs
 
 
 @pytest.fixture(scope="module")
 def voldemort_multiget() -> dict[int, tuple]:
-    return {requests: run_voldemort("voldemort-multiget", requests)[:2]
-            for requests in VOLDEMORT_MULTIGET}
+    """Both sizes from one run: the shorter is the longer's prefix, so
+    the 20 000-key preload is paid once."""
+    *shorter, longest = sorted(VOLDEMORT_MULTIGET)
+    return run_voldemort("voldemort-multiget", longest,
+                         marks=tuple(shorter))[0]
 
 
 @pytest.mark.parametrize("requests", sorted(VOLDEMORT_RW))
@@ -572,3 +599,114 @@ def test_voldemort_rw_python_calls_are_pinned():
         _voldemort("voldemort-rw", VOLDEMORT_RW_CALLS["ops"]))
     assert (ops, calls) == (VOLDEMORT_RW_CALLS["ops"],
                             VOLDEMORT_RW_CALLS["calls"])
+
+
+# -- migrate-live ---------------------------------------------------------------
+
+#: measured phase of ``migrate-live`` at seed 0, by scale (97 and 121
+#: coordinator ticks): rows backfilled, live events the CDC stream
+#: applied to the target, auditor ticks, the source and target reads
+#: of the audits and the cutover gate, commit-WAL appends, and SimDisk
+#: writes and bytes
+MIGRATE_LIVE = {
+    0.1: {"ops": 4640, "backfill.rows": 1000, "live_events": 136,
+          "audit.ticks": 5, "audit.source_reads": 1561,
+          "audit.target_reads": 669, "commit_wal.appends": 1328,
+          "disk.writes": 1351, "disk.bytes": 385_157},
+    0.25: {"ops": 7100, "backfill.rows": 2500, "live_events": 328,
+           "audit.ticks": 5, "audit.source_reads": 1540,
+           "audit.target_reads": 660, "commit_wal.appends": 2088,
+           "disk.writes": 2135, "disk.bytes": 802_239},
+}
+
+#: sim-clock latency of the same runs (source commit → applied on the
+#: target, for the writes made before dual writes began)
+MIGRATE_LIVE_SIM = {
+    0.1: (136, 95.27825223624653, 121.40494533644363),
+    0.25: (328, 92.83964737805883, 126.30615055792971),
+}
+
+#: counts exempt from the ``migrate-live`` shape check, with the reason
+MIGRATE_LIVE_NOT_FLAT = {
+    # one audit per SHADOW/RAMP stage change: five a run at any size
+    "audit.ticks",
+    # each audit reads the keys the dual writes moved since the last
+    # (the first reads none): a fixed number of tail ticks' worth per
+    # run, not a share of the table
+    "audit.source_reads", "audit.target_reads",
+}
+
+#: what an audit reads, by side
+_AUDIT_READS = {
+    "audit.source_reads": ((Table, "contains"), (Table, "get")),
+    "audit.target_reads": ((EspressoTarget, "contains"),
+                           (EspressoTarget, "get_document")),
+}
+
+
+def run_migrate_live(scale: float, seed: int = 0
+                     ) -> tuple[dict[str, int], tuple[int, float, float]]:
+    """The measured phase's counts and sim latency of one
+    ``migrate-live`` run.  Reads are counted only while the auditor
+    ticks or the coordinator evaluates its cutover gate."""
+    workload = WORKLOADS["migrate-live"](seed, scale)
+    workload.setup()
+    reads = dict.fromkeys(_AUDIT_READS, 0)
+
+    def audited(evaluate):
+        def call(*args, **kwargs):
+            with _Counted(*(method for methods in _AUDIT_READS.values()
+                            for method in methods)) as counted:
+                result = evaluate(*args, **kwargs)
+            for name, methods in _AUDIT_READS.items():
+                reads[name] += sum(counted.calls[method] for method in methods)
+            return result
+        return call
+
+    coordinator = workload.stack.coordinator
+    workload.auditor.tick = audited(workload.auditor.tick)
+    coordinator.cutover_check = audited(coordinator.cutover_check)
+    nodes = list(workload.cluster.nodes.values())
+    appends_before = sum(node._commit_wal.appends for node in nodes)
+    writes_before = workload.disk.writes
+    events_before = workload.stack.replicator.events_applied
+    workload.disk.start_trace()
+    for i in range(workload.steps):
+        workload.prepare(i)
+        workload.step(i)
+    counts = {
+        "ops": workload.ops,
+        "backfill.rows": workload.rows_backfilled,
+        "live_events": workload.stack.replicator.events_applied
+        - events_before,
+        "audit.ticks": workload.auditor.ticks,
+        **reads,
+        "commit_wal.appends": sum(node._commit_wal.appends
+                                  for node in nodes) - appends_before,
+        "disk.writes": workload.disk.writes - writes_before,
+        "disk.bytes": sum(event[4] for event in workload.disk.trace
+                          if event[0] == "write"),
+    }
+    workload.disk.trace = None
+    assert workload.check() == []
+    return counts, sim_latency(workload)
+
+
+@pytest.fixture(scope="module")
+def migrate_live() -> dict[float, tuple[dict[str, int], tuple]]:
+    return {scale: run_migrate_live(scale) for scale in MIGRATE_LIVE}
+
+
+@pytest.mark.parametrize("scale", sorted(MIGRATE_LIVE))
+def test_migrate_live_work_counts_are_pinned(migrate_live, scale):
+    assert migrate_live[scale][0] == MIGRATE_LIVE[scale]
+
+
+@pytest.mark.parametrize("scale", sorted(MIGRATE_LIVE_SIM))
+def test_migrate_live_sim_latency_is_pinned(migrate_live, scale):
+    assert migrate_live[scale][1] == MIGRATE_LIVE_SIM[scale]
+
+
+def test_migrate_live_work_per_operation_is_flat_across_sizes(migrate_live):
+    assert_flat(*(migrate_live[scale][0] for scale in sorted(MIGRATE_LIVE)),
+                exempt=MIGRATE_LIVE_NOT_FLAT)
