@@ -125,8 +125,14 @@ def source_documents(database: SqlDatabase, table: str, transform
     :class:`RowTransform`, duck-typed)."""
     def probe(keys: Iterable[tuple]) -> dict[tuple, dict]:
         sql_table = database.table(table)
-        return {key: transform.document_of(table, sql_table.get(key))
-                for key in keys if sql_table.contains(key)}
+        documents = {}
+        for key in keys:    # one lookup a key: a row, or absent
+            try:
+                row = sql_table.get(key)
+            except KeyNotFoundError:
+                continue
+            documents[key] = transform.document_of(table, row)
+        return documents
     return probe
 
 

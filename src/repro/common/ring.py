@@ -121,6 +121,7 @@ class HashRing:
         # a new ring), so preference lists are computed once per ring
         self._preference: dict[tuple[int, int, int],
                                tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     # -- basic lookups ---------------------------------------------------
 
@@ -199,6 +200,22 @@ class HashRing:
             cached = self._preference[memo_key] = (
                 tuple(partitions), tuple(self._owner[p] for p in partitions))
         return cached
+
+    def routing_table(self, replication_factor: int,
+                      required_zones: int = 0) -> tuple[tuple[int, ...], ...]:
+        """Every partition's owning node ids in preference order (the
+        second half of :meth:`preference_list`), indexed by partition:
+        the whole routing table of one store, built once per
+        (replication factor, required zones) for the life of the
+        ring."""
+        memo_key = (replication_factor, required_zones)
+        table = self._tables.get(memo_key)
+        if table is None:
+            table = self._tables[memo_key] = tuple(
+                self.preference_list(partition, replication_factor,
+                                     required_zones)[1]
+                for partition in range(self.num_partitions))
+        return table
 
     def zone_aware_replica_partitions(self, partition: int, replication_factor: int,
                                       required_zones: int) -> list[int]:

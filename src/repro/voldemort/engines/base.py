@@ -32,7 +32,7 @@ class StorageEngine:
     def get_many(self, groups: Iterable[Iterable[bytes]]
                  ) -> list[dict[bytes, Sequence[Versioned]]]:
         """``get`` over a batch of key groups, in one call: one dict per
-        group (a routed batch sends one group per partition), key ->
+        group (a routed batch sends one group per replica set), key ->
         versions, absent keys omitted.  Engines may override it with a
         cheaper loop; a returned sequence may be shared with the engine
         only if it is immutable."""

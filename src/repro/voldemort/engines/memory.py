@@ -14,12 +14,15 @@ class InMemoryStorageEngine(StorageEngine):
 
     A key's versions are stored as a tuple, so :meth:`get_many` can hand
     out the stored sequence itself without a caller being able to
-    change what the engine holds."""
+    change what the engine holds.  Only a key a tombstone was ever
+    written to can hold one, so the engine remembers those keys (at
+    most the keys it holds) and a batch read filters only them."""
 
     name = "memory"
 
     def __init__(self):
         self._data: dict[bytes, tuple[Versioned, ...]] = {}
+        self._tombstoned: set[bytes] = set()
 
     def get(self, key: bytes) -> list[Versioned]:
         versions = [v for v in self._data.get(key, ()) if not v.is_tombstone]
@@ -29,22 +32,18 @@ class InMemoryStorageEngine(StorageEngine):
 
     def get_many(self, groups: Iterable[Iterable[bytes]]
                  ) -> list[dict[bytes, Sequence[Versioned]]]:
-        """One dict lookup per key and no exception for an absent one;
-        a key holding one live version returns its stored tuple."""
-        data = self._data
+        """One dict lookup per key and no exception for an absent one; a
+        key that never held a tombstone returns its stored tuple."""
+        get, tombstoned = self._data.get, self._tombstoned
         answers = []
         for keys in groups:
-            found = {}
-            for key in keys:
-                versions = data.get(key)
-                if versions is None:
-                    continue
-                if len(versions) == 1:
-                    if versions[0].value is not None:
-                        found[key] = versions
-                    continue
-                live = [v for v in versions if not v.is_tombstone]
-                if live:
+            found = {key: versions for key in keys
+                     if (versions := get(key)) is not None}
+            for key in tombstoned.intersection(found) if tombstoned else ():
+                live = [v for v in found[key] if not v.is_tombstone]
+                if not live:
+                    del found[key]
+                elif len(live) < len(found[key]):
                     found[key] = live
             answers.append(found)
         return answers
@@ -59,6 +58,8 @@ class InMemoryStorageEngine(StorageEngine):
     def put(self, key: bytes, versioned: Versioned) -> None:
         self._data[key] = tuple(self.merge_version(self._data.get(key, ()),
                                                    versioned))
+        if versioned.value is None:
+            self._tombstoned.add(key)
 
     def keys(self) -> Iterator[bytes]:
         for key, versions in self._data.items():
@@ -70,3 +71,4 @@ class InMemoryStorageEngine(StorageEngine):
 
     def truncate(self) -> None:
         self._data.clear()
+        self._tombstoned.clear()

@@ -397,68 +397,72 @@ class RoutedStore:
                 ) -> tuple[dict[bytes, Sequence[Versioned]], float]:
         """Batched quorum reads: one request per node, not per key.
 
-        Planned and counted per partition: the distinct keys are hashed
-        in one pass and grouped by partition, a node is ranked once per
-        request and each distinct preference list ordered once (a ring
-        has far fewer of them than partitions).  All
-        keys of a partition go to the same replicas in the same round,
-        so one answer count per partition is every one of its keys'
-        quorum count.  Each partition is asked of its first R replicas;
-        partitions a failed or shedding node leaves short are asked of
-        the rest of their list in one more batched round (:meth:`get`'s
-        fall-through).  A node answers one dict per partition, and
-        replies are compared a partition at a time: its first reply
-        gives its keys their frontiers, a later reply equal to it (every
-        value and clock) adds nothing, and only a partition whose
-        replies differ is walked key by key, where only keys whose
-        replies differ go through :func:`frontier_of`.  Returns (key ->
-        version frontier, simulated latency); keys absent everywhere are
-        omitted, and a frontier may be an immutable tuple shared with an
-        engine.  Keys that cannot reach R replicas raise, as in ``get``.
+        Planned and counted per replica set: the distinct keys are
+        hashed in one pass and grouped by the owners of their partition
+        (a ring has far fewer replica sets than partitions), a node is
+        ranked once per request and each replica set ordered once.  All
+        keys of a replica set go to the same replicas in the same round,
+        so one answer count per set is every one of its keys' quorum
+        count.  Each set is asked of its first R replicas; sets a failed
+        or shedding node leaves short are asked of the rest of their
+        list in one more batched round (:meth:`get`'s fall-through).  A
+        node answers one dict per replica set, and replies are compared
+        a set at a time: its first reply gives its keys their frontiers,
+        a later reply equal to it (every value and clock) adds nothing,
+        and only a set whose replies differ is walked key by key, where
+        only keys whose replies differ go through :func:`frontier_of`.
+        Returns (key -> version frontier, simulated latency); keys
+        absent everywhere are omitted, and a frontier may be an
+        immutable tuple shared with an engine.  Keys that cannot reach R
+        replicas raise, as in ``get``.
         """
         if self.admission is not None:
             self.admission.admit(PRIORITY_LIVE, what="get_all")
         required = self.definition.required_reads
         ring = self.cluster.ring
         distinct = list(dict.fromkeys(keys))
-        keys_of: dict[int, list[bytes]] = {}    # first-key order
-        for key, partition in zip(distinct,
-                                  ring.partitions_for_keys(distinct)):
-            keys_of.setdefault(partition, []).append(key)
-        # walking partitions in first-key order makes each node first
+        partitions = ring.partitions_for_keys(distinct)
+        if self.admin is None or not self.admin.redirects:
+            owners_of = ring.routing_table(self.definition.replication_factor,
+                                           self.definition.required_zones)
+        else:   # redirects come and go without a new ring
+            owners_of = {partition: self._preference(ring, partition)
+                         for partition in dict.fromkeys(partitions)}
+        keys_of: dict[tuple[int, ...], list[bytes]] = {}   # first-key order
+        for key, owners in zip(distinct, map(owners_of.__getitem__,
+                                             partitions)):
+            group = keys_of.get(owners)
+            if group is None:
+                keys_of[owners] = [key]
+            else:
+                group.append(key)
+        # walking replica sets in first-key order makes each node first
         # appear in ``per_node`` where the first key it serves would put
         # it: RPC order feeds the network RNG
         ranks: dict[int, tuple] = {}
-        ordered: dict[tuple[int, ...], list[int]] = {}  # this request only
-        replicas_of = {}
-        for partition in keys_of:
-            owners = self._preference(ring, partition)
-            replicas = ordered.get(owners)
-            if replicas is None:
-                replicas = ordered[owners] = self._ordered_by_availability(
-                    owners, ranks)
-            replicas_of[partition] = replicas
+        replicas_of = {owners: self._ordered_by_availability(owners, ranks)
+                       for owners in keys_of}
         answered = dict.fromkeys(keys_of, 0)
-        first_replies: dict[int, dict] = {}     # partition -> first answer
+        first_replies: dict[tuple[int, ...], dict] = {}  # set -> first answer
         frontiers: dict[bytes, Sequence[Versioned]] = {}
         disagreeing: dict[bytes, list[Sequence[Versioned]]] = {}
         operation_latency = 0.0
         short = list(keys_of)
         # first choice, then the rest of the list for whatever is short
         for first, last in ((0, required), (required, None)):
-            per_node: dict[int, list[int]] = {}
-            for partition in short:
-                for node_id in replicas_of[partition][first:last]:
-                    per_node.setdefault(node_id, []).append(partition)
+            per_node: dict[int, list[tuple[int, ...]]] = {}
+            for owners in short:
+                for node_id in replicas_of[owners][first:last]:
+                    per_node.setdefault(node_id, []).append(owners)
             if first > 0:
                 self.metrics.counter("get_all.fallback_rounds").increment()
             latency, answers = self._read_batches(per_node, keys_of,
                                                   answered)
             # the rounds are sequential, so their latencies add
             operation_latency += latency
-            for partitions, groups in answers:
-                for partition, found in zip(partitions, groups):
-                    first_reply = first_replies.setdefault(partition, found)
+            for replica_sets, groups in answers:
+                for owners, found in zip(replica_sets, groups):
+                    first_reply = first_replies.setdefault(owners, found)
                     if first_reply is found:
                         frontiers.update(found)
                         continue
@@ -473,38 +477,40 @@ class RoutedStore:
                         elif versions != kept and \
                                 not same_single_version(kept, versions):
                             disagreeing[key] = [kept, versions]
-            short = [partition for partition in short
-                     if answered[partition] < required]
+            short = [owners for owners in short
+                     if answered[owners] < required]
             if not short:
                 break
         if short:
             raise InsufficientOperationalNodesError(
-                f"{sum(len(keys_of[p]) for p in short)} keys reached "
-                f"fewer than {required} replicas",
-                required=required, achieved=min(answered[p] for p in short))
+                f"{sum(len(keys_of[owners]) for owners in short)} keys "
+                f"reached fewer than {required} replicas",
+                required=required,
+                achieved=min(answered[owners] for owners in short))
         self.metrics.histogram("get_all").record(operation_latency)
         for key, replies in disagreeing.items():
             frontiers[key] = frontier_of(replies)
         return frontiers, operation_latency
 
-    def _read_batches(self, per_node: dict[int, list[int]],
-                      keys_of: dict[int, list[bytes]],
-                      answered: dict[int, int]
-                      ) -> tuple[float, list[tuple[list[int], list[dict]]]]:
-        """One ``get_batch`` per node, one key group per partition.
-        Counts each answering node once toward each of its partitions'
+    def _read_batches(self, per_node: dict[int, list[tuple[int, ...]]],
+                      keys_of: dict[tuple[int, ...], list[bytes]],
+                      answered: dict[tuple[int, ...], int]
+                      ) -> tuple[float, list[tuple[list[tuple[int, ...]],
+                                                   list[dict]]]]:
+        """One ``get_batch`` per node, one key group per replica set.
+        Counts each answering node once toward each of its sets'
         quorums; returns the round's latency (its slowest answer) and,
-        in node order, each answering node's partitions beside its
-        per-partition answers."""
+        in node order, each answering node's replica sets beside its
+        per-set answers."""
         slowest = 0.0
         answers = []
-        for node_id, partitions in per_node.items():
+        for node_id, replica_sets in per_node.items():
             server = self.cluster.server_for(node_id)
             try:
                 groups, latency = self.cluster.network.invoke(
                     self.client_name, self.cluster.node_name(node_id),
                     server.get_batch, self.store,
-                    [keys_of[partition] for partition in partitions])
+                    [keys_of[owners] for owners in replica_sets])
             except ServerOverloadedError:
                 self.detector.record_success(node_id)
                 self.metrics.counter("get_all.replica_shed").increment()
@@ -514,9 +520,9 @@ class RoutedStore:
             else:
                 self.detector.record_success(node_id)
                 slowest = max(slowest, latency)
-                for partition in partitions:
-                    answered[partition] += 1
-                answers.append((partitions, groups))
+                for owners in replica_sets:
+                    answered[owners] += 1
+                answers.append((replica_sets, groups))
         return slowest, answers
 
     # -- writes ---------------------------------------------------------------------

@@ -146,7 +146,7 @@ class VoldemortServer:
     def get_batch(self, store: str, groups: list[list[bytes]]
                   ) -> list[dict[bytes, Sequence[Versioned]]]:
         """Batched point reads, one answer per key group (the client
-        sends one group per partition); absent keys are omitted.
+        sends one group per replica set); absent keys are omitted.
 
         One network round trip and one engine call serve many keys — the
         server half of the client's ``get_all``.

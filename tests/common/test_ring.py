@@ -130,6 +130,8 @@ def test_batch_partitions_match_per_key_partitions():
     assert ring.partitions_for_keys([]) == []
     with pytest.raises(UnsupportedTypeError):
         ring.partitions_for_keys([b"fine", "str-key"])
+    with pytest.raises(UnsupportedTypeError):   # MD5 would take it
+        ring.partitions_for_keys([bytearray(b"fine")])
 
 
 def test_preference_memo_holds_one_entry_per_partition_and_shape():
@@ -147,3 +149,24 @@ def test_preference_memo_holds_one_entry_per_partition_and_shape():
     moved = ring.with_partition_moved(0, 5)
     assert len(moved._preference) == 0
     assert len(ring._preference) == 96
+
+
+def test_routing_table_holds_one_table_per_shape():
+    """DESIGN §17: one routing table per (replication factor, required
+    zones) asked of this ring, each partition's preference-list owners;
+    a repeated ask returns the same table, and a new ownership is a new
+    ring with none."""
+    ring = make_ring(nodes=6, partitions=48, zones=2)
+    table = ring.routing_table(3)
+    assert table == tuple(ring.preference_list(partition, 3)[1]
+                          for partition in range(48))
+    assert ring.routing_table(3) is table
+    assert len(ring._tables) == 1
+    assert ring.routing_table(3, required_zones=2) == tuple(
+        ring.preference_list(partition, 3, required_zones=2)[1]
+        for partition in range(48))
+    assert len(ring._tables) == 2
+    moved = ring.with_partition_moved(0, 5)
+    assert len(moved._tables) == 0
+    assert moved.routing_table(3)[0][0] == 5
+    assert ring.routing_table(3) is table

@@ -5,7 +5,8 @@ before the read was counted per partition: the plan is per partition,
 but every distinct key carries its own quorum count and its own list of
 replies, and every key goes through ``frontier_of``.  It is slower and
 obviously right, which is what a reference model is for;
-`test_get_all_equivalence.py` holds the per-partition read to it.
+`test_get_all_equivalence.py` holds the read planned and counted per
+replica set to it.
 
 The two methods are copied verbatim but for one call-shape change:
 ``get_batch`` now takes key groups and answers one dict per group, so

@@ -3,7 +3,8 @@
 Two identical worlds run the same seeded script: one reads through
 :meth:`RoutedStore.get_all`, the other through
 :class:`~tests.voldemort.reference_get_all.ReferenceRoutedStore`, the
-read as it was before quorums were counted per partition.  The script
+read as it was before quorums were counted per partition (they are now
+counted per replica set).  The script
 mixes concurrent writers (siblings), tombstones planted on some of a
 key's replicas, missing and repeated keys in a batch, crashes the
 failure detector has not noticed yet (the fallback round), and replicas
@@ -15,6 +16,9 @@ reordered batch would show there.  The walk runs on the plain ring, and
 again where preference lists differ from it in order (a zone-aware
 store read from one zone) and in length (an admin redirect in place),
 and on the durable engine, whose replicas decode their own versions.
+Two more walks exercise the memory engine's set of tombstoned keys:
+one deletes keys through the router and rewrites them live, the other
+also restarts a memory node (truncates its engine) mid-walk.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ KEYS = [b"member:%03d" % i for i in range(48)]
 HOT = KEYS[:12]
 GHOSTS = [b"ghost:%d" % i for i in range(6)]     # never written
 TOMBSTONE_WRITER = 9
+REVIVER = 10        # the clock entry of routed deletes and revivals
 
 
 def script(seed: int) -> list[tuple]:
@@ -78,6 +83,26 @@ def script(seed: int) -> list[tuple]:
             # replicas whose queue is full when the batch arrives
             shedding = rng.sample(range(NODES), rng.choice((0, 0, 0, 1, 1, 2)))
             steps.append(("get_all", batch, shedding))
+    return steps
+
+
+def revival_script(seed: int, restarts: bool = False) -> list[tuple]:
+    """The walk with routed deletes and revivals mixed in: after a step,
+    a hot key may be deleted through the router (a tombstone on every
+    replica the delete reaches) or rewritten live over every version
+    and tombstone it holds anywhere.  With ``restarts``, a memory node
+    is also restarted now and then: its engine is truncated in place."""
+    rng = random.Random(seed + len(SEEDS))
+    steps: list[tuple] = []
+    for step in script(seed):
+        steps.append(step)
+        draw = rng.random()
+        if draw < 0.12:
+            steps.append(("delete", rng.choice(HOT)))
+        elif draw < 0.30:
+            steps.append(("revive", rng.choice(HOT)))
+        elif restarts and draw < 0.34:
+            steps.append(("truncate", rng.randrange(NODES)))
     return steps
 
 
@@ -160,6 +185,20 @@ class World:
             for node in range(NODES):
                 self.network.failures.recover(self.cluster.node_name(node))
             return ("heal",)
+        if kind in ("delete", "revive"):
+            key = step[1]
+            clock = self._clock_past(key).incremented(REVIVER)
+            try:
+                if kind == "delete":
+                    return (kind, self.writers[0].delete(
+                        key, Versioned(None, clock)))
+                return (kind, self.writers[0].put(
+                    key, Versioned(b"revived:" + key, clock)))
+            except ReproError as exc:
+                return (kind, type(exc))
+        if kind == "truncate":
+            self.cluster.server_for(step[1]).engine("s").truncate()
+            return ("truncate",)
         _, batch, shedding = step
         for node in shedding:
             self._fill_queue(node)
@@ -187,6 +226,19 @@ class World:
             pass
         clock = self.planted[node, key] = clock.incremented(TOMBSTONE_WRITER)
         engine.put(key, Versioned(None, clock))
+
+    def _clock_past(self, key: bytes) -> VectorClock:
+        """Every clock any replica holds for ``key``, tombstones
+        included, merged: a write one past it supersedes them all."""
+        clock = VectorClock()
+        for engine in self.engines():
+            try:
+                versions = engine.get_including_tombstones(key)
+            except KeyNotFoundError:
+                continue
+            for versioned in versions:
+                clock = clock.merged(versioned.clock)
+        return clock
 
     def _get_all(self, batch: list[bytes]) -> tuple:
         fallbacks = self.reader.metrics.counter("get_all.fallback_rounds")
@@ -230,8 +282,8 @@ def test_get_all_matches_the_per_key_reference(seed):
 def test_get_all_matches_the_reference_where_preference_lists_differ(
         seed, setting):
     """The same walk where some partitions' replica lists differ from
-    the plain ring's, so ordering them once per distinct list must still
-    order each partition as the per-partition reference does."""
+    the plain ring's, so grouping keys by replica set and ordering each
+    set once must still order each partition as the reference does."""
     world = World(seed, RoutedStore, setting)
     reference = World(seed, ReferenceRoutedStore, setting)
     ring = world.cluster.ring
@@ -253,7 +305,7 @@ def test_get_all_matches_the_reference_where_preference_lists_differ(
 def test_get_all_matches_the_reference_on_the_durable_engine(seed):
     """The walk on the log-structured engine: each replica decodes its
     own ``Versioned`` objects, so two replicas in agreement hand back
-    equal versions, never the same ones, and the whole-partition
+    equal versions, never the same ones, and the whole-replica-set
     comparison has to go through value equality."""
     world = World(seed, RoutedStore, engine_type="log-structured")
     reference = World(seed, ReferenceRoutedStore,
@@ -265,6 +317,59 @@ def test_get_all_matches_the_reference_on_the_durable_engine(seed):
             reference.network.trace_bytes(), (number, step[0])
         assert all(engine_batch_reads_match_get(engine, KEYS + GHOSTS)
                    for engine in world.engines()), number
+
+
+def tombstone_set_is_bounded(engine) -> bool:
+    """The memory engine remembers only keys it holds."""
+    return engine._tombstoned <= engine._data.keys()
+
+
+def revived_and_beside(engine) -> tuple[bool, bool]:
+    """Whether ``engine`` holds a key it once tombstoned that now reads
+    live with no tombstone left, and a key whose tombstone sits beside
+    a live sibling."""
+    revived = beside = False
+    for key in HOT:
+        try:
+            versions = engine.get_including_tombstones(key)
+        except KeyNotFoundError:
+            continue
+        dead = sum(v.is_tombstone for v in versions)
+        revived |= key in engine._tombstoned and dead == 0
+        beside |= 0 < dead < len(versions)
+    return revived, beside
+
+
+@pytest.mark.parametrize("restarts", [False, True],
+                         ids=["revivals", "memory_restart"])
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_get_all_matches_the_reference_across_deletes_and_revivals(
+        seed, restarts):
+    """Deleted keys rewritten live, live siblings beside tombstones and,
+    with ``restarts``, a memory node truncated mid-walk: the memory
+    engine filters only the keys a tombstone was ever written to, so
+    its batch read must still answer as ``get`` after every step, and
+    the read as the reference.  Not vacuous: each walk revives a key on
+    some replica and leaves a tombstone beside a live sibling, and a
+    restart clears a non-empty set of tombstoned keys."""
+    world = World(seed, RoutedStore)
+    reference = World(seed, ReferenceRoutedStore)
+    seen = {"revived": False, "beside": False, "cleared": not restarts}
+    for number, step in enumerate(revival_script(seed, restarts)):
+        if step[0] == "truncate":
+            engine = world.cluster.server_for(step[1]).engine("s")
+            seen["cleared"] |= bool(engine._tombstoned)
+        outcome = world.apply(step)
+        assert outcome == reference.apply(step), (number, step[0])
+        assert world.network.trace_bytes() == \
+            reference.network.trace_bytes(), (number, step[0])
+        for engine in world.engines():
+            assert engine_batch_reads_match_get(engine, KEYS + GHOSTS), number
+            assert tombstone_set_is_bounded(engine), number
+            revived, beside = revived_and_beside(engine)
+            seen["revived"] |= revived
+            seen["beside"] |= beside
+    assert all(seen.values()), seen
 
 
 def keep_equal_clocks_apart(monkeypatch) -> None:

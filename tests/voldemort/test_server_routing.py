@@ -230,16 +230,20 @@ class TestGetAll:
         assert routed.metrics.counter("get_all.fallback_rounds").value == 0
 
     def test_plan_is_per_partition_not_per_key(self, monkeypatch):
-        """Count guard, no timing, flat in the batch width: a healthy
-        batch ranks each node once, makes one engine batch read per
-        contacted node and no per-key ``get``, and, with replicas in
-        agreement, compares no clocks and folds no frontier — siblings
-        every replica holds included, since equal answers are taken
-        whole.  Only keys whose replies differ are folded: a sibling on
-        one replica costs one ``frontier_of`` for its key."""
+        """Count guard, no timing, flat in the batch width: the plan's
+        unit is the replica set (coarser than the partition the name
+        recalls).  A healthy batch ranks each node once, makes one
+        engine batch read per contacted node, hands the engines one key
+        group per replica set and replica asked (R of each set), makes
+        no per-key ``get``, and, with replicas in agreement, compares no
+        clocks and folds no frontier — siblings every replica holds
+        included, since equal answers are taken whole.  Only keys whose
+        replies differ are folded: a sibling on one replica costs one
+        ``frontier_of`` for its key."""
         calls = {"is_available": 0, "compare": 0, "get": 0,
                  "frontier_of": 0}
         batch_reads: list[InMemoryStorageEngine] = []
+        groups_read: list[int] = []
 
         def counting(name, original):
             def wrapper(*args):
@@ -247,9 +251,10 @@ class TestGetAll:
                 return original(*args)
             return wrapper
 
-        def recording_get_many(engine, keys):
+        def recording_get_many(engine, groups):
             batch_reads.append(engine)
-            return original_get_many(engine, keys)
+            groups_read.append(len(groups))
+            return original_get_many(engine, groups)
 
         original_get_many = InMemoryStorageEngine.get_many
         monkeypatch.setattr(FailureDetector, "is_available", counting(
@@ -281,8 +286,11 @@ class TestGetAll:
             for name in calls:
                 calls[name] = 0
             batch_reads.clear()
+            groups_read.clear()
             hops = cluster.network.hops_delivered
             found, _ = routed.get_all(keys)
+            replica_sets = {tuple(routed.replica_nodes(key)) for key in keys}
+            assert sum(groups_read) == 2 * len(replica_sets) <= 12, width
             assert len(found) == width
             assert sum(len(found[key]) > 1 for key in keys) == planted
             contacted = cluster.network.hops_delivered - hops
